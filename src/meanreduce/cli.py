@@ -37,7 +37,7 @@ from .suites import (
     load_suite,
     run_suite,
 )
-from .lab import fuzz_suite
+from .lab import FuzzCase, fuzz_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,9 +47,12 @@ EXIT_NO_CONVERGENCE = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Bundled run settings for suite commands."""
+    """Bundled run settings for suite commands.
 
-    solver: SolverConfig
+    Suites fix their own solver tolerances, so these commands take no solver
+    flags.
+    """
+
     seed: int = 0
     trials: int = DEFAULT_TRIALS
     tol: float = DEFAULT_TOL
@@ -65,7 +68,7 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        return cls(solver=_solver_config(args), seed=args.seed, trials=args.trials,
+        return cls(seed=args.seed, trials=args.trials,
                    tol=args.tol, reduced_tol=args.reduced_tol,
                    output=args.output, format=args.format)
 
@@ -275,12 +278,25 @@ def cmd_verify(args) -> int:
 def cmd_fuzz(args) -> int:
     run = RunConfig.from_args(args)
     suite = load_suite(args.suite)
-    runners = [build_runner(c, run.trials, run.tol, run.reduced_tol)
-               for c in suite["cases"]]
+    runners = [_fuzz_runner(c, run) for c in suite["cases"]]
     report = fuzz_suite(runners, seed=run.seed, trials=run.trials)
     report["suite"] = suite.get("name", "suite")
     _emit(report, run.format, run.output, csv_rows=_suite_csv_rows(report))
     return EXIT_OK
+
+
+def _fuzz_runner(case: dict, run: RunConfig) -> FuzzCase:
+    """The case's runner, or for a case that fails to build one that raises
+    the build error, so that ``fuzz_suite`` records it as an error entry."""
+    try:
+        return build_runner(case, run.trials, run.tol, run.reduced_tol)
+    except MeansError as exc:
+        def fail(seed: int, trials: int, exc=exc):
+            raise exc
+
+        case = case if isinstance(case, dict) else {}
+        kind = case.get("type")
+        return FuzzCase(name=case.get("name", kind or "case"), kind=kind, runner=fail)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reduced-tol", type=float, default=DEFAULT_REDUCED_TOL)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
-        _add_solver_flags(p)
         p.set_defaults(func=fn)
 
     return parser

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -208,6 +208,84 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+# ITP constants of Oliveira & Takahashi (2020): kappa_1 = 0.2 / (b0 - a0),
+# kappa_2 = 2, n_0 = 1.
+ITP_K1 = 0.2
+ITP_N0 = 1
+
+
+@dataclass(frozen=True)
+class RootResult:
+    """Outcome of :func:`bracketed_root`.
+
+    ``x``/``fx`` are the last evaluated point and its value, ``a``/``b`` the
+    final bracket (both equal to ``x`` at an exact zero).  ``converged`` is
+    False only when the iteration budget ran out.
+    """
+
+    x: float
+    fx: float
+    a: float
+    b: float
+    iterations: int
+    converged: bool
+
+
+def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+                   width_tol: float, max_iter: int,
+                   check: Optional[Callable] = None,
+                   done: Optional[Callable] = None) -> RootResult:
+    """Locate a sign change of f in [a, b] by the ITP method.
+
+    ``fa`` and ``fb`` are f(a) and f(b): nonzero, of opposite signs; f may
+    increase or decrease.  Each step interpolates (regula falsi), truncates
+    the estimate toward the midpoint by kappa_1 (b - a)^2, and projects it
+    into a ball around the midpoint whose radius is the slack left in
+    bisection's budget (Interpolate-Truncate-Project; Oliveira & Takahashi,
+    ACM TOMS 2020).  Only the sign of f(x) moves an endpoint, so the bracket
+    always holds a sign change, and whatever f is, the width falls to
+    ``width_tol`` within ceil(log2((b - a) / width_tol)) + n_0 steps, n_0 = 1
+    more than bisection; on smooth sections convergence is superlinear.
+
+    After each evaluation ``check(x, fx, a, fa, b, fb)`` sees the point with
+    the bracket it was drawn from and may raise.  After the bracket update,
+    ``done(x, fx, a, b)`` may end the search on the caller's own tolerance.
+    The search also ends at an exact zero and once b - a <= width_tol.
+    """
+    span = b - a
+    k1 = ITP_K1 / span
+    n_max = max(math.ceil(math.log2(span / width_tol)), 0) + ITP_N0
+    # The projection radius keeps 1/16 of width_tol in reserve so that
+    # rounding cannot push the last bracket past it.
+    reserve_tol = 0.9375 * width_tol
+    x, fx = a, fa
+    for it in range(1, max_iter + 1):
+        width = b - a
+        mid = a + 0.5 * width
+        try:
+            r = max(math.ldexp(reserve_tol, n_max - it) - 0.5 * width, 0.0)
+        except OverflowError:
+            r = math.inf
+        xf = a + width * (fa / (fa - fb))
+        d = mid - xf
+        delta = k1 * width * width
+        xt = xf + math.copysign(delta, d) if delta <= abs(d) else mid
+        x = xt if abs(xt - mid) <= r else mid - math.copysign(r, d)
+        if not a < x < b:
+            x = mid
+        fx = f(x)
+        if check is not None:
+            check(x, fx, a, fa, b, fb)
+        if fx == 0.0:
+            return RootResult(x, fx, x, x, it, True)
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        if b - a <= width_tol or (done is not None and done(x, fx, a, b)):
+            return RootResult(x, fx, a, b, it, True)
+    return RootResult(x, fx, a, b, max_iter, False)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,16 @@
 Given an n-variable mean M and an injection chi of k slots into n, the
 reduction of M at a k-tuple x is a fixed point of the spliced evaluation
 y -> M((x|chi)(y)).  For scalar means the mean property pins the sign of
-mu(y) = M((x|chi)(y)) - y at the ends of [min(x), max(x)], so bisection on mu
-converges unconditionally; fixed-point iteration could cycle for
-non-contractive maps.  For vector means the solver is a damped fixed-point
-iteration from the centroid, with a safeguarded secant (Anderson depth-1)
-extrapolation layered on top: plain iteration contracts arbitrarily slowly
-when the spliced slots dominate, and the extrapolated iterate is only ever
-accepted when it reduces the fixed-point residual, so certificates are
-unaffected.
+mu(y) = M((x|chi)(y)) - y at the ends of [min(x), max(x)], so a bracketed
+search on mu converges unconditionally; fixed-point iteration could cycle for
+non-contractive maps.  The search is the ITP method of ``core.bracketed_root``
+(Oliveira & Takahashi, ACM TOMS 2020): never more than one step over
+bisection's count, superlinear on smooth mu.  For vector means the solver is
+a damped fixed-point iteration from the centroid, with a safeguarded secant
+(Anderson depth-1) extrapolation layered on top: plain iteration contracts
+arbitrarily slowly when the spliced slots dominate, and the extrapolated
+iterate is only ever accepted when it reduces the fixed-point residual, so
+certificates are unaffected.
 
 Uniqueness cannot be decided for a black-box mean; results carry a tri-state
 flag ("unique" / "multiple-suspected" / "unknown") driven by sign probes in
@@ -31,6 +33,7 @@ from .core import (
     SolverConfig,
     SolverReport,
     as_point_tuple,
+    bracketed_root,
     select,
     splice,
 )
@@ -164,7 +167,8 @@ def spliced_eval(M: MeanFn, chi: Injection, x: Sequence, y):
 
 def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
                   cfg: SolverConfig = DEFAULT_CONFIG) -> ReductionResult:
-    """Reduce a scalar mean by bisection on mu(y) = M((x|chi)(y)) - y.
+    """Reduce a scalar mean by ``core.bracketed_root`` (ITP) on
+    mu(y) = M((x|chi)(y)) - y, keeping the iterate of least |mu|.
 
     The mean property forces mu >= 0 at min(x) and mu <= 0 at max(x); a sign
     anomaly beyond abs_tol raises NotAMeanError.  Adjacent evaluations whose
@@ -198,47 +202,34 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
     suspect = False
     prev_y: Optional[float] = None
     prev_m: Optional[float] = None
+    root, residual = a0, abs(mu_a)
 
     def probe(y: float) -> float:
-        nonlocal suspect, prev_y, prev_m
+        nonlocal suspect, prev_y, prev_m, root, residual
         my = m(y)
         if prev_y is not None and y != prev_y:
             if abs(my - prev_m) > 1e3 * abs(y - prev_y):
                 suspect = True
         prev_y, prev_m = y, my
-        return my - y
+        mu = my - y
+        if abs(mu) < residual:
+            root, residual = y, abs(mu)
+        return mu
 
-    a, b = a0, b0
     iterations = 0
-    if mu_a <= 0.0:
-        root, residual = a0, abs(mu_a)
-    elif mu_b >= 0.0:
+    if mu_a > 0.0 and mu_b >= 0.0:
         root, residual = b0, abs(mu_b)
-    else:
+    elif mu_a > 0.0:
         # The bracket width floor only stops stagnation at float resolution;
-        # convergence itself is judged by the fixed-point residual.
+        # convergence itself is judged by the fixed-point residual of the
+        # best iterate.
         width_floor = 8.0 * np.finfo(float).eps * (abs(a0) + abs(b0) + 1.0)
-        root, residual = a0, abs(mu_a)
-        exhausted = True
-        for iterations in range(1, cfg.max_iter + 1):
-            mid = 0.5 * (a + b)
-            mu = probe(mid)
-            if abs(mu) < residual:
-                root, residual = mid, abs(mu)
-            if mu == 0.0:
-                exhausted = False
-                break
-            if mu > 0.0:
-                a = mid
-            else:
-                b = mid
-            if residual <= res_tol or (b - a) <= width_floor:
-                exhausted = False
-                break
-        if exhausted or residual > res_tol:
+        search = bracketed_root(probe, a0, b0, mu_a, mu_b, width_floor, cfg.max_iter,
+                                done=lambda *_: residual <= res_tol)
+        iterations = search.iterations
+        if residual > res_tol:
             report = SolverReport(value=root, residual=residual,
-                                  iterations=iterations,
-                                  converged=residual <= res_tol)
+                                  iterations=iterations, converged=False)
             return ReductionResult(root, residual, report,
                                    unique_flag=UNKNOWN,
                                    continuity_suspect=suspect)

@@ -8,8 +8,11 @@ deviation mean of a tuple x is the unique root y of
 
 inside [min(x), max(x)].  The root always exists because the summed section
 is strictly decreasing with opposite signs at the endpoints, so the solver is
-a bracketed bisection: the only method whose convergence needs nothing beyond
-continuity and monotonicity.
+the bracketed ITP method of ``core.bracketed_root`` (Interpolate-Truncate-
+Project; Oliveira & Takahashi, ACM TOMS 2020).  Like bisection it keeps a
+sign change bracketed and needs nothing beyond continuity and monotonicity;
+it never takes more than one step over bisection's count, and on smooth
+sections it converges superlinearly.
 
 Classical families (Bajraktarevic, Matkowski, Gini, Holder / power means,
 quasi-arithmetic means) are provided in closed form; they double as oracles
@@ -28,7 +31,15 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, Interval, POSITIVE_REALS, REALS, SolverConfig, SolverReport
+from .core import (
+    DEFAULT_CONFIG,
+    Interval,
+    POSITIVE_REALS,
+    REALS,
+    SolverConfig,
+    SolverReport,
+    bracketed_root,
+)
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -115,11 +126,12 @@ class GeneratorFn:
 
 def numeric_inverse(fn: Callable[[float], float], domain: Interval,
                     cfg: SolverConfig = DEFAULT_CONFIG) -> Callable[[float], float]:
-    """Invert a strictly increasing function by bracket expansion + bisection.
+    """Invert a strictly increasing function by bracket expansion + ITP.
 
     The bracket starts from the domain's finite window and grows outward
     (geometrically toward infinite endpoints, by endpoint-halving toward open
-    finite ones) until it straddles the target value.
+    finite ones) until it straddles the target value; ``core.bracketed_root``
+    then narrows it with bisection's worst case plus one step.
     """
     lo0, hi0 = domain.finite_window()
 
@@ -154,22 +166,18 @@ def numeric_inverse(fn: Callable[[float], float], domain: Interval,
             fb = fn(b)
         else:
             raise DomainError(f"target {t} above the generator's range")
-        for _ in range(cfg.max_iter):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                return mid
-            fm = fn(mid)
-            if fm == t:
-                return mid
-            if fm < t:
-                a = mid
-            else:
-                b = mid
-            # Inverses feed round-trip checks at 1e-10; bisect to near machine
-            # resolution (cheap, ~55 iterations).
-            if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
-                return 0.5 * (a + b)
-        raise NoConvergenceError("generator inversion exhausted its iteration budget")
+        if fa == t:
+            return a
+        if fb == t:
+            return b
+        # Inverses feed round-trip checks at 1e-10; narrow to near machine
+        # resolution.
+        root = bracketed_root(
+            lambda u: fn(u) - t, a, b, fa - t, fb - t, 1e-14, cfg.max_iter,
+            done=lambda u, fu, lo, hi: hi - lo <= 1e-14 * (1.0 + abs(lo) + abs(hi)))
+        if not root.converged:
+            raise NoConvergenceError("generator inversion exhausted its iteration budget")
+        return 0.5 * (root.a + root.b)
 
     return inverse
 
@@ -313,13 +321,15 @@ def e_sum(E, x: Sequence[float], u: float) -> float:
 
 
 def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> SolverReport:
-    """Solve sum_i E_i(x_i, y) = 0 on [min(x), max(x)] by bisection.
+    """Solve sum_i E_i(x_i, y) = 0 on [min(x), max(x)] by ``core.bracketed_root``.
 
-    The summed section decreases strictly from a nonnegative value at min(x)
-    to a nonpositive value at max(x); a sign anomaly at the bracket endpoints
-    or non-monotone behaviour observed during bracketing raises
-    InvalidDeviationError.  Exhausting the iteration budget returns a
-    non-converged report with the best iterate.
+    The ITP search takes at most one step more than bisection would and
+    needs only continuity and monotonicity of the sections.  The summed
+    section decreases strictly from a nonnegative value at min(x) to a
+    nonpositive value at max(x); a sign anomaly at the bracket endpoints or a
+    value outside the range of the bracket's end values during the search
+    raises InvalidDeviationError.  Exhausting the iteration budget returns a
+    non-converged report with the last iterate.
     """
     E = as_deviation_tuple(E)
     if len(x) != len(E):
@@ -348,27 +358,19 @@ def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) ->
     if fb >= 0.0:
         return SolverReport(value=b, residual=abs(fb), iterations=0, converged=True)
 
-    span = b - a
-    width_tol = cfg.rel_tol * span + cfg.abs_tol
-    mid = 0.5 * (a + b)
-    fm = fa
-    for it in range(1, cfg.max_iter + 1):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        guard = 1e-9 * (1.0 + abs(fa) + abs(fb) + abs(fm))
-        if fm > fa + guard or fm < fb - guard:
-            raise InvalidDeviationError(
-                f"summed deviation is not monotone: f({a})={fa}, f({mid})={fm}, f({b})={fb}"
-            )
-        if fm == 0.0:
-            return SolverReport(value=mid, residual=0.0, iterations=it, converged=True)
-        if fm > 0.0:
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-        if abs(fm) <= cfg.abs_tol or (b - a) <= width_tol:
-            return SolverReport(value=mid, residual=abs(fm), iterations=it, converged=True)
-    return SolverReport(value=mid, residual=abs(fm), iterations=cfg.max_iter, converged=False)
+    root = bracketed_root(f, a, b, fa, fb, cfg.rel_tol * (b - a) + cfg.abs_tol, cfg.max_iter,
+                          check=_check_monotone,
+                          done=lambda y, fy, lo, hi, tol=cfg.abs_tol: abs(fy) <= tol)
+    return SolverReport(value=root.x, residual=abs(root.fx), iterations=root.iterations,
+                        converged=root.converged)
+
+
+def _check_monotone(y: float, fy: float, a: float, fa: float, b: float, fb: float):
+    guard = 1e-9 * (1.0 + abs(fa) + abs(fb) + abs(fy))
+    if fy > fa + guard or fy < fb - guard:
+        raise InvalidDeviationError(
+            f"summed deviation is not monotone: f({a})={fa}, f({y})={fy}, f({b})={fb}"
+        )
 
 
 def _summed_section(E: DeviationTuple, xs: list) -> Callable[[float], float]:
@@ -477,8 +479,8 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
     """(f_1 + ... + f_n)^{-1}(f_1(x_1) + ... + f_n(x_n)).
 
     The sum of the generators has no closed-form inverse in general, so it is
-    inverted by bracketed bisection on [min(x), max(x)], where the strictly
-    increasing sum always straddles the target.
+    inverted by ``core.bracketed_root`` (ITP) on [min(x), max(x)], where the
+    strictly increasing sum always straddles the target.
     """
     if len(f) != len(x):
         raise InvalidArgumentError(f"generator count {len(f)} != tuple length {len(x)}")
@@ -504,21 +506,11 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
         return a
     if gb <= 0.0:
         return b
-    span = b - a
-    width_tol = cfg.rel_tol * span + cfg.abs_tol
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if gm < 0.0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= width_tol:
-            return 0.5 * (a + b)
-    raise NoConvergenceError("matkowski mean inversion exhausted its iteration budget",
-                             best=0.5 * (a + b), residual=b - a)
+    root = bracketed_root(g, a, b, ga, gb, cfg.rel_tol * (b - a) + cfg.abs_tol, cfg.max_iter)
+    if not root.converged:
+        raise NoConvergenceError("matkowski mean inversion exhausted its iteration budget",
+                                 best=0.5 * (root.a + root.b), residual=root.b - root.a)
+    return 0.5 * (root.a + root.b)
 
 
 def _check_positive(x) -> np.ndarray:

@@ -120,7 +120,21 @@ def _case_tols(case: dict, trials: int, tol: float, reduced_tol: float):
 
 
 def build_runner(case: dict, trials: int, tol: float, reduced_tol: float) -> FuzzCase:
-    """Compile one suite case into a seeded runnable returning its report."""
+    """Compile one suite case into a seeded runnable returning its report.
+
+    A case that is not an object, or lacks a field its type needs, raises
+    InvalidArgumentError.
+    """
+    if not isinstance(case, dict):
+        raise InvalidArgumentError(f"a suite case must be an object, got {case!r}")
+    try:
+        return _compile_case(case, trials, tol, reduced_tol)
+    except KeyError as exc:
+        name = case.get("name", case.get("type") or "case")
+        raise InvalidArgumentError(f"case {name!r}: missing field {exc}") from None
+
+
+def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> FuzzCase:
     kind = case.get("type")
     name = case.get("name", kind or "case")
     expected = case.get("expected", "pass")

@@ -231,11 +231,17 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _labels(E: Sequence[GenDeviation]) -> str:
+    return ", ".join(dict.fromkeys(e.label for e in E))
+
+
 def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
     if all(e.inner_weight is not None for e in E):
         # Gradient-type family: sum_i 2 w_i(x_i) (x_i - y) is affine in y
         # with coefficients fixed by the data points.
         coeffs = np.asarray([float(e.inner_weight(xi)) for e, xi in zip(E, pts)])
+        if not np.all(np.isfinite(coeffs)):
+            raise InvalidDeviationError(f"{_labels(E)}: weights at the data are not finite")
         const = 2.0 * (coeffs @ np.stack(pts, axis=0))
         total_w = 2.0 * float(coeffs.sum())
 
@@ -255,11 +261,14 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
                 total += _as_grad(ev(xi, y), dim)
             checked[0] = True
             return total
-        # Shapes were validated on the first call; skip the checks in the
-        # hot loop.
+        # Shapes were validated on the first call; later calls check only
+        # that the sum is finite, once per call rather than per term (a
+        # Python sum over d floats costs a fifth of ndarray.sum).
         for ev, xi in pairs:
             v = ev(xi, y)
             total += v.array if type(v) is Covector else np.asarray(v, dtype=float).reshape(-1)
+        if not math.isfinite(sum(total.tolist())):
+            raise InvalidDeviationError(f"{_labels(E)}: summed covector is not finite at y={y}")
         return total
 
     return geval

@@ -123,6 +123,23 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "fuzz"])
+    def test_solver_flags_rejected(self, capsys, command):
+        # Suites fix their own solver tolerances; a flag they would ignore
+        # is refused instead.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "jensen", "--max-iter", "1"])
+        assert exc.value.code == 2
+        assert "--max-iter" in capsys.readouterr().err
+
+    def test_case_missing_a_field_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"cases": [{"name": "no-M", "type": "convexity",
+                                              "f": "u^2"}]}))
+        code, _, err = run_cli(capsys, "verify", str(bad))
+        assert code == 2
+        assert "'M'" in err
+
     def test_output_file_and_determinism(self, capsys, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -153,3 +170,22 @@ class TestFuzzCommand:
         assert main(["fuzz", "failing", "--seed", "3", "--trials", "30",
                      "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_malformed_case_becomes_an_error_entry(self, capsys, tmp_path):
+        suite = {"name": "mixed", "cases": [
+            {"name": "bogus", "type": "no-such-type"},
+            {"name": "no-M", "type": "convexity", "f": "u^2"},
+            "not-an-object",
+            {"name": "jensen-square", "type": "convexity", "f": "u^2",
+             "M": {"kind": "arithmetic", "arity": 2},
+             "N": {"kind": "arithmetic", "arity": 2}},
+        ]}
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(suite))
+        report = run_json(capsys, "fuzz", str(path), "--trials", "5")
+        bogus, no_m, not_object, good = report["cases"]
+        assert "unknown type" in bogus["error"]
+        assert "'M'" in no_m["error"]
+        assert "must be an object" in not_object["error"]
+        assert "error" not in good and good["full"]["found"] is False
+        assert report["errors"] == 3

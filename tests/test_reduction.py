@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meanreduce.core import Injection, POSITIVE_REALS, SolverConfig
+from meanreduce.core import Injection, Interval, POSITIVE_REALS, SolverConfig
 from meanreduce.descriptors import (
     arithmetic_mean_fn,
     gen_deviation_mean_fn,
@@ -33,6 +33,7 @@ from meanreduce.scalar import (
     deviation_mean,
     power_weight,
 )
+from meanreduce.suites import REDUCTION_CFG
 from meanreduce.vector import inner_product_deviation as library_ipd
 
 
@@ -317,3 +318,25 @@ class TestDeviationReductionOracle:
         report = check_deviation_reduction(E, chi, samples=8, tol=1e-8, seed=7, cfg=cfg)
         assert report.passed
         assert report.max_abs_error <= 1e-8
+
+    def test_nested_section_evaluations_per_reduction(self):
+        # The deviation-lehmer case of the reduction-oracles suite.  With
+        # chi = [1, 3] the direct route never sees slot 2, so the calls of
+        # the slot-2 deviation count the summed-section evaluations of the
+        # reduction route alone.  Bisection made 1,796 per reduction here.
+        calls = [0]
+
+        def counted(u, v):
+            calls[0] += 1
+            return u * (u - v)
+
+        domain = Interval(0.2, 6.0)
+        lehmer = ScalarDeviation(domain=domain, eval=lambda u, v: u * (u - v),
+                                 label="lehmer", validate=False)
+        middle = ScalarDeviation(domain=domain, eval=counted, label="lehmer-counted",
+                                 validate=False)
+        samples = 50
+        report = check_deviation_reduction((lehmer, middle, lehmer), Injection.of([1, 3], n=3),
+                                           samples=samples, tol=1e-8, seed=1, cfg=REDUCTION_CFG)
+        assert report.passed
+        assert calls[0] / samples <= 367

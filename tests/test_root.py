@@ -1,0 +1,136 @@
+"""Property tests of the shared ITP root finder ``core.bracketed_root``."""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from meanreduce.core import ITP_N0, Injection, Interval, bracketed_root
+from meanreduce.errors import InvalidDeviationError
+from meanreduce.reduction import MeanFn, reduce_scalar
+from meanreduce.scalar import DeviationTuple, ScalarDeviation, deviation_mean
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+# Brackets [lo, lo + span] at three magnitudes; the width tolerance is a
+# fraction of the span, kept well above float resolution at every scale.
+scales = st.sampled_from([1e-8, 1.0, 1e8])
+brackets = st.tuples(scales, st.floats(-1.0, 1.0), st.floats(0.5, 2.0),
+                     st.integers(1, 12)).map(
+    lambda t: (t[0] * t[1], t[0] * t[2], t[0] * t[2] * 10.0 ** -t[3]))
+
+
+def smooth_shape(kind: str, p: float):
+    """A strictly increasing continuous function on [0, 1]."""
+    if kind == "cubic":
+        return lambda t: (t - p) ** 3 + 1e-3 * t
+    if kind == "exp":
+        return lambda t: math.exp(8.0 * p * t)
+    if kind == "atan":
+        return lambda t: math.atan(50.0 * (t - p)) + 0.01 * t
+    return lambda t: t + p * t * t
+
+
+monotone = st.tuples(st.sampled_from(["cubic", "exp", "atan", "quadratic"]),
+                     st.floats(0.05, 0.95), st.floats(0.01, 0.99), st.booleans())
+
+steps = st.tuples(st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.1, 5.0)),
+                           min_size=1, max_size=6),
+                  st.floats(0.01, 0.99), st.booleans())
+
+
+def checked_search(f, lo, span, width_tol, root=None):
+    """Run bracketed_root and assert the bracket invariant on every step."""
+    a, b = lo, lo + span
+    fa, fb = f(a), f(b)
+    assert fa * fb < 0
+    seen = []
+
+    def check(x, fx, a, fa, b, fb):
+        assert a < x < b
+        assert fa * fb < 0
+        assert fa == f(a) and fb == f(b)
+        if root is not None:
+            assert a <= root <= b
+        seen.append(b - a)
+
+    result = bracketed_root(f, a, b, fa, fb, width_tol, 10_000, check=check)
+    bound = math.ceil(math.log2(span / width_tol)) + ITP_N0
+    assert result.converged
+    assert result.iterations == len(seen) <= bound
+    if result.fx != 0.0:
+        assert result.b - result.a <= width_tol
+        assert result.a <= result.x <= result.b
+    return result
+
+
+@SETTINGS
+@given(brackets, monotone)
+def test_monotone_continuous_functions(bracket, shape):
+    lo, span, width_tol = bracket
+    kind, p, t_root, increasing = shape
+    g = smooth_shape(kind, p)
+    sign = 1.0 if increasing else -1.0
+    level = g(t_root)
+
+    def f(x):
+        return sign * (g((x - lo) / span) - level)
+
+    result = checked_search(f, lo, span, width_tol, root=lo + t_root * span)
+    assert abs(result.x - (lo + t_root * span)) <= width_tol + 4e-16 * (abs(lo) + span)
+
+
+@SETTINGS
+@given(brackets, steps)
+def test_monotone_step_functions(bracket, shape):
+    jumps, share, increasing = shape
+    lo, span, width_tol = bracket
+    total = sum(w for _, w in jumps)
+    sign = 1.0 if increasing else -1.0
+
+    def f(x):
+        t = (x - lo) / span
+        return sign * (sum(w for c, w in jumps if t >= c) - share * total)
+
+    checked_search(f, lo, span, width_tol)
+
+
+def test_smooth_section_beats_bisection():
+    # A smooth, nonlinear section: bisection needs ~34 steps for this width.
+    result = checked_search(lambda x: math.exp(x) - 3.0, 0.0, 2.0, 1e-10)
+    assert result.iterations <= 12
+
+
+@SETTINGS
+@given(st.floats(-5.0, 5.0), st.floats(0.01, 10.0), st.floats(10.0, 100.0),
+       st.sampled_from([1.0, -1.0]))
+def test_non_monotone_section_still_raises(lo, spread, amplitude, hump_sign):
+    hi = lo + spread
+
+    def hump(u, v, lo=lo, spread=spread):
+        return (u - v) + hump_sign * amplitude * spread * math.sin(math.pi * (v - lo) / spread)
+
+    dev = ScalarDeviation(domain=Interval(lo - spread, hi + spread), eval=hump,
+                          label="hump", validate=False)
+    with pytest.raises(InvalidDeviationError):
+        deviation_mean(DeviationTuple((dev, dev)), (lo, hi))
+
+
+@SETTINGS
+@given(st.floats(-10.0, 10.0), st.floats(1e-6, 1e6), st.floats(0.01, 0.99),
+       st.floats(0.001, 1.0), st.floats(0.001, 1.0))
+def test_jump_mean_still_flagged(lo, spread, at, up, down):
+    # A jump sitting exactly on a probed point is never straddled by two
+    # adjacent probes (with bisection as with ITP), so keep the cut off the
+    # dyadic points that midpoint steps land on.
+    assume(at * 1024.0 != round(at * 1024.0))
+    cut = lo + at * spread
+    high, low = cut + up * spread, cut - down * spread
+
+    def jump(xs):
+        return high if xs[2] < cut else low
+
+    M = MeanFn(arity=3, eval=jump, label="jump")
+    result = reduce_scalar(M, Injection.of([1, 2], n=3), (lo, lo + spread))
+    assert result.continuity_suspect
+    assert not result.certificate.converged

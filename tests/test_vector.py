@@ -144,6 +144,27 @@ class TestGenDeviationMean:
         with pytest.raises(InvalidDeviationError):
             gen_deviation_mean([bad] * 3, TRIANGLE, init=(0.7, 0.2, 0.1))
 
+    def test_non_finite_covector_mid_solve_names_the_deviation(self):
+        # Valid for 28 calls, then NaN: only the first call validates each
+        # term, so the later failure must be caught on the summed covector.
+        calls = [0]
+
+        def flaky(u, v):
+            calls[0] += 1
+            if calls[0] > 28:
+                return np.array([math.nan, math.nan])
+            diff = np.asarray(u, float) - np.asarray(v, float)
+            return 2.0 * diff * (1.0 + 0.1 * float(np.sum(np.asarray(v, float) ** 2)))
+
+        dev = GenDeviation(dim=2, eval=flaky, label="flaky", validate=False)
+        with pytest.raises(InvalidDeviationError, match="flaky"):
+            gen_deviation_mean([dev] * 3, TRIANGLE)
+
+    def test_non_finite_inner_weight_names_the_deviation(self):
+        dev = library_ipd(lambda u: math.nan if u[0] > 1.5 else 1.0, 2)
+        with pytest.raises(InvalidDeviationError, match=dev.label):
+            gen_deviation_mean([dev] * 3, TRIANGLE)
+
 
 class TestGenDeviationValidation:
     def test_rejects_reversed_sign(self):
