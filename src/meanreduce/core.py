@@ -221,7 +221,8 @@ class RootResult:
 
     ``x``/``fx`` are the last evaluated point and its value, ``a``/``b`` the
     final bracket (both equal to ``x`` at an exact zero).  ``converged`` is
-    False only when the iteration budget ran out.
+    False only when the iteration budget ran out or, before that, the
+    bracket shrank to two adjacent floats without the caller's ``done``.
     """
 
     x: float
@@ -251,7 +252,11 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
     After each evaluation ``check(x, fx, a, fa, b, fb)`` sees the point with
     the bracket it was drawn from and may raise.  After the bracket update,
     ``done(x, fx, a, b)`` may end the search on the caller's own tolerance.
-    The search also ends at an exact zero and once b - a <= width_tol.
+    The search also ends at an exact zero and once b - a <= width_tol.  It
+    ends as well once no float lies strictly between a and b, which happens
+    when width_tol is below the resolution of the data: the endpoint at the
+    midpoint is reported, converged only if ``done`` accepts it, exactly as
+    if the budget had been spent re-evaluating it.
     """
     span = b - a
     k1 = ITP_K1 / span
@@ -273,6 +278,12 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
         xt = xf + math.copysign(delta, d) if delta <= abs(d) else mid
         x = xt if abs(xt - mid) <= r else mid - math.copysign(r, d)
         if not a < x < b:
+            if math.nextafter(a, b) == b:
+                # No float lies strictly inside: every further step would
+                # re-evaluate the endpoint at mid and change nothing, so
+                # report now what the exhausted budget would have reported.
+                x, fx = (a, fa) if mid == a else (b, fb)
+                return RootResult(x, fx, a, b, it - 1, done is not None and done(x, fx, a, b))
             x = mid
         fx = f(x)
         if check is not None:
@@ -301,7 +312,6 @@ class SolverReport:
     residual: float
     iterations: int
     converged: bool
-    trace: Optional[tuple] = None
     barycentric: Optional[Barycentric] = None
 
     def to_json(self) -> dict:

@@ -65,8 +65,6 @@ KINDS = (
 )
 
 _VECTOR_KINDS = {"gen-deviation", "norm-squared-potential", "custom-potential"}
-_SOLVER_KINDS = {"deviation-custom", "gen-deviation", "norm-squared-potential",
-                 "custom-potential", "matkowski", "quasi-arithmetic"}
 
 
 @dataclass(frozen=True)
@@ -234,8 +232,8 @@ def build_custom_potential(expr_text: str, dim: int,
 def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
     if dim is None:
         return MeanFn(arity=arity, eval=lambda xs: math.fsum(float(v) for v in xs) / len(xs),
-                      symmetric=True, label="arithmetic")
-    return MeanFn(arity=arity, dim=dim, symmetric=True, label="arithmetic",
+                      label="arithmetic")
+    return MeanFn(arity=arity, dim=dim, label="arithmetic",
                   eval=lambda xs: np.mean(np.stack([np.asarray(p, float) for p in xs]), axis=0))
 
 
@@ -251,18 +249,18 @@ def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
 
 
 def holder_mean_fn(p: float, arity: int) -> MeanFn:
-    return MeanFn(arity=arity, symmetric=True, label=f"holder p={p}",
+    return MeanFn(arity=arity, label=f"holder p={p}",
                   eval=lambda xs, p=float(p): holder_mean(p, xs))
 
 
 def gini_mean_fn(p: float, q: float, arity: int) -> MeanFn:
-    return MeanFn(arity=arity, symmetric=True, label=f"gini p={p} q={q}",
+    return MeanFn(arity=arity, label=f"gini p={p} q={q}",
                   eval=lambda xs, p=float(p), q=float(q): gini_mean(p, q, xs))
 
 
 def quasi_arithmetic_mean_fn(f, arity: int, domain: Optional[Interval] = None) -> MeanFn:
     gen = build_generator(f, domain)
-    return MeanFn(arity=arity, symmetric=True, label="quasi-arithmetic",
+    return MeanFn(arity=arity, label="quasi-arithmetic",
                   eval=lambda xs, g=gen: quasi_arithmetic_mean(g, xs))
 
 
@@ -310,7 +308,7 @@ def gen_deviation_mean_fn(E: Sequence[GenDeviation], cfg: SolverConfig = DEFAULT
         if warm_start and state["lipschitz"] is None:
             pts = [np.asarray(p, float) for p in xs]
             X = np.stack(pts, axis=0)
-            state["lipschitz"] = _estimate_lipschitz(_sum_grad(E, pts, dim), X)
+            state["lipschitz"] = _estimate_lipschitz(_sum_grad(E, pts, dim)[0], X)
         rep = gen_deviation_mean(E, xs, cfg, init=init, lipschitz=state["lipschitz"])
         if warm_start and rep.barycentric is not None:
             state["init"] = rep.barycentric.array

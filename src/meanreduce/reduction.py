@@ -63,7 +63,6 @@ class MeanFn:
     arity: int
     eval: Callable
     dim: Optional[int] = None
-    symmetric: bool = False
     label: str = "mean"
 
     def __post_init__(self):
@@ -173,9 +172,10 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
     The mean property forces mu >= 0 at min(x) and mu <= 0 at max(x); a sign
     anomaly beyond abs_tol raises NotAMeanError.  Adjacent evaluations whose
     gap exceeds 1000 times their separation mark the result as continuity
-    suspect.  After the root is located, sign probes on both sides check the
-    single-crossing picture; a probe with the wrong sign downgrades the
-    uniqueness flag to "multiple-suspected".
+    suspect, and so do the two ends of the final bracket.  After the root
+    is located, sign probes on both sides check the single-crossing picture;
+    a probe with the wrong sign downgrades the uniqueness flag to
+    "multiple-suspected".
     """
     _check_chi(M, chi, x)
     if M.dim is not None:
@@ -192,8 +192,9 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
         report = SolverReport(value=a0, residual=0.0, iterations=0, converged=True)
         return ReductionResult(a0, 0.0, report, unique_flag=UNIQUE)
 
-    mu_a = m(a0) - a0
-    mu_b = m(b0) - b0
+    means = {a0: m(a0), b0: m(b0)}
+    mu_a = means[a0] - a0
+    mu_b = means[b0] - b0
     if mu_a < -cfg.abs_tol:
         raise NotAMeanError(f"mu(min x) = {mu_a} < 0: {M.label} violates the mean property")
     if mu_b > cfg.abs_tol:
@@ -206,7 +207,7 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
 
     def probe(y: float) -> float:
         nonlocal suspect, prev_y, prev_m, root, residual
-        my = m(y)
+        my = means[y] = m(y)
         if prev_y is not None and y != prev_y:
             if abs(my - prev_m) > 1e3 * abs(y - prev_y):
                 suspect = True
@@ -227,6 +228,10 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
         search = bracketed_root(probe, a0, b0, mu_a, mu_b, width_floor, cfg.max_iter,
                                 done=lambda *_: residual <= res_tol)
         iterations = search.iterations
+        # A jump sitting exactly on a probed point is never straddled by two
+        # consecutive probes; the final bracket's ends straddle it.
+        if abs(means[search.b] - means[search.a]) > 1e3 * (search.b - search.a):
+            suspect = True
         if residual > res_tol:
             report = SolverReport(value=root, residual=residual,
                                   iterations=iterations, converged=False)
@@ -382,7 +387,6 @@ def reduced_mean_fn(M: MeanFn, chi: Injection, cfg: SolverConfig = DEFAULT_CONFI
         arity=chi.k,
         eval=eval_reduced,
         dim=M.dim,
-        symmetric=False,
         label=f"{M.label} reduced by {chi.map}",
     )
 
@@ -426,7 +430,6 @@ def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
     M = MeanFn(
         arity=chi.n,
         eval=lambda xs, w=tuple(w): weighted_arith_mean(w, xs),
-        symmetric=False,
         label="weighted arithmetic",
     )
     # The fixed-point residual amplifies into the value by the inverse slope

@@ -7,14 +7,34 @@ satisfying the variational inequality
 
     (E_1(x_1, y) + ... + E_n(x_n, y)) (x_j - y) <= 0    for every j.
 
-The solver runs an extragradient iteration on barycentric coordinates over
-the unit simplex, so every iterate carries hull membership by construction.
 The companion route goes through potentials: for a family F with strictly
 convex, differentiable sections and vanishing gradient at the diagonal,
 E(u, v) = -dF(u, .)/dv is a generalized deviation and the mean is the unique
-minimizer of sum_i F_i(x_i, v) over the hull, found here by projected
-gradient descent with Armijo backtracking.  A brute-force lattice search over
-barycentric coordinates serves as an independent oracle for small tuples.
+minimizer of sum_i F_i(x_i, v) over the hull.
+
+Both routes run one projected-simplex loop, ``_simplex_solve``, on
+barycentric coordinates over the unit simplex, so every iterate carries hull
+membership by construction.  Each route brings its own covector field g
+(the summed deviation, or minus the summed potential gradient) and its own
+direction rule: extragradient steps (Korpelevich 1976) for the variational
+inequality, projected gradient descent with Armijo backtracking for the
+potential.  The loop owns what they share: the simplex projection, the
+positive-slack merit sum_j max(g (x_j - y), 0)^2, a strided secant
+extrapolation, a projected-Newton candidate, stagnation handling with step
+halving, and the final slack certificate.
+
+The projected-Newton candidate is Josephy's Newton step for variational
+inequalities (Josephy 1979; Facchinei & Pang 2003, ch. 7): g is linearized
+at the iterate, with J = Dg exact for inner-weight families and by central
+differences otherwise, and the linearized problem over the hull is solved
+as one nonnegative least-squares problem in the barycentric weights (see
+``_newton_weights``).  It is tried once the support of the weights has held
+still for a few iterations, and kept only when it lowers the merit, so the
+plain step stands otherwise; convergence is still decided by the slack
+certificate alone.  It solves the thin hulls, where g's unconstrained zero
+lies outside conv(x) and the first-order steps crawl along a face.  A
+brute-force lattice search over barycentric coordinates serves as an
+independent oracle for small tuples.
 """
 
 from __future__ import annotations
@@ -22,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -39,6 +59,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidDeviationError,
     InvalidPotentialError,
+    MeansError,
 )
 from .scalar import ScalarDeviation
 
@@ -236,6 +257,7 @@ def _labels(E: Sequence[GenDeviation]) -> str:
 
 
 def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
+    """g(y) = sum_i E_i(x_i, y) and its Jacobian map y -> Dg(y)."""
     if all(e.inner_weight is not None for e in E):
         # Gradient-type family: sum_i 2 w_i(x_i) (x_i - y) is affine in y
         # with coefficients fixed by the data points.
@@ -248,7 +270,8 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
         def geval_affine(y: np.ndarray) -> np.ndarray:
             return const - total_w * y
 
-        return geval_affine
+        jac_affine = -total_w * np.eye(dim)
+        return geval_affine, lambda y: jac_affine
 
     evals = [e.eval for e in E]
     pairs = list(zip(evals, pts))
@@ -271,7 +294,7 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
             raise InvalidDeviationError(f"{_labels(E)}: summed covector is not finite at y={y}")
         return total
 
-    return geval
+    return geval, _central_jacobian(geval)
 
 
 class _SecantAccelerator:
@@ -364,36 +387,265 @@ def _estimate_lipschitz(geval, X: np.ndarray) -> float:
     return max(best, 1e-8)
 
 
+class _Iterate(NamedTuple):
+    """Barycentric weights lam, the point y = lam X, g(y) and the slacks
+    g(y) (x_j - y)."""
+
+    lam: np.ndarray
+    y: np.ndarray
+    g: np.ndarray
+    slack: np.ndarray
+
+
+def _point(geval, X: np.ndarray, lam: np.ndarray) -> _Iterate:
+    y = lam @ X
+    g = geval(y)
+    return _Iterate(lam, y, g, X @ g - float(y @ g))
+
+
+def _merit(slack: np.ndarray) -> float:
+    # Positive-slack merit: zero exactly at the solution, since the slacks
+    # average to zero under the iterate's own barycentric weights.
+    return sum(s * s for s in slack.tolist() if s > 0.0)
+
+
+def _central_differences(fn, v: np.ndarray) -> np.ndarray:
+    # Derivatives of fn in each coordinate of v, stacked on the last axis;
+    # h balances truncation against rounding for double precision.
+    cols = []
+    for i in range(v.size):
+        h = 6e-6 * (1.0 + abs(float(v[i])))
+        vp, vm = v.copy(), v.copy()
+        vp[i] += h
+        vm[i] -= h
+        cols.append((fn(vp) - fn(vm)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _central_jacobian(geval):
+    """J = Dg by central differences, 2d calls to g per point.
+
+    The probes step off the hull, where a family need not be defined; a
+    probe that fails yields None, which only skips that Newton candidate.
+    """
+
+    def jac(y: np.ndarray) -> Optional[np.ndarray]:
+        try:
+            return _central_differences(geval, y)
+        except MeansError:
+            return None
+
+    return jac
+
+
+def _newton_weights(X: np.ndarray, y: np.ndarray, g: np.ndarray,
+                    J: np.ndarray) -> Optional[np.ndarray]:
+    """Barycentric weights of the projected-Newton point from y.
+
+    Linearizing g at y turns the hull variational inequality into the
+    quadratic program min 1/2 d'Hd - g'd over d = y' - y, y' in conv(x), with
+    H = -sym(J) positive definite (Josephy's Newton method for variational
+    inequalities; Facchinei & Pang 2003, ch. 7).  With H = R'R it is the
+    least-squares problem |R d - R^-T g| over barycentric weights, solved as
+    one nonnegative least-squares problem whose last row asks for unit
+    weight sum, weighted as in barycentric_feasibility.  The columns are
+    centred at y, d = sum_j lam_j (x_j - y), so the multiplier of that row
+    vanishes at the solution and a weight on the scale of the other rows
+    suffices: a 1e6 times heavier row only cost digits, enough to stall the
+    polish of some hull problems.  A missed unit sum merely rescales the
+    step when the weights are renormalized.  None when H is not positive
+    definite.
+    """
+    H = -0.5 * (J + J.T)
+    try:
+        L = np.linalg.cholesky(H)  # H = L L', R = L'
+    except np.linalg.LinAlgError:
+        return None
+    A = ((X - y) @ L).T
+    row = 1.0 + float(np.abs(A).max())
+    A = np.vstack([A, np.full((1, X.shape[0]), row)])
+    b = np.concatenate([np.linalg.solve(L, g), [row]])
+    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+        return None
+    lam, _ = nnls(A, b)
+    total = float(lam.sum())
+    if not total > 0.0:
+        return None
+    return _project_simplex(lam / total)
+
+
+# Iterations of unchanged support before the first Newton try.  An accepted
+# candidate drops the wait to 1; a rejected one doubles it, from at least
+# this value.
+_NEWTON_WAIT = 3
+
+
+def _simplex_solve(rule, geval, jac, X: np.ndarray, lam: np.ndarray,
+                   tol: float, max_iter: int) -> SolverReport:
+    """The projected-simplex iteration shared by both hull routes.
+
+    Iterates are barycentric weights lam on the unit simplex with point
+    y = lam X; g is the route's covector field (the summed deviation, or
+    minus the summed potential gradient) and the slack of vertex j is
+    g(y) (x_j - y).  Each iteration asks ``rule.step(cur, scale)`` for the
+    route's plain candidate, then tries two safeguarded candidates from it:
+    a strided secant extrapolation of the update map (kept on a 4x cut of the
+    positive-slack merit), and, once the support of lam has held still for a
+    while, a projected-Newton step (kept when it lowers the merit at all).
+    ``rule.moved(plain, y)`` hears which candidate was kept.  Material merit
+    growth for 12 iterations, or 10 zero steps at a positive gap, halves the
+    step scale handed to the rule; after 24 halvings the solve gives up.
+    Converged when max_j slack_j <= tol and the point moved less than tol;
+    the final certificate recomputes the slack at the clipped barycentric
+    weights, and only it decides ``converged``.
+    """
+    cur = _point(geval, X, lam)
+    step = math.inf
+    scale = 1.0
+    merit_min = math.inf
+    growth_streak = 0
+    halvings = 0
+    stagnant = 0
+    stable = 0
+    newton_wait = _NEWTON_WAIT
+    iterations = 0
+    accel = _SecantAccelerator()
+
+    for iterations in range(1, max_iter + 1):
+        gap = max(cur.slack.tolist())
+        merit = _merit(cur.slack)
+        merit_min = min(merit_min, merit)
+        # Material growth only: noise-level wiggles on a plateau must not
+        # count, or the step collapses while the iterate is still moving.
+        if merit > 4.0 * merit_min + tol ** 2:
+            growth_streak += 1
+        else:
+            growth_streak = 0
+        if growth_streak >= 12:
+            scale *= 0.5
+            halvings += 1
+            growth_streak = 0
+            merit_min = merit
+        if gap <= tol and step <= tol:
+            break
+        if halvings > 24:
+            break
+        plain = rule.step(cur, scale)
+        chosen = plain
+        merit_chosen = _merit(plain.slack)
+        # Strided secant extrapolation of the update map, accepted only on a
+        # strong merit decrease; the plain step remains the fallback, so a
+        # bad proposal costs one evaluation and nothing else.
+        raw = accel.propose(plain.lam)
+        if raw is not None and merit_chosen > 0.0:
+            acc = _point(geval, X, _project_simplex(raw))
+            merit_acc = _merit(acc.slack)
+            if merit_acc <= 0.25 * merit_chosen:
+                chosen, merit_chosen = acc, merit_acc
+                accel.accepted()
+            else:
+                accel.rejected()
+        stable = stable + 1 if np.array_equal(chosen.lam > 0.0, cur.lam > 0.0) else 0
+        if stable >= newton_wait and max(chosen.slack.tolist()) > tol:
+            stable = 0
+            J = jac(chosen.y)
+            lam_newton = None if J is None else _newton_weights(X, chosen.y, chosen.g, J)
+            newton = None if lam_newton is None else _point(geval, X, lam_newton)
+            if newton is not None and _merit(newton.slack) < merit_chosen:
+                chosen = newton
+                newton_wait = 1
+            else:
+                newton_wait = 2 * max(newton_wait, _NEWTON_WAIT)
+        rule.moved(chosen is plain, chosen.y)
+        dy = chosen.y - cur.y
+        step = math.sqrt(float(dy @ dy))
+        if step == 0.0:
+            stagnant += 1
+            if stagnant >= 10:
+                if gap <= tol:
+                    break
+                # Pinned at a face with positive gap: the step overshot and
+                # the projection absorbed it; retry smaller.
+                scale *= 0.5
+                halvings += 1
+                stagnant = 0
+        else:
+            stagnant = 0
+        cur = chosen
+
+    bary = Barycentric.clipped(cur.lam)
+    y = bary.array @ X
+    g = geval(y)
+    gap = float((X @ g - float(y @ g)).max())
+    return SolverReport(
+        value=y,
+        residual=gap,
+        iterations=iterations,
+        converged=gap <= tol,
+        barycentric=bary,
+    )
+
+
+class _Extragradient:
+    """Direction rule of the VI route: one extragradient step (Korpelevich
+    1976) from lam along the slack vector, with step tau * scale.
+
+    Strict monotonicity demands (g(y) - g(y')) (y - y') < 0; three
+    violations on observed iterate pairs mean the deviation axioms fail.
+    """
+
+    def __init__(self, geval, X: np.ndarray, tau: float):
+        self.geval = geval
+        self.X = X
+        self.tau = tau
+        self.wrong_pairings = 0
+
+    def step(self, cur: _Iterate, scale: float) -> _Iterate:
+        lam, y, g, slack = cur
+        tau = self.tau * scale
+        _, y_half, g_half, slack_half = _point(self.geval, self.X,
+                                               _project_simplex(lam + tau * slack))
+        dy = y - y_half
+        if dy @ dy > 0.0:
+            pairing = float((g - g_half) @ dy)
+            if pairing > 1e-12 * (1.0 + abs(float(g @ dy)) + abs(float(g_half @ dy))):
+                self.wrong_pairings += 1
+                if self.wrong_pairings >= 3:
+                    raise InvalidDeviationError(
+                        "the supplied deviations violate strict monotonicity on "
+                        "sampled iterate pairs"
+                    )
+        return _point(self.geval, self.X, _project_simplex(lam + tau * slack_half))
+
+    def moved(self, plain: bool, y: np.ndarray):
+        pass
+
+
 def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
                        cfg: SolverConfig = DEFAULT_CONFIG,
-                       init=None, lipschitz: Optional[float] = None,
-                       keep_trace: bool = False) -> SolverReport:
+                       init=None, lipschitz: Optional[float] = None) -> SolverReport:
     """Solve the hull variational inequality by extragradient iteration.
 
-    Iterates live on barycentric coordinates: at weights lam with point
+    Runs the shared simplex loop (see ``_simplex_solve``) with g the summed
+    deviation and the extragradient direction rule: at weights lam with point
     y = sum_j lam_j x_j, the search direction is the slack vector
-    (g (x_j - y))_j with g the summed deviation at y, stepped with step
-    damping / L (L estimated from sampled direction differences) and
-    projected back onto the simplex.  A secant extrapolation of the
-    extragradient map is tried each iteration and kept only when it cuts the
-    slack merit by 4x, which collapses the iteration count on nearly affine
-    problems without touching the certificate.  Converged when
+    (g (x_j - y))_j, stepped with step damping / (2 L) (L estimated from
+    sampled direction differences) and projected back onto the simplex.  The
+    loop adds the safeguarded secant and projected-Newton candidates; the
+    Newton step uses the exact Jacobian -2 sum_i w_i(x_i) I for inner-weight
+    families and central differences otherwise.  Converged when
     max_j g (x_j - y) <= abs_tol (1 + max_i |x_i|) and the point movement
     also falls below that scale; the slack criterion alone certifies the
     point only to the square root of the slack, which is too coarse for the
-    downstream oracle comparisons.
-
-    The step is halved whenever the slack merit keeps growing or the iterate
-    stagnates at a positive gap (symptoms of a step beyond the true inverse
-    Lipschitz constant).  Strict-monotonicity violations on observed iterate
-    pairs, which the deviation axioms rule out, raise InvalidDeviationError.
+    downstream oracle comparisons.  Strict-monotonicity violations on
+    observed iterate pairs, which the deviation axioms rule out, raise
+    InvalidDeviationError.
     """
     pts, dim = _check_family(E, x)
     n = len(pts)
     X = np.stack(pts, axis=0)
     scale = 1.0 + float(max(np.linalg.norm(p) for p in pts))
-    slack_tol = cfg.abs_tol * scale
-    step_tol = cfg.abs_tol * scale
+    tol = cfg.abs_tol * scale
 
     if n == 1:
         return SolverReport(value=pts[0].copy(), residual=0.0, iterations=0,
@@ -407,114 +659,11 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
             raise InvalidArgumentError("init must be a barycentric vector of length n")
         lam = _project_simplex(lam)
 
-    geval = _sum_grad(E, pts, dim)
+    geval, jac = _sum_grad(E, pts, dim)
     L = lipschitz if lipschitz is not None else _estimate_lipschitz(geval, X)
     # Sampled L underestimates the true Lipschitz constant; keep a margin.
-    tau = 0.5 * cfg.damping / L
-
-    trace = [] if keep_trace else None
-    y = lam @ X
-    g = geval(y)
-    slack = X @ g - float(y @ g)
-    step = math.inf
-    gap = math.inf
-    merit_min = math.inf
-    growth_streak = 0
-    halvings = 0
-    stagnant = 0
-    wrong_pairings = 0
-    iterations = 0
-    accel = _SecantAccelerator()
-
-    for iterations in range(1, cfg.max_iter + 1):
-        sl = slack.tolist()
-        gap = max(sl)
-        if trace is not None:
-            trace.append(y.copy())
-        merit = sum(s * s for s in sl if s > 0.0)
-        merit_min = min(merit_min, merit)
-        # Material growth only: noise-level wiggles on a plateau must not
-        # count, or the step collapses while the iterate is still moving.
-        if merit > 4.0 * merit_min + slack_tol ** 2:
-            growth_streak += 1
-        else:
-            growth_streak = 0
-        if growth_streak >= 12:
-            tau *= 0.5
-            halvings += 1
-            growth_streak = 0
-            merit_min = merit
-        if gap <= slack_tol and step <= step_tol:
-            break
-        if halvings > 24:
-            break
-        lam_half = _project_simplex(lam + tau * slack)
-        y_half = lam_half @ X
-        g_half = geval(y_half)
-        # Strict monotonicity demands (g(y) - g(y')) (y - y') < 0; repeated
-        # violations on observed pairs mean the deviation axioms fail.
-        dy = y - y_half
-        if dy @ dy > 0.0:
-            pairing = float((g - g_half) @ dy)
-            if pairing > 1e-12 * (1.0 + abs(float(g @ dy)) + abs(float(g_half @ dy))):
-                wrong_pairings += 1
-                if wrong_pairings >= 3:
-                    raise InvalidDeviationError(
-                        "the supplied deviations violate strict monotonicity on "
-                        "sampled iterate pairs"
-                    )
-        slack_half = X @ g_half - float(y_half @ g_half)
-        lam_plain = _project_simplex(lam + tau * slack_half)
-        y_plain = lam_plain @ X
-        g_plain = geval(y_plain)
-        slack_plain = X @ g_plain - float(y_plain @ g_plain)
-        merit_plain = sum(s * s for s in slack_plain.tolist() if s > 0.0)
-        chosen = (lam_plain, y_plain, g_plain, slack_plain)
-        # Strided secant extrapolation of the extragradient map, accepted
-        # only on a strong merit decrease; the plain step remains the
-        # fallback, so a bad proposal costs one evaluation and nothing else.
-        raw = accel.propose(lam_plain)
-        if raw is not None and merit_plain > 0.0:
-            lam_acc = _project_simplex(raw)
-            y_acc = lam_acc @ X
-            g_acc = geval(y_acc)
-            slack_acc = X @ g_acc - float(y_acc @ g_acc)
-            merit_acc = sum(s * s for s in slack_acc.tolist() if s > 0.0)
-            if merit_acc <= 0.25 * merit_plain:
-                chosen = (lam_acc, y_acc, g_acc, slack_acc)
-                accel.accepted()
-            else:
-                accel.rejected()
-        lam_new, y_new, g_new, slack_new = chosen
-        dy_new = y_new - y
-        step = math.sqrt(float(dy_new @ dy_new))
-        if step == 0.0:
-            stagnant += 1
-            if stagnant >= 10:
-                if gap <= slack_tol:
-                    break
-                # Pinned at a face with positive gap: the step overshot and
-                # the projection absorbed it; retry smaller.
-                tau *= 0.5
-                halvings += 1
-                stagnant = 0
-        else:
-            stagnant = 0
-        lam, y, g, slack = lam_new, y_new, g_new, slack_new
-
-    bary = Barycentric.clipped(lam)
-    y = bary.array @ X
-    g = geval(y)
-    slack = X @ g - float(y @ g)
-    gap = float(slack.max())
-    return SolverReport(
-        value=y,
-        residual=gap,
-        iterations=iterations,
-        converged=gap <= slack_tol,
-        trace=tuple(trace) if trace is not None else None,
-        barycentric=bary,
-    )
+    rule = _Extragradient(geval, X, 0.5 * cfg.damping / L)
+    return _simplex_solve(rule, geval, jac, X, lam, tol, cfg.max_iter)
 
 
 @dataclass(frozen=True)
@@ -570,16 +719,8 @@ def verify_vi(E: Sequence[GenDeviation], x: Sequence, y, tol: float) -> ViReport
 
 
 def _fd_grad(feval, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Central differences in the second argument; h balances truncation
-    # against rounding for double precision.
-    out = np.zeros_like(v)
-    for i in range(v.size):
-        h = 6e-6 * (1.0 + abs(float(v[i])))
-        vp, vm = v.copy(), v.copy()
-        vp[i] += h
-        vm[i] -= h
-        out[i] = (feval(u, vp) - feval(u, vm)) / (2.0 * h)
-    return out
+    # Central differences in the second argument.
+    return _central_differences(lambda w: feval(u, w), v)
 
 
 @dataclass(frozen=True)
@@ -706,144 +847,106 @@ def _check_potentials(F: Sequence[PotentialFn], x: Sequence):
     return pts, dim
 
 
+class _ArmijoDescent:
+    """Direction rule of the potential route: projected gradient descent on
+    phi(lam) = sum_i F_i(x_i, lam X) with Armijo backtracking (constant
+    1e-4, shrink 0.5, first trial step ``scale``).
+
+    The Armijo phase drives the objective down; once its improvements sink
+    below float noise (which caps point accuracy near sqrt(eps)), or 30
+    accepted steps pass without cutting the hull gap by a third
+    (ill-conditioned zig-zag), a fixed-step polish phase at the sampled
+    Lipschitz scale takes over, where the loop's secant and Newton
+    candidates act on a clean update sequence.
+    """
+
+    def __init__(self, phi, geval, X: np.ndarray, y0: np.ndarray):
+        self.phi = phi
+        self.geval = geval
+        self.X = X
+        self.value = phi(y0)
+        self.plain_value = self.value
+        self.polish_t: Optional[float] = None
+        self.window_best = math.inf
+        self.window_count = 0
+
+    def step(self, cur: _Iterate, scale: float) -> _Iterate:
+        lam = cur.lam
+        X = self.X
+        xg = X @ cur.g  # minus the gradient of phi in lam
+        if self.polish_t is None:
+            gap = float(cur.slack.max())
+            if gap < 0.66 * self.window_best:
+                self.window_best = gap
+                self.window_count = 0
+            else:
+                self.window_count += 1
+            t = scale
+            accepted = False
+            while t > 1e-20:
+                lam_plain = _project_simplex(lam + t * xg)
+                y_plain = lam_plain @ X
+                plain_value = self.phi(y_plain)
+                if plain_value <= self.value - 1e-4 * float(xg @ (lam_plain - lam)):
+                    accepted = True
+                    break
+                t *= 0.5
+            if (not accepted or self.window_count >= 30
+                    or abs(plain_value - self.value) <= 64.0 * 2.2e-16 * (1.0 + abs(self.value))):
+                # No signal left in the objective, or no gap progress.
+                self.polish_t = 1.0 / _estimate_lipschitz(self.geval, X)
+        if self.polish_t is not None:
+            lam_plain = _project_simplex(lam + scale * self.polish_t * xg)
+            plain_value = self.value
+        self.plain_value = plain_value
+        return _point(self.geval, X, lam_plain)
+
+    def moved(self, plain: bool, y: np.ndarray):
+        if plain:
+            self.value = self.plain_value
+        elif self.polish_t is None:
+            self.value = self.phi(y)
+
+
 def potential_mean(F: Sequence[PotentialFn], x: Sequence,
                    cfg: SolverConfig = DEFAULT_CONFIG) -> SolverReport:
     """Minimize sum_i F_i(x_i, v) over conv(x) by projected gradient descent.
 
-    Backtracking line search with Armijo constant 1e-4, shrink factor 0.5,
-    initial step 1.0.  The convergence certificate is the same hull slack as
-    for the variational inequality, taken with g = -sum grad.
+    Runs the shared simplex loop (see ``_simplex_solve``) with
+    g = -sum_i grad_v F_i(x_i, .) and the Armijo direction rule (backtracking
+    with constant 1e-4, shrink factor 0.5, initial step 1.0, then a
+    fixed-step polish phase).  The loop adds the safeguarded secant and
+    projected-Newton candidates, the Newton step with a central-difference
+    Jacobian of g, i.e. the Hessian of the summed potential.  The
+    convergence certificate is the same hull slack as for the variational
+    inequality, taken with this g; it is computed independently of the
+    deviation route.
     """
     pts, dim = _check_potentials(F, x)
     n = len(pts)
     X = np.stack(pts, axis=0)
     scale = 1.0 + float(max(np.linalg.norm(p) for p in pts))
-    slack_tol = cfg.abs_tol * scale
-    step_tol = cfg.abs_tol * scale
+    tol = cfg.abs_tol * scale
 
     if n == 1:
         return SolverReport(value=pts[0].copy(), residual=0.0, iterations=0,
                             converged=True, barycentric=Barycentric((1.0,)))
 
     fevals = [f.eval for f in F]
-    fgrads = [f.grad for f in F]
+    pairs = list(zip([f.grad for f in F], pts))
 
     def phi(y: np.ndarray) -> float:
         return math.fsum(float(fe(xi, y)) for fe, xi in zip(fevals, pts))
 
-    def total_grad(y: np.ndarray) -> np.ndarray:
+    def geval(y: np.ndarray) -> np.ndarray:
         out = np.zeros(dim)
-        for fg, xi in zip(fgrads, pts):
-            out += fg(xi, y)
+        for fg, xi in pairs:
+            out -= fg(xi, y)
         return out
 
-    def slack_of(y_at: np.ndarray, G_at: np.ndarray) -> np.ndarray:
-        return float(y_at @ G_at) - X @ G_at  # (-G) (x_j - y)
-
     lam = np.full(n, 1.0 / n)
-    y = lam @ X
-    value = phi(y)
-    G = total_grad(y)
-    slack = slack_of(y, G)
-    step = math.inf
-    gap = math.inf
-    iterations = 0
-    # The Armijo phase drives the objective down; once its improvements sink
-    # below float noise (which caps point accuracy near sqrt(eps)), a
-    # fixed-step polish phase at the sampled Lipschitz scale finishes the
-    # job.  In both phases a secant extrapolation of the update map is tried
-    # and kept only when it cuts the positive-slack merit by 4x: the simplex
-    # pullback turns nearly degenerate whenever data points almost coincide,
-    # and the extrapolation is what collapses those crawling modes.
-    polish_t: Optional[float] = None
-    zero_steps = 0
-    grow_streak = 0
-    prev_step = math.inf
-    accel = _SecantAccelerator()
-    window_best = math.inf
-    window_count = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        gap = float(slack.max())
-        if gap <= slack_tol and step <= step_tol:
-            break
-        glam = X @ G
-        if polish_t is None:
-            # Line-search stagnation watch: accepted steps that stop moving
-            # the hull gap (ill-conditioned zig-zag) hand over to the polish
-            # phase, where the secant can act on a clean update sequence.
-            if gap < 0.66 * window_best:
-                window_best = gap
-                window_count = 0
-            else:
-                window_count += 1
-            t = 1.0
-            accepted = False
-            while t > 1e-20:
-                lam_plain = _project_simplex(lam - t * glam)
-                y_plain = lam_plain @ X
-                plain_value = phi(y_plain)
-                if plain_value <= value + 1e-4 * float(glam @ (lam_plain - lam)):
-                    accepted = True
-                    break
-                t *= 0.5
-            if (not accepted or window_count >= 30
-                    or abs(plain_value - value) <= 64.0 * 2.2e-16 * (1.0 + abs(value))):
-                # No signal left in the objective, or no gap progress.
-                polish_t = 1.0 / _estimate_lipschitz(total_grad, X)
-        if polish_t is not None:
-            lam_plain = _project_simplex(lam - polish_t * glam)
-            y_plain = lam_plain @ X
-            plain_value = value
-        G_plain = total_grad(y_plain)
-        slack_plain = slack_of(y_plain, G_plain)
-        merit_plain = sum(s * s for s in slack_plain.tolist() if s > 0.0)
-        chosen = (lam_plain, y_plain, G_plain, slack_plain, plain_value)
-        raw = accel.propose(lam_plain)
-        if raw is not None and merit_plain > 0.0:
-            lam_acc = _project_simplex(raw)
-            y_acc = lam_acc @ X
-            G_acc = total_grad(y_acc)
-            slack_acc = slack_of(y_acc, G_acc)
-            merit_acc = sum(s * s for s in slack_acc.tolist() if s > 0.0)
-            if merit_acc <= 0.25 * merit_plain:
-                acc_value = phi(y_acc) if polish_t is None else plain_value
-                chosen = (lam_acc, y_acc, G_acc, slack_acc, acc_value)
-                accel.accepted()
-            else:
-                accel.rejected()
-        lam_new, y_new, G_new, slack_new, value_new = chosen
-        step = float(np.linalg.norm(y_new - y))
-        lam, y, G, slack, value = lam_new, y_new, G_new, slack_new, value_new
-        if step == 0.0:
-            # The update map reached its float fixed point; there is nothing
-            # more to extract at this resolution.
-            zero_steps += 1
-            if gap <= slack_tol or zero_steps >= 25:
-                break
-        else:
-            zero_steps = 0
-        if polish_t is not None:
-            if step > prev_step:
-                grow_streak += 1
-                if grow_streak >= 8:
-                    polish_t *= 0.5
-                    grow_streak = 0
-            else:
-                grow_streak = 0
-            prev_step = step
-
-    bary = Barycentric.clipped(lam)
-    y = bary.array @ X
-    G = total_grad(y)
-    slack = float(y @ G) - X @ G
-    gap = float(slack.max())
-    return SolverReport(
-        value=y,
-        residual=gap,
-        iterations=iterations,
-        converged=gap <= slack_tol,
-        barycentric=bary,
-    )
+    rule = _ArmijoDescent(phi, geval, X, lam @ X)
+    return _simplex_solve(rule, geval, _central_jacobian(geval), X, lam, tol, cfg.max_iter)
 
 
 def _lattice_weights(total: int, parts: int):

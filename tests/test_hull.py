@@ -1,0 +1,162 @@
+"""The two hull solves: a thin-simplex regression and property tests."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import root
+
+from meanreduce.core import SolverConfig
+from meanreduce.vector import (
+    PotentialFn,
+    barycentric_feasibility,
+    gen_deviation_mean,
+    inner_product_deviation,
+    make_potential_deviation,
+    potential_mean,
+    verify_vi,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def quadratic_potential(A: np.ndarray) -> PotentialFn:
+    """F(u, v) = (v - u)' A (v - u) with A symmetric positive definite."""
+    d = A.shape[0]
+    return PotentialFn(dim=d,
+                       eval=lambda u, v: float((v - u) @ A @ (v - u)),
+                       grad_v=lambda u, v: 2.0 * A @ (np.asarray(v) - np.asarray(u)),
+                       label="quadratic", validate=False)
+
+
+def quartic_potential(c: float, d: int) -> PotentialFn:
+    """F(u, v) = c |v - u|^4: strictly convex, not quadratic."""
+
+    def grad(u, v):
+        diff = np.asarray(v) - np.asarray(u)
+        return 4.0 * c * float(diff @ diff) * diff
+
+    return PotentialFn(dim=d, eval=lambda u, v: c * float((v - u) @ (v - u)) ** 2,
+                       grad_v=grad, label="quartic", validate=False)
+
+
+def thin_simplex_problem():
+    """n = 5 points in R^4 squeezed to centred singular value 0.02 in one
+    direction, one quartic and four quadratic potentials."""
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-2.0, 2.0, (5, 4))
+    centre = pts.mean(axis=0)
+    U, S, Vt = np.linalg.svd(pts - centre, full_matrices=False)
+    S[-1] = 0.02
+    pts = centre + (U * S) @ Vt
+    F = [quartic_potential(0.5, 4)]
+    for _ in range(4):
+        B = rng.uniform(-1.0, 1.0, (4, 4))
+        F.append(quadratic_potential(B @ B.T + np.eye(4) * rng.uniform(0.5, 1.5)))
+    return [p for p in pts], F
+
+
+def test_thin_simplex_both_routes_converge_fast_and_agree():
+    x, F = thin_simplex_problem()
+    E = [make_potential_deviation(f) for f in F]
+    # The premises: a thin hull, and g's unconstrained zero outside it, so
+    # the mean sits on a face that lam's support has to find.
+    centred = np.stack(x) - np.mean(x, axis=0)
+    assert abs(np.linalg.svd(centred, compute_uv=False)[-1] - 0.02) < 1e-12
+
+    def g(y):
+        return sum(e.grad(p, y) for e, p in zip(E, x))
+
+    free = root(g, np.mean(x, axis=0), tol=1e-13)
+    assert free.success
+    assert barycentric_feasibility(x, free.x)[1] > 0.1
+
+    cfg = SolverConfig(max_iter=500)
+    vi = gen_deviation_mean(E, x, cfg)
+    pot = potential_mean(F, x, cfg)
+    assert vi.converged and pot.converged
+    assert float(np.linalg.norm(vi.value - pot.value)) <= 1e-8
+    scale = 1.0 + max(float(np.linalg.norm(p)) for p in x)
+    assert verify_vi(E, x, vi.value, 1e-10 * scale).ok
+    assert min(vi.barycentric.weights) == 0.0
+
+
+# Small problems: n in 2..6 points of R^d, d in 1..3, with repeats so that
+# coincident points and n > d + 1 both occur.
+coords = st.integers(-8, 8).map(lambda k: k / 4.0)
+
+
+@st.composite
+def clouds(draw, max_n=6):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, max_n))
+    distinct = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    return d, [np.asarray(distinct[i], dtype=float) for i in picks]
+
+
+@st.composite
+def potential_families(draw, d: int, n: int):
+    family = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            family.append(quartic_potential(draw(st.floats(0.2, 1.0)), d))
+        else:
+            B = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d,
+                                         max_size=d * d))).reshape(d, d)
+            family.append(quadratic_potential(B @ B.T + draw(st.floats(0.5, 1.5)) * np.eye(d)))
+    return family
+
+
+def assert_barycentric(report, n: int):
+    weights = np.asarray(report.barycentric.weights)
+    assert weights.shape == (n,)
+    assert np.all(weights >= 0.0)
+    assert abs(math.fsum(weights) - 1.0) <= 1e-12
+
+
+@SETTINGS
+@given(st.data())
+def test_inner_product_vi_certificate(data):
+    d, x = data.draw(clouds())
+    weights = data.draw(st.lists(st.floats(0.5, 3.0), min_size=len(x), max_size=len(x)))
+    E = [inner_product_deviation(w, d) for w in weights]
+    report = gen_deviation_mean(E, x)
+    assert report.converged
+    assert_barycentric(report, len(x))
+    scale = 1.0 + max(float(np.linalg.norm(p)) for p in x)
+    assert verify_vi(E, x, report.value, 1e-10 * scale).ok
+    closed = sum(w * p for w, p in zip(weights, x)) / sum(weights)
+    assert float(np.linalg.norm(report.value - closed)) <= 1e-9 * scale
+
+
+@SETTINGS
+@given(st.data())
+def test_potential_family_certificates(data):
+    d, x = data.draw(clouds(max_n=5))
+    F = data.draw(potential_families(d, len(x)))
+    E = [make_potential_deviation(f) for f in F]
+    vi = gen_deviation_mean(E, x)
+    pot = potential_mean(F, x)
+    for report in (vi, pot):
+        assert report.converged
+        assert_barycentric(report, len(x))
+    scale = 1.0 + max(float(np.linalg.norm(p)) for p in x)
+    assert verify_vi(E, x, vi.value, 1e-10 * scale).ok
+    assert float(np.linalg.norm(vi.value - pot.value)) <= 1e-8
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(coords, min_size=d, max_size=d), st.integers(1, 6))), st.data())
+def test_identical_points_return_that_point(case, data):
+    d, point, n = case
+    u = np.asarray(point, dtype=float)
+    x = [u.copy() for _ in range(n)]
+    F = data.draw(potential_families(d, n))
+    E = [make_potential_deviation(f) for f in F]
+    for report in (gen_deviation_mean(E, x), potential_mean(F, x)):
+        assert report.converged
+        np.testing.assert_allclose(report.value, u, rtol=0.0,
+                                   atol=1e-14 * (1.0 + float(np.linalg.norm(u))))
+        assert_barycentric(report, n)

@@ -3,9 +3,9 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from meanreduce.core import ITP_N0, Injection, Interval, bracketed_root
+from meanreduce.core import ITP_N0, REALS, Injection, Interval, bracketed_root
 from meanreduce.errors import InvalidDeviationError
 from meanreduce.reduction import MeanFn, reduce_scalar
 from meanreduce.scalar import DeviationTuple, ScalarDeviation, deviation_mean
@@ -117,13 +117,12 @@ def test_non_monotone_section_still_raises(lo, spread, amplitude, hump_sign):
 
 
 @SETTINGS
-@given(st.floats(-10.0, 10.0), st.floats(1e-6, 1e6), st.floats(0.01, 0.99),
+@given(st.floats(-10.0, 10.0), st.floats(1e-6, 1e6),
+       st.floats(0.01, 0.99) | st.sampled_from([0.5, 0.25, 0.75, 0.375, 0.625]),
        st.floats(0.001, 1.0), st.floats(0.001, 1.0))
 def test_jump_mean_still_flagged(lo, spread, at, up, down):
-    # A jump sitting exactly on a probed point is never straddled by two
-    # adjacent probes (with bisection as with ITP), so keep the cut off the
-    # dyadic points that midpoint steps land on.
-    assume(at * 1024.0 != round(at * 1024.0))
+    # Cuts on dyadic points, where midpoint steps land, included: a jump
+    # sitting exactly on a probe is caught by the final bracket's ends.
     cut = lo + at * spread
     high, low = cut + up * spread, cut - down * spread
 
@@ -134,3 +133,41 @@ def test_jump_mean_still_flagged(lo, spread, at, up, down):
     result = reduce_scalar(M, Injection.of([1, 2], n=3), (lo, lo + spread))
     assert result.continuity_suspect
     assert not result.certificate.converged
+
+
+def test_jump_on_a_probed_point_is_flagged():
+    # The first probe lands on the cut at 0.5 and every later one left of
+    # it, so no two consecutive probes straddle the jump.
+    M = MeanFn(arity=3, eval=lambda xs: 1.5 if xs[2] < 0.5 else -0.5, label="jump")
+    result = reduce_scalar(M, Injection.of([1, 2], n=3), (0.0, 1.0))
+    assert result.continuity_suspect
+    assert not result.certificate.converged
+
+
+def test_search_ends_at_float_resolution():
+    # The zero sits between two adjacent floats and width_tol is below one
+    # ulp: once the bracket holds no float strictly inside, the search stops
+    # instead of spending its budget.
+    r1 = 1e5 + 1e-3 / 3.0
+    r2 = math.nextafter(r1, math.inf)
+
+    def f(x):
+        return (x - r1) + (x - r2)
+
+    lo, hi = 1e5, 1e5 + 1e-3
+    result = bracketed_root(f, lo, hi, f(lo), f(hi), 1e-20, 10_000)
+    assert not result.converged
+    assert result.iterations <= 100
+    assert (result.a, result.b) == (r1, r2)
+    assert result.x in (r1, r2)
+
+
+def test_deviation_mean_stops_at_float_resolution():
+    # rel_tol * span + abs_tol is below one ulp at 1e5, so the width
+    # tolerance is never met: the search has to end at float resolution.
+    dev = ScalarDeviation(domain=REALS, eval=lambda u, v: 3.0 * (u - v) + (u - v) ** 3,
+                          label="cubic", validate=False)
+    report = deviation_mean(DeviationTuple((dev, dev, dev)), (1e5, 1e5 + 1e-3, 1e5 + 3e-4))
+    assert report.iterations <= 100
+    assert not report.converged
+    assert abs(report.value - (1e5 + 1.3e-3 / 3.0)) <= 1e-10
