@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Injection, SolverConfig
-from .descriptors import MeanDescriptor, evaluate_with_report
+from .descriptors import MeanDescriptor, build_mean, evaluate_with_report
 from .errors import MeansError, NoConvergenceError
 from .reduction import reduce_mean
 from .suites import (
@@ -231,8 +231,6 @@ def cmd_reduce(args) -> int:
     chi = Injection.of([int(v) for v in args.chi.split(",")], n=desc.arity)
     x = _parse_data(args.x, desc.dim)
     cfg = _solver_config(args)
-    from .descriptors import build_mean
-
     M = build_mean(desc, cfg)
     result = reduce_mean(M, chi, x, cfg)
     if not result.certificate.converged:

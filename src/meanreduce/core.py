@@ -192,7 +192,6 @@ class SolverConfig:
     rel_tol: float = 1e-10
     max_iter: int = 10_000
     damping: float = 1.0
-    grid_oracle_resolution: int = 2001
 
     def __post_init__(self):
         if not self.abs_tol > 0:
@@ -203,8 +202,6 @@ class SolverConfig:
             raise InvalidArgumentError("max_iter must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidArgumentError("damping must lie in (0, 1]")
-        if self.grid_oracle_resolution < 2:
-            raise InvalidArgumentError("grid_oracle_resolution must be at least 2")
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -8,7 +8,12 @@ kinds, ``u1..ud``/``v1..vd`` for vector kinds.
 
 Plain-Python constructors for each family are also provided; they are what
 the CLI, the verification suites, and the tests use to assemble MeanFn
-objects.
+objects.  The solver-backed ones (``deviation_mean_fn``,
+``gen_deviation_mean_fn``, ``potential_mean_fn``) live in
+:mod:`meanreduce.reduction` beside ``MeanFn`` and are re-exported here.
+``build_mean`` is the one path from a descriptor to a mean;
+``evaluate_with_report`` evaluates what it builds and takes the solver's
+report from ``MeanFn.report``.
 """
 
 from __future__ import annotations
@@ -22,15 +27,13 @@ import numpy as np
 from .core import DEFAULT_CONFIG, Interval, POSITIVE_REALS, REALS, SolverConfig, SolverReport
 from .errors import InvalidArgumentError
 from .expr import parse_expression, point_vars
-from .reduction import MeanFn
+from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
 from .scalar import (
-    DeviationTuple,
     GeneratorFn,
     ScalarDeviation,
     WeightFn,
     bajraktarevic_mean,
     constant_weight,
-    deviation_mean,
     gini_mean,
     holder_mean,
     matkowski_mean,
@@ -38,15 +41,8 @@ from .scalar import (
     quasi_arithmetic_mean,
     weighted_arith_mean,
 )
-from .vector import (
-    GenDeviation,
-    PotentialFn,
-    _estimate_lipschitz,
-    _sum_grad,
-    gen_deviation_mean,
-    make_norm_sq_potential,
-    potential_mean,
-)
+from .vector import GenDeviation, PotentialFn, make_norm_sq_potential
+from .vector import gen_deviation_mean  # noqa: F401  (kept importable from here)
 
 SCHEMA_VERSION = 1
 
@@ -127,9 +123,6 @@ def parse_domain(spec) -> Interval:
     # A finite zero lower endpoint is by far most often a positivity
     # constraint; treat it as open so log-type expressions stay evaluable.
     return Interval(lo=lo, hi=hi, lo_open=(lo == 0.0))
-
-
-_NAMED_GENERATORS = {"identity", "id", "u", "log", "exp"}
 
 
 def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
@@ -279,51 +272,6 @@ def matkowski_mean_fn(fs: Sequence, arity: int, domain: Optional[Interval] = Non
                   eval=lambda xs, gs=gens, cfg=cfg: matkowski_mean(gs, xs, cfg))
 
 
-def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
-                      label: str = "deviation mean") -> MeanFn:
-    dev = E if isinstance(E, DeviationTuple) else DeviationTuple(tuple(E))
-    return MeanFn(arity=len(dev), label=label,
-                  eval=lambda xs, E=dev, cfg=cfg: deviation_mean(E, xs, cfg).value)
-
-
-def gen_deviation_mean_fn(E: Sequence[GenDeviation], cfg: SolverConfig = DEFAULT_CONFIG,
-                          warm_start: bool = True,
-                          label: str = "generalized deviation mean") -> MeanFn:
-    """MeanFn wrapper around the hull variational inequality solver.
-
-    With ``warm_start`` the previous barycentric solution seeds the next
-    solve and the pullback Lipschitz estimate is reused; helpful when the
-    mean is evaluated along a fixed-point iteration, where successive data
-    tuples differ in a single slot.  Results stay deterministic for a given
-    call sequence, but the wrapper is not thread-safe.
-    """
-    entries = tuple(E)
-    dim = entries[0].dim
-    state = {"init": None, "lipschitz": None}
-
-    def eval_mean(xs, E=entries, cfg=cfg):
-        init = state["init"] if warm_start else None
-        if init is not None and init.shape != (len(xs),):
-            init = None
-        if warm_start and state["lipschitz"] is None:
-            pts = [np.asarray(p, float) for p in xs]
-            X = np.stack(pts, axis=0)
-            state["lipschitz"] = _estimate_lipschitz(_sum_grad(E, pts, dim)[0], X)
-        rep = gen_deviation_mean(E, xs, cfg, init=init, lipschitz=state["lipschitz"])
-        if warm_start and rep.barycentric is not None:
-            state["init"] = rep.barycentric.array
-        return rep.value
-
-    return MeanFn(arity=len(entries), dim=dim, label=label, eval=eval_mean)
-
-
-def potential_mean_fn(F: Sequence[PotentialFn], cfg: SolverConfig = DEFAULT_CONFIG,
-                      label: str = "potential mean") -> MeanFn:
-    entries = tuple(F)
-    return MeanFn(arity=len(entries), dim=entries[0].dim, label=label,
-                  eval=lambda xs, F=entries, cfg=cfg: potential_mean(F, xs, cfg).value)
-
-
 def _norm_sq_potentials(weights, arity: int, dim: int) -> tuple[PotentialFn, ...]:
     specs = _expand(weights if weights is not None else [1.0], arity, "weights")
     return tuple(make_norm_sq_potential(_point_weight(w, dim), dim) for w in specs)
@@ -352,7 +300,7 @@ def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> Mean
                                  _generator_domain(params), cfg)
     if kind == "deviation-custom":
         exprs = _expand(_require(params, "exprs"), arity, "deviation expressions")
-        devs = DeviationTuple(tuple(build_scalar_deviation(e, domain) for e in exprs))
+        devs = [build_scalar_deviation(e, domain) for e in exprs]
         return deviation_mean_fn(devs, cfg, label="custom deviation mean")
     if kind == "gen-deviation":
         exprs = _require(params, "exprs")
@@ -390,32 +338,12 @@ def evaluate_with_report(desc: MeanDescriptor, x: Sequence,
                          cfg: SolverConfig = DEFAULT_CONFIG) -> tuple:
     """Evaluate a descriptor-defined mean, returning (value, SolverReport).
 
-    Solver-backed kinds return the solver's own report; closed-form kinds
-    report zero residual and zero iterations.
+    Solver-backed kinds return the solver's own report (``MeanFn.report``);
+    closed-form kinds report zero residual and zero iterations.
     """
-    kind, arity, params, dim = desc.kind, desc.arity, dict(desc.params), desc.dim
-    domain = parse_domain(params.get("domain"))
-    if kind == "deviation-custom":
-        exprs = _expand(_require(params, "exprs"), arity, "deviation expressions")
-        devs = DeviationTuple(tuple(build_scalar_deviation(e, domain) for e in exprs))
-        report = deviation_mean(devs, x, cfg)
+    M = build_mean(desc, cfg)
+    if M.report is not None:
+        report = M.report(tuple(x))
         return report.value, report
-    if kind == "gen-deviation":
-        exprs = _require(params, "exprs")
-        if exprs and isinstance(exprs[0], str):
-            exprs = [exprs]
-        exprs = _expand(exprs, arity, "covector expression lists")
-        devs = [build_gen_deviation(e, dim) for e in exprs]
-        report = gen_deviation_mean(devs, x, cfg)
-        return report.value, report
-    if kind == "norm-squared-potential":
-        pots = _norm_sq_potentials(params.get("weights"), arity, dim)
-        report = potential_mean(pots, x, cfg)
-        return report.value, report
-    if kind == "custom-potential":
-        exprs = _expand(_require(params, "exprs"), arity, "potential expressions")
-        pots = tuple(build_custom_potential(e, dim) for e in exprs)
-        report = potential_mean(pots, x, cfg)
-        return report.value, report
-    value = build_mean(desc, cfg)(tuple(x))
+    value = M(tuple(x))
     return value, SolverReport(value=value, residual=0.0, iterations=0, converged=True)

@@ -44,7 +44,16 @@ from .errors import (
     NotAMeanError,
 )
 from .scalar import as_deviation_tuple, deviation_mean, weighted_arith_mean
-from .vector import GenDeviation, barycentric_feasibility, gen_deviation_mean
+from .vector import (
+    GenDeviation,
+    PotentialFn,
+    _check_family,
+    _estimate_lipschitz,
+    _sum_grad,
+    barycentric_feasibility,
+    gen_deviation_mean,
+    potential_mean,
+)
 
 UNIQUE = "unique"
 MULTIPLE_SUSPECTED = "multiple-suspected"
@@ -58,12 +67,17 @@ class MeanFn:
     ``dim`` is None for scalar means and the point dimension for vector
     means.  The mean property and reflexivity are not enforceable for a
     black-box callable; ``check_mean_function`` samples them on demand.
+
+    ``report`` is set for solver-backed means: it maps a data tuple to the
+    solver's ``SolverReport``, and ``eval`` returns that report's value.  It
+    is None for closed forms.
     """
 
     arity: int
     eval: Callable
     dim: Optional[int] = None
     label: str = "mean"
+    report: Optional[Callable] = None
 
     def __post_init__(self):
         if self.arity <= 0:
@@ -81,6 +95,55 @@ class MeanFn:
                 f"{self.label} expects {self.arity} arguments, got {len(x)}"
             )
         return self.eval(tuple(x))
+
+
+def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
+                      label: str = "deviation mean") -> MeanFn:
+    dev = as_deviation_tuple(E)
+    report = lambda xs, E=dev, cfg=cfg: deviation_mean(E, xs, cfg)  # noqa: E731
+    return MeanFn(arity=len(dev), label=label, report=report,
+                  eval=lambda xs: report(xs).value)
+
+
+def gen_deviation_mean_fn(E: Sequence[GenDeviation], cfg: SolverConfig = DEFAULT_CONFIG,
+                          label: str = "generalized deviation mean") -> MeanFn:
+    """MeanFn wrapper around the hull variational inequality solver.
+
+    The previous barycentric solution seeds the next solve and the pullback
+    Lipschitz estimate of the first call is reused; helpful when the mean is
+    evaluated along a fixed-point iteration, where successive data tuples
+    differ in a single slot.  The first call estimates the same constant the
+    solver would, so it returns the solver's own report.  Results stay
+    deterministic for a given call sequence, but the wrapper is not
+    thread-safe.
+    """
+    entries = tuple(E)
+    dim = entries[0].dim
+    state = {"init": None, "lipschitz": None}
+
+    def report(xs, E=entries, cfg=cfg):
+        init = state["init"]
+        if init is not None and init.shape != (len(xs),):
+            init = None
+        # A single point needs no solve, hence no estimate.
+        if state["lipschitz"] is None and len(xs) > 1:
+            pts, _ = _check_family(E, xs)
+            state["lipschitz"] = _estimate_lipschitz(_sum_grad(E, pts, dim)[0], np.stack(pts))
+        rep = gen_deviation_mean(E, xs, cfg, init=init, lipschitz=state["lipschitz"])
+        if rep.barycentric is not None:
+            state["init"] = rep.barycentric.array
+        return rep
+
+    return MeanFn(arity=len(entries), dim=dim, label=label, report=report,
+                  eval=lambda xs: report(xs).value)
+
+
+def potential_mean_fn(F: Sequence[PotentialFn], cfg: SolverConfig = DEFAULT_CONFIG,
+                      label: str = "potential mean") -> MeanFn:
+    entries = tuple(F)
+    report = lambda xs, F=entries, cfg=cfg: potential_mean(F, xs, cfg)  # noqa: E731
+    return MeanFn(arity=len(entries), dim=entries[0].dim, label=label, report=report,
+                  eval=lambda xs: report(xs).value)
 
 
 def check_mean_function(M: MeanFn, sample_point: Callable, samples: int = 32,
@@ -481,8 +544,6 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
                          rel_tol=cfg.rel_tol, max_iter=cfg.max_iter,
                          damping=cfg.damping)
     if isinstance(entries[0], GenDeviation):
-        from .descriptors import gen_deviation_mean_fn
-
         dim = entries[0].dim
         selected = select(entries, chi)
         for _ in range(samples):
@@ -505,11 +566,7 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
         dev = as_deviation_tuple(entries)
         lo, hi = dev.common_domain.finite_window()
         selected = dev.select(chi)
-        M = MeanFn(
-            arity=chi.n,
-            eval=lambda xs, E=dev, cfg=inner: deviation_mean(E, xs, cfg).value,
-            label="deviation mean",
-        )
+        M = deviation_mean_fn(dev, inner)
         for _ in range(samples):
             xs = tuple(float(v) for v in rng.uniform(lo, hi, chi.k))
             lhs = reduce_scalar(M, chi, xs, outer).reduced_value

@@ -37,11 +37,20 @@ class TestMeanCommand:
                         "--x", "0,0;2,2")
         assert data["value"] == pytest.approx([1.0, 1.0])
 
-    def test_custom_deviation_reports_solver_diagnostics(self, capsys):
-        data = run_json(capsys, "mean", "--kind", "deviation-custom",
-                        "--exprs", "u*(u - v)", "--domain", "0.05,30",
-                        "--x", "1,3")
-        assert data["value"] == pytest.approx(2.5, abs=1e-9)
+    @pytest.mark.parametrize("argv,expected", [
+        (["--kind", "deviation-custom", "--exprs", "u*(u - v)", "--domain", "0.05,30",
+          "--x", "1,3"], 2.5),
+        (["--descriptor", json.dumps({"kind": "gen-deviation", "arity": 2, "dim": 2,
+                                      "params": {"exprs": [["2*(u1 - v1)", "2*(u2 - v2)"]]}}),
+          "--x", "0,0;2,4"], [1.0, 2.0]),
+        (["--descriptor", json.dumps({"kind": "norm-squared-potential", "arity": 2, "dim": 2,
+                                      "params": {"weights": [1.0, 3.0]}}),
+          "--x", "0,0;2,4"], [1.5, 3.0]),
+    ], ids=["deviation-custom", "gen-deviation", "norm-squared-potential"])
+    def test_custom_deviation_reports_solver_diagnostics(self, capsys, argv, expected):
+        data = run_json(capsys, "mean", *argv)
+        assert data["value"] == pytest.approx(expected, abs=1e-9)
+        assert data["converged"] is True
         assert data["iterations"] > 0
 
     def test_descriptor_json_string(self, capsys):

@@ -209,7 +209,6 @@ class TestSolverConfig:
         assert cfg.rel_tol == 1e-10
         assert cfg.max_iter == 10_000
         assert cfg.damping == 1.0
-        assert cfg.grid_oracle_resolution == 2001
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},
@@ -217,7 +216,6 @@ class TestSolverConfig:
         {"max_iter": 0},
         {"damping": 0.0},
         {"damping": 1.5},
-        {"grid_oracle_resolution": 1},
     ])
     def test_invariants(self, kwargs):
         with pytest.raises(InvalidArgumentError):

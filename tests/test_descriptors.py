@@ -160,3 +160,14 @@ class TestEvaluateWithReport:
         assert value == pytest.approx(2.0, abs=1e-9)
         assert report.converged
         assert report.iterations > 0
+
+    @pytest.mark.parametrize("data", DESCRIPTORS, ids=lambda d: d["kind"] + str(d.get("dim", "")))
+    def test_report_value_matches_built_mean(self, data):
+        desc = MeanDescriptor.from_json(data)
+        x = sample_inputs(desc, np.random.default_rng(11))
+        value, report = evaluate_with_report(desc, x)
+        assert np.array_equal(value, build_mean(desc)(x))
+        assert report.converged
+        solver_kinds = ("deviation-custom", "gen-deviation", "norm-squared-potential",
+                        "custom-potential")
+        assert (report.iterations > 0) == (desc.kind in solver_kinds)
