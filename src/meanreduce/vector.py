@@ -12,16 +12,23 @@ convex, differentiable sections and vanishing gradient at the diagonal,
 E(u, v) = -dF(u, .)/dv is a generalized deviation and the mean is the unique
 minimizer of sum_i F_i(x_i, v) over the hull.
 
-Both routes run one projected-simplex loop, ``_simplex_solve``, on
-barycentric coordinates over the unit simplex, so every iterate carries hull
-membership by construction.  Each route brings its own covector field g
-(the summed deviation, or minus the summed potential gradient) and its own
-direction rule: extragradient steps (Korpelevich 1976) for the variational
-inequality, projected gradient descent with Armijo backtracking for the
-potential.  The loop owns what they share: the simplex projection, the
-positive-slack merit sum_j max(g (x_j - y), 0)^2, a strided secant
-extrapolation, a projected-Newton candidate, stagnation handling with step
-halving, and the final slack certificate.
+Both routes share one front end and one projected-simplex loop.  The front
+end checks the family against the tuple (``_check_family``), sets up the
+points, their matrix X, the slack tolerance and the one-point answer
+(``_hull_setup``), and sums the per-slot covectors in one place
+(``_sum_grad``): the deviations E_i for the variational inequality, and
+E_i = -grad_v F_i for the potential.  ``verify_vi`` and the lattice oracle
+keep their own sums, so they check the solves independently.  The loop,
+``_simplex_solve``, runs on barycentric coordinates over the unit simplex,
+so every iterate carries hull membership by construction.  The routes
+differ only in their covector field g (the summed deviation, or minus the
+summed potential gradient) and their direction rule: extragradient steps
+(Korpelevich 1976) for the variational inequality, projected gradient
+descent with Armijo backtracking on the summed potential for the other.
+The loop owns what they share: the simplex projection, the positive-slack
+merit sum_j max(g (x_j - y), 0)^2, a strided secant extrapolation, a
+projected-Newton candidate, stagnation handling with step halving, and the
+final slack certificate.
 
 The projected-Newton candidate is Josephy's Newton step for variational
 inequalities (Josephy 1979; Facchinei & Pang 2003, ch. 7): g is linearized
@@ -84,6 +91,10 @@ class Covector:
     def array(self) -> np.ndarray:
         return np.asarray(self.grad, dtype=float)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # Array-convertible like any other covector value a callback returns.
+        return np.asarray(self.grad, dtype=dtype)
+
     def __call__(self, h) -> float:
         return float(np.dot(self.array, as_point(h, dim=len(self.grad))))
 
@@ -92,10 +103,7 @@ class Covector:
 
 
 def _as_grad(value, dim: int) -> np.ndarray:
-    if isinstance(value, Covector):
-        arr = value.array
-    else:
-        arr = np.asarray(value, dtype=float).reshape(-1)
+    arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.shape[0] != dim:
         raise InvalidArgumentError(f"covector dimension {arr.shape[0]} != {dim}")
     if not math.isfinite(float(arr.sum())) and not np.all(np.isfinite(arr)):
@@ -178,6 +186,16 @@ def lift_scalar_deviation(dev: ScalarDeviation, label: Optional[str] = None) -> 
     )
 
 
+def _weight_fn(weight, what: str) -> Callable:
+    """A positive constant or a callable on points, as a callable."""
+    if callable(weight):
+        return weight
+    c = float(weight)
+    if not c > 0:
+        raise InvalidArgumentError(f"{what} weight must be positive")
+    return lambda u, c=c: c
+
+
 def inner_product_deviation(weight, dim: int,
                             label: str = "inner-product deviation") -> GenDeviation:
     """The gradient-type deviation E(u, v) = 2 w(u) (u - v).
@@ -186,14 +204,7 @@ def inner_product_deviation(weight, dim: int,
     is the deviation of the weighted squared-distance potential; its deviation
     mean is the functionally weighted arithmetic mean.
     """
-    if callable(weight):
-        w = weight
-    else:
-        c = float(weight)
-        if not c > 0:
-            raise InvalidArgumentError("inner-product deviation weight must be positive")
-        w = lambda u, c=c: c  # noqa: E731
-
+    w = _weight_fn(weight, "inner-product deviation")
     return GenDeviation(
         dim=dim,
         eval=lambda u, v, w=w: 2.0 * w(u) * (np.asarray(u, float) - np.asarray(v, float)),
@@ -203,17 +214,35 @@ def inner_product_deviation(weight, dim: int,
     )
 
 
-def _check_family(E: Sequence[GenDeviation], x: Sequence) -> tuple[list[np.ndarray], int]:
-    if len(E) == 0:
-        raise InvalidArgumentError("empty deviation tuple")
-    dim = E[0].dim
-    for e in E[1:]:
-        if e.dim != dim:
-            raise InvalidArgumentError("deviations must share one dimension")
+def _check_family(fns: Sequence, x: Sequence,
+                  what: str = "deviation") -> tuple[list[np.ndarray], int]:
+    """The points of x and their dimension, checked against a family of
+    deviations or potentials (``what`` names them in the messages)."""
+    if len(fns) == 0:
+        raise InvalidArgumentError(f"empty {what} tuple")
+    dim = fns[0].dim
+    for f in fns[1:]:
+        if f.dim != dim:
+            raise InvalidArgumentError(f"{what}s must share one dimension")
     pts = as_point_tuple(x, dim)
-    if len(pts) != len(E):
-        raise InvalidArgumentError(f"tuple length {len(pts)} != deviation count {len(E)}")
+    if len(pts) != len(fns):
+        raise InvalidArgumentError(f"tuple length {len(pts)} != {what} count {len(fns)}")
     return pts, dim
+
+
+def _hull_setup(fns: Sequence, x: Sequence, cfg: SolverConfig, what: str):
+    """The front end of both hull solves: the checked points, their
+    dimension, the point matrix X, the slack tolerance
+    abs_tol (1 + max_i |x_i|), and for a single point its report (else None).
+    """
+    pts, dim = _check_family(fns, x, what)
+    X = np.stack(pts, axis=0)
+    tol = cfg.abs_tol * (1.0 + float(max(np.linalg.norm(p) for p in pts)))
+    single = None
+    if len(pts) == 1:
+        single = SolverReport(value=pts[0].copy(), residual=0.0, iterations=0,
+                              converged=True, barycentric=Barycentric((1.0,)))
+    return pts, dim, X, tol, single
 
 
 def gen_e_sum(E: Sequence[GenDeviation], x: Sequence, y) -> Covector:
@@ -230,26 +259,18 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     # Euclidean projection onto the probability simplex (sort-based).  Small
     # problems dominate this code path, where plain Python beats numpy's
     # sort/cumsum overhead by an order of magnitude.
-    n = v.shape[0]
-    if n <= 16:
-        u = sorted(v.tolist(), reverse=True)
-        css = 0.0
-        theta = u[0] - 1.0
-        for i, ui in enumerate(u):
-            css += ui
-            t = (css - 1.0) / (i + 1.0)
-            if ui - t <= 0.0:
-                break
-            theta = t
-        out = v - theta
-        np.clip(out, 0.0, None, out=out)
-        return out
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, n + 1)
-    rho = np.nonzero(u + (1.0 - css) / idx > 0.0)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    u = sorted(v.tolist(), reverse=True)
+    css = 0.0
+    theta = u[0] - 1.0
+    for i, ui in enumerate(u):
+        css += ui
+        t = (css - 1.0) / (i + 1.0)
+        if ui - t <= 0.0:
+            break
+        theta = t
+    out = v - theta
+    np.clip(out, 0.0, None, out=out)
+    return out
 
 
 def _labels(E: Sequence[GenDeviation]) -> str:
@@ -288,8 +309,7 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
         # that the sum is finite, once per call rather than per term (a
         # Python sum over d floats costs a fifth of ndarray.sum).
         for ev, xi in pairs:
-            v = ev(xi, y)
-            total += v.array if type(v) is Covector else np.asarray(v, dtype=float).reshape(-1)
+            total += np.asarray(ev(xi, y), dtype=float).reshape(-1)
         if not math.isfinite(sum(total.tolist())):
             raise InvalidDeviationError(f"{_labels(E)}: summed covector is not finite at y={y}")
         return total
@@ -641,22 +661,18 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
     observed iterate pairs, which the deviation axioms rule out, raise
     InvalidDeviationError.
     """
-    pts, dim = _check_family(E, x)
+    pts, dim, X, tol, single = _hull_setup(E, x, cfg, "deviation")
+    if single is not None:
+        return single
     n = len(pts)
-    X = np.stack(pts, axis=0)
-    scale = 1.0 + float(max(np.linalg.norm(p) for p in pts))
-    tol = cfg.abs_tol * scale
-
-    if n == 1:
-        return SolverReport(value=pts[0].copy(), residual=0.0, iterations=0,
-                            converged=True, barycentric=Barycentric((1.0,)))
-
     if init is None:
         lam = np.full(n, 1.0 / n)
     else:
         lam = np.asarray(init, dtype=float)
         if lam.shape != (n,):
             raise InvalidArgumentError("init must be a barycentric vector of length n")
+        if not all(map(math.isfinite, lam.tolist())):
+            raise InvalidArgumentError("init entries must be finite")
         lam = _project_simplex(lam)
 
     geval, jac = _sum_grad(E, pts, dim)
@@ -787,21 +803,27 @@ class PotentialFn:
                 )
 
 
-def make_potential_deviation(F: PotentialFn) -> GenDeviation:
-    """The generalized deviation E(u, v) = -grad_v F(u, v).
-
-    The deviation axioms follow from the potential property; they are
-    re-sampled here and a failure raises InvalidPotentialError.
-    """
-    dev = GenDeviation(
+def _potential_deviation(F: PotentialFn) -> GenDeviation:
+    # E(u, v) = -grad_v F(u, v), unchecked: the summed covector of a solve
+    # is checked by _sum_grad, the axioms by make_potential_deviation.
+    return GenDeviation(
         dim=F.dim,
-        eval=lambda u, v, g=F.grad: -g(np.asarray(u, float), np.asarray(v, float)),
+        eval=lambda u, v, g=F.grad_v: -np.asarray(g(u, v), dtype=float),
         label=f"deviation of {F.label}",
         sample_low=F.sample_low,
         sample_high=F.sample_high,
         samples=F.samples,
         validate=False,
     )
+
+
+def make_potential_deviation(F: PotentialFn) -> GenDeviation:
+    """The generalized deviation E(u, v) = -grad_v F(u, v).
+
+    The deviation axioms follow from the potential property; they are
+    re-sampled here and a failure raises InvalidPotentialError.
+    """
+    dev = _potential_deviation(F)
     if F.validate and F.samples > 0:
         try:
             dev._check_axioms()
@@ -816,13 +838,7 @@ def make_norm_sq_potential(w, dim: int, label: str = "norm-squared") -> Potentia
     ``w`` is a positive constant or a positive callable on points; the
     gradient 2 w(u) (v - u) is supplied analytically.
     """
-    if callable(w):
-        weight = w
-    else:
-        c = float(w)
-        if not c > 0:
-            raise InvalidArgumentError("norm-squared weight must be positive")
-        weight = lambda u, c=c: c  # noqa: E731
+    weight = _weight_fn(w, "norm-squared")
 
     def feval(u, v, weight=weight):
         diff = np.asarray(v, float) - np.asarray(u, float)
@@ -832,19 +848,6 @@ def make_norm_sq_potential(w, dim: int, label: str = "norm-squared") -> Potentia
         return 2.0 * weight(u) * (np.asarray(v, float) - np.asarray(u, float))
 
     return PotentialFn(dim=dim, eval=feval, grad_v=fgrad, label=label, validate=False)
-
-
-def _check_potentials(F: Sequence[PotentialFn], x: Sequence):
-    if len(F) == 0:
-        raise InvalidArgumentError("empty potential tuple")
-    dim = F[0].dim
-    for f in F[1:]:
-        if f.dim != dim:
-            raise InvalidArgumentError("potentials must share one dimension")
-    pts = as_point_tuple(x, dim)
-    if len(pts) != len(F):
-        raise InvalidArgumentError(f"tuple length {len(pts)} != potential count {len(F)}")
-    return pts, dim
 
 
 class _ArmijoDescent:
@@ -913,40 +916,32 @@ def potential_mean(F: Sequence[PotentialFn], x: Sequence,
     """Minimize sum_i F_i(x_i, v) over conv(x) by projected gradient descent.
 
     Runs the shared simplex loop (see ``_simplex_solve``) with
-    g = -sum_i grad_v F_i(x_i, .) and the Armijo direction rule (backtracking
-    with constant 1e-4, shrink factor 0.5, initial step 1.0, then a
-    fixed-step polish phase).  The loop adds the safeguarded secant and
-    projected-Newton candidates, the Newton step with a central-difference
-    Jacobian of g, i.e. the Hessian of the summed potential.  The
-    convergence certificate is the same hull slack as for the variational
-    inequality, taken with this g; it is computed independently of the
-    deviation route.
+    g = -sum_i grad_v F_i(x_i, .), summed by ``_sum_grad`` over
+    E_i = -grad_v F_i, and the Armijo direction rule (backtracking with
+    constant 1e-4, shrink factor 0.5, initial step 1.0, then a fixed-step
+    polish phase).  The loop adds the safeguarded secant and projected-Newton
+    candidates, the Newton step with a central-difference Jacobian of g, i.e.
+    the Hessian of the summed potential.  The convergence certificate is the
+    same hull slack as for the variational inequality, taken with this g; it
+    comes from the potentials' gradients alone, independently of the
+    deviation route.  A summed gradient that turns non-finite raises
+    InvalidPotentialError naming the potentials.
     """
-    pts, dim = _check_potentials(F, x)
-    n = len(pts)
-    X = np.stack(pts, axis=0)
-    scale = 1.0 + float(max(np.linalg.norm(p) for p in pts))
-    tol = cfg.abs_tol * scale
-
-    if n == 1:
-        return SolverReport(value=pts[0].copy(), residual=0.0, iterations=0,
-                            converged=True, barycentric=Barycentric((1.0,)))
-
+    pts, dim, X, tol, single = _hull_setup(F, x, cfg, "potential")
+    if single is not None:
+        return single
     fevals = [f.eval for f in F]
-    pairs = list(zip([f.grad for f in F], pts))
 
     def phi(y: np.ndarray) -> float:
         return math.fsum(float(fe(xi, y)) for fe, xi in zip(fevals, pts))
 
-    def geval(y: np.ndarray) -> np.ndarray:
-        out = np.zeros(dim)
-        for fg, xi in pairs:
-            out -= fg(xi, y)
-        return out
-
-    lam = np.full(n, 1.0 / n)
+    geval, jac = _sum_grad([_potential_deviation(f) for f in F], pts, dim)
+    lam = np.full(len(pts), 1.0 / len(pts))
     rule = _ArmijoDescent(phi, geval, X, lam @ X)
-    return _simplex_solve(rule, geval, _central_jacobian(geval), X, lam, tol, cfg.max_iter)
+    try:
+        return _simplex_solve(rule, geval, jac, X, lam, tol, cfg.max_iter)
+    except InvalidDeviationError as exc:
+        raise InvalidPotentialError(str(exc)) from exc
 
 
 def _lattice_weights(total: int, parts: int):
@@ -967,7 +962,7 @@ def grid_oracle_mean(F: Sequence[PotentialFn], x: Sequence, resolution: int) -> 
     """
     if resolution < 2:
         raise InvalidArgumentError("grid resolution must be at least 2")
-    pts, dim = _check_potentials(F, x)
+    pts, _ = _check_family(F, x, "potential")
     n = len(pts)
     if n == 1:
         return pts[0].copy()

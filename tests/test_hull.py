@@ -9,6 +9,7 @@ from scipy.optimize import root
 from meanreduce.core import SolverConfig
 from meanreduce.vector import (
     PotentialFn,
+    _project_simplex,
     barycentric_feasibility,
     gen_deviation_mean,
     inner_product_deviation,
@@ -79,6 +80,46 @@ def test_thin_simplex_both_routes_converge_fast_and_agree():
     scale = 1.0 + max(float(np.linalg.norm(p)) for p in x)
     assert verify_vi(E, x, vi.value, 1e-10 * scale).ok
     assert min(vi.barycentric.weights) == 0.0
+
+
+def test_twenty_points_both_routes_converge_and_agree():
+    # n = 20 weights: the simplex projection well past the small tuples of
+    # the other problems.
+    rng = np.random.default_rng(20)
+    x = [rng.uniform(-2.0, 2.0, 2) for _ in range(20)]
+    F = []
+    for i in range(20):
+        if i % 3 == 0:
+            F.append(quartic_potential(rng.uniform(0.2, 1.0), 2))
+        else:
+            B = rng.uniform(-1.0, 1.0, (2, 2))
+            F.append(quadratic_potential(B @ B.T + rng.uniform(0.5, 1.5) * np.eye(2)))
+    E = [make_potential_deviation(f) for f in F]
+    vi = gen_deviation_mean(E, x)
+    pot = potential_mean(F, x)
+    for report in (vi, pot):
+        assert report.converged
+        assert_barycentric(report, 20)
+    assert float(np.linalg.norm(vi.value - pot.value)) <= 1e-8
+
+
+@SETTINGS
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+def test_project_simplex_is_the_euclidean_projection(values):
+    v = np.asarray(values, dtype=float)
+    p = _project_simplex(v)
+    tol = 1e-12 * (1.0 + float(np.abs(v).max()))
+    assert p.shape == v.shape
+    assert np.all(p >= 0.0)
+    assert abs(math.fsum(p) - 1.0) <= tol
+    # Optimality: p = max(v - theta, 0) for one threshold theta, i.e.
+    # v_i - p_i = theta on the support and v_i <= theta off it.
+    support = p > 0.0
+    shifts = v[support] - p[support]
+    theta = float(shifts.mean())
+    assert np.all(np.abs(shifts - theta) <= tol)
+    assert np.all(v[~support] <= theta + tol)
 
 
 # Small problems: n in 2..6 points of R^d, d in 1..3, with repeats so that

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,29 @@ class TestGenDeviationMean:
         with pytest.raises(InvalidDeviationError, match=dev.label):
             gen_deviation_mean([dev] * 3, TRIANGLE)
 
+    def test_non_finite_gradient_mid_solve_names_the_potential(self):
+        # The potential route sums -grad_v F_i through the same covector sum;
+        # its failure must name the potential, not an anonymous covector.
+        calls = [0]
+
+        def flaky(u, v):
+            calls[0] += 1
+            if calls[0] > 28:
+                return np.array([math.nan, math.nan])
+            return 2.0 * (1.0 + float(u[0])) * (np.asarray(v, float) - np.asarray(u, float))
+
+        F = PotentialFn(dim=2, eval=lambda u, v: (1.0 + float(u[0])) * float((v - u) @ (v - u)),
+                        grad_v=flaky, label="flaky", validate=False)
+        with pytest.raises(InvalidPotentialError, match="flaky"):
+            potential_mean([F] * 3, TRIANGLE)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_init_rejected(self, bad):
+        E = [inner_product_deviation(2)] * 3
+        # Anchored: "non-finite" in the weight check's message contains "init".
+        with pytest.raises(InvalidArgumentError, match=r"^init\b"):
+            gen_deviation_mean(E, TRIANGLE, init=(bad, 0.5, 0.5))
+
 
 class TestGenDeviationValidation:
     def test_rejects_reversed_sign(self):
@@ -223,6 +247,14 @@ class TestPotentialDeviation:
                         grad_v=lambda u, v: (2.0 * (v[0] - u[0]),), validate=False)
         E = make_potential_deviation(F)
         assert E((1.0,), (3.0,)).array[0] == pytest.approx(-4.0)
+
+    def test_covector_valued_gradient_solves_on_both_routes(self):
+        F = PotentialFn(dim=2, eval=lambda u, v: float((v - u) @ (v - u)),
+                        grad_v=lambda u, v: Covector(tuple(2.0 * (v - u))), label="covector")
+        E = make_potential_deviation(F)
+        for report in (potential_mean([F] * 3, TRIANGLE), gen_deviation_mean([E] * 3, TRIANGLE)):
+            assert report.converged
+            np.testing.assert_allclose(report.value, [2 / 3, 2 / 3], atol=1e-9)
 
     def test_concave_potential_rejected(self):
         with pytest.raises(InvalidPotentialError):
@@ -327,3 +359,16 @@ class TestGridOracle:
         F = [make_norm_sq_potential(1.0, dim=1)] * 2
         with pytest.raises(InvalidArgumentError):
             grid_oracle_mean(F, ((0.0,), (1.0,)), resolution=1)
+
+
+@pytest.mark.parametrize("solve", [potential_mean, lambda F, x: grid_oracle_mean(F, x, 5)],
+                         ids=["potential_mean", "grid_oracle_mean"])
+@pytest.mark.parametrize("F, x, message", [
+    ([], (), "empty potential tuple"),
+    ([make_norm_sq_potential(1.0, dim=2), make_norm_sq_potential(1.0, dim=3)],
+     ((0.0, 0.0), (1.0, 1.0)), "potentials must share one dimension"),
+    ([make_norm_sq_potential(1.0, dim=2)] * 2, TRIANGLE, "tuple length 3 != potential count 2"),
+], ids=["empty", "mixed-dimensions", "wrong-length"])
+def test_potential_family_messages(solve, F, x, message):
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+        solve(F, x)
