@@ -63,6 +63,7 @@ from .reduction import (
     MeanFn,
     ReductionResult,
     check_deviation_reduction,
+    check_uniqueness,
     check_weighted_arith_reduction,
     reduce_mean,
     reduce_scalar,

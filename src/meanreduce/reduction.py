@@ -15,14 +15,18 @@ iterate is only ever accepted when it reduces the fixed-point residual, so
 certificates are unaffected.
 
 Uniqueness cannot be decided for a black-box mean; results carry a tri-state
-flag ("unique" / "multiple-suspected" / "unknown") driven by sign probes in
-the scalar case and by multi-start disagreement in the vector case, never a
-silent claim.
+flag ("unique" / "multiple-suspected" / "unknown"), never a silent claim.
+The solves leave it "unknown" (except for a constant tuple, whose only fixed
+point is that constant); the separate step ``check_uniqueness`` sets it from
+sign probes in the scalar case and from multi-start disagreement in the
+vector case.  ``reduce_mean``, and so ``meanreduce reduce``, runs that step;
+``reduced_mean_fn`` (the lab) and the reduction oracles read only the value
+and skip it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -227,6 +231,21 @@ def spliced_eval(M: MeanFn, chi: Injection, x: Sequence, y):
     return M(splice(pts, chi, np.asarray(y, dtype=float)))
 
 
+def _scalar_setup(M: MeanFn, chi: Injection, x: Sequence[float], cfg: SolverConfig):
+    """Bracket ends, residual tolerance and spliced evaluation y ->
+    M((x|chi)(y)) of a scalar reduction."""
+    _check_chi(M, chi, x)
+    if M.dim is not None:
+        raise InvalidArgumentError("reduce_scalar needs a scalar mean")
+    xs = [float(v) for v in x]
+    a0, b0 = min(xs), max(xs)
+
+    def m(y: float) -> float:
+        return float(M(splice(xs, chi, y)))
+
+    return a0, b0, cfg.abs_tol * (1.0 + (b0 - a0)), m
+
+
 def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
                   cfg: SolverConfig = DEFAULT_CONFIG) -> ReductionResult:
     """Reduce a scalar mean by ``core.bracketed_root`` (ITP) on
@@ -235,23 +254,17 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
     The mean property forces mu >= 0 at min(x) and mu <= 0 at max(x); a sign
     anomaly beyond abs_tol raises NotAMeanError.  Adjacent evaluations whose
     gap exceeds 1000 times their separation mark the result as continuity
-    suspect, and so do the two ends of the final bracket.  After the root
-    is located, sign probes on both sides check the single-crossing picture;
-    a probe with the wrong sign downgrades the uniqueness flag to
-    "multiple-suspected".
+    suspect, and so do the two ends of the final bracket.  The solve costs
+    2 + iterations evaluations of M.
+
+    The uniqueness flag is left "unknown" ("unique" for a constant tuple).
+    ``check_uniqueness`` sets it; ``reduce_mean``, and so ``meanreduce
+    reduce``, runs that step, while the lab (``reduced_mean_fn``) and the
+    reduction oracles skip it.
     """
-    _check_chi(M, chi, x)
-    if M.dim is not None:
-        raise InvalidArgumentError("reduce_scalar needs a scalar mean")
-    xs = [float(v) for v in x]
-    a0, b0 = min(xs), max(xs)
-    spread = b0 - a0
-    res_tol = cfg.abs_tol * (1.0 + spread)
+    a0, b0, res_tol, m = _scalar_setup(M, chi, x, cfg)
 
-    def m(y: float) -> float:
-        return float(M(splice(xs, chi, y)))
-
-    if spread == 0.0:
+    if a0 == b0:
         report = SolverReport(value=a0, residual=0.0, iterations=0, converged=True)
         return ReductionResult(a0, 0.0, report, unique_flag=UNIQUE)
 
@@ -295,32 +308,10 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
         # consecutive probes; the final bracket's ends straddle it.
         if abs(means[search.b] - means[search.a]) > 1e3 * (search.b - search.a):
             suspect = True
-        if residual > res_tol:
-            report = SolverReport(value=root, residual=residual,
-                                  iterations=iterations, converged=False)
-            return ReductionResult(root, residual, report,
-                                   unique_flag=UNKNOWN,
-                                   continuity_suspect=suspect)
 
-    unique = UNIQUE
-    band = max(16.0 * res_tol, 1e-9 * spread)
-    probes = np.linspace(a0, b0, 9)[1:-1]
-    for y in probes:
-        y = float(y)
-        if abs(y - root) <= band:
-            continue
-        sign = m(y) - y
-        want = root - y
-        if sign * want < 0 and abs(sign) > res_tol:
-            unique = MULTIPLE_SUSPECTED
-            break
-
-    converged = residual <= res_tol
     report = SolverReport(value=root, residual=residual, iterations=iterations,
-                          converged=converged)
-    return ReductionResult(root, residual, report,
-                           unique_flag=unique if converged else UNKNOWN,
-                           continuity_suspect=suspect)
+                          converged=residual <= res_tol)
+    return ReductionResult(root, residual, report, continuity_suspect=suspect)
 
 
 def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float, cfg: SolverConfig,
@@ -371,30 +362,35 @@ def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float, cfg: SolverConfig,
     return y, rnorm, iterations, rnorm <= tol
 
 
-def reduce_vector(M: MeanFn, chi: Injection, x: Sequence,
-                  cfg: SolverConfig = DEFAULT_CONFIG) -> ReductionResult:
-    """Reduce a vector mean by damped fixed-point iteration from the centroid.
-
-    Restarts from k+1 initializations (the centroid and blends toward each
-    data point) drive the uniqueness flag: converged restarts that disagree
-    beyond 1e-6 mark the reduction "multiple-suspected"; a restart that fails
-    to converge leaves it "unknown".
-    """
+def _vector_setup(M: MeanFn, chi: Injection, x: Sequence, cfg: SolverConfig):
+    """Points, centroid, diameter, residual tolerance and spliced evaluation
+    y -> M((x|chi)(y)) of a vector reduction."""
     _check_chi(M, chi, x)
     if M.dim is None:
         raise InvalidArgumentError("reduce_vector needs a vector mean")
     pts = as_point_tuple(x, M.dim)
-    k = len(pts)
-    X = np.stack(pts, axis=0)
-    centroid = X.mean(axis=0)
     spread = max(
         (float(np.linalg.norm(p - q)) for p in pts for q in pts),
         default=0.0,
     )
-    tol = cfg.abs_tol * (1.0 + spread)
 
     def m(y: np.ndarray) -> np.ndarray:
         return np.asarray(M(splice(pts, chi, y)), dtype=float)
+
+    centroid = np.stack(pts, axis=0).mean(axis=0)
+    return pts, centroid, spread, cfg.abs_tol * (1.0 + spread), m
+
+
+def reduce_vector(M: MeanFn, chi: Injection, x: Sequence,
+                  cfg: SolverConfig = DEFAULT_CONFIG) -> ReductionResult:
+    """Reduce a vector mean by damped fixed-point iteration from the centroid.
+
+    The uniqueness flag is left "unknown" ("unique" for a constant tuple).
+    ``check_uniqueness`` sets it from restarts; ``reduce_mean``, and so
+    ``meanreduce reduce``, runs that step, while the lab
+    (``reduced_mean_fn``) and the reduction oracles skip it.
+    """
+    pts, centroid, spread, tol, m = _vector_setup(M, chi, x, cfg)
 
     if spread == 0.0:
         report = SolverReport(value=pts[0].copy(), residual=0.0, iterations=0, converged=True)
@@ -402,42 +398,99 @@ def reduce_vector(M: MeanFn, chi: Injection, x: Sequence,
 
     y, rnorm, iterations, converged = _fixed_point_run(m, centroid, tol, cfg, cfg.max_iter)
     report = SolverReport(value=y, residual=rnorm, iterations=iterations, converged=converged)
+    return ReductionResult(y, rnorm, report)
 
+
+def _scalar_uniqueness(M: MeanFn, chi: Injection, x: Sequence[float], root: float,
+                       cfg: SolverConfig) -> str:
+    a0, b0, res_tol, m = _scalar_setup(M, chi, x, cfg)
+    if a0 == b0:
+        return UNIQUE
+    band = max(16.0 * res_tol, 1e-9 * (b0 - a0))
+    for y in np.linspace(a0, b0, 9)[1:-1]:
+        y = float(y)
+        if abs(y - root) <= band:
+            continue
+        sign = m(y) - y
+        if sign * (root - y) < 0 and abs(sign) > res_tol:
+            return MULTIPLE_SUSPECTED
+    return UNIQUE
+
+
+def _vector_uniqueness(M: MeanFn, chi: Injection, x: Sequence, root: np.ndarray,
+                       cfg: SolverConfig) -> str:
+    pts, centroid, spread, tol, m = _vector_setup(M, chi, x, cfg)
+    if spread == 0.0:
+        return UNIQUE
     restart_tol = max(tol, 1e-8 * (1.0 + spread))
-    results = [y] if converged else []
-    all_converged = converged
-    for j in range(k):
-        init = 0.5 * pts[j] + 0.5 * centroid
-        yj, _, _, okj = _fixed_point_run(m, init, restart_tol, cfg, cfg.max_iter)
-        if okj:
-            results.append(yj)
-        all_converged = all_converged and okj
-    if not all_converged:
-        flag = UNKNOWN
-    else:
-        worst = max(
-            (float(np.linalg.norm(p - q)) for p in results for q in results),
-            default=0.0,
-        )
-        flag = UNIQUE if worst <= 1e-6 else MULTIPLE_SUSPECTED
+    results = [root]
+    for p in pts:
+        yj, _, _, ok = _fixed_point_run(m, 0.5 * p + 0.5 * centroid, restart_tol, cfg,
+                                        cfg.max_iter)
+        if not ok:
+            return UNKNOWN
+        results.append(yj)
+    worst = max(float(np.linalg.norm(p - q)) for p in results for q in results)
+    return UNIQUE if worst <= 1e-6 else MULTIPLE_SUSPECTED
 
-    return ReductionResult(y, rnorm, report, unique_flag=flag)
+
+def check_uniqueness(M: MeanFn, chi: Injection, x: Sequence, result: ReductionResult,
+                     cfg: SolverConfig = DEFAULT_CONFIG) -> ReductionResult:
+    """Return ``result`` with its uniqueness flag set.
+
+    ``result`` is what ``reduce_scalar`` or ``reduce_vector`` returned for the
+    same M, chi, x and cfg.  Uniqueness cannot be decided for a black-box
+    mean, so this is a guess:
+
+    - scalar: sign probes of mu(y) = M((x|chi)(y)) - y at the 7 interior
+      points of a uniform 9-point grid on [min(x), max(x)], skipping those
+      within max(16 res_tol, 1e-9 spread) of the root; a probe whose sign
+      contradicts a single crossing beyond res_tol gives "multiple-suspected";
+      up to 7 evaluations of M.
+    - vector: k restarts of the fixed-point iteration from 0.5 x_j +
+      0.5 centroid; a restart that fails to converge gives "unknown", and
+      converged runs that disagree with each other or with the root beyond
+      1e-6 give "multiple-suspected".
+
+    Otherwise the flag is "unique", as it is for a constant tuple.  An
+    unconverged result stays "unknown" and costs no evaluation.
+    ``reduce_mean`` runs this step; ``reduced_mean_fn`` and the reduction
+    oracles skip it.
+    """
+    if not result.certificate.converged:
+        return replace(result, unique_flag=UNKNOWN)
+    if M.dim is None:
+        flag = _scalar_uniqueness(M, chi, x, float(result.reduced_value), cfg)
+    else:
+        flag = _vector_uniqueness(M, chi, x, result.reduced_value, cfg)
+    return replace(result, unique_flag=flag)
 
 
 def reduce_mean(M: MeanFn, chi: Injection, x: Sequence,
                 cfg: SolverConfig = DEFAULT_CONFIG) -> ReductionResult:
-    """Dispatch to the scalar or vector reduction."""
-    if M.dim is None:
-        return reduce_scalar(M, chi, x, cfg)
-    return reduce_vector(M, chi, x, cfg)
+    """Dispatch to the scalar or vector reduction, then set the uniqueness
+    flag with ``check_uniqueness``.
+
+    This is the reduction ``meanreduce reduce`` prints.  The lab
+    (``reduced_mean_fn``) and the reduction oracles read only the value and
+    call the solves directly, skipping the uniqueness step.
+    """
+    solve = reduce_scalar if M.dim is None else reduce_vector
+    return check_uniqueness(M, chi, x, solve(M, chi, x, cfg), cfg)
 
 
 def reduced_mean_fn(M: MeanFn, chi: Injection, cfg: SolverConfig = DEFAULT_CONFIG,
                     require_converged: bool = True) -> MeanFn:
-    """The k-variable mean x -> reduction of M along chi at x."""
+    """The k-variable mean x -> reduction of M along chi at x.
+
+    Each evaluation runs ``reduce_scalar`` or ``reduce_vector`` and returns
+    its value.  It skips ``check_uniqueness``, which only ``reduce_mean``
+    (and so ``meanreduce reduce``) runs: the flag would be dropped here.
+    """
 
     def eval_reduced(xs):
-        result = reduce_mean(M, chi, xs, cfg)
+        solve = reduce_scalar if M.dim is None else reduce_vector
+        result = solve(M, chi, xs, cfg)
         if require_converged and not result.certificate.converged:
             raise NoConvergenceError(
                 f"reduction of {M.label} did not converge at {xs}",

@@ -102,10 +102,15 @@ class Covector:
         return len(self.grad)
 
 
-def _as_grad(value, dim: int) -> np.ndarray:
+def _as_shape(value, dim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.shape[0] != dim:
         raise InvalidArgumentError(f"covector dimension {arr.shape[0]} != {dim}")
+    return arr
+
+
+def _as_grad(value, dim: int) -> np.ndarray:
+    arr = _as_shape(value, dim)
     if not math.isfinite(float(arr.sum())) and not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("covector entries must be finite")
     return arr
@@ -300,16 +305,16 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
 
     def geval(y: np.ndarray) -> np.ndarray:
         total = np.zeros(dim)
-        if not checked[0]:
+        if checked[0]:
             for ev, xi in pairs:
-                total += _as_grad(ev(xi, y), dim)
+                total += np.asarray(ev(xi, y), dtype=float).reshape(-1)
+        else:
+            # Shapes are validated on the first call only.
+            for ev, xi in pairs:
+                total += _as_shape(ev(xi, y), dim)
             checked[0] = True
-            return total
-        # Shapes were validated on the first call; later calls check only
-        # that the sum is finite, once per call rather than per term (a
-        # Python sum over d floats costs a fifth of ndarray.sum).
-        for ev, xi in pairs:
-            total += np.asarray(ev(xi, y), dtype=float).reshape(-1)
+        # Finiteness is checked once per call on the sum rather than per
+        # term (a Python sum over d floats costs a fifth of ndarray.sum).
         if not math.isfinite(sum(total.tolist())):
             raise InvalidDeviationError(f"{_labels(E)}: summed covector is not finite at y={y}")
         return total

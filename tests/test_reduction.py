@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import meanreduce.reduction
 
 from meanreduce.core import Injection, Interval, POSITIVE_REALS, SolverConfig
 from meanreduce.descriptors import (
@@ -18,9 +23,12 @@ from meanreduce.reduction import (
     MULTIPLE_SUSPECTED,
     MeanFn,
     UNIQUE,
+    UNKNOWN,
     check_deviation_reduction,
     check_mean_function,
+    check_uniqueness,
     check_weighted_arith_reduction,
+    reduce_mean,
     reduce_scalar,
     reduce_vector,
     reduced_mean_fn,
@@ -45,6 +53,26 @@ def gini_deviations(n):
 
 def inner_product_deviation(dim, weight=1.0):
     return library_ipd(weight, dim)
+
+
+def counted_mean(M):
+    """M with a counter of its evaluations."""
+    calls = [0]
+
+    def eval_counted(xs):
+        calls[0] += 1
+        return M(xs)
+
+    return MeanFn(arity=M.arity, dim=M.dim, label=M.label, eval=eval_counted), calls
+
+
+def two_roots_mean():
+    # Two fixed points: 0.2 (for y < 0.7) and 0.9 (for y >= 0.7).
+    return MeanFn(arity=3, eval=lambda xs: 0.2 if xs[2] < 0.7 else 0.9, label="two-roots")
+
+
+def jump_mean():
+    return MeanFn(arity=3, eval=lambda xs: 0.8 if xs[2] < 0.6 else 0.3, label="jump")
 
 
 class TestSplicedEval:
@@ -83,7 +111,8 @@ class TestReduceScalar:
         result = reduce_scalar(M, chi, (1.0, 5.0))
         assert result.reduced_value == pytest.approx(3.0, abs=1e-10)
         assert result.certificate.converged
-        assert result.unique_flag == UNIQUE
+        assert result.unique_flag == UNKNOWN
+        assert reduce_mean(M, chi, (1.0, 5.0)).unique_flag == UNIQUE
 
     def test_geometric_reduction_closed_form(self):
         M = quasi_arithmetic_mean_fn("log", 3)
@@ -98,6 +127,7 @@ class TestReduceScalar:
         result = reduce_scalar(M, chi, (2.5, 2.5))
         assert result.reduced_value == 2.5
         assert result.certificate.iterations == 0
+        assert result.unique_flag == UNIQUE
 
     def test_not_a_mean_detected(self):
         fake = MeanFn(arity=3, eval=lambda xs: min(xs) - 1.0, label="below-hull")
@@ -123,24 +153,18 @@ class TestReduceScalar:
         assert result.reduced_value == pytest.approx(M((3.0, 1.0, 2.0)), abs=1e-10)
 
     def test_jump_mean_flagged_as_continuity_suspect(self):
-        def jump(xs):
-            return 0.8 if xs[2] < 0.6 else 0.3
-
-        M = MeanFn(arity=3, eval=jump, label="jump")
+        M = jump_mean()
         chi = Injection.of([1, 2], n=3)
         result = reduce_scalar(M, chi, (0.0, 1.0))
         assert result.continuity_suspect
         assert not result.certificate.converged
 
     def test_multiple_fixed_points_suspected(self):
-        # Two fixed points: 0.2 (for y < 0.7) and 0.9 (for y >= 0.7).
-        def two_roots(xs):
-            return 0.2 if xs[2] < 0.7 else 0.9
-
-        M = MeanFn(arity=3, eval=two_roots, label="two-roots")
+        M = two_roots_mean()
         chi = Injection.of([1, 2], n=3)
-        result = reduce_scalar(M, chi, (0.0, 1.0))
+        result = reduce_mean(M, chi, (0.0, 1.0))
         assert result.unique_flag == MULTIPLE_SUSPECTED
+        assert reduce_scalar(M, chi, (0.0, 1.0)).unique_flag == UNKNOWN
 
     def test_sign_law_around_reduction(self):
         rng = np.random.default_rng(71)
@@ -186,15 +210,18 @@ class TestReduceVector:
     def test_four_slot_vector_arithmetic(self):
         M = arithmetic_mean_fn(4, dim=2)
         chi = Injection.of([1, 3], n=4)
-        result = reduce_vector(M, chi, ((0.0, 0.0), (2.0, 2.0)))
+        x = ((0.0, 0.0), (2.0, 2.0))
+        result = reduce_vector(M, chi, x)
         np.testing.assert_allclose(result.reduced_value, [1.0, 1.0], atol=1e-10)
-        assert result.unique_flag == UNIQUE
+        assert result.unique_flag == UNKNOWN
+        assert reduce_mean(M, chi, x).unique_flag == UNIQUE
 
     def test_constant_tuple(self):
         M = arithmetic_mean_fn(3, dim=2)
         chi = Injection.of([1, 2], n=3)
         result = reduce_vector(M, chi, ((1.0, 2.0), (1.0, 2.0)))
         np.testing.assert_allclose(result.reduced_value, [1.0, 2.0])
+        assert result.unique_flag == UNIQUE
 
     def test_deviation_mean_reduction_hits_weighted_average(self):
         cfg = SolverConfig(abs_tol=1e-11)
@@ -238,6 +265,92 @@ class TestReduceVector:
             assert residual <= 1e-9 * scale
 
 
+SCALAR_CASES = [
+    (arithmetic_mean_fn(3), Injection.of([1, 2], n=3), (1.0, 5.0)),
+    (quasi_arithmetic_mean_fn("log", 3), Injection.of([2, 3], n=3), (2.0, 8.0)),
+    (holder_mean_fn(3.0, 4), Injection.of([1, 3], n=4), (0.4, 2.9)),
+    (two_roots_mean(), Injection.of([1, 2], n=3), (0.0, 1.0)),
+    (jump_mean(), Injection.of([1, 2], n=3), (0.0, 1.0)),
+    (arithmetic_mean_fn(4), Injection.of([1, 3], n=4), (2.5, 2.5)),
+]
+
+
+class TestCheckUniqueness:
+    @pytest.mark.parametrize("M, chi, x", SCALAR_CASES)
+    def test_reduce_mean_is_the_solve_plus_the_flag(self, M, chi, x):
+        solved = reduce_scalar(M, chi, x)
+        full = reduce_mean(M, chi, x)
+        assert full.reduced_value == solved.reduced_value
+        assert full.fixed_point_residual == solved.fixed_point_residual
+        assert full.certificate == solved.certificate
+        assert full.continuity_suspect == solved.continuity_suspect
+        assert full == check_uniqueness(M, chi, x, solved)
+
+    def test_vector_reduce_mean_is_the_solve_plus_the_flag(self):
+        M = arithmetic_mean_fn(5, dim=3)
+        chi = Injection.of([1, 4], n=5)
+        x = ((0.0, 1.0, 2.0), (2.0, -1.0, 0.5))
+        solved = reduce_vector(M, chi, x)
+        full = reduce_mean(M, chi, x)
+        np.testing.assert_array_equal(full.reduced_value, solved.reduced_value)
+        assert full.fixed_point_residual == solved.fixed_point_residual
+        assert full.certificate.iterations == solved.certificate.iterations
+        assert full.unique_flag == UNIQUE
+
+    def test_unconverged_scalar_result_stays_unknown(self):
+        M, calls = counted_mean(jump_mean())
+        chi = Injection.of([1, 2], n=3)
+        result = reduce_scalar(M, chi, (0.0, 1.0))
+        assert not result.certificate.converged
+        calls[0] = 0
+        assert check_uniqueness(M, chi, (0.0, 1.0), result).unique_flag == UNKNOWN
+        assert calls[0] == 0
+
+    def test_unconverged_vector_result_stays_unknown(self):
+        M, calls = counted_mean(weighted_arithmetic_mean_fn([3.0, 1.0, 1.0, 1.0, 1.0], 5, dim=2))
+        chi = Injection.of([1, 2], n=5)
+        x = ((0.0, 0.0), (3.0, 1.0))
+        cfg = SolverConfig(max_iter=1)
+        result = reduce_vector(M, chi, x, cfg)
+        assert not result.certificate.converged
+        calls[0] = 0
+        assert check_uniqueness(M, chi, x, result, cfg).unique_flag == UNKNOWN
+        assert calls[0] == 0
+        assert reduce_mean(M, chi, x, cfg).unique_flag == UNKNOWN
+
+
+class TestReductionWorkCount:
+    """The reductions pay for the solve only; uniqueness is a separate step."""
+
+    @pytest.mark.parametrize("M, chi, x", SCALAR_CASES[:3])
+    def test_reduced_mean_fn_evaluates_only_the_solve(self, M, chi, x):
+        M, calls = counted_mean(M)
+        iterations = reduce_scalar(M, chi, x).certificate.iterations
+        calls[0] = 0
+        reduced_mean_fn(M, chi)(x)
+        assert calls[0] <= 2 + iterations
+
+    def test_reduce_vector_runs_one_fixed_point_run(self, monkeypatch):
+        runs = [0]
+        original = meanreduce.reduction._fixed_point_run
+
+        def counted_run(*args, **kwargs):
+            runs[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(meanreduce.reduction, "_fixed_point_run", counted_run)
+        M = arithmetic_mean_fn(4, dim=2)
+        chi = Injection.of([1, 3], n=4)
+        x = ((0.0, 0.0), (2.0, 1.0))
+        reduce_vector(M, chi, x)
+        assert runs[0] == 1
+        reduced_mean_fn(M, chi)(x)
+        assert runs[0] == 2
+        # reduce_mean adds one restart per data point.
+        reduce_mean(M, chi, x)
+        assert runs[0] == 2 + 1 + len(x)
+
+
 class TestReducedMeanFn:
     def test_wraps_reduction_as_mean(self):
         M = arithmetic_mean_fn(3)
@@ -245,6 +358,35 @@ class TestReducedMeanFn:
         K = reduced_mean_fn(M, chi)
         assert K.arity == 2
         assert K((1.0, 5.0)) == pytest.approx(3.0, abs=1e-10)
+
+
+@st.composite
+def slot_selections(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    chi = Injection.of(draw(st.permutations(range(1, n + 1)))[:k], n=n)
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    x = tuple(draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)))
+    return chi, weights, x
+
+
+class TestReductionSelectsSlots:
+    # The configuration of check_weighted_arith_reduction at the tolerance of
+    # the reduction-oracles suite.  The oracle compares on data of magnitude
+    # about 1; the residual tolerance grows with the spread, so the agreement
+    # bound is scaled by 1 + max(x) here.
+    TOL = 1e-8
+    CFG = SolverConfig(abs_tol=min(REDUCTION_CFG.abs_tol, TOL * 1e-3))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(slot_selections())
+    def test_reducing_weighted_arithmetic_selects_weights(self, case):
+        chi, weights, x = case
+        M = weighted_arithmetic_mean_fn(weights, chi.n)
+        reduced = reduced_mean_fn(M, chi, self.CFG)(x)
+        w_sel = [weights[j - 1] for j in chi.map]
+        direct = math.fsum(w * v for w, v in zip(w_sel, x)) / math.fsum(w_sel)
+        assert abs(reduced - direct) <= self.TOL * (1.0 + max(x))
 
 
 class TestCheckMeanFunction:

@@ -182,6 +182,28 @@ class TestGenDeviationMean:
         with pytest.raises(InvalidPotentialError, match="flaky"):
             potential_mean([F] * 3, TRIANGLE)
 
+    @staticmethod
+    def _route(route, covector):
+        """Solve on TRIANGLE with a family whose covector is constant."""
+        if route == "vi":
+            E = GenDeviation(dim=2, eval=lambda u, v: covector, label="broken",
+                             validate=False)
+            return gen_deviation_mean([E] * 3, TRIANGLE)
+        F = PotentialFn(dim=2, eval=lambda u, v: float((v - u) @ (v - u)),
+                        grad_v=lambda u, v: covector, label="broken", validate=False)
+        return potential_mean([F] * 3, TRIANGLE)
+
+    @pytest.mark.parametrize("route, error", [("vi", InvalidDeviationError),
+                                              ("potential", InvalidPotentialError)])
+    def test_non_finite_covector_at_first_call_names_the_family(self, route, error):
+        with pytest.raises(error, match="broken"):
+            self._route(route, (math.nan, 0.0))
+
+    @pytest.mark.parametrize("route", ["vi", "potential"])
+    def test_wrong_covector_dimension_rejected(self, route):
+        with pytest.raises(InvalidArgumentError, match="covector dimension 3 != 2"):
+            self._route(route, (1.0, 0.0, 0.0))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_init_rejected(self, bad):
         E = [inner_product_deviation(2)] * 3
