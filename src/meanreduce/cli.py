@@ -337,9 +337,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_dash_values(argv: list) -> list:
+    """Glue a value that starts with '-' to the long option before it
+    ('--x -1,3' -> '--x=-1,3').  argparse reads such a value as an option
+    unless it looks like a plain negative number; every long option of this
+    CLI except --help takes one value, so the glued form means the same."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (tok.startswith("-") and not tok.startswith("--") and tok != "-h"
+                and prev.startswith("--") and "=" not in prev and prev != "--help"):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except NoConvergenceError as exc:

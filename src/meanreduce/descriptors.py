@@ -174,7 +174,7 @@ def _expand(entries, arity: int, what: str) -> list:
     return entries
 
 
-def _point_weight(spec, dim: int) -> Callable:
+def build_point_weight(spec, dim: int) -> Callable:
     """A positive weight on points from a number or an expression in u1..ud."""
     if callable(spec):
         return spec
@@ -236,7 +236,7 @@ def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
     if dim is None:
         ws = tuple(build_weight(w, domain) for w in _expand(weights, arity, "weights"))
     else:
-        ws = tuple(_point_weight(w, dim) for w in _expand(weights, arity, "weights"))
+        ws = tuple(build_point_weight(w, dim) for w in _expand(weights, arity, "weights"))
     return MeanFn(arity=arity, dim=dim, label="weighted arithmetic",
                   eval=lambda xs, ws=ws: weighted_arith_mean(ws, xs))
 
@@ -274,7 +274,7 @@ def matkowski_mean_fn(fs: Sequence, arity: int, domain: Optional[Interval] = Non
 
 def _norm_sq_potentials(weights, arity: int, dim: int) -> tuple[PotentialFn, ...]:
     specs = _expand(weights if weights is not None else [1.0], arity, "weights")
-    return tuple(make_norm_sq_potential(_point_weight(w, dim), dim) for w in specs)
+    return tuple(make_norm_sq_potential(build_point_weight(w, dim), dim) for w in specs)
 
 
 def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:

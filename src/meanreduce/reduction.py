@@ -51,9 +51,6 @@ from .scalar import as_deviation_tuple, deviation_mean, weighted_arith_mean
 from .vector import (
     GenDeviation,
     PotentialFn,
-    _check_family,
-    _estimate_lipschitz,
-    _sum_grad,
     barycentric_feasibility,
     gen_deviation_mean,
     potential_mean,
@@ -101,53 +98,32 @@ class MeanFn:
         return self.eval(tuple(x))
 
 
+def _solver_mean_fn(solve, entries: tuple, cfg: SolverConfig, label: str,
+                    dim: Optional[int] = None) -> MeanFn:
+    # Each evaluation is one solve of its own: the mean is a function of its
+    # arguments alone.
+    report = lambda xs: solve(entries, xs, cfg)  # noqa: E731
+    return MeanFn(arity=len(entries), dim=dim, label=label, report=report,
+                  eval=lambda xs: report(xs).value)
+
+
 def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
                       label: str = "deviation mean") -> MeanFn:
-    dev = as_deviation_tuple(E)
-    report = lambda xs, E=dev, cfg=cfg: deviation_mean(E, xs, cfg)  # noqa: E731
-    return MeanFn(arity=len(dev), label=label, report=report,
-                  eval=lambda xs: report(xs).value)
+    return _solver_mean_fn(deviation_mean, as_deviation_tuple(E), cfg, label)
 
 
 def gen_deviation_mean_fn(E: Sequence[GenDeviation], cfg: SolverConfig = DEFAULT_CONFIG,
                           label: str = "generalized deviation mean") -> MeanFn:
-    """MeanFn wrapper around the hull variational inequality solver.
-
-    The previous barycentric solution seeds the next solve and the pullback
-    Lipschitz estimate of the first call is reused; helpful when the mean is
-    evaluated along a fixed-point iteration, where successive data tuples
-    differ in a single slot.  The first call estimates the same constant the
-    solver would, so it returns the solver's own report.  Results stay
-    deterministic for a given call sequence, but the wrapper is not
-    thread-safe.
-    """
+    """MeanFn wrapper around the hull variational inequality solver
+    ``gen_deviation_mean``, one cold solve per evaluation."""
     entries = tuple(E)
-    dim = entries[0].dim
-    state = {"init": None, "lipschitz": None}
-
-    def report(xs, E=entries, cfg=cfg):
-        init = state["init"]
-        if init is not None and init.shape != (len(xs),):
-            init = None
-        # A single point needs no solve, hence no estimate.
-        if state["lipschitz"] is None and len(xs) > 1:
-            pts, _ = _check_family(E, xs)
-            state["lipschitz"] = _estimate_lipschitz(_sum_grad(E, pts, dim)[0], np.stack(pts))
-        rep = gen_deviation_mean(E, xs, cfg, init=init, lipschitz=state["lipschitz"])
-        if rep.barycentric is not None:
-            state["init"] = rep.barycentric.array
-        return rep
-
-    return MeanFn(arity=len(entries), dim=dim, label=label, report=report,
-                  eval=lambda xs: report(xs).value)
+    return _solver_mean_fn(gen_deviation_mean, entries, cfg, label, entries[0].dim)
 
 
 def potential_mean_fn(F: Sequence[PotentialFn], cfg: SolverConfig = DEFAULT_CONFIG,
                       label: str = "potential mean") -> MeanFn:
     entries = tuple(F)
-    report = lambda xs, F=entries, cfg=cfg: potential_mean(F, xs, cfg)  # noqa: E731
-    return MeanFn(arity=len(entries), dim=entries[0].dim, label=label, report=report,
-                  eval=lambda xs: report(xs).value)
+    return _solver_mean_fn(potential_mean, entries, cfg, label, entries[0].dim)
 
 
 def check_mean_function(M: MeanFn, sample_point: Callable, samples: int = 32,
@@ -479,19 +455,20 @@ def reduce_mean(M: MeanFn, chi: Injection, x: Sequence,
     return check_uniqueness(M, chi, x, solve(M, chi, x, cfg), cfg)
 
 
-def reduced_mean_fn(M: MeanFn, chi: Injection, cfg: SolverConfig = DEFAULT_CONFIG,
-                    require_converged: bool = True) -> MeanFn:
+def reduced_mean_fn(M: MeanFn, chi: Injection,
+                    cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
     """The k-variable mean x -> reduction of M along chi at x.
 
     Each evaluation runs ``reduce_scalar`` or ``reduce_vector`` and returns
-    its value.  It skips ``check_uniqueness``, which only ``reduce_mean``
+    its value, or raises NoConvergenceError when the reduction does not
+    converge.  It skips ``check_uniqueness``, which only ``reduce_mean``
     (and so ``meanreduce reduce``) runs: the flag would be dropped here.
     """
 
     def eval_reduced(xs):
         solve = reduce_scalar if M.dim is None else reduce_vector
         result = solve(M, chi, xs, cfg)
-        if require_converged and not result.certificate.converged:
+        if not result.certificate.converged:
             raise NoConvergenceError(
                 f"reduction of {M.label} did not converge at {xs}",
                 best=result.reduced_value,
@@ -599,11 +576,9 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
     if isinstance(entries[0], GenDeviation):
         dim = entries[0].dim
         selected = select(entries, chi)
+        M = gen_deviation_mean_fn(entries, inner)
         for _ in range(samples):
             xs = tuple(rng.uniform(low, high, dim) for _ in range(chi.k))
-            # Fresh warm-start wrapper per sample: the nested solves along one
-            # fixed-point iteration share their barycentric seed.
-            M = gen_deviation_mean_fn(entries, inner)
             lhs = reduce_vector(M, chi, xs, outer).reduced_value
             rhs = gen_deviation_mean(selected, xs, inner).value
             err = float(np.linalg.norm(lhs - rhs))

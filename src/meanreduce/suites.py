@@ -28,7 +28,14 @@ from importlib import resources
 from typing import Callable, Optional
 
 from .core import Injection, SolverConfig
-from .descriptors import MeanDescriptor, build_mean, build_scalar_deviation, build_weight, parse_domain
+from .descriptors import (
+    MeanDescriptor,
+    build_mean,
+    build_point_weight,
+    build_scalar_deviation,
+    build_weight,
+    parse_domain,
+)
 from .errors import InvalidArgumentError
 from .expr import parse_expression, point_vars
 from .lab import (
@@ -221,7 +228,7 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
             dim = int(case["dim"])
             weights = case.get("weights", [1.0])
             entries = tuple(
-                inner_product_deviation(_vector_weight(w, dim), dim)
+                inner_product_deviation(build_point_weight(w, dim), dim)
                 for w in weights
             )
             chi = Injection.of([int(v) for v in case["chi"]], n=len(entries))
@@ -239,14 +246,6 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
         raise InvalidArgumentError(f"case {name!r}: unknown type {kind!r}")
 
     return FuzzCase(name=name, kind=kind, runner=run)
-
-
-def _vector_weight(spec, dim: int):
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    allowed = tuple(f"u{i + 1}" for i in range(dim))
-    compiled = parse_expression(str(spec), allowed=allowed)
-    return lambda u, c=compiled: c(**point_vars("u", u))
 
 
 def _judge(expected: str, full, reduced, tol: float) -> dict:

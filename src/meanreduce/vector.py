@@ -25,10 +25,15 @@ differ only in their covector field g (the summed deviation, or minus the
 summed potential gradient) and their direction rule: extragradient steps
 (Korpelevich 1976) for the variational inequality, projected gradient
 descent with Armijo backtracking on the summed potential for the other.
-The loop owns what they share: the simplex projection, the positive-slack
-merit sum_j max(g (x_j - y), 0)^2, a strided secant extrapolation, a
-projected-Newton candidate, stagnation handling with step halving, and the
-final slack certificate.
+The extragradient steps and the polish phase of the descent share one
+local step test (``_slack_step``, Khobotov 1987): a step along the slack
+vector is halved until it is small against the change of the slacks it
+causes, and the step that passed is tried first next time.  No global
+Lipschitz constant is estimated, and a solve depends on its arguments
+alone.  The loop owns what they share: the simplex projection, the
+positive-slack merit sum_j max(g (x_j - y), 0)^2, a strided secant
+extrapolation, a projected-Newton candidate, stagnation handling with step
+halving, and the final slack certificate.
 
 The projected-Newton candidate is Josephy's Newton step for variational
 inequalities (Josephy 1979; Facchinei & Pang 2003, ch. 7): g is linearized
@@ -46,7 +51,6 @@ independent oracle for small tuples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -71,7 +75,6 @@ from .errors import (
 from .scalar import ScalarDeviation
 
 _VALIDATION_SEED = 20240902
-_LIPSCHITZ_SEED = 20240903
 
 
 @dataclass(frozen=True)
@@ -389,29 +392,6 @@ class _SecantAccelerator:
         self.count = min(self.count, -1)
 
 
-def _estimate_lipschitz(geval, X: np.ndarray) -> float:
-    # Lipschitz estimate for the simplex pullback of the summed deviation:
-    # a handful of random barycentric pairs plus short local displacements
-    # (random pairs alone miss the top curvature direction).
-    n = X.shape[0]
-    rng = np.random.default_rng(_LIPSCHITZ_SEED)
-    lams = list(rng.dirichlet(np.ones(n), size=5))
-    uniform = np.full(n, 1.0 / n)
-    for j in range(n):
-        lams.append(0.9 * uniform + 0.1 * np.eye(n)[j])
-    pulls = []
-    for lam in lams:
-        y = lam @ X
-        g = geval(y)
-        pulls.append((lam, X @ g - float(y @ g)))
-    best = 0.0
-    for (la, da), (lb, db) in itertools.combinations(pulls, 2):
-        denom = float(np.linalg.norm(la - lb))
-        if denom > 1e-14:
-            best = max(best, float(np.linalg.norm(da - db)) / denom)
-    return max(best, 1e-8)
-
-
 class _Iterate(NamedTuple):
     """Barycentric weights lam, the point y = lam X, g(y) and the slacks
     g(y) (x_j - y)."""
@@ -426,6 +406,25 @@ def _point(geval, X: np.ndarray, lam: np.ndarray) -> _Iterate:
     y = lam @ X
     g = geval(y)
     return _Iterate(lam, y, g, X @ g - float(y @ g))
+
+
+def _slack_step(geval, X: np.ndarray, cur: _Iterate, tau: float,
+                nu: float) -> tuple[_Iterate, float]:
+    """The projected step lam' = P(lam + tau s) along the slack vector s of
+    cur, with tau halved until tau |s(lam') - s(lam)| <= nu |lam' - lam|: a
+    local Lipschitz test on the slack map (Khobotov 1987).  Returns the point
+    at lam' and the tau that passed.  Once tau s falls below the resolution
+    of lam, lam' = lam and the test passes, so the halving ends on its own.
+    A NaN in the test passes it too: slacks that overflow to inf would
+    otherwise halve tau forever.
+    """
+    while True:
+        nxt = _point(geval, X, _project_simplex(cur.lam + tau * cur.slack))
+        ds = nxt.slack - cur.slack
+        dl = nxt.lam - cur.lam
+        if not tau * math.sqrt(float(ds @ ds)) > nu * math.sqrt(float(dl @ dl)):
+            return nxt, tau
+        tau *= 0.5
 
 
 def _merit(slack: np.ndarray) -> float:
@@ -613,24 +612,27 @@ def _simplex_solve(rule, geval, jac, X: np.ndarray, lam: np.ndarray,
 
 class _Extragradient:
     """Direction rule of the VI route: one extragradient step (Korpelevich
-    1976) from lam along the slack vector, with step tau * scale.
+    1976) from lam along the slack vector.  The half step is
+    ``_slack_step`` with nu = 0.5 damping, tried first at the last step that
+    passed (at first 1) times the loop's step scale; the full step from lam
+    along the slacks at the half point takes the same step.
 
     Strict monotonicity demands (g(y) - g(y')) (y - y') < 0; three
     violations on observed iterate pairs mean the deviation axioms fail.
     """
 
-    def __init__(self, geval, X: np.ndarray, tau: float):
+    def __init__(self, geval, X: np.ndarray, nu: float):
         self.geval = geval
         self.X = X
-        self.tau = tau
+        self.nu = nu
+        self.tau = 1.0
         self.wrong_pairings = 0
 
     def step(self, cur: _Iterate, scale: float) -> _Iterate:
-        lam, y, g, slack = cur
-        tau = self.tau * scale
-        _, y_half, g_half, slack_half = _point(self.geval, self.X,
-                                               _project_simplex(lam + tau * slack))
-        dy = y - y_half
+        half, tau = _slack_step(self.geval, self.X, cur, self.tau * scale, self.nu)
+        self.tau = tau / scale
+        g, g_half = cur.g, half.g
+        dy = cur.y - half.y
         if dy @ dy > 0.0:
             pairing = float((g - g_half) @ dy)
             if pairing > 1e-12 * (1.0 + abs(float(g @ dy)) + abs(float(g_half @ dy))):
@@ -640,7 +642,7 @@ class _Extragradient:
                         "the supplied deviations violate strict monotonicity on "
                         "sampled iterate pairs"
                     )
-        return _point(self.geval, self.X, _project_simplex(lam + tau * slack_half))
+        return _point(self.geval, self.X, _project_simplex(cur.lam + tau * half.slack))
 
     def moved(self, plain: bool, y: np.ndarray):
         pass
@@ -648,17 +650,19 @@ class _Extragradient:
 
 def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
                        cfg: SolverConfig = DEFAULT_CONFIG,
-                       init=None, lipschitz: Optional[float] = None) -> SolverReport:
+                       init=None) -> SolverReport:
     """Solve the hull variational inequality by extragradient iteration.
 
     Runs the shared simplex loop (see ``_simplex_solve``) with g the summed
     deviation and the extragradient direction rule: at weights lam with point
     y = sum_j lam_j x_j, the search direction is the slack vector
-    (g (x_j - y))_j, stepped with step damping / (2 L) (L estimated from
-    sampled direction differences) and projected back onto the simplex.  The
-    loop adds the safeguarded secant and projected-Newton candidates; the
-    Newton step uses the exact Jacobian -2 sum_i w_i(x_i) I for inner-weight
-    families and central differences otherwise.  Converged when
+    (g (x_j - y))_j, stepped and projected back onto the simplex.  The step
+    passes the local test of ``_slack_step``: first tried at 1, it is halved
+    until step |s(lam') - s(lam)| <= (damping / 2) |lam' - lam| for the
+    slacks s, and then kept for the next iteration.  The loop adds the
+    safeguarded secant and projected-Newton candidates; the Newton step uses
+    the exact Jacobian -2 sum_i w_i(x_i) I for inner-weight families and
+    central differences otherwise.  Converged when
     max_j g (x_j - y) <= abs_tol (1 + max_i |x_i|) and the point movement
     also falls below that scale; the slack criterion alone certifies the
     point only to the square root of the slack, which is too coarse for the
@@ -681,9 +685,7 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
         lam = _project_simplex(lam)
 
     geval, jac = _sum_grad(E, pts, dim)
-    L = lipschitz if lipschitz is not None else _estimate_lipschitz(geval, X)
-    # Sampled L underestimates the true Lipschitz constant; keep a margin.
-    rule = _Extragradient(geval, X, 0.5 * cfg.damping / L)
+    rule = _Extragradient(geval, X, 0.5 * cfg.damping)
     return _simplex_solve(rule, geval, jac, X, lam, tol, cfg.max_iter)
 
 
@@ -863,9 +865,10 @@ class _ArmijoDescent:
     The Armijo phase drives the objective down; once its improvements sink
     below float noise (which caps point accuracy near sqrt(eps)), or 30
     accepted steps pass without cutting the hull gap by a third
-    (ill-conditioned zig-zag), a fixed-step polish phase at the sampled
-    Lipschitz scale takes over, where the loop's secant and Newton
-    candidates act on a clean update sequence.
+    (ill-conditioned zig-zag), a polish phase takes over, where the loop's
+    secant and Newton candidates act on a clean update sequence.  Its steps
+    start from the last accepted Armijo step and pass the local test of
+    ``_slack_step`` with nu = 0.5, which keeps the step for the next one.
     """
 
     def __init__(self, phi, geval, X: np.ndarray, y0: np.ndarray):
@@ -874,15 +877,15 @@ class _ArmijoDescent:
         self.X = X
         self.value = phi(y0)
         self.plain_value = self.value
-        self.polish_t: Optional[float] = None
+        self.tau = 1.0  # the last accepted step, in units of the loop's scale
+        self.polish = False
         self.window_best = math.inf
         self.window_count = 0
 
     def step(self, cur: _Iterate, scale: float) -> _Iterate:
-        lam = cur.lam
-        X = self.X
-        xg = X @ cur.g  # minus the gradient of phi in lam
-        if self.polish_t is None:
+        if not self.polish:
+            lam = cur.lam
+            xg = self.X @ cur.g  # minus the gradient of phi in lam
             gap = float(cur.slack.max())
             if gap < 0.66 * self.window_best:
                 self.window_best = gap
@@ -893,26 +896,28 @@ class _ArmijoDescent:
             accepted = False
             while t > 1e-20:
                 lam_plain = _project_simplex(lam + t * xg)
-                y_plain = lam_plain @ X
-                plain_value = self.phi(y_plain)
+                plain_value = self.phi(lam_plain @ self.X)
                 if plain_value <= self.value - 1e-4 * float(xg @ (lam_plain - lam)):
                     accepted = True
+                    self.tau = t / scale
                     break
                 t *= 0.5
-            if (not accepted or self.window_count >= 30
-                    or abs(plain_value - self.value) <= 64.0 * 2.2e-16 * (1.0 + abs(self.value))):
-                # No signal left in the objective, or no gap progress.
-                self.polish_t = 1.0 / _estimate_lipschitz(self.geval, X)
-        if self.polish_t is not None:
-            lam_plain = _project_simplex(lam + scale * self.polish_t * xg)
-            plain_value = self.value
-        self.plain_value = plain_value
-        return _point(self.geval, X, lam_plain)
+            # No signal left in the objective, or no gap progress: polish.
+            self.polish = (not accepted or self.window_count >= 30
+                           or abs(plain_value - self.value)
+                           <= 64.0 * 2.2e-16 * (1.0 + abs(self.value)))
+            if not self.polish:
+                self.plain_value = plain_value
+                return _point(self.geval, self.X, lam_plain)
+        plain, tau = _slack_step(self.geval, self.X, cur, self.tau * scale, 0.5)
+        self.tau = tau / scale
+        self.plain_value = self.value
+        return plain
 
     def moved(self, plain: bool, y: np.ndarray):
         if plain:
             self.value = self.plain_value
-        elif self.polish_t is None:
+        elif not self.polish:
             self.value = self.phi(y)
 
 
@@ -923,8 +928,8 @@ def potential_mean(F: Sequence[PotentialFn], x: Sequence,
     Runs the shared simplex loop (see ``_simplex_solve``) with
     g = -sum_i grad_v F_i(x_i, .), summed by ``_sum_grad`` over
     E_i = -grad_v F_i, and the Armijo direction rule (backtracking with
-    constant 1e-4, shrink factor 0.5, initial step 1.0, then a fixed-step
-    polish phase).  The loop adds the safeguarded secant and projected-Newton
+    constant 1e-4, shrink factor 0.5, initial step 1.0, then a polish phase
+    whose steps pass the local test of ``_slack_step``).  The loop adds the safeguarded secant and projected-Newton
     candidates, the Newton step with a central-difference Jacobian of g, i.e.
     the Hessian of the summed potential.  The convergence certificate is the
     same hull slack as for the variational inequality, taken with this g; it

@@ -103,6 +103,21 @@ class TestReduceCommand:
         assert "converge" in err
 
 
+class TestValuesStartingWithMinus:
+    # argparse takes only '-1' and '-.5' shapes as values on its own.
+    @pytest.mark.parametrize("argv,expected", [
+        (["mean", "--kind", "arithmetic", "--arity", "2", "--x", "-1,3"], 1.0),
+        (["reduce", "--kind", "arithmetic", "--arity", "3", "--chi", "1,2",
+          "--x", "-1,5"], 2.0),
+        (["mean", "--kind", "arithmetic", "--dim", "2", "--x", "-1,0;2,2"], [0.5, 1.0]),
+        (["mean", "--kind", "deviation-custom", "--exprs", "u - v", "--domain", "-5,5",
+          "--x", "-1,3"], 1.0),
+    ], ids=["mean-x", "reduce-x", "point-x", "domain"])
+    def test_dash_value_parses(self, capsys, argv, expected):
+        data = run_json(capsys, *argv)
+        assert data["value"] == pytest.approx(expected, abs=1e-9)
+
+
 class TestVerifyCommand:
     def test_jensen_suite_passes(self, capsys):
         report = run_json(capsys, "verify", "jensen", "--trials", "10")
@@ -148,6 +163,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", str(bad))
         assert code == 2
         assert "'M'" in err
+
+    @pytest.mark.parametrize("weight", [0.0, -2.0])
+    def test_nonpositive_vector_weight_exits_2(self, capsys, tmp_path, weight):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"cases": [{
+            "name": "bad-weight", "type": "deviation-reduction", "expected": "pass",
+            "dim": 2, "weights": [1.0, weight], "chi": [1], "samples": 1}]}))
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "weight must be positive" in err
 
     def test_output_file_and_determinism(self, capsys, tmp_path):
         out1 = tmp_path / "a.json"

@@ -13,6 +13,7 @@ from meanreduce.vector import (
     barycentric_feasibility,
     gen_deviation_mean,
     inner_product_deviation,
+    make_norm_sq_potential,
     make_potential_deviation,
     potential_mean,
     verify_vi,
@@ -201,3 +202,24 @@ def test_identical_points_return_that_point(case, data):
         np.testing.assert_allclose(report.value, u, rtol=0.0,
                                    atol=1e-14 * (1.0 + float(np.linalg.norm(u))))
         assert_barycentric(report, n)
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([1e-4, 1e-2, 1.0, 1e2]))
+def test_both_routes_hit_the_weighted_mean_at_every_data_scale(data, s):
+    # The local step test first tries a unit step whatever the data scale.
+    d, cloud = data.draw(clouds())
+    x = [s * p for p in cloud]
+    consts = data.draw(st.lists(st.floats(0.5, 3.0), min_size=len(x), max_size=len(x)))
+    if data.draw(st.booleans()):
+        weights = [lambda u, c=c: c * (1.0 + 0.5 * math.tanh(float(u[0]) / s)) for c in consts]
+        at_data = [w(p) for w, p in zip(weights, x)]
+    else:
+        weights = at_data = consts
+    closed = sum(w * p for w, p in zip(at_data, x)) / sum(at_data)
+    vi = gen_deviation_mean([inner_product_deviation(w, d) for w in weights], x)
+    pot = potential_mean([make_norm_sq_potential(w, d) for w in weights], x)
+    scale = s * (1.0 + max(float(np.linalg.norm(p)) for p in cloud))
+    for report in (vi, pot):
+        assert report.converged
+        assert float(np.linalg.norm(report.value - closed)) <= 1e-8 * scale

@@ -42,7 +42,7 @@ from meanreduce.scalar import (
     power_weight,
 )
 from meanreduce.suites import REDUCTION_CFG
-from meanreduce.vector import inner_product_deviation as library_ipd
+from meanreduce.vector import gen_deviation_mean, inner_product_deviation as library_ipd
 
 
 def gini_deviations(n):
@@ -234,6 +234,24 @@ class TestReduceVector:
         # Reduction selects the weights riding along the injection.
         expected = (1.0 * x[0] + 1.0 * x[1]) / 2.0
         np.testing.assert_allclose(result.reduced_value, expected, atol=1e-8)
+
+    def test_gen_deviation_mean_fn_is_a_function_of_its_arguments(self):
+        # No state carries from one evaluation to the next: M(A) is the same
+        # before and after M(B), and is the solver's own cold solve.
+        E = [inner_product_deviation(2, lambda u, c=c: c + 0.5 * math.tanh(float(u[0])))
+             for c in (1.0, 2.0, 3.0, 4.0)]
+        M = gen_deviation_mean_fn(E)
+        A = ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (1.5, 1.5))
+        B = ((-3.0, 1.0), (4.0, -2.0), (0.5, 5.0), (-1.0, -4.0))
+        first = M.report(A)
+        M.report(B)
+        again = M.report(A)
+        cold = gen_deviation_mean(E, A)
+        for report in (again, cold):
+            assert np.array_equal(report.value, first.value)
+            assert report.residual == first.residual
+            assert report.iterations == first.iterations
+            assert report.barycentric == first.barycentric
 
     def test_scalar_mean_rejected(self):
         M = arithmetic_mean_fn(3)

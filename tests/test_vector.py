@@ -1,10 +1,11 @@
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
 
-from meanreduce.core import POSITIVE_REALS
+from meanreduce.core import POSITIVE_REALS, SolverConfig
 from meanreduce.errors import (
     HullViolationError,
     InvalidArgumentError,
@@ -97,6 +98,21 @@ class TestGenDeviationMean:
         with pytest.raises(InvalidArgumentError):
             gen_deviation_mean([], ())
 
+    def test_damped_routes_converge_to_the_weighted_mean(self):
+        # damping enters the VI route's local step test only; both routes
+        # still converge to the functionally weighted mean.
+        weights = [lambda u, c=c: c * (1.0 + 0.5 * math.tanh(float(u[0]))) for c in (1, 2, 3, 4)]
+        x = ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (1.5, 1.5))
+        closed = sum(w(p) * np.asarray(p) for w, p in zip(weights, x)) / sum(
+            w(p) for w, p in zip(weights, x))
+        cfg = SolverConfig(damping=0.25)
+        E = [library_ipd(w, 2) for w in weights]
+        vi = gen_deviation_mean(E, x, cfg)
+        pot = potential_mean([make_norm_sq_potential(w, 2) for w in weights], x, cfg)
+        for report in (vi, pot):
+            assert report.converged
+            np.testing.assert_allclose(report.value, closed, rtol=0.0, atol=1e-10)
+
     def test_uniqueness_across_initializations(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
@@ -146,13 +162,14 @@ class TestGenDeviationMean:
             gen_deviation_mean([bad] * 3, TRIANGLE, init=(0.7, 0.2, 0.1))
 
     def test_non_finite_covector_mid_solve_names_the_deviation(self):
-        # Valid for 28 calls, then NaN: only the first call validates each
-        # term, so the later failure must be caught on the summed covector.
+        # Valid for 9 calls (three covector sums; the whole solve takes 27),
+        # then NaN: only the first sum validates each term, so the later
+        # failure must be caught on the summed covector.
         calls = [0]
 
         def flaky(u, v):
             calls[0] += 1
-            if calls[0] > 28:
+            if calls[0] > 9:
                 return np.array([math.nan, math.nan])
             diff = np.asarray(u, float) - np.asarray(v, float)
             return 2.0 * diff * (1.0 + 0.1 * float(np.sum(np.asarray(v, float) ** 2)))
@@ -165,6 +182,26 @@ class TestGenDeviationMean:
         dev = library_ipd(lambda u: math.nan if u[0] > 1.5 else 1.0, 2)
         with pytest.raises(InvalidDeviationError, match=dev.label):
             gen_deviation_mean([dev] * 3, TRIANGLE)
+
+    def test_overflowing_slacks_end_the_step_test(self):
+        # The slacks g (x_j - y) overflow to inf and NaN at these weights.  A
+        # NaN in the local step test must end the halving; the solve then
+        # fails on its NaN weights.  The alarm turns a hang into a failure.
+        E = [library_ipd(k * 1e305, 2) for k in (1, 2, 3)]
+        x = ((0.0, 0.0), (100.0, 0.0), (0.0, 100.0))
+
+        def hang(signum, frame):
+            raise TimeoutError("the local step test did not end")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            with np.errstate(all="ignore"), pytest.raises(InvalidArgumentError,
+                                                          match="non-finite"):
+                gen_deviation_mean(E, x)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_non_finite_gradient_mid_solve_names_the_potential(self):
         # The potential route sums -grad_v F_i through the same covector sum;
