@@ -20,12 +20,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import Injection, SolverConfig
+from .core import DEFAULT_CONFIG, Injection, SolverConfig
 from .descriptors import MeanDescriptor, build_mean, evaluate_with_report
 from .errors import MeansError, NoConvergenceError
 from .reduction import reduce_mean
@@ -45,53 +44,20 @@ EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Bundled run settings for suite commands.
-
-    Suites fix their own solver tolerances, so these commands take no solver
-    flags.
-    """
-
-    seed: int = 0
-    trials: int = DEFAULT_TRIALS
-    tol: float = DEFAULT_TOL
-    reduced_tol: float = DEFAULT_REDUCED_TOL
-    output: Optional[str] = None
-    format: str = "json"
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(seed=args.seed, trials=args.trials,
-                   tol=args.tol, reduced_tol=args.reduced_tol,
-                   output=args.output, format=args.format)
-
-
 def _add_solver_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--abs-tol", type=float, default=None,
+    parser.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol,
                         help="absolute solver tolerance (default 1e-12)")
-    parser.add_argument("--rel-tol", type=float, default=None,
+    parser.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol,
                         help="relative solver tolerance (default 1e-10)")
-    parser.add_argument("--max-iter", type=int, default=None,
+    parser.add_argument("--max-iter", type=int, default=DEFAULT_CONFIG.max_iter,
                         help="iteration budget (default 10000)")
-    parser.add_argument("--damping", type=float, default=None,
+    parser.add_argument("--damping", type=float, default=DEFAULT_CONFIG.damping,
                         help="damping/step factor in (0, 1]")
 
 
 def _solver_config(args) -> SolverConfig:
-    base = SolverConfig()
-    return SolverConfig(
-        abs_tol=args.abs_tol if args.abs_tol is not None else base.abs_tol,
-        rel_tol=args.rel_tol if args.rel_tol is not None else base.rel_tol,
-        max_iter=args.max_iter if args.max_iter is not None else base.max_iter,
-        damping=args.damping if args.damping is not None else base.damping,
-    )
+    return SolverConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
+                        max_iter=args.max_iter, damping=args.damping)
 
 
 def _add_descriptor_flags(parser: argparse.ArgumentParser):
@@ -264,30 +230,34 @@ def _suite_csv_rows(report: dict):
     return rows
 
 
+def _load_suite(args) -> dict:
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
+    return load_suite(args.suite)
+
+
 def cmd_verify(args) -> int:
-    run = RunConfig.from_args(args)
-    suite = load_suite(args.suite)
-    report = run_suite(suite, seed=run.seed, trials=run.trials,
-                       tol=run.tol, reduced_tol=run.reduced_tol)
-    _emit(report, run.format, run.output, csv_rows=_suite_csv_rows(report))
+    suite = _load_suite(args)
+    report = run_suite(suite, seed=args.seed, trials=args.trials,
+                       tol=args.tol, reduced_tol=args.reduced_tol)
+    _emit(report, args.format, args.output, csv_rows=_suite_csv_rows(report))
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
 def cmd_fuzz(args) -> int:
-    run = RunConfig.from_args(args)
-    suite = load_suite(args.suite)
-    runners = [_fuzz_runner(c, run) for c in suite["cases"]]
-    report = fuzz_suite(runners, seed=run.seed, trials=run.trials)
+    suite = _load_suite(args)
+    runners = [_fuzz_runner(c, args) for c in suite["cases"]]
+    report = fuzz_suite(runners, seed=args.seed, trials=args.trials)
     report["suite"] = suite.get("name", "suite")
-    _emit(report, run.format, run.output, csv_rows=_suite_csv_rows(report))
+    _emit(report, args.format, args.output, csv_rows=_suite_csv_rows(report))
     return EXIT_OK
 
 
-def _fuzz_runner(case: dict, run: RunConfig) -> FuzzCase:
+def _fuzz_runner(case: dict, args) -> FuzzCase:
     """The case's runner, or for a case that fails to build one that raises
     the build error, so that ``fuzz_suite`` records it as an error entry."""
     try:
-        return build_runner(case, run.trials, run.tol, run.reduced_tol)
+        return build_runner(case, args.trials, args.tol, args.reduced_tol)
     except MeansError as exc:
         def fail(seed: int, trials: int, exc=exc):
             raise exc
@@ -322,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--output", default=None)
     p_reduce.set_defaults(func=cmd_reduce)
 
+    # Suites fix their own solver tolerances, so these commands take no
+    # solver flags.
     for name, fn, blurb in (("verify", cmd_verify, "run a suite with expectations"),
                             ("fuzz", cmd_fuzz, "run a suite, report only")):
         p = sub.add_parser(name, help=blurb)

@@ -199,13 +199,23 @@ def _violates(lhs: float, rhs: float, tol: float) -> bool:
     return lhs > rhs + tol * (1.0 + abs(lhs) + abs(rhs))
 
 
-def _sampler_guard(fn, witness):
-    try:
-        return fn()
-    except (InvalidArgumentError, DomainError) as exc:
-        raise InvalidSamplerError(
-            f"sampler produced out-of-domain input {witness}: {exc}"
-        ) from exc
+def _search(draw, sides, rng, trials: int, tol: float,
+            case_name: str) -> CounterexampleReport:
+    """Draw a witness per trial and stop at the first one whose sides
+    violate lhs <= rhs; the reported sides are evaluated afresh."""
+    for t in range(trials):
+        witness = draw(rng)
+        try:
+            lhs, rhs = sides(witness)
+        except (InvalidArgumentError, DomainError) as exc:
+            raise InvalidSamplerError(
+                f"sampler produced out-of-domain input {witness}: {exc}"
+            ) from exc
+        if _violates(lhs, rhs, tol):
+            lhs, rhs = sides(witness)
+            return CounterexampleReport(found=True, trials=t + 1, witness=witness,
+                                        lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case_name)
+    return CounterexampleReport(found=False, trials=trials, case=case_name)
 
 
 def check_convexity(case: ConvexityCase, trials: int, tol: float,
@@ -213,14 +223,8 @@ def check_convexity(case: ConvexityCase, trials: int, tol: float,
     """Search for x with f(M(x)) > N(f o x) + scaled tol."""
     rng = np.random.default_rng(case.seed if seed is None else seed)
     n = case.M.arity
-    for t in range(trials):
-        xs = case.sampler.draw_tuple(rng, n)
-        lhs, rhs = _sampler_guard(lambda: _convexity_sides(case, xs), xs)
-        if _violates(lhs, rhs, tol):
-            lhs, rhs = _convexity_sides(case, xs)
-            return CounterexampleReport(found=True, trials=t + 1, witness=xs,
-                                        lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case.name)
-    return CounterexampleReport(found=False, trials=trials, case=case.name)
+    return _search(lambda rng: case.sampler.draw_tuple(rng, n),
+                   lambda xs: _convexity_sides(case, xs), rng, trials, tol, case.name)
 
 
 def _convexity_sides(case: ConvexityCase, xs: tuple) -> tuple[float, float]:
@@ -261,27 +265,17 @@ def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
         raise InvalidArgumentError("injection does not match the means' arity")
     sampler = sampler or BoxSampler(low=0.1, high=4.0, log_uniform=True)
     rng = np.random.default_rng(seed)
-    full = _compare_search(G, E, sampler, rng, G.arity, trials, tol, f"{name} (full)")
+    full = _search(lambda rng: sampler.draw_tuple(rng, G.arity),
+                   lambda xs: (float(G(xs)), float(E(xs))),
+                   rng, trials, tol, f"{name} (full)")
     G_chi = reduced_mean_fn(G, chi, cfg)
     E_chi = reduced_mean_fn(E, chi, cfg)
     rng = np.random.default_rng(seed + 1)
-    reduced = _compare_search(G_chi, E_chi, sampler, rng, chi.k, trials,
-                              reduced_tol if reduced_tol is not None else tol,
-                              f"{name} (reduced)")
+    reduced = _search(lambda rng: sampler.draw_tuple(rng, chi.k),
+                      lambda xs: (float(G_chi(xs)), float(E_chi(xs))),
+                      rng, trials, reduced_tol if reduced_tol is not None else tol,
+                      f"{name} (reduced)")
     return ReportPair(full=full, reduced=reduced)
-
-
-def _compare_search(G: MeanFn, E: MeanFn, sampler: BoxSampler, rng, count: int,
-                    trials: int, tol: float, case_name: str) -> CounterexampleReport:
-    for t in range(trials):
-        xs = sampler.draw_tuple(rng, count)
-        lhs = float(_sampler_guard(lambda: G(xs), xs))
-        rhs = float(_sampler_guard(lambda: E(xs), xs))
-        if _violates(lhs, rhs, tol):
-            lhs, rhs = float(G(xs)), float(E(xs))
-            return CounterexampleReport(found=True, trials=t + 1, witness=xs,
-                                        lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case_name)
-    return CounterexampleReport(found=False, trials=trials, case=case_name)
 
 
 _BUILTIN_COMBINERS = {
@@ -307,37 +301,26 @@ def check_holder_minkowski(case: HolderMinkowskiCase, trials: int, tol: float,
     k ell-variable reduction."""
     base_seed = case.seed if seed is None else seed
     rng = np.random.default_rng(base_seed)
-    full = _hm_search(case.N_list, case.M, case, rng, case.M.arity, trials, tol,
-                      f"{case.name} (full)")
+    full = _search(lambda rng: tuple(s.draw_tuple(rng, case.M.arity) for s in case.samplers),
+                   _hm_sides(case, case.N_list, case.M), rng, trials, tol, f"{case.name} (full)")
     K_list = tuple(reduced_mean_fn(N, case.chi, cfg) for N in case.N_list)
     M_chi = reduced_mean_fn(case.M, case.chi, cfg)
     rng = np.random.default_rng(base_seed + 1)
-    reduced = _hm_search(K_list, M_chi, case, rng, case.chi.k, trials,
-                         reduced_tol if reduced_tol is not None else tol,
-                         f"{case.name} (reduced)")
+    reduced = _search(lambda rng: tuple(s.draw_tuple(rng, case.chi.k) for s in case.samplers),
+                      _hm_sides(case, K_list, M_chi), rng, trials,
+                      reduced_tol if reduced_tol is not None else tol, f"{case.name} (reduced)")
     return ReportPair(full=full, reduced=reduced)
 
 
-def _hm_search(N_list, M, case: HolderMinkowskiCase, rng, count: int,
-               trials: int, tol: float, case_name: str) -> CounterexampleReport:
-    for t in range(trials):
-        tuples = tuple(s.draw_tuple(rng, count) for s in case.samplers)
+def _hm_sides(case: HolderMinkowskiCase, N_list, M) -> Callable:
+    """M(f(x^1, ..., x^ell)) with f componentwise, and f(N_1(x^1), ...)."""
+    def sides(tuples):
+        fx = tuple(float(case.f(*column)) for column in zip(*tuples))
+        lhs = float(M(fx))
+        rhs = float(case.f(*(N(t) for N, t in zip(N_list, tuples))))
+        return lhs, rhs
 
-        def sides():
-            fx = tuple(
-                float(case.f(*(tuples[j][i] for j in range(case.ell))))
-                for i in range(count)
-            )
-            lhs = float(M(fx))
-            rhs = float(case.f(*(N_list[j](tuples[j]) for j in range(case.ell))))
-            return lhs, rhs
-
-        lhs, rhs = _sampler_guard(sides, tuples)
-        if _violates(lhs, rhs, tol):
-            lhs, rhs = sides()
-            return CounterexampleReport(found=True, trials=t + 1, witness=tuples,
-                                        lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case_name)
-    return CounterexampleReport(found=False, trials=trials, case=case_name)
+    return sides
 
 
 @dataclass(frozen=True)

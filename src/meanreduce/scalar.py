@@ -18,9 +18,12 @@ Classical families (Bajraktarevic, Matkowski, Gini, Holder / power means,
 quasi-arithmetic means) are provided in closed form; they double as oracles
 for the root-finding path in the test suite.
 
+Every deviation mean, a classical family's included, is solved through the
+same summed section: each deviation's ``eval`` at the fixed data points.
+
 Deviation axioms cannot be proven for arbitrary callables, so constructors
-check them on randomized samples (configurable count); strictness remains
-sampled, not proven.
+check them on 64 randomized samples unless ``validate=False``; strictness
+remains sampled, not proven.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import (
     NoConvergenceError,
 )
 
-DEFAULT_VALIDATION_SAMPLES = 64
+_VALIDATION_SAMPLES = 64
 _VALIDATION_SEED = 20240901
 
 
@@ -62,13 +65,12 @@ class WeightFn:
 
     eval: Callable[[float], float]
     domain: Interval = REALS
-    samples: int = DEFAULT_VALIDATION_SAMPLES
     validate: bool = True
 
     def __post_init__(self):
-        if self.validate and self.samples > 0:
+        if self.validate:
             rng = np.random.default_rng(_VALIDATION_SEED)
-            for u in _sample_window(self.domain, rng, self.samples):
+            for u in _sample_window(self.domain, rng, _VALIDATION_SAMPLES):
                 w = self.eval(float(u))
                 if not (math.isfinite(w) and w > 0.0):
                     raise InvalidArgumentError(
@@ -96,13 +98,12 @@ class GeneratorFn:
     eval: Callable[[float], float]
     inverse: Callable[[float], float]
     domain: Interval = REALS
-    samples: int = DEFAULT_VALIDATION_SAMPLES
     validate: bool = True
 
     def __post_init__(self):
-        if self.validate and self.samples > 0:
+        if self.validate:
             rng = np.random.default_rng(_VALIDATION_SEED + 1)
-            us = np.sort(_sample_window(self.domain, rng, self.samples))
+            us = np.sort(_sample_window(self.domain, rng, _VALIDATION_SAMPLES))
             prev_u, prev_f = None, None
             for u in us:
                 u = float(u)
@@ -210,32 +211,25 @@ def power_generator(p: float, domain: Interval = POSITIVE_REALS) -> GeneratorFn:
 class ScalarDeviation:
     """A deviation function E(u, v) on an interval.
 
-    Axioms checked on randomized triples at construction: E(u, u) = 0, the
-    sections v -> E(u, v) strictly decrease, and sgn E(u, v) = sgn(u - v).
-
-    ``generator``/``weight`` mark the structured family
-    E(u, v) = w(u) (f(u) - f(v)); the root finder collapses sums of such
-    deviations at fixed first arguments to a single generator evaluation,
-    without changing any semantics.
+    Axioms checked on randomized triples at construction unless
+    ``validate=False``: E(u, u) = 0, the sections v -> E(u, v) strictly
+    decrease, and sgn E(u, v) = sgn(u - v).  The solvers read only ``eval``.
     """
 
     domain: Interval
     eval: Callable[[float, float], float]
     label: str = "deviation"
-    samples: int = DEFAULT_VALIDATION_SAMPLES
     validate: bool = True
-    generator: Optional["GeneratorFn"] = None
-    weight: Optional["WeightFn"] = None
 
     def __post_init__(self):
-        if self.validate and self.samples > 0:
+        if self.validate:
             self._check_axioms()
 
     def _check_axioms(self):
         rng = np.random.default_rng(_VALIDATION_SEED + 2)
-        us = _sample_window(self.domain, rng, self.samples)
-        vs = _sample_window(self.domain, rng, self.samples)
-        ws = _sample_window(self.domain, rng, self.samples)
+        us = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
+        vs = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
+        ws = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
         span = us.max() - us.min() + 1.0
         magnitude = 1.0
         for u, v, w in zip(us, vs, ws):
@@ -374,30 +368,13 @@ def _check_monotone(y: float, fy: float, a: float, fa: float, b: float, fb: floa
 
 
 def _summed_section(E: DeviationTuple, xs: list) -> Callable[[float], float]:
-    """The map y -> sum_i E_i(x_i, y) with x fixed.
+    """The map y -> sum_i E_i(x_i, y) with x fixed, through each deviation's
+    ``eval``.
 
-    Structured deviations w_i(u)(f_i(u) - f_i(v)) collapse: the weights and
-    generator values at the data points are constants, and deviations sharing
-    one generator need a single f(y) per evaluation.
+    Classical families are summed here too, so that their closed forms stay
+    independent oracles for this path.
     """
-    devs = E.deviations
-    if all(d.generator is not None for d in devs):
-        consts = [d.weight.eval(xi) for d, xi in zip(devs, xs)]
-        offset = math.fsum(c * d.generator.eval(xi)
-                           for c, d, xi in zip(consts, devs, xs))
-        groups: dict = {}
-        for c, d in zip(consts, devs):
-            key = id(d.generator)
-            entry = groups.setdefault(key, [d.generator.eval, 0.0])
-            entry[1] += c
-        terms = [(fe, w) for fe, w in groups.values()]
-        if len(terms) == 1:
-            fe, w = terms[0]
-            return lambda y, fe=fe, w=w, offset=offset: offset - w * fe(y)
-        return lambda y, terms=terms, offset=offset: offset - math.fsum(
-            w * fe(y) for fe, w in terms)
-
-    evals = [d.eval for d in devs]
+    evals = [d.eval for d in E.deviations]
     return lambda y, evals=evals, xs=xs: math.fsum(
         ev(xi, y) for ev, xi in zip(evals, xs))
 
@@ -422,7 +399,8 @@ def make_bajraktarevic_deviation(f: GeneratorFn, w: WeightFn,
     """The deviation E(u, v) = w(u) * (f(u) - f(v)).
 
     The axioms follow from f strictly increasing and w positive, so the
-    sampled re-check is skipped.
+    sampled re-check is skipped.  ``deviation_mean`` sums these deviations
+    like any other; ``bajraktarevic_mean`` is the independent closed form.
     """
     if f.domain != w.domain:
         raise InvalidArgumentError("generator and weight must share one domain")
@@ -431,8 +409,6 @@ def make_bajraktarevic_deviation(f: GeneratorFn, w: WeightFn,
         eval=lambda u, v, f=f.eval, w=w.eval: w(u) * (f(u) - f(v)),
         label=label or "bajraktarevic",
         validate=False,
-        generator=f,
-        weight=w,
     )
 
 

@@ -75,6 +75,7 @@ from .errors import (
 from .scalar import ScalarDeviation
 
 _VALIDATION_SEED = 20240902
+_VALIDATION_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,10 @@ class GenDeviation:
     """A generalized deviation on R^d.
 
     ``eval(u, v)`` returns the covector E(u, v) (a Covector or any array
-    convertible).  Sampled at construction inside ``[sample_low,
-    sample_high]^dim``: E(u, u) = 0, strict monotone decrease of the second
-    section, and E(u, v)(u - v) > 0 off the diagonal.
+    convertible).  Unless ``validate=False``, sampled at 32 points of
+    ``[sample_low, sample_high]^dim`` at construction: E(u, u) = 0, strict
+    monotone decrease of the second section, and E(u, v)(u - v) > 0 off the
+    diagonal.
 
     ``inner_weight`` marks the gradient-type family E(u, v) = 2 w(u) (u - v);
     solvers exploit the affine structure of its sums (the coefficients only
@@ -138,14 +140,13 @@ class GenDeviation:
     label: str = "generalized deviation"
     sample_low: float = -1.0
     sample_high: float = 1.0
-    samples: int = 32
     validate: bool = True
     inner_weight: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dim <= 0:
             raise InvalidArgumentError("deviation dimension must be positive")
-        if self.validate and self.samples > 0:
+        if self.validate:
             self._check_axioms()
 
     def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -153,7 +154,7 @@ class GenDeviation:
 
     def _check_axioms(self):
         rng = np.random.default_rng(_VALIDATION_SEED)
-        shape = (self.samples, self.dim)
+        shape = (_VALIDATION_SAMPLES, self.dim)
         us = rng.uniform(self.sample_low, self.sample_high, shape)
         vs = rng.uniform(self.sample_low, self.sample_high, shape)
         ws = rng.uniform(self.sample_low, self.sample_high, shape)
@@ -752,9 +753,9 @@ class PotentialFn:
     minimum at v = u.
 
     ``grad_v`` may be omitted, in which case central finite differences of
-    ``eval`` are used.  Sampled at construction: grad_v(u, u) = 0, strict
-    midpoint convexity of the sections, and agreement of ``grad_v`` with
-    finite differences.
+    ``eval`` are used.  Unless ``validate=False``, sampled at 32 points at
+    construction: grad_v(u, u) = 0, strict midpoint convexity of the
+    sections, and agreement of ``grad_v`` with finite differences.
     """
 
     dim: int
@@ -763,7 +764,6 @@ class PotentialFn:
     label: str = "potential"
     sample_low: float = -1.0
     sample_high: float = 1.0
-    samples: int = 32
     validate: bool = True
 
     def __post_init__(self):
@@ -774,7 +774,7 @@ class PotentialFn:
                 self, "grad_v",
                 lambda u, v, f=self.eval: _fd_grad(f, np.asarray(u, float), np.asarray(v, float)),
             )
-        if self.validate and self.samples > 0:
+        if self.validate:
             self._check_property()
 
     def value(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -785,7 +785,7 @@ class PotentialFn:
 
     def _check_property(self):
         rng = np.random.default_rng(_VALIDATION_SEED + 1)
-        shape = (self.samples, self.dim)
+        shape = (_VALIDATION_SAMPLES, self.dim)
         us = rng.uniform(self.sample_low, self.sample_high, shape)
         vs = rng.uniform(self.sample_low, self.sample_high, shape)
         ws = rng.uniform(self.sample_low, self.sample_high, shape)
@@ -819,7 +819,6 @@ def _potential_deviation(F: PotentialFn) -> GenDeviation:
         label=f"deviation of {F.label}",
         sample_low=F.sample_low,
         sample_high=F.sample_high,
-        samples=F.samples,
         validate=False,
     )
 
@@ -831,7 +830,7 @@ def make_potential_deviation(F: PotentialFn) -> GenDeviation:
     re-sampled here and a failure raises InvalidPotentialError.
     """
     dev = _potential_deviation(F)
-    if F.validate and F.samples > 0:
+    if F.validate:
         try:
             dev._check_axioms()
         except InvalidDeviationError as exc:

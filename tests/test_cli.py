@@ -156,6 +156,13 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert "--max-iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "fuzz"])
+    def test_zero_trials_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "jensen", "--trials", "0")
+        assert code == 2
+        assert out == ""
+        assert "trials must be at least 1" in err
+
     def test_case_missing_a_field_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"cases": [{"name": "no-M", "type": "convexity",

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from meanreduce.core import Interval, POSITIVE_REALS, REALS, SolverConfig
+from meanreduce.descriptors import KINDS, _VECTOR_KINDS, MeanDescriptor, build_mean
 from meanreduce.errors import (
     InvalidArgumentError,
     InvalidDeviationError,
 )
+from meanreduce.reduction import check_mean_function, deviation_mean_fn
 from meanreduce.scalar import (
     DeviationTuple,
     GeneratorFn,
@@ -397,3 +400,68 @@ class TestIntegralPotentialOracle:
             h = 1e-5
             fd = (F(u, v + h) - F(u, v - h)) / (2 * h)
             assert fd == pytest.approx(-dev(u, v), abs=1e-6)
+
+
+# The mean property and reflexivity of every scalar kind, each checked by
+# ``check_mean_function`` at its own tolerances.
+MEAN_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+SCALAR_KINDS = [k for k in KINDS if k not in _VECTOR_KINDS]
+GENERATORS = ["log", "u", "exp", "u^3", "sqrt(u)"]
+WEIGHTS = [1.0, 2.5, "u", "1 + u^2", "exp(-u)"]
+DEVIATIONS = ["u - v", "u*(u - v)", "log(u) - log(v)", "u^2 - v^2", "exp(u) - exp(v)"]
+POSITIVE_DOMAIN = [0.05, 30.0]
+
+
+def _entries(pool, n):
+    return st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+
+
+def scalar_params(kind: str, n: int):
+    exponent = st.floats(-4.0, 4.0)
+    generator = st.sampled_from(GENERATORS)
+    domain = st.just(POSITIVE_DOMAIN)
+    return {
+        "arithmetic": st.fixed_dictionaries({}),
+        "weighted-arithmetic": st.fixed_dictionaries({"weights": _entries(WEIGHTS, n),
+                                                      "domain": domain}),
+        "holder": st.fixed_dictionaries({"p": exponent}),
+        "gini": st.fixed_dictionaries({"p": exponent, "q": exponent}),
+        "quasi-arithmetic": st.fixed_dictionaries({"f": generator, "domain": domain}),
+        "bajraktarevic": st.fixed_dictionaries({"f": generator, "weights": _entries(WEIGHTS, n),
+                                                "domain": domain}),
+        "matkowski": st.fixed_dictionaries({"fs": _entries(GENERATORS[1:], n),
+                                            "domain": domain}),
+        "deviation-custom": st.fixed_dictionaries({"exprs": _entries(DEVIATIONS, n),
+                                                   "domain": domain}),
+    }[kind]
+
+
+def _log_uniform(rng) -> float:
+    return float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+
+
+class TestMeanProperty:
+    @pytest.mark.parametrize("kind", SCALAR_KINDS)
+    @MEAN_SETTINGS
+    @given(data=st.data())
+    def test_built_scalar_means_are_means(self, kind, data):
+        n = data.draw(st.integers(2, 5))
+        params = data.draw(scalar_params(kind, n))
+        M = build_mean(MeanDescriptor(kind=kind, arity=n, params=params))
+        check_mean_function(M, _log_uniform, samples=8, seed=data.draw(st.integers(0, 2**16)))
+
+    @MEAN_SETTINGS
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from(range(4)), min_size=n, max_size=n),
+        st.lists(st.sampled_from(range(3)), min_size=n, max_size=n))),
+        st.integers(0, 2**16))
+    def test_summed_bajraktarevic_deviations_are_means(self, families, seed):
+        dom = Interval(0.05, 30.0)
+        generators = [identity_generator(dom), power_generator(0.5, dom),
+                      GeneratorFn(eval=math.log, inverse=math.exp, domain=dom,
+                                  validate=False), exp_gen_on(dom)]
+        weights = [constant_weight(2.5, dom), power_weight(1.0, dom), power_weight(-2.0, dom)]
+        fs, ws = families
+        devs = [make_bajraktarevic_deviation(generators[i], weights[j])
+                for i, j in zip(fs, ws)]
+        check_mean_function(deviation_mean_fn(devs), _log_uniform, samples=8, seed=seed)
