@@ -37,6 +37,12 @@ class BoxSampler:
 
     ``dim`` of None draws scalars; otherwise points.  Log-uniform sampling
     needs a positive box and suits scale-sensitive power-type means.
+
+    The bounds (their logs, for log-uniform sampling) are checked and stored
+    once at construction.  ``draw_tuple`` draws a whole tuple in one
+    ``rng.uniform`` call of shape (count,) or (count, dim); that consumes the
+    Generator stream exactly as ``count`` calls of ``draw`` would, so a seed
+    fixes the same tuples either way.
     """
 
     low: Union[float, tuple] = 0.0
@@ -50,27 +56,27 @@ class BoxSampler:
         if self.dim is not None:
             lows = np.broadcast_to(lows, (self.dim,))
             highs = np.broadcast_to(highs, (self.dim,))
+        elif lows.size != 1 or highs.size != 1:
+            raise InvalidArgumentError("a scalar sampler needs scalar bounds; set dim for a box")
         if not np.all(lows < highs):
             raise InvalidArgumentError("sampler needs low < high")
-        if self.log_uniform and not np.all(lows > 0):
-            raise InvalidArgumentError("log-uniform sampling needs a positive box")
+        if self.log_uniform:
+            if not np.all(lows > 0):
+                raise InvalidArgumentError("log-uniform sampling needs a positive box")
+            lows, highs = np.log(lows), np.log(highs)
+        if self.dim is None:
+            lows, highs = float(lows[0]), float(highs[0])
+        object.__setattr__(self, "_bounds", (lows, highs))
 
     def draw(self, rng: np.random.Generator):
-        lows = np.atleast_1d(np.asarray(self.low, dtype=float))
-        highs = np.atleast_1d(np.asarray(self.high, dtype=float))
-        if self.dim is not None:
-            lows = np.broadcast_to(lows, (self.dim,))
-            highs = np.broadcast_to(highs, (self.dim,))
-        if self.log_uniform:
-            value = np.exp(rng.uniform(np.log(lows), np.log(highs)))
-        else:
-            value = rng.uniform(lows, highs)
-        if self.dim is None:
-            return float(value[0])
-        return value
+        return self.draw_tuple(rng, 1)[0]
 
     def draw_tuple(self, rng: np.random.Generator, count: int) -> tuple:
-        return tuple(self.draw(rng) for _ in range(count))
+        lows, highs = self._bounds
+        block = rng.uniform(lows, highs, size=count if self.dim is None else (count, self.dim))
+        if self.log_uniform:
+            block = np.exp(block)
+        return tuple(block.tolist()) if self.dim is None else tuple(block)
 
     def to_json(self) -> dict:
         out = {"low": _jsonable(self.low), "high": _jsonable(self.high)}

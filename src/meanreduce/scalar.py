@@ -29,6 +29,7 @@ remains sampled, not proven.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -489,41 +490,138 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
     return 0.5 * (root.a + root.b)
 
 
-def _check_positive(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
+_NORMAL_MIN = sys.float_info.min
+_NORMAL_MAX = sys.float_info.max
+
+
+def _check_positive(x) -> list:
+    try:
+        xs = [float(v) for v in x]
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"power-type means need a tuple of reals: {exc}") from None
+    if not xs:
         raise InvalidArgumentError("empty tuple")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise InvalidArgumentError("power-type means require strictly positive inputs")
-    return arr
+    for v in xs:
+        if not 0.0 < v < math.inf:
+            raise InvalidArgumentError("power-type means require strictly positive inputs")
+    return xs
+
+
+def _check_exponent(p, finite: bool = False) -> float:
+    p = float(p)
+    if math.isnan(p) or (finite and math.isinf(p)):
+        raise InvalidArgumentError(
+            f"mean exponent must be {'finite' if finite else 'a number'}, got {p}")
+    return p
+
+
+def _clamp(y: float, lo: float, hi: float) -> float:
+    return lo if y < lo else hi if y > hi else y
+
+
+def _exp_clamped(log_y: float, lo: float, hi: float) -> float:
+    """exp(log_y) clamped to [lo, hi]; an overflowing exp means the value is
+    hi up to rounding."""
+    try:
+        return _clamp(math.exp(log_y), lo, hi)
+    except OverflowError:
+        return hi
+
+
+def _log_power_sum(r: float, logs: list, s: float) -> float:
+    """log(sum_i x_i^r) / s from the logs of x, normalized by the largest
+    term: the max of the logs for r >= 0, the min for r < 0.  Every term is
+    then at most 1 and the extreme one is 1, so the sum is in [1, n] and
+    cannot overflow; with s >= max(1, |r|), r log x / s stays finite for any
+    finite r."""
+    c = max(logs) if r >= 0.0 else min(logs)
+    return (r / s) * c + math.log(math.fsum(math.exp(r * (v - c)) for v in logs)) / s
+
+
+def _log_gini(p: float, q: float, logs: list) -> float:
+    """log of the Gini mean G(p, q) (the Hölder mean is G(p, 0)), formed in
+    log space so that no power sum can overflow or underflow.  Symmetric in
+    p and q."""
+    if p == q:
+        # The mean of log x under the weights x^p / sum x^p.
+        c = max(logs) if p >= 0.0 else min(logs)
+        w = [math.exp(p * (v - c)) for v in logs]
+        return math.fsum(wi * v for wi, v in zip(w, logs)) / math.fsum(w)
+    s = max(abs(p), abs(q), 1.0)
+    return (_log_power_sum(p, logs, s) - _log_power_sum(q, logs, s)) / (p / s - q / s)
 
 
 def holder_mean(p: float, x: Sequence[float]) -> float:
-    """The power mean ((sum x_i^p) / n)^(1/p); geometric mean for p = 0.
+    """The power mean ((sum x_i^p) / n)^(1/p); the geometric mean for p = 0,
+    and max x / min x for p = +inf / -inf.
 
-    Inputs are normalized by an extreme element before exponentiation so that
-    large |p| cannot overflow.
+    Plain ``math`` on a list of floats.  Inputs are normalized by an extreme
+    element before exponentiation (the max for p > 0, the min for p < 0), so
+    that large |p| cannot overflow.  Where that direct form cannot hold its
+    terms (min x / max x below the normal float range, or a root that
+    overflows at tiny |p|), the mean is formed in log space instead
+    (``_log_gini``).  The value always lies in [min x, max x]; a NaN
+    exponent raises InvalidArgumentError.
     """
-    arr = _check_positive(x)
+    xs = _check_positive(x)
+    p = _check_exponent(p)
+    lo, hi = min(xs), max(xs)
     if p == 0.0:
-        return float(np.exp(np.mean(np.log(arr))))
-    m = float(arr.max()) if p > 0 else float(arr.min())
-    return m * float(np.mean((arr / m) ** p) ** (1.0 / p))
+        return _exp_clamped(sum([math.log(v) for v in xs]) / len(xs), lo, hi)
+    if math.isinf(p) or lo / hi >= _NORMAL_MIN:
+        m = hi if p > 0 else lo
+        try:
+            return _clamp(m * (sum([(v / m) ** p for v in xs]) / len(xs)) ** (1.0 / p), lo, hi)
+        except OverflowError:
+            pass
+    return _exp_clamped(_log_gini(p, 0.0, [math.log(v) for v in xs]), lo, hi)
 
 
 def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     """The Gini mean (sum x^p / sum x^q)^(1/(p-q)); for p = q, the limiting
-    form exp(sum x^p log x / sum x^p) is used."""
-    arr = _check_positive(x)
-    if p == q:
-        wp = arr ** p
-        return float(np.exp(np.sum(wp * np.log(arr)) / np.sum(wp)))
+    form exp(sum x^p log x / sum x^p) is used.
+
+    Plain ``math`` on a list of floats, with the data normalized by its max.
+    Where a direct power sum overflows or underflows (large |p| or |q|, or
+    min x / max x below the normal float range), the mean is formed in log
+    space instead, each power sum normalized by its own largest term
+    (``_log_gini``).  The value always lies in [min x, max x]; a NaN or
+    infinite exponent raises InvalidArgumentError.
+    """
+    xs = _check_positive(x)
+    p = _check_exponent(p, finite=True)
+    q = _check_exponent(q, finite=True)
     if p < q:
         p, q = q, p
-    m = float(arr.max())
-    scaled = arr / m
-    ratio = np.sum(scaled ** p) / np.sum(scaled ** q)
-    return m * float(ratio ** (1.0 / (p - q)))
+    lo, hi = min(xs), max(xs)
+    if lo / hi >= _NORMAL_MIN:
+        try:
+            y = _gini_direct(p, q, xs, hi)
+        except OverflowError:
+            y = None
+        if y is not None:
+            return _clamp(y, lo, hi)
+    return _exp_clamped(_log_gini(p, q, [math.log(v) for v in xs]), lo, hi)
+
+
+def _gini_direct(p: float, q: float, xs: list, m: float) -> Optional[float]:
+    """The Gini mean (p >= q, m = max x) from its direct power sums, or None
+    where a sum leaves the normal float range.  Python's ``**`` raises
+    OverflowError where numpy would return inf; the caller catches it.  With
+    min x / max x normal no ratio v / m is 0, so ``0.0 ** q`` cannot raise
+    ZeroDivisionError."""
+    if p == q:
+        wp = [v ** p for v in xs]
+        total = sum(wp)
+        if not _NORMAL_MIN <= total <= _NORMAL_MAX:
+            return None
+        t = sum([w * math.log(v) for w, v in zip(wp, xs)]) / total
+        return math.exp(t) if math.isfinite(t) else None
+    scaled = [v / m for v in xs]
+    ratio = sum([v ** p for v in scaled]) / sum([v ** q for v in scaled])
+    if not _NORMAL_MIN <= ratio <= _NORMAL_MAX:
+        return None
+    return m * ratio ** (1.0 / (p - q))
 
 
 def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:

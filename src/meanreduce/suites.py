@@ -23,6 +23,7 @@ and reports are plain JSON data.
 from __future__ import annotations
 
 import json
+import math
 import os
 from importlib import resources
 from typing import Callable, Optional
@@ -119,11 +120,16 @@ def _chi(case: dict, arity: int) -> Injection:
 
 
 def _case_tols(case: dict, trials: int, tol: float, reduced_tol: float):
-    return (
-        int(case.get("trials", trials)),
-        float(case.get("tol", tol)),
-        float(case.get("reduced_tol", reduced_tol)),
-    )
+    """The case's trial count and tolerances, its own fields over the run's.
+    A NaN, infinite or negative tolerance raises InvalidArgumentError: a NaN
+    slack would pass every check, a negative one fail every check."""
+    tols = []
+    for key, default in (("tol", tol), ("reduced_tol", reduced_tol)):
+        value = float(case.get(key, default))
+        if not (math.isfinite(value) and value >= 0.0):
+            raise InvalidArgumentError(f"{key} must be finite and nonnegative, got {value}")
+        tols.append(value)
+    return (int(case.get("trials", trials)), *tols)
 
 
 def build_runner(case: dict, trials: int, tol: float, reduced_tol: float) -> FuzzCase:

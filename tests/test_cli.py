@@ -163,6 +163,30 @@ class TestVerifyCommand:
         assert out == ""
         assert "trials must be at least 1" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--reduced-tol", "nan"), ("--tol", "-1"),
+        ("--reduced-tol", "-1e-9"), ("--tol", "inf"), ("--reduced-tol", "inf"),
+    ])
+    def test_bad_tolerance_exits_2(self, capsys, flag, value):
+        # A NaN slack passed every check (exit 0) and a negative one failed
+        # every case (exit 1).
+        code, out, err = run_cli(capsys, "verify", "jensen", "--trials", "5", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "must be finite and nonnegative" in err
+
+    @pytest.mark.parametrize("field, value", [("tol", -1.0), ("reduced_tol", float("nan"))])
+    def test_bad_case_tolerance_exits_2(self, capsys, tmp_path, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"cases": [{
+            "name": "jensen-square", "type": "convexity", "f": "u^2", field: value,
+            "M": {"kind": "arithmetic", "arity": 2},
+            "N": {"kind": "arithmetic", "arity": 2}}]}))
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert f"{field} must be finite and nonnegative" in err
+
     def test_case_missing_a_field_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"cases": [{"name": "no-M", "type": "convexity",
@@ -212,6 +236,11 @@ class TestFuzzCommand:
         assert main(["fuzz", "failing", "--seed", "3", "--trials", "30",
                      "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_nan_tolerance_is_an_error_in_every_case(self, capsys):
+        report = run_json(capsys, "fuzz", "jensen", "--trials", "5", "--tol", "nan")
+        assert report["errors"] == len(report["cases"]) > 0
+        assert all("tol must be finite" in entry["error"] for entry in report["cases"])
 
     def test_malformed_case_becomes_an_error_entry(self, capsys, tmp_path):
         suite = {"name": "mixed", "cases": [

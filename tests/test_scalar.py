@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -277,6 +278,152 @@ class TestGiniMean:
         perm = tuple(np.asarray(x)[rng.permutation(5)])
         assert gini_mean(1.7, -0.4, x) == pytest.approx(gini_mean(1.7, -0.4, perm), abs=1e-12)
         assert holder_mean(2.3, x) == pytest.approx(holder_mean(2.3, perm), abs=1e-12)
+
+
+class TestClosedFormExtremes:
+    """Inputs where a direct power sum overflows or underflows.  numpy
+    returned 0.0, nan or a value outside the hull at these; plain ``**``
+    raises OverflowError or ZeroDivisionError.  Expected values computed
+    with mpmath at 80 digits."""
+
+    @pytest.mark.parametrize("p, q, x, expected", [
+        (3.0, -300.0, (1e-5, 1e300), 0.010466512108254267),
+        (1.0, -2.0, (1e-320, 1e10), 9.999925781080176e-211),
+        (-300.0, -300.0, (1e-5, 2.0), 1e-5),
+    ])
+    def test_gini_log_space_fallback(self, p, q, x, expected):
+        y = gini_mean(p, q, x)
+        assert min(x) <= y <= max(x)
+        assert y == pytest.approx(expected, rel=1e-12)
+
+    def test_holder_ratio_underflow(self):
+        # 1e-320 / 1e300 underflows to 0, but (1e-620)^1e-4 is about 0.87.
+        y = holder_mean(1e-4, (1e-320, 1e300))
+        assert y == pytest.approx(11.338002027712097, rel=1e-11)
+
+    @pytest.mark.parametrize("call", [
+        lambda: holder_mean(math.nan, (1.0, 2.0)),
+        lambda: gini_mean(math.nan, 1.0, (1.0, 2.0)),
+        lambda: gini_mean(1.0, math.nan, (1.0, 2.0)),
+        lambda: gini_mean(math.inf, 1.0, (1.0, 2.0)),
+        lambda: gini_mean(1.0, -math.inf, (1.0, 2.0)),
+    ])
+    def test_bad_exponents_rejected(self, call):
+        with pytest.raises(InvalidArgumentError):
+            call()
+
+    @pytest.mark.parametrize("x", [(), (1.0, math.nan), (1.0, math.inf), (0.0, 1.0)])
+    def test_bad_tuples_keep_their_messages(self, x):
+        message = "empty tuple" if not x else "strictly positive"
+        for call in (lambda: holder_mean(1.0, x), lambda: gini_mean(2.0, 1.0, x)):
+            with pytest.raises(InvalidArgumentError, match=message):
+                call()
+
+    def test_infinite_holder_exponents_are_max_and_min(self):
+        x = (1e-320, 3.0, 1e308)
+        assert holder_mean(math.inf, x) == 1e308
+        assert holder_mean(-math.inf, x) == 1e-320
+
+
+def _numpy_holder(p, x):
+    """The numpy implementation the plain-float ``holder_mean`` replaced, or
+    None where its power sum is not a normal float."""
+    arr = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        if p == 0.0:
+            return float(np.exp(np.mean(np.log(arr))))
+        m = float(arr.max()) if p > 0 else float(arr.min())
+        mean = np.mean((arr / m) ** p)
+        if not _normal(mean):
+            return None
+        return m * float(mean ** (1.0 / p))
+
+
+def _numpy_gini(p, q, x):
+    """The numpy implementation the plain-float ``gini_mean`` replaced, or
+    None where one of its power sums is not a normal float."""
+    arr = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        if p == q:
+            wp = arr ** p
+            if not _normal(np.sum(wp)):
+                return None
+            return float(np.exp(np.sum(wp * np.log(arr)) / np.sum(wp)))
+        if p < q:
+            p, q = q, p
+        m = float(arr.max())
+        scaled = arr / m
+        ratio = np.sum(scaled ** p) / np.sum(scaled ** q)
+        if not _normal(ratio):
+            return None
+        return m * float(ratio ** (1.0 / (p - q)))
+
+
+def _normal(v) -> bool:
+    return sys.float_info.min <= v <= sys.float_info.max
+
+
+# Exponents come from [-50, 50] with 0 and p = q drawn on purpose, data from
+# [0.1, 10] times 1e-8, 1 or 1e8.
+EXPONENT = st.one_of(st.just(0.0), st.floats(-50.0, 50.0))
+CLOSED_FORM_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def closed_form_inputs(draw):
+    n = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    x = tuple(scale * v for v in draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    p = draw(EXPONENT)
+    q = draw(st.one_of(st.just(p), EXPONENT))
+    return p, q, x
+
+
+class TestClosedFormsAgainstNumpy:
+    """``holder_mean`` and ``gini_mean`` are means, and agree with the numpy
+    implementation they replaced wherever its power sums are normal floats
+    and its value is in the hull.
+
+    The bound is 4 ulp (relative) times the condition number of the form
+    with respect to the rounding of its sums: 1/|p| (Hölder) or 1/|p - q|
+    (Gini) where these exceed 1, since an error in the power sum is taken to
+    that root; and max |log x_i| for the geometric mean and the Gini limit,
+    since they exponentiate a mean of logs.  numpy's vectorized pow and exp
+    differ from libm's by about an ulp, so near p = 0 or p = q the two sides
+    cannot agree more closely than that condition number allows.
+    """
+
+    @staticmethod
+    def _check(y, ref, x, kappa):
+        assert min(x) <= y <= max(x)
+        if ref is not None and min(x) <= ref <= max(x):
+            assert abs(y - ref) <= 4.0 * kappa * sys.float_info.epsilon * ref
+
+    @CLOSED_FORM_SETTINGS
+    @given(closed_form_inputs())
+    def test_holder_mean(self, inputs):
+        p, _, x = inputs
+        kappa = max(1.0, 1.0 / abs(p)) if p else max(1.0, *(abs(math.log(v)) for v in x))
+        self._check(holder_mean(p, x), _numpy_holder(p, x), x, kappa)
+
+    @CLOSED_FORM_SETTINGS
+    @given(closed_form_inputs())
+    def test_gini_mean(self, inputs):
+        p, q, x = inputs
+        if p != q:
+            kappa = max(1.0, 1.0 / abs(p - q))
+        else:
+            kappa = max(1.0, *(abs(math.log(v)) for v in x))
+        self._check(gini_mean(p, q, x), _numpy_gini(p, q, x), x, kappa)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                    min_size=1, max_size=6),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_input_gives_a_value_in_the_hull(self, x, p, q):
+        for y in (holder_mean(p, x), gini_mean(p, q, x), gini_mean(p, p, x)):
+            assert min(x) <= y <= max(x)
 
 
 class TestWeightedArithMean:
