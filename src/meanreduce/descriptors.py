@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import DEFAULT_CONFIG, Interval, POSITIVE_REALS, REALS, SolverConfig, SolverReport
 from .errors import InvalidArgumentError
-from .expr import parse_expression, point_vars
+from .expr import bind_family, parse_expression
 from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
 from .scalar import (
     GeneratorFn,
@@ -139,8 +139,7 @@ def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
     if text == "exp":
         return exp_generator(domain or REALS)
     dom = domain or REALS
-    compiled = parse_expression(text, allowed=("u",))
-    feval = lambda u, c=compiled: c(u=u)  # noqa: E731
+    feval = parse_expression(text, allowed=("u",)).bind(("u",))
     return GeneratorFn(eval=feval, inverse=numeric_inverse(feval, dom), domain=dom)
 
 
@@ -150,15 +149,14 @@ def build_weight(spec, domain: Interval) -> WeightFn:
         return spec
     if isinstance(spec, (int, float)):
         return constant_weight(float(spec), domain)
-    compiled = parse_expression(str(spec), allowed=("u",))
-    return WeightFn(eval=lambda u, c=compiled: c(u=u), domain=domain)
+    return WeightFn(eval=parse_expression(str(spec), allowed=("u",)).bind(("u",)),
+                    domain=domain)
 
 
 def build_scalar_deviation(expr_text: str, domain: Interval) -> ScalarDeviation:
-    compiled = parse_expression(str(expr_text), allowed=("u", "v"))
     return ScalarDeviation(
         domain=domain,
-        eval=lambda u, v, c=compiled: c(u=u, v=v),
+        eval=parse_expression(str(expr_text), allowed=("u", "v")).bind(("u", "v")),
         label=f"deviation {expr_text!r}",
     )
 
@@ -184,8 +182,8 @@ def build_point_weight(spec, dim: int) -> Callable:
             raise InvalidArgumentError("weight must be positive")
         return lambda u, c=c: c
     allowed = tuple(f"u{i + 1}" for i in range(dim))
-    compiled = parse_expression(str(spec), allowed=allowed)
-    return lambda u, c=compiled: c(**point_vars("u", u))
+    fn = parse_expression(str(spec), allowed=allowed).bind(allowed)
+    return lambda u, fn=fn: fn(*np.asarray(u, float).tolist())
 
 
 def build_gen_deviation(exprs: Sequence[str], dim: int,
@@ -195,12 +193,10 @@ def build_gen_deviation(exprs: Sequence[str], dim: int,
     if len(exprs) != dim:
         raise InvalidArgumentError(f"need {dim} covector expressions, got {len(exprs)}")
     allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
-    compiled = [parse_expression(str(e), allowed=allowed) for e in exprs]
+    family = bind_family([parse_expression(str(e), allowed=allowed) for e in exprs], allowed)
 
-    def eval_cov(u, v, compiled=compiled):
-        env = point_vars("u", u)
-        env.update(point_vars("v", v))
-        return [c(**env) for c in compiled]
+    def eval_cov(u, v, family=family):
+        return family(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
 
     return GenDeviation(dim=dim, eval=eval_cov, label="custom generalized deviation",
                         sample_low=sample_low, sample_high=sample_high)
@@ -211,12 +207,10 @@ def build_custom_potential(expr_text: str, dim: int,
     """A PotentialFn from an expression for F(u, v); gradient by central
     differences."""
     allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
-    compiled = parse_expression(str(expr_text), allowed=allowed)
+    fn = parse_expression(str(expr_text), allowed=allowed).bind(allowed)
 
-    def feval(u, v, compiled=compiled):
-        env = point_vars("u", u)
-        env.update(point_vars("v", v))
-        return compiled(**env)
+    def feval(u, v, fn=fn):
+        return fn(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
 
     return PotentialFn(dim=dim, eval=feval, label=f"potential {expr_text!r}",
                        sample_low=sample_low, sample_high=sample_high)

@@ -13,7 +13,16 @@ Functions: ``exp``, ``log``, ``sqrt``, ``abs``, ``pow``.  Constants: ``pi``,
 ``e``.  Any other name is a free variable; which variables are allowed is
 decided by the caller (``u``/``v`` for scalar deviations and weights,
 ``u1..ud``/``v1..vd`` for vector potentials).  Everything is evaluated in
-double precision.
+double precision, and a literal that overflows to infinity is rejected.
+
+Each expression, and each family of d covector coordinates, is compiled once
+into one Python function of positional floats (``Expression.bind``,
+``bind_family``); a keyword call runs the same kind of function.  Variables
+are checked when the function is built, not per call.  Every form keeps one
+error contract: a math domain error, overflow or division by zero raises
+DomainError naming the expression, so does a complex result, and the value
+is a ``float``.  A family that fails is evaluated again one coordinate at a
+time, so the error names the failing coordinate.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DomainError, ExpressionError
@@ -120,7 +130,10 @@ class _Parser:
     def atom(self):
         kind, text = self.advance()
         if kind == "num":
-            return ("const", float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExpressionError(f"numeric literal {text!r} in {self.text!r} is not finite")
+            return ("const", value)
         if kind == "name":
             if self.peek() == ("op", "("):
                 if text not in _FUNCTIONS:
@@ -160,49 +173,134 @@ def _free_variables(node, out: set[str]):
             _free_variables(arg, out)
 
 
-def _emit(node) -> str:
+def _emit(node, args: dict[str, str]) -> str:
     tag = node[0]
     if tag == "const":
         return repr(node[1])
     if tag == "var":
-        return f"_env[{node[1]!r}]"
+        return args[node[1]]
     if tag == "neg":
-        return f"(-{_emit(node[1])})"
+        return f"(-{_emit(node[1], args)})"
     if tag == "^":
-        return f"({_emit(node[1])} ** {_emit(node[2])})"
+        return f"({_emit(node[1], args)} ** {_emit(node[2], args)})"
     if tag in ("+", "-", "*", "/"):
-        return f"({_emit(node[1])} {tag} {_emit(node[2])})"
+        return f"({_emit(node[1], args)} {tag} {_emit(node[2], args)})"
     if tag == "call":
-        args = ", ".join(_emit(a) for a in node[2])
-        return f"_fn_{node[1]}({args})"
+        inner = ", ".join(_emit(a, args) for a in node[2])
+        return f"_fn_{node[1]}({inner})"
     raise AssertionError(f"unreachable node {tag}")
+
+
+# One globals dict shared by every compiled lambda: a function whose globals
+# hold nothing of its own forms no reference cycle, so it is freed as soon as
+# its last user drops it.
+_EVAL_GLOBALS = {"__builtins__": {}}
+_EVAL_GLOBALS.update({f"_fn_{name}": fn for name, fn in _FUNCTIONS.items()})
+
+
+def _compile(body: str, arity: int, label: str) -> Callable:
+    """``lambda _a0, ..., _a{arity-1}: body``.
+
+    Arguments are named by position, never after a user variable, so no
+    variable can collide with a generated name.
+    """
+    params = ", ".join(f"_a{i}" for i in range(arity))
+    return eval(compile(f"lambda {params}: {body}", label, "eval"), _EVAL_GLOBALS)  # noqa: S307
+
+
+def _bound(text: str, body: str, arity: int) -> Callable[..., float]:
+    """The compiled code of one expression, with the error contract of an
+    expression call: the lambda itself cannot hold a ``try``."""
+    raw = _compile(body, arity, f"<expr {text!r}>")
+
+    def call(*args):
+        try:
+            value = raw(*args)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"evaluating {text!r}: {exc}") from exc
+        if isinstance(value, complex):
+            raise DomainError(f"expression {text!r} produced a complex value")
+        return float(value)
+
+    return call
 
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression: callable on a keyword environment of floats."""
+    """A parsed expression.
+
+    ``bind(names)`` compiles it into a function of positional floats, one per
+    name; calling the expression on a keyword environment of floats runs the
+    same kind of function, bound to the sorted variables on first use.  Its
+    code is kept as a template whose i-th placeholder is the i-th sorted
+    variable, so no parse tree outlives the parse.
+    """
 
     text: str
     variables: frozenset[str]
-    _code: object
+    _template: str
+
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
+        return tuple(sorted(self.variables))
+
+    def _missing(self, names) -> ExpressionError:
+        missing = sorted(self.variables.difference(names))
+        return ExpressionError(f"expression {self.text!r} needs variables {missing}")
+
+    def _body(self, names: tuple[str, ...]) -> str:
+        """The code of the expression with its variables as arguments
+        ``_a{i}``, i the variable's index in names."""
+        if not self.variables.issubset(names):
+            raise self._missing(names)
+        position = {name: i for i, name in enumerate(names)}
+        return self._template.format(*[f"_a{position[v]}" for v in self._order])
+
+    def bind(self, names: Sequence[str]) -> Callable[..., float]:
+        """A function of len(names) positional floats, in the order of names."""
+        names = tuple(names)
+        return _bound(self.text, self._body(names), len(names))
+
+    @cached_property
+    def _by_keyword(self) -> Callable[..., float]:
+        return self.bind(self._order)
 
     def __call__(self, **env: float) -> float:
-        missing = self.variables.difference(env)
-        if missing:
-            raise ExpressionError(
-                f"expression {self.text!r} needs variables {sorted(missing)}"
-            )
+        # A list, not a map iterator: CPython unpacks an iterator into a
+        # tuple of guessed length and shrinks it, and every such tuple ends
+        # in the free list of its final size, which so grows to its cap of
+        # 2000 tuples per size.
         try:
-            value = eval(self._code, _EVAL_GLOBALS, {"_env": env})  # noqa: S307
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"evaluating {self.text!r}: {exc}") from exc
-        if isinstance(value, complex):
-            raise DomainError(f"expression {self.text!r} produced a complex value")
-        return float(value)
+            args = [env[name] for name in self._order]
+        except KeyError:
+            raise self._missing(env) from None
+        return self._by_keyword(*args)
 
 
-_EVAL_GLOBALS = {"__builtins__": {}}
-_EVAL_GLOBALS.update({f"_fn_{name}": fn for name, fn in _FUNCTIONS.items()})
+def bind_family(exprs: Sequence[Expression], names: Sequence[str]) -> Callable[..., list]:
+    """One function of len(names) positional floats returning the list of
+    the expressions' values, compiled as a single lambda.
+
+    A call that fails is evaluated again one coordinate at a time, in order,
+    so the DomainError names the first coordinate that fails.
+    """
+    names = tuple(names)
+    # Texts and code only: the Expression objects need not outlive the build.
+    code = [(e.text, e._body(names)) for e in exprs]
+    raw = _compile(f"({', '.join(body for _, body in code)},)", len(names),
+                   f"<family {[text for text, _ in code]!r}>")
+    coordinates: list = []  # bound on the first failure only
+
+    def call(*args):
+        try:
+            # float() of a complex coordinate raises TypeError.
+            return list(map(float, raw(*args)))
+        except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+            if not coordinates:
+                coordinates.extend(_bound(text, body, len(names)) for text, body in code)
+            return [c(*args) for c in coordinates]
+
+    return call
 
 
 def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Expression:
@@ -218,8 +316,9 @@ def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Express
             raise ExpressionError(
                 f"expression {text!r} uses variables {sorted(extra)}; allowed: {sorted(allowed)}"
             )
-    code = compile(_emit(node), f"<expr {text!r}>", "eval")
-    return Expression(text=text, variables=frozenset(free), _code=code)
+    order = sorted(free)
+    template = _emit(node, {name: f"{{{i}}}" for i, name in enumerate(order)})
+    return Expression(text=text, variables=frozenset(free), _template=template)
 
 
 def point_vars(prefix: str, point) -> dict[str, float]:

@@ -28,6 +28,8 @@ import os
 from importlib import resources
 from typing import Callable, Optional
 
+import numpy as np
+
 from .core import Injection, SolverConfig
 from .descriptors import (
     MeanDescriptor,
@@ -38,7 +40,7 @@ from .descriptors import (
     parse_domain,
 )
 from .errors import InvalidArgumentError
-from .expr import parse_expression, point_vars
+from .expr import parse_expression
 from .lab import (
     BoxSampler,
     ConvexityCase,
@@ -96,11 +98,11 @@ def _build_function(spec, dim: Optional[int]) -> Callable:
         return spec
     text = str(spec)
     if dim is None:
-        compiled = parse_expression(text, allowed=("u",))
-        return lambda u, c=compiled: c(u=float(u))
+        fn = parse_expression(text, allowed=("u",)).bind(("u",))
+        return lambda u, fn=fn: fn(float(u))
     allowed = tuple(f"u{i + 1}" for i in range(dim))
-    compiled = parse_expression(text, allowed=allowed)
-    return lambda u, c=compiled: c(**point_vars("u", u))
+    fn = parse_expression(text, allowed=allowed).bind(allowed)
+    return lambda u, fn=fn: fn(*np.asarray(u, float).tolist())
 
 
 def _sampler(spec, dim: Optional[int] = None) -> BoxSampler:

@@ -294,11 +294,18 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
         coeffs = np.asarray([float(e.inner_weight(xi)) for e, xi in zip(E, pts)])
         if not np.all(np.isfinite(coeffs)):
             raise InvalidDeviationError(f"{_labels(E)}: weights at the data are not finite")
-        const = 2.0 * (coeffs @ np.stack(pts, axis=0))
+        X = np.stack(pts, axis=0)
+        const = 2.0 * (coeffs @ X)
         total_w = 2.0 * float(coeffs.sum())
 
         def geval_affine(y: np.ndarray) -> np.ndarray:
-            return const - total_w * y
+            g = const - total_w * y
+            # The slacks g (x_j - y) can overflow where g itself does not;
+            # a non-finite g makes them non-finite too.
+            if not math.isfinite(sum((X @ g - float(y @ g)).tolist())):
+                raise InvalidDeviationError(
+                    f"{_labels(E)}: summed covector or its slacks are not finite at y={y}")
+            return g
 
         jac_affine = -total_w * np.eye(dim)
         return geval_affine, lambda y: jac_affine

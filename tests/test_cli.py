@@ -64,6 +64,13 @@ class TestMeanCommand:
         assert code == 2
         assert err
 
+    def test_non_finite_literal_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "mean", "--kind", "quasi-arithmetic", "--arity", "2",
+                                 "--f", "u*1e400", "--x", "1,2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "--kind", "holder", "--p", "1",
                                "--x", "1,3", "--format", "csv")

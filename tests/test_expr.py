@@ -1,9 +1,14 @@
+import gc
 import math
+import types
+import weakref
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
+from meanreduce.descriptors import build_gen_deviation
 from meanreduce.errors import DomainError, ExpressionError
-from meanreduce.expr import parse_expression, point_vars
+from meanreduce.expr import bind_family, parse_expression, point_vars
 
 
 @pytest.mark.parametrize("text,env,expected", [
@@ -74,3 +79,207 @@ def test_complex_results_rejected():
 
 def test_point_vars_naming():
     assert point_vars("v", (1.5, 2.5)) == {"v1": 1.5, "v2": 2.5}
+
+
+@pytest.mark.parametrize("text", ["1e400", "u*1e400", "2 + 9e999*u"])
+def test_non_finite_literal_rejected(text):
+    with pytest.raises(ExpressionError, match="not finite"):
+        parse_expression(text)
+
+
+def test_missing_variable_at_bind():
+    with pytest.raises(ExpressionError, match="needs variables"):
+        parse_expression("u + v").bind(("u",))
+    with pytest.raises(ExpressionError, match="needs variables"):
+        bind_family([parse_expression("u"), parse_expression("w")], ("u", "v"))
+
+
+def test_bound_arguments_follow_the_given_order():
+    fn = parse_expression("u - 2*v").bind(("v", "w", "u"))
+    assert fn(1.0, 100.0, 5.0) == 3.0
+
+
+def test_variables_named_like_generated_names_do_not_collide():
+    fn = parse_expression("_a1 - 10*_a0 + _fn_exp").bind(("_fn_exp", "_a0", "_a1"))
+    assert fn(1.0, 2.0, 3.0) == 3.0 - 20.0 + 1.0
+    assert parse_expression("_a0 - _a1")(_a0=5.0, _a1=2.0) == 3.0
+
+
+def test_family_errors_name_the_failing_coordinate():
+    family = bind_family([parse_expression(t) for t in ("u1 - v1", "log(u2 - v2)")],
+                         ("u1", "u2", "v1", "v2"))
+    assert family(3.0, 4.0, 1.0, 3.0) == [2.0, 0.0]
+    with pytest.raises(DomainError, match=r"evaluating 'log\(u2 - v2\)': math domain error"):
+        family(3.0, 1.0, 1.0, 3.0)
+    complex_first = bind_family([parse_expression(t) for t in ("u^0.5", "log(u)")], ("u",))
+    with pytest.raises(DomainError, match=r"expression 'u\^0.5' produced a complex value"):
+        complex_first(-1.0)
+
+
+# Random expression trees, generated fully parenthesized so that the text's
+# structure is the tree's; an independent evaluator walks the tree.
+_BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+           "/": lambda a, b: a / b, "^": lambda a, b: a ** b}
+_UNARY = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "abs": abs}
+VARIABLES = ("u", "v", "u1", "v2", "_a0", "_a1")
+
+
+def _trees(names):
+    leaves = st.one_of(
+        # Zeros divide by zero, 400 overflows exp, a negated constant is a
+        # negative base for "^".
+        st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 400.0]))
+        .map(lambda c: ("num", c)),
+        st.floats(0.5, 10.0).map(lambda c: ("neg", ("num", c))),
+        st.sampled_from([("const", "pi"), ("const", "e")]),
+        st.sampled_from(names).map(lambda n: ("var", n)),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(sorted(_BINARY)), children, children),
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.sampled_from(sorted(_UNARY)), children),
+            st.tuples(st.just("pow"), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def _text(tree) -> str:
+    tag = tree[0]
+    if tag == "num":
+        return repr(tree[1])
+    if tag in ("const", "var"):
+        return tree[1]
+    if tag == "neg":
+        return f"(-{_text(tree[1])})"
+    if tag in _BINARY:
+        return f"({_text(tree[1])} {tag} {_text(tree[2])})"
+    return f"{tag}({', '.join(_text(t) for t in tree[1:])})"
+
+
+def _reference(tree, env):
+    tag = tree[0]
+    if tag == "num":
+        return tree[1]
+    if tag == "const":
+        return {"pi": math.pi, "e": math.e}[tree[1]]
+    if tag == "var":
+        return env[tree[1]]
+    if tag == "neg":
+        return -_reference(tree[1], env)
+    if tag in _BINARY:
+        return _BINARY[tag](_reference(tree[1], env), _reference(tree[2], env))
+    if tag == "pow":
+        return math.pow(_reference(tree[1], env), _reference(tree[2], env))
+    return _UNARY[tag](_reference(tree[1], env))
+
+
+def _outcome(call):
+    """The float's repr (bit for bit, NaN and -0.0 included) or the error.
+
+    A complex intermediate handed to a math function raises TypeError in
+    every form, as it did before the positional form existed.
+    """
+    try:
+        return repr(call())
+    except (DomainError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reference_outcome(tree, env, text):
+    try:
+        value = _reference(tree, env)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return f"DomainError: evaluating {text!r}: {exc}"
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+    if isinstance(value, complex):
+        return f"DomainError: expression {text!r} produced a complex value"
+    return repr(float(value))
+
+
+@st.composite
+def bound_cases(draw):
+    names = draw(st.lists(st.sampled_from(VARIABLES), min_size=1, max_size=4, unique=True))
+    trees = draw(st.lists(_trees(names), min_size=1, max_size=3))
+    order = draw(st.permutations(names))
+    values = draw(st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0])),
+                           min_size=len(names), max_size=len(names)))
+    return trees, order, dict(zip(order, values))
+
+
+# A failure is shrunk once and not explained: the explain phase traces every
+# line of the parser and compiler, and shrinking each distinct error in turn
+# took minutes where one takes seconds.
+@settings(max_examples=200, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+          report_multiple_bugs=False)
+@given(bound_cases())
+@example(([("^", ("neg", ("num", 8.0)), ("/", ("num", 1.0), ("num", 3.0))), ("var", "u")],
+          ["u"], {"u": 2.0}))
+@example(([("var", "u"), ("exp", ("*", ("num", 400.0), ("var", "u")))], ["u"], {"u": 3.0}))
+@example(([("exp", ("^", ("var", "u"), ("num", 0.5))), ("log", ("var", "u"))],
+          ["u"], {"u": -1.0}))
+def test_positional_and_keyword_forms_agree(case):
+    trees, order, env = case
+    args = [env[name] for name in order]
+    exprs = [parse_expression(_text(t)) for t in trees]
+    outcomes = []
+    for tree, expr in zip(trees, exprs):
+        keyword = _outcome(lambda: expr(**env))
+        assert _outcome(lambda: expr.bind(order)(*args)) == keyword
+        assert _reference_outcome(tree, env, expr.text) == keyword
+        outcomes.append(keyword)
+    family = _outcome(lambda: bind_family(exprs, order)(*args))
+    failures = [o for o in outcomes if o.startswith(("DomainError", "TypeError"))]
+    if failures:
+        assert family == failures[0]
+    else:
+        assert family == repr([float(o) for o in outcomes])
+
+
+@pytest.mark.parametrize("text,env", [("(-8)^(1/3)", {}), ("u^(1/3)", {"u": -8.0}),
+                                      ("(u - v)^0.5", {"u": 1.0, "v": 2.0})])
+def test_complex_values_rejected_in_every_form(text, env):
+    expr = parse_expression(text)
+    names = sorted(env)
+    message = f"expression {text!r} produced a complex value"
+    for call in (lambda: expr(**env), lambda: expr.bind(names)(*env.values()),
+                 lambda: bind_family([expr, parse_expression("1")], names)(*env.values())):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def _functions(fn):
+    """fn and every function held in its closure or defaults, transitively."""
+    out = [fn]
+    held = [cell.cell_contents for cell in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+    for value in held:
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, types.FunctionType):
+                out.extend(_functions(item))
+    return out
+
+
+def test_bound_functions_are_freed_by_reference_counting_alone():
+    # A compiled function whose globals referenced it back would live until
+    # the cycle collector ran, which raised peak memory.
+    names = ("u1", "u2", "v1", "v2")
+    gc.disable()
+    try:
+        single = parse_expression("u1*v2 + log(u2)").bind(names)
+        family = bind_family([parse_expression("log(u1 - v1)"),
+                              parse_expression("u2 - v2")], names)
+        with pytest.raises(DomainError):
+            family(0.0, 0.0, 1.0, 0.0)  # binds the coordinates for the cold path
+        dev = build_gen_deviation(["2*(u1 - v1)", "2*(u2 - v2)"], 2)
+        refs = [weakref.ref(f) for f in _functions(single) + _functions(family)]
+        refs += [weakref.ref(dev)] + [weakref.ref(f) for f in _functions(dev.eval)]
+        assert len(refs) == 2 + 6 + 4
+        del single, family, dev
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -184,10 +184,14 @@ class TestGenDeviationMean:
             gen_deviation_mean([dev] * 3, TRIANGLE)
 
     def test_overflowing_slacks_end_the_step_test(self):
-        # The slacks g (x_j - y) overflow to inf and NaN at these weights.  A
-        # NaN in the local step test must end the halving; the solve then
-        # fails on its NaN weights.  The alarm turns a hang into a failure.
-        E = [library_ipd(k * 1e305, 2) for k in (1, 2, 3)]
+        # The slacks g (x_j - y) overflow to inf and NaN at these weights.
+        # The step from them must not halve forever: the solve ends on the
+        # NaN covector it reaches, naming the family.  The alarm turns a
+        # hang into a failure.  The family is unmarked: the inner-weight
+        # branch names the overflowing slacks before any step (next test).
+        E = [GenDeviation(dim=2, label="unmarked", validate=False,
+                          eval=lambda u, v, w=k * 1e305: 2.0 * w * (u - v))
+             for k in (1, 2, 3)]
         x = ((0.0, 0.0), (100.0, 0.0), (0.0, 100.0))
 
         def hang(signum, frame):
@@ -196,12 +200,20 @@ class TestGenDeviationMean:
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(20)
         try:
-            with np.errstate(all="ignore"), pytest.raises(InvalidArgumentError,
-                                                          match="non-finite"):
+            with np.errstate(all="ignore"), pytest.raises(InvalidDeviationError,
+                                                          match="unmarked"):
                 gen_deviation_mean(E, x)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_overflowing_inner_weight_slacks_name_the_deviation(self):
+        # The summed covector stays finite here; only the slacks overflow.
+        E = [library_ipd(k * 1e305, 2) for k in (1, 2, 3)]
+        x = ((0.0, 0.0), (100.0, 0.0), (0.0, 100.0))
+        with np.errstate(all="ignore"), pytest.raises(InvalidDeviationError,
+                                                      match=E[0].label):
+            gen_deviation_mean(E, x)
 
     def test_non_finite_gradient_mid_solve_names_the_potential(self):
         # The potential route sums -grad_v F_i through the same covector sum;
