@@ -282,55 +282,75 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Iterate(NamedTuple):
+    """Barycentric weights lam, the point y = lam X, g(y) and the slacks
+    g(y) (x_j - y)."""
+
+    lam: np.ndarray
+    y: np.ndarray
+    g: np.ndarray
+    slack: np.ndarray
+
+
 def _labels(E: Sequence[GenDeviation]) -> str:
     return ", ".join(dict.fromkeys(e.label for e in E))
 
 
-def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], dim: int):
-    """g(y) = sum_i E_i(x_i, y) and its Jacobian map y -> Dg(y)."""
+def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarray,
+              dim: int):
+    """The iterate map lam -> (lam, y, g(y), slacks) for
+    g(y) = sum_i E_i(x_i, y) at y = lam X, and the Jacobian map y -> Dg(y).
+
+    Slacks g(y) (x_j - y) that are not finite raise InvalidDeviationError
+    naming the family; they can overflow where g itself does not, and a
+    non-finite g makes them non-finite too.
+    """
     if all(e.inner_weight is not None for e in E):
         # Gradient-type family: sum_i 2 w_i(x_i) (x_i - y) is affine in y
         # with coefficients fixed by the data points.
         coeffs = np.asarray([float(e.inner_weight(xi)) for e, xi in zip(E, pts)])
         if not np.all(np.isfinite(coeffs)):
             raise InvalidDeviationError(f"{_labels(E)}: weights at the data are not finite")
-        X = np.stack(pts, axis=0)
         const = 2.0 * (coeffs @ X)
         total_w = 2.0 * float(coeffs.sum())
 
-        def geval_affine(y: np.ndarray) -> np.ndarray:
-            g = const - total_w * y
-            # The slacks g (x_j - y) can overflow where g itself does not;
-            # a non-finite g makes them non-finite too.
-            if not math.isfinite(sum((X @ g - float(y @ g)).tolist())):
-                raise InvalidDeviationError(
-                    f"{_labels(E)}: summed covector or its slacks are not finite at y={y}")
-            return g
+        def geval(y: np.ndarray) -> np.ndarray:
+            return const - total_w * y
 
         jac_affine = -total_w * np.eye(dim)
-        return geval_affine, lambda y: jac_affine
 
-    evals = [e.eval for e in E]
-    pairs = list(zip(evals, pts))
-    checked = [False]
+        def jac(y: np.ndarray) -> np.ndarray:
+            return jac_affine
+    else:
+        pairs = list(zip([e.eval for e in E], pts))
+        checked = [False]
 
-    def geval(y: np.ndarray) -> np.ndarray:
-        total = np.zeros(dim)
-        if checked[0]:
-            for ev, xi in pairs:
-                total += np.asarray(ev(xi, y), dtype=float).reshape(-1)
-        else:
-            # Shapes are validated on the first call only.
-            for ev, xi in pairs:
-                total += _as_shape(ev(xi, y), dim)
-            checked[0] = True
-        # Finiteness is checked once per call on the sum rather than per
-        # term (a Python sum over d floats costs a fifth of ndarray.sum).
-        if not math.isfinite(sum(total.tolist())):
-            raise InvalidDeviationError(f"{_labels(E)}: summed covector is not finite at y={y}")
-        return total
+        def geval(y: np.ndarray) -> np.ndarray:
+            total = np.zeros(dim)
+            if checked[0]:
+                for ev, xi in pairs:
+                    total += np.asarray(ev(xi, y), dtype=float).reshape(-1)
+            else:
+                # Shapes are validated on the first call only.
+                for ev, xi in pairs:
+                    total += _as_shape(ev(xi, y), dim)
+                checked[0] = True
+            return total
 
-    return geval, _central_jacobian(geval)
+        jac = _central_jacobian(geval)
+
+    def point(lam: np.ndarray) -> _Iterate:
+        y = lam @ X
+        g = geval(y)
+        slack = X @ g - float(y @ g)
+        # A Python sum over the slacks costs a fifth of the elementwise test;
+        # the sum can overflow where the slacks do not, so it only screens.
+        if not math.isfinite(sum(slack.tolist())) and not np.all(np.isfinite(slack)):
+            raise InvalidDeviationError(
+                f"{_labels(E)}: summed covector or its slacks are not finite at y={y}")
+        return _Iterate(lam, y, g, slack)
+
+    return point, jac
 
 
 class _SecantAccelerator:
@@ -400,34 +420,19 @@ class _SecantAccelerator:
         self.count = min(self.count, -1)
 
 
-class _Iterate(NamedTuple):
-    """Barycentric weights lam, the point y = lam X, g(y) and the slacks
-    g(y) (x_j - y)."""
-
-    lam: np.ndarray
-    y: np.ndarray
-    g: np.ndarray
-    slack: np.ndarray
-
-
-def _point(geval, X: np.ndarray, lam: np.ndarray) -> _Iterate:
-    y = lam @ X
-    g = geval(y)
-    return _Iterate(lam, y, g, X @ g - float(y @ g))
-
-
-def _slack_step(geval, X: np.ndarray, cur: _Iterate, tau: float,
-                nu: float) -> tuple[_Iterate, float]:
+def _slack_step(point, cur: _Iterate, tau: float, nu: float) -> tuple[_Iterate, float]:
     """The projected step lam' = P(lam + tau s) along the slack vector s of
     cur, with tau halved until tau |s(lam') - s(lam)| <= nu |lam' - lam|: a
     local Lipschitz test on the slack map (Khobotov 1987).  Returns the point
     at lam' and the tau that passed.  Once tau s falls below the resolution
     of lam, lam' = lam and the test passes, so the halving ends on its own.
-    A NaN in the test passes it too: slacks that overflow to inf would
-    otherwise halve tau forever.
+    A NaN in the test passes it too: where P(lam) differs from lam in the
+    last bits and the slack difference overflows, tau |s(lam') - s(lam)|
+    stays inf until tau underflows to 0, and 0 * inf is NaN; the halving
+    would otherwise never end.
     """
     while True:
-        nxt = _point(geval, X, _project_simplex(cur.lam + tau * cur.slack))
+        nxt = point(_project_simplex(cur.lam + tau * cur.slack))
         ds = nxt.slack - cur.slack
         dl = nxt.lam - cur.lam
         if not tau * math.sqrt(float(ds @ ds)) > nu * math.sqrt(float(dl @ dl)):
@@ -458,14 +463,16 @@ def _central_jacobian(geval):
     """J = Dg by central differences, 2d calls to g per point.
 
     The probes step off the hull, where a family need not be defined; a
-    probe that fails yields None, which only skips that Newton candidate.
+    probe that fails, or a J that is not finite, yields None, which only
+    skips that Newton candidate.
     """
 
     def jac(y: np.ndarray) -> Optional[np.ndarray]:
         try:
-            return _central_differences(geval, y)
+            J = _central_differences(geval, y)
         except MeansError:
             return None
+        return J if np.all(np.isfinite(J)) else None
 
     return jac
 
@@ -512,7 +519,7 @@ def _newton_weights(X: np.ndarray, y: np.ndarray, g: np.ndarray,
 _NEWTON_WAIT = 3
 
 
-def _simplex_solve(rule, geval, jac, X: np.ndarray, lam: np.ndarray,
+def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
                    tol: float, max_iter: int) -> SolverReport:
     """The projected-simplex iteration shared by both hull routes.
 
@@ -531,7 +538,7 @@ def _simplex_solve(rule, geval, jac, X: np.ndarray, lam: np.ndarray,
     the final certificate recomputes the slack at the clipped barycentric
     weights, and only it decides ``converged``.
     """
-    cur = _point(geval, X, lam)
+    cur = point(lam)
     step = math.inf
     scale = 1.0
     merit_min = math.inf
@@ -570,7 +577,7 @@ def _simplex_solve(rule, geval, jac, X: np.ndarray, lam: np.ndarray,
         # bad proposal costs one evaluation and nothing else.
         raw = accel.propose(plain.lam)
         if raw is not None and merit_chosen > 0.0:
-            acc = _point(geval, X, _project_simplex(raw))
+            acc = point(_project_simplex(raw))
             merit_acc = _merit(acc.slack)
             if merit_acc <= 0.25 * merit_chosen:
                 chosen, merit_chosen = acc, merit_acc
@@ -582,7 +589,7 @@ def _simplex_solve(rule, geval, jac, X: np.ndarray, lam: np.ndarray,
             stable = 0
             J = jac(chosen.y)
             lam_newton = None if J is None else _newton_weights(X, chosen.y, chosen.g, J)
-            newton = None if lam_newton is None else _point(geval, X, lam_newton)
+            newton = None if lam_newton is None else point(lam_newton)
             if newton is not None and _merit(newton.slack) < merit_chosen:
                 chosen = newton
                 newton_wait = 1
@@ -606,11 +613,10 @@ def _simplex_solve(rule, geval, jac, X: np.ndarray, lam: np.ndarray,
         cur = chosen
 
     bary = Barycentric.clipped(cur.lam)
-    y = bary.array @ X
-    g = geval(y)
-    gap = float((X @ g - float(y @ g)).max())
+    final = point(bary.array)
+    gap = float(final.slack.max())
     return SolverReport(
-        value=y,
+        value=final.y,
         residual=gap,
         iterations=iterations,
         converged=gap <= tol,
@@ -629,15 +635,14 @@ class _Extragradient:
     violations on observed iterate pairs mean the deviation axioms fail.
     """
 
-    def __init__(self, geval, X: np.ndarray, nu: float):
-        self.geval = geval
-        self.X = X
+    def __init__(self, point, nu: float):
+        self.point = point
         self.nu = nu
         self.tau = 1.0
         self.wrong_pairings = 0
 
     def step(self, cur: _Iterate, scale: float) -> _Iterate:
-        half, tau = _slack_step(self.geval, self.X, cur, self.tau * scale, self.nu)
+        half, tau = _slack_step(self.point, cur, self.tau * scale, self.nu)
         self.tau = tau / scale
         g, g_half = cur.g, half.g
         dy = cur.y - half.y
@@ -650,7 +655,7 @@ class _Extragradient:
                         "the supplied deviations violate strict monotonicity on "
                         "sampled iterate pairs"
                     )
-        return _point(self.geval, self.X, _project_simplex(cur.lam + tau * half.slack))
+        return self.point(_project_simplex(cur.lam + tau * half.slack))
 
     def moved(self, plain: bool, y: np.ndarray):
         pass
@@ -692,9 +697,9 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
             raise InvalidArgumentError("init entries must be finite")
         lam = _project_simplex(lam)
 
-    geval, jac = _sum_grad(E, pts, dim)
-    rule = _Extragradient(geval, X, 0.5 * cfg.damping)
-    return _simplex_solve(rule, geval, jac, X, lam, tol, cfg.max_iter)
+    point, jac = _sum_grad(E, pts, X, dim)
+    rule = _Extragradient(point, 0.5 * cfg.damping)
+    return _simplex_solve(rule, point, jac, X, lam, tol, cfg.max_iter)
 
 
 @dataclass(frozen=True)
@@ -877,9 +882,9 @@ class _ArmijoDescent:
     ``_slack_step`` with nu = 0.5, which keeps the step for the next one.
     """
 
-    def __init__(self, phi, geval, X: np.ndarray, y0: np.ndarray):
+    def __init__(self, phi, point, X: np.ndarray, y0: np.ndarray):
         self.phi = phi
-        self.geval = geval
+        self.point = point
         self.X = X
         self.value = phi(y0)
         self.plain_value = self.value
@@ -914,8 +919,8 @@ class _ArmijoDescent:
                            <= 64.0 * 2.2e-16 * (1.0 + abs(self.value)))
             if not self.polish:
                 self.plain_value = plain_value
-                return _point(self.geval, self.X, lam_plain)
-        plain, tau = _slack_step(self.geval, self.X, cur, self.tau * scale, 0.5)
+                return self.point(lam_plain)
+        plain, tau = _slack_step(self.point, cur, self.tau * scale, 0.5)
         self.tau = tau / scale
         self.plain_value = self.value
         return plain
@@ -951,11 +956,11 @@ def potential_mean(F: Sequence[PotentialFn], x: Sequence,
     def phi(y: np.ndarray) -> float:
         return math.fsum(float(fe(xi, y)) for fe, xi in zip(fevals, pts))
 
-    geval, jac = _sum_grad([_potential_deviation(f) for f in F], pts, dim)
+    point, jac = _sum_grad([_potential_deviation(f) for f in F], pts, X, dim)
     lam = np.full(len(pts), 1.0 / len(pts))
-    rule = _ArmijoDescent(phi, geval, X, lam @ X)
+    rule = _ArmijoDescent(phi, point, X, lam @ X)
     try:
-        return _simplex_solve(rule, geval, jac, X, lam, tol, cfg.max_iter)
+        return _simplex_solve(rule, point, jac, X, lam, tol, cfg.max_iter)
     except InvalidDeviationError as exc:
         raise InvalidPotentialError(str(exc)) from exc
 

@@ -12,6 +12,7 @@ from meanreduce.errors import (
     InvalidDeviationError,
     InvalidPotentialError,
 )
+from meanreduce import vector
 from meanreduce.scalar import ScalarDeviation, deviation_mean
 from meanreduce.vector import (
     Covector,
@@ -184,15 +185,17 @@ class TestGenDeviationMean:
             gen_deviation_mean([dev] * 3, TRIANGLE)
 
     def test_overflowing_slacks_end_the_step_test(self):
-        # The slacks g (x_j - y) overflow to inf and NaN at these weights.
-        # The step from them must not halve forever: the solve ends on the
-        # NaN covector it reaches, naming the family.  The alarm turns a
-        # hang into a failure.  The family is unmarked: the inner-weight
-        # branch names the overflowing slacks before any step (next test).
-        E = [GenDeviation(dim=2, label="unmarked", validate=False,
-                          eval=lambda u, v, w=k * 1e305: 2.0 * w * (u - v))
-             for k in (1, 2, 3)]
-        x = ((0.0, 0.0), (100.0, 0.0), (0.0, 100.0))
+        # Finite slacks whose difference overflows: tau |ds| is inf for every
+        # tau > 0, so the local test fails until tau underflows to 0, where
+        # 0 * inf is NaN.  The NaN must pass the test, not halve tau forever.
+        # The iterate map is a stub, so the slacks stay finite and the NaN
+        # reaches the comparison.  The alarm turns a hang into a failure.
+        X = np.asarray(TRIANGLE)
+        lam = np.full(3, 1.0 / 3.0)
+        cur = vector._Iterate(lam, lam @ X, np.zeros(2), np.array([-1e300, 1e300, 0.0]))
+
+        def point(lam):
+            return vector._Iterate(lam, lam @ X, np.zeros(2), np.array([1e300, -1e300, 0.0]))
 
         def hang(signum, frame):
             raise TimeoutError("the local step test did not end")
@@ -200,12 +203,33 @@ class TestGenDeviationMean:
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(20)
         try:
-            with np.errstate(all="ignore"), pytest.raises(InvalidDeviationError,
-                                                          match="unmarked"):
-                gen_deviation_mean(E, x)
+            with np.errstate(all="ignore"):
+                _, tau = vector._slack_step(point, cur, 1.0, 0.5)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert tau == 0.0
+
+    def test_overflowing_slacks_name_the_unmarked_family(self):
+        # The summed covector stays finite at the centroid; only the slacks
+        # overflow.  The general branch names the family there, at a finite
+        # point, before any step.
+        E = [GenDeviation(dim=2, label="unmarked", validate=False,
+                          eval=lambda u, v, w=k * 1e305: 2.0 * w * (u - v))
+             for k in (1, 2, 3)]
+        x = ((0.0, 0.0), (100.0, 0.0), (0.0, 100.0))
+        with np.errstate(all="ignore"), pytest.raises(InvalidDeviationError) as info:
+            gen_deviation_mean(E, x)
+        assert str(info.value).startswith("unmarked: summed covector or its slacks")
+        assert "nan" not in str(info.value)
+
+    def test_non_finite_jacobian_skips_the_newton_candidate(self):
+        # g is only summed, not checked, so a probe off the hull can return
+        # inf; the Jacobian map must then give None, as for a failing probe.
+        jac = vector._central_jacobian(
+            lambda y: np.array([math.inf if y[0] > 1.0 else -y[0], 0.0]))
+        assert jac(np.array([1.0, 0.0])) is None
+        assert jac(np.array([0.0, 0.0])) == pytest.approx(np.array([[-1.0, 0.0], [0.0, 0.0]]))
 
     def test_overflowing_inner_weight_slacks_name_the_deviation(self):
         # The summed covector stays finite here; only the slacks overflow.
