@@ -1,4 +1,5 @@
-"""Shared domain types, the splice/select operators, and hull utilities.
+"""Shared domain types, the splice/select operators, hull utilities, and the
+helpers of the batched axiom checks.
 
 Tuples of values are represented by plain Python sequences; points in R^d are
 represented by read-only float64 numpy arrays produced by :func:`as_point`.
@@ -365,3 +366,47 @@ def in_hull_1d(x: Sequence[float], y: float) -> bool:
     if len(x) == 0:
         raise InvalidArgumentError("empty tuple has no hull")
     return min(x) <= y <= max(x)
+
+
+# Batched axiom checks.  A builder that holds a numpy form of its callback
+# (see :mod:`meanreduce.expr`) lets the check evaluate all its samples in one
+# call.  numpy's exp and power may differ from math's in the last bit, so a
+# batched check accepts only when every sample passes by more than
+# BATCH_MARGIN times the magnitudes compared (some 4500 ulps); anything else
+# goes to the scalar loop, which draws the same samples and decides.
+BATCH_MARGIN = 1e-12
+
+
+def batch_values(batch: Callable, args: tuple, shape: tuple) -> Optional[np.ndarray]:
+    """batch(*args) as a float array of the given shape, or None when it
+    raises, signals a floating-point error, is not real, does not broadcast
+    or is not finite somewhere."""
+    try:
+        # Where math raises (division by zero, overflow, a domain error)
+        # numpy signals instead, and a later 1/x or exp(-x) could turn the
+        # inf or NaN back into a finite value: any signal but underflow, which
+        # math lets pass too, leaves the verdict to the scalar loop.
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            value = np.asarray(batch(*args))
+        if value.dtype.kind != "f":
+            return None
+        value = np.broadcast_to(value, shape)
+    except Exception:  # noqa: BLE001 - the scalar loop reports the failure
+        return None
+    return value if np.isfinite(value).all() else None
+
+
+def sample_triples(batch: Callable, us: np.ndarray, vs: np.ndarray,
+                   ws: np.ndarray) -> Optional[np.ndarray]:
+    """E(u, u), E(u, v) and E(u, w) of every sample from one call of
+    batch(first points, second points), stacked on a new first axis; None as
+    for batch_values."""
+    values = batch_values(batch, (np.concatenate((us, us, us)), np.concatenate((us, vs, ws))),
+                          (3 * us.shape[0],) + us.shape[1:])
+    return None if values is None else values.reshape((3,) + us.shape)
+
+
+def running_magnitude(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The scalar loops' running magnitude max(1, |a_1|, |b_1|, ..., |a_k|,
+    |b_k|) at every sample k, for nonnegative a and b."""
+    return np.maximum.accumulate(np.maximum(np.maximum(a, b), 1.0))

@@ -149,16 +149,20 @@ def build_weight(spec, domain: Interval) -> WeightFn:
         return spec
     if isinstance(spec, (int, float)):
         return constant_weight(float(spec), domain)
-    return WeightFn(eval=parse_expression(str(spec), allowed=("u",)).bind(("u",)),
-                    domain=domain)
+    fn, batch = parse_expression(str(spec), allowed=("u",)).bind_batch(("u",))
+    weight = WeightFn(eval=fn, domain=domain, validate=False)
+    weight._check(batch)
+    return weight
 
 
 def build_scalar_deviation(expr_text: str, domain: Interval) -> ScalarDeviation:
-    return ScalarDeviation(
-        domain=domain,
-        eval=parse_expression(str(expr_text), allowed=("u", "v")).bind(("u", "v")),
-        label=f"deviation {expr_text!r}",
-    )
+    """A ScalarDeviation from an expression in u, v, its axioms checked on
+    the expression's numpy form first."""
+    fn, batch = parse_expression(str(expr_text), allowed=("u", "v")).bind_batch(("u", "v"))
+    dev = ScalarDeviation(domain=domain, eval=fn, label=f"deviation {expr_text!r}",
+                          validate=False)
+    dev._check_axioms(batch)
+    return dev
 
 
 def _expand(entries, arity: int, what: str) -> list:
@@ -193,13 +197,16 @@ def build_gen_deviation(exprs: Sequence[str], dim: int,
     if len(exprs) != dim:
         raise InvalidArgumentError(f"need {dim} covector expressions, got {len(exprs)}")
     allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
-    family = bind_family([parse_expression(str(e), allowed=allowed) for e in exprs], allowed)
+    family, batch = bind_family([parse_expression(str(e), allowed=allowed) for e in exprs],
+                                allowed)
 
     def eval_cov(u, v, family=family):
         return family(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
 
-    return GenDeviation(dim=dim, eval=eval_cov, label="custom generalized deviation",
-                        sample_low=sample_low, sample_high=sample_high)
+    dev = GenDeviation(dim=dim, eval=eval_cov, label="custom generalized deviation",
+                       sample_low=sample_low, sample_high=sample_high, validate=False)
+    dev._check_axioms(batch)
+    return dev
 
 
 def build_custom_potential(expr_text: str, dim: int,
@@ -333,7 +340,10 @@ def evaluate_with_report(desc: MeanDescriptor, x: Sequence,
     """Evaluate a descriptor-defined mean, returning (value, SolverReport).
 
     Solver-backed kinds return the solver's own report (``MeanFn.report``);
-    closed-form kinds report zero residual and zero iterations.
+    closed-form kinds report zero residual and zero iterations.  The mean is
+    built on every call: its expressions parsed and compiled, its axioms
+    sampled.  For many tuples, call ``build_mean`` once and then
+    ``M.report`` (or ``M``) per tuple.
     """
     M = build_mean(desc, cfg)
     if M.report is not None:

@@ -20,9 +20,18 @@ into one Python function of positional floats (``Expression.bind``,
 ``bind_family``); a keyword call runs the same kind of function.  Variables
 are checked when the function is built, not per call.  Every form keeps one
 error contract: a math domain error, overflow or division by zero raises
-DomainError naming the expression, so does a complex result, and the value
-is a ``float``.  A family that fails is evaluated again one coordinate at a
-time, so the error names the failing coordinate.
+DomainError naming the expression, so does a complex result or a complex
+operand of a math function, and the value is a ``float``.  A family that
+fails is evaluated again one coordinate at a time, so the error names the
+failing coordinate.
+
+``Expression.bind_batch`` and ``bind_family`` return, besides the scalar
+function, a numpy form of the same compiled code: the ``_fn_*`` names map to
+numpy's ufuncs, so it takes arrays of samples and evaluates them in one call.
+It has no error contract of its own (numpy signals a floating-point error
+where ``math`` raises, and its ``exp`` and ``power`` may differ from
+``math``'s in the last bit); the axiom checks use it to accept a sample set
+at once and leave every other verdict to the scalar function.
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ExpressionError
 
@@ -196,27 +207,37 @@ def _emit(node, args: dict[str, str]) -> str:
 # its last user drops it.
 _EVAL_GLOBALS = {"__builtins__": {}}
 _EVAL_GLOBALS.update({f"_fn_{name}": fn for name, fn in _FUNCTIONS.items()})
+# The same names for the numpy form of a compiled lambda.
+_NUMPY_GLOBALS = {"__builtins__": {}, "_fn_exp": np.exp, "_fn_log": np.log,
+                  "_fn_sqrt": np.sqrt, "_fn_abs": np.abs, "_fn_pow": np.power}
 
 
-def _compile(body: str, arity: int, label: str) -> Callable:
-    """``lambda _a0, ..., _a{arity-1}: body``.
+def _code(body: str, arity: int, label: str):
+    """The code of ``lambda _a0, ..., _a{arity-1}: body``, to be evaluated
+    against ``_EVAL_GLOBALS`` or ``_NUMPY_GLOBALS``.
 
     Arguments are named by position, never after a user variable, so no
     variable can collide with a generated name.
     """
     params = ", ".join(f"_a{i}" for i in range(arity))
-    return eval(compile(f"lambda {params}: {body}", label, "eval"), _EVAL_GLOBALS)  # noqa: S307
+    return compile(f"lambda {params}: {body}", label, "eval")
 
 
-def _bound(text: str, body: str, arity: int) -> Callable[..., float]:
+def _bound(text: str, code, arity: int) -> Callable[..., float]:
     """The compiled code of one expression, with the error contract of an
     expression call: the lambda itself cannot hold a ``try``."""
-    raw = _compile(body, arity, f"<expr {text!r}>")
+    raw = eval(code, _EVAL_GLOBALS)  # noqa: S307
 
     def call(*args):
         try:
             value = raw(*args)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"evaluating {text!r}: {exc}") from exc
+        except TypeError as exc:
+            # With the right number of arguments, a complex intermediate
+            # handed to a math function; a wrong count stays a TypeError.
+            if len(args) != arity:
+                raise
             raise DomainError(f"evaluating {text!r}: {exc}") from exc
         if isinstance(value, complex):
             raise DomainError(f"expression {text!r} produced a complex value")
@@ -230,10 +251,11 @@ class Expression:
     """A parsed expression.
 
     ``bind(names)`` compiles it into a function of positional floats, one per
-    name; calling the expression on a keyword environment of floats runs the
-    same kind of function, bound to the sorted variables on first use.  Its
-    code is kept as a template whose i-th placeholder is the i-th sorted
-    variable, so no parse tree outlives the parse.
+    name, and ``bind_batch(names)`` also returns its numpy form; calling the
+    expression on a keyword environment of floats runs the same kind of
+    function, bound to the sorted variables on first use.  Its code is kept
+    as a template whose i-th placeholder is the i-th sorted variable, so no
+    parse tree outlives the parse.
     """
 
     text: str
@@ -256,10 +278,19 @@ class Expression:
         position = {name: i for i, name in enumerate(names)}
         return self._template.format(*[f"_a{position[v]}" for v in self._order])
 
+    def _code_for(self, names: tuple[str, ...]):
+        return _code(self._body(names), len(names), f"<expr {self.text!r}>")
+
     def bind(self, names: Sequence[str]) -> Callable[..., float]:
         """A function of len(names) positional floats, in the order of names."""
         names = tuple(names)
-        return _bound(self.text, self._body(names), len(names))
+        return _bound(self.text, self._code_for(names), len(names))
+
+    def bind_batch(self, names: Sequence[str]) -> tuple[Callable[..., float], Callable]:
+        """``bind(names)`` and its numpy form, from one compile."""
+        names = tuple(names)
+        code = self._code_for(names)
+        return _bound(self.text, code, len(names)), eval(code, _NUMPY_GLOBALS)  # noqa: S307
 
     @cached_property
     def _by_keyword(self) -> Callable[..., float]:
@@ -277,9 +308,11 @@ class Expression:
         return self._by_keyword(*args)
 
 
-def bind_family(exprs: Sequence[Expression], names: Sequence[str]) -> Callable[..., list]:
+def bind_family(exprs: Sequence[Expression],
+                names: Sequence[str]) -> tuple[Callable[..., list], Callable]:
     """One function of len(names) positional floats returning the list of
-    the expressions' values, compiled as a single lambda.
+    the expressions' values, compiled as a single lambda, and its numpy
+    form, which returns the tuple of the coordinates' values.
 
     A call that fails is evaluated again one coordinate at a time, in order,
     so the DomainError names the first coordinate that fails.
@@ -287,8 +320,10 @@ def bind_family(exprs: Sequence[Expression], names: Sequence[str]) -> Callable[.
     names = tuple(names)
     # Texts and code only: the Expression objects need not outlive the build.
     code = [(e.text, e._body(names)) for e in exprs]
-    raw = _compile(f"({', '.join(body for _, body in code)},)", len(names),
+    arity = len(names)
+    family = _code(f"({', '.join(body for _, body in code)},)", arity,
                    f"<family {[text for text, _ in code]!r}>")
+    raw = eval(family, _EVAL_GLOBALS)  # noqa: S307
     coordinates: list = []  # bound on the first failure only
 
     def call(*args):
@@ -297,10 +332,11 @@ def bind_family(exprs: Sequence[Expression], names: Sequence[str]) -> Callable[.
             return list(map(float, raw(*args)))
         except (ValueError, OverflowError, ZeroDivisionError, TypeError):
             if not coordinates:
-                coordinates.extend(_bound(text, body, len(names)) for text, body in code)
+                coordinates.extend(_bound(text, _code(body, arity, f"<expr {text!r}>"), arity)
+                                   for text, body in code)
             return [c(*args) for c in coordinates]
 
-    return call
+    return call, eval(family, _NUMPY_GLOBALS)  # noqa: S307
 
 
 def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Expression:

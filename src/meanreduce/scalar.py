@@ -23,7 +23,10 @@ same summed section: each deviation's ``eval`` at the fixed data points.
 
 Deviation axioms cannot be proven for arbitrary callables, so constructors
 check them on 64 randomized samples unless ``validate=False``; strictness
-remains sampled, not proven.
+remains sampled, not proven.  A builder that holds a numpy form of the
+callback (see :mod:`meanreduce.expr`) passes it to the check, which then
+evaluates all samples in one call and may accept from it alone; every
+rejection is the scalar loop's.
 """
 
 from __future__ import annotations
@@ -36,13 +39,17 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
+    BATCH_MARGIN,
     DEFAULT_CONFIG,
     Interval,
     POSITIVE_REALS,
     REALS,
     SolverConfig,
     SolverReport,
+    batch_values,
     bracketed_root,
+    running_magnitude,
+    sample_triples,
 )
 from .errors import (
     DomainError,
@@ -60,6 +67,33 @@ def _sample_window(domain: Interval, rng: np.random.Generator, count: int) -> np
     return rng.uniform(lo, hi, size=count)
 
 
+def _weights_pass(batch: Callable, us: np.ndarray) -> bool:
+    """Whether WeightFn's check passes on every sample, clearly."""
+    w = batch_values(batch, (us,), us.shape)
+    return w is not None and bool(np.all(w > BATCH_MARGIN * np.abs(w).max()))
+
+
+def _deviation_samples_pass(batch: Callable, us: np.ndarray, vs: np.ndarray,
+                            ws: np.ndarray, span: float) -> bool:
+    """Whether ScalarDeviation's check passes on every sample, clearly."""
+    # lo_e - hi_e may overflow to inf, as it does in the loop.
+    with np.errstate(all="ignore"):
+        values = sample_triples(batch, us, vs, ws)
+        if values is None:
+            return False
+        duu, duv, duw = values
+        magnitude = running_magnitude(np.abs(duv), np.abs(duw))
+        margin = BATCH_MARGIN * magnitude
+        ordered = vs < ws
+        lo_e = np.where(ordered, duv, duw)
+        hi_e = np.where(ordered, duw, duv)
+        wide = np.abs(vs - ws) > 1e-9 * span
+        apart = np.abs(us - vs) > 1e-9 * span
+        return bool(np.all(np.abs(duu) <= 1e-9 * magnitude - margin)
+                    and np.all(~wide | (lo_e - (hi_e - 1e-12 * magnitude) > margin))
+                    and np.all(~apart | (duv * np.sign(us - vs) > margin)))
+
+
 @dataclass(frozen=True)
 class WeightFn:
     """A positive weight function on an interval."""
@@ -70,13 +104,22 @@ class WeightFn:
 
     def __post_init__(self):
         if self.validate:
-            rng = np.random.default_rng(_VALIDATION_SEED)
-            for u in _sample_window(self.domain, rng, _VALIDATION_SAMPLES):
-                w = self.eval(float(u))
-                if not (math.isfinite(w) and w > 0.0):
-                    raise InvalidArgumentError(
-                        f"weight function is not positive at u={u}: {w}"
-                    )
+            self._check()
+
+    def _check(self, batch: Optional[Callable] = None):
+        """Positivity on 64 samples.  ``batch``, a numpy form of ``eval``,
+        evaluates them in one call and can only accept; otherwise the scalar
+        loop checks and reports the first failing sample."""
+        rng = np.random.default_rng(_VALIDATION_SEED)
+        us = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
+        if batch is not None and _weights_pass(batch, us):
+            return
+        for u in us:
+            w = self.eval(float(u))
+            if not (math.isfinite(w) and w > 0.0):
+                raise InvalidArgumentError(
+                    f"weight function is not positive at u={u}: {w}"
+                )
 
     def __call__(self, u: float) -> float:
         return self.eval(u)
@@ -226,12 +269,18 @@ class ScalarDeviation:
         if self.validate:
             self._check_axioms()
 
-    def _check_axioms(self):
+    def _check_axioms(self, batch: Optional[Callable] = None):
+        """The axioms on 64 sampled triples (u, v, w).  ``batch``, a numpy
+        form of ``eval``, evaluates all of them in one call and can only
+        accept; otherwise the scalar loop checks and reports the first
+        failing sample."""
         rng = np.random.default_rng(_VALIDATION_SEED + 2)
         us = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
         vs = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
         ws = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
         span = us.max() - us.min() + 1.0
+        if batch is not None and _deviation_samples_pass(batch, us, vs, ws, span):
+            return
         magnitude = 1.0
         for u, v, w in zip(us, vs, ws):
             u, v, w = float(u), float(v), float(w)

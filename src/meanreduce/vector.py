@@ -56,15 +56,17 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import (
+    BATCH_MARGIN,
     Barycentric,
     DEFAULT_CONFIG,
     SolverConfig,
     SolverReport,
     as_point,
     as_point_tuple,
+    running_magnitude,
+    sample_triples,
 )
 from .errors import (
     InvalidArgumentError,
@@ -152,12 +154,20 @@ class GenDeviation:
     def grad(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _as_grad(self.eval(u, v), self.dim)
 
-    def _check_axioms(self):
+    def _check_axioms(self, batch: Optional[Callable] = None):
+        """The axioms on 32 sampled triples of points (u, v, w).  ``batch``,
+        a numpy form of ``eval`` in the layout of ``expr.bind_family``
+        (arrays of the coordinates u1..ud, v1..vd in, one array or constant
+        per covector coordinate out), evaluates all of them in one call and
+        can only accept; otherwise the scalar loop checks and reports the
+        first failing sample."""
         rng = np.random.default_rng(_VALIDATION_SEED)
         shape = (_VALIDATION_SAMPLES, self.dim)
         us = rng.uniform(self.sample_low, self.sample_high, shape)
         vs = rng.uniform(self.sample_low, self.sample_high, shape)
         ws = rng.uniform(self.sample_low, self.sample_high, shape)
+        if batch is not None and _gen_samples_pass(batch, us, vs, ws):
+            return
         magnitude = 1.0
         for u, v, w in zip(us, vs, ws):
             euu = self.grad(u, u)
@@ -180,6 +190,37 @@ class GenDeviation:
 
     def __call__(self, u, v) -> Covector:
         return Covector(tuple(self.grad(as_point(u, self.dim), as_point(v, self.dim))))
+
+
+def _gen_samples_pass(batch: Callable, us: np.ndarray, vs: np.ndarray,
+                      ws: np.ndarray) -> bool:
+    """Whether GenDeviation's check passes on every sample, clearly.  A
+    pairing is a sum over coordinates that may cancel, so its margin also
+    scales with the sum of its terms' magnitudes."""
+    def covectors(us, vs):
+        # Rows of us and vs are points; the covectors come back as rows too.
+        return np.stack(np.broadcast_arrays(*batch(*us.T, *vs.T)), axis=-1)
+
+    # An overflowing pairing fails its comparison.
+    with np.errstate(all="ignore"):
+        values = sample_triples(covectors, us, vs, ws)
+        if values is None:
+            return False
+        euu, euv, euw = values
+        magnitude = running_magnitude(np.abs(euv).max(axis=1), np.abs(euw).max(axis=1))
+        margin = BATCH_MARGIN * magnitude
+        norms = np.linalg.norm(us - vs, axis=1)
+        apart = norms > 1e-9
+        monotone = (euv - euw) * (vs - ws)
+        sign = euv * (us - vs)
+        return bool(
+            np.all(np.abs(euu).max(axis=1) <= 1e-9 * magnitude - margin)
+            and np.all(monotone.sum(axis=1) + BATCH_MARGIN * np.abs(monotone).sum(axis=1)
+                       < 1e-12 * magnitude - margin)
+            and not np.any(np.abs(norms - 1e-9) <= BATCH_MARGIN * 1e-9)
+            and np.all(~apart | (sign.sum(axis=1)
+                                 > margin + BATCH_MARGIN * np.abs(sign).sum(axis=1)))
+        )
 
 
 def lift_scalar_deviation(dev: ScalarDeviation, label: Optional[str] = None) -> GenDeviation:
@@ -506,6 +547,8 @@ def _newton_weights(X: np.ndarray, y: np.ndarray, g: np.ndarray,
     b = np.concatenate([np.linalg.solve(L, g), [row]])
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
         return None
+    from scipy.optimize import nnls  # imported on first use: nothing else needs scipy
+
     lam, _ = nnls(A, b)
     total = float(lam.sum())
     if not total > 0.0:
@@ -721,6 +764,8 @@ def barycentric_feasibility(x: Sequence, y) -> tuple[np.ndarray, float]:
     scale = 1.0 + float(np.abs(X).max())
     A = np.vstack([X.T, np.full((1, len(pts)), scale)])
     b = np.concatenate([yv, [scale]])
+    from scipy.optimize import nnls  # imported on first use: nothing else needs scipy
+
     lam, _ = nnls(A, b)
     residual = float(np.linalg.norm(A @ lam - b))
     return lam, residual

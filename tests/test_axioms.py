@@ -1,0 +1,260 @@
+"""The batched axiom checks against the scalar loops they front.
+
+``build_scalar_deviation``, ``build_gen_deviation`` and ``build_weight``
+check their samples on the expression's numpy form first.  That form may
+only accept: every rejection, and its message, must be the scalar loop's.
+The reference here is the same builder with the batched predicate switched
+off, so both sides draw the same samples and raise through the same code.
+"""
+
+import math
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
+
+from meanreduce import scalar, vector
+from meanreduce.core import POSITIVE_REALS, REALS, Interval
+from meanreduce.descriptors import (
+    build_gen_deviation,
+    build_scalar_deviation,
+    build_weight,
+    parse_domain,
+)
+from meanreduce.errors import MeansError
+from meanreduce.expr import parse_expression
+
+_PREDICATES = {
+    "scalar": (scalar, "_deviation_samples_pass"),
+    "gen": (vector, "_gen_samples_pass"),
+    "weight": (scalar, "_weights_pass"),
+}
+_DOMAINS = [parse_domain([0.2, 6.0]), parse_domain([-1.0, 1.0]), REALS, POSITIVE_REALS,
+            Interval(1e5, 1e5 + 1.0), Interval(-1e-8, 1e-8)]
+
+
+@contextmanager
+def _scalar_loop_only(kind: str):
+    module, name = _PREDICATES[kind]
+    with mock.patch.object(module, name, lambda *args: False):
+        yield
+
+
+def _outcome(build) -> str:
+    try:
+        build()
+    except MeansError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
+
+
+def _both(kind: str, build) -> tuple[str, str]:
+    """(batched outcome, scalar-loop outcome) of one build."""
+    batched = _outcome(build)
+    with _scalar_loop_only(kind):
+        return batched, _outcome(build)
+
+
+def _build(kind: str, case):
+    if kind == "scalar":
+        text, domain = case
+        return lambda: build_scalar_deviation(text, domain)
+    if kind == "weight":
+        text, domain = case
+        return lambda: build_weight(text, domain)
+    exprs, low, high = case
+    return lambda: build_gen_deviation(exprs, len(exprs), low, high)
+
+
+# Expression texts over the grammar.  Leaves include zero (division by
+# zero), 400 (exp overflows), 1e-9 (small offsets of E(u, u)) and negative
+# constants (complex powers such as (-8)^(1/3)); 1e308 products overflow to
+# inf silently, and 0 * inf is NaN.
+_NUMBERS = st.sampled_from(["0", "1", "2", "3", "0.5", "400", "1e-9", "1e308", "(-8)", "(1/3)"])
+_UNARY = ("exp", "log", "sqrt", "abs", "-")
+_BINARY = ("+", "-", "*", "/", "^", "pow")
+
+
+def _texts(names):
+    leaves = st.one_of(_NUMBERS, st.sampled_from(names))
+
+    def extend(children):
+        unary = st.tuples(st.sampled_from(_UNARY), children).map(
+            lambda t: f"(-{t[1]})" if t[0] == "-" else f"{t[0]}({t[1]})")
+        binary = st.tuples(st.sampled_from(_BINARY), children, children).map(
+            lambda t: f"pow({t[1]}, {t[2]})" if t[0] == "pow" else f"({t[1]} {t[0]} {t[2]})")
+        return st.one_of(unary, binary)
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+# Increasing functions, so that a difference f(u) - f(v) is often a
+# deviation and the batched path gets to accept.
+_MONOTONE = ["{}", "exp({})", "{}^3", "2*{} + {}^3", "-exp(-{})", "log(1 + exp({}))", "abs({})"]
+
+
+@st.composite
+def _difference(draw, u: str, v: str, factor_names):
+    """A (factor) * (f(u) - f(v)) + scale * (offset) text.  Three in four f
+    and factors come from the lists above, so many texts are deviations;
+    the rest, and the offsets, are random and may break an axiom."""
+    def often(choices, names):
+        listed = draw(st.integers(0, 3)) > 0
+        return draw(st.sampled_from(choices) if listed else _texts(names))
+
+    f = often(_MONOTONE, ["{}"])
+    factor = often(["1", "2", f"exp({factor_names[0]})", f"1 + {factor_names[0]}^2"],
+                   factor_names)
+    text = f"({factor}) * (({f.replace('{}', u)}) - ({f.replace('{}', v)}))"
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from(["0", "1e-13", "1e-9", "1e-3", "1"]))
+        text = f"{text} + {scale}*({draw(_texts(factor_names + [v]))})"
+    return text
+
+
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                     phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+                     report_multiple_bugs=False)
+
+
+@_SETTINGS
+@given(st.one_of(_difference("u", "v", ["u"]), _texts(["u", "v"])),
+       st.sampled_from(range(len(_DOMAINS))))
+# E(u, u) = 1e-6 passes against the magnitude of the later samples only: a
+# batched check that took the largest magnitude of all samples, not the
+# running one, would accept it.
+@example("(u - v)*exp(u) + 1e-6", 0)
+@example("(u - v)*exp(8*u) + 1e-6", 1)
+@example("(u - v)*exp(2*u) + 1e-6", 2)
+@example("(u - v) + 1e-9*exp(4*u)", 2)
+@example("(-8)^(1/3)*(u - v)", 0)
+@example("log(u - 1)*(u - v)", 0)
+@example("(u - v)^3 - (u - v)^2", 0)
+@example("exp(400*u)*(u - v)", 0)
+@example("u - v + 1/(2 - 2)", 0)
+# numpy turns these inf back into finite values where math raises.
+@example("1/(1/(u - v))", 0)
+@example("u - v + 1/exp(exp(400))", 0)
+def test_scalar_deviation_checks_agree(text, domain):
+    batched, reference = _both("scalar", _build("scalar", (text, _DOMAINS[domain])))
+    assert batched == reference
+
+
+@st.composite
+def _gen_cases(draw):
+    d = draw(st.integers(1, 4))
+    us = [f"u{i + 1}" for i in range(d)]
+    vs = [f"v{i + 1}" for i in range(d)]
+    exprs = [draw(st.one_of(_difference(us[i], vs[i], us), _texts(us + vs))) for i in range(d)]
+    low, high = draw(st.sampled_from([(-2.0, 2.0), (0.5, 3.0), (-1e-9, 1e-9), (1e6, 1e6 + 1)]))
+    return exprs, low, high
+
+
+@_SETTINGS
+@given(_gen_cases())
+@example((["(u1 - v1)*exp(4*u1) + 1e-6"], -2.0, 2.0))
+@example((["u1 - v1", "(u2 - v2) + 1e-9*exp(3*u1)"], -2.0, 2.0))
+@example((["(u1 - v1)*exp(u2)", "(u2 - v2)*exp(u1)"], -2.0, 2.0))
+@example((["u1 - v1", "u1 - v1"], -2.0, 2.0))
+@example((["(u1 - v1)^3 - (u1 - v1)^2"], -2.0, 2.0))
+@example((["(u1 - v1)*sqrt(u1)", "u2 - v2"], -2.0, 2.0))
+@example((["v1 - u1", "u2 - v2", "u3 - v3"], -2.0, 2.0))
+@example((["1/(1/(u1 - v1))", "u2 - v2"], -2.0, 2.0))
+def test_gen_deviation_checks_agree(case):
+    batched, reference = _both("gen", _build("gen", case))
+    assert batched == reference
+
+
+@_SETTINGS
+@given(st.one_of(_texts(["u"]), st.sampled_from(["1 + u^2", "exp(u)", "u", "u - 1e-300"])),
+       st.sampled_from(range(len(_DOMAINS))))
+@example("u", 1)
+@example("u^2", 2)
+@example("1e308*1e308*u", 0)
+@example("1 + 1/exp(1000*u)", 0)
+def test_weight_checks_agree(text, domain):
+    batched, reference = _both("weight", _build("weight", (text, _DOMAINS[domain])))
+    assert batched == reference
+
+
+def _samples_scalar():
+    domain = parse_domain([0.2, 6.0])
+    rng = np.random.default_rng(scalar._VALIDATION_SEED + 2)
+    us, vs, ws = (scalar._sample_window(domain, rng, scalar._VALIDATION_SAMPLES)
+                  for _ in range(3))
+    return us, vs, ws, us.max() - us.min() + 1.0
+
+
+def test_batched_path_accepts_valid_families():
+    # The point of the batch: a deviation that satisfies the axioms never
+    # reaches the scalar loop.
+    us, vs, ws, span = _samples_scalar()
+    _, batch = parse_expression("exp(u)*(log(u) - log(v))").bind_batch(("u", "v"))
+    assert scalar._deviation_samples_pass(batch, us, vs, ws, span)
+    _, weight = parse_expression("1 + u^2").bind_batch(("u",))
+    assert scalar._weights_pass(weight, us)
+    with mock.patch.object(vector.GenDeviation, "grad", side_effect=AssertionError):
+        build_gen_deviation(["2*(1 + u2^2)*(u1 - v1)", "2*(1 + u2^2)*(u2 - v2)"], 2)
+
+
+# Fallbacks: each outcome is the scalar loop's, word for word as before the
+# batched path existed.
+@pytest.mark.parametrize("kind,case,expected", [
+    # A constant coordinate is a float, broadcast over the samples.
+    ("gen", (["0", "u2 - v2"], -2.0, 2.0), "accepted"),
+    ("gen", (["1", "u2 - v2"], -2.0, 2.0),
+     "InvalidDeviationError: custom generalized deviation: E(u,u) != 0 "
+     "at u=[-1.72847616 -0.30133393]"),
+    ("weight", ("2", parse_domain([0.2, 6.0])), "accepted"),
+    # The numpy form raises as the scalar one does.
+    ("scalar", ("u - v + 10^400", parse_domain([0.2, 6.0])),
+     "DomainError: evaluating 'u - v + 10^400': (34, 'Numerical result out of range')"),
+    ("gen", (["u1 - v1", "u2 - v2 + 1/(2 - 2)"], -2.0, 2.0),
+     "DomainError: evaluating 'u2 - v2 + 1/(2 - 2)': float division by zero"),
+    # NaN in one sample only: one drawn u lies above 5.9, one u1 above 1.75.
+    ("scalar", ("u - v + 0*((u - 5.9 + abs(u - 5.9))*1e308*1e308)", parse_domain([0.2, 6.0])),
+     "InvalidDeviationError: deviation 'u - v + 0*((u - 5.9 + abs(u - 5.9))*1e308*1e308)': "
+     "E(u,u) = nan != 0 at u=5.9800293285289765"),
+    ("gen", (["u1 - v1 + 0*((u1 - 1.75 + abs(u1 - 1.75))*1e308*1e308)", "u2 - v2"], -2.0, 2.0),
+     "InvalidArgumentError: covector entries must be finite"),
+], ids=["constant-zero-coordinate", "constant-one-coordinate", "constant-weight",
+        "scalar-overflow", "gen-division-by-zero", "scalar-nan-in-one-sample",
+        "gen-nan-in-one-sample"])
+def test_fallback_outcomes_are_the_scalar_loops(kind, case, expected):
+    batched, reference = _both(kind, _build(kind, case))
+    assert batched == reference == expected
+
+
+def _nan_at(batch, index):
+    def spoiled(*args):
+        value = np.array(np.broadcast_to(batch(*args), args[0].shape), dtype=float)
+        value[index] = math.nan
+        return value
+    return spoiled
+
+
+def _raising(*args):
+    raise FloatingPointError("numpy form failed")
+
+
+@pytest.mark.parametrize("spoil", [_raising, "nan", "complex"],
+                         ids=["raises", "nan-in-one-sample", "complex"])
+def test_a_failing_batch_leaves_the_verdict_to_the_scalar_loop(spoil):
+    fn, batch = parse_expression("exp(u)*(log(u) - log(v))").bind_batch(("u", "v"))
+    if spoil == "nan":
+        spoil = _nan_at(batch, 17)
+    elif spoil == "complex":
+        spoil = lambda us, vs: batch(us, vs) + 0j  # noqa: E731
+    dev = scalar.ScalarDeviation(domain=parse_domain([0.2, 6.0]), eval=fn, validate=False)
+    us, vs, ws, span = _samples_scalar()
+    assert not scalar._deviation_samples_pass(spoil, us, vs, ws, span)
+    dev._check_axioms(spoil)  # accepted by the scalar loop
+    bad = scalar.ScalarDeviation(domain=parse_domain([0.2, 6.0]), eval=lambda u, v: v - u,
+                                 label="reversed", validate=False)
+    with pytest.raises(MeansError) as info:
+        bad._check_axioms(spoil)
+    with pytest.raises(MeansError) as direct:
+        bad._check_axioms()
+    assert str(info.value) == str(direct.value)

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import meanreduce
 
 from meanreduce.cli import main
 
@@ -70,6 +75,14 @@ class TestMeanCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err
+
+    def test_complex_operand_exits_2(self, capsys):
+        # exp of the complex u^0.5 at a negative sample of the generator.
+        code, out, err = run_cli(capsys, "mean", "--kind", "quasi-arithmetic", "--arity", "2",
+                                 "--f", "exp(u^0.5)", "--x=-1,2")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: evaluating 'exp(u^0.5)': must be real number, not complex\n")
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "--kind", "holder", "--p", "1",
@@ -267,3 +280,17 @@ class TestFuzzCommand:
         assert "must be an object" in not_object["error"]
         assert "error" not in good and good["full"]["found"] is False
         assert report["errors"] == 3
+
+
+def test_scalar_commands_do_not_import_scipy():
+    # scipy is needed only by the vector solvers' nonnegative least squares;
+    # importing it costs most of a scalar command's start-up.
+    script = ("import sys, meanreduce, meanreduce.cli, meanreduce.suites\n"
+              "assert meanreduce.cli.main(['mean', '--kind', 'holder', '--p', '2',"
+              " '--x', '1,2,3']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(meanreduce.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -3,6 +3,7 @@ import math
 import types
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
@@ -106,12 +107,12 @@ def test_variables_named_like_generated_names_do_not_collide():
 
 
 def test_family_errors_name_the_failing_coordinate():
-    family = bind_family([parse_expression(t) for t in ("u1 - v1", "log(u2 - v2)")],
-                         ("u1", "u2", "v1", "v2"))
+    family, _ = bind_family([parse_expression(t) for t in ("u1 - v1", "log(u2 - v2)")],
+                            ("u1", "u2", "v1", "v2"))
     assert family(3.0, 4.0, 1.0, 3.0) == [2.0, 0.0]
     with pytest.raises(DomainError, match=r"evaluating 'log\(u2 - v2\)': math domain error"):
         family(3.0, 1.0, 1.0, 3.0)
-    complex_first = bind_family([parse_expression(t) for t in ("u^0.5", "log(u)")], ("u",))
+    complex_first, _ = bind_family([parse_expression(t) for t in ("u^0.5", "log(u)")], ("u",))
     with pytest.raises(DomainError, match=r"expression 'u\^0.5' produced a complex value"):
         complex_first(-1.0)
 
@@ -179,22 +180,20 @@ def _reference(tree, env):
 def _outcome(call):
     """The float's repr (bit for bit, NaN and -0.0 included) or the error.
 
-    A complex intermediate handed to a math function raises TypeError in
-    every form, as it did before the positional form existed.
+    A complex intermediate handed to a math function is a DomainError in
+    every form, like a math domain error.
     """
     try:
         return repr(call())
-    except (DomainError, TypeError) as exc:
+    except DomainError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
 def _reference_outcome(tree, env, text):
     try:
         value = _reference(tree, env)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError, TypeError) as exc:
         return f"DomainError: evaluating {text!r}: {exc}"
-    except TypeError as exc:
-        return f"TypeError: {exc}"
     if isinstance(value, complex):
         return f"DomainError: expression {text!r} produced a complex value"
     return repr(float(value))
@@ -232,8 +231,8 @@ def test_positional_and_keyword_forms_agree(case):
         assert _outcome(lambda: expr.bind(order)(*args)) == keyword
         assert _reference_outcome(tree, env, expr.text) == keyword
         outcomes.append(keyword)
-    family = _outcome(lambda: bind_family(exprs, order)(*args))
-    failures = [o for o in outcomes if o.startswith(("DomainError", "TypeError"))]
+    family = _outcome(lambda: bind_family(exprs, order)[0](*args))
+    failures = [o for o in outcomes if o.startswith("DomainError")]
     if failures:
         assert family == failures[0]
     else:
@@ -247,10 +246,50 @@ def test_complex_values_rejected_in_every_form(text, env):
     names = sorted(env)
     message = f"expression {text!r} produced a complex value"
     for call in (lambda: expr(**env), lambda: expr.bind(names)(*env.values()),
-                 lambda: bind_family([expr, parse_expression("1")], names)(*env.values())):
+                 lambda: bind_family([expr, parse_expression("1")], names)[0](*env.values())):
         with pytest.raises(DomainError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,env", [("exp(u^0.5)", {"u": -1.0}),
+                                      ("log((u - v)^0.5)", {"u": 1.0, "v": 2.0}),
+                                      ("pow((-8)^(1/3), 2)", {})])
+def test_complex_operands_of_math_functions_are_domain_errors(text, env):
+    expr = parse_expression(text)
+    names = sorted(env)
+    message = f"evaluating {text!r}: must be real number, not complex"
+    for call in (lambda: expr(**env), lambda: expr.bind(names)(*env.values()),
+                 lambda: bind_family([parse_expression("1"), expr], names)[0](*env.values())):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_a_wrong_argument_count_stays_a_type_error():
+    single = parse_expression("exp(u^0.5)").bind(("u",))
+    family, _ = bind_family([parse_expression("exp(u^0.5)")], ("u",))
+    for call in (lambda: single(-1.0, 2.0), lambda: single(),
+                 lambda: family(-1.0, 2.0), lambda: family()):
+        with pytest.raises(TypeError, match="positional argument"):
+            call()
+
+
+def test_batch_forms_evaluate_arrays_with_numpy():
+    expr = parse_expression("pow(u, 2)*log(v) + sqrt(abs(u)) - exp(-v)")
+    fn, batch = expr.bind_batch(("u", "v"))
+    us, vs = np.array([-2.0, 0.5, 3.0]), np.array([1.0, 2.0, 4.0])
+    values = batch(us, vs)
+    assert isinstance(values, np.ndarray) and values.shape == (3,)
+    assert values == pytest.approx([fn(u, v) for u, v in zip(us, vs)], rel=1e-15)
+    family, coordinates = bind_family([parse_expression("u1 - v1"), parse_expression("2")],
+                                      ("u1", "v1"))
+    first, second = coordinates(us, vs)
+    assert list(first) == list(us - vs) and second == 2.0
+    assert family(3.0, 1.0) == [2.0, 2.0]
+    # No error contract: where math raises, numpy signals and returns NaN.
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(parse_expression("log(u)").bind_batch(("u",))[1](np.array([-1.0])))[0]
 
 
 def _functions(fn):
@@ -271,15 +310,16 @@ def test_bound_functions_are_freed_by_reference_counting_alone():
     gc.disable()
     try:
         single = parse_expression("u1*v2 + log(u2)").bind(names)
-        family = bind_family([parse_expression("log(u1 - v1)"),
-                              parse_expression("u2 - v2")], names)
+        family, batch = bind_family([parse_expression("log(u1 - v1)"),
+                                     parse_expression("u2 - v2")], names)
         with pytest.raises(DomainError):
             family(0.0, 0.0, 1.0, 0.0)  # binds the coordinates for the cold path
         dev = build_gen_deviation(["2*(u1 - v1)", "2*(u2 - v2)"], 2)
         refs = [weakref.ref(f) for f in _functions(single) + _functions(family)]
-        refs += [weakref.ref(dev)] + [weakref.ref(f) for f in _functions(dev.eval)]
-        assert len(refs) == 2 + 6 + 4
-        del single, family, dev
+        refs += [weakref.ref(batch), weakref.ref(dev)]
+        refs += [weakref.ref(f) for f in _functions(dev.eval)]
+        assert len(refs) == 2 + 6 + 1 + 4
+        del single, family, batch, dev
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
