@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -357,6 +357,16 @@ def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Express
     return Expression(text=text, variables=frozenset(free), _template=template)
 
 
+@lru_cache(maxsize=64)
+def _point_keys(prefix: str, d: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i + 1}" for i in range(d))
+
+
 def point_vars(prefix: str, point) -> dict[str, float]:
     """Environment entries ``{prefix}1..{prefix}d`` for a point's coordinates."""
-    return {f"{prefix}{i + 1}": float(c) for i, c in enumerate(point)}
+    if isinstance(point, np.ndarray) and point.ndim == 1:
+        # tolist() of an int array gives ints; the values must be floats.
+        values = np.asarray(point, float).tolist()
+    else:
+        values = [float(c) for c in point]
+    return dict(zip(_point_keys(prefix, len(values)), values))

@@ -195,7 +195,7 @@ def test_batched_path_accepts_valid_families():
     assert scalar._deviation_samples_pass(batch, us, vs, ws, span)
     _, weight = parse_expression("1 + u^2").bind_batch(("u",))
     assert scalar._weights_pass(weight, us)
-    with mock.patch.object(vector.GenDeviation, "grad", side_effect=AssertionError):
+    with mock.patch.object(vector, "_finite_floats", side_effect=AssertionError):
         build_gen_deviation(["2*(1 + u2^2)*(u1 - v1)", "2*(1 + u2^2)*(u2 - v2)"], 2)
 
 
@@ -217,8 +217,10 @@ def test_batched_path_accepts_valid_families():
     ("scalar", ("u - v + 0*((u - 5.9 + abs(u - 5.9))*1e308*1e308)", parse_domain([0.2, 6.0])),
      "InvalidDeviationError: deviation 'u - v + 0*((u - 5.9 + abs(u - 5.9))*1e308*1e308)': "
      "E(u,u) = nan != 0 at u=5.9800293285289765"),
+    # A covector that is not finite names the deviation and the sample.
     ("gen", (["u1 - v1 + 0*((u1 - 1.75 + abs(u1 - 1.75))*1e308*1e308)", "u2 - v2"], -2.0, 2.0),
-     "InvalidArgumentError: covector entries must be finite"),
+     "InvalidDeviationError: custom generalized deviation: E(u,u) is not finite "
+     "at u=[ 1.7906405  -1.73585383]"),
 ], ids=["constant-zero-coordinate", "constant-one-coordinate", "constant-weight",
         "scalar-overflow", "gen-division-by-zero", "scalar-nan-in-one-sample",
         "gen-nan-in-one-sample"])
