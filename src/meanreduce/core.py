@@ -1,5 +1,5 @@
 """Shared domain types, the splice/select operators, hull utilities, and the
-helpers of the batched axiom checks.
+helpers of the sampled axiom checks.
 
 Tuples of values are represented by plain Python sequences; points in R^d are
 represented by read-only float64 numpy arrays produced by :func:`as_point`.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -368,12 +368,12 @@ def in_hull_1d(x: Sequence[float], y: float) -> bool:
     return min(x) <= y <= max(x)
 
 
-# Batched axiom checks.  A builder that holds a numpy form of its callback
-# (see :mod:`meanreduce.expr`) lets the check evaluate all its samples in one
-# call.  numpy's exp and power may differ from math's in the last bit, so a
-# batched check accepts only when every sample passes by more than
-# BATCH_MARGIN times the magnitudes compared (some 4500 ulps); anything else
-# goes to the scalar loop, which draws the same samples and decides.
+# Sampled axiom checks evaluate, then judge (``judge_samples``): one verdict
+# function per family judges the values of a numpy form of the callback (see
+# :mod:`meanreduce.expr`), all samples in one call, or of the callback itself,
+# sample by sample.  numpy's exp and power may differ from math's in the last
+# bit, so numpy values are accepted only when every threshold is cleared by
+# BATCH_MARGIN times the magnitudes compared (some 4500 ulps).
 BATCH_MARGIN = 1e-12
 
 
@@ -385,13 +385,13 @@ def batch_values(batch: Callable, args: tuple, shape: tuple) -> Optional[np.ndar
         # Where math raises (division by zero, overflow, a domain error)
         # numpy signals instead, and a later 1/x or exp(-x) could turn the
         # inf or NaN back into a finite value: any signal but underflow, which
-        # math lets pass too, leaves the verdict to the scalar loop.
+        # math lets pass too, leaves the verdict to the callback's values.
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
             value = np.asarray(batch(*args))
         if value.dtype.kind != "f":
             return None
         value = np.broadcast_to(value, shape)
-    except Exception:  # noqa: BLE001 - the scalar loop reports the failure
+    except Exception:  # noqa: BLE001 - the callback's evaluation reports it
         return None
     return value if np.isfinite(value).all() else None
 
@@ -407,6 +407,49 @@ def sample_triples(batch: Callable, us: np.ndarray, vs: np.ndarray,
 
 
 def running_magnitude(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The scalar loops' running magnitude max(1, |a_1|, |b_1|, ..., |a_k|,
-    |b_k|) at every sample k, for nonnegative a and b."""
-    return np.maximum.accumulate(np.maximum(np.maximum(a, b), 1.0))
+    """The running magnitude max(1, |a_1|, |b_1|, ..., |a_k|, |b_k|) at every
+    sample k, for nonnegative a and b.  A NaN is passed over, as Python's
+    ``max`` passes over it after its first argument."""
+    return np.fmax.accumulate(np.fmax(np.fmax(a, b), 1.0))
+
+
+def first_failure(checks: Sequence[tuple]) -> Optional[str]:
+    """The message of the first sample failing a check, for the first check
+    it fails, or None; ``checks`` are (pass mask, message of sample k)."""
+    ok = checks[0][0]
+    for passed, _ in checks[1:]:
+        ok = ok & passed
+    if ok.all():
+        return None
+    k = int(np.argmin(ok))
+    return next(message(k) for passed, message in checks if not passed[k])
+
+
+def judge_samples(judge: Callable, numpy_values, fn: Callable, calls: Callable[[], Iterable],
+                  width: int, error: type, stop: Optional[Callable] = None):
+    """Evaluate, then judge: ``judge(values, clear)``, given one sequence of
+    values per call position, words the first failing sample or returns
+    None.  ``numpy_values`` (or None) are accepted if every threshold is
+    cleared.  Otherwise fn(*args) runs for each args of ``calls()``,
+    ``width`` calls per sample, up to a call that raises (its sample is left
+    out) or whose value ``stop`` flags (that value fills its sample); the
+    first failing sample raises ``error``, else the exception is re-raised.
+    """
+    if numpy_values is not None and judge(numpy_values, clear=True) is None:
+        return
+    values = []
+    held = None
+    try:
+        for args in calls():
+            values.append(fn(*args))
+            if stop is not None and stop(values[-1]):
+                values += values[-1:] * (-len(values) % width)
+                break
+    except Exception as exc:  # noqa: BLE001 - re-raised after the judging
+        held = exc
+        del values[len(values) - len(values) % width:]
+    failure = judge([values[i::width] for i in range(width)])
+    if failure is not None:
+        raise error(failure)
+    if held is not None:
+        raise held

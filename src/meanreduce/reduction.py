@@ -507,6 +507,27 @@ class OracleCheckReport:
         }
 
 
+def _oracle_check(samples: int, tol: float, draw: Callable, reduced: Callable,
+                  direct: Callable, error: Callable) -> OracleCheckReport:
+    """Compare reduced(x) with direct(x) by error(reduced, direct) on
+    ``samples`` draws x = draw(), recording each draw whose error exceeds
+    tol."""
+    worst = 0.0
+    failures = []
+    for _ in range(samples):
+        xs = draw()
+        lhs = reduced(xs)
+        rhs = direct(xs)
+        err = error(lhs, rhs)
+        worst = max(worst, err)
+        if err > tol:
+            plain = [np.asarray(v, dtype=float).tolist() for v in (xs, lhs, rhs)]
+            failures.append({"x": plain[0], "reduced": plain[1], "direct": plain[2],
+                             "error": err})
+    return OracleCheckReport(samples=samples, tol=tol, max_abs_error=worst,
+                             failures=tuple(failures))
+
+
 def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
                                    tol: float, seed: int = 0,
                                    cfg: SolverConfig = DEFAULT_CONFIG) -> OracleCheckReport:
@@ -527,23 +548,13 @@ def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
     )
     # The fixed-point residual amplifies into the value by the inverse slope
     # of mu, so the certificate must sit well below the agreement tolerance.
-    run_cfg = SolverConfig(abs_tol=min(cfg.abs_tol, tol * 1e-3),
-                           rel_tol=cfg.rel_tol, max_iter=cfg.max_iter,
-                           damping=cfg.damping)
+    run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, tol * 1e-3))
     w_sel = select(tuple(w), chi)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    failures = []
-    for _ in range(samples):
-        xs = tuple(float(v) for v in rng.uniform(lo, hi, chi.k))
-        lhs = reduce_scalar(M, chi, xs, run_cfg).reduced_value
-        rhs = weighted_arith_mean(w_sel, xs)
-        err = abs(lhs - rhs)
-        worst = max(worst, err)
-        if err > tol:
-            failures.append({"x": list(xs), "reduced": lhs, "direct": rhs, "error": err})
-    return OracleCheckReport(samples=samples, tol=tol, max_abs_error=worst,
-                             failures=tuple(failures))
+    return _oracle_check(
+        samples, tol, lambda: tuple(float(v) for v in rng.uniform(lo, hi, chi.k)),
+        lambda xs: reduce_scalar(M, chi, xs, run_cfg).reduced_value,
+        lambda xs: weighted_arith_mean(w_sel, xs), lambda lhs, rhs: abs(lhs - rhs))
 
 
 def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
@@ -565,43 +576,23 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
     if len(entries) != chi.n:
         raise InvalidArgumentError(f"need {chi.n} deviations, got {len(entries)}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    failures = []
     inner_abs = min(cfg.abs_tol, tol * 1e-4)
-    inner = SolverConfig(abs_tol=inner_abs, rel_tol=min(cfg.rel_tol, 1e-13),
-                         max_iter=cfg.max_iter, damping=cfg.damping)
-    outer = SolverConfig(abs_tol=max(tol * 1e-3, inner_abs * 10.0),
-                         rel_tol=cfg.rel_tol, max_iter=cfg.max_iter,
-                         damping=cfg.damping)
+    inner = replace(cfg, abs_tol=inner_abs, rel_tol=min(cfg.rel_tol, 1e-13))
+    outer = replace(cfg, abs_tol=max(tol * 1e-3, inner_abs * 10.0))
     if isinstance(entries[0], GenDeviation):
         dim = entries[0].dim
         selected = select(entries, chi)
         M = gen_deviation_mean_fn(entries, inner)
-        for _ in range(samples):
-            xs = tuple(rng.uniform(low, high, dim) for _ in range(chi.k))
-            lhs = reduce_vector(M, chi, xs, outer).reduced_value
-            rhs = gen_deviation_mean(selected, xs, inner).value
-            err = float(np.linalg.norm(lhs - rhs))
-            worst = max(worst, err)
-            if err > tol:
-                failures.append({
-                    "x": [list(map(float, p)) for p in xs],
-                    "reduced": [float(v) for v in lhs],
-                    "direct": [float(v) for v in rhs],
-                    "error": err,
-                })
-    else:
-        dev = as_deviation_tuple(entries)
-        lo, hi = dev.common_domain.finite_window()
-        selected = dev.select(chi)
-        M = deviation_mean_fn(dev, inner)
-        for _ in range(samples):
-            xs = tuple(float(v) for v in rng.uniform(lo, hi, chi.k))
-            lhs = reduce_scalar(M, chi, xs, outer).reduced_value
-            rhs = deviation_mean(selected, xs, inner).value
-            err = abs(lhs - rhs)
-            worst = max(worst, err)
-            if err > tol:
-                failures.append({"x": list(xs), "reduced": lhs, "direct": rhs, "error": err})
-    return OracleCheckReport(samples=samples, tol=tol, max_abs_error=worst,
-                             failures=tuple(failures))
+        return _oracle_check(
+            samples, tol, lambda: tuple(rng.uniform(low, high, dim) for _ in range(chi.k)),
+            lambda xs: reduce_vector(M, chi, xs, outer).reduced_value,
+            lambda xs: gen_deviation_mean(selected, xs, inner).value,
+            lambda lhs, rhs: float(np.linalg.norm(lhs - rhs)))
+    dev = as_deviation_tuple(entries)
+    lo, hi = dev.common_domain.finite_window()
+    selected = dev.select(chi)
+    M = deviation_mean_fn(dev, inner)
+    return _oracle_check(
+        samples, tol, lambda: tuple(float(v) for v in rng.uniform(lo, hi, chi.k)),
+        lambda xs: reduce_scalar(M, chi, xs, outer).reduced_value,
+        lambda xs: deviation_mean(selected, xs, inner).value, lambda lhs, rhs: abs(lhs - rhs))

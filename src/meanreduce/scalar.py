@@ -23,10 +23,12 @@ same summed section: each deviation's ``eval`` at the fixed data points.
 
 Deviation axioms cannot be proven for arbitrary callables, so constructors
 check them on 64 randomized samples unless ``validate=False``; strictness
-remains sampled, not proven.  A builder that holds a numpy form of the
-callback (see :mod:`meanreduce.expr`) passes it to the check, which then
-evaluates all samples in one call and may accept from it alone; every
-rejection is the scalar loop's.
+remains sampled, not proven.  A check evaluates, then judges: one verdict
+function per family decides on arrays of values.  A builder that holds a
+numpy form of the callback (see :mod:`meanreduce.expr`) passes it to the
+check, which evaluates all samples in one call and may accept from those
+values alone; otherwise the callback's own values, sample by sample, are
+judged, and every rejection comes from them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -48,6 +51,8 @@ from .core import (
     SolverReport,
     batch_values,
     bracketed_root,
+    first_failure,
+    judge_samples,
     running_magnitude,
     sample_triples,
 )
@@ -67,31 +72,44 @@ def _sample_window(domain: Interval, rng: np.random.Generator, count: int) -> np
     return rng.uniform(lo, hi, size=count)
 
 
-def _weights_pass(batch: Callable, us: np.ndarray) -> bool:
-    """Whether WeightFn's check passes on every sample, clearly."""
-    w = batch_values(batch, (us,), us.shape)
-    return w is not None and bool(np.all(w > BATCH_MARGIN * np.abs(w).max()))
+def _weight_verdict(us: np.ndarray, values, clear: bool = False) -> Optional[str]:
+    """WeightFn's verdict on the first len(w) samples, for (w,) = values:
+    w(u) finite and above 0, or BATCH_MARGIN times the largest for
+    ``clear``."""
+    (w,) = values
+    arr = np.asarray(w, dtype=float)
+    floor = BATCH_MARGIN * np.abs(arr).max() if clear else 0.0
+    return first_failure([(np.isfinite(arr) & (arr > floor),
+                           lambda k: f"weight function is not positive at u={us[k]}: {w[k]}")])
 
 
-def _deviation_samples_pass(batch: Callable, us: np.ndarray, vs: np.ndarray,
-                            ws: np.ndarray, span: float) -> bool:
-    """Whether ScalarDeviation's check passes on every sample, clearly."""
-    # lo_e - hi_e may overflow to inf, as it does in the loop.
+def _deviation_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                       span: float, values, clear: bool = False) -> Optional[str]:
+    """ScalarDeviation's verdict on the first len(duu) samples, for (duu,
+    duv, duw) = values, the E(u,u), E(u,v), E(u,w): |E(u,u)| <= 1e-9 m, for
+    m the running magnitude max(1, |E(u,v)|, |E(u,w)|); where |v - w| > 1e-9
+    span, E(u, min) > E(u, max) - 1e-12 m; where |u - v| > 1e-9 span,
+    E(u,v) (u - v) > 0.  ``clear`` asks for BATCH_MARGIN m more."""
+    duu, duv, _ = values  # as returned, for the messages
+    euu, euv, euw = np.asarray(values, dtype=float)
+    us, vs, ws = us[:len(duu)], vs[:len(duu)], ws[:len(duu)]
+    # lo_e - hi_e may overflow to inf, and NaN values compare false.
     with np.errstate(all="ignore"):
-        values = sample_triples(batch, us, vs, ws)
-        if values is None:
-            return False
-        duu, duv, duw = values
-        magnitude = running_magnitude(np.abs(duv), np.abs(duw))
-        margin = BATCH_MARGIN * magnitude
+        magnitude = running_magnitude(np.abs(euv), np.abs(euw))
+        slack = BATCH_MARGIN * magnitude if clear else 0.0
         ordered = vs < ws
-        lo_e = np.where(ordered, duv, duw)
-        hi_e = np.where(ordered, duw, duv)
-        wide = np.abs(vs - ws) > 1e-9 * span
-        apart = np.abs(us - vs) > 1e-9 * span
-        return bool(np.all(np.abs(duu) <= 1e-9 * magnitude - margin)
-                    and np.all(~wide | (lo_e - (hi_e - 1e-12 * magnitude) > margin))
-                    and np.all(~apart | (duv * np.sign(us - vs) > margin)))
+        lo_e, hi_e = np.where(ordered, euv, euw), np.where(ordered, euw, euv)
+        gap = us - vs
+        dist = np.abs(gap)
+        return first_failure([
+            (np.abs(euu) <= 1e-9 * magnitude - slack,
+             lambda k: f"{label}: E(u,u) = {duu[k]} != 0 at u={us[k]}"),
+            (~(np.abs(vs - ws) > 1e-9 * span) | (lo_e - (hi_e - 1e-12 * magnitude) > slack),
+             lambda k: (f"{label}: section not strictly decreasing on "
+                        f"({us[k]}; {min(vs[k], ws[k])}, {max(vs[k], ws[k])})")),
+            (~(dist > 1e-9 * span) | ~(euv * gap <= slack * dist),
+             lambda k: f"{label}: sign property fails at (u,v)=({us[k]},{vs[k]}): E={duv[k]}"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -107,19 +125,13 @@ class WeightFn:
             self._check()
 
     def _check(self, batch: Optional[Callable] = None):
-        """Positivity on 64 samples.  ``batch``, a numpy form of ``eval``,
-        evaluates them in one call and can only accept; otherwise the scalar
-        loop checks and reports the first failing sample."""
+        """Positivity on 64 samples, judged by ``_weight_verdict`` on the
+        values of ``batch``, a numpy form of ``eval``, or else of ``eval``."""
         rng = np.random.default_rng(_VALIDATION_SEED)
         us = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
-        if batch is not None and _weights_pass(batch, us):
-            return
-        for u in us:
-            w = self.eval(float(u))
-            if not (math.isfinite(w) and w > 0.0):
-                raise InvalidArgumentError(
-                    f"weight function is not positive at u={u}: {w}"
-                )
+        w = None if batch is None else batch_values(batch, (us,), us.shape)
+        judge_samples(partial(_weight_verdict, us), None if w is None else (w,),
+                      self.eval, lambda: ((u,) for u in us.tolist()), 1, InvalidArgumentError)
 
     def __call__(self, u: float) -> float:
         return self.eval(u)
@@ -169,6 +181,25 @@ class GeneratorFn:
         return self.eval(u)
 
 
+def _expand_bracket(fn: Callable[[float], float], t: float, x: float, fx: float,
+                    end: float, is_open: bool, step: float, below: bool) -> tuple[float, float]:
+    """Move the bracket end x toward the endpoint ``end`` until fn(x) <= t
+    (``below``) or fn(x) >= t: doubling steps toward an infinite endpoint,
+    halving the distance to a finite one, at most 256 times."""
+    for _ in range(256):
+        if fx <= t if below else fx >= t:
+            return x, fx
+        if math.isinf(end):
+            x = x - step if below else x + step
+            step *= 2.0
+        else:
+            x = 0.5 * (x + end)
+            if is_open and (x <= end if below else x >= end):
+                break
+        fx = fn(x)
+    raise DomainError(f"target {t} {'below' if below else 'above'} the generator's range")
+
+
 def numeric_inverse(fn: Callable[[float], float], domain: Interval,
                     cfg: SolverConfig = DEFAULT_CONFIG) -> Callable[[float], float]:
     """Invert a strictly increasing function by bracket expansion + ITP.
@@ -181,36 +212,10 @@ def numeric_inverse(fn: Callable[[float], float], domain: Interval,
     lo0, hi0 = domain.finite_window()
 
     def inverse(t: float, fn=fn, domain=domain, cfg=cfg, lo0=lo0, hi0=hi0) -> float:
-        a, b = lo0, hi0
-        fa, fb = fn(a), fn(b)
         step = (hi0 - lo0) or 1.0
-        for _ in range(256):
-            if fa <= t:
-                break
-            if math.isinf(domain.lo):
-                a -= step
-                step *= 2.0
-            else:
-                a = 0.5 * (a + domain.lo)
-                if domain.lo_open and a <= domain.lo:
-                    raise DomainError(f"target {t} below the generator's range")
-            fa = fn(a)
-        else:
-            raise DomainError(f"target {t} below the generator's range")
-        step = (hi0 - lo0) or 1.0
-        for _ in range(256):
-            if fb >= t:
-                break
-            if math.isinf(domain.hi):
-                b += step
-                step *= 2.0
-            else:
-                b = 0.5 * (b + domain.hi)
-                if domain.hi_open and b >= domain.hi:
-                    raise DomainError(f"target {t} above the generator's range")
-            fb = fn(b)
-        else:
-            raise DomainError(f"target {t} above the generator's range")
+        fa, fb = fn(lo0), fn(hi0)
+        a, fa = _expand_bracket(fn, t, lo0, fa, domain.lo, domain.lo_open, step, True)
+        b, fb = _expand_bracket(fn, t, hi0, fb, domain.hi, domain.hi_open, step, False)
         if fa == t:
             return a
         if fb == t:
@@ -270,40 +275,16 @@ class ScalarDeviation:
             self._check_axioms()
 
     def _check_axioms(self, batch: Optional[Callable] = None):
-        """The axioms on 64 sampled triples (u, v, w).  ``batch``, a numpy
-        form of ``eval``, evaluates all of them in one call and can only
-        accept; otherwise the scalar loop checks and reports the first
-        failing sample."""
+        """The axioms on 64 sampled triples (u, v, w), judged by
+        ``_deviation_verdict`` on the values of ``batch``, a numpy form of
+        ``eval``, or else of ``eval`` on floats (see ``judge_samples``)."""
         rng = np.random.default_rng(_VALIDATION_SEED + 2)
-        us = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
-        vs = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
-        ws = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
+        us, vs, ws = (_sample_window(self.domain, rng, _VALIDATION_SAMPLES) for _ in range(3))
         span = us.max() - us.min() + 1.0
-        if batch is not None and _deviation_samples_pass(batch, us, vs, ws, span):
-            return
-        magnitude = 1.0
-        for u, v, w in zip(us, vs, ws):
-            u, v, w = float(u), float(v), float(w)
-            duu = self.eval(u, u)
-            duv = self.eval(u, v)
-            duw = self.eval(u, w)
-            magnitude = max(magnitude, abs(duv), abs(duw))
-            if not abs(duu) <= 1e-9 * magnitude:
-                raise InvalidDeviationError(
-                    f"{self.label}: E(u,u) = {duu} != 0 at u={u}"
-                )
-            lo_v, hi_v = (v, w) if v < w else (w, v)
-            lo_e, hi_e = (duv, duw) if v < w else (duw, duv)
-            if hi_v - lo_v > 1e-9 * span and not lo_e > hi_e - 1e-12 * magnitude:
-                raise InvalidDeviationError(
-                    f"{self.label}: section not strictly decreasing on "
-                    f"({u}; {lo_v}, {hi_v})"
-                )
-            if abs(u - v) > 1e-9 * span:
-                if duv * (u - v) <= 0:
-                    raise InvalidDeviationError(
-                        f"{self.label}: sign property fails at (u,v)=({u},{v}): E={duv}"
-                    )
+        judge_samples(partial(_deviation_verdict, self.label, us, vs, ws, span),
+                      None if batch is None else sample_triples(batch, us, vs, ws), self.eval,
+                      lambda: ((u, x) for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist())
+                               for x in (u, v, w)), 3, InvalidDeviationError)
 
     def __call__(self, u: float, v: float) -> float:
         return self.eval(u, v)

@@ -53,7 +53,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul, sub
+from functools import partial
+from operator import sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -66,6 +67,8 @@ from .core import (
     SolverReport,
     as_point,
     as_point_tuple,
+    first_failure,
+    judge_samples,
     running_magnitude,
     sample_triples,
 )
@@ -116,43 +119,71 @@ def _as_shape(value, dim: int) -> np.ndarray:
     return arr
 
 
-def _as_grad(value, dim: int) -> np.ndarray:
-    arr = _as_shape(value, dim)
+def _not_finite(row: np.ndarray) -> bool:
     # A Python sum screens: it can overflow where no entry does.
-    if not math.isfinite(sum(arr.tolist())) and not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("covector entries must be finite")
+    vals = row.tolist()
+    return not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals))
+
+
+def _as_grad(value, dim: int, error: type = InvalidArgumentError,
+             message: str = "covector entries must be finite", *args) -> np.ndarray:
+    """A covector as an array, its shape checked as by ``_as_shape``; an
+    entry that is not finite raises ``error(message.format(*args))``, so a
+    sampled check's message can name the sample."""
+    arr = _as_shape(value, dim)
+    if _not_finite(arr):
+        raise error(message.format(*args))
     return arr
 
 
-def _finite_floats(value, dim: int, error: type, message: str, *args) -> list:
-    """A sampled covector as a list of dim floats, its shape checked as by
-    ``_as_shape``; an entry that is not finite raises
-    ``error(message.format(*args))``, so the message names the sample."""
-    vals = _as_shape(value, dim).tolist()
-    if not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals)):
-        raise error(message.format(*args))
-    return vals
+def _row_dots(a: np.ndarray, b: np.ndarray, threshold) -> np.ndarray:
+    """The dot products of the rows of a and b, to be compared with
+    threshold: the row sum where it clears the threshold by BATCH_MARGIN
+    times the sum of |terms|, else numpy's dot.  numpy's BLAS may sum in
+    another order and fuse multiply-adds, so the two may differ in the last
+    bits, and every verdict and reported pairing stays numpy's."""
+    terms = a * b
+    sums = terms.sum(axis=1)
+    clear = np.abs(sums - threshold) > BATCH_MARGIN * np.abs(terms).sum(axis=1) + 1e-300
+    for k in np.flatnonzero(~clear):
+        sums[k] = a[k] @ b[k]
+    return sums
 
 
-# The sampled checks sum their dot products of a few floats in Python.
-# numpy's dot of the same floats may differ in the last bits (its BLAS sums
-# in another order and may fuse multiply-adds), by far less than
-# BATCH_MARGIN times the sum of the terms' magnitudes.  A sum that close to
-# its threshold is left to numpy, which the checks have always used, so every
-# comparison and every reported value is numpy's.
-def _side(a: list, b: list, threshold: float) -> int:
-    """1 or -1 when sum_i a_i b_i is clearly above or below threshold, 0 when
-    numpy's dot must decide (also when the sum is not finite)."""
-    terms = list(map(mul, a, b))
-    gap = sum(terms) - threshold
-    margin = BATCH_MARGIN * sum(map(abs, terms)) + 1e-300
-    return 1 if gap > margin else -1 if gap < -margin else 0
+def _separated(diff: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(d) > 1e-9 for every row d of diff."""
+    with np.errstate(all="ignore"):
+        return np.sqrt(_row_dots(diff, diff, 1e-18)) > 1e-9
 
 
-def _apart(diff: list, a: np.ndarray, b: np.ndarray) -> bool:
-    """np.linalg.norm(a - b) > 1e-9, for diff the list of a - b."""
-    side = _side(diff, diff, 1e-18)
-    return side > 0 if side else bool(np.linalg.norm(a - b) > 1e-9)
+def _gen_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                 values, clear: bool = False) -> Optional[str]:
+    """GenDeviation's verdict on the first n samples, for values the rows
+    of E(u,u), E(u,v), E(u,w): the three finite; max |E(u,u)| <= 1e-9 m, for
+    m the running magnitude max(1, max |E(u,v)|, max |E(u,w)|);
+    (E(u,v) - E(u,w)) (v - w) < 1e-12 m; where |u - v| > 1e-9,
+    E(u,v) (u - v) > 0.  ``clear`` asks for BATCH_MARGIN m more."""
+    n = len(values[0])
+    us, vs, ws = us[:n], vs[:n], ws[:n]
+    e = np.asarray(values, dtype=float).reshape(3, n, us.shape[1])
+    euv, euw = e[1], e[2]
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(e).all(axis=2)
+        size = np.abs(e).max(axis=2)
+        magnitude = running_magnitude(size[1], size[2])
+        slack = BATCH_MARGIN * magnitude if clear else 0.0
+        bound = 1e-12 * magnitude - slack
+        return first_failure([
+            (finite[0], lambda k: f"{label}: E(u,u) is not finite at u={us[k]}"),
+            (finite[1], lambda k: f"{label}: E(u,v) is not finite at ({us[k]}, {vs[k]})"),
+            (finite[2], lambda k: f"{label}: E(u,w) is not finite at ({us[k]}, {ws[k]})"),
+            (size[0] <= 1e-9 * magnitude - slack, lambda k: f"{label}: E(u,u) != 0 at u={us[k]}"),
+            (~(_row_dots(euv - euw, vs - ws, bound) >= bound),
+             lambda k: (f"{label}: second section not strictly monotone decreasing: "
+                        f"(E(u,v)-E(u,w))(v-w) = {(euv[k] - euw[k]) @ (vs[k] - ws[k])}")),
+            (~_separated(us - vs) | ~(_row_dots(euv, us - vs, slack) <= slack),
+             lambda k: f"{label}: sign pairing E(u,v)(u-v) = {euv[k] @ (us[k] - vs[k])} <= 0"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -189,81 +220,27 @@ class GenDeviation:
         return _as_grad(self.eval(u, v), self.dim)
 
     def _check_axioms(self, batch: Optional[Callable] = None):
-        """The axioms on 32 sampled triples of points (u, v, w).  ``batch``,
-        a numpy form of ``eval`` in the layout of ``expr.bind_family``
-        (arrays of the coordinates u1..ud, v1..vd in, one array or constant
-        per covector coordinate out), evaluates all of them in one call and
-        can only accept; otherwise the scalar loop checks and reports the
-        first failing sample."""
+        """The axioms on 32 sampled triples of points (u, v, w), judged by
+        ``_gen_verdict`` on the values of ``batch``, a numpy form of ``eval``
+        in the layout of ``expr.bind_family`` (arrays of the coordinates
+        u1..ud, v1..vd in, one array or constant per covector coordinate
+        out), or else of ``eval`` on array rows (see ``judge_samples``)."""
         rng = np.random.default_rng(_VALIDATION_SEED)
         shape = (_VALIDATION_SAMPLES, self.dim)
-        us = rng.uniform(self.sample_low, self.sample_high, shape)
-        vs = rng.uniform(self.sample_low, self.sample_high, shape)
-        ws = rng.uniform(self.sample_low, self.sample_high, shape)
-        if batch is not None and _gen_samples_pass(batch, us, vs, ws):
-            return
-        label, dim, ev = self.label, self.dim, self.eval
-        magnitude = 1.0
-        # Points go to eval as arrays; the tests run on their float lists.
-        for u, v, w, ul, vl, wl in zip(us, vs, ws, us.tolist(), vs.tolist(), ws.tolist()):
-            euu = _finite_floats(ev(u, u), dim, InvalidDeviationError,
-                                 "{}: E(u,u) is not finite at u={}", label, u)
-            euv = _finite_floats(ev(u, v), dim, InvalidDeviationError,
-                                 "{}: E(u,v) is not finite at ({}, {})", label, u, v)
-            euw = _finite_floats(ev(u, w), dim, InvalidDeviationError,
-                                 "{}: E(u,w) is not finite at ({}, {})", label, u, w)
-            magnitude = max(magnitude, max(map(abs, euv)), max(map(abs, euw)))
-            if max(map(abs, euu)) > 1e-9 * magnitude:
-                raise InvalidDeviationError(f"{label}: E(u,u) != 0 at u={u}")
-            de, dvw = list(map(sub, euv, euw)), list(map(sub, vl, wl))
-            if _side(de, dvw, 1e-12 * magnitude) >= 0:
-                pairing = float(np.array(de) @ np.array(dvw))
-                if pairing >= 1e-12 * magnitude:
-                    raise InvalidDeviationError(
-                        f"{label}: second section not strictly monotone "
-                        f"decreasing: (E(u,v)-E(u,w))(v-w) = {pairing}"
-                    )
-            duv = list(map(sub, ul, vl))
-            if _apart(duv, u, v) and _side(euv, duv, 0.0) <= 0:
-                sign_pairing = float(np.array(euv) @ np.array(duv))
-                if sign_pairing <= 0.0:
-                    raise InvalidDeviationError(
-                        f"{label}: sign pairing E(u,v)(u-v) = {sign_pairing} <= 0"
-                    )
+        us, vs, ws = (rng.uniform(self.sample_low, self.sample_high, shape) for _ in range(3))
+        # Rows of us and vs are points; the covectors come back as rows.
+        numpy_values = None if batch is None else sample_triples(
+            lambda us, vs: np.stack(np.broadcast_arrays(*batch(*us.T, *vs.T)), axis=-1),
+            us, vs, ws)
+        # A covector that is not finite ends the evaluation: the checks of its
+        # sample stop there.
+        judge_samples(partial(_gen_verdict, self.label, us, vs, ws), numpy_values,
+                      lambda a, b: _as_shape(self.eval(a, b), self.dim),
+                      lambda: ((u, x) for u, v, w in zip(us, vs, ws) for x in (u, v, w)), 3,
+                      InvalidDeviationError, stop=_not_finite)
 
     def __call__(self, u, v) -> Covector:
         return Covector(tuple(self.grad(as_point(u, self.dim), as_point(v, self.dim))))
-
-
-def _gen_samples_pass(batch: Callable, us: np.ndarray, vs: np.ndarray,
-                      ws: np.ndarray) -> bool:
-    """Whether GenDeviation's check passes on every sample, clearly.  A
-    pairing is a sum over coordinates that may cancel, so its margin also
-    scales with the sum of its terms' magnitudes."""
-    def covectors(us, vs):
-        # Rows of us and vs are points; the covectors come back as rows too.
-        return np.stack(np.broadcast_arrays(*batch(*us.T, *vs.T)), axis=-1)
-
-    # An overflowing pairing fails its comparison.
-    with np.errstate(all="ignore"):
-        values = sample_triples(covectors, us, vs, ws)
-        if values is None:
-            return False
-        euu, euv, euw = values
-        magnitude = running_magnitude(np.abs(euv).max(axis=1), np.abs(euw).max(axis=1))
-        margin = BATCH_MARGIN * magnitude
-        norms = np.linalg.norm(us - vs, axis=1)
-        apart = norms > 1e-9
-        monotone = (euv - euw) * (vs - ws)
-        sign = euv * (us - vs)
-        return bool(
-            np.all(np.abs(euu).max(axis=1) <= 1e-9 * magnitude - margin)
-            and np.all(monotone.sum(axis=1) + BATCH_MARGIN * np.abs(monotone).sum(axis=1)
-                       < 1e-12 * magnitude - margin)
-            and not np.any(np.abs(norms - 1e-9) <= BATCH_MARGIN * 1e-9)
-            and np.all(~apart | (sign.sum(axis=1)
-                                 > margin + BATCH_MARGIN * np.abs(sign).sum(axis=1)))
-        )
 
 
 def lift_scalar_deviation(dev: ScalarDeviation, label: Optional[str] = None) -> GenDeviation:
@@ -877,8 +854,8 @@ class PotentialFn:
     construction: grad_v(u, u) = 0, strict midpoint convexity of the
     sections, and agreement of ``grad_v`` with finite differences.  Each
     sample calls ``grad_v`` twice, at (u, u) and (u, v), and checks on the
-    plain floats of the results; a gradient or finite difference that is
-    not finite is rejected, naming the sample.  Without a ``grad_v``, the
+    plain floats of the results; a gradient, finite difference or value of
+    F that is not finite is rejected, naming the sample.  Without a ``grad_v``, the
     finite differences are the gradient at (u, v) itself, computed once.
     Against three gradients and numpy tests per sample, this cut the
     set-up of the ``vector-hull`` benchmark from 1.38 to 0.97 s
@@ -910,32 +887,33 @@ class PotentialFn:
     def _check_property(self):
         rng = np.random.default_rng(_VALIDATION_SEED + 1)
         shape = (_VALIDATION_SAMPLES, self.dim)
-        us = rng.uniform(self.sample_low, self.sample_high, shape)
-        vs = rng.uniform(self.sample_low, self.sample_high, shape)
-        ws = rng.uniform(self.sample_low, self.sample_high, shape)
+        us, vs, ws = (rng.uniform(self.sample_low, self.sample_high, shape) for _ in range(3))
         label, dim, gradient = self.label, self.dim, self.grad_v
         central = isinstance(gradient, _CentralDifferenceGrad) and gradient.feval is self.eval
-        for u, v, w, vl, wl in zip(us, vs, ws, vs.tolist(), ws.tolist()):
-            g0 = _finite_floats(gradient(u, u), dim, InvalidPotentialError,
-                                "{}: grad_v(u,u) is not finite at u={}", label, u)
-            gv = _finite_floats(gradient(u, v), dim, InvalidPotentialError,
-                                "{}: grad_v(u,v) is not finite at ({}, {})", label, u, v)
+        for u, v, w, separated in zip(us, vs, ws, _separated(vs - ws)):
+            g0 = _as_grad(gradient(u, u), dim, InvalidPotentialError,
+                          "{}: grad_v(u,u) is not finite at u={}", label, u).tolist()
+            gv = _as_grad(gradient(u, v), dim, InvalidPotentialError,
+                          "{}: grad_v(u,v) is not finite at ({}, {})", label, u, v).tolist()
             scale = 1e-6 * (1.0 + max(map(abs, gv)))
             if max(map(abs, g0)) > scale:
                 raise InvalidPotentialError(
                     f"{label}: gradient does not vanish on the diagonal at u={u}"
                 )
-            if _apart(list(map(sub, vl, wl)), v, w):
+            if separated:
                 fmid = self.value(u, 0.5 * (v + w))
                 favg = 0.5 * (self.value(u, v) + self.value(u, w))
                 if not fmid < favg + 1e-12 * (1.0 + abs(favg)):
+                    if not (math.isfinite(fmid) and math.isfinite(favg)):
+                        raise InvalidPotentialError(
+                            f"{label}: F(u,.) is not finite at u={u} between {v} and {w}")
                     raise InvalidPotentialError(
                         f"{label}: section not strictly convex between {v} and {w}"
                     )
             # Without a grad_v, gv is these very differences.
-            fd = gv if central else _finite_floats(
+            fd = gv if central else _as_grad(
                 _fd_grad(self.eval, u, v), dim, InvalidPotentialError,
-                "{}: finite differences of F(u,.) are not finite at ({}, {})", label, u, v)
+                "{}: finite differences of F(u,.) are not finite at ({}, {})", label, u, v).tolist()
             if max(map(abs, map(sub, fd, gv))) > scale:
                 raise InvalidPotentialError(
                     f"{label}: grad_v disagrees with finite differences at ({u}, {v})"

@@ -1,10 +1,11 @@
-"""The batched axiom checks against the scalar loops they front.
+"""The batched axiom checks against the sample-by-sample evaluation.
 
 ``build_scalar_deviation``, ``build_gen_deviation`` and ``build_weight``
 check their samples on the expression's numpy form first.  That form may
-only accept: every rejection, and its message, must be the scalar loop's.
-The reference here is the same builder with the batched predicate switched
-off, so both sides draw the same samples and raise through the same code.
+only accept: every rejection, and its message, must be the one the values
+of the callback itself give.  The reference here is the same builder with
+the numpy values switched off, so both sides draw the same samples and are
+judged by the same verdict function.
 """
 
 import math
@@ -23,22 +24,23 @@ from meanreduce.descriptors import (
     build_weight,
     parse_domain,
 )
-from meanreduce.errors import MeansError
-from meanreduce.expr import parse_expression
+from meanreduce.errors import DomainError, MeansError
+from meanreduce.expr import bind_family, parse_expression
 
-_PREDICATES = {
-    "scalar": (scalar, "_deviation_samples_pass"),
-    "gen": (vector, "_gen_samples_pass"),
-    "weight": (scalar, "_weights_pass"),
+# The numpy values of each family; None sends the check to the callback.
+_NUMPY_VALUES = {
+    "scalar": (scalar, "sample_triples"),
+    "gen": (vector, "sample_triples"),
+    "weight": (scalar, "batch_values"),
 }
 _DOMAINS = [parse_domain([0.2, 6.0]), parse_domain([-1.0, 1.0]), REALS, POSITIVE_REALS,
             Interval(1e5, 1e5 + 1.0), Interval(-1e-8, 1e-8)]
 
 
 @contextmanager
-def _scalar_loop_only(kind: str):
-    module, name = _PREDICATES[kind]
-    with mock.patch.object(module, name, lambda *args: False):
+def _callback_values_only(kind: str):
+    module, name = _NUMPY_VALUES[kind]
+    with mock.patch.object(module, name, lambda *args: None):
         yield
 
 
@@ -51,9 +53,9 @@ def _outcome(build) -> str:
 
 
 def _both(kind: str, build) -> tuple[str, str]:
-    """(batched outcome, scalar-loop outcome) of one build."""
+    """(batched outcome, callback-values outcome) of one build."""
     batched = _outcome(build)
-    with _scalar_loop_only(kind):
+    with _callback_values_only(kind):
         return batched, _outcome(build)
 
 
@@ -179,27 +181,26 @@ def test_weight_checks_agree(text, domain):
     assert batched == reference
 
 
-def _samples_scalar():
-    domain = parse_domain([0.2, 6.0])
-    rng = np.random.default_rng(scalar._VALIDATION_SEED + 2)
-    us, vs, ws = (scalar._sample_window(domain, rng, scalar._VALIDATION_SAMPLES)
-                  for _ in range(3))
-    return us, vs, ws, us.max() - us.min() + 1.0
+def _never(*args):
+    raise AssertionError("the callback was evaluated")
 
 
 def test_batched_path_accepts_valid_families():
-    # The point of the batch: a deviation that satisfies the axioms never
-    # reaches the scalar loop.
-    us, vs, ws, span = _samples_scalar()
+    # The point of the batch: a family that satisfies the axioms is never
+    # evaluated through its callback.
+    domain = parse_domain([0.2, 6.0])
     _, batch = parse_expression("exp(u)*(log(u) - log(v))").bind_batch(("u", "v"))
-    assert scalar._deviation_samples_pass(batch, us, vs, ws, span)
+    scalar.ScalarDeviation(domain=domain, eval=_never, validate=False)._check_axioms(batch)
     _, weight = parse_expression("1 + u^2").bind_batch(("u",))
-    assert scalar._weights_pass(weight, us)
-    with mock.patch.object(vector, "_finite_floats", side_effect=AssertionError):
-        build_gen_deviation(["2*(1 + u2^2)*(u1 - v1)", "2*(1 + u2^2)*(u2 - v2)"], 2)
+    scalar.WeightFn(eval=_never, domain=domain, validate=False)._check(weight)
+    names = ("u1", "u2", "v1", "v2")
+    _, family = bind_family([parse_expression(e) for e in
+                             ("2*(1 + u2^2)*(u1 - v1)", "2*(1 + u2^2)*(u2 - v2)")], names)
+    vector.GenDeviation(dim=2, eval=_never, sample_low=-2.0, sample_high=2.0,
+                        validate=False)._check_axioms(family)
 
 
-# Fallbacks: each outcome is the scalar loop's, word for word as before the
+# Fallbacks: each outcome is the callback's, word for word as before the
 # batched path existed.
 @pytest.mark.parametrize("kind,case,expected", [
     # A constant coordinate is a float, broadcast over the samples.
@@ -249,10 +250,11 @@ def test_a_failing_batch_leaves_the_verdict_to_the_scalar_loop(spoil):
         spoil = _nan_at(batch, 17)
     elif spoil == "complex":
         spoil = lambda us, vs: batch(us, vs) + 0j  # noqa: E731
-    dev = scalar.ScalarDeviation(domain=parse_domain([0.2, 6.0]), eval=fn, validate=False)
-    us, vs, ws, span = _samples_scalar()
-    assert not scalar._deviation_samples_pass(spoil, us, vs, ws, span)
-    dev._check_axioms(spoil)  # accepted by the scalar loop
+    by_callback = mock.Mock(wraps=fn)
+    dev = scalar.ScalarDeviation(domain=parse_domain([0.2, 6.0]), eval=by_callback,
+                                 validate=False)
+    dev._check_axioms(spoil)  # accepted on the callback's values
+    assert by_callback.called
     bad = scalar.ScalarDeviation(domain=parse_domain([0.2, 6.0]), eval=lambda u, v: v - u,
                                  label="reversed", validate=False)
     with pytest.raises(MeansError) as info:
@@ -260,3 +262,64 @@ def test_a_failing_batch_leaves_the_verdict_to_the_scalar_loop(spoil):
     with pytest.raises(MeansError) as direct:
         bad._check_axioms()
     assert str(info.value) == str(direct.value)
+
+
+# Evaluation, then verdict: a callback that raises at sample k has the
+# samples before k judged first, so the first failing sample wins as it did
+# when each sample was judged as soon as it was evaluated.
+class _Scripted:
+    """``base``, except at the listed call numbers, where the listed value
+    is returned or the listed exception raised."""
+
+    def __init__(self, base, script: dict):
+        self.base, self.script, self.calls = base, script, 0
+
+    def __call__(self, *args):
+        call, self.calls = self.calls, self.calls + 1
+        planted = self.script.get(call, None)
+        if planted is None:
+            return self.base(*args)
+        if isinstance(planted, Exception):
+            raise planted
+        return planted
+
+
+def _scripted_build(kind: str, script: dict):
+    if kind == "scalar":
+        return lambda: scalar.ScalarDeviation(
+            domain=Interval(0.2, 6.0), eval=_Scripted(lambda u, v: u - v, script),
+            label="scripted")
+    if kind == "gen":
+        return lambda: vector.GenDeviation(
+            dim=2, eval=_Scripted(lambda u, v: u - v, script), label="scripted")
+    return lambda: scalar.WeightFn(eval=_Scripted(lambda u: 1.0 + u * u, script),
+                                   domain=Interval(0.2, 6.0))
+
+
+def _raise_at(call: int) -> dict:
+    return {call: DomainError(f"planted at call {call}")}
+
+
+@pytest.mark.parametrize("kind,script,expected", [
+    # A failure at sample 2, then a raise at sample 5.
+    ("scalar", {6: 1.0, **_raise_at(16)},
+     "InvalidDeviationError: scripted: E(u,u) = 1.0 != 0 at u=2.4147351652630036"),
+    ("gen", {6: np.array([1.0, 0.0]), **_raise_at(16)},
+     "InvalidDeviationError: scripted: E(u,u) != 0 at u=[-0.15826304  0.61836941]"),
+    ("weight", {2: -1.0, **_raise_at(5)},
+     "InvalidArgumentError: weight function is not positive at u=4.934286948033111: -1.0"),
+    # A raise at sample 5, every sample before it valid.
+    ("scalar", _raise_at(16), "DomainError: planted at call 16"),
+    ("gen", _raise_at(16), "DomainError: planted at call 16"),
+    ("weight", _raise_at(5), "DomainError: planted at call 5"),
+    # A bad first value at sample 2 whose next call raises: the sample was
+    # never judged, unless the value was not finite.
+    ("scalar", {6: 1.0, **_raise_at(7)}, "DomainError: planted at call 7"),
+    ("gen", {6: np.array([1.0, 0.0]), **_raise_at(7)}, "DomainError: planted at call 7"),
+    ("gen", {6: np.array([math.nan, 0.0]), **_raise_at(7)},
+     "InvalidDeviationError: scripted: E(u,u) is not finite at u=[-0.15826304  0.61836941]"),
+], ids=["scalar-fail-then-raise", "gen-fail-then-raise", "weight-fail-then-raise",
+        "scalar-raise", "gen-raise", "weight-raise", "scalar-raise-in-failing-sample",
+        "gen-raise-in-failing-sample", "gen-not-finite-then-raise"])
+def test_the_first_failing_sample_wins_over_a_later_raise(kind, script, expected):
+    assert _outcome(_scripted_build(kind, script)) == expected

@@ -3,14 +3,16 @@
 ``PotentialFn._check_property`` and the scalar loop of
 ``GenDeviation._check_axioms`` run on plain floats, with one gradient per
 sample point.  The reference here is a copy of the numpy loops they replace,
-kept verbatim but for two marked translations, the only outcomes that are
+kept verbatim but for three marked translations, the only outcomes that are
 meant to differ:
 
 - a covector or gradient that is not finite at a sample was the unnamed
   ``InvalidArgumentError: covector entries must be finite``; it now names
   the family and the sample;
 - a finite difference that is not finite at a sample passed the agreement
-  test (NaN compares false); it is now rejected, naming the sample.
+  test (NaN compares false); it is now rejected, naming the sample;
+- a value of F that is not finite failed the convexity test and was reported
+  as a section that is not strictly convex; it is now named as not finite.
 
 Everything else (order of the tests, thresholds, messages) must agree.
 """
@@ -95,6 +97,10 @@ def _ref_potential_check(F: PotentialFn, grad_v, reject_nan_fd: bool = True) -> 
             fmid = F.value(u, 0.5 * (v + w))
             favg = 0.5 * (F.value(u, v) + F.value(u, w))
             if not fmid < favg + 1e-12 * (1.0 + abs(favg)):
+                # Translation 3: a value of F that is not finite is named.
+                if not (math.isfinite(fmid) and math.isfinite(favg)):
+                    raise InvalidPotentialError(
+                        f"{F.label}: F(u,.) is not finite at u={u} between {v} and {w}")
                 raise InvalidPotentialError(
                     f"{F.label}: section not strictly convex between {v} and {w}"
                 )
@@ -385,38 +391,47 @@ def test_each_deviation_branch_is_planted(fault, size, expected, via_potential):
     assert expected in new
 
 
+def _unclear(a, b, threshold):
+    """Rows whose float sum is too close to the threshold to decide."""
+    terms = a * b
+    return ~(np.abs(terms.sum(axis=1) - threshold)
+             > 1e-12 * np.abs(terms).sum(axis=1) + 1e-300)
+
+
 def test_sums_near_a_threshold_are_left_to_numpy():
     # A rotation's pairings are rounding errors: the float sums are too close
     # to their thresholds to decide, and numpy's dot decides as before.
-    sides = []
-    real_side = vector._side
+    unclear = []
+    real_row_dots = vector._row_dots
 
     def recording(a, b, threshold):
-        sides.append(real_side(a, b, threshold))
-        return sides[-1]
+        out = real_row_dots(a, b, threshold)
+        rows = np.flatnonzero(_unclear(a, b, threshold))
+        unclear.extend(rows)
+        for k in rows:
+            assert out[k] == a[k] @ b[k] or (np.isnan(out[k]) and np.isnan(a[k] @ b[k]))
+        return out
 
     for d in (2, 3, 4):
-        with mock.patch.object(vector, "_side", recording):
+        with mock.patch.object(vector, "_row_dots", recording):
             new, reference = _gen_outcomes((*_quadratic(d), -2.0, 2.0, "rotation", 0.0, False))
         assert new == reference
-    assert 0 in sides
+    assert unclear
 
 
 def test_a_side_decided_in_floats_is_numpys():
     # Dot products that cancel to rounding level: numpy's BLAS may sum them
-    # to another sign, so _side must leave every such one undecided.
+    # to another sign, so _row_dots must leave every such one to numpy.
     rng = np.random.default_rng(3)
     undecided = 0
     for _ in range(2000):
         d = int(rng.integers(2, 5))
         a, b = rng.standard_normal(d), rng.standard_normal(d)
         a[-1] = -float(a[:-1] @ b[:-1]) / b[-1]
-        side = vector._side(a.tolist(), b.tolist(), 0.0)
+        side = np.sign(vector._row_dots(a[None], b[None], 0.0)[0])
         dot = float(a @ b)
-        if side:
-            assert (dot > 0.0 and side > 0) or (dot < 0.0 and side < 0)
-        else:
-            undecided += 1
+        assert side == np.sign(dot)
+        undecided += int(_unclear(a[None], b[None], 0.0)[0])
     assert undecided > 0
 
 
@@ -424,13 +439,12 @@ def test_apart_is_numpys_norm_test():
     # Differences whose squared norm lies within a few ulps of 1e-18, where a
     # float sum of squares and numpy's norm can fall on either side.
     rng = np.random.default_rng(5)
-    zero = np.zeros(4)
     for _ in range(20000):
         d = int(rng.integers(2, 5))
         x = rng.uniform(0.1, 1.0, d - 1) * 1e-9 / math.sqrt(d)
         last = math.sqrt(1e-18 - float(x @ x)) * (1.0 + float(rng.integers(-3, 4)) * 1.1e-16)
         a = np.append(x, last)
-        assert vector._apart(a.tolist(), a, zero[:d]) == bool(np.linalg.norm(a) > 1e-9)
+        assert vector._separated(a[None])[0] == bool(np.linalg.norm(a) > 1e-9)
 
 
 # ---- The two new rejections, the shared differences, point_vars ---------------
@@ -447,6 +461,19 @@ def test_a_gradient_that_is_not_finite_is_named():
                        match=r"^deviation of spoiled: E\(u,u\) is not finite at u=\["):
         object.__setattr__(F, "validate", True)
         make_potential_deviation(F)
+
+
+def test_a_potential_value_that_is_not_finite_is_named():
+    # F is NaN above 0.5: the convexity test compared NaN and reported a
+    # section that is not strictly convex between [0.62704152] and
+    # [0.19306243]; the value is now named as not finite at that sample.
+    def feval(u, v):
+        return math.nan if v[0] > 0.5 else float((v[0] - u[0]) ** 2)
+
+    with pytest.raises(InvalidPotentialError) as info:
+        PotentialFn(dim=1, eval=feval, grad_v=lambda u, v: 2.0 * (v - u))
+    assert str(info.value) == ("potential: F(u,.) is not finite at u=[0.24855972] "
+                               "between [0.62704152] and [0.19306243]")
 
 
 def test_a_nan_finite_difference_is_rejected():

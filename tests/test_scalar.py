@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from meanreduce.core import Interval, POSITIVE_REALS, REALS, SolverConfig
 from meanreduce.descriptors import KINDS, _VECTOR_KINDS, MeanDescriptor, build_mean
 from meanreduce.errors import (
+    DomainError,
     InvalidArgumentError,
     InvalidDeviationError,
 )
@@ -461,6 +462,22 @@ class TestGeneratorFn:
         inv = numeric_inverse(lambda u: u ** 3, dom)
         for t in (0.001, 1.0, 27.0, 12345.0):
             assert inv(t) == pytest.approx(t ** (1 / 3), rel=1e-9)
+
+    @pytest.mark.parametrize("fn,domain,target,side", [
+        # The bracket end reaches an open finite endpoint.
+        (lambda u: u, Interval(1.0, 3.0, lo_open=True), 0.5, "below"),
+        (lambda u: u, Interval(1.0, 3.0, hi_open=True), 4.0, "above"),
+        # It halves toward a closed one until its budget is spent.
+        (lambda u: u, Interval(1.0, 3.0), 0.5, "below"),
+        (lambda u: u, Interval(1.0, 3.0), 4.0, "above"),
+        # It doubles its steps toward an infinite one, under a bounded range.
+        (math.exp, REALS, -1.0, "below"),
+        (lambda u: -math.exp(-u), REALS, 1.0, "above"),
+    ], ids=["open-lo", "open-hi", "closed-lo", "closed-hi", "infinite-lo", "infinite-hi"])
+    def test_numeric_inverse_rejects_targets_outside_the_range(self, fn, domain, target, side):
+        inv = numeric_inverse(fn, domain)
+        with pytest.raises(DomainError, match=rf"^target {target} {side} the generator's range$"):
+            inv(target)
 
     def test_power_generator_requires_positive_exponent(self):
         with pytest.raises(InvalidArgumentError):
