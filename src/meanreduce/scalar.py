@@ -185,7 +185,8 @@ def _expand_bracket(fn: Callable[[float], float], t: float, x: float, fx: float,
                     end: float, is_open: bool, step: float, below: bool) -> tuple[float, float]:
     """Move the bracket end x toward the endpoint ``end`` until fn(x) <= t
     (``below``) or fn(x) >= t: doubling steps toward an infinite endpoint,
-    halving the distance to a finite one, at most 256 times."""
+    halving the distance to a finite one until x stops moving, at most 256
+    times."""
     for _ in range(256):
         if fx <= t if below else fx >= t:
             return x, fx
@@ -193,9 +194,13 @@ def _expand_bracket(fn: Callable[[float], float], t: float, x: float, fx: float,
             x = x - step if below else x + step
             step *= 2.0
         else:
-            x = 0.5 * (x + end)
-            if is_open and (x <= end if below else x >= end):
+            nxt = 0.5 * (x + end)
+            if is_open and (nxt <= end if below else nxt >= end):
                 break
+            if nxt == x:
+                # At a closed endpoint, or next to one: nothing left to try.
+                break
+            x = nxt
         fx = fn(x)
     raise DomainError(f"target {t} {'below' if below else 'above'} the generator's range")
 

@@ -27,13 +27,17 @@ summed potential gradient) and their direction rule: extragradient steps
 descent with Armijo backtracking on the summed potential for the other.
 The extragradient steps and the polish phase of the descent share one
 local step test (``_slack_step``, Khobotov 1987): a step along the slack
-vector is halved until it is small against the change of the slacks it
-causes, and the step that passed is tried first next time.  No global
-Lipschitz constant is estimated, and a solve depends on its arguments
-alone.  The loop owns what they share: the simplex projection, the
-positive-slack merit sum_j max(g (x_j - y), 0)^2, a strided secant
-extrapolation, a projected-Newton candidate, stagnation handling with step
-halving, and the final slack certificate.
+vector passes when it is small against the change of the slacks it causes,
+and the step that passed is tried first next time.  A trial that fails is
+cut to the bound on the step that it measured, or to half of it if that is
+smaller, rather than merely halved, so the first step of a solve reaches
+the problem's scale in a few trials; the Armijo search cuts a failed trial
+by quadratic interpolation.  The acceptance tests are those of the halving
+searches before.  No global Lipschitz constant is estimated, and a solve
+depends on its arguments alone.  The loop owns what they share: the
+simplex projection, the positive-slack merit sum_j max(g (x_j - y), 0)^2, a
+strided secant extrapolation, a projected-Newton candidate, stagnation
+handling with step halving, and the final slack certificate.
 
 The projected-Newton candidate is Josephy's Newton step for variational
 inequalities (Josephy 1979; Facchinei & Pang 2003, ch. 7): g is linearized
@@ -328,19 +332,22 @@ def gen_e_sum(E: Sequence[GenDeviation], x: Sequence, y) -> Covector:
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     # Euclidean projection onto the probability simplex (sort-based).  Small
     # problems dominate this code path, where plain Python beats numpy's
-    # sort/cumsum overhead by an order of magnitude.
-    u = sorted(v.tolist(), reverse=True)
+    # sort/cumsum overhead by an order of magnitude.  Adding a constant to
+    # every entry leaves the projection unchanged; shifting by the largest
+    # entry keeps theta in [-1, 0), so that it cannot cancel against the
+    # entries of a large input and the weights still sum to 1.
+    vals = v.tolist()
+    top = max(vals)
+    w = [x - top for x in vals]
     css = 0.0
-    theta = u[0] - 1.0
-    for i, ui in enumerate(u):
+    theta = -1.0
+    for i, ui in enumerate(sorted(w, reverse=True)):
         css += ui
         t = (css - 1.0) / (i + 1.0)
         if ui - t <= 0.0:
             break
         theta = t
-    out = v - theta
-    np.clip(out, 0.0, None, out=out)
-    return out
+    return np.array([max(x - theta, 0.0) for x in w])
 
 
 class _Iterate(NamedTuple):
@@ -483,22 +490,45 @@ class _SecantAccelerator:
 
 def _slack_step(point, cur: _Iterate, tau: float, nu: float) -> tuple[_Iterate, float]:
     """The projected step lam' = P(lam + tau s) along the slack vector s of
-    cur, with tau halved until tau |s(lam') - s(lam)| <= nu |lam' - lam|: a
-    local Lipschitz test on the slack map (Khobotov 1987).  Returns the point
-    at lam' and the tau that passed.  Once tau s falls below the resolution
-    of lam, lam' = lam and the test passes, so the halving ends on its own.
-    A NaN in the test passes it too: where P(lam) differs from lam in the
-    last bits and the slack difference overflows, tau |s(lam') - s(lam)|
-    stays inf until tau underflows to 0, and 0 * inf is NaN; the halving
-    would otherwise never end.
+    cur that passes tau |s(lam') - s(lam)| <= nu |lam' - lam|: a local
+    Lipschitz test on the slack map (Khobotov 1987).  Returns the point at
+    lam' and the tau that passed.  A trial that fails measured the local
+    bound nu |dl| / |ds| on the step, with ds and dl its changes of s and
+    lam; the next trial is ``_khobotov_cut`` of it, that bound or half the
+    trial, whichever is smaller.  Once tau s falls below the resolution of
+    lam, lam' = lam and the test passes, so the cuts end on their own.  A NaN
+    in the test passes it too: where P(lam) differs from lam in the last
+    bits and the slack difference overflows, |ds| is inf, the bound cuts tau
+    to 0, and 0 * inf is NaN; the cuts would otherwise never end.
     """
     while True:
         nxt = point(_project_simplex(cur.lam + tau * cur.slack))
         ds = nxt.slack - cur.slack
         dl = nxt.lam - cur.lam
-        if not tau * math.sqrt(float(ds @ ds)) > nu * math.sqrt(float(dl @ dl)):
+        ds_norm = math.sqrt(float(ds @ ds))
+        dl_norm = math.sqrt(float(dl @ dl))
+        if not tau * ds_norm > nu * dl_norm:
             return nxt, tau
-        tau *= 0.5
+        tau = _khobotov_cut(tau, nu * dl_norm / ds_norm)
+
+
+def _khobotov_cut(tau: float, bound: float) -> float:
+    # The successor of a failed trial step: the local bound it measured, at
+    # most half of it, so that the cuts end.
+    return min(0.5 * tau, bound)
+
+
+def _armijo_cut(decrease: float, rise: float) -> float:
+    """The factor that cuts a failed Armijo trial: the minimizer of the
+    quadratic through phi(lam), the predicted decrease xg (lam' - lam) and
+    phi(lam'), in units of the trial (Nocedal & Wright 2006, sec. 3.5),
+    clamped to [0.1, 0.5].  ``rise`` is phi(lam') - phi(lam); 0.5 when the
+    decrease or the curvature rise + decrease is not positive."""
+    curvature = rise + decrease
+    if not (decrease > 0.0 and curvature > 0.0):
+        return 0.5
+    cut = 0.5 * decrease / curvature
+    return min(cut, 0.5) if cut >= 0.1 else 0.1
 
 
 def _merit(slack: np.ndarray) -> float:
@@ -654,7 +684,9 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
                 accel.accepted()
             else:
                 accel.rejected()
-        stable = stable + 1 if np.array_equal(chosen.lam > 0.0, cur.lam > 0.0) else 0
+        same_support = ([w > 0.0 for w in chosen.lam.tolist()]
+                        == [w > 0.0 for w in cur.lam.tolist()])
+        stable = stable + 1 if same_support else 0
         if stable >= newton_wait and max(chosen.slack.tolist()) > tol:
             stable = 0
             J = jac(chosen.y)
@@ -740,10 +772,13 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
     deviation and the extragradient direction rule: at weights lam with point
     y = sum_j lam_j x_j, the search direction is the slack vector
     (g (x_j - y))_j, stepped and projected back onto the simplex.  The step
-    passes the local test of ``_slack_step``: first tried at 1, it is halved
-    until step |s(lam') - s(lam)| <= (damping / 2) |lam' - lam| for the
-    slacks s, and then kept for the next iteration.  The loop adds the
-    safeguarded secant and projected-Newton candidates; the Newton step uses
+    passes the local test of ``_slack_step``,
+    step |s(lam') - s(lam)| <= (damping / 2) |lam' - lam| for the slacks s:
+    first tried at 1, a step that fails is cut to the bound
+    (damping / 2) |lam' - lam| / |s(lam') - s(lam)| it measured, or to half
+    of it if that is smaller, and the step that passed is kept for the next
+    iteration.  The test is the one the halving search used.  The loop adds
+    the safeguarded secant and projected-Newton candidates; the Newton step uses
     the exact Jacobian -2 sum_i w_i(x_i) I for inner-weight families and
     central differences otherwise.  Converged when
     max_j g (x_j - y) <= abs_tol (1 + max_i |x_i|) and the point movement
@@ -969,7 +1004,10 @@ def make_norm_sq_potential(w, dim: int, label: str = "norm-squared") -> Potentia
 class _ArmijoDescent:
     """Direction rule of the potential route: projected gradient descent on
     phi(lam) = sum_i F_i(x_i, lam X) with Armijo backtracking (constant
-    1e-4, shrink 0.5, first trial step ``scale``).
+    1e-4, first trial step ``scale``).  A trial step that fails the Armijo
+    test is cut by ``_armijo_cut``, the minimizer of the quadratic through
+    phi(lam), the predicted decrease and phi(lam'), clamped to [0.1, 0.5];
+    the test itself is the one the halving search used.
 
     The Armijo phase drives the objective down; once its improvements sink
     below float noise (which caps point accuracy near sqrt(eps)), or 30
@@ -1006,11 +1044,12 @@ class _ArmijoDescent:
             while t > 1e-20:
                 lam_plain = _project_simplex(lam + t * xg)
                 plain_value = self.phi(lam_plain @ self.X)
-                if plain_value <= self.value - 1e-4 * float(xg @ (lam_plain - lam)):
+                decrease = float(xg @ (lam_plain - lam))
+                if plain_value <= self.value - 1e-4 * decrease:
                     accepted = True
                     self.tau = t / scale
                     break
-                t *= 0.5
+                t *= _armijo_cut(decrease, plain_value - self.value)
             # No signal left in the objective, or no gap progress: polish.
             self.polish = (not accepted or self.window_count >= 30
                            or abs(plain_value - self.value)
@@ -1037,10 +1076,13 @@ def potential_mean(F: Sequence[PotentialFn], x: Sequence,
     Runs the shared simplex loop (see ``_simplex_solve``) with
     g = -sum_i grad_v F_i(x_i, .), summed by ``_sum_grad`` over
     E_i = -grad_v F_i, and the Armijo direction rule (backtracking with
-    constant 1e-4, shrink factor 0.5, initial step 1.0, then a polish phase
-    whose steps pass the local test of ``_slack_step``).  The loop adds the safeguarded secant and projected-Newton
-    candidates, the Newton step with a central-difference Jacobian of g, i.e.
-    the Hessian of the summed potential.  The convergence certificate is the
+    constant 1e-4 from an initial step 1.0, a failed trial cut by quadratic
+    interpolation to between 0.1 and 0.5 of itself, then a polish phase
+    whose steps pass the local test of ``_slack_step``).  The acceptance
+    tests are those of the halving searches before; only the cuts changed.
+    The loop adds the safeguarded secant and projected-Newton candidates,
+    the Newton step with a central-difference Jacobian of g, i.e. the
+    Hessian of the summed potential.  The convergence certificate is the
     same hull slack as for the variational inequality, taken with this g; it
     comes from the potentials' gradients alone, independently of the
     deviation route.  A summed gradient that turns non-finite raises

@@ -3,9 +3,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import root
 
+from meanreduce import vector
 from meanreduce.core import SolverConfig
 from meanreduce.vector import (
     PotentialFn,
@@ -123,6 +125,29 @@ def test_project_simplex_is_the_euclidean_projection(values):
     assert np.all(v[~support] <= theta + tol)
 
 
+def test_project_simplex_keeps_the_simplex_at_large_input():
+    # Without the shift by the largest entry, theta cancelled against these
+    # entries: the weights summed to 0.875 at b = 1e15 and were all zero at
+    # b = 1e16, where b - 1 rounds to b.
+    for b, want in ((1e15, [0.5625, 0.4375, 0.0]), (1e16, [1.0, 0.0, 0.0]),
+                    (1e300, [1.0, 0.0, 0.0])):
+        assert _project_simplex(np.array([b, b * (1.0 - 1e-16), 0.0])).tolist() == want
+
+
+@SETTINGS
+@given(st.integers(-8, 16), st.integers(1, 16).flatmap(
+    lambda n: st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+    st.floats(-1.0, 1.0))
+def test_project_simplex_sums_to_one_at_every_scale(exponent, values, offset):
+    # Entries of size 10^exponent, shifted by a common offset of the same
+    # size: the weights sum to 1 within 4 ulp of 1.
+    scale = 10.0 ** exponent
+    v = np.asarray(values) * scale + offset * scale
+    p = _project_simplex(v)
+    assert np.all(p >= 0.0)
+    assert abs(math.fsum(p.tolist()) - 1.0) <= 4.0 * 2.0 ** -52
+
+
 # Small problems: n in 2..6 points of R^d, d in 1..3, with repeats so that
 # coincident points and n > d + 1 both occur.
 coords = st.integers(-8, 8).map(lambda k: k / 4.0)
@@ -223,3 +248,132 @@ def test_both_routes_hit_the_weighted_mean_at_every_data_scale(data, s):
     for report in (vi, pot):
         assert report.converged
         assert float(np.linalg.norm(report.value - closed)) <= 1e-8 * scale
+
+
+# The step searches of the hull loop.  A failed trial of the local step test
+# is cut to the bound it measured (at most half of it); a failed Armijo trial
+# by the minimizer of its interpolating quadratic, clamped to [0.1, 0.5].
+# The tests that accept a step are those of the halving searches before.
+
+class StepContracts:
+    """Wraps the step searches of ``vector`` and checks every step they
+    take against its acceptance test and every cut against its range."""
+
+    def __init__(self):
+        self.khobotov_cuts = 0
+        self.armijo_steps = self.armijo_cuts = 0
+
+    def slack_step(self, original):
+        def wrapped(point, cur, tau, nu):
+            nxt, passed = original(point, cur, tau, nu)
+            ds = nxt.slack - cur.slack
+            dl = nxt.lam - cur.lam
+            lhs = passed * math.sqrt(float(ds @ ds))
+            assert lhs <= nu * math.sqrt(float(dl @ dl)) or math.isnan(lhs)
+            assert passed <= tau
+            return nxt, passed
+        return wrapped
+
+    def khobotov_cut(self, original):
+        def wrapped(tau, bound):
+            nxt = original(tau, bound)
+            assert nxt <= 0.5 * tau
+            self.khobotov_cuts += 1
+            return nxt
+        return wrapped
+
+    def armijo_cut(self, original):
+        def wrapped(decrease, rise):
+            factor = original(decrease, rise)
+            assert 0.1 <= factor <= 0.5
+            self.armijo_cuts += 1
+            return factor
+        return wrapped
+
+    def armijo_step(self, original):
+        def wrapped(rule, cur, scale):
+            value = rule.value
+            nxt = original(rule, cur, scale)
+            if not rule.polish:
+                # An accepted Armijo step, with the search's own arithmetic.
+                xg = rule.X @ cur.g
+                decrease = float(xg @ (nxt.lam - cur.lam))
+                assert rule.phi(nxt.y) <= value - 1e-4 * decrease
+                self.armijo_steps += 1
+            return nxt
+        return wrapped
+
+    def install(self, patch):
+        patch(vector, "_slack_step", self.slack_step(vector._slack_step))
+        patch(vector, "_khobotov_cut", self.khobotov_cut(vector._khobotov_cut))
+        patch(vector, "_armijo_cut", self.armijo_cut(vector._armijo_cut))
+        patch(vector._ArmijoDescent, "step", self.armijo_step(vector._ArmijoDescent.step))
+
+
+def _solve_all_routes(d, x, weights, F):
+    gen_deviation_mean([inner_product_deviation(w, d) for w in weights], x)
+    gen_deviation_mean([make_potential_deviation(f) for f in F], x)
+    potential_mean(F, x)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 5), st.integers(1, 4), st.sampled_from([1e-3, 1e-1, 1e1, 1e3]))
+def test_every_step_passes_its_acceptance_test(data, n, d, s):
+    x = [s * np.asarray(p) for p in data.draw(st.lists(
+        st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d), min_size=n, max_size=n))]
+    weights = data.draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
+    F = data.draw(potential_families(d, n))
+    contracts = StepContracts()
+    with pytest.MonkeyPatch.context() as mp:
+        contracts.install(mp.setattr)
+        _solve_all_routes(d, x, weights, F)
+
+
+def step_corpus():
+    """Twelve fixed hull problems: n in 2..5, d in 1..4, points uniform in
+    [-2, 2]^d, quadratic and quartic potentials, inner-product weights."""
+    rng = np.random.default_rng(1405)
+    corpus = []
+    for k in range(12):
+        n, d = 2 + k % 4, 1 + (k // 3) % 4
+        x = [p for p in rng.uniform(-2.0, 2.0, (n, d))]
+        weights = rng.uniform(0.5, 3.0, n).tolist()
+        F = []
+        for _ in range(n):
+            if rng.random() < 0.3:
+                F.append(quartic_potential(float(rng.uniform(0.2, 1.0)), d))
+            else:
+                B = rng.uniform(-1.0, 1.0, (d, d))
+                F.append(quadratic_potential(B @ B.T + rng.uniform(0.5, 1.5) * np.eye(d)))
+        corpus.append((d, x, weights, F))
+    return corpus
+
+
+# Iterate-map evaluations (y = lam X, g(y), slacks) over step_corpus() when a
+# failed trial was halved: the step searches fell from 1 to the problem's
+# scale afresh in every solve.
+HALVING_ITERATE_EVALS = 750
+
+
+def test_step_searches_spend_no_more_iterate_evaluations_than_halving(monkeypatch):
+    evals = [0]
+    sum_grad = vector._sum_grad
+
+    def counted_sum_grad(*args):
+        point, jac = sum_grad(*args)
+
+        def counted(lam):
+            evals[0] += 1
+            return point(lam)
+
+        return counted, jac
+
+    monkeypatch.setattr(vector, "_sum_grad", counted_sum_grad)
+    contracts = StepContracts()
+    contracts.install(monkeypatch.setattr)
+    for problem in step_corpus():
+        _solve_all_routes(*problem)
+    assert evals[0] <= HALVING_ITERATE_EVALS
+    # The corpus exercises both cuts, so the contracts above are not vacuous.
+    assert contracts.khobotov_cuts > 0 and contracts.armijo_cuts > 0
+    assert contracts.armijo_steps > 0

@@ -467,7 +467,7 @@ class TestGeneratorFn:
         # The bracket end reaches an open finite endpoint.
         (lambda u: u, Interval(1.0, 3.0, lo_open=True), 0.5, "below"),
         (lambda u: u, Interval(1.0, 3.0, hi_open=True), 4.0, "above"),
-        # It halves toward a closed one until its budget is spent.
+        # It stops at a closed one once the end no longer moves.
         (lambda u: u, Interval(1.0, 3.0), 0.5, "below"),
         (lambda u: u, Interval(1.0, 3.0), 4.0, "above"),
         # It doubles its steps toward an infinite one, under a bounded range.
@@ -478,6 +478,27 @@ class TestGeneratorFn:
         inv = numeric_inverse(fn, domain)
         with pytest.raises(DomainError, match=rf"^target {target} {side} the generator's range$"):
             inv(target)
+
+    @pytest.mark.parametrize("domain,target,most", [
+        # At a closed endpoint the end cannot move: fn at the two window
+        # ends, then the error (the end was re-evaluated 256 times before).
+        (Interval(1.0, 3.0), 0.5, 3),
+        (Interval(1.0, 3.0), 4.0, 3),
+        # Toward an open one the end halves its distance until it lands on
+        # the endpoint, as before.
+        (Interval(1.0, 3.0, lo_open=True), 0.5, 35),
+        (Interval(1.0, 3.0, hi_open=True), 4.0, 34),
+    ], ids=["closed-lo", "closed-hi", "open-lo", "open-hi"])
+    def test_bracket_expansion_stops_where_the_end_cannot_move(self, domain, target, most):
+        calls = []
+
+        def fn(u):
+            calls.append(u)
+            return u
+
+        with pytest.raises(DomainError):
+            numeric_inverse(fn, domain)(target)
+        assert len(calls) <= most
 
     def test_power_generator_requires_positive_exponent(self):
         with pytest.raises(InvalidArgumentError):
