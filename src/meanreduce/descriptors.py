@@ -46,19 +46,22 @@ from .vector import gen_deviation_mean  # noqa: F401  (perfbench's wrapper test 
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "arithmetic",
-    "weighted-arithmetic",
-    "holder",
-    "gini",
-    "quasi-arithmetic",
-    "bajraktarevic",
-    "matkowski",
-    "deviation-custom",
-    "gen-deviation",
-    "norm-squared-potential",
-    "custom-potential",
-)
+# The parameters each kind reads; any other key is rejected.
+_PARAMS = {
+    "arithmetic": (),
+    "weighted-arithmetic": ("weights", "domain"),
+    "holder": ("p",),
+    "gini": ("p", "q"),
+    "quasi-arithmetic": ("f", "domain"),
+    "bajraktarevic": ("f", "weights", "domain"),
+    "matkowski": ("fs", "domain"),
+    "deviation-custom": ("exprs", "domain"),
+    "gen-deviation": ("exprs",),
+    "norm-squared-potential": ("weights",),
+    "custom-potential": ("exprs",),
+}
+
+KINDS = tuple(_PARAMS)
 
 _VECTOR_KINDS = {"gen-deviation", "norm-squared-potential", "custom-potential"}
 
@@ -79,6 +82,9 @@ class MeanDescriptor:
             raise InvalidArgumentError("descriptor arity must be positive")
         if self.kind in _VECTOR_KINDS and (self.dim is None or self.dim <= 0):
             raise InvalidArgumentError(f"kind {self.kind!r} needs a positive dim")
+        unread = sorted(set(self.params) - set(_PARAMS[self.kind]))
+        if unread:
+            raise InvalidArgumentError(f"kind {self.kind!r} does not take parameters {unread}")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "arity": self.arity, "params": dict(self.params)}

@@ -32,12 +32,11 @@ and the step that passed is tried first next time.  A trial that fails is
 cut to the bound on the step that it measured, or to half of it if that is
 smaller, rather than merely halved, so the first step of a solve reaches
 the problem's scale in a few trials; the Armijo search cuts a failed trial
-by quadratic interpolation.  The acceptance tests are those of the halving
-searches before.  No global Lipschitz constant is estimated, and a solve
-depends on its arguments alone.  The loop owns what they share: the
+by quadratic interpolation.  No global Lipschitz constant is estimated, and
+a solve depends on its arguments alone.  The loop owns what they share: the
 simplex projection, the positive-slack merit sum_j max(g (x_j - y), 0)^2, a
-strided secant extrapolation, a projected-Newton candidate, stagnation
-handling with step halving, and the final slack certificate.
+projected-Newton candidate, stagnation handling with step halving, and the
+final slack certificate.
 
 The projected-Newton candidate is Josephy's Newton step for variational
 inequalities (Josephy 1979; Facchinei & Pang 2003, ch. 7): g is linearized
@@ -45,7 +44,7 @@ at the iterate, with J = Dg exact for inner-weight families and by central
 differences otherwise, and the linearized problem over the hull is solved
 as one nonnegative least-squares problem in the barycentric weights (see
 ``_newton_weights``).  It is tried once the support of the weights has held
-still for a few iterations, and kept only when it lowers the merit, so the
+still for an iteration, and kept only when it lowers the merit, so the
 plain step stands otherwise; convergence is still decided by the slack
 certificate alone.  It solves the thin hulls, where g's unconstrained zero
 lies outside conv(x) and the first-order steps crawl along a face.  A
@@ -421,73 +420,6 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarra
     return point, jac
 
 
-class _SecantAccelerator:
-    """Strided secant extrapolation of a fixed-point update map.
-
-    Consecutive-iterate displacement differences shrink linearly in the
-    contraction rate and sink below measurability exactly in the slow
-    regimes where extrapolation matters most, so the secant acts on
-    snapshots ``stride`` iterations apart, the stride adapting until the
-    signal (difference relative to displacement) is resolvable.  The caller
-    evaluates the proposal and keeps it only on a sufficient merit decrease,
-    so a bad one costs one evaluation and nothing else.
-    """
-
-    MAX_STRIDE = 4096
-
-    def __init__(self):
-        self.stride = 1
-        self.count = 0
-        self.last_lam = None
-        self.prev_lam = None
-        self.prev_disp = None
-
-    def propose(self, lam_next: np.ndarray):
-        self.count += 1
-        if self.count < self.stride:
-            return None
-        self.count = 0
-        raw = None
-        if self.last_lam is not None:
-            disp = lam_next - self.last_lam
-            if self.prev_disp is not None:
-                d_disp = disp - self.prev_disp
-                denom = float(d_disp @ d_disp)
-                norm_disp = math.sqrt(float(disp @ disp))
-                if denom > 0.0:
-                    # theta grows like 1/(1 - rate) when convergence crawls;
-                    # that is the regime the extrapolation exists for, so it
-                    # must not be capped.
-                    theta = float(disp @ d_disp) / denom
-                    raw = (self.last_lam + disp
-                           - theta * ((self.last_lam - self.prev_lam) + d_disp))
-                    if not (math.isfinite(theta) and np.all(np.isfinite(raw))):
-                        raw = None
-                if norm_disp > 0.0:
-                    signal = math.sqrt(denom) / norm_disp
-                    if signal < 0.03:
-                        wanted = int(0.03 / max(signal, 1e-9)) + 1
-                        self.stride = min(self.MAX_STRIDE, max(2 * self.stride, wanted))
-                    else:
-                        self.stride = max(1, self.stride // 2)
-            self.prev_lam = self.last_lam
-            self.prev_disp = disp
-        self.last_lam = lam_next.copy()
-        return raw
-
-    def accepted(self):
-        self.stride = max(1, self.stride // 2)
-        self.count = 0
-        self.last_lam = None
-        self.prev_lam = None
-        self.prev_disp = None
-
-    def rejected(self):
-        # Rejections are cheap (one evaluation); the stride is governed by
-        # the displacement signal, so just skip one extra iteration.
-        self.count = min(self.count, -1)
-
-
 def _slack_step(point, cur: _Iterate, tau: float, nu: float) -> tuple[_Iterate, float]:
     """The projected step lam' = P(lam + tau s) along the slack vector s of
     cur that passes tau |s(lam') - s(lam)| <= nu |lam' - lam|: a local
@@ -610,13 +542,9 @@ def _newton_weights(X: np.ndarray, y: np.ndarray, g: np.ndarray,
     total = float(lam.sum())
     if not total > 0.0:
         return None
-    return _project_simplex(lam / total)
-
-
-# Iterations of unchanged support before the first Newton try.  An accepted
-# candidate drops the wait to 1; a rejected one doubles it, from at least
-# this value.
-_NEWTON_WAIT = 3
+    # Not projected: a projection would lift the exact zeros of the active
+    # set by rounding, and the support would seem to change on the next step.
+    return lam / total
 
 
 def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
@@ -627,13 +555,14 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
     y = lam X; g is the route's covector field (the summed deviation, or
     minus the summed potential gradient) and the slack of vertex j is
     g(y) (x_j - y).  Each iteration asks ``rule.step(cur, scale)`` for the
-    route's plain candidate, then tries two safeguarded candidates from it:
-    a strided secant extrapolation of the update map (kept on a 4x cut of the
-    positive-slack merit), and, once the support of lam has held still for a
-    while, a projected-Newton step (kept when it lowers the merit at all).
-    ``rule.moved(plain, y)`` hears which candidate was kept.  Material merit
-    growth for 12 iterations, or 10 zero steps at a positive gap, halves the
-    step scale handed to the rule; after 24 halvings the solve gives up.
+    route's plain candidate.  Once that step leaves the support of lam
+    unchanged, a projected-Newton step from it is tried, and kept when it
+    lowers the positive-slack merit at all.  The wait of one stable
+    iteration doubles after each rejected candidate and drops back to one
+    after an accepted one.  ``rule.moved(plain, y)`` hears which candidate
+    was kept.  Material merit growth for 12 iterations, or 10 zero steps at
+    a positive gap, halves the step scale handed to the rule; after 24
+    halvings the solve gives up.
     Converged when max_j slack_j <= tol and the point moved less than tol;
     the final certificate recomputes the slack at the clipped barycentric
     weights, and only it decides ``converged``.
@@ -646,9 +575,8 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
     halvings = 0
     stagnant = 0
     stable = 0
-    newton_wait = _NEWTON_WAIT
+    newton_wait = 1
     iterations = 0
-    accel = _SecantAccelerator()
 
     for iterations in range(1, max_iter + 1):
         gap = max(cur.slack.tolist())
@@ -671,32 +599,19 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
             break
         plain = rule.step(cur, scale)
         chosen = plain
-        merit_chosen = _merit(plain.slack)
-        # Strided secant extrapolation of the update map, accepted only on a
-        # strong merit decrease; the plain step remains the fallback, so a
-        # bad proposal costs one evaluation and nothing else.
-        raw = accel.propose(plain.lam)
-        if raw is not None and merit_chosen > 0.0:
-            acc = point(_project_simplex(raw))
-            merit_acc = _merit(acc.slack)
-            if merit_acc <= 0.25 * merit_chosen:
-                chosen, merit_chosen = acc, merit_acc
-                accel.accepted()
-            else:
-                accel.rejected()
-        same_support = ([w > 0.0 for w in chosen.lam.tolist()]
+        same_support = ([w > 0.0 for w in plain.lam.tolist()]
                         == [w > 0.0 for w in cur.lam.tolist()])
         stable = stable + 1 if same_support else 0
-        if stable >= newton_wait and max(chosen.slack.tolist()) > tol:
+        if stable >= newton_wait and max(plain.slack.tolist()) > tol:
             stable = 0
-            J = jac(chosen.y)
-            lam_newton = None if J is None else _newton_weights(X, chosen.y, chosen.g, J)
+            J = jac(plain.y)
+            lam_newton = None if J is None else _newton_weights(X, plain.y, plain.g, J)
             newton = None if lam_newton is None else point(lam_newton)
-            if newton is not None and _merit(newton.slack) < merit_chosen:
+            if newton is not None and _merit(newton.slack) < _merit(plain.slack):
                 chosen = newton
                 newton_wait = 1
             else:
-                newton_wait = 2 * max(newton_wait, _NEWTON_WAIT)
+                newton_wait *= 2
         rule.moved(chosen is plain, chosen.y)
         dy = chosen.y - cur.y
         step = math.sqrt(float(dy @ dy))
@@ -777,9 +692,8 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
     first tried at 1, a step that fails is cut to the bound
     (damping / 2) |lam' - lam| / |s(lam') - s(lam)| it measured, or to half
     of it if that is smaller, and the step that passed is kept for the next
-    iteration.  The test is the one the halving search used.  The loop adds
-    the safeguarded secant and projected-Newton candidates; the Newton step uses
-    the exact Jacobian -2 sum_i w_i(x_i) I for inner-weight families and
+    iteration.  The loop adds the safeguarded projected-Newton candidate,
+    with the exact Jacobian -2 sum_i w_i(x_i) I for inner-weight families and
     central differences otherwise.  Converged when
     max_j g (x_j - y) <= abs_tol (1 + max_i |x_i|) and the point movement
     also falls below that scale; the slack criterion alone certifies the
@@ -890,11 +804,9 @@ class PotentialFn:
     sections, and agreement of ``grad_v`` with finite differences.  Each
     sample calls ``grad_v`` twice, at (u, u) and (u, v), and checks on the
     plain floats of the results; a gradient, finite difference or value of
-    F that is not finite is rejected, naming the sample.  Without a ``grad_v``, the
-    finite differences are the gradient at (u, v) itself, computed once.
-    Against three gradients and numpy tests per sample, this cut the
-    set-up of the ``vector-hull`` benchmark from 1.38 to 0.97 s
-    (``BENCH_potential.json``).
+    F that is not finite is rejected, naming the sample.  Without a
+    ``grad_v``, the finite differences are the gradient at (u, v) itself,
+    computed once.
     """
 
     dim: int
@@ -1006,16 +918,15 @@ class _ArmijoDescent:
     phi(lam) = sum_i F_i(x_i, lam X) with Armijo backtracking (constant
     1e-4, first trial step ``scale``).  A trial step that fails the Armijo
     test is cut by ``_armijo_cut``, the minimizer of the quadratic through
-    phi(lam), the predicted decrease and phi(lam'), clamped to [0.1, 0.5];
-    the test itself is the one the halving search used.
+    phi(lam), the predicted decrease and phi(lam'), clamped to [0.1, 0.5].
 
     The Armijo phase drives the objective down; once its improvements sink
     below float noise (which caps point accuracy near sqrt(eps)), or 30
     accepted steps pass without cutting the hull gap by a third
     (ill-conditioned zig-zag), a polish phase takes over, where the loop's
-    secant and Newton candidates act on a clean update sequence.  Its steps
-    start from the last accepted Armijo step and pass the local test of
-    ``_slack_step`` with nu = 0.5, which keeps the step for the next one.
+    Newton candidate acts on a clean update sequence.  Its steps start from
+    the last accepted Armijo step and pass the local test of ``_slack_step``
+    with nu = 0.5, which keeps the step for the next one.
     """
 
     def __init__(self, phi, point, X: np.ndarray, y0: np.ndarray):
@@ -1078,15 +989,13 @@ def potential_mean(F: Sequence[PotentialFn], x: Sequence,
     E_i = -grad_v F_i, and the Armijo direction rule (backtracking with
     constant 1e-4 from an initial step 1.0, a failed trial cut by quadratic
     interpolation to between 0.1 and 0.5 of itself, then a polish phase
-    whose steps pass the local test of ``_slack_step``).  The acceptance
-    tests are those of the halving searches before; only the cuts changed.
-    The loop adds the safeguarded secant and projected-Newton candidates,
-    the Newton step with a central-difference Jacobian of g, i.e. the
-    Hessian of the summed potential.  The convergence certificate is the
-    same hull slack as for the variational inequality, taken with this g; it
-    comes from the potentials' gradients alone, independently of the
-    deviation route.  A summed gradient that turns non-finite raises
-    InvalidPotentialError naming the potentials.
+    whose steps pass the local test of ``_slack_step``).  The loop adds the
+    safeguarded projected-Newton candidate, with a central-difference
+    Jacobian of g, i.e. the Hessian of the summed potential.  The
+    convergence certificate is the same hull slack as for the variational
+    inequality, taken with this g; it comes from the potentials' gradients
+    alone, independently of the deviation route.  A summed gradient that
+    turns non-finite raises InvalidPotentialError naming the potentials.
     """
     pts, dim, X, tol, single = _hull_setup(F, x, cfg, "potential")
     if single is not None:

@@ -84,6 +84,13 @@ class TestMeanCommand:
         assert out == ""
         assert err == ("error: evaluating 'exp(u^0.5)': must be real number, not complex\n")
 
+    def test_parameter_the_kind_does_not_read_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "mean", "--kind", "holder", "--p", "2", "--q", "3",
+                                 "--domain", "0,5", "--x", "1,7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: kind 'holder' does not take parameters ['domain', 'q']\n"
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "--kind", "holder", "--p", "1",
                                "--x", "1,3", "--format", "csv")

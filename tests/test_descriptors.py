@@ -40,6 +40,24 @@ DESCRIPTORS = [
      "params": {"exprs": ["(v1 - u1)^2"]}},
 ]
 
+# For each kind, one parameter that it does not read, and a value of the
+# kind that parameter takes where it is read.
+UNREAD = {
+    "arithmetic": "weights",
+    "weighted-arithmetic": "p",
+    "holder": "q",
+    "gini": "domain",
+    "quasi-arithmetic": "weights",
+    "bajraktarevic": "fs",
+    "matkowski": "f",
+    "deviation-custom": "weights",
+    "gen-deviation": "domain",
+    "norm-squared-potential": "exprs",
+    "custom-potential": "weights",
+}
+UNREAD_VALUES = {"weights": [1.0], "p": 2.0, "q": 3.0, "domain": [0, 5], "fs": ["u"],
+                 "f": "log", "exprs": ["(v1 - u1)^2"]}
+
 
 def sample_inputs(desc: MeanDescriptor, rng):
     positive = desc.kind in ("holder", "gini", "quasi-arithmetic", "bajraktarevic",
@@ -130,6 +148,14 @@ class TestValidation:
     def test_unknown_fields_rejected(self):
         with pytest.raises(InvalidArgumentError):
             MeanDescriptor.from_json({"kind": "holder", "arity": 2, "power": 2})
+
+    @pytest.mark.parametrize("kind, extra", sorted(UNREAD.items()))
+    def test_parameter_the_kind_does_not_read_is_rejected(self, kind, extra):
+        base = next(d for d in DESCRIPTORS if d["kind"] == kind)
+        MeanDescriptor.from_json(base)
+        data = dict(base, params={**base.get("params", {}), extra: UNREAD_VALUES[extra]})
+        with pytest.raises(InvalidArgumentError, match=f"kind '{kind}'.*'{extra}'"):
+            MeanDescriptor.from_json(data)
 
     def test_weight_count_mismatch(self):
         with pytest.raises(InvalidArgumentError):

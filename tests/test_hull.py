@@ -250,6 +250,33 @@ def test_both_routes_hit_the_weighted_mean_at_every_data_scale(data, s):
         assert float(np.linalg.norm(report.value - closed)) <= 1e-8 * scale
 
 
+def conditioned_quadratics(rng, n: int, d: int, c: float) -> list:
+    """n quadratic potentials with A_i = Q_i diag(exp U(0, ln c)) Q_i' for
+    random orthogonal Q_i: condition numbers up to c."""
+    family = []
+    for _ in range(n):
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        A = (Q * np.exp(rng.uniform(0.0, math.log(c), d))) @ Q.T
+        family.append(quadratic_potential(0.5 * (A + A.T)))
+    return family
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(1, 4),
+       st.floats(0.0, 3.0))
+def test_ill_conditioned_quadratics_converge_fast_on_both_routes(seed, n, d, log10_c):
+    # The slow linear regime of first-order steps: the Newton candidate,
+    # tried from the first iteration whose support holds, ends it.
+    rng = np.random.default_rng(seed)
+    x = [p for p in rng.uniform(-2.0, 2.0, (n, d))]
+    F = conditioned_quadratics(rng, n, d, 10.0 ** log10_c)
+    vi = gen_deviation_mean([make_potential_deviation(f) for f in F], x)
+    pot = potential_mean(F, x)
+    for report in (vi, pot):
+        assert report.converged and report.iterations <= 40
+    assert float(np.linalg.norm(vi.value - pot.value)) <= 1e-10
+
+
 # The step searches of the hull loop.  A failed trial of the local step test
 # is cut to the bound it measured (at most half of it); a failed Armijo trial
 # by the minimizer of its interpolating quadratic, clamped to [0.1, 0.5].
