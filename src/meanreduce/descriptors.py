@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -286,56 +287,67 @@ def _norm_sq_potentials(weights, arity: int, dim: int) -> tuple[PotentialFn, ...
 
 def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
     """Construct the MeanFn described by a descriptor."""
-    kind, arity, params, dim = desc.kind, desc.arity, dict(desc.params), desc.dim
-    domain = parse_domain(params.get("domain"))
+    kind, arity, dim = desc.kind, desc.arity, desc.dim
+    param = partial(_param, desc)
     if kind == "arithmetic":
         return arithmetic_mean_fn(arity, dim)
     if kind == "weighted-arithmetic":
-        return weighted_arithmetic_mean_fn(params.get("weights", [1.0]), arity, dim, domain)
+        return weighted_arithmetic_mean_fn(param("weights", [1.0]), arity, dim,
+                                           parse_domain(param("domain", None)))
     if kind == "holder":
-        return holder_mean_fn(_require(params, "p"), arity)
+        return holder_mean_fn(param("p"), arity)
     if kind == "gini":
-        return gini_mean_fn(_require(params, "p"), _require(params, "q"), arity)
+        return gini_mean_fn(param("p"), param("q"), arity)
     if kind == "quasi-arithmetic":
-        return quasi_arithmetic_mean_fn(_require(params, "f"),
-                                        arity, _generator_domain(params))
+        f = param("f")
+        return quasi_arithmetic_mean_fn(f, arity, _generator_domain(param("domain", None), f))
     if kind == "bajraktarevic":
-        return bajraktarevic_mean_fn(_require(params, "f"), params.get("weights", [1.0]),
-                                     arity, _generator_domain(params))
+        f = param("f")
+        return bajraktarevic_mean_fn(f, param("weights", [1.0]), arity,
+                                     _generator_domain(param("domain", None), f))
     if kind == "matkowski":
-        return matkowski_mean_fn(_require(params, "fs"), arity,
-                                 _generator_domain(params), cfg)
+        fs = param("fs")
+        return matkowski_mean_fn(fs, arity,
+                                 _generator_domain(param("domain", None), (fs or [None])[0]), cfg)
     if kind == "deviation-custom":
-        exprs = _expand(_require(params, "exprs"), arity, "deviation expressions")
+        exprs = _expand(param("exprs"), arity, "deviation expressions")
+        domain = parse_domain(param("domain", None))
         devs = [build_scalar_deviation(e, domain) for e in exprs]
         return deviation_mean_fn(devs, cfg, label="custom deviation mean")
     if kind == "gen-deviation":
-        exprs = _require(params, "exprs")
+        exprs = param("exprs")
         if exprs and isinstance(exprs[0], str):
             exprs = [exprs]
         exprs = _expand(exprs, arity, "covector expression lists")
         devs = [build_gen_deviation(e, dim) for e in exprs]
         return gen_deviation_mean_fn(devs, cfg)
     if kind == "norm-squared-potential":
-        pots = _norm_sq_potentials(params.get("weights"), arity, dim)
+        pots = _norm_sq_potentials(param("weights", None), arity, dim)
         return potential_mean_fn(pots, cfg, label="norm-squared potential mean")
     if kind == "custom-potential":
-        exprs = _expand(_require(params, "exprs"), arity, "potential expressions")
+        exprs = _expand(param("exprs"), arity, "potential expressions")
         pots = tuple(build_custom_potential(e, dim) for e in exprs)
         return potential_mean_fn(pots, cfg, label="custom potential mean")
     raise InvalidArgumentError(f"unknown mean kind {kind!r}")
 
 
-def _require(params: dict, key: str):
-    if key not in params:
+_REQUIRED = object()
+
+
+def _param(desc: MeanDescriptor, key: str, default=_REQUIRED):
+    # Only keys that _PARAMS lists for the kind may be read: it is the table
+    # MeanDescriptor checks the given keys against.
+    assert key in _PARAMS[desc.kind], f"_PARAMS[{desc.kind!r}] does not list {key!r}"
+    if key in desc.params:
+        return desc.params[key]
+    if default is _REQUIRED:
         raise InvalidArgumentError(f"missing required parameter {key!r}")
-    return params[key]
+    return default
 
 
-def _generator_domain(params: dict) -> Optional[Interval]:
-    if "domain" in params and params["domain"] is not None:
-        return parse_domain(params["domain"])
-    f = params.get("f") or (params.get("fs") or [None])[0]
+def _generator_domain(spec, f) -> Optional[Interval]:
+    if spec is not None:
+        return parse_domain(spec)
     if isinstance(f, str) and f.strip() == "log":
         return POSITIVE_REALS
     return None

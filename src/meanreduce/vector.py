@@ -41,20 +41,24 @@ final slack certificate.
 The projected-Newton candidate is Josephy's Newton step for variational
 inequalities (Josephy 1979; Facchinei & Pang 2003, ch. 7): g is linearized
 at the iterate, with J = Dg exact for inner-weight families and by central
-differences otherwise, and the linearized problem over the hull is solved
-as one nonnegative least-squares problem in the barycentric weights (see
-``_newton_weights``).  It is tried once the support of the weights has held
-still for an iteration, and kept only when it lowers the merit, so the
-plain step stands otherwise; convergence is still decided by the slack
-certificate alone.  It solves the thin hulls, where g's unconstrained zero
-lies outside conv(x) and the first-order steps crawl along a face.  A
-brute-force lattice search over barycentric coordinates serves as an
-independent oracle for small tuples.
+differences otherwise, and the affine variational inequality over the hull
+that results is solved by an active-set iteration on the barycentric
+weights (see ``_newton_weights``).  J is not symmetrized, so the step is
+exact for linear fields with a skew part too.  It is tried once the
+support of the weights has held still for an iteration, and kept only
+when it, or a half or a quarter of it, lowers the merit, so the plain step
+stands otherwise; convergence is still decided by the slack certificate
+alone.  It solves the thin hulls, where g's unconstrained zero lies
+outside conv(x) and the first-order steps crawl along a face, and the slow
+linear regimes of the first-order steps.  A brute-force lattice search
+over barycentric coordinates serves as an independent oracle for small
+tuples.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from operator import sub
@@ -507,44 +511,81 @@ def _central_jacobian(geval):
     return jac
 
 
-def _newton_weights(X: np.ndarray, y: np.ndarray, g: np.ndarray,
-                    J: np.ndarray) -> Optional[np.ndarray]:
-    """Barycentric weights of the projected-Newton point from y.
+def _newton_weights(X: np.ndarray, cur: _Iterate, J: np.ndarray) -> Optional[np.ndarray]:
+    """Barycentric weights of the projected-Newton point from cur.
 
-    Linearizing g at y turns the hull variational inequality into the
-    quadratic program min 1/2 d'Hd - g'd over d = y' - y, y' in conv(x), with
-    H = -sym(J) positive definite (Josephy's Newton method for variational
-    inequalities; Facchinei & Pang 2003, ch. 7).  With H = R'R it is the
-    least-squares problem |R d - R^-T g| over barycentric weights, solved as
-    one nonnegative least-squares problem whose last row asks for unit
-    weight sum, weighted as in barycentric_feasibility.  The columns are
-    centred at y, d = sum_j lam_j (x_j - y), so the multiplier of that row
-    vanishes at the solution and a weight on the scale of the other rows
-    suffices: a 1e6 times heavier row only cost digits, enough to stall the
-    polish of some hull problems.  A missed unit sum merely rescales the
-    step when the weights are renormalized.  None when H is not positive
-    definite.
+    Linearizing g at y, G(y') = g + J (y' - y), turns the hull variational
+    inequality into an affine one: y' in conv(x) with G(y') (x_j - y') <= 0
+    for every j, with equality where x_j has positive weight (Josephy 1979;
+    Facchinei & Pang 2003, ch. 7).  J is not symmetrized: the skew part of
+    a non-gradient field belongs to the linearization.  On a working
+    support S the weights lam + delta, with delta_j = -lam_j off S, solve
+
+        (x_j - y) G(y') = t  for j in S,    sum_j delta_j = 0
+
+    for delta_S and t by least squares, which covers affinely dependent
+    supports too; the right-hand side holds the slacks, so the correction
+    keeps its digits near the solution.  S starts at the support of lam and
+    changes once per solve, as in an active-set method (Nocedal & Wright
+    2006, sec. 16.5): negative weights are approached from the current
+    ones up to the first that reaches zero, whose vertex leaves S; else the
+    vertex with the largest positive linearized slack joins S, and with
+    none the weights are the answer; S holding every vertex, none can
+    join.  After 3n solves the last weights stand.  None when the system is
+    not finite, or when the step d from y has d'Jd >= 0: g is strictly
+    monotone under the axioms, and a family that is not is left to the
+    plain step, whose pairing check reports it.
     """
-    H = -0.5 * (J + J.T)
-    try:
-        L = np.linalg.cholesky(H)  # H = L L', R = L'
-    except np.linalg.LinAlgError:
-        return None
-    A = ((X - y) @ L).T
-    row = 1.0 + float(np.abs(A).max())
-    A = np.vstack([A, np.full((1, X.shape[0]), row)])
-    b = np.concatenate([np.linalg.solve(L, g), [row]])
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
-        return None
-    from scipy.optimize import nnls  # imported on first use: nothing else needs scipy
+    from scipy.linalg.lapack import dgelsy  # imported on first use: scalar commands skip scipy
 
-    lam, _ = nnls(A, b)
-    total = float(lam.sum())
-    if not total > 0.0:
-        return None
-    # Not projected: a projection would lift the exact zeros of the active
-    # set by rounding, and the support would seem to change on the next step.
-    return lam / total
+    n = X.shape[0]
+    C = X - cur.y
+    A = C @ J @ C.T
+    lam = cur.lam
+    inside = lam > 0.0
+    for _ in range(3 * n):
+        S = np.flatnonzero(inside)
+        k = len(S)
+        K = np.ones((k + 1, k + 1))
+        K[:k, :k] = A[S][:, S]
+        K[:k, k] = -1.0
+        K[k, k] = 0.0
+        off = np.where(inside, 0.0, cur.lam)
+        rhs = np.append(A[S] @ off - cur.slack[S], off.sum())
+        # LAPACK's least squares by a rank-revealing QR, with numpy's
+        # default rank cutoff: the minimum-norm solution when S is affinely
+        # dependent, at a third of the cost of numpy's lstsq at these sizes.
+        _, step, _, _, info = dgelsy(K, rhs, np.zeros(k + 1, dtype=np.int32),
+                                     (k + 1) * sys.float_info.epsilon, 4 * k + 5)
+        if info != 0:
+            return None
+        target = np.zeros(n)
+        target[S] = cur.lam[S] + step[:k]
+        target /= target.sum()
+        if not np.all(np.isfinite(target)):
+            return None
+        if target.min() < 0.0:
+            neg = np.flatnonzero(target < 0.0)
+            ratios = lam[neg] / (lam[neg] - target[neg])
+            first = int(np.argmin(ratios))
+            lam = lam + ratios[first] * (target - lam)
+            inside &= lam > 0.0
+            inside[neg[first]] = False
+            lam[~inside] = 0.0
+            continue
+        lam = target
+        if k == n:
+            break
+        d = lam @ X - cur.y
+        G = cur.g + J @ d
+        sigma = C @ G - float(d @ G)
+        sigma[inside] = -math.inf
+        j = int(np.argmax(sigma))
+        if not sigma[j] > 0.0:
+            break
+        inside[j] = True
+    d = lam @ X - cur.y
+    return lam if float(d @ J @ d) < 0.0 else None
 
 
 def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
@@ -557,15 +598,17 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
     g(y) (x_j - y).  Each iteration asks ``rule.step(cur, scale)`` for the
     route's plain candidate.  Once that step leaves the support of lam
     unchanged, a projected-Newton step from it is tried, and kept when it
-    lowers the positive-slack merit at all.  The wait of one stable
-    iteration doubles after each rejected candidate and drops back to one
-    after an accepted one.  ``rule.moved(plain, y)`` hears which candidate
-    was kept.  Material merit growth for 12 iterations, or 10 zero steps at
-    a positive gap, halves the step scale handed to the rule; after 24
-    halvings the solve gives up.
-    Converged when max_j slack_j <= tol and the point moved less than tol;
-    the final certificate recomputes the slack at the clipped barycentric
-    weights, and only it decides ``converged``.
+    lowers the positive-slack merit below the plain step's; when it does
+    not, half and then a quarter of it are tried.  The wait of one stable
+    iteration doubles after each candidate that sets no new lowest merit of
+    the solve and drops back to one after one that does, so a Newton step
+    that only trades rounding noise at the floor does not run the solve to
+    ``max_iter``.  ``rule.moved(plain, y)`` hears which candidate was kept.
+    Material merit growth for 12 iterations, or 10 zero steps at a positive
+    gap, halves the step scale handed to the rule; after 24 halvings the
+    solve gives up.  Converged when max_j slack_j <= tol and the point moved
+    less than tol; the slack recomputed at the weights of the last iterate,
+    which the report carries, decides ``converged``.
     """
     cur = point(lam)
     step = math.inf
@@ -605,13 +648,19 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
         if stable >= newton_wait and max(plain.slack.tolist()) > tol:
             stable = 0
             J = jac(plain.y)
-            lam_newton = None if J is None else _newton_weights(X, plain.y, plain.g, J)
-            newton = None if lam_newton is None else point(lam_newton)
-            if newton is not None and _merit(newton.slack) < _merit(plain.slack):
-                chosen = newton
-                newton_wait = 1
-            else:
-                newton_wait *= 2
+            lam_newton = None if J is None else _newton_weights(X, plain, J)
+            merit_plain = _merit(plain.slack)
+            merit_newton = math.inf
+            # The full step, then a half and a quarter of it from the plain
+            # point: the linearization overshoots where g bends.
+            for _ in range(0 if lam_newton is None else 3):
+                newton = point(lam_newton)
+                merit_newton = _merit(newton.slack)
+                if merit_newton < merit_plain:
+                    chosen = newton
+                    break
+                lam_newton = 0.5 * (plain.lam + lam_newton)
+            newton_wait = 1 if merit_newton < merit_min else 2 * newton_wait
         rule.moved(chosen is plain, chosen.y)
         dy = chosen.y - cur.y
         step = math.sqrt(float(dy @ dy))
@@ -629,7 +678,12 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
             stagnant = 0
         cur = chosen
 
-    bary = Barycentric.clipped(cur.lam)
+    # The certificate is recomputed at the iterate's own weights, which every
+    # candidate keeps nonnegative and summing to 1 within rounding.
+    # Renormalizing them would move y in the last bits, enough to move an
+    # ill-conditioned slack across the tolerance after the loop stopped
+    # below it.
+    bary = Barycentric(tuple(cur.lam.tolist()))
     final = point(bary.array)
     gap = float(final.slack.max())
     return SolverReport(
@@ -740,7 +794,7 @@ def barycentric_feasibility(x: Sequence, y) -> tuple[np.ndarray, float]:
     scale = 1.0 + float(np.abs(X).max())
     A = np.vstack([X.T, np.full((1, len(pts)), scale)])
     b = np.concatenate([yv, [scale]])
-    from scipy.optimize import nnls  # imported on first use: nothing else needs scipy
+    from scipy.optimize import nnls  # imported on first use: scalar commands skip scipy
 
     lam, _ = nnls(A, b)
     residual = float(np.linalg.norm(A @ lam - b))

@@ -290,7 +290,7 @@ class TestFuzzCommand:
 
 
 def test_scalar_commands_do_not_import_scipy():
-    # scipy is needed only by the vector solvers' nonnegative least squares;
+    # scipy is needed only by the vector hull solves and checks;
     # importing it costs most of a scalar command's start-up.
     script = ("import sys, meanreduce, meanreduce.cli, meanreduce.suites\n"
               "assert meanreduce.cli.main(['mean', '--kind', 'holder', '--p', '2',"
