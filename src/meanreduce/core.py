@@ -79,6 +79,15 @@ REALS = Interval()
 POSITIVE_REALS = Interval(0.0, math.inf, lo_open=True)
 
 
+def not_finite(row: np.ndarray) -> bool:
+    """Whether an entry of the 1-d array row is not finite.  A Python sum
+    screens: on the short rows of points and covectors it costs a fraction
+    of the elementwise test, and as it can overflow where no entry does,
+    only a sum that is not finite has the entries looked at."""
+    vals = row.tolist()
+    return not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals))
+
+
 def as_point(p, dim: Optional[int] = None) -> np.ndarray:
     """Validate and normalize a point of R^d to a float64 numpy array.
 
@@ -92,7 +101,7 @@ def as_point(p, dim: Optional[int] = None) -> np.ndarray:
         raise InvalidArgumentError(f"a point must be a 1-d coordinate list, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise InvalidArgumentError(f"expected a point of dimension {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+    if not_finite(arr):
         raise InvalidArgumentError("point coordinates must be finite")
     return arr
 

@@ -40,6 +40,7 @@ from .scalar import (
     matkowski_mean,
     numeric_inverse,
     quasi_arithmetic_mean,
+    scaled_mean,
     weighted_arith_mean,
 )
 from .vector import GenDeviation, PotentialFn, make_norm_sq_potential
@@ -230,10 +231,16 @@ def build_custom_potential(expr_text: str, dim: int,
                        sample_low=sample_low, sample_high=sample_high)
 
 
+def _arithmetic_mean(xs) -> float:
+    try:
+        return math.fsum(float(v) for v in xs) / len(xs)
+    except OverflowError:
+        return scaled_mean([1.0] * len(xs), xs, len(xs))
+
+
 def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
     if dim is None:
-        return MeanFn(arity=arity, eval=lambda xs: math.fsum(float(v) for v in xs) / len(xs),
-                      label="arithmetic")
+        return MeanFn(arity=arity, eval=_arithmetic_mean, label="arithmetic")
     return MeanFn(arity=arity, dim=dim, label="arithmetic",
                   eval=lambda xs: np.mean(np.stack([np.asarray(p, float) for p in xs]), axis=0))
 

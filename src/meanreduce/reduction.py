@@ -26,6 +26,7 @@ and skip it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -38,6 +39,7 @@ from .core import (
     SolverReport,
     as_point_tuple,
     bracketed_root,
+    not_finite,
     select,
     splice,
 )
@@ -296,7 +298,7 @@ def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float, cfg: SolverConfig,
     alpha = cfg.damping
     y = y0.copy()
     r = m(y) - y
-    rnorm = float(np.linalg.norm(r))
+    rnorm = math.sqrt(float(r @ r))
     prev: Optional[tuple[np.ndarray, np.ndarray]] = None
     no_progress = 0
     iterations = 0
@@ -310,7 +312,7 @@ def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float, cfg: SolverConfig,
                 theta = float(r @ dr) / denom
                 if abs(theta) <= 8.0:
                     cand = (y + r) - theta * ((y - prev[0]) + dr)
-                    if np.all(np.isfinite(cand)):
+                    if not not_finite(cand):
                         y_next = cand
         plain = y + alpha * r
         if y_next is None:
@@ -319,11 +321,11 @@ def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float, cfg: SolverConfig,
         else:
             accelerated = True
         r_next = m(y_next) - y_next
-        rn = float(np.linalg.norm(r_next))
+        rn = math.sqrt(float(r_next @ r_next))
         if accelerated and rn > rnorm:
             y_next = plain
             r_next = m(y_next) - y_next
-            rn = float(np.linalg.norm(r_next))
+            rn = math.sqrt(float(r_next @ r_next))
             prev = None
         else:
             prev = (y, r)

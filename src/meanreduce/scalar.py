@@ -659,6 +659,14 @@ def _gini_direct(p: float, q: float, xs: list, m: float) -> Optional[float]:
     return m * ratio ** (1.0 / (p - q))
 
 
+def scaled_mean(weights: Sequence[float], x: Sequence, total: float) -> float:
+    """sum_i w_i x_i / total, summed on x_i / m for m = max_i |x_i|:
+    math.fsum raises OverflowError when a partial sum leaves the float
+    range, as sum_i x_i can where no x_i and no mean does."""
+    m = max(abs(float(xi)) for xi in x)
+    return math.fsum(wv * (float(xi) / m) for wv, xi in zip(weights, x)) / total * m
+
+
 def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
     """sum_i w_i(x_i) x_i / sum_i w_i(x_i) for scalar or point entries.
 
@@ -676,7 +684,10 @@ def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
             raise InvalidArgumentError(f"weight {wv} not positive")
     total = math.fsum(values)
     if scalar:
-        return math.fsum(wv * float(xi) for wv, xi in zip(values, x)) / total
+        try:
+            return math.fsum(wv * float(xi) for wv, xi in zip(values, x)) / total
+        except OverflowError:
+            return scaled_mean(values, x, total)
     from .core import as_point_tuple
 
     pts = as_point_tuple(x)

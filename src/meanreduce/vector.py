@@ -76,6 +76,7 @@ from .core import (
     as_point_tuple,
     first_failure,
     judge_samples,
+    not_finite,
     running_magnitude,
     sample_triples,
 )
@@ -126,19 +127,13 @@ def _as_shape(value, dim: int) -> np.ndarray:
     return arr
 
 
-def _not_finite(row: np.ndarray) -> bool:
-    # A Python sum screens: it can overflow where no entry does.
-    vals = row.tolist()
-    return not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals))
-
-
 def _as_grad(value, dim: int, error: type = InvalidArgumentError,
              message: str = "covector entries must be finite", *args) -> np.ndarray:
     """A covector as an array, its shape checked as by ``_as_shape``; an
     entry that is not finite raises ``error(message.format(*args))``, so a
     sampled check's message can name the sample."""
     arr = _as_shape(value, dim)
-    if _not_finite(arr):
+    if not_finite(arr):
         raise error(message.format(*args))
     return arr
 
@@ -244,7 +239,7 @@ class GenDeviation:
         judge_samples(partial(_gen_verdict, self.label, us, vs, ws), numpy_values,
                       lambda a, b: _as_shape(self.eval(a, b), self.dim),
                       lambda: ((u, x) for u, v, w in zip(us, vs, ws) for x in (u, v, w)), 3,
-                      InvalidDeviationError, stop=_not_finite)
+                      InvalidDeviationError, stop=not_finite)
 
     def __call__(self, u, v) -> Covector:
         return Covector(tuple(self.grad(as_point(u, self.dim), as_point(v, self.dim))))
@@ -314,7 +309,7 @@ def _hull_setup(fns: Sequence, x: Sequence, cfg: SolverConfig, what: str):
     """
     pts, dim = _check_family(fns, x, what)
     X = np.stack(pts, axis=0)
-    tol = cfg.abs_tol * (1.0 + float(max(np.linalg.norm(p) for p in pts)))
+    tol = cfg.abs_tol * (1.0 + max(math.sqrt(float(p @ p)) for p in pts))
     single = None
     if len(pts) == 1:
         single = SolverReport(value=pts[0].copy(), residual=0.0, iterations=0,
@@ -414,9 +409,7 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarra
         y = lam @ X
         g = geval(y)
         slack = X @ g - float(y @ g)
-        # A Python sum over the slacks costs a fifth of the elementwise test;
-        # the sum can overflow where the slacks do not, so it only screens.
-        if not math.isfinite(sum(slack.tolist())) and not np.all(np.isfinite(slack)):
+        if not_finite(slack):
             raise InvalidDeviationError(
                 f"{_labels(E)}: summed covector or its slacks are not finite at y={y}")
         return _Iterate(lam, y, g, slack)
@@ -506,7 +499,7 @@ def _central_jacobian(geval):
             J = _central_differences(geval, y)
         except MeansError:
             return None
-        return J if np.all(np.isfinite(J)) else None
+        return None if not_finite(J.reshape(-1)) else J
 
     return jac
 
@@ -544,14 +537,25 @@ def _newton_weights(X: np.ndarray, cur: _Iterate, J: np.ndarray) -> Optional[np.
     lam = cur.lam
     inside = lam > 0.0
     for _ in range(3 * n):
-        S = np.flatnonzero(inside)
-        k = len(S)
-        K = np.ones((k + 1, k + 1))
-        K[:k, :k] = A[S][:, S]
+        full = inside.all()
+        if full:
+            # Every vertex on S, most calls: no weight is off S, so the
+            # system is A itself, bordered, and the right-hand side minus the
+            # slacks; the same values as below, without the index copies.
+            k = n
+            K = np.ones((n + 1, n + 1))
+            K[:n, :n] = A
+            rhs = np.zeros(n + 1)
+            rhs[:n] -= cur.slack
+        else:
+            S = np.flatnonzero(inside)
+            k = len(S)
+            K = np.ones((k + 1, k + 1))
+            K[:k, :k] = A[S][:, S]
+            off = np.where(inside, 0.0, cur.lam)
+            rhs = np.append(A[S] @ off - cur.slack[S], off.sum())
         K[:k, k] = -1.0
         K[k, k] = 0.0
-        off = np.where(inside, 0.0, cur.lam)
-        rhs = np.append(A[S] @ off - cur.slack[S], off.sum())
         # LAPACK's least squares by a rank-revealing QR, with numpy's
         # default rank cutoff: the minimum-norm solution when S is affinely
         # dependent, at a third of the cost of numpy's lstsq at these sizes.
@@ -559,10 +563,13 @@ def _newton_weights(X: np.ndarray, cur: _Iterate, J: np.ndarray) -> Optional[np.
                                      (k + 1) * sys.float_info.epsilon, 4 * k + 5)
         if info != 0:
             return None
-        target = np.zeros(n)
-        target[S] = cur.lam[S] + step[:k]
+        if full:
+            target = cur.lam + step[:n]
+        else:
+            target = np.zeros(n)
+            target[S] = cur.lam[S] + step[:k]
         target /= target.sum()
-        if not np.all(np.isfinite(target)):
+        if not_finite(target):
             return None
         if target.min() < 0.0:
             neg = np.flatnonzero(target < 0.0)
@@ -607,8 +614,8 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
     Material merit growth for 12 iterations, or 10 zero steps at a positive
     gap, halves the step scale handed to the rule; after 24 halvings the
     solve gives up.  Converged when max_j slack_j <= tol and the point moved
-    less than tol; the slack recomputed at the weights of the last iterate,
-    which the report carries, decides ``converged``.
+    less than tol; the last iterate's own slack, evaluated once with that
+    iterate at the weights the report carries, decides ``converged``.
     """
     cur = point(lam)
     step = math.inf
@@ -678,16 +685,15 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
             stagnant = 0
         cur = chosen
 
-    # The certificate is recomputed at the iterate's own weights, which every
-    # candidate keeps nonnegative and summing to 1 within rounding.
-    # Renormalizing them would move y in the last bits, enough to move an
-    # ill-conditioned slack across the tolerance after the loop stopped
-    # below it.
+    # The certificate is the last iterate's own slack, evaluated once, at the
+    # weights the report carries: every candidate keeps them nonnegative and
+    # summing to 1 within rounding, which Barycentric checks.  Renormalizing
+    # them would move y in the last bits, enough to move an ill-conditioned
+    # slack across the tolerance after the loop stopped below it.
     bary = Barycentric(tuple(cur.lam.tolist()))
-    final = point(bary.array)
-    gap = float(final.slack.max())
+    gap = float(cur.slack.max())
     return SolverReport(
-        value=final.y,
+        value=cur.y,
         residual=gap,
         iterations=iterations,
         converged=gap <= tol,

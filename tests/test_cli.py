@@ -91,6 +91,15 @@ class TestMeanCommand:
         assert out == ""
         assert err == "error: kind 'holder' does not take parameters ['domain', 'q']\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "arithmetic", "--arity", "2"],
+        ["--kind", "weighted-arithmetic", "--weights", "1;1"],
+    ], ids=["arithmetic", "weighted-arithmetic"])
+    def test_sum_beyond_the_float_range_is_no_crash(self, capsys, argv):
+        # 1e308 + 1e308 overflows, so math.fsum raises; the mean does not.
+        data = run_json(capsys, "mean", *argv, "--x", "1e308,1e308")
+        assert data["value"] == 1e308
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "--kind", "holder", "--p", "1",
                                "--x", "1,3", "--format", "csv")

@@ -1,5 +1,6 @@
 """The two hull solves: a thin-simplex regression and property tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -340,6 +341,107 @@ def test_skewed_families_converge_and_certify(seed, n, d, log10_c, skew):
     assert report.converged and report.iterations <= 40
     assert_barycentric(report, n)
     assert verify_vi(E, x, report.value, 1e-10 * 3.0 * (1.0 + 2.0 * math.sqrt(d))).ok
+
+
+# The active-set iteration of the projected-Newton candidate, on affine
+# fields g(y) = g0 + J (y - y0) whose J has a negative-definite symmetric part
+# and a skew part: g is its own linearization, so the weights it returns
+# solve the hull problem of g itself.
+
+def affine_problem(rng, n: int, d: int, log10_c: float, skew: float):
+    """Points X uniform in [-2, 2]^d and an affine field g with
+    J = -A + skew sqrt(c) (K - K'), A of ``conditioned_matrices``."""
+    X = rng.uniform(-2.0, 2.0, (n, d))
+    K = rng.standard_normal((d, d))
+    J = -conditioned_matrices(rng, 1, d, 10.0 ** log10_c)[0] \
+        + skew * 10.0 ** (0.5 * log10_c) * (K - K.T)
+    g0, y0 = rng.standard_normal(d), rng.uniform(-3.0, 3.0, d)
+    return X, J, lambda y: g0 + J @ (y - y0)
+
+
+def affine_iterate(X: np.ndarray, field, lam: np.ndarray):
+    """The hull loop's iterate at the weights lam for the field g."""
+    y = lam @ X
+    g = field(y)
+    return vector._Iterate(lam, y, g, X @ g - float(y @ g))
+
+
+def assert_solves_the_hull_problem(X: np.ndarray, field, weights: np.ndarray):
+    """Weights on the simplex whose slacks g(y) (x_j - y) are at most
+    1e-9 |g| diam(x), with equality on the support; |g| is the largest
+    |g(x_j)|."""
+    assert weights.min() >= 0.0 and abs(math.fsum(weights) - 1.0) <= 1e-12
+    diam = max(float(np.linalg.norm(p - q)) for p in X for q in X)
+    tol = 1e-9 * max(float(np.linalg.norm(field(p))) for p in X) * diam
+    slack = affine_iterate(X, field, weights).slack
+    assert slack.max() <= tol
+    assert np.all(np.abs(slack[weights > 0.0]) <= tol)
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.integers(1, 4),
+       st.floats(0.0, 3.0), st.floats(0.0, 2.0), st.booleans())
+def test_newton_weights_solve_an_affine_problem(seed, n, d, log10_c, skew, partial):
+    check_newton_weights(seed, n, d, log10_c, skew, partial)
+
+
+@pytest.mark.xfail(strict=True, reason="the active-set iteration cycles through single "
+                   "vertices until its 3n solves run out (CHANGES.md FOUND)")
+def test_newton_weights_do_not_cycle_from_a_partial_support():
+    check_newton_weights(386, 4, 3, 1.11, 1.11, True)
+
+
+def check_newton_weights(seed, n, d, log10_c, skew, partial):
+    """The weights of ``_newton_weights`` from weights lam, all positive or
+    (``partial``) zero at 1 to n - 1 vertices, solve the affine problem."""
+    rng = np.random.default_rng(seed)
+    X, J, field = affine_problem(rng, n, d, log10_c, skew)
+    lam = rng.dirichlet(np.ones(n))
+    if partial:
+        lam[rng.permutation(n)[:rng.integers(1, n)]] = 0.0
+        lam /= lam.sum()
+    weights = vector._newton_weights(X, affine_iterate(X, field, lam), J)
+    # None means no step: d'Jd < 0 for every step d != 0, so lam is the answer.
+    assert_solves_the_hull_problem(X, field, lam if weights is None else weights)
+
+
+def hull_problem_by_supports(X: np.ndarray, J: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The weights solving the hull problem of g(y) = a + J y, found by
+    trying every support S in order of size: on S the slacks are equal,
+    (x_j - x_s) g(y) = 0 for j, s in S, and the weights sum to 1, a linear
+    system solved by least squares.  The first solution that is
+    nonnegative and has no positive slack is the answer."""
+    n = len(X)
+    for size in range(1, n + 1):
+        for S in map(list, itertools.combinations(range(n), size)):
+            D = X[S[1:]] - X[S[0]]
+            M = np.vstack([D @ J @ X[S].T, np.ones(size)])
+            rhs = np.append(-(D @ a), 1.0)
+            lam = np.zeros(n)
+            lam[S] = np.linalg.lstsq(M, rhs, rcond=None)[0]
+            y = lam @ X
+            g = a + J @ y
+            if (lam.min() >= -1e-12 and float((X @ g - y @ g).max()) <= 1e-10
+                    and np.allclose(M @ lam[S], rhs, rtol=0.0, atol=1e-12)):
+                return lam
+    raise AssertionError("no support solves the problem")
+
+
+def test_newton_weights_from_a_full_and_a_partial_support():
+    # Four affinely independent points of R^3, a skewed affine field whose
+    # solution lies on the edge {x_1, x_4}.  From full support, most calls,
+    # x_2 and x_3 leave; from the support {x_3, x_4}, on the general
+    # active-set path, x_1 joins and x_3 leaves.
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-2.0, 2.0, (4, 3))
+    K = rng.standard_normal((3, 3))
+    J = -conditioned_matrices(rng, 1, 3, 100.0)[0] + 3.0 * (K - K.T)
+    a = rng.uniform(-20.0, 20.0, 3)
+    expected = hull_problem_by_supports(X, J, a)
+    assert np.flatnonzero(expected).tolist() == [0, 3]
+    for lam in (np.full(4, 0.25), np.array([0.0, 0.0, 0.5, 0.5])):
+        weights = vector._newton_weights(X, affine_iterate(X, lambda y: a + J @ y, lam), J)
+        np.testing.assert_allclose(weights, expected, rtol=0.0, atol=1e-14)
 
 
 # The step searches of the hull loop.  A failed trial of the local step test

@@ -246,7 +246,7 @@ class TestGenDeviationMean:
 
         def flaky(u, v):
             calls[0] += 1
-            if calls[0] > 28:
+            if calls[0] > 21:
                 return np.array([math.nan, math.nan])
             return 2.0 * (1.0 + float(u[0])) * (np.asarray(v, float) - np.asarray(u, float))
 
@@ -254,6 +254,25 @@ class TestGenDeviationMean:
                         grad_v=flaky, label="flaky", validate=False)
         with pytest.raises(InvalidPotentialError, match="flaky"):
             potential_mean([F] * 3, TRIANGLE)
+
+    def test_certificate_is_the_last_iterates_own_slack(self):
+        # The solve evaluates g 9 times, 3 slots each: 5 iterate-map
+        # evaluations and the 4 probes of one central-difference Jacobian.
+        # The final certificate is the last iterate's own slack, not a 10th
+        # evaluation at the same weights, which would make 30 calls.  The
+        # test above turns grad_v to NaN from call 22, in the 4th iterate-map
+        # evaluation, so that its solve fails mid-way.
+        calls = [0]
+
+        def counted(u, v):
+            calls[0] += 1
+            return 2.0 * (1.0 + float(u[0])) * (np.asarray(v, float) - np.asarray(u, float))
+
+        F = PotentialFn(dim=2, eval=lambda u, v: (1.0 + float(u[0])) * float((v - u) @ (v - u)),
+                        grad_v=counted, label="counted", validate=False)
+        report = potential_mean([F] * 3, TRIANGLE)
+        assert report.converged and report.iterations == 3
+        assert calls[0] == 27
 
     @staticmethod
     def _route(route, covector):
