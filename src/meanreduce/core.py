@@ -216,9 +216,8 @@ class SolverConfig:
 
 DEFAULT_CONFIG = SolverConfig()
 
-# ITP constants of Oliveira & Takahashi (2020): kappa_1 = 0.2 / (b0 - a0),
-# kappa_2 = 2, n_0 = 1.
-ITP_K1 = 0.2
+# ITP's projection constant of Oliveira & Takahashi (2020): n_0 = 1 step of
+# slack over bisection's count.
 ITP_N0 = 1
 
 
@@ -244,17 +243,24 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
                    width_tol: float, max_iter: int,
                    check: Optional[Callable] = None,
                    done: Optional[Callable] = None) -> RootResult:
-    """Locate a sign change of f in [a, b] by the ITP method.
+    """Locate a sign change of f in [a, b] by Chandrupatla's step inside
+    ITP's projection.
 
     ``fa`` and ``fb`` are f(a) and f(b): nonzero, of opposite signs; f may
-    increase or decrease.  Each step interpolates (regula falsi), truncates
-    the estimate toward the midpoint by kappa_1 (b - a)^2, and projects it
-    into a ball around the midpoint whose radius is the slack left in
-    bisection's budget (Interpolate-Truncate-Project; Oliveira & Takahashi,
-    ACM TOMS 2020).  Only the sign of f(x) moves an endpoint, so the bracket
-    always holds a sign change, and whatever f is, the width falls to
-    ``width_tol`` within ceil(log2((b - a) / width_tol)) + n_0 steps, n_0 = 1
-    more than bisection; on smooth sections convergence is superlinear.
+    increase or decrease.  The first estimate is regula falsi.  Later ones
+    interpolate x as a quadratic in f through both bracket ends and the end
+    the last update dropped, when Chandrupatla's (xi, Phi) test says the
+    quadratic is monotone there, and bisect otherwise (Chandrupatla, Adv.
+    Eng. Software 28(3), 1997).  Every estimate stays width_tol / 4 inside
+    the bracket (Brent's minimum step), then is projected into a ball
+    around the midpoint whose radius is the slack left in bisection's budget
+    (ITP's projection; Oliveira & Takahashi, ACM TOMS 2020).  Only the sign
+    of f(x) moves an endpoint, so the bracket always holds a sign change,
+    and whatever f is, the width falls to ``width_tol`` within
+    ceil(log2((b - a) / width_tol)) + n_0 steps, n_0 = 1 more than
+    bisection.  On smooth sections convergence is superlinear, and the
+    first step solves an affine one up to rounding unless the projection
+    moves it.
 
     After each evaluation ``check(x, fx, a, fa, b, fb)`` sees the point with
     the bracket it was drawn from and may raise.  After the bracket update,
@@ -265,13 +271,15 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
     midpoint is reported, converged only if ``done`` accepts it, exactly as
     if the budget had been spent re-evaluating it.
     """
-    span = b - a
-    k1 = ITP_K1 / span
-    n_max = max(math.ceil(math.log2(span / width_tol)), 0) + ITP_N0
+    n_max = max(math.ceil(math.log2((b - a) / width_tol)), 0) + ITP_N0
     # The projection radius keeps 1/16 of width_tol in reserve so that
     # rounding cannot push the last bracket past it.
     reserve_tol = 0.9375 * width_tol
+    # Brent's minimum step: a search converging from one side steps over the
+    # root and closes its bracket.
+    min_step = 0.25 * width_tol
     x, fx = a, fa
+    x3, f3 = None, 0.0  # the end the last update dropped, and f there
     for it in range(1, max_iter + 1):
         width = b - a
         mid = a + 0.5 * width
@@ -279,11 +287,24 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
             r = max(math.ldexp(reserve_tol, n_max - it) - 0.5 * width, 0.0)
         except OverflowError:
             r = math.inf
-        xf = a + width * (fa / (fa - fb))
-        d = mid - xf
-        delta = k1 * width * width
-        xt = xf + math.copysign(delta, d) if delta <= abs(d) else mid
-        x = xt if abs(xt - mid) <= r else mid - math.copysign(r, d)
+        if x3 is None:
+            xt = a + width * (fa / (fa - fb))
+        else:
+            # Chandrupatla's step from the newest end x1 toward the other x2.
+            x1, f1, x2, f2 = (a, fa, b, fb) if x == a else (b, fb, a, fa)
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = (f1 / (f2 - f1) * (f3 / (f2 - f3))
+                     + (x3 - x1) / (x2 - x1) * (f1 / (f3 - f1)) * (f2 / (f3 - f2)))
+                xt = x1 + t * (x2 - x1)
+            else:
+                xt = mid
+        lo, hi = a + min_step, b - min_step
+        if not lo <= xt <= hi:
+            xt = lo if xt < lo else hi if xt > hi else mid
+        d = mid - xt
+        x = xt if abs(d) <= r else mid - math.copysign(r, d)
         if not a < x < b:
             if math.nextafter(a, b) == b:
                 # No float lies strictly inside: every further step would
@@ -298,8 +319,10 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
         if fx == 0.0:
             return RootResult(x, fx, x, x, it, True)
         if (fx > 0.0) == (fa > 0.0):
+            x3, f3 = a, fa
             a, fa = x, fx
         else:
+            x3, f3 = b, fb
             b, fb = x, fx
         if b - a <= width_tol or (done is not None and done(x, fx, a, b)):
             return RootResult(x, fx, a, b, it, True)

@@ -5,14 +5,15 @@ reduction of M at a k-tuple x is a fixed point of the spliced evaluation
 y -> M((x|chi)(y)).  For scalar means the mean property pins the sign of
 mu(y) = M((x|chi)(y)) - y at the ends of [min(x), max(x)], so a bracketed
 search on mu converges unconditionally; fixed-point iteration could cycle for
-non-contractive maps.  The search is the ITP method of ``core.bracketed_root``
-(Oliveira & Takahashi, ACM TOMS 2020): never more than one step over
-bisection's count, superlinear on smooth mu.  For vector means the solver is
-a damped fixed-point iteration from the centroid, with a safeguarded secant
-(Anderson depth-1) extrapolation layered on top: plain iteration contracts
-arbitrarily slowly when the spliced slots dominate, and the extrapolated
-iterate is only ever accepted when it reduces the fixed-point residual, so
-certificates are unaffected.
+non-contractive maps.  The search is ``core.bracketed_root``: Chandrupatla's
+interpolation step (Adv. Eng. Software 28(3), 1997) inside ITP's projection
+(Oliveira & Takahashi, ACM TOMS 2020), never more than one step over
+bisection's count, superlinear on smooth mu and mostly one step on affine
+mu.  For vector means the solver is a damped fixed-point iteration from the
+centroid, with a safeguarded secant (Anderson depth-1) extrapolation layered
+on top: plain iteration contracts arbitrarily slowly when the spliced slots
+dominate, and the extrapolated iterate is only ever accepted when it reduces
+the fixed-point residual, so certificates are unaffected.
 
 Uniqueness cannot be decided for a black-box mean; results carry a tri-state
 flag ("unique" / "multiple-suspected" / "unknown"), never a silent claim.
@@ -226,7 +227,7 @@ def _scalar_setup(M: MeanFn, chi: Injection, x: Sequence[float], cfg: SolverConf
 
 def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
                   cfg: SolverConfig = DEFAULT_CONFIG) -> ReductionResult:
-    """Reduce a scalar mean by ``core.bracketed_root`` (ITP) on
+    """Reduce a scalar mean by ``core.bracketed_root`` on
     mu(y) = M((x|chi)(y)) - y, keeping the iterate of least |mu|.
 
     The mean property forces mu >= 0 at min(x) and mu <= 0 at max(x); a sign

@@ -8,11 +8,12 @@ deviation mean of a tuple x is the unique root y of
 
 inside [min(x), max(x)].  The root always exists because the summed section
 is strictly decreasing with opposite signs at the endpoints, so the solver is
-the bracketed ITP method of ``core.bracketed_root`` (Interpolate-Truncate-
-Project; Oliveira & Takahashi, ACM TOMS 2020).  Like bisection it keeps a
-sign change bracketed and needs nothing beyond continuity and monotonicity;
-it never takes more than one step over bisection's count, and on smooth
-sections it converges superlinearly.
+the bracketed search of ``core.bracketed_root``: Chandrupatla's step
+(Adv. Eng. Software 28(3), 1997) inside ITP's projection (Oliveira &
+Takahashi, ACM TOMS 2020).  Like bisection it keeps a sign change bracketed
+and needs nothing beyond continuity and monotonicity; it never takes more
+than one step over bisection's count, and on smooth sections it converges
+superlinearly.
 
 Classical families (Bajraktarevic, Matkowski, Gini, Holder / power means,
 quasi-arithmetic means) are provided in closed form; they double as oracles
@@ -49,10 +50,12 @@ from .core import (
     REALS,
     SolverConfig,
     SolverReport,
+    as_point_tuple,
     batch_values,
     bracketed_root,
     first_failure,
     judge_samples,
+    not_finite,
     running_magnitude,
     sample_triples,
 )
@@ -207,7 +210,8 @@ def _expand_bracket(fn: Callable[[float], float], t: float, x: float, fx: float,
 
 def numeric_inverse(fn: Callable[[float], float], domain: Interval,
                     cfg: SolverConfig = DEFAULT_CONFIG) -> Callable[[float], float]:
-    """Invert a strictly increasing function by bracket expansion + ITP.
+    """Invert a strictly increasing function by bracket expansion and
+    ``core.bracketed_root``.
 
     The bracket starts from the domain's finite window and grows outward
     (geometrically toward infinite endpoints, by endpoint-halving toward open
@@ -353,7 +357,7 @@ def e_sum(E, x: Sequence[float], u: float) -> float:
 def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> SolverReport:
     """Solve sum_i E_i(x_i, y) = 0 on [min(x), max(x)] by ``core.bracketed_root``.
 
-    The ITP search takes at most one step more than bisection would and
+    The search takes at most one step more than bisection would and
     needs only continuity and monotonicity of the sections.  The summed
     section decreases strictly from a nonnegative value at min(x) to a
     nonpositive value at max(x); a sign anomaly at the bracket endpoints or a
@@ -491,7 +495,7 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
     """(f_1 + ... + f_n)^{-1}(f_1(x_1) + ... + f_n(x_n)).
 
     The sum of the generators has no closed-form inverse in general, so it is
-    inverted by ``core.bracketed_root`` (ITP) on [min(x), max(x)], where the
+    inverted by ``core.bracketed_root`` on [min(x), max(x)], where the
     strictly increasing sum always straddles the target.
     """
     if len(f) != len(x):
@@ -684,14 +688,32 @@ def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
             raise InvalidArgumentError(f"weight {wv} not positive")
     total = math.fsum(values)
     if scalar:
+        xs = [float(xi) for xi in x]
         try:
-            return math.fsum(wv * float(xi) for wv, xi in zip(values, x)) / total
+            s = math.fsum(wv * xi for wv, xi in zip(values, xs))
         except OverflowError:
-            return scaled_mean(values, x, total)
-    from .core import as_point_tuple
-
+            s = math.inf
+        except ValueError:
+            # inf - inf: products w_i x_i overflowed both ways, or the data
+            # hold both infinities.
+            if not all(map(math.isfinite, xs)):
+                raise
+            s = math.inf
+        # A sum or a product w_i x_i of finite data that left the float
+        # range, where the mean does not: sum on the scaled data instead.
+        if math.isinf(s) and all(map(math.isfinite, xs)):
+            return scaled_mean(values, xs, total)
+        return s / total
     pts = as_point_tuple(x)
     acc = np.zeros_like(pts[0])
-    for wv, pt in zip(values, pts):
-        acc = acc + wv * pt
+    with np.errstate(over="ignore"):
+        for wv, pt in zip(values, pts):
+            acc = acc + wv * pt
+    if not_finite(acc):
+        # The points are finite, so a product or a partial sum overflowed.
+        m = max(float(np.abs(pt).max()) for pt in pts)
+        acc = np.zeros_like(pts[0])
+        for wv, pt in zip(values, pts):
+            acc = acc + wv * (pt / m)
+        return acc / total * m
     return acc / total

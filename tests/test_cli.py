@@ -94,11 +94,24 @@ class TestMeanCommand:
     @pytest.mark.parametrize("argv", [
         ["--kind", "arithmetic", "--arity", "2"],
         ["--kind", "weighted-arithmetic", "--weights", "1;1"],
-    ], ids=["arithmetic", "weighted-arithmetic"])
+        ["--kind", "weighted-arithmetic", "--weights", "2;2"],
+    ], ids=["arithmetic", "weighted-arithmetic", "weighted-products"])
     def test_sum_beyond_the_float_range_is_no_crash(self, capsys, argv):
         # 1e308 + 1e308 overflows, so math.fsum raises; the mean does not.
+        # With weights 2, each product 2 * 1e308 is already inf.
         data = run_json(capsys, "mean", *argv, "--x", "1e308,1e308")
         assert data["value"] == 1e308
+
+    def test_weighted_products_of_both_signs_beyond_the_float_range(self, capsys):
+        # The products overflow to inf and -inf, which math.fsum rejects.
+        data = run_json(capsys, "mean", "--kind", "weighted-arithmetic", "--arity", "2",
+                        "--weights", "2;2", "--x", "1e308,-1e308")
+        assert data["value"] == 0.0
+
+    def test_weighted_point_products_beyond_the_float_range(self, capsys):
+        data = run_json(capsys, "mean", "--kind", "weighted-arithmetic", "--arity", "2",
+                        "--dim", "2", "--weights", "2;3", "--x", "1e308,1;1e308,-2")
+        assert data["value"] == [1e308, pytest.approx(-0.8)]
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "--kind", "holder", "--p", "1",
@@ -132,7 +145,9 @@ class TestReduceCommand:
         assert data["value"] == pytest.approx([1.0, 1.0], abs=1e-9)
 
     def test_budget_exhaustion_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "reduce", "--kind", "arithmetic",
+        # One step solves the arithmetic reduction (its section is affine),
+        # so the budget runs out on a curved one.
+        code, _, err = run_cli(capsys, "reduce", "--kind", "holder", "--p", "3",
                                "--arity", "4", "--chi", "1,2,3", "--x", "1,2,4",
                                "--max-iter", "1", "--abs-tol", "1e-13")
         assert code == 3

@@ -1,4 +1,7 @@
-"""Property tests of the shared ITP root finder ``core.bracketed_root``."""
+"""Property tests of the shared root finder ``core.bracketed_root``:
+Chandrupatla's step (regula falsi first, then inverse quadratic
+interpolation or bisection) inside ITP's projection, which keeps every
+search within one step of bisection's count."""
 
 import math
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanreduce.core import ITP_N0, REALS, Injection, Interval, bracketed_root
+from meanreduce.descriptors import arithmetic_mean_fn
 from meanreduce.errors import InvalidDeviationError
 from meanreduce.reduction import MeanFn, reduce_scalar
 from meanreduce.scalar import DeviationTuple, ScalarDeviation, deviation_mean
@@ -39,7 +43,7 @@ steps = st.tuples(st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.1, 5.0))
                   st.floats(0.01, 0.99), st.booleans())
 
 
-def checked_search(f, lo, span, width_tol, root=None):
+def checked_search(f, lo, span, width_tol, root=None, done=None):
     """Run bracketed_root and assert the bracket invariant on every step."""
     a, b = lo, lo + span
     fa, fb = f(a), f(b)
@@ -54,11 +58,11 @@ def checked_search(f, lo, span, width_tol, root=None):
             assert a <= root <= b
         seen.append(b - a)
 
-    result = bracketed_root(f, a, b, fa, fb, width_tol, 10_000, check=check)
+    result = bracketed_root(f, a, b, fa, fb, width_tol, 10_000, check=check, done=done)
     bound = math.ceil(math.log2(span / width_tol)) + ITP_N0
     assert result.converged
     assert result.iterations == len(seen) <= bound
-    if result.fx != 0.0:
+    if result.fx != 0.0 and done is None:
         assert result.b - result.a <= width_tol
         assert result.a <= result.x <= result.b
     return result
@@ -98,7 +102,43 @@ def test_monotone_step_functions(bracket, shape):
 def test_smooth_section_beats_bisection():
     # A smooth, nonlinear section: bisection needs ~34 steps for this width.
     result = checked_search(lambda x: math.exp(x) - 3.0, 0.0, 2.0, 1e-10)
-    assert result.iterations <= 12
+    assert result.iterations <= 7
+
+
+@SETTINGS
+@given(brackets, st.floats(0.01, 0.99), st.floats(-3.0, 3.0), st.booleans())
+def test_affine_section_takes_at_most_two_steps(bracket, t_root, log_slope, increasing):
+    # Regula falsi lands on the root up to rounding, unless ITP's projection
+    # pulls the first estimate in from a root near an end; then the
+    # interpolation finishes.  The stop is on the residual, as in
+    # deviation_mean and reduce_scalar: a width stop needs a second probe on
+    # the root's far side, which the projection can refuse.
+    lo, span, width_tol = bracket
+    root = lo + t_root * span
+    slope = math.copysign(10.0 ** log_slope, 1.0 if increasing else -1.0)
+
+    def f(x):
+        return slope * (x - root)
+
+    tol = 1e-12 * abs(slope) * span
+    result = checked_search(f, lo, span, width_tol, root=root,
+                            done=lambda x, fx, a, b: abs(fx) <= tol)
+    assert result.iterations <= 2
+    assert abs(result.x - root) <= max(width_tol, 1e-12 * span)
+
+
+def test_affine_sections_of_the_callers_take_one_step():
+    # Seven and eight steps under ITP's truncation.
+    reduced = reduce_scalar(arithmetic_mean_fn(4), Injection.of([1, 2, 3], n=4), (1.0, 2.0, 4.0))
+    assert reduced.certificate.converged
+    assert reduced.certificate.iterations == 1
+    assert reduced.reduced_value == pytest.approx(7.0 / 3.0, abs=1e-12)
+    dev = ScalarDeviation(domain=REALS, eval=lambda u, v: u - v, label="arithmetic",
+                          validate=False)
+    report = deviation_mean(DeviationTuple((dev, dev, dev)), (1.0, 2.0, 4.0))
+    assert report.converged
+    assert report.iterations == 1
+    assert report.value == pytest.approx(7.0 / 3.0, abs=1e-12)
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -7,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from meanreduce.core import Interval, POSITIVE_REALS, REALS, SolverConfig
-from meanreduce.descriptors import KINDS, _VECTOR_KINDS, MeanDescriptor, build_mean
+from meanreduce.descriptors import (
+    KINDS,
+    _VECTOR_KINDS,
+    MeanDescriptor,
+    build_generator,
+    build_mean,
+)
 from meanreduce.errors import (
     DomainError,
     InvalidArgumentError,
@@ -447,6 +454,15 @@ class TestWeightedArithMean:
             weighted_arith_mean(w, (1.0, 2.0))
 
 
+# Expression generators on the open half-line, with their exact inverses.
+OPEN_GENERATORS = {"log(u)": math.exp, "u^0.3": lambda t: t ** (1.0 / 0.3)}
+
+
+@functools.lru_cache(maxsize=None)
+def open_generator(text: str) -> GeneratorFn:
+    return build_generator(text, POSITIVE_REALS)
+
+
 class TestGeneratorFn:
     def test_inverse_roundtrip_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -499,6 +515,23 @@ class TestGeneratorFn:
         with pytest.raises(DomainError):
             numeric_inverse(fn, domain)(target)
         assert len(calls) <= most
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(OPEN_GENERATORS)), st.floats(-12.0, 12.0))
+    def test_open_endpoint_targets_round_trip(self, text, e):
+        # Data from 1e-12 to 1e12 on (0, inf): targets near both ends of the
+        # generator's range, inverted by numeric_inverse, at the tolerance
+        # GeneratorFn checks round trips with.
+        g, exact_inverse = open_generator(text), OPEN_GENERATORS[text]
+        u = 10.0 ** e
+        back = g.inverse(g.eval(u))
+        assert 0.0 < back < math.inf
+        assert abs(back - u) <= 1e-10 * (1.0 + u)
+        x = (u, 3.0 * u)
+        y = quasi_arithmetic_mean(g, x)
+        exact = exact_inverse(math.fsum(g.eval(v) for v in x) / 2.0)
+        assert u <= y <= 3.0 * u
+        assert abs(y - exact) <= 1e-10 * (1.0 + exact)
 
     def test_power_generator_requires_positive_exponent(self):
         with pytest.raises(InvalidArgumentError):
