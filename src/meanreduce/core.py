@@ -271,7 +271,9 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
     midpoint is reported, converged only if ``done`` accepts it, exactly as
     if the budget had been spent re-evaluating it.
     """
-    n_max = max(math.ceil(math.log2((b - a) / width_tol)), 0) + ITP_N0
+    ratio = (b - a) / width_tol  # inf once it leaves the float range
+    n_max = max(math.ceil(math.log2(ratio) if ratio < math.inf
+                          else math.log2(b - a) - math.log2(width_tol)), 0) + ITP_N0
     # The projection radius keeps 1/16 of width_tol in reserve so that
     # rounding cannot push the last bracket past it.
     reserve_tol = 0.9375 * width_tol

@@ -41,6 +41,7 @@ from .scalar import (
     numeric_inverse,
     quasi_arithmetic_mean,
     scaled_mean,
+    scaled_point_mean,
     weighted_arith_mean,
 )
 from .vector import GenDeviation, PotentialFn, make_norm_sq_potential
@@ -238,11 +239,20 @@ def _arithmetic_mean(xs) -> float:
         return scaled_mean([1.0] * len(xs), xs, len(xs))
 
 
+def _arithmetic_point_mean(xs) -> np.ndarray:
+    pts = [np.asarray(p, float) for p in xs]
+    with np.errstate(over="ignore"):
+        mean = np.mean(np.stack(pts), axis=0)
+    if np.isfinite(mean).all() or not np.isfinite(pts).all():
+        return mean
+    # A partial sum of finite points overflowed.
+    return scaled_point_mean([1.0] * len(pts), pts, len(pts))
+
+
 def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
     if dim is None:
         return MeanFn(arity=arity, eval=_arithmetic_mean, label="arithmetic")
-    return MeanFn(arity=arity, dim=dim, label="arithmetic",
-                  eval=lambda xs: np.mean(np.stack([np.asarray(p, float) for p in xs]), axis=0))
+    return MeanFn(arity=arity, dim=dim, label="arithmetic", eval=_arithmetic_point_mean)
 
 
 def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,

@@ -187,15 +187,17 @@ class GeneratorFn:
 def _expand_bracket(fn: Callable[[float], float], t: float, x: float, fx: float,
                     end: float, is_open: bool, step: float, below: bool) -> tuple[float, float]:
     """Move the bracket end x toward the endpoint ``end`` until fn(x) <= t
-    (``below``) or fn(x) >= t: doubling steps toward an infinite endpoint,
-    halving the distance to a finite one until x stops moving, at most 256
-    times."""
-    for _ in range(256):
+    (``below``) or fn(x) >= t: doubling steps toward an infinite endpoint
+    until x is no longer finite, halving the distance to a finite one until
+    x stops moving."""
+    while True:
         if fx <= t if below else fx >= t:
             return x, fx
         if math.isinf(end):
             x = x - step if below else x + step
             step *= 2.0
+            if math.isinf(x):
+                break
         else:
             nxt = 0.5 * (x + end)
             if is_open and (nxt <= end if below else nxt >= end):
@@ -230,13 +232,15 @@ def numeric_inverse(fn: Callable[[float], float], domain: Interval,
         if fb == t:
             return b
         # Inverses feed round-trip checks at 1e-10; narrow to near machine
-        # resolution.
+        # resolution.  Terms are halved (exactly) before sums that could
+        # overflow near the largest float.
         root = bracketed_root(
             lambda u: fn(u) - t, a, b, fa - t, fb - t, 1e-14, cfg.max_iter,
-            done=lambda u, fu, lo, hi: hi - lo <= 1e-14 * (1.0 + abs(lo) + abs(hi)))
+            done=lambda u, fu, lo, hi: (0.5 * (hi - lo)
+                                        <= 1e-14 * (0.5 + 0.5 * abs(lo) + 0.5 * abs(hi))))
         if not root.converged:
             raise NoConvergenceError("generator inversion exhausted its iteration budget")
-        return 0.5 * (root.a + root.b)
+        return 0.5 * root.a + 0.5 * root.b
 
     return inverse
 
@@ -671,6 +675,16 @@ def scaled_mean(weights: Sequence[float], x: Sequence, total: float) -> float:
     return math.fsum(wv * (float(xi) / m) for wv, xi in zip(weights, x)) / total * m
 
 
+def scaled_point_mean(weights: Sequence[float], pts: Sequence[np.ndarray],
+                      total: float) -> np.ndarray:
+    """sum_i w_i x_i / total for points x_i, summed on x_i / m for m the
+    largest |x_i| in each coordinate (1 where all are 0), as a product or a
+    partial sum of finite points can overflow where the mean does not."""
+    m = np.abs(np.stack(pts)).max(axis=0)
+    m[m == 0.0] = 1.0
+    return sum(wv * (pt / m) for wv, pt in zip(weights, pts)) / total * m
+
+
 def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
     """sum_i w_i(x_i) x_i / sum_i w_i(x_i) for scalar or point entries.
 
@@ -711,9 +725,5 @@ def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
             acc = acc + wv * pt
     if not_finite(acc):
         # The points are finite, so a product or a partial sum overflowed.
-        m = max(float(np.abs(pt).max()) for pt in pts)
-        acc = np.zeros_like(pts[0])
-        for wv, pt in zip(values, pts):
-            acc = acc + wv * (pt / m)
-        return acc / total * m
+        return scaled_point_mean(values, pts, total)
     return acc / total

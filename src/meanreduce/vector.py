@@ -25,18 +25,18 @@ differ only in their covector field g (the summed deviation, or minus the
 summed potential gradient) and their direction rule: extragradient steps
 (Korpelevich 1976) for the variational inequality, projected gradient
 descent with Armijo backtracking on the summed potential for the other.
-The extragradient steps and the polish phase of the descent share one
-local step test (``_slack_step``, Khobotov 1987): a step along the slack
-vector passes when it is small against the change of the slacks it causes,
-and the step that passed is tried first next time.  A trial that fails is
-cut to the bound on the step that it measured, or to half of it if that is
-smaller, rather than merely halved, so the first step of a solve reaches
-the problem's scale in a few trials; the Armijo search cuts a failed trial
-by quadratic interpolation.  No global Lipschitz constant is estimated, and
-a solve depends on its arguments alone.  The loop owns what they share: the
-simplex projection, the positive-slack merit sum_j max(g (x_j - y), 0)^2, a
-projected-Newton candidate, stagnation handling with step halving, and the
-final slack certificate.
+The extragradient steps take a local step test (``_slack_step``, Khobotov
+1987): a step along the slack vector passes when it is small against the
+change of the slacks it causes, and the step that passed is tried first
+next time.  A trial that fails is cut to the bound on the step that it
+measured, or to half of it if that is smaller, rather than merely halved,
+so the first step of a solve reaches the problem's scale in a few trials;
+the Armijo search cuts a failed trial by quadratic interpolation.  No
+global Lipschitz constant is estimated, and a solve depends on its
+arguments alone.  The loop owns what they share: the simplex projection,
+the positive-slack merit sum_j max(g (x_j - y), 0)^2, a projected-Newton
+candidate, stagnation handling with step halving, and the final slack
+certificate.
 
 The projected-Newton candidate is Josephy's Newton step for variational
 inequalities (Josephy 1979; Facchinei & Pang 2003, ch. 7): g is linearized
@@ -44,15 +44,15 @@ at the iterate, with J = Dg exact for inner-weight families and by central
 differences otherwise, and the affine variational inequality over the hull
 that results is solved by an active-set iteration on the barycentric
 weights (see ``_newton_weights``).  J is not symmetrized, so the step is
-exact for linear fields with a skew part too.  It is tried once the
-support of the weights has held still for an iteration, and kept only
-when it, or a half or a quarter of it, lowers the merit, so the plain step
-stands otherwise; convergence is still decided by the slack certificate
-alone.  It solves the thin hulls, where g's unconstrained zero lies
-outside conv(x) and the first-order steps crawl along a face, and the slow
-linear regimes of the first-order steps.  A brute-force lattice search
-over barycentric coordinates serves as an independent oracle for small
-tuples.
+exact for linear fields with a skew part too.  It needs no estimate of the
+active face, and is tried after a wait that grows while its tries make no
+progress; it is kept only when it, or a half or a quarter of it, lowers the
+merit, so the plain step stands otherwise, and convergence is still decided
+by the slack certificate alone.  It solves the thin hulls, where g's
+unconstrained zero lies outside conv(x) and the first-order steps crawl
+along a face, and the slow linear regimes of the first-order steps.  A
+brute-force lattice search over barycentric coordinates serves as an
+independent oracle for small tuples.
 """
 
 from __future__ import annotations
@@ -603,14 +603,16 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
     y = lam X; g is the route's covector field (the summed deviation, or
     minus the summed potential gradient) and the slack of vertex j is
     g(y) (x_j - y).  Each iteration asks ``rule.step(cur, scale)`` for the
-    route's plain candidate.  Once that step leaves the support of lam
-    unchanged, a projected-Newton step from it is tried, and kept when it
-    lowers the positive-slack merit below the plain step's; when it does
-    not, half and then a quarter of it are tried.  The wait of one stable
-    iteration doubles after each candidate that sets no new lowest merit of
-    the solve and drops back to one after one that does, so a Newton step
-    that only trades rounding noise at the floor does not run the solve to
-    ``max_iter``.  ``rule.moved(plain, y)`` hears which candidate was kept.
+    route's plain candidate.  A projected-Newton step from it is tried, and
+    kept when it lowers the positive-slack merit below the plain step's;
+    when it does not, half and then a quarter of it are tried.  It needs no
+    estimate of the active face: ``_newton_weights`` finds that itself.
+    The wait between tries, at first one iteration, drops back to one after
+    a kept candidate that cuts the lowest merit of the solve by 4 and
+    doubles after any other, so that the solve does not run to ``max_iter``
+    on candidates that only trade rounding noise at the floor, or that
+    cycle with the plain step.  ``rule.moved(plain, y)`` hears which
+    candidate was kept.
     Material merit growth for 12 iterations, or 10 zero steps at a positive
     gap, halves the step scale handed to the rule; after 24 halvings the
     solve gives up.  Converged when max_j slack_j <= tol and the point moved
@@ -624,7 +626,7 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
     growth_streak = 0
     halvings = 0
     stagnant = 0
-    stable = 0
+    since_newton = 0
     newton_wait = 1
     iterations = 0
 
@@ -649,11 +651,9 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
             break
         plain = rule.step(cur, scale)
         chosen = plain
-        same_support = ([w > 0.0 for w in plain.lam.tolist()]
-                        == [w > 0.0 for w in cur.lam.tolist()])
-        stable = stable + 1 if same_support else 0
-        if stable >= newton_wait and max(plain.slack.tolist()) > tol:
-            stable = 0
+        since_newton += 1
+        if since_newton >= newton_wait and max(plain.slack.tolist()) > tol:
+            since_newton = 0
             J = jac(plain.y)
             lam_newton = None if J is None else _newton_weights(X, plain, J)
             merit_plain = _merit(plain.slack)
@@ -667,7 +667,10 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
                     chosen = newton
                     break
                 lam_newton = 0.5 * (plain.lam + lam_newton)
-            newton_wait = 1 if merit_newton < merit_min else 2 * newton_wait
+            # Progress halves the gap; a candidate that trades rounding noise,
+            # or nibbles at the merit in a cycle with the plain step, waits.
+            progress = chosen is not plain and merit_newton < 0.25 * merit_min
+            newton_wait = 1 if progress else 2 * newton_wait
         rule.moved(chosen is plain, chosen.y)
         dy = chosen.y - cur.y
         step = math.sqrt(float(dy @ dy))
@@ -980,13 +983,10 @@ class _ArmijoDescent:
     test is cut by ``_armijo_cut``, the minimizer of the quadratic through
     phi(lam), the predicted decrease and phi(lam'), clamped to [0.1, 0.5].
 
-    The Armijo phase drives the objective down; once its improvements sink
-    below float noise (which caps point accuracy near sqrt(eps)), or 30
-    accepted steps pass without cutting the hull gap by a third
-    (ill-conditioned zig-zag), a polish phase takes over, where the loop's
-    Newton candidate acts on a clean update sequence.  Its steps start from
-    the last accepted Armijo step and pass the local test of ``_slack_step``
-    with nu = 0.5, which keeps the step for the next one.
+    When no trial passes, or the one that passes changes phi by no more
+    than float noise (which caps point accuracy near sqrt(eps)), the step
+    is zero: the rule returns cur itself.  The loop's Newton candidate then
+    finishes the solve, or its stagnation handling ends it.
     """
 
     def __init__(self, phi, point, X: np.ndarray, y0: np.ndarray):
@@ -995,49 +995,26 @@ class _ArmijoDescent:
         self.X = X
         self.value = phi(y0)
         self.plain_value = self.value
-        self.tau = 1.0  # the last accepted step, in units of the loop's scale
-        self.polish = False
-        self.window_best = math.inf
-        self.window_count = 0
 
     def step(self, cur: _Iterate, scale: float) -> _Iterate:
-        if not self.polish:
-            lam = cur.lam
-            xg = self.X @ cur.g  # minus the gradient of phi in lam
-            gap = float(cur.slack.max())
-            if gap < 0.66 * self.window_best:
-                self.window_best = gap
-                self.window_count = 0
-            else:
-                self.window_count += 1
-            t = scale
-            accepted = False
-            while t > 1e-20:
-                lam_plain = _project_simplex(lam + t * xg)
-                plain_value = self.phi(lam_plain @ self.X)
-                decrease = float(xg @ (lam_plain - lam))
-                if plain_value <= self.value - 1e-4 * decrease:
-                    accepted = True
-                    self.tau = t / scale
-                    break
-                t *= _armijo_cut(decrease, plain_value - self.value)
-            # No signal left in the objective, or no gap progress: polish.
-            self.polish = (not accepted or self.window_count >= 30
-                           or abs(plain_value - self.value)
-                           <= 64.0 * 2.2e-16 * (1.0 + abs(self.value)))
-            if not self.polish:
+        lam = cur.lam
+        xg = self.X @ cur.g  # minus the gradient of phi in lam
+        self.plain_value = self.value
+        t = scale
+        while t > 1e-20:
+            lam_plain = _project_simplex(lam + t * xg)
+            plain_value = self.phi(lam_plain @ self.X)
+            decrease = float(xg @ (lam_plain - lam))
+            if plain_value <= self.value - 1e-4 * decrease:
+                if abs(plain_value - self.value) <= 64.0 * 2.2e-16 * (1.0 + abs(self.value)):
+                    return cur
                 self.plain_value = plain_value
                 return self.point(lam_plain)
-        plain, tau = _slack_step(self.point, cur, self.tau * scale, 0.5)
-        self.tau = tau / scale
-        self.plain_value = self.value
-        return plain
+            t *= _armijo_cut(decrease, plain_value - self.value)
+        return cur
 
     def moved(self, plain: bool, y: np.ndarray):
-        if plain:
-            self.value = self.plain_value
-        elif not self.polish:
-            self.value = self.phi(y)
+        self.value = self.plain_value if plain else self.phi(y)
 
 
 def potential_mean(F: Sequence[PotentialFn], x: Sequence,
@@ -1048,8 +1025,8 @@ def potential_mean(F: Sequence[PotentialFn], x: Sequence,
     g = -sum_i grad_v F_i(x_i, .), summed by ``_sum_grad`` over
     E_i = -grad_v F_i, and the Armijo direction rule (backtracking with
     constant 1e-4 from an initial step 1.0, a failed trial cut by quadratic
-    interpolation to between 0.1 and 0.5 of itself, then a polish phase
-    whose steps pass the local test of ``_slack_step``).  The loop adds the
+    interpolation to between 0.1 and 0.5 of itself, and a zero step once phi
+    has no decrease left above float noise).  The loop adds the
     safeguarded projected-Newton candidate, with a central-difference
     Jacobian of g, i.e. the Hessian of the summed potential.  The
     convergence certificate is the same hull slack as for the variational

@@ -113,6 +113,15 @@ class TestMeanCommand:
                         "--dim", "2", "--weights", "2;3", "--x", "1e308,1;1e308,-2")
         assert data["value"] == [1e308, pytest.approx(-0.8)]
 
+    @pytest.mark.filterwarnings("error")
+    def test_point_sum_beyond_the_float_range(self, capsys):
+        # np.mean overflowed to [inf, 1.0] with a RuntimeWarning; each
+        # coordinate is rescaled on its own, so the small one keeps its digits.
+        code, out, err = run_cli(capsys, "mean", "--kind", "arithmetic", "--arity", "2",
+                                 "--dim", "2", "--x", "1e308,1;1e308,1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == [1e308, 1.0]
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "mean", "--kind", "holder", "--p", "1",
                                "--x", "1,3", "--format", "csv")

@@ -516,6 +516,19 @@ class TestGeneratorFn:
             numeric_inverse(fn, domain)(target)
         assert len(calls) <= most
 
+    @pytest.mark.parametrize("text,target", [("log(u)", 300.0), ("log(u)", 700.0),
+                                             ("u^0.3", 1e30)])
+    def test_bracket_expansion_reaches_the_top_of_the_float_range(self, text, target):
+        # A cap of 256 doublings stopped the bracket end near 9e77 (log
+        # 179.5), short of the inverses 1.9e130, 1e304 and 1e100.
+        exact = OPEN_GENERATORS[text](target)
+        assert abs(open_generator(text).inverse(target) - exact) <= 1e-10 * exact
+
+    def test_bracket_expansion_stops_where_the_end_overflows(self):
+        # exp(710) is above the largest float.
+        with pytest.raises(DomainError, match=r"^target 710 above the generator's range$"):
+            open_generator("log(u)").inverse(710)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from(sorted(OPEN_GENERATORS)), st.floats(-12.0, 12.0))
     def test_open_endpoint_targets_round_trip(self, text, e):
