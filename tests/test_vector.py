@@ -457,7 +457,6 @@ class TestPotentialMean:
             closed = sum(w * p for w, p in zip(weights, x)) / sum(weights)
             assert float(np.linalg.norm(value - closed)) <= 1e-9
 
-
     def test_floor_limited_solve_gives_up(self):
         # Problem 80 of draw 40 of the gradient corpus: the slack tolerance
         # is 1.2e-18 of max_j |g(x_j)| diam(x), below the rounding floor of
