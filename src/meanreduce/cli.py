@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import DEFAULT_CONFIG, Injection, SolverConfig
 from .descriptors import MeanDescriptor, build_mean, evaluate_with_report
-from .errors import MeansError, NoConvergenceError
+from .errors import InvalidArgumentError, MeansError, NoConvergenceError
 from .reduction import reduce_mean
 from .suites import (
     DEFAULT_REDUCED_TOL,
@@ -136,13 +137,21 @@ def _infer_arity(args) -> int:
 
 def _parse_data(text: str, dim: Optional[int]):
     if dim is None:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        return tuple(_finite_entry(v) for v in text.split(",") if v.strip())
     points = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk:
-            points.append(tuple(float(v) for v in chunk.split(",")))
+            points.append(tuple(_finite_entry(v) for v in chunk.split(",")))
     return tuple(points)
+
+
+def _finite_entry(token: str) -> float:
+    """One --x entry as a float; NaN and infinities are invalid data."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"--x entry {token.strip()!r} is not a finite number")
+    return value
 
 
 def _emit(payload: dict, fmt: str, output: Optional[str], csv_rows=None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -221,14 +221,16 @@ DEFAULT_CONFIG = SolverConfig()
 ITP_N0 = 1
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     """Outcome of :func:`bracketed_root`.
 
     ``x``/``fx`` are the last evaluated point and its value, ``a``/``b`` the
     final bracket (both equal to ``x`` at an exact zero).  ``converged`` is
     False only when the iteration budget ran out or, before that, the
     bracket shrank to two adjacent floats without the caller's ``done``.
+    The solvers read it and build their own reports, so it is a plain named
+    tuple: immutable, and built without a frozen dataclass's per-field
+    ``object.__setattr__``.
     """
 
     x: float
@@ -270,10 +272,20 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
     when width_tol is below the resolution of the data: the endpoint at the
     midpoint is reported, converged only if ``done`` accepts it, exactly as
     if the budget had been spent re-evaluating it.
+
+    ``width_tol`` must be finite.  A bracket whose width b - a overflows is
+    bisected, at 0.5 a + 0.5 b, until its width is a float; on any other
+    bracket the steps are as above.  f may return an infinity: every
+    estimate it would turn into NaN falls back to bisection.
     """
     ratio = (b - a) / width_tol  # inf once it leaves the float range
-    n_max = max(math.ceil(math.log2(ratio) if ratio < math.inf
-                          else math.log2(b - a) - math.log2(width_tol)), 0) + ITP_N0
+    if ratio < math.inf:
+        log_ratio = math.log2(ratio)
+    elif b - a < math.inf:
+        log_ratio = math.log2(b - a) - math.log2(width_tol)
+    else:
+        log_ratio = math.log2(0.5 * b - 0.5 * a) + 1.0 - math.log2(width_tol)
+    n_max = max(math.ceil(log_ratio), 0) + ITP_N0
     # The projection radius keeps 1/16 of width_tol in reserve so that
     # rounding cannot push the last bracket past it.
     reserve_tol = 0.9375 * width_tol
@@ -284,37 +296,42 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
     x3, f3 = None, 0.0  # the end the last update dropped, and f there
     for it in range(1, max_iter + 1):
         width = b - a
-        mid = a + 0.5 * width
-        try:
-            r = max(math.ldexp(reserve_tol, n_max - it) - 0.5 * width, 0.0)
-        except OverflowError:
-            r = math.inf
-        if x3 is None:
-            xt = a + width * (fa / (fa - fb))
+        if width == math.inf:
+            # A bracket wider than the float range is bisected, at a midpoint
+            # formed without overflow, until it is not.
+            x = 0.5 * a + 0.5 * b
         else:
-            # Chandrupatla's step from the newest end x1 toward the other x2.
-            x1, f1, x2, f2 = (a, fa, b, fb) if x == a else (b, fb, a, fa)
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
-                t = (f1 / (f2 - f1) * (f3 / (f2 - f3))
-                     + (x3 - x1) / (x2 - x1) * (f1 / (f3 - f1)) * (f2 / (f3 - f2)))
-                xt = x1 + t * (x2 - x1)
+            mid = a + 0.5 * width
+            try:
+                r = max(math.ldexp(reserve_tol, n_max - it) - 0.5 * width, 0.0)
+            except OverflowError:
+                r = math.inf
+            if x3 is None:
+                xt = a + width * (fa / (fa - fb))
             else:
-                xt = mid
-        lo, hi = a + min_step, b - min_step
-        if not lo <= xt <= hi:
-            xt = lo if xt < lo else hi if xt > hi else mid
-        d = mid - xt
-        x = xt if abs(d) <= r else mid - math.copysign(r, d)
-        if not a < x < b:
-            if math.nextafter(a, b) == b:
-                # No float lies strictly inside: every further step would
-                # re-evaluate the endpoint at mid and change nothing, so
-                # report now what the exhausted budget would have reported.
-                x, fx = (a, fa) if mid == a else (b, fb)
-                return RootResult(x, fx, a, b, it - 1, done is not None and done(x, fx, a, b))
-            x = mid
+                # Chandrupatla's step from the newest end x1 toward the other x2.
+                x1, f1, x2, f2 = (a, fa, b, fb) if x == a else (b, fb, a, fa)
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                    t = (f1 / (f2 - f1) * (f3 / (f2 - f3))
+                         + (x3 - x1) / (x2 - x1) * (f1 / (f3 - f1)) * (f2 / (f3 - f2)))
+                    xt = x1 + t * (x2 - x1)
+                else:
+                    xt = mid
+            lo, hi = a + min_step, b - min_step
+            if not lo <= xt <= hi:
+                xt = lo if xt < lo else hi if xt > hi else mid
+            d = mid - xt
+            x = xt if abs(d) <= r else mid - math.copysign(r, d)
+            if not a < x < b:
+                if math.nextafter(a, b) == b:
+                    # No float lies strictly inside: every further step would
+                    # re-evaluate the endpoint at mid and change nothing, so
+                    # report now what the exhausted budget would have reported.
+                    x, fx = (a, fa) if mid == a else (b, fb)
+                    return RootResult(x, fx, a, b, it - 1, done is not None and done(x, fx, a, b))
+                x = mid
         fx = f(x)
         if check is not None:
             check(x, fx, a, fa, b, fb)
@@ -329,6 +346,30 @@ def bracketed_root(f: Callable[[float], float], a: float, b: float, fa: float, f
         if b - a <= width_tol or (done is not None and done(x, fx, a, b)):
             return RootResult(x, fx, a, b, it, True)
     return RootResult(x, fx, a, b, max_iter, False)
+
+
+def scaled_width(c: float, a: float, b: float, pad: float = 0.0) -> float:
+    """c (pad + (b - a)) for a <= b and c >= 0.  Where b - a overflows it is
+    formed as c pad + c b - c a, so that a tolerance scaled by a bracket
+    wider than the float range stays finite."""
+    width = b - a
+    return c * (pad + width) if width < math.inf else c * pad + c * b - c * a
+
+
+def wide_fsum(terms: list) -> float:
+    """math.fsum(terms), also where a partial sum of finite terms leaves the
+    float range, which makes math.fsum raise OverflowError: the sum is then
+    formed from the terms scaled by a power of two, and rounded to an
+    infinity of its sign if it overflows, as IEEE addition would."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        k = len(terms).bit_length()
+        s = math.fsum([math.ldexp(t, -k) for t in terms])
+        try:
+            return math.ldexp(s, k)
+        except OverflowError:
+            return math.copysign(math.inf, s)
 
 
 @dataclass(frozen=True)

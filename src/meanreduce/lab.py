@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .errors import (
 )
 from .reduction import MeanFn, reduced_mean_fn
 
+# Trials drawn per rng.uniform call: however many trials a search runs, it
+# holds at most this many drawn witnesses.
+_BLOCK_TRIALS = 256
+
 
 @dataclass(frozen=True)
 class BoxSampler:
@@ -39,10 +44,12 @@ class BoxSampler:
     needs a positive box and suits scale-sensitive power-type means.
 
     The bounds (their logs, for log-uniform sampling) are checked and stored
-    once at construction.  ``draw_tuple`` draws a whole tuple in one
-    ``rng.uniform`` call of shape (count,) or (count, dim); that consumes the
-    Generator stream exactly as ``count`` calls of ``draw`` would, so a seed
-    fixes the same tuples either way.
+    once at construction.  ``draw_witnesses`` draws the tuples of many trials,
+    of one or several samplers, with one ``rng.uniform`` call per block of
+    trials; ``draw_tuple`` is its one-trial case.  A Generator fills an array
+    of variates from its stream in order, so either consumes the stream
+    exactly as one ``draw`` per scalar or point would, and a seed fixes the
+    same tuples every way.
     """
 
     low: Union[float, tuple] = 0.0
@@ -72,11 +79,26 @@ class BoxSampler:
         return self.draw_tuple(rng, 1)[0]
 
     def draw_tuple(self, rng: np.random.Generator, count: int) -> tuple:
+        return next(draw_witnesses((self,), rng, 1, count))[0]
+
+    def entry_bounds(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The lows and highs (their logs, for log-uniform sampling) of the
+        count * max(dim, 1) variates of one count-tuple, flat, in the order
+        the tuple takes them."""
         lows, highs = self._bounds
-        block = rng.uniform(lows, highs, size=count if self.dim is None else (count, self.dim))
+        if self.dim is None:
+            return np.full(count, lows), np.full(count, highs)
+        return np.tile(lows, count), np.tile(highs, count)
+
+    def tuples(self, block: np.ndarray, count: int) -> Iterator[tuple]:
+        """The count-tuples of a block of rows of variates drawn within
+        ``entry_bounds(count)``, one per row: floats for scalars, arrays of
+        shape (dim,) for points."""
         if self.log_uniform:
             block = np.exp(block)
-        return tuple(block.tolist()) if self.dim is None else tuple(block)
+        if self.dim is None:
+            return map(tuple, block.tolist())
+        return map(tuple, block.reshape(len(block), count, self.dim))
 
     def to_json(self) -> dict:
         out = {"low": _jsonable(self.low), "high": _jsonable(self.high)}
@@ -94,6 +116,27 @@ class BoxSampler:
             dim=data.get("dim"),
             log_uniform=bool(data.get("log_uniform", False)),
         )
+
+
+def draw_witnesses(samplers: Sequence[BoxSampler], rng: np.random.Generator, trials: int,
+                   count: int) -> Iterator[tuple]:
+    """Yield ``trials`` witnesses, each one count-tuple per sampler.
+
+    The variates of up to _BLOCK_TRIALS trials come from one ``rng.uniform``
+    call, each row laid out as the per-trial draws would take them from the
+    stream: the tuple of the first sampler, then of the next, entry by
+    entry.  Once every trial is drawn, the Generator is left as those draws
+    would leave it.  A search that stops early leaves the rest of its block
+    unseen, and owns its Generator, so nothing else sees the extra draws.
+    """
+    bounds = [s.entry_bounds(count) for s in samplers]
+    lows = np.concatenate([lo for lo, _ in bounds])
+    highs = np.concatenate([hi for _, hi in bounds])
+    edges = np.cumsum([0] + [lo.size for lo, _ in bounds]).tolist()
+    for start in range(0, trials, _BLOCK_TRIALS):
+        block = rng.uniform(lows, highs, size=(min(_BLOCK_TRIALS, trials - start), lows.size))
+        yield from zip(*(s.tuples(np.ascontiguousarray(block[:, i:j]), count)
+                         for s, i, j in zip(samplers, edges, edges[1:])))
 
 
 def _jsonable(value):
@@ -205,12 +248,12 @@ def _violates(lhs: float, rhs: float, tol: float) -> bool:
     return lhs > rhs + tol * (1.0 + abs(lhs) + abs(rhs))
 
 
-def _search(draw, sides, rng, trials: int, tol: float,
+def _search(witnesses: Iterator, sides, trials: int, tol: float,
             case_name: str) -> CounterexampleReport:
-    """Draw a witness per trial and stop at the first one whose sides
-    violate lhs <= rhs; the reported sides are evaluated afresh."""
-    for t in range(trials):
-        witness = draw(rng)
+    """Run the ``trials`` witnesses, drawn ahead in blocks by
+    ``draw_witnesses``, and stop at the first one whose sides violate
+    lhs <= rhs; the reported sides are evaluated afresh."""
+    for t, witness in enumerate(witnesses):
         try:
             lhs, rhs = sides(witness)
         except (InvalidArgumentError, DomainError) as exc:
@@ -228,9 +271,14 @@ def check_convexity(case: ConvexityCase, trials: int, tol: float,
                     seed: Optional[int] = None) -> CounterexampleReport:
     """Search for x with f(M(x)) > N(f o x) + scaled tol."""
     rng = np.random.default_rng(case.seed if seed is None else seed)
-    n = case.M.arity
-    return _search(lambda rng: case.sampler.draw_tuple(rng, n),
-                   lambda xs: _convexity_sides(case, xs), rng, trials, tol, case.name)
+    return _search(_single(case.sampler, rng, trials, case.M.arity),
+                   lambda xs: _convexity_sides(case, xs), trials, tol, case.name)
+
+
+def _single(sampler: BoxSampler, rng: np.random.Generator, trials: int,
+            count: int) -> Iterator[tuple]:
+    """The witnesses of a search with one sampler: its count-tuples."""
+    return map(itemgetter(0), draw_witnesses((sampler,), rng, trials, count))
 
 
 def _convexity_sides(case: ConvexityCase, xs: tuple) -> tuple[float, float]:
@@ -270,16 +318,14 @@ def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
     if chi.n != G.arity:
         raise InvalidArgumentError("injection does not match the means' arity")
     sampler = sampler or BoxSampler(low=0.1, high=4.0, log_uniform=True)
-    rng = np.random.default_rng(seed)
-    full = _search(lambda rng: sampler.draw_tuple(rng, G.arity),
+    full = _search(_single(sampler, np.random.default_rng(seed), trials, G.arity),
                    lambda xs: (float(G(xs)), float(E(xs))),
-                   rng, trials, tol, f"{name} (full)")
+                   trials, tol, f"{name} (full)")
     G_chi = reduced_mean_fn(G, chi, cfg)
     E_chi = reduced_mean_fn(E, chi, cfg)
-    rng = np.random.default_rng(seed + 1)
-    reduced = _search(lambda rng: sampler.draw_tuple(rng, chi.k),
+    reduced = _search(_single(sampler, np.random.default_rng(seed + 1), trials, chi.k),
                       lambda xs: (float(G_chi(xs)), float(E_chi(xs))),
-                      rng, trials, reduced_tol if reduced_tol is not None else tol,
+                      trials, reduced_tol if reduced_tol is not None else tol,
                       f"{name} (reduced)")
     return ReportPair(full=full, reduced=reduced)
 
@@ -306,14 +352,14 @@ def check_holder_minkowski(case: HolderMinkowskiCase, trials: int, tol: float,
     """Search for violations of the n ell-variable inequality and of its
     k ell-variable reduction."""
     base_seed = case.seed if seed is None else seed
-    rng = np.random.default_rng(base_seed)
-    full = _search(lambda rng: tuple(s.draw_tuple(rng, case.M.arity) for s in case.samplers),
-                   _hm_sides(case, case.N_list, case.M), rng, trials, tol, f"{case.name} (full)")
+    full = _search(draw_witnesses(case.samplers, np.random.default_rng(base_seed), trials,
+                                  case.M.arity),
+                   _hm_sides(case, case.N_list, case.M), trials, tol, f"{case.name} (full)")
     K_list = tuple(reduced_mean_fn(N, case.chi, cfg) for N in case.N_list)
     M_chi = reduced_mean_fn(case.M, case.chi, cfg)
-    rng = np.random.default_rng(base_seed + 1)
-    reduced = _search(lambda rng: tuple(s.draw_tuple(rng, case.chi.k) for s in case.samplers),
-                      _hm_sides(case, K_list, M_chi), rng, trials,
+    reduced = _search(draw_witnesses(case.samplers, np.random.default_rng(base_seed + 1),
+                                     trials, case.chi.k),
+                      _hm_sides(case, K_list, M_chi), trials,
                       reduced_tol if reduced_tol is not None else tol, f"{case.name} (reduced)")
     return ReportPair(full=full, reduced=reduced)
 

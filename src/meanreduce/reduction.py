@@ -28,6 +28,7 @@ and skip it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -41,6 +42,7 @@ from .core import (
     as_point_tuple,
     bracketed_root,
     not_finite,
+    scaled_width,
     select,
     splice,
 )
@@ -62,6 +64,10 @@ from .vector import (
 UNIQUE = "unique"
 MULTIPLE_SUSPECTED = "multiple-suspected"
 UNKNOWN = "unknown"
+
+# A Python float: np.finfo(float).eps is a numpy scalar, which would carry
+# numpy-scalar arithmetic into every tolerance derived from it.
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -158,13 +164,25 @@ def check_mean_function(M: MeanFn, sample_point: Callable, samples: int = 32,
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """A reduced mean value with its fixed-point certificate."""
+    """A reduced mean value with its fixed-point certificate.
 
-    reduced_value: Union[float, np.ndarray]
-    fixed_point_residual: float
+    The value and the fixed-point residual are the certificate's own, read
+    through the properties ``reduced_value`` and ``fixed_point_residual``:
+    one record holds them, so a reduction builds two small frozen records,
+    not one record with the value and the residual twice.
+    """
+
     certificate: SolverReport
     unique_flag: str = UNKNOWN
     continuity_suspect: bool = False
+
+    @property
+    def reduced_value(self) -> Union[float, np.ndarray]:
+        return self.certificate.value
+
+    @property
+    def fixed_point_residual(self) -> float:
+        return self.certificate.residual
 
     def to_json(self) -> dict:
         value = self.reduced_value
@@ -212,17 +230,32 @@ def spliced_eval(M: MeanFn, chi: Injection, x: Sequence, y):
 
 def _scalar_setup(M: MeanFn, chi: Injection, x: Sequence[float], cfg: SolverConfig):
     """Bracket ends, residual tolerance and spliced evaluation y ->
-    M((x|chi)(y)) of a scalar reduction."""
+    M((x|chi)(y)) of a scalar reduction.
+
+    Once ``_check_chi`` has matched len(x) to chi, the n slots are laid out
+    once in a template, x along chi; each evaluation copies it and writes y
+    into the free slots, where ``core.splice`` would check the length and
+    lay out every slot again.  Each evaluation still calls M, so it goes
+    through ``MeanFn.__call__``.  The residual tolerance abs_tol (1 + (b0 -
+    a0)) is formed without overflow where b0 - a0 leaves the float range.
+    """
     _check_chi(M, chi, x)
     if M.dim is not None:
         raise InvalidArgumentError("reduce_scalar needs a scalar mean")
     xs = [float(v) for v in x]
     a0, b0 = min(xs), max(xs)
+    template = [None] * chi.n
+    for v, slot in zip(xs, chi.map):
+        template[slot - 1] = v
+    free = [i for i, v in enumerate(template) if v is None]
 
     def m(y: float) -> float:
-        return float(M(splice(xs, chi, y)))
+        args = template[:]
+        for i in free:
+            args[i] = y
+        return float(M(args))
 
-    return a0, b0, cfg.abs_tol * (1.0 + (b0 - a0)), m
+    return a0, b0, scaled_width(cfg.abs_tol, a0, b0, 1.0), m
 
 
 def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
@@ -245,7 +278,7 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
 
     if a0 == b0:
         report = SolverReport(value=a0, residual=0.0, iterations=0, converged=True)
-        return ReductionResult(a0, 0.0, report, unique_flag=UNIQUE)
+        return ReductionResult(report, unique_flag=UNIQUE)
 
     means = {a0: m(a0), b0: m(b0)}
     mu_a = means[a0] - a0
@@ -278,8 +311,9 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
     elif mu_a > 0.0:
         # The bracket width floor only stops stagnation at float resolution;
         # convergence itself is judged by the fixed-point residual of the
-        # best iterate.
-        width_floor = 8.0 * np.finfo(float).eps * (abs(a0) + abs(b0) + 1.0)
+        # best iterate.  It is 8 eps (|a0| + |b0| + 1), formed without
+        # overflow.
+        width_floor = scaled_width(8.0 * _EPS, -abs(a0), abs(b0), 1.0)
         search = bracketed_root(probe, a0, b0, mu_a, mu_b, width_floor, cfg.max_iter,
                                 done=lambda *_: residual <= res_tol)
         iterations = search.iterations
@@ -290,7 +324,7 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
 
     report = SolverReport(value=root, residual=residual, iterations=iterations,
                           converged=residual <= res_tol)
-    return ReductionResult(root, residual, report, continuity_suspect=suspect)
+    return ReductionResult(report, continuity_suspect=suspect)
 
 
 def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float, cfg: SolverConfig,
@@ -373,11 +407,11 @@ def reduce_vector(M: MeanFn, chi: Injection, x: Sequence,
 
     if spread == 0.0:
         report = SolverReport(value=pts[0].copy(), residual=0.0, iterations=0, converged=True)
-        return ReductionResult(pts[0].copy(), 0.0, report, unique_flag=UNIQUE)
+        return ReductionResult(report, unique_flag=UNIQUE)
 
     y, rnorm, iterations, converged = _fixed_point_run(m, centroid, tol, cfg, cfg.max_iter)
     report = SolverReport(value=y, residual=rnorm, iterations=iterations, converged=converged)
-    return ReductionResult(y, rnorm, report)
+    return ReductionResult(report)
 
 
 def _scalar_uniqueness(M: MeanFn, chi: Injection, x: Sequence[float], root: float,
@@ -385,9 +419,12 @@ def _scalar_uniqueness(M: MeanFn, chi: Injection, x: Sequence[float], root: floa
     a0, b0, res_tol, m = _scalar_setup(M, chi, x, cfg)
     if a0 == b0:
         return UNIQUE
-    band = max(16.0 * res_tol, 1e-9 * (b0 - a0))
-    for y in np.linspace(a0, b0, 9)[1:-1]:
-        y = float(y)
+    band = max(16.0 * res_tol, scaled_width(1e-9, a0, b0))
+    if b0 - a0 < math.inf:
+        grid = np.linspace(a0, b0, 9)[1:-1].tolist()
+    else:
+        grid = [0.125 * (8 - i) * a0 + 0.125 * i * b0 for i in range(1, 8)]
+    for y in grid:
         if abs(y - root) <= band:
             continue
         sign = m(y) - y

@@ -58,6 +58,8 @@ from .core import (
     not_finite,
     running_magnitude,
     sample_triples,
+    scaled_width,
+    wide_fsum,
 )
 from .errors import (
     DomainError,
@@ -396,8 +398,8 @@ def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) ->
     if fb >= 0.0:
         return SolverReport(value=b, residual=abs(fb), iterations=0, converged=True)
 
-    root = bracketed_root(f, a, b, fa, fb, cfg.rel_tol * (b - a) + cfg.abs_tol, cfg.max_iter,
-                          check=_check_monotone,
+    root = bracketed_root(f, a, b, fa, fb, scaled_width(cfg.rel_tol, a, b) + cfg.abs_tol,
+                          cfg.max_iter, check=_check_monotone,
                           done=lambda y, fy, lo, hi, tol=cfg.abs_tol: abs(fy) <= tol)
     return SolverReport(value=root.x, residual=abs(root.fx), iterations=root.iterations,
                         converged=root.converged)
@@ -416,11 +418,12 @@ def _summed_section(E: DeviationTuple, xs: list) -> Callable[[float], float]:
     ``eval``.
 
     Classical families are summed here too, so that their closed forms stay
-    independent oracles for this path.
+    independent oracles for this path.  A sum beyond the float range is an
+    infinity of its sign (``core.wide_fsum``): only its sign moves the
+    bracket.
     """
     evals = [d.eval for d in E.deviations]
-    return lambda y, evals=evals, xs=xs: math.fsum(
-        ev(xi, y) for ev, xi in zip(evals, xs))
+    return lambda y, evals=evals, xs=xs: wide_fsum([ev(xi, y) for ev, xi in zip(evals, xs)])
 
 
 def deviation_sign(E, x: Sequence[float], u: float,
@@ -473,13 +476,35 @@ def bajraktarevic_mean(f: GeneratorFn, w: Sequence[WeightFn], x: Sequence[float]
     for wi, xi in zip(weights, xs):
         if not wi > 0:
             raise InvalidArgumentError(f"weight {wi} not positive at {xi}")
-    fw = [f.eval(xi) for xi in xs]
-    t = math.fsum(wi * fi for wi, fi in zip(weights, fw)) / math.fsum(weights)
+    return _invert_average(f, xs, partial(weighted_average, weights))
+
+
+def _invert_average(f: GeneratorFn, xs: list, average: Callable[[list], float]) -> float:
+    """f^{-1}(average(f-values of xs)), the tail that ``bajraktarevic_mean``
+    and ``quasi_arithmetic_mean`` share: the average is clamped into the hull
+    of the f-values, its inverse checked against the generator domain and
+    clamped into the hull of xs.  A generator that overflows on the data
+    raises DomainError."""
+    try:
+        fw = [f.eval(xi) for xi in xs]
+    except OverflowError as exc:
+        raise DomainError(f"generator overflows on the data {xs}: {exc}") from None
+    t = average(fw)
     t = min(max(t, min(fw)), max(fw))
     y = f.inverse(t)
     if not math.isfinite(y) or (y not in f.domain and not _near_domain(y, f.domain)):
         raise DomainError(f"inverted value {y} escapes the generator domain")
     return min(max(y, min(xs)), max(xs))
+
+
+def _plain_average(fw: list) -> float:
+    """sum(fw) / n; past the float range, ``scaled_mean``.  Bitwise the
+    unit-weight ``weighted_average``: 1.0 * f is exact and the sum of n unit
+    weights is n."""
+    try:
+        return math.fsum(fw) / len(fw)
+    except OverflowError:
+        return scaled_mean([1.0] * len(fw), fw, len(fw))
 
 
 def _near_domain(y: float, domain: Interval, slack: float = 1e-9) -> bool:
@@ -489,9 +514,19 @@ def _near_domain(y: float, domain: Interval, slack: float = 1e-9) -> bool:
 
 
 def quasi_arithmetic_mean(f: GeneratorFn, x: Sequence[float]) -> float:
-    """f^{-1} of the plain average of f-values."""
-    ones = [constant_weight(1.0, f.domain)] * len(x)
-    return bajraktarevic_mean(f, ones, x)
+    """f^{-1} of the plain average of f-values.
+
+    This is the Bajraktarevic mean with unit weights, bit for bit, with the
+    same errors in the same order, but no weight is built or called: the
+    f-values are averaged as sum / n (``_plain_average``), and the clamps,
+    the inverse and the domain check are ``bajraktarevic_mean``'s own
+    (``_invert_average``).
+    """
+    if len(x) == 0:
+        raise InvalidArgumentError("empty tuple")
+    xs = [float(v) for v in x]
+    _check_in_domain(f.domain, xs, "data value")
+    return _invert_average(f, xs, _plain_average)
 
 
 def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
@@ -500,7 +535,11 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
 
     The sum of the generators has no closed-form inverse in general, so it is
     inverted by ``core.bracketed_root`` on [min(x), max(x)], where the
-    strictly increasing sum always straddles the target.
+    strictly increasing sum always straddles the target.  Every generator
+    value is scaled by 2^-k, 2^k >= 2n, before it is summed, so that neither
+    sum nor their difference can overflow; the scaling is exact for normal
+    floats and leaves the root and every iterate as they are.  A generator
+    that is not finite on the data, or overflows, raises DomainError.
     """
     if len(f) != len(x):
         raise InvalidArgumentError(f"generator count {len(f)} != tuple length {len(x)}")
@@ -516,21 +555,32 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
     if a == b:
         return a
     evals = [fi.eval for fi in f]
-    target = math.fsum(ev(xi) for ev, xi in zip(evals, xs))
+    scale = math.ldexp(1.0, -(2 * len(xs) - 1).bit_length())
+    try:
+        values = [ev(xi) for ev, xi in zip(evals, xs)]
+        if not all(map(math.isfinite, values)):
+            raise DomainError(f"a generator is not finite on the data {xs}")
+        target = math.fsum([scale * v for v in values])
 
-    def g(y: float) -> float:
-        return math.fsum(ev(y) for ev in evals) - target
+        def g(y: float) -> float:
+            return math.fsum([scale * ev(y) for ev in evals]) - target
 
-    ga, gb = g(a), g(b)
-    if ga >= 0.0:
-        return a
-    if gb <= 0.0:
-        return b
-    root = bracketed_root(g, a, b, ga, gb, cfg.rel_tol * (b - a) + cfg.abs_tol, cfg.max_iter)
+        ga, gb = g(a), g(b)
+        if ga >= 0.0:
+            return a
+        if gb <= 0.0:
+            return b
+        root = bracketed_root(g, a, b, ga, gb, scaled_width(cfg.rel_tol, a, b) + cfg.abs_tol,
+                              cfg.max_iter)
+    except OverflowError as exc:
+        raise DomainError(f"a generator overflows on [{a}, {b}]: {exc}") from None
+    mid = 0.5 * (root.a + root.b)
+    if math.isinf(mid):
+        mid = 0.5 * root.a + 0.5 * root.b
     if not root.converged:
         raise NoConvergenceError("matkowski mean inversion exhausted its iteration budget",
-                                 best=0.5 * (root.a + root.b), residual=root.b - root.a)
-    return 0.5 * (root.a + root.b)
+                                 best=mid, residual=root.b - root.a)
+    return mid
 
 
 _NORMAL_MIN = sys.float_info.min
@@ -594,15 +644,51 @@ def _log_gini(p: float, q: float, logs: list) -> float:
     return (_log_power_sum(p, logs, s) - _log_power_sum(q, logs, s)) / (p / s - q / s)
 
 
+# Below this exponent gap a power x^d of a ratio x <= 1 lies so close to 1
+# that forming it rounds away what carries the mean (``_log_small_gap``).
+_SMALL_GAP = 0.5
+
+
+def _log_small_gap(d: float, ls: list, ws: list) -> float:
+    """log(sum_i w_i exp(d l_i)) / d for d > 0, l_i <= 0 and weights w_i
+    summing to 1, formed as log1p(sum_i w_i expm1(d l_i)) / d: each
+    expm1(d l_i) keeps the deviation of exp(d l_i) from 1 to full relative
+    precision.  Where every |d l_i| is below 1e-290, so that d l_i may be
+    subnormal or 0, it is the d -> 0 limit sum_i w_i l_i, which is off by
+    less than d max_i l_i^2 <= 1e-286."""
+    zs = [d * v for v in ls]
+    if max(map(abs, zs)) < 1e-290:
+        return math.fsum(w * v for w, v in zip(ws, ls))
+    return math.log1p(math.fsum(w * math.expm1(z) for w, z in zip(ws, zs))) / d
+
+
+def _gini_small_gap(p: float, q: float, xs: list, lo: float, hi: float) -> float:
+    """The Gini mean for 0 < p - q < _SMALL_GAP: log G(p, q) = c +
+    log(sum_i w_i exp((p - q) l_i)) / (p - q), for c = log max x, l_i =
+    log x_i - c and the weights w_i = x_i^q / sum_j x_j^q, normalized by
+    the largest term, by ``_log_small_gap``.  The Holder mean of exponent
+    p is G(max(p, 0), min(p, 0))."""
+    logs = [math.log(v) for v in xs]
+    c = max(logs)
+    cq = c if q >= 0.0 else min(logs)
+    ws = [math.exp(q * (v - cq)) for v in logs]
+    total = math.fsum(ws)
+    log_ratio = _log_small_gap(p - q, [v - c for v in logs], [w / total for w in ws])
+    return _exp_clamped(c + log_ratio, lo, hi)
+
+
 def holder_mean(p: float, x: Sequence[float]) -> float:
     """The power mean ((sum x_i^p) / n)^(1/p); the geometric mean for p = 0,
     and max x / min x for p = +inf / -inf.
 
-    Plain ``math`` on a list of floats.  Inputs are normalized by an extreme
-    element before exponentiation (the max for p > 0, the min for p < 0), so
-    that large |p| cannot overflow.  Where that direct form cannot hold its
-    terms (min x / max x below the normal float range, or a root that
-    overflows at tiny |p|), the mean is formed in log space instead
+    Plain ``math`` on a list of floats.  For 0 < |p| < 0.5 the mean is
+    formed by ``_gini_small_gap``, from expm1 and log1p, as a power of a
+    ratio near 1 would round the mean toward max x or min x; the error then
+    stays at the geometric mean's, down to the smallest |p|.  Otherwise
+    inputs are normalized by an extreme element before exponentiation (the
+    max for p > 0, the min for p < 0), so that large |p| cannot overflow.
+    Where that direct form cannot hold its terms (min x / max x below the
+    normal float range), the mean is formed in log space instead
     (``_log_gini``).  The value always lies in [min x, max x]; a NaN
     exponent raises InvalidArgumentError.
     """
@@ -611,6 +697,8 @@ def holder_mean(p: float, x: Sequence[float]) -> float:
     lo, hi = min(xs), max(xs)
     if p == 0.0:
         return _exp_clamped(sum([math.log(v) for v in xs]) / len(xs), lo, hi)
+    if abs(p) < _SMALL_GAP:
+        return _gini_small_gap(max(p, 0.0), min(p, 0.0), xs, lo, hi)
     if math.isinf(p) or lo / hi >= _NORMAL_MIN:
         m = hi if p > 0 else lo
         try:
@@ -624,7 +712,9 @@ def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     """The Gini mean (sum x^p / sum x^q)^(1/(p-q)); for p = q, the limiting
     form exp(sum x^p log x / sum x^p) is used.
 
-    Plain ``math`` on a list of floats, with the data normalized by its max.
+    For 0 < |p - q| < 0.5 the mean is formed by ``_gini_small_gap``, from
+    expm1 and log1p.  Otherwise plain ``math`` on a list of floats, with
+    the data normalized by its max.
     Where a direct power sum overflows or underflows (large |p| or |q|, or
     min x / max x below the normal float range), the mean is formed in log
     space instead, each power sum normalized by its own largest term
@@ -637,6 +727,8 @@ def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     if p < q:
         p, q = q, p
     lo, hi = min(xs), max(xs)
+    if 0.0 < p - q < _SMALL_GAP:
+        return _gini_small_gap(p, q, xs, lo, hi)
     if lo / hi >= _NORMAL_MIN:
         try:
             y = _gini_direct(p, q, xs, hi)
@@ -685,6 +777,26 @@ def scaled_point_mean(weights: Sequence[float], pts: Sequence[np.ndarray],
     return sum(wv * (pt / m) for wv, pt in zip(weights, pts)) / total * m
 
 
+def weighted_average(values: list, xs: list) -> float:
+    """sum_i w_i x_i / sum_i w_i for positive weights ``values`` and float
+    data, by math.fsum; where a product w_i x_i or a partial sum of finite
+    data leaves the float range, and the mean does not, ``scaled_mean``."""
+    total = math.fsum(values)
+    try:
+        s = math.fsum(wv * xi for wv, xi in zip(values, xs))
+    except OverflowError:
+        s = math.inf
+    except ValueError:
+        # inf - inf: products w_i x_i overflowed both ways, or the data
+        # hold both infinities.
+        if not all(map(math.isfinite, xs)):
+            raise
+        s = math.inf
+    if math.isinf(s) and all(map(math.isfinite, xs)):
+        return scaled_mean(values, xs, total)
+    return s / total
+
+
 def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
     """sum_i w_i(x_i) x_i / sum_i w_i(x_i) for scalar or point entries.
 
@@ -700,24 +812,9 @@ def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
     for wv in values:
         if not (math.isfinite(wv) and wv > 0):
             raise InvalidArgumentError(f"weight {wv} not positive")
-    total = math.fsum(values)
     if scalar:
-        xs = [float(xi) for xi in x]
-        try:
-            s = math.fsum(wv * xi for wv, xi in zip(values, xs))
-        except OverflowError:
-            s = math.inf
-        except ValueError:
-            # inf - inf: products w_i x_i overflowed both ways, or the data
-            # hold both infinities.
-            if not all(map(math.isfinite, xs)):
-                raise
-            s = math.inf
-        # A sum or a product w_i x_i of finite data that left the float
-        # range, where the mean does not: sum on the scaled data instead.
-        if math.isinf(s) and all(map(math.isfinite, xs)):
-            return scaled_mean(values, xs, total)
-        return s / total
+        return weighted_average(values, [float(xi) for xi in x])
+    total = math.fsum(values)
     pts = as_point_tuple(x)
     acc = np.zeros_like(pts[0])
     with np.errstate(over="ignore"):

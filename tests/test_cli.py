@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meanreduce
 
@@ -334,3 +338,82 @@ def test_scalar_commands_do_not_import_scipy():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--kind", "arithmetic", "--arity", "3", "--chi", "1,3"],
+    ["mean", "--kind", "deviation-custom", "--exprs", "u-v"],
+    ["mean", "--kind", "matkowski", "--fs", "u;u"],
+    ["reduce", "--kind", "matkowski", "--fs", "u;u;u", "--arity", "3", "--chi", "1,3"],
+], ids=["arithmetic-reduction", "deviation-mean", "matkowski-mean", "matkowski-reduction"])
+def test_bracket_wider_than_the_float_range(capsys, argv):
+    # max x - min x = 2e308 overflows; so did every tolerance scaled by it.
+    code, out, err = run_cli(capsys, *argv, "--x", "-1e308,1e308")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["value"] == 0.0 and data["converged"] is True
+
+
+@pytest.mark.parametrize("command,entry", [
+    ("mean", "nan"), ("mean", "inf"), ("mean", "-1e400"), ("reduce", "inf"),
+])
+def test_non_finite_data_exits_2(capsys, command, entry):
+    extra = ["--arity", "3", "--chi", "1,3"] if command == "reduce" else []
+    code, out, err = run_cli(capsys, command, "--kind", "arithmetic", *extra,
+                             "--x", f"{entry},1")
+    assert (code, out) == (2, "")
+    assert err == f"error: --x entry {entry!r} is not a finite number\n"
+
+
+# Fixed parameters per scalar kind, and whether the kind takes data of both
+# signs; holder p = 0.25 runs the expm1/log1p form of small exponents.
+EXTREME_KINDS = {
+    "arithmetic": ([], True),
+    "weighted-arithmetic": (["--weights", "1;2.5;u^2+1"], True),
+    "holder": (["--p", "0.25"], False),
+    "gini": (["--p", "2", "--q", "1"], False),
+    "quasi-arithmetic": (["--f", "exp"], True),
+    "bajraktarevic": (["--f", "u", "--weights", "1;2;0.5"], True),
+    "matkowski": (["--fs", "u;2*u;u"], True),
+    "deviation-custom": (["--exprs", "u-v;2*(u-v);u-v"], True),
+}
+# The ends of the float range, subnormals and the smallest normal (the open
+# end 0 of the positive kinds), and ordinary values.
+EXTREME_MAGNITUDES = [1e308, sys.float_info.max, 5e-324, 1e-320, sys.float_info.min,
+                      1e-300, 0.5, 1.0, 3.0]
+
+
+def _extreme_values(signed: bool):
+    magnitude = st.one_of(st.sampled_from(EXTREME_MAGNITUDES),
+                          st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    values = st.one_of(magnitude, magnitude.map(lambda v: -v), st.just(0.0)) if signed \
+        else magnitude
+    return st.one_of(values, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("kind", sorted(EXTREME_KINDS))
+@pytest.mark.parametrize("command", ["mean", "reduce"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_extreme_data_exits_cleanly(kind, command, data):
+    """Data at the ends of the float range, subnormal, at the open end of the
+    domain or not finite: every run ends in exit 0 with valid JSON (no NaN,
+    no Infinity), 2 or 3, never a traceback."""
+    flags, signed = EXTREME_KINDS[kind]
+    count = 3 if command == "mean" else 2
+    x = data.draw(st.lists(_extreme_values(signed), min_size=count, max_size=count))
+    argv = [command, "--kind", kind, "--arity", "3", *flags,
+            "--x", ",".join(repr(v) for v in x)]
+    if command == "reduce":
+        argv += ["--chi", "1,3"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -21,6 +21,7 @@ from meanreduce.lab import (
     check_reduced_convexity,
     combiner,
     compare_means,
+    draw_witnesses,
     fuzz_suite,
 )
 
@@ -91,6 +92,22 @@ class TestBoxSamplerStream:
             assert np.asarray(block).tobytes() == np.asarray(draws).tobytes()
             assert np.asarray(block).tobytes() == np.asarray(entries).tobytes()
             assert block_rng.bit_generator.state == draw_rng.bit_generator.state
+            assert block_rng.bit_generator.state == entry_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("trials", [1, 5, 300])
+    def test_joint_blocks_equal_per_trial_draws(self, seed, trials):
+        # Several samplers, scalar and point, uniform and log-uniform: one
+        # block per 256 trials, in the order of per-trial draws: trial, then
+        # sampler, then entry.
+        for count in (1, 3):
+            block_rng, entry_rng = (np.random.default_rng(seed) for _ in range(2))
+            witnesses = list(draw_witnesses(STREAM_SAMPLERS, block_rng, trials, count))
+            assert len(witnesses) == trials
+            for witness in witnesses:
+                for sampler, drawn in zip(STREAM_SAMPLERS, witness):
+                    entries = tuple(_per_entry_draw(sampler, entry_rng) for _ in range(count))
+                    assert np.asarray(drawn).tobytes() == np.asarray(entries).tobytes()
             assert block_rng.bit_generator.state == entry_rng.bit_generator.state
 
     def test_scalar_entries_are_floats_and_points_are_arrays(self):
@@ -198,14 +215,19 @@ class TestCompareMeans:
 
 
 class FixedSampler:
-    """Sampler stub that replays a preset tuple (its prefix for reductions)."""
+    """Sampler stub that replays a preset tuple (its prefix for reductions):
+    each entry is drawn from the one-point range [v, v]."""
 
     def __init__(self, values):
         self.values = tuple(values)
 
-    def draw_tuple(self, rng, count):
+    def entry_bounds(self, count):
         assert count <= len(self.values)
-        return self.values[:count]
+        values = np.asarray(self.values[:count], dtype=float)
+        return values, values
+
+    def tuples(self, block, count):
+        return map(tuple, block.tolist())
 
 
 class TestHolderMinkowski:

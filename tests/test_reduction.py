@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import meanreduce.reduction
 
-from meanreduce.core import Injection, Interval, POSITIVE_REALS, SolverConfig
+from meanreduce.core import Injection, Interval, POSITIVE_REALS, SolverConfig, splice
 from meanreduce.descriptors import (
     arithmetic_mean_fn,
     gen_deviation_mean_fn,
@@ -405,6 +405,22 @@ class TestReductionSelectsSlots:
         w_sel = [weights[j - 1] for j in chi.map]
         direct = math.fsum(w * v for w, v in zip(w_sel, x)) / math.fsum(w_sel)
         assert abs(reduced - direct) <= self.TOL * (1.0 + max(x))
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(slot_selections())
+    def test_every_evaluation_sees_the_spliced_tuple(self, case):
+        # The slot template of the reduction against core.splice.
+        chi, weights, x = case
+        seen = []
+        M = weighted_arithmetic_mean_fn(weights, chi.n)
+        recorded = MeanFn(arity=chi.n, label="recorded",
+                          eval=lambda xs: seen.append(xs) or M(xs))
+        reduce_scalar(recorded, chi, x)
+        free = sorted(set(range(1, chi.n + 1)) - set(chi.map))
+        for xs in seen:
+            y = xs[free[0] - 1] if free else None
+            assert type(xs) is tuple and xs == splice(x, chi, y)
 
 
 class TestCheckMeanFunction:

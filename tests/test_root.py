@@ -4,11 +4,12 @@ interpolation or bisection) inside ITP's projection, which keeps every
 search within one step of bisection's count."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanreduce.core import ITP_N0, REALS, Injection, Interval, bracketed_root
+from meanreduce.core import ITP_N0, REALS, Injection, Interval, bracketed_root, wide_fsum
 from meanreduce.descriptors import arithmetic_mean_fn
 from meanreduce.errors import InvalidDeviationError
 from meanreduce.reduction import MeanFn, reduce_scalar
@@ -211,3 +212,32 @@ def test_deviation_mean_stops_at_float_resolution():
     assert report.iterations <= 100
     assert not report.converged
     assert abs(report.value - (1e5 + 1.3e-3 / 3.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("root", [-3e307, 0.0, 1.5e308, 1.7e308])
+def test_bracket_wider_than_the_float_range(root):
+    # b - a overflows, and so does f near one end: the search bisects at
+    # 0.5 a + 0.5 b until the width is a float, then goes on as usual.
+    lo, hi = -sys.float_info.max, sys.float_info.max
+    width_tol = 1e-10 * hi
+
+    def f(x):
+        return root - x
+
+    result = bracketed_root(f, lo, hi, f(lo), f(hi), width_tol, 10_000)
+    assert result.converged
+    assert result.a <= root <= result.b and result.b - result.a <= width_tol
+    # Bisection's count from the true width 2 max / width_tol, plus n_0.
+    assert result.iterations <= math.ceil(math.log2(2e10)) + ITP_N0
+
+
+@pytest.mark.parametrize("terms, expected", [
+    ([1e308, 1e308, -1e308], 1e308),
+    ([1e308, 1e308], math.inf),
+    ([-1e308, -1e308, 1.0], -math.inf),
+    ([1.0, 1e-17, -1.0], 1e-17),
+    ([1e308, -1e308, 1e308, 5e307], 1.5e308),
+])
+def test_wide_fsum_beyond_the_float_range(terms, expected):
+    # math.fsum raises OverflowError once a partial sum overflows.
+    assert wide_fsum(terms) == expected

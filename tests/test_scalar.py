@@ -2,12 +2,13 @@ import functools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from meanreduce.core import Interval, POSITIVE_REALS, REALS, SolverConfig
+from meanreduce.core import Interval, POSITIVE_REALS, REALS, SolverConfig, bracketed_root
 from meanreduce.descriptors import (
     KINDS,
     _VECTOR_KINDS,
@@ -208,6 +209,35 @@ class TestBajraktarevicMean:
         assert bajraktarevic_mean(f, w, (0.0, 3.0)) == pytest.approx(1.0)
 
 
+class TestQuasiArithmeticMean:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6),
+           st.sampled_from(["identity", "log", "exp", "sq"]))
+    def test_is_the_unit_weight_bajraktarevic_mean_bit_for_bit(self, x, name):
+        f = {"identity": identity_generator(POSITIVE_REALS), "log": log_generator(),
+             "exp": build_generator("exp", POSITIVE_REALS), "sq": power_generator(2.0)}[name]
+        ones = [constant_weight(1.0, f.domain)] * len(x)
+        assert quasi_arithmetic_mean(f, x) == bajraktarevic_mean(f, ones, x)
+
+    @pytest.mark.parametrize("x, message", [
+        ((), "empty tuple"), ((1.0, -2.0), "outside the domain"),
+    ])
+    def test_errors_are_the_bajraktarevic_mean_errors(self, x, message):
+        ones = [constant_weight(1.0, POSITIVE_REALS)] * len(x)
+        for call in (lambda: quasi_arithmetic_mean(log_generator(), x),
+                     lambda: bajraktarevic_mean(log_generator(), ones, x)):
+            with pytest.raises(InvalidArgumentError, match=message):
+                call()
+
+    def test_generator_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="generator overflows"):
+            quasi_arithmetic_mean(build_generator("exp"), (0.0, 1e308))
+
+    def test_sum_of_generator_values_beyond_the_float_range(self):
+        assert quasi_arithmetic_mean(identity_generator(), (1e308, 1.5e308)) == pytest.approx(
+            1.25e308, rel=1e-15)
+
+
 class TestMatkowskiMean:
     def test_identity_generators(self):
         fs = [identity_generator()] * 3
@@ -226,6 +256,78 @@ class TestMatkowskiMean:
 
     def test_quasi_arithmetic_alias(self):
         assert quasi_arithmetic_mean(log_generator(), (2.0, 8.0)) == pytest.approx(4.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.1, 50.0), min_size=2, max_size=5), st.data())
+    def test_scaled_terms_keep_every_iterate(self, x, data):
+        # The reference: the generator values summed unscaled, as before the
+        # terms were scaled by 2^-k; the scaling is exact, so are the roots.
+        kinds = data.draw(st.lists(st.sampled_from(["id", "log", "sq"]),
+                                   min_size=len(x), max_size=len(x)))
+        table = {"id": identity_generator(POSITIVE_REALS), "log": log_generator(),
+                 "sq": power_generator(2.0)}
+        fs = [table[k] for k in kinds]
+        evals = [f.eval for f in fs]
+        target = math.fsum(ev(xi) for ev, xi in zip(evals, x))
+
+        def g(y):
+            return math.fsum(ev(y) for ev in evals) - target
+
+        a, b = min(x), max(x)
+        cfg = SolverConfig()
+        if a == b or g(a) >= 0.0 or g(b) <= 0.0:
+            return
+        root = bracketed_root(g, a, b, g(a), g(b), cfg.rel_tol * (b - a) + cfg.abs_tol,
+                              cfg.max_iter)
+        assert matkowski_mean(fs, x) == 0.5 * (root.a + root.b)
+
+    @pytest.mark.parametrize("slopes, x", [
+        ((1.0, 1.0), (-1e308, 1e308)),
+        ((1.0, 2.0, 1.0), (0.0, 0.0, 1e308)),
+        ((1.0, 1.0, 1.0), (1e308, 1.7e308, 1.7e308)),
+    ])
+    def test_sums_beyond_the_float_range(self, slopes, x):
+        # Generators c_i u: the mean is sum c_i x_i / sum c_i, while the
+        # sums of generator values overflow.  The search stops once its
+        # bracket is rel_tol (max x - min x) wide.
+        gens = [build_generator(f"{c}*u") for c in slopes]
+        expected = math.fsum(c / sum(slopes) * v for c, v in zip(slopes, x))
+        tol = SolverConfig().rel_tol * max(x) - SolverConfig().rel_tol * min(x)
+        assert matkowski_mean(gens, x) == pytest.approx(expected, abs=tol)
+
+
+def _mp_gini(p, q, x):
+    """The Gini mean (the Holder mean for q = 0) in mpmath at 700 digits,
+    enough to resolve x^p - 1 for |p| down to 1e-300."""
+    with mpmath.workdps(700):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        xs = [mpmath.mpf(v) for v in x]
+        if q == 0:
+            value = (mpmath.fsum(v ** p for v in xs) / len(xs)) ** (1 / p)
+        else:
+            value = (mpmath.fsum(v ** p for v in xs) / mpmath.fsum(v ** q for v in xs)) ** (
+                1 / (p - q))
+        return float(value)
+
+
+class TestSmallExponents:
+    """Where x^p is within |p log x| of 1, forming it rounds away what the
+    mean is made of: holder_mean(1e-17, x) used to return max x."""
+
+    X = (0.5, 2.0, 7.0)
+
+    @pytest.mark.parametrize("p", [1e-300, -1e-300, 1e-17, -1e-17, 1e-12, -1e-12, 0.3, -0.49])
+    def test_holder_against_mpmath(self, p):
+        assert holder_mean(p, self.X) == pytest.approx(_mp_gini(p, 0.0, self.X), rel=1e-14)
+
+    @pytest.mark.parametrize("p, q", [(1.0 + 1e-14, 1.0), (1.0, 1.0 + 1e-14), (-2.0 + 1e-14, -2.0)])
+    def test_gini_against_mpmath(self, p, q):
+        assert gini_mean(p, q, self.X) == pytest.approx(_mp_gini(p, q, self.X), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [5e-324, -1e-320, 1e-306])
+    def test_underflowing_products_give_the_geometric_mean(self, p):
+        # p log(x_i / max x) underflows; the mean is the p -> 0 limit.
+        assert holder_mean(p, self.X) == pytest.approx(holder_mean(0.0, self.X), rel=1e-15)
 
 
 class TestHolderMean:
