@@ -44,12 +44,12 @@ class BoxSampler:
     needs a positive box and suits scale-sensitive power-type means.
 
     The bounds (their logs, for log-uniform sampling) are checked and stored
-    once at construction.  ``draw_witnesses`` draws the tuples of many trials,
-    of one or several samplers, with one ``rng.uniform`` call per block of
-    trials; ``draw_tuple`` is its one-trial case.  A Generator fills an array
-    of variates from its stream in order, so either consumes the stream
-    exactly as one ``draw`` per scalar or point would, and a seed fixes the
-    same tuples every way.
+    once at construction.  A sampler does not draw by itself:
+    ``draw_witnesses`` draws the tuples of many trials, of one or several
+    samplers, with one ``rng.uniform`` call per block of trials.  A
+    Generator fills an array of variates from its stream in order, so a
+    block consumes the stream exactly as one ``rng.uniform`` call per scalar
+    or point would, and a seed fixes the same tuples either way.
     """
 
     low: Union[float, tuple] = 0.0
@@ -74,12 +74,6 @@ class BoxSampler:
         if self.dim is None:
             lows, highs = float(lows[0]), float(highs[0])
         object.__setattr__(self, "_bounds", (lows, highs))
-
-    def draw(self, rng: np.random.Generator):
-        return self.draw_tuple(rng, 1)[0]
-
-    def draw_tuple(self, rng: np.random.Generator, count: int) -> tuple:
-        return next(draw_witnesses((self,), rng, 1, count))[0]
 
     def entry_bounds(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The lows and highs (their logs, for log-uniform sampling) of the

@@ -644,18 +644,29 @@ def _log_gini(p: float, q: float, logs: list) -> float:
     return (_log_power_sum(p, logs, s) - _log_power_sum(q, logs, s)) / (p / s - q / s)
 
 
-# Below this exponent gap a power x^d of a ratio x <= 1 lies so close to 1
-# that forming it rounds away what carries the mean (``_log_small_gap``).
+# Below this exponent gap a power x^d of a ratio x near 1 can lie so close
+# to 1 that forming it rounds away what carries the mean (``_log_small_gap``).
 _SMALL_GAP = 0.5
 
 
+def _is_small_gap(d: float, lo: float, hi: float) -> bool:
+    """Whether the mean of exponent gap d on data in [lo, hi] is formed by
+    ``_gini_small_gap``: 0 < d < _SMALL_GAP and d log(hi / lo) <= 1.  Each
+    power x_i^d then lies within a factor e of every other, so the weighted
+    mean of them cannot cancel.  Outside that range d > 1 / log(hi / lo), and
+    the direct and log-space forms lose no more than the 1/d power of a
+    rounded sum costs."""
+    return 0.0 < d < _SMALL_GAP and d * (math.log(hi) - math.log(lo)) <= 1.0
+
+
 def _log_small_gap(d: float, ls: list, ws: list) -> float:
-    """log(sum_i w_i exp(d l_i)) / d for d > 0, l_i <= 0 and weights w_i
-    summing to 1, formed as log1p(sum_i w_i expm1(d l_i)) / d: each
-    expm1(d l_i) keeps the deviation of exp(d l_i) from 1 to full relative
-    precision.  Where every |d l_i| is below 1e-290, so that d l_i may be
-    subnormal or 0, it is the d -> 0 limit sum_i w_i l_i, which is off by
-    less than d max_i l_i^2 <= 1e-286."""
+    """log(sum_i w_i exp(d l_i)) / d for d > 0, |d l_i| <= 1, all l_i of
+    one sign, and weights w_i summing to 1, formed as log1p(sum_i w_i
+    expm1(d l_i)) / d: each expm1(d l_i) keeps the deviation of exp(d l_i)
+    from 1 to full relative precision, the terms share a sign, and the sum
+    lies in [1/e - 1, e - 1].  Where every |d l_i| is below 1e-290, so that
+    d l_i may be subnormal or 0, it is the d -> 0 limit sum_i w_i l_i, which
+    is off by less than d max_i l_i^2 <= 1e-286."""
     zs = [d * v for v in ls]
     if max(map(abs, zs)) < 1e-290:
         return math.fsum(w * v for w, v in zip(ws, ls))
@@ -663,30 +674,33 @@ def _log_small_gap(d: float, ls: list, ws: list) -> float:
 
 
 def _gini_small_gap(p: float, q: float, xs: list, lo: float, hi: float) -> float:
-    """The Gini mean for 0 < p - q < _SMALL_GAP: log G(p, q) = c +
-    log(sum_i w_i exp((p - q) l_i)) / (p - q), for c = log max x, l_i =
-    log x_i - c and the weights w_i = x_i^q / sum_j x_j^q, normalized by
-    the largest term, by ``_log_small_gap``.  The Holder mean of exponent
-    p is G(max(p, 0), min(p, 0))."""
-    logs = [math.log(v) for v in xs]
-    c = max(logs)
-    cq = c if q >= 0.0 else min(logs)
-    ws = [math.exp(q * (v - cq)) for v in logs]
+    """The Gini mean for a small gap p - q (``_is_small_gap``), anchored at
+    the element a where the weights w_i = x_i^q / sum_j x_j^q peak: a = max
+    x for q >= 0, a = min x for q < 0.  Then log(G(p, q) / a) = log(sum_i
+    w_i exp((p - q) l_i)) / (p - q) for l_i = log x_i - log a, all of one
+    sign, by ``_log_small_gap``.  Weights that all sit on a give a exactly.
+    The Holder mean of exponent p is G(max(p, 0), min(p, 0))."""
+    a = hi if q >= 0.0 else lo
+    log_a = math.log(a)
+    ls = [math.log(v) - log_a for v in xs]
+    ws = [math.exp(q * v) for v in ls]
     total = math.fsum(ws)
-    log_ratio = _log_small_gap(p - q, [v - c for v in logs], [w / total for w in ws])
-    return _exp_clamped(c + log_ratio, lo, hi)
+    # G / a = exp(r) may leave the normal range where G does not.
+    half = math.exp(0.5 * _log_small_gap(p - q, ls, [w / total for w in ws]))
+    return _clamp(a * half * half, lo, hi)
 
 
 def holder_mean(p: float, x: Sequence[float]) -> float:
     """The power mean ((sum x_i^p) / n)^(1/p); the geometric mean for p = 0,
     and max x / min x for p = +inf / -inf.
 
-    Plain ``math`` on a list of floats.  For 0 < |p| < 0.5 the mean is
-    formed by ``_gini_small_gap``, from expm1 and log1p, as a power of a
-    ratio near 1 would round the mean toward max x or min x; the error then
-    stays at the geometric mean's, down to the smallest |p|.  Otherwise
-    inputs are normalized by an extreme element before exponentiation (the
-    max for p > 0, the min for p < 0), so that large |p| cannot overflow.
+    Plain ``math`` on a list of floats.  For 0 < |p| < 0.5 with |p| log(max
+    x / min x) <= 1 the mean is formed by ``_gini_small_gap``, from expm1
+    and log1p, as a power of a ratio near 1 would round the mean toward max
+    x or min x; the error then stays at the geometric mean's, down to the
+    smallest |p|.  Otherwise inputs are normalized by an extreme element
+    before exponentiation (the max for p > 0, the min for p < 0), so that
+    large |p| cannot overflow.
     Where that direct form cannot hold its terms (min x / max x below the
     normal float range), the mean is formed in log space instead
     (``_log_gini``).  The value always lies in [min x, max x]; a NaN
@@ -697,7 +711,7 @@ def holder_mean(p: float, x: Sequence[float]) -> float:
     lo, hi = min(xs), max(xs)
     if p == 0.0:
         return _exp_clamped(sum([math.log(v) for v in xs]) / len(xs), lo, hi)
-    if abs(p) < _SMALL_GAP:
+    if _is_small_gap(abs(p), lo, hi):
         return _gini_small_gap(max(p, 0.0), min(p, 0.0), xs, lo, hi)
     if math.isinf(p) or lo / hi >= _NORMAL_MIN:
         m = hi if p > 0 else lo
@@ -712,9 +726,9 @@ def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     """The Gini mean (sum x^p / sum x^q)^(1/(p-q)); for p = q, the limiting
     form exp(sum x^p log x / sum x^p) is used.
 
-    For 0 < |p - q| < 0.5 the mean is formed by ``_gini_small_gap``, from
-    expm1 and log1p.  Otherwise plain ``math`` on a list of floats, with
-    the data normalized by its max.
+    For 0 < |p - q| < 0.5 with |p - q| log(max x / min x) <= 1 the mean is
+    formed by ``_gini_small_gap``, from expm1 and log1p.  Otherwise plain
+    ``math`` on a list of floats, with the data normalized by its max.
     Where a direct power sum overflows or underflows (large |p| or |q|, or
     min x / max x below the normal float range), the mean is formed in log
     space instead, each power sum normalized by its own largest term
@@ -727,7 +741,7 @@ def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     if p < q:
         p, q = q, p
     lo, hi = min(xs), max(xs)
-    if 0.0 < p - q < _SMALL_GAP:
+    if _is_small_gap(p - q, lo, hi):
         return _gini_small_gap(p, q, xs, lo, hi)
     if lo / hi >= _NORMAL_MIN:
         try:

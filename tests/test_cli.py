@@ -365,17 +365,21 @@ def test_non_finite_data_exits_2(capsys, command, entry):
     assert err == f"error: --x entry {entry!r} is not a finite number\n"
 
 
-# Fixed parameters per scalar kind, and whether the kind takes data of both
-# signs; holder p = 0.25 runs the expm1/log1p form of small exponents.
-EXTREME_KINDS = {
-    "arithmetic": ([], True),
-    "weighted-arithmetic": (["--weights", "1;2.5;u^2+1"], True),
-    "holder": (["--p", "0.25"], False),
-    "gini": (["--p", "2", "--q", "1"], False),
-    "quasi-arithmetic": (["--f", "exp"], True),
-    "bajraktarevic": (["--f", "u", "--weights", "1;2;0.5"], True),
-    "matkowski": (["--fs", "u;2*u;u"], True),
-    "deviation-custom": (["--exprs", "u-v;2*(u-v);u-v"], True),
+# Per case: the scalar kind, its fixed parameters, and whether it takes data
+# of both signs.  The exponents below 0.5 run the expm1/log1p form of small
+# exponents on close data; on data far apart, q < 0 puts the weights x^q on
+# the smallest entry.
+EXTREME_CASES = {
+    "arithmetic": ("arithmetic", [], True),
+    "weighted-arithmetic": ("weighted-arithmetic", ["--weights", "1;2.5;u^2+1"], True),
+    "holder": ("holder", ["--p", "0.25"], False),
+    "holder-small-negative": ("holder", ["--p=-0.4"], False),
+    "gini": ("gini", ["--p", "2", "--q", "1"], False),
+    "gini-small-gap": ("gini", ["--p", "0.3", "--q=-0.1"], False),
+    "quasi-arithmetic": ("quasi-arithmetic", ["--f", "exp"], True),
+    "bajraktarevic": ("bajraktarevic", ["--f", "u", "--weights", "1;2;0.5"], True),
+    "matkowski": ("matkowski", ["--fs", "u;2*u;u"], True),
+    "deviation-custom": ("deviation-custom", ["--exprs", "u-v;2*(u-v);u-v"], True),
 }
 # The ends of the float range, subnormals and the smallest normal (the open
 # end 0 of the positive kinds), and ordinary values.
@@ -395,15 +399,15 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("kind", sorted(EXTREME_KINDS))
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
 @pytest.mark.parametrize("command", ["mean", "reduce"])
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_extreme_data_exits_cleanly(kind, command, data):
+def test_extreme_data_exits_cleanly(case, command, data):
     """Data at the ends of the float range, subnormal, at the open end of the
     domain or not finite: every run ends in exit 0 with valid JSON (no NaN,
     no Infinity), 2 or 3, never a traceback."""
-    flags, signed = EXTREME_KINDS[kind]
+    kind, flags, signed = EXTREME_CASES[case]
     count = 3 if command == "mean" else 2
     x = data.draw(st.lists(_extreme_values(signed), min_size=count, max_size=count))
     argv = [command, "--kind", kind, "--arity", "3", *flags,

@@ -34,9 +34,8 @@ class TestBoxSampler:
     def test_scalar_draws_in_box(self):
         s = BoxSampler(low=-2.0, high=3.0)
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            v = s.draw(rng)
-            assert -2.0 <= v <= 3.0
+        for (drawn,) in draw_witnesses((s,), rng, 50, 1):
+            assert -2.0 <= drawn[0] <= 3.0
 
     def test_log_uniform_needs_positive_box(self):
         with pytest.raises(InvalidArgumentError):
@@ -45,8 +44,8 @@ class TestBoxSampler:
     def test_vector_draws(self):
         s = BoxSampler(low=0.0, high=1.0, dim=3)
         rng = np.random.default_rng(2)
-        v = s.draw(rng)
-        assert v.shape == (3,)
+        (drawn,) = next(draw_witnesses((s,), rng, 1, 1))
+        assert drawn[0].shape == (3,)
 
     def test_json_round_trip(self):
         s = BoxSampler(low=0.1, high=4.0, log_uniform=True)
@@ -83,15 +82,14 @@ class TestBoxSamplerStream:
     @pytest.mark.parametrize("sampler", STREAM_SAMPLERS, ids=lambda s: repr(s.to_json()))
     @pytest.mark.parametrize("seed", [0, 1, 7, 1001])
     def test_draw_tuple_equals_sequential_draws(self, sampler, seed):
+        # One sampler, one trial: the drawn count-tuple is the count
+        # per-entry draws.
         for count in (1, 2, 3, 6):
-            block_rng, draw_rng, entry_rng = (np.random.default_rng(seed) for _ in range(3))
-            block = sampler.draw_tuple(block_rng, count)
-            draws = tuple(sampler.draw(draw_rng) for _ in range(count))
+            block_rng, entry_rng = (np.random.default_rng(seed) for _ in range(2))
+            (block,) = next(draw_witnesses((sampler,), block_rng, 1, count))
             entries = tuple(_per_entry_draw(sampler, entry_rng) for _ in range(count))
             assert len(block) == count
-            assert np.asarray(block).tobytes() == np.asarray(draws).tobytes()
             assert np.asarray(block).tobytes() == np.asarray(entries).tobytes()
-            assert block_rng.bit_generator.state == draw_rng.bit_generator.state
             assert block_rng.bit_generator.state == entry_rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -112,8 +110,9 @@ class TestBoxSamplerStream:
 
     def test_scalar_entries_are_floats_and_points_are_arrays(self):
         rng = np.random.default_rng(3)
-        assert all(type(v) is float for v in STREAM_SAMPLERS[1].draw_tuple(rng, 4))
-        assert all(v.shape == (3,) for v in STREAM_SAMPLERS[3].draw_tuple(rng, 4))
+        scalars, points = next(draw_witnesses(STREAM_SAMPLERS[1::2], rng, 1, 4))
+        assert all(type(v) is float for v in scalars)
+        assert all(v.shape == (3,) for v in points)
 
     def test_scalar_sampler_needs_scalar_bounds(self):
         with pytest.raises(InvalidArgumentError):

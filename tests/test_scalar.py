@@ -312,22 +312,39 @@ def _mp_gini(p, q, x):
 
 class TestSmallExponents:
     """Where x^p is within |p log x| of 1, forming it rounds away what the
-    mean is made of: holder_mean(1e-17, x) used to return max x."""
+    mean is made of: holder_mean(1e-17, x) used to return max x.  Every
+    comparison is relative only (abs=0): approx's default absolute
+    tolerance of 1e-12 would pass any mean below 1e-12."""
 
     X = (0.5, 2.0, 7.0)
 
     @pytest.mark.parametrize("p", [1e-300, -1e-300, 1e-17, -1e-17, 1e-12, -1e-12, 0.3, -0.49])
     def test_holder_against_mpmath(self, p):
-        assert holder_mean(p, self.X) == pytest.approx(_mp_gini(p, 0.0, self.X), rel=1e-14)
+        assert holder_mean(p, self.X) == pytest.approx(_mp_gini(p, 0.0, self.X), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("p, q", [(1.0 + 1e-14, 1.0), (1.0, 1.0 + 1e-14), (-2.0 + 1e-14, -2.0)])
     def test_gini_against_mpmath(self, p, q):
-        assert gini_mean(p, q, self.X) == pytest.approx(_mp_gini(p, q, self.X), rel=1e-14)
+        assert gini_mean(p, q, self.X) == pytest.approx(_mp_gini(p, q, self.X), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p, q, x", [
+        (-0.4, 0.0, (1e-100, 1.0)),
+        (-0.45, 0.0, (1e-30, 1.0)),
+        (-0.004, 0.0, (1e-100, 1.0)),
+        (-1e-12, 0.0, (1e-100, 1.0, 3.0)),
+        (0.3, -0.1, (1e-100, 1.0)),
+        (-0.1, -0.1 - 1e-14, (1e-100, 1.0, 3.0)),
+        (0.9195232128986474, 0.9195232128971784, (1.174363136753047e+289, 7.244264145575631e-14)),
+    ])
+    def test_wide_data_against_mpmath(self, p, q, x):
+        # Weights x^q that pile onto min x: a sum of powers of x / max x
+        # would cancel toward 0.  The last case has its weights all on max x.
+        mean = holder_mean(p, x) if q == 0.0 else gini_mean(p, q, x)
+        assert mean == pytest.approx(_mp_gini(p, q, x), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("p", [5e-324, -1e-320, 1e-306])
     def test_underflowing_products_give_the_geometric_mean(self, p):
         # p log(x_i / max x) underflows; the mean is the p -> 0 limit.
-        assert holder_mean(p, self.X) == pytest.approx(holder_mean(0.0, self.X), rel=1e-15)
+        assert holder_mean(p, self.X) == pytest.approx(holder_mean(0.0, self.X), rel=1e-15, abs=0.0)
 
 
 class TestHolderMean:
