@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError
 
 BARY_SUM_TOL = 1e-12
 
@@ -169,22 +169,6 @@ class Barycentric:
         total = math.fsum(ws)
         if abs(total - 1.0) > BARY_SUM_TOL:
             raise InvalidArgumentError(f"barycentric weights sum to {total}, not 1")
-
-    @classmethod
-    def clipped(cls, weights, neg_tol: float = 1e-12) -> "Barycentric":
-        """Clip numerically tiny negatives to zero and renormalize.
-
-        Used by solvers whose iterates live on the simplex up to rounding.
-        Weights below ``-neg_tol`` are still rejected.
-        """
-        arr = np.asarray(weights, dtype=float)
-        if np.any(arr < -neg_tol):
-            raise InvalidArgumentError("barycentric weight below the clipping tolerance")
-        arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
-        if total <= 0.0:
-            raise InvalidArgumentError("barycentric weights sum to zero")
-        return cls(tuple(arr / total))
 
     @property
     def array(self) -> np.ndarray:
@@ -360,9 +344,12 @@ def wide_fsum(terms: list) -> float:
     """math.fsum(terms), also where a partial sum of finite terms leaves the
     float range, which makes math.fsum raise OverflowError: the sum is then
     formed from the terms scaled by a power of two, and rounded to an
-    infinity of its sign if it overflows, as IEEE addition would."""
+    infinity of its sign if it overflows, as IEEE addition would.  Terms
+    that hold both infinities have no sum and raise DomainError."""
     try:
         return math.fsum(terms)
+    except ValueError:
+        raise DomainError("terms overflow to both infinities: their sum is undefined") from None
     except OverflowError:
         k = len(terms).bit_length()
         s = math.fsum([math.ldexp(t, -k) for t in terms])
@@ -370,6 +357,27 @@ def wide_fsum(terms: list) -> float:
             return math.ldexp(s, k)
         except OverflowError:
             return math.copysign(math.inf, s)
+
+
+def wide_uniform(rng: np.random.Generator, lo, hi, size) -> np.ndarray:
+    """rng.uniform(lo, hi, size) for float or array bounds, also where hi -
+    lo overflows, which makes numpy raise OverflowError: those variates are
+    drawn as 2 uniform(lo / 2, hi / 2), the same values, as halving such
+    bounds is exact.  The stream is consumed as one rng.uniform call would,
+    and bounds of finite width draw exactly what rng.uniform draws."""
+    if isinstance(lo, float) and isinstance(hi, float):
+        # Float bounds raise before any warning; this path is per sample.
+        try:
+            return rng.uniform(lo, hi, size)
+        except OverflowError:
+            pass
+    with np.errstate(over="ignore"):
+        wide = ~np.isfinite(np.subtract(hi, lo))
+    if not wide.any():
+        return rng.uniform(lo, hi, size)
+    half = rng.uniform(np.where(wide, np.multiply(lo, 0.5), lo),
+                       np.where(wide, np.multiply(hi, 0.5), hi), size)
+    return np.where(wide, 2.0 * half, half)
 
 
 @dataclass(frozen=True)

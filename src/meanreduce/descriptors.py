@@ -33,15 +33,15 @@ from .scalar import (
     GeneratorFn,
     ScalarDeviation,
     WeightFn,
+    average,
     bajraktarevic_mean,
     constant_weight,
     gini_mean,
     holder_mean,
     matkowski_mean,
     numeric_inverse,
+    point_average,
     quasi_arithmetic_mean,
-    scaled_mean,
-    scaled_point_mean,
     weighted_arith_mean,
 )
 from .vector import GenDeviation, PotentialFn, make_norm_sq_potential
@@ -232,27 +232,10 @@ def build_custom_potential(expr_text: str, dim: int,
                        sample_low=sample_low, sample_high=sample_high)
 
 
-def _arithmetic_mean(xs) -> float:
-    try:
-        return math.fsum(float(v) for v in xs) / len(xs)
-    except OverflowError:
-        return scaled_mean([1.0] * len(xs), xs, len(xs))
-
-
-def _arithmetic_point_mean(xs) -> np.ndarray:
-    pts = [np.asarray(p, float) for p in xs]
-    with np.errstate(over="ignore"):
-        mean = np.mean(np.stack(pts), axis=0)
-    if np.isfinite(mean).all() or not np.isfinite(pts).all():
-        return mean
-    # A partial sum of finite points overflowed.
-    return scaled_point_mean([1.0] * len(pts), pts, len(pts))
-
-
 def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
     if dim is None:
-        return MeanFn(arity=arity, eval=_arithmetic_mean, label="arithmetic")
-    return MeanFn(arity=arity, dim=dim, label="arithmetic", eval=_arithmetic_point_mean)
+        return MeanFn(arity=arity, eval=average, label="arithmetic")
+    return MeanFn(arity=arity, dim=dim, label="arithmetic", eval=point_average)
 
 
 def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, Injection, SolverConfig
+from .core import DEFAULT_CONFIG, Injection, SolverConfig, wide_uniform
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -67,6 +67,8 @@ class BoxSampler:
             raise InvalidArgumentError("a scalar sampler needs scalar bounds; set dim for a box")
         if not np.all(lows < highs):
             raise InvalidArgumentError("sampler needs low < high")
+        if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
+            raise InvalidArgumentError("sampler needs finite bounds")
         if self.log_uniform:
             if not np.all(lows > 0):
                 raise InvalidArgumentError("log-uniform sampling needs a positive box")
@@ -128,7 +130,7 @@ def draw_witnesses(samplers: Sequence[BoxSampler], rng: np.random.Generator, tri
     highs = np.concatenate([hi for _, hi in bounds])
     edges = np.cumsum([0] + [lo.size for lo, _ in bounds]).tolist()
     for start in range(0, trials, _BLOCK_TRIALS):
-        block = rng.uniform(lows, highs, size=(min(_BLOCK_TRIALS, trials - start), lows.size))
+        block = wide_uniform(rng, lows, highs, (min(_BLOCK_TRIALS, trials - start), lows.size))
         yield from zip(*(s.tuples(np.ascontiguousarray(block[:, i:j]), count)
                          for s, i, j in zip(samplers, edges, edges[1:])))
 

@@ -45,6 +45,7 @@ from .core import (
     scaled_width,
     select,
     splice,
+    wide_uniform,
 )
 from .errors import (
     HullViolationError,
@@ -592,7 +593,7 @@ def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
     w_sel = select(tuple(w), chi)
     rng = np.random.default_rng(seed)
     return _oracle_check(
-        samples, tol, lambda: tuple(float(v) for v in rng.uniform(lo, hi, chi.k)),
+        samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),
         lambda xs: reduce_scalar(M, chi, xs, run_cfg).reduced_value,
         lambda xs: weighted_arith_mean(w_sel, xs), lambda lhs, rhs: abs(lhs - rhs))
 
@@ -633,6 +634,6 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
     selected = dev.select(chi)
     M = deviation_mean_fn(dev, inner)
     return _oracle_check(
-        samples, tol, lambda: tuple(float(v) for v in rng.uniform(lo, hi, chi.k)),
+        samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),
         lambda xs: reduce_scalar(M, chi, xs, outer).reduced_value,
         lambda xs: deviation_mean(selected, xs, inner).value, lambda lhs, rhs: abs(lhs - rhs))

@@ -60,6 +60,7 @@ from .core import (
     sample_triples,
     scaled_width,
     wide_fsum,
+    wide_uniform,
 )
 from .errors import (
     DomainError,
@@ -74,7 +75,7 @@ _VALIDATION_SEED = 20240901
 
 def _sample_window(domain: Interval, rng: np.random.Generator, count: int) -> np.ndarray:
     lo, hi = domain.finite_window()
-    return rng.uniform(lo, hi, size=count)
+    return wide_uniform(rng, lo, hi, count)
 
 
 def _weight_verdict(us: np.ndarray, values, clear: bool = False) -> Optional[str]:
@@ -295,7 +296,8 @@ class ScalarDeviation:
         ``eval``, or else of ``eval`` on floats (see ``judge_samples``)."""
         rng = np.random.default_rng(_VALIDATION_SEED + 2)
         us, vs, ws = (_sample_window(self.domain, rng, _VALIDATION_SAMPLES) for _ in range(3))
-        span = us.max() - us.min() + 1.0
+        # On Python floats a span past the float range is inf, with no warning.
+        span = float(us.max()) - float(us.min()) + 1.0
         judge_samples(partial(_deviation_verdict, self.label, us, vs, ws, span),
                       None if batch is None else sample_triples(batch, us, vs, ws), self.eval,
                       lambda: ((u, x) for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist())
@@ -476,35 +478,25 @@ def bajraktarevic_mean(f: GeneratorFn, w: Sequence[WeightFn], x: Sequence[float]
     for wi, xi in zip(weights, xs):
         if not wi > 0:
             raise InvalidArgumentError(f"weight {wi} not positive at {xi}")
-    return _invert_average(f, xs, partial(weighted_average, weights))
+    return _invert_average(f, xs, weights)
 
 
-def _invert_average(f: GeneratorFn, xs: list, average: Callable[[list], float]) -> float:
-    """f^{-1}(average(f-values of xs)), the tail that ``bajraktarevic_mean``
-    and ``quasi_arithmetic_mean`` share: the average is clamped into the hull
-    of the f-values, its inverse checked against the generator domain and
-    clamped into the hull of xs.  A generator that overflows on the data
-    raises DomainError."""
+def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
+    """f^{-1}(average(f-values of xs, weights)), the tail that
+    ``bajraktarevic_mean`` and ``quasi_arithmetic_mean`` (weights None)
+    share: the average is clamped into the hull of the f-values, its inverse
+    checked against the generator domain and clamped into the hull of xs.  A
+    generator that overflows on the data raises DomainError."""
     try:
         fw = [f.eval(xi) for xi in xs]
     except OverflowError as exc:
         raise DomainError(f"generator overflows on the data {xs}: {exc}") from None
-    t = average(fw)
+    t = average(fw, weights)
     t = min(max(t, min(fw)), max(fw))
     y = f.inverse(t)
     if not math.isfinite(y) or (y not in f.domain and not _near_domain(y, f.domain)):
         raise DomainError(f"inverted value {y} escapes the generator domain")
     return min(max(y, min(xs)), max(xs))
-
-
-def _plain_average(fw: list) -> float:
-    """sum(fw) / n; past the float range, ``scaled_mean``.  Bitwise the
-    unit-weight ``weighted_average``: 1.0 * f is exact and the sum of n unit
-    weights is n."""
-    try:
-        return math.fsum(fw) / len(fw)
-    except OverflowError:
-        return scaled_mean([1.0] * len(fw), fw, len(fw))
 
 
 def _near_domain(y: float, domain: Interval, slack: float = 1e-9) -> bool:
@@ -518,15 +510,15 @@ def quasi_arithmetic_mean(f: GeneratorFn, x: Sequence[float]) -> float:
 
     This is the Bajraktarevic mean with unit weights, bit for bit, with the
     same errors in the same order, but no weight is built or called: the
-    f-values are averaged as sum / n (``_plain_average``), and the clamps,
-    the inverse and the domain check are ``bajraktarevic_mean``'s own
-    (``_invert_average``).
+    f-values are averaged as sum / n (``average`` with unit weights), and
+    the clamps, the inverse and the domain check are ``bajraktarevic_mean``'s
+    own (``_invert_average``).
     """
     if len(x) == 0:
         raise InvalidArgumentError("empty tuple")
     xs = [float(v) for v in x]
     _check_in_domain(f.domain, xs, "data value")
-    return _invert_average(f, xs, _plain_average)
+    return _invert_average(f, xs, None)
 
 
 def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
@@ -621,89 +613,81 @@ def _exp_clamped(log_y: float, lo: float, hi: float) -> float:
         return hi
 
 
-def _log_power_sum(r: float, logs: list, s: float) -> float:
-    """log(sum_i x_i^r) / s from the logs of x, normalized by the largest
-    term: the max of the logs for r >= 0, the min for r < 0.  Every term is
-    then at most 1 and the extreme one is 1, so the sum is in [1, n] and
-    cannot overflow; with s >= max(1, |r|), r log x / s stays finite for any
-    finite r."""
-    c = max(logs) if r >= 0.0 else min(logs)
-    return (r / s) * c + math.log(math.fsum(math.exp(r * (v - c)) for v in logs)) / s
-
-
-def _log_gini(p: float, q: float, logs: list) -> float:
-    """log of the Gini mean G(p, q) (the Hölder mean is G(p, 0)), formed in
-    log space so that no power sum can overflow or underflow.  Symmetric in
-    p and q."""
-    if p == q:
-        # The mean of log x under the weights x^p / sum x^p.
-        c = max(logs) if p >= 0.0 else min(logs)
-        w = [math.exp(p * (v - c)) for v in logs]
-        return math.fsum(wi * v for wi, v in zip(w, logs)) / math.fsum(w)
-    s = max(abs(p), abs(q), 1.0)
-    return (_log_power_sum(p, logs, s) - _log_power_sum(q, logs, s)) / (p / s - q / s)
-
-
 # Below this exponent gap a power x^d of a ratio x near 1 can lie so close
-# to 1 that forming it rounds away what carries the mean (``_log_small_gap``).
+# to 1 that forming it rounds away what carries the mean (``_gini_anchored``).
 _SMALL_GAP = 0.5
 
 
 def _is_small_gap(d: float, lo: float, hi: float) -> bool:
     """Whether the mean of exponent gap d on data in [lo, hi] is formed by
-    ``_gini_small_gap``: 0 < d < _SMALL_GAP and d log(hi / lo) <= 1.  Each
-    power x_i^d then lies within a factor e of every other, so the weighted
-    mean of them cannot cancel.  Outside that range d > 1 / log(hi / lo), and
-    the direct and log-space forms lose no more than the 1/d power of a
-    rounded sum costs."""
+    the small-gap form of ``_gini_anchored``: 0 < d < _SMALL_GAP and d
+    log(hi / lo) <= 1.  Each power x_i^d then lies within a factor e of
+    every other, so the weighted mean of them cannot cancel.  Outside that
+    range d > 1 / log(hi / lo), and the direct and log-sum forms lose no
+    more than the 1/d power of a rounded sum costs."""
     return 0.0 < d < _SMALL_GAP and d * (math.log(hi) - math.log(lo)) <= 1.0
 
 
-def _log_small_gap(d: float, ls: list, ws: list) -> float:
-    """log(sum_i w_i exp(d l_i)) / d for d > 0, |d l_i| <= 1, all l_i of
-    one sign, and weights w_i summing to 1, formed as log1p(sum_i w_i
-    expm1(d l_i)) / d: each expm1(d l_i) keeps the deviation of exp(d l_i)
-    from 1 to full relative precision, the terms share a sign, and the sum
-    lies in [1/e - 1, e - 1].  Where every |d l_i| is below 1e-290, so that
-    d l_i may be subnormal or 0, it is the d -> 0 limit sum_i w_i l_i, which
-    is off by less than d max_i l_i^2 <= 1e-286."""
-    zs = [d * v for v in ls]
-    if max(map(abs, zs)) < 1e-290:
-        return math.fsum(w * v for w, v in zip(ws, ls))
-    return math.log1p(math.fsum(w * math.expm1(z) for w, z in zip(ws, zs))) / d
+def _gini_anchored(p: float, q: float, xs: list, lo: float, hi: float) -> float:
+    """The Gini mean G(p, q) for p >= q, formed in logs anchored at the
+    element a where the weights x^q peak: a = max x for q >= 0, a = min x
+    for q < 0.  The l_i = log(x_i / a) then share one sign, every weight w_i
+    = exp(q l_i) is at most 1 and a's own is 1, and weights that all sit on
+    a give a exactly.  For d = p - q, r = log(G / a) is
 
+    - where every |d l_i| is below 1e-290 (d = 0 included), the mean of l
+      under the weights w: the d -> 0 limit, off by less than d max l^2 <=
+      1e-287;
+    - for a small gap (``_is_small_gap``), log1p(sum w expm1(d l) / sum w) /
+      d: each expm1(d l_i) keeps the deviation of exp(d l_i) from 1 to full
+      relative precision, the terms share a sign, and their mean lies in
+      [1/e - 1, e - 1];
+    - otherwise, log(sum exp(p l) / sum w) / d, the first sum normalized by
+      its largest term so that it lies in [1, n], with the exponents
+      scaled by a power of two s near max(1, |p|, |q|) so that no product
+      of an exponent and a log overflows.  The log of the ratio rounds
+      once, where a difference of two logs would round twice, and each
+      rounding is divided by d.
 
-def _gini_small_gap(p: float, q: float, xs: list, lo: float, hi: float) -> float:
-    """The Gini mean for a small gap p - q (``_is_small_gap``), anchored at
-    the element a where the weights w_i = x_i^q / sum_j x_j^q peak: a = max
-    x for q >= 0, a = min x for q < 0.  Then log(G(p, q) / a) = log(sum_i
-    w_i exp((p - q) l_i)) / (p - q) for l_i = log x_i - log a, all of one
-    sign, by ``_log_small_gap``.  Weights that all sit on a give a exactly.
-    The Holder mean of exponent p is G(max(p, 0), min(p, 0))."""
+    G = a e^r is formed from factors whose partial products lie between a
+    and G, inside [lo, hi]: e^r itself leaves the float range where r nears
+    log(hi / lo), up to about 1454.  The Hölder mean of exponent p is
+    G(max(p, 0), min(p, 0))."""
     a = hi if q >= 0.0 else lo
     log_a = math.log(a)
     ls = [math.log(v) - log_a for v in xs]
     ws = [math.exp(q * v) for v in ls]
     total = math.fsum(ws)
-    # G / a = exp(r) may leave the normal range where G does not.
-    half = math.exp(0.5 * _log_small_gap(p - q, ls, [w / total for w in ws]))
-    return _clamp(a * half * half, lo, hi)
+    d = p - q
+    if d * max(map(abs, ls)) < 1e-290:
+        r = math.fsum([w * v for w, v in zip(ws, ls)]) / total
+    elif _is_small_gap(d, lo, hi):
+        r = math.log1p(math.fsum([w * math.expm1(d * v) for w, v in zip(ws, ls)]) / total) / d
+    else:
+        s = math.ldexp(1.0, math.frexp(max(1.0, abs(p), abs(q)))[1] - 1)
+        e = p / s
+        c = max([e * v for v in ls])
+        sp = math.fsum([math.exp(s * (e * v - c)) for v in ls])
+        r = (c + math.log(sp / total) / s) / (e - q / s)
+    if abs(r) <= 700.0:
+        return _clamp(a * math.exp(r), lo, hi)
+    # Four factors e^(r / 4): e^(r / 2) overflows once r passes 1420.
+    f = math.exp(0.25 * r)
+    return _clamp(a * f * f * f * f, lo, hi)
 
 
 def holder_mean(p: float, x: Sequence[float]) -> float:
     """The power mean ((sum x_i^p) / n)^(1/p); the geometric mean for p = 0,
     and max x / min x for p = +inf / -inf.
 
-    Plain ``math`` on a list of floats.  For 0 < |p| < 0.5 with |p| log(max
-    x / min x) <= 1 the mean is formed by ``_gini_small_gap``, from expm1
-    and log1p, as a power of a ratio near 1 would round the mean toward max
-    x or min x; the error then stays at the geometric mean's, down to the
-    smallest |p|.  Otherwise inputs are normalized by an extreme element
-    before exponentiation (the max for p > 0, the min for p < 0), so that
-    large |p| cannot overflow.
-    Where that direct form cannot hold its terms (min x / max x below the
-    normal float range), the mean is formed in log space instead
-    (``_log_gini``).  The value always lies in [min x, max x]; a NaN
+    Plain ``math`` on a list of floats, the inputs normalized by the element
+    where x^p peaks (the max for p > 0, the min for p < 0) before
+    exponentiation, so that large |p| cannot overflow.  The mean is formed
+    in logs anchored at the data instead (``_gini_anchored``) for 0 < |p| <
+    0.5 with |p| log(max x / min x) <= 1, where a power of a ratio near 1
+    would round the mean toward max x or min x, and where the direct form
+    cannot hold its terms (min x / max x below the normal float range, or
+    an overflowing power).  The value always lies in [min x, max x]; a NaN
     exponent raises InvalidArgumentError.
     """
     xs = _check_positive(x)
@@ -711,29 +695,29 @@ def holder_mean(p: float, x: Sequence[float]) -> float:
     lo, hi = min(xs), max(xs)
     if p == 0.0:
         return _exp_clamped(sum([math.log(v) for v in xs]) / len(xs), lo, hi)
-    if _is_small_gap(abs(p), lo, hi):
-        return _gini_small_gap(max(p, 0.0), min(p, 0.0), xs, lo, hi)
-    if math.isinf(p) or lo / hi >= _NORMAL_MIN:
+    if math.isinf(p):
+        return hi if p > 0.0 else lo
+    if lo / hi >= _NORMAL_MIN and not _is_small_gap(abs(p), lo, hi):
         m = hi if p > 0 else lo
         try:
             return _clamp(m * (sum([(v / m) ** p for v in xs]) / len(xs)) ** (1.0 / p), lo, hi)
         except OverflowError:
             pass
-    return _exp_clamped(_log_gini(p, 0.0, [math.log(v) for v in xs]), lo, hi)
+    return _gini_anchored(max(p, 0.0), min(p, 0.0), xs, lo, hi)
 
 
 def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     """The Gini mean (sum x^p / sum x^q)^(1/(p-q)); for p = q, the limiting
-    form exp(sum x^p log x / sum x^p) is used.
+    form exp(sum x^p log x / sum x^p).
 
-    For 0 < |p - q| < 0.5 with |p - q| log(max x / min x) <= 1 the mean is
-    formed by ``_gini_small_gap``, from expm1 and log1p.  Otherwise plain
-    ``math`` on a list of floats, with the data normalized by its max.
-    Where a direct power sum overflows or underflows (large |p| or |q|, or
-    min x / max x below the normal float range), the mean is formed in log
-    space instead, each power sum normalized by its own largest term
-    (``_log_gini``).  The value always lies in [min x, max x]; a NaN or
-    infinite exponent raises InvalidArgumentError.
+    For p != q, plain ``math`` on a list of floats, with the data normalized
+    by its max.  The mean is formed in logs anchored at the data instead
+    (``_gini_anchored``) for p = q; for 0 < |p - q| < 0.5 with |p - q|
+    log(max x / min x) <= 1, where a power of a ratio near 1 would round the
+    mean away; and where a direct power sum overflows or underflows (large
+    |p| or |q|, or min x / max x below the normal float range).  The value
+    always lies in [min x, max x]; a NaN or infinite exponent raises
+    InvalidArgumentError.
     """
     xs = _check_positive(x)
     p = _check_exponent(p, finite=True)
@@ -741,63 +725,32 @@ def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     if p < q:
         p, q = q, p
     lo, hi = min(xs), max(xs)
-    if _is_small_gap(p - q, lo, hi):
-        return _gini_small_gap(p, q, xs, lo, hi)
-    if lo / hi >= _NORMAL_MIN:
+    if p > q and lo / hi >= _NORMAL_MIN and not _is_small_gap(p - q, lo, hi):
+        # With min x / max x normal no ratio v / hi is 0, so ``0.0 ** q``
+        # cannot raise ZeroDivisionError; Python's ``**`` raises
+        # OverflowError where numpy would return inf.
+        scaled = [v / hi for v in xs]
         try:
-            y = _gini_direct(p, q, xs, hi)
+            ratio = sum([v ** p for v in scaled]) / sum([v ** q for v in scaled])
+            if _NORMAL_MIN <= ratio <= _NORMAL_MAX:
+                return _clamp(hi * ratio ** (1.0 / (p - q)), lo, hi)
         except OverflowError:
-            y = None
-        if y is not None:
-            return _clamp(y, lo, hi)
-    return _exp_clamped(_log_gini(p, q, [math.log(v) for v in xs]), lo, hi)
+            pass
+    return _gini_anchored(p, q, xs, lo, hi)
 
 
-def _gini_direct(p: float, q: float, xs: list, m: float) -> Optional[float]:
-    """The Gini mean (p >= q, m = max x) from its direct power sums, or None
-    where a sum leaves the normal float range.  Python's ``**`` raises
-    OverflowError where numpy would return inf; the caller catches it.  With
-    min x / max x normal no ratio v / m is 0, so ``0.0 ** q`` cannot raise
-    ZeroDivisionError."""
-    if p == q:
-        wp = [v ** p for v in xs]
-        total = sum(wp)
-        if not _NORMAL_MIN <= total <= _NORMAL_MAX:
-            return None
-        t = sum([w * math.log(v) for w, v in zip(wp, xs)]) / total
-        return math.exp(t) if math.isfinite(t) else None
-    scaled = [v / m for v in xs]
-    ratio = sum([v ** p for v in scaled]) / sum([v ** q for v in scaled])
-    if not _NORMAL_MIN <= ratio <= _NORMAL_MAX:
-        return None
-    return m * ratio ** (1.0 / (p - q))
-
-
-def scaled_mean(weights: Sequence[float], x: Sequence, total: float) -> float:
-    """sum_i w_i x_i / total, summed on x_i / m for m = max_i |x_i|:
-    math.fsum raises OverflowError when a partial sum leaves the float
-    range, as sum_i x_i can where no x_i and no mean does."""
-    m = max(abs(float(xi)) for xi in x)
-    return math.fsum(wv * (float(xi) / m) for wv, xi in zip(weights, x)) / total * m
-
-
-def scaled_point_mean(weights: Sequence[float], pts: Sequence[np.ndarray],
-                      total: float) -> np.ndarray:
-    """sum_i w_i x_i / total for points x_i, summed on x_i / m for m the
-    largest |x_i| in each coordinate (1 where all are 0), as a product or a
-    partial sum of finite points can overflow where the mean does not."""
-    m = np.abs(np.stack(pts)).max(axis=0)
-    m[m == 0.0] = 1.0
-    return sum(wv * (pt / m) for wv, pt in zip(weights, pts)) / total * m
-
-
-def weighted_average(values: list, xs: list) -> float:
-    """sum_i w_i x_i / sum_i w_i for positive weights ``values`` and float
-    data, by math.fsum; where a product w_i x_i or a partial sum of finite
-    data leaves the float range, and the mean does not, ``scaled_mean``."""
-    total = math.fsum(values)
+def average(xs: Sequence[float], weights: Optional[Sequence[float]] = None) -> float:
+    """sum_i w_i x_i / sum_i w_i for positive weights, by math.fsum; for
+    unit weights (None) no product is formed and the mean is fsum(x) / n.
+    Where a product w_i x_i or a partial sum of finite data leaves the float
+    range, and the mean does not, the sum is formed again on x_i / m for m =
+    max_i |x_i|."""
+    if weights is None:
+        terms, total = xs, len(xs)
+    else:
+        terms, total = [w * v for w, v in zip(weights, xs)], math.fsum(weights)
     try:
-        s = math.fsum(wv * xi for wv, xi in zip(values, xs))
+        s = math.fsum(terms)
     except OverflowError:
         s = math.inf
     except ValueError:
@@ -807,12 +760,38 @@ def weighted_average(values: list, xs: list) -> float:
             raise
         s = math.inf
     if math.isinf(s) and all(map(math.isfinite, xs)):
-        return scaled_mean(values, xs, total)
+        m = max(map(abs, xs))
+        return math.fsum([w * (v / m) for w, v in zip(weights or [1.0] * len(xs), xs)]) / total * m
     return s / total
 
 
+def point_average(pts: Sequence, weights: Optional[Sequence[float]] = None) -> np.ndarray:
+    """The average of points, coordinate by coordinate.  For unit weights
+    (None) it is the column sums of the stacked points over n, bitwise
+    np.mean; otherwise sum_i w_i x_i / sum_i w_i, summed in order by a loop
+    and not by a BLAS dot, whose last bits depend on the kernel OpenBLAS
+    picks at run time.  Where a product or a partial sum of finite points
+    overflows, the sum is formed again on x_i / m for m the largest |x_i| in
+    each coordinate (1 where all are 0)."""
+    with np.errstate(over="ignore"):
+        if weights is None:
+            acc, total = np.asarray(pts, dtype=float).sum(axis=0), len(pts)
+        else:
+            acc, total = np.zeros_like(pts[0]), math.fsum(weights)
+            for w, pt in zip(weights, pts):
+                acc = acc + w * pt
+    if not_finite(acc.ravel()):
+        arr = np.asarray(pts, dtype=float)
+        if np.isfinite(arr).all():
+            m = np.abs(arr).max(axis=0)
+            m[m == 0.0] = 1.0
+            return sum(w * (pt / m) for w, pt in zip(weights or [1.0] * len(arr), arr)) / total * m
+    return acc / total
+
+
 def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
-    """sum_i w_i(x_i) x_i / sum_i w_i(x_i) for scalar or point entries.
+    """sum_i w_i(x_i) x_i / sum_i w_i(x_i) for scalar or point entries, by
+    ``average`` or ``point_average``.
 
     Weight entries may be WeightFn instances or plain callables; each must be
     positive at its argument.
@@ -827,14 +806,5 @@ def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
         if not (math.isfinite(wv) and wv > 0):
             raise InvalidArgumentError(f"weight {wv} not positive")
     if scalar:
-        return weighted_average(values, [float(xi) for xi in x])
-    total = math.fsum(values)
-    pts = as_point_tuple(x)
-    acc = np.zeros_like(pts[0])
-    with np.errstate(over="ignore"):
-        for wv, pt in zip(values, pts):
-            acc = acc + wv * pt
-    if not_finite(acc):
-        # The points are finite, so a product or a partial sum overflowed.
-        return scaled_point_mean(values, pts, total)
-    return acc / total
+        return average([float(xi) for xi in x], values)
+    return point_average(as_point_tuple(x), values)

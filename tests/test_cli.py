@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -279,6 +280,47 @@ class TestVerifyCommand:
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    # sha256 of the seed-7 reports of the packaged suites with no vector
+    # case, whose bytes depend on no BLAS kernel; together they run every
+    # scalar closed form.
+    PINNED_REPORTS = {
+        "comparisons": "2aee7215143ad7c0b37728ab983025cd195ce7a0dec03bb2b0d8c07daa685eca",
+        "failing": "f35ccb1f44f7d0acbb7e779be42fb212286252e0bbaa9d7d8b4c79bad90e7f4c",
+        "holder-minkowski": "43561db0ad064c97733bd69e64879d48949dfd57c01acfc215c4dda7ab87f6c0",
+    }
+
+    @pytest.mark.parametrize("suite", sorted(PINNED_REPORTS))
+    def test_scalar_suite_reports_are_pinned(self, capsys, suite):
+        code, out, _ = run_cli(capsys, "verify", suite, "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_REPORTS[suite]
+
+    @pytest.mark.filterwarnings("error")
+    def test_suite_over_a_box_wider_than_the_float_range(self, capsys, tmp_path):
+        # The boxes' widths overflow.  At some witness the deviation sum
+        # holds +inf and -inf, a DomainError: that case reports an error,
+        # and the next cases still run.
+        box = {"low": -1.7e308, "high": 1.7e308}
+        deviations = {"kind": "deviation-custom", "arity": 3, "params": {
+            "exprs": ["u-v", "3*(u-v)", "u-v"], "domain": [-1.7e308, 1.7e308]}}
+        arithmetic = {"kind": "arithmetic", "arity": 3}
+        suite = tmp_path / "wide.json"
+        suite.write_text(json.dumps({"cases": [
+            {"name": "overflowing-deviations", "type": "comparison", "chi": [1, 3],
+             "domain": box, "E": deviations, "G": arithmetic},
+            {"name": "arithmetic", "type": "comparison", "chi": [1, 3],
+             "domain": box, "E": arithmetic, "G": arithmetic},
+            {"name": "weighted-reduction", "type": "weighted-arith-reduction",
+             "weights": [1.0, 2.0, 1.0], "chi": [1, 3], "domain": [-1.7e308, 1.7e308],
+             "samples": 3},
+        ]}))
+        code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "20")
+        assert (code, err) == (1, "")
+        first, second, third = json.loads(out)["cases"]
+        assert "both infinities" in first["error"]
+        assert second["ok"] is True and second["full"]["found"] is False
+        assert "error" not in third and third["samples"] == 3
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "reduction-oracles", "--format", "csv")
         assert code == 0
@@ -352,6 +394,35 @@ def test_bracket_wider_than_the_float_range(capsys, argv):
     assert (code, err) == (0, "")
     data = json.loads(out)
     assert data["value"] == 0.0 and data["converged"] is True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, code", [
+    (["--kind", "deviation-custom", "--exprs", "u-v"], 0),
+    (["--kind", "weighted-arithmetic", "--weights", "u^2+1"], 2),
+    (["--kind", "quasi-arithmetic", "--f", "u^3"], 2),
+], ids=["deviation", "weight", "generator"])
+def test_sampling_box_wider_than_the_float_range(capsys, flags, code):
+    # 1.7e308 - -1.7e308 overflows, and numpy's uniform raised OverflowError
+    # while the axioms were sampled.  The weight and the generator then
+    # overflow at samples near 1.7e308, a typed error.
+    got, out, err = run_cli(capsys, "mean", *flags, "--domain=-1.7e308,1.7e308", "--x", "1,2")
+    assert got == code
+    if code == 0:
+        assert (json.loads(out)["value"], err) == (1.5, "")
+    else:
+        assert err.startswith(f"error: evaluating {flags[-1]!r}: ")
+        assert "Numerical result out of range" in err
+
+
+def test_deviation_sum_over_both_infinities_exits_2(capsys):
+    # At a probe y one term 3 (x_i - y) is +inf and another -inf; math.fsum
+    # raised a bare ValueError.
+    code, out, err = run_cli(capsys, "reduce", "--kind", "deviation-custom",
+                             "--exprs", "u-v;3*(u-v);u-v", "--arity", "3", "--chi", "1,3",
+                             "--x=-1.7e308,1.7e308")
+    assert (code, out) == (2, "")
+    assert err == "error: terms overflow to both infinities: their sum is undefined\n"
 
 
 @pytest.mark.parametrize("command,entry", [

@@ -157,15 +157,6 @@ class TestBarycentric:
         with pytest.raises(InvalidArgumentError):
             Barycentric((1.5, -0.5))
 
-    def test_clipped_renormalizes_tiny_negatives(self):
-        b = Barycentric.clipped([1.0 + 3e-13, -3e-13])
-        assert b.weights[1] == 0.0
-        assert math.isclose(sum(b.weights), 1.0, abs_tol=1e-15)
-
-    def test_clipped_rejects_material_negatives(self):
-        with pytest.raises(InvalidArgumentError):
-            Barycentric.clipped([1.1, -0.1])
-
 
 class TestInterval:
     def test_membership_flags(self):

@@ -108,6 +108,23 @@ class TestBoxSamplerStream:
                     assert np.asarray(drawn).tobytes() == np.asarray(entries).tobytes()
             assert block_rng.bit_generator.state == entry_rng.bit_generator.state
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sampler", [
+        BoxSampler(low=-1.7e308, high=1.7e308),
+        BoxSampler(low=(-1.7e308, -1.0), high=(1.7e308, 2.0), dim=2),
+    ], ids=["scalar", "point"])
+    def test_boxes_wider_than_the_float_range(self, sampler):
+        # hi - lo overflows, on which numpy's uniform raises OverflowError:
+        # such entries are 2 uniform(lo / 2, hi / 2), the same values, and
+        # an entry of finite width draws as before.
+        lows, highs = sampler.entry_bounds(3)
+        wide = lows == -1.7e308
+        block_rng, entry_rng = (np.random.default_rng(7) for _ in range(2))
+        (drawn,) = next(draw_witnesses((sampler,), block_rng, 1, 3))
+        half = entry_rng.uniform(np.where(wide, lows / 2, lows), np.where(wide, highs / 2, highs))
+        assert np.asarray(drawn).ravel().tobytes() == np.where(wide, 2 * half, half).tobytes()
+        assert block_rng.bit_generator.state == entry_rng.bit_generator.state
+
     def test_scalar_entries_are_floats_and_points_are_arrays(self):
         rng = np.random.default_rng(3)
         scalars, points = next(draw_witnesses(STREAM_SAMPLERS[1::2], rng, 1, 4))
@@ -117,6 +134,12 @@ class TestBoxSamplerStream:
     def test_scalar_sampler_needs_scalar_bounds(self):
         with pytest.raises(InvalidArgumentError):
             BoxSampler(low=(0.0, 1.0), high=2.0)
+
+    @pytest.mark.parametrize("low, high", [(0.0, math.inf), (-math.inf, (0.0, 1.0))])
+    def test_sampler_needs_finite_bounds(self, low, high):
+        # numpy's uniform raised OverflowError on an infinite width.
+        with pytest.raises(InvalidArgumentError, match="finite bounds"):
+            BoxSampler(low=low, high=high, dim=None if isinstance(high, float) else 2)
 
 
 class TestConvexity:

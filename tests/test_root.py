@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from meanreduce.core import ITP_N0, REALS, Injection, Interval, bracketed_root, wide_fsum
 from meanreduce.descriptors import arithmetic_mean_fn
-from meanreduce.errors import InvalidDeviationError
+from meanreduce.errors import DomainError, InvalidDeviationError
 from meanreduce.reduction import MeanFn, reduce_scalar
 from meanreduce.scalar import DeviationTuple, ScalarDeviation, deviation_mean
 
@@ -241,3 +241,9 @@ def test_bracket_wider_than_the_float_range(root):
 def test_wide_fsum_beyond_the_float_range(terms, expected):
     # math.fsum raises OverflowError once a partial sum overflows.
     assert wide_fsum(terms) == expected
+
+
+def test_wide_fsum_of_both_infinities_is_a_domain_error():
+    # math.fsum raises a bare ValueError.
+    with pytest.raises(DomainError, match="both infinities"):
+        wide_fsum([math.inf, 1.0, -math.inf])

@@ -5,7 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from meanreduce.core import Interval, POSITIVE_REALS, REALS, SolverConfig, bracketed_root
@@ -27,6 +27,7 @@ from meanreduce.scalar import (
     GeneratorFn,
     ScalarDeviation,
     WeightFn,
+    average,
     bajraktarevic_mean,
     constant_weight,
     deviation_mean,
@@ -39,6 +40,7 @@ from meanreduce.scalar import (
     make_bajraktarevic_deviation,
     matkowski_mean,
     numeric_inverse,
+    point_average,
     power_generator,
     power_weight,
     quasi_arithmetic_mean,
@@ -127,6 +129,14 @@ class TestDeviationMean:
                               label="hump", validate=False)
         with pytest.raises(InvalidDeviationError):
             deviation_mean(DeviationTuple((bad, bad)), (0.0, 1.0))
+
+    def test_sum_over_both_infinities_is_a_domain_error(self):
+        # At an inner probe y, 3 (x_1 - y) is -inf and 3 (x_2 - y) is +inf:
+        # math.fsum raised a bare ValueError, which no search caught.
+        tripled = ScalarDeviation(domain=REALS, eval=lambda u, v: 3.0 * (u - v),
+                                  label="tripled", validate=False)
+        with pytest.raises(DomainError, match="both infinities"):
+            deviation_mean(DeviationTuple((tripled, tripled)), (-1.7e308, 1.7e308))
 
     def test_budget_exhaustion_reports_no_convergence(self):
         E = DeviationTuple((arithmetic_deviation(),) * 2)
@@ -297,16 +307,26 @@ class TestMatkowskiMean:
 
 
 def _mp_gini(p, q, x):
-    """The Gini mean (the Holder mean for q = 0) in mpmath at 700 digits,
-    enough to resolve x^p - 1 for |p| down to 1e-300."""
-    with mpmath.workdps(700):
+    """The Gini mean (the Holder mean for q = 0) in mpmath at 80 digits: the
+    ratio of power sums to the power 1 / (p - q) for |p - q| >= 1e-30, where
+    80 digits resolve that power; for smaller gaps the same from expm1 and
+    log1p, which keep x^(p - q) - 1 to full precision; for p = q the limit
+    exp(sum x^p log x / sum x^p)."""
+    with mpmath.workdps(80):
         p, q = mpmath.mpf(p), mpmath.mpf(q)
         xs = [mpmath.mpf(v) for v in x]
-        if q == 0:
-            value = (mpmath.fsum(v ** p for v in xs) / len(xs)) ** (1 / p)
+        d = p - q
+        if d == 0:
+            w = [v ** p for v in xs]
+            value = mpmath.exp(mpmath.fsum(wi * mpmath.log(v) for wi, v in zip(w, xs))
+                               / mpmath.fsum(w))
+        elif abs(d) < mpmath.mpf("1e-30"):
+            w = [v ** q for v in xs]
+            z = (mpmath.fsum(wi * mpmath.expm1(d * mpmath.log(v)) for wi, v in zip(w, xs))
+                 / mpmath.fsum(w))
+            value = mpmath.exp(mpmath.log1p(z) / d)
         else:
-            value = (mpmath.fsum(v ** p for v in xs) / mpmath.fsum(v ** q for v in xs)) ** (
-                1 / (p - q))
+            value = (mpmath.fsum(v ** p for v in xs) / mpmath.fsum(v ** q for v in xs)) ** (1 / d)
         return float(value)
 
 
@@ -551,6 +571,85 @@ class TestClosedFormsAgainstNumpy:
     def test_any_finite_input_gives_a_value_in_the_hull(self, x, p, q):
         for y in (holder_mean(p, x), gini_mean(p, q, x), gini_mean(p, p, x)):
             assert min(x) <= y <= max(x)
+
+
+# Exponent gaps from 0 (the Gini limit) to 3, on both sides of the small-gap
+# bound 0.5; data m 2^e with m in [1, 2) and e from a window of [-1074,
+# 1023], so that they sit in clusters as well as across the whole float
+# range.
+GAPS = (0.0, 1e-300, 1e-12, 1e-3, 0.4, 0.6, 3.0)
+WIDE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+# One subnormal and 99 values near the float max: log(G / min x) is about
+# 1440, and e^(1440 / 2) overflows.
+SPAN_ALL = (5e-324,) + (1.7e308,) * 99
+
+
+@st.composite
+def wide_data(draw):
+    n = draw(st.sampled_from((2, 3, 100)))
+    lo = draw(st.integers(-1074, 1023))
+    hi = draw(st.integers(lo, 1023))
+    mantissas = draw(st.lists(st.floats(1.0, 2.0, exclude_max=True), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+    return tuple(math.ldexp(m, e) for m, e in zip(mantissas, exponents))
+
+
+@st.composite
+def holder_inputs(draw):
+    return draw(st.sampled_from(GAPS[1:])) * draw(st.sampled_from((1.0, -1.0))), draw(wide_data())
+
+
+@st.composite
+def gini_inputs(draw):
+    q = draw(st.one_of(st.sampled_from((0.0, -1.0, 1.0)), st.floats(-3.0, 3.0)))
+    return q + draw(st.sampled_from(GAPS)), q, draw(wide_data())
+
+
+class TestClosedFormsAgainstMpmath:
+    """``holder_mean`` and ``gini_mean`` return a value on any positive
+    data, within 1e-12 of mpmath (relative), or within 4 units of the
+    smallest subnormal 2^-1074 where the mean is that small."""
+
+    @staticmethod
+    def _check(y, ref):
+        assert y == pytest.approx(ref, rel=1e-12, abs=4.0 * 2.0 ** -1074)
+
+    @WIDE_SETTINGS
+    @given(holder_inputs())
+    @example((-1e-5, SPAN_ALL))
+    def test_holder_mean(self, inputs):
+        p, x = inputs
+        self._check(holder_mean(p, x), _mp_gini(p, 0.0, x))
+
+    @WIDE_SETTINGS
+    @given(gini_inputs())
+    @example((-1e-4, -2e-4, SPAN_ALL))
+    # Data spanning ~1e480 with a gap of ~1e-3: the weights sit on one
+    # element, and the mean is that element to the float, while p log x
+    # reaches ~600 and an error of 1e-13 there is divided by the gap.
+    @example((1.079199254442797, 1.0777925542456153,
+              (4.217281962297645e-223, 4.2680216398376415e+258)))
+    @example((-2.6242674804094333, -2.6265004570325643, (0.0485, 3.41e172, 1.47e-184)))
+    def test_gini_mean(self, inputs):
+        p, q, x = inputs
+        self._check(gini_mean(p, q, x), _mp_gini(p, q, x))
+
+
+class TestAverages:
+    def test_unit_point_average_is_np_mean_bitwise(self):
+        pts = [np.array([-0.0, 0.1, 1e-300]), np.array([-0.0, 0.2, 3.0]),
+               np.array([-0.0, 0.7, -2.5])]
+        out = point_average(pts)
+        assert out.tobytes() == np.mean(np.stack(pts), axis=0).tobytes()
+
+    def test_weighted_averages_sum_in_order(self):
+        xs, ws = [0.1, 0.2, 0.7], [3.0, 1.0, 2.0]
+        assert average(xs, ws) == math.fsum([w * v for w, v in zip(ws, xs)]) / 6.0
+        acc = np.zeros(2)
+        for w, v in zip(ws, xs):
+            acc = acc + w * np.array([v, -v])
+        assert point_average([np.array([v, -v]) for v in xs], ws).tobytes() == (
+            acc / 6.0).tobytes()
 
 
 class TestWeightedArithMean:
