@@ -27,6 +27,7 @@ from .errors import (
     MeansError,
     NoConvergenceError,
     NotAMeanError,
+    ReductionMismatchError,
 )
 from .scalar import (
     DeviationTuple,
@@ -65,6 +66,7 @@ from .reduction import (
     check_deviation_reduction,
     check_uniqueness,
     check_weighted_arith_reduction,
+    fixed_point_mean_fn,
     reduce_mean,
     reduce_scalar,
     reduce_vector,

@@ -13,7 +13,9 @@ objects.  The solver-backed ones (``deviation_mean_fn``,
 :mod:`meanreduce.reduction` beside ``MeanFn`` and are re-exported here.
 ``build_mean`` is the one path from a descriptor to a mean;
 ``evaluate_with_report`` evaluates what it builds and takes the solver's
-report from ``MeanFn.report``.
+report from ``MeanFn.report``.  Every constructor sets ``MeanFn.select``:
+each family reduces to its own k-variable mean of the selected weights,
+generators, deviations or potentials.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, Interval, POSITIVE_REALS, REALS, SolverConfig, SolverReport
+from .core import (
+    DEFAULT_CONFIG,
+    Interval,
+    POSITIVE_REALS,
+    REALS,
+    SolverConfig,
+    SolverReport,
+    select,
+)
 from .errors import InvalidArgumentError
 from .expr import bind_family, parse_expression
 from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
@@ -232,10 +242,15 @@ def build_custom_potential(expr_text: str, dim: int,
                        sample_low=sample_low, sample_high=sample_high)
 
 
+# Each constructor's selection hook rebuilds the family from the entries chi
+# picks; build_weight, build_point_weight and build_generator pass built
+# entries through.
+
+
 def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
-    if dim is None:
-        return MeanFn(arity=arity, eval=average, label="arithmetic")
-    return MeanFn(arity=arity, dim=dim, label="arithmetic", eval=point_average)
+    return MeanFn(arity=arity, dim=dim, label="arithmetic",
+                  eval=average if dim is None else point_average,
+                  select=lambda chi: arithmetic_mean_fn(chi.k, dim))
 
 
 def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
@@ -246,23 +261,27 @@ def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
     else:
         ws = tuple(build_point_weight(w, dim) for w in _expand(weights, arity, "weights"))
     return MeanFn(arity=arity, dim=dim, label="weighted arithmetic",
-                  eval=lambda xs, ws=ws: weighted_arith_mean(ws, xs))
+                  eval=lambda xs, ws=ws: weighted_arith_mean(ws, xs),
+                  select=lambda chi: weighted_arithmetic_mean_fn(select(ws, chi), chi.k, dim))
 
 
 def holder_mean_fn(p: float, arity: int) -> MeanFn:
     return MeanFn(arity=arity, label=f"holder p={p}",
-                  eval=lambda xs, p=float(p): holder_mean(p, xs))
+                  eval=lambda xs, p=float(p): holder_mean(p, xs),
+                  select=lambda chi: holder_mean_fn(p, chi.k))
 
 
 def gini_mean_fn(p: float, q: float, arity: int) -> MeanFn:
     return MeanFn(arity=arity, label=f"gini p={p} q={q}",
-                  eval=lambda xs, p=float(p), q=float(q): gini_mean(p, q, xs))
+                  eval=lambda xs, p=float(p), q=float(q): gini_mean(p, q, xs),
+                  select=lambda chi: gini_mean_fn(p, q, chi.k))
 
 
 def quasi_arithmetic_mean_fn(f, arity: int, domain: Optional[Interval] = None) -> MeanFn:
     gen = build_generator(f, domain)
     return MeanFn(arity=arity, label="quasi-arithmetic",
-                  eval=lambda xs, g=gen: quasi_arithmetic_mean(g, xs))
+                  eval=lambda xs, g=gen: quasi_arithmetic_mean(g, xs),
+                  select=lambda chi: quasi_arithmetic_mean_fn(gen, chi.k))
 
 
 def bajraktarevic_mean_fn(f, weights: Sequence, arity: int,
@@ -270,14 +289,19 @@ def bajraktarevic_mean_fn(f, weights: Sequence, arity: int,
     gen = build_generator(f, domain)
     ws = tuple(build_weight(w, gen.domain) for w in _expand(weights, arity, "weights"))
     return MeanFn(arity=arity, label="bajraktarevic",
-                  eval=lambda xs, g=gen, ws=ws: bajraktarevic_mean(g, ws, xs))
+                  eval=lambda xs, g=gen, ws=ws: bajraktarevic_mean(g, ws, xs),
+                  select=lambda chi: bajraktarevic_mean_fn(gen, select(ws, chi), chi.k))
 
 
 def matkowski_mean_fn(fs: Sequence, arity: int, domain: Optional[Interval] = None,
                       cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
+    # The reduction solves sum_sel f_i(x_i) + sum_unsel f_i(y) = sum_i f_i(y),
+    # that is sum_sel f_i(x_i) = sum_sel f_i(y): the mean of the selected
+    # generators.
     gens = tuple(build_generator(f, domain) for f in _expand(fs, arity, "generators"))
     return MeanFn(arity=arity, label="matkowski",
-                  eval=lambda xs, gs=gens, cfg=cfg: matkowski_mean(gs, xs, cfg))
+                  eval=lambda xs, gs=gens, cfg=cfg: matkowski_mean(gs, xs, cfg),
+                  select=lambda chi: matkowski_mean_fn(select(gens, chi), chi.k, cfg=cfg))
 
 
 def _norm_sq_potentials(weights, arity: int, dim: int) -> tuple[PotentialFn, ...]:

@@ -34,6 +34,11 @@ class InvalidSamplerError(MeansError, ValueError):
     """A domain sampler produced points outside the declared domain."""
 
 
+class ReductionMismatchError(MeansError):
+    """A mean reduced by selection disagrees with its reduction by the fixed
+    point at a recorded witness."""
+
+
 class NoConvergenceError(MeansError):
     """An iterative solve exhausted its iteration budget.
 

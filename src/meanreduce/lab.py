@@ -4,10 +4,15 @@ inequalities between means, together with their reductions.
 Each check samples tuples from a box sampler and hunts for a violation of the
 stated inequality; the slack tolerance is scaled by (1 + |lhs| + |rhs|) to
 stay unit-free.  Reported witnesses are re-evaluated freshly before they are
-recorded.  The reduction theorems are one-directional (an n-variable pass
-forces the reduced k-variable pass), so a reduced failure after a full pass
-is flagged as an implication violation: a machinery defect, not a
-counterexample.
+recorded.  The reduced checks search with the means reduced by selection
+where a mean's family allows it (``reduced_mean_fn``), and re-evaluate the
+witness they record with the fixed-point reductions
+(``fixed_point_mean_fn``): each side must agree within the reduced
+tolerance, or the check raises ReductionMismatchError, and the fixed-point
+sides are the ones reported.  The reduction theorems are one-directional
+(an n-variable pass forces the reduced k-variable pass), so a reduced
+failure after a full pass is flagged as an implication violation: a
+machinery defect, not a counterexample.
 
 Hypotheses on user-supplied means (continuity, unique reducibility) can only
 be sampled, never proven; reports carry ``"hypotheses": "sampled"``.
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -28,8 +34,9 @@ from .errors import (
     InvalidArgumentError,
     InvalidSamplerError,
     MeansError,
+    ReductionMismatchError,
 )
-from .reduction import MeanFn, reduced_mean_fn
+from .reduction import MeanFn, fixed_point_mean_fn, reduced_mean_fn
 
 # Trials drawn per rng.uniform call: however many trials a search runs, it
 # holds at most this many drawn witnesses.
@@ -95,6 +102,12 @@ class BoxSampler:
         if self.dim is None:
             return map(tuple, block.tolist())
         return map(tuple, block.reshape(len(block), count, self.dim))
+
+    def holds(self, entries: tuple) -> bool:
+        """Whether every entry of a drawn tuple lies in the box."""
+        values = np.asarray(entries, dtype=float)
+        return bool(np.all((values >= np.asarray(self.low, dtype=float))
+                           & (values <= np.asarray(self.high, dtype=float))))
 
     def to_json(self) -> dict:
         out = {"low": _jsonable(self.low), "high": _jsonable(self.high)}
@@ -244,31 +257,72 @@ def _violates(lhs: float, rhs: float, tol: float) -> bool:
     return lhs > rhs + tol * (1.0 + abs(lhs) + abs(rhs))
 
 
-def _search(witnesses: Iterator, sides, trials: int, tol: float,
-            case_name: str) -> CounterexampleReport:
+def _value(M: MeanFn, xs):
+    """M(xs); a DomainError of M is raised again naming M and its data."""
+    try:
+        return M(xs)
+    except DomainError as exc:
+        raise DomainError(f"{M.label} at {xs}: {exc}") from exc
+
+
+def _search(witnesses: Iterator, sides: Callable, trials: int, tol: float,
+            case_name: str, inside: Callable[[tuple], bool],
+            recheck: Optional[Callable] = None) -> CounterexampleReport:
     """Run the ``trials`` witnesses, drawn ahead in blocks by
     ``draw_witnesses``, and stop at the first one whose sides violate
-    lhs <= rhs; the reported sides are evaluated afresh."""
+    lhs <= rhs.
+
+    The reported sides are evaluated afresh, by ``recheck`` where it is
+    given: a reduced search finds its witness with the means reduced by
+    selection, and reports the sides of the fixed-point reductions, each
+    within tol (1 + |a| + |b|) of the side a it found
+    (ReductionMismatchError otherwise).  A witness outside the mean's domain
+    (InvalidArgumentError), or one that a DomainError meets outside the
+    sampler's box (``inside``), is the sampler's fault
+    (InvalidSamplerError); a DomainError inside the box is the mean's own,
+    and is raised as it is.
+    """
     for t, witness in enumerate(witnesses):
         try:
             lhs, rhs = sides(witness)
         except (InvalidArgumentError, DomainError) as exc:
+            if isinstance(exc, DomainError) and inside(witness):
+                raise
             raise InvalidSamplerError(
                 f"sampler produced out-of-domain input {witness}: {exc}"
             ) from exc
         if _violates(lhs, rhs, tol):
-            lhs, rhs = sides(witness)
+            if recheck is None:
+                lhs, rhs = sides(witness)
+            else:
+                lhs, rhs = _recheck(recheck, witness, lhs, rhs, tol, case_name)
             return CounterexampleReport(found=True, trials=t + 1, witness=witness,
                                         lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case_name)
     return CounterexampleReport(found=False, trials=trials, case=case_name)
 
 
+def _recheck(recheck: Callable, witness: tuple, lhs: float, rhs: float, tol: float,
+             case_name: str) -> tuple[float, float]:
+    """The sides at ``witness`` by the fixed-point reductions, each checked
+    against the side found by selection."""
+    fixed = recheck(witness)
+    for side, found, value in zip(("lhs", "rhs"), (lhs, rhs), fixed):
+        if abs(found - value) > tol * (1.0 + abs(found) + abs(value)):
+            raise ReductionMismatchError(
+                f"{case_name}: at {witness} the {side} is {found} by selection and "
+                f"{value} by the fixed point"
+            )
+    return fixed
+
+
 def check_convexity(case: ConvexityCase, trials: int, tol: float,
-                    seed: Optional[int] = None) -> CounterexampleReport:
+                    seed: Optional[int] = None,
+                    _recheck: Optional[Callable] = None) -> CounterexampleReport:
     """Search for x with f(M(x)) > N(f o x) + scaled tol."""
     rng = np.random.default_rng(case.seed if seed is None else seed)
     return _search(_single(case.sampler, rng, trials, case.M.arity),
-                   lambda xs: _convexity_sides(case, xs), trials, tol, case.name)
+                   partial(_convexity_sides, case.M, case.N, case.f), trials, tol,
+                   case.name, case.sampler.holds, _recheck)
 
 
 def _single(sampler: BoxSampler, rng: np.random.Generator, trials: int,
@@ -277,10 +331,10 @@ def _single(sampler: BoxSampler, rng: np.random.Generator, trials: int,
     return map(itemgetter(0), draw_witnesses((sampler,), rng, trials, count))
 
 
-def _convexity_sides(case: ConvexityCase, xs: tuple) -> tuple[float, float]:
-    fx = tuple(float(case.f(xi)) for xi in xs)
-    lhs = float(case.f(case.M(xs)))
-    rhs = float(case.N(fx))
+def _convexity_sides(M: MeanFn, N: MeanFn, f: Callable, xs: tuple) -> tuple[float, float]:
+    fx = tuple(float(f(xi)) for xi in xs)
+    lhs = float(f(_value(M, xs)))
+    rhs = float(_value(N, fx))
     return lhs, rhs
 
 
@@ -289,14 +343,20 @@ def check_reduced_convexity(case: ConvexityCase, chi: Injection, trials: int,
                             cfg: SolverConfig = DEFAULT_CONFIG) -> CounterexampleReport:
     """The k-variable inequality with both means replaced by reductions.
 
-    When the full n-variable check passes, a failure here indicates a defect
-    in the reduction machinery, not a counterexample.
+    The search reduces by selection where the means allow it
+    (``reduced_mean_fn``); a witness it finds is evaluated again with the
+    fixed-point reductions (``fixed_point_mean_fn``), which must agree
+    within tol on each side, and those sides are reported.  When the full
+    n-variable check passes, a failure here indicates a defect in the
+    reduction machinery, not a counterexample.
     """
     K = reduced_mean_fn(case.M, chi, cfg)
     N_chi = reduced_mean_fn(case.N, chi, cfg)
     reduced = ConvexityCase(M=K, N=N_chi, f=case.f, sampler=case.sampler,
                             seed=case.seed, name=f"{case.name} (reduced)")
-    return check_convexity(reduced, trials, tol, seed=seed)
+    fixed = partial(_convexity_sides, fixed_point_mean_fn(case.M, chi, cfg),
+                    fixed_point_mean_fn(case.N, chi, cfg), case.f)
+    return check_convexity(reduced, trials, tol, seed=seed, _recheck=fixed)
 
 
 def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
@@ -306,7 +366,10 @@ def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
                   name: str = "comparison") -> ReportPair:
     """Search for violations of G <= E and of the reduced comparison.
 
-    For deviation-family means an n-variable pass forces the k-variable pass,
+    The reduced search reduces by selection where the means allow it
+    (``reduced_mean_fn``), and reports a witness with the sides of the
+    fixed-point reductions, which must agree within reduced_tol.  For
+    deviation-family means an n-variable pass forces the k-variable pass,
     so ``implication_violated`` on the result is a machinery defect.
     """
     if G.arity != E.arity or G.dim is not None or E.dim is not None:
@@ -315,15 +378,20 @@ def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
         raise InvalidArgumentError("injection does not match the means' arity")
     sampler = sampler or BoxSampler(low=0.1, high=4.0, log_uniform=True)
     full = _search(_single(sampler, np.random.default_rng(seed), trials, G.arity),
-                   lambda xs: (float(G(xs)), float(E(xs))),
-                   trials, tol, f"{name} (full)")
-    G_chi = reduced_mean_fn(G, chi, cfg)
-    E_chi = reduced_mean_fn(E, chi, cfg)
+                   partial(_comparison_sides, G, E), trials, tol, f"{name} (full)",
+                   sampler.holds)
     reduced = _search(_single(sampler, np.random.default_rng(seed + 1), trials, chi.k),
-                      lambda xs: (float(G_chi(xs)), float(E_chi(xs))),
+                      partial(_comparison_sides, reduced_mean_fn(G, chi, cfg),
+                              reduced_mean_fn(E, chi, cfg)),
                       trials, reduced_tol if reduced_tol is not None else tol,
-                      f"{name} (reduced)")
+                      f"{name} (reduced)", sampler.holds,
+                      partial(_comparison_sides, fixed_point_mean_fn(G, chi, cfg),
+                              fixed_point_mean_fn(E, chi, cfg)))
     return ReportPair(full=full, reduced=reduced)
+
+
+def _comparison_sides(G: MeanFn, E: MeanFn, xs: tuple) -> tuple[float, float]:
+    return float(_value(G, xs)), float(_value(E, xs))
 
 
 _BUILTIN_COMBINERS = {
@@ -346,26 +414,38 @@ def check_holder_minkowski(case: HolderMinkowskiCase, trials: int, tol: float,
                            cfg: SolverConfig = DEFAULT_CONFIG,
                            reduced_tol: Optional[float] = None) -> ReportPair:
     """Search for violations of the n ell-variable inequality and of its
-    k ell-variable reduction."""
+    k ell-variable reduction.  The reduced search reduces by selection where
+    the means allow it, and reports a witness with the sides of the
+    fixed-point reductions, as ``compare_means`` does."""
     base_seed = case.seed if seed is None else seed
+
+    def inside(tuples):
+        return all(s.holds(t) for s, t in zip(case.samplers, tuples))
+
     full = _search(draw_witnesses(case.samplers, np.random.default_rng(base_seed), trials,
                                   case.M.arity),
-                   _hm_sides(case, case.N_list, case.M), trials, tol, f"{case.name} (full)")
-    K_list = tuple(reduced_mean_fn(N, case.chi, cfg) for N in case.N_list)
-    M_chi = reduced_mean_fn(case.M, case.chi, cfg)
+                   _hm_sides(case, case.N_list, case.M), trials, tol, f"{case.name} (full)",
+                   inside)
     reduced = _search(draw_witnesses(case.samplers, np.random.default_rng(base_seed + 1),
                                      trials, case.chi.k),
-                      _hm_sides(case, K_list, M_chi), trials,
-                      reduced_tol if reduced_tol is not None else tol, f"{case.name} (reduced)")
+                      _hm_sides(case, *_reduced_means(case, reduced_mean_fn, cfg)), trials,
+                      reduced_tol if reduced_tol is not None else tol, f"{case.name} (reduced)",
+                      inside, _hm_sides(case, *_reduced_means(case, fixed_point_mean_fn, cfg)))
     return ReportPair(full=full, reduced=reduced)
+
+
+def _reduced_means(case: HolderMinkowskiCase, reduce: Callable, cfg: SolverConfig):
+    """The slot families and the outer mean of a case, each reduced along
+    its chi by ``reduce``."""
+    return tuple(reduce(N, case.chi, cfg) for N in case.N_list), reduce(case.M, case.chi, cfg)
 
 
 def _hm_sides(case: HolderMinkowskiCase, N_list, M) -> Callable:
     """M(f(x^1, ..., x^ell)) with f componentwise, and f(N_1(x^1), ...)."""
     def sides(tuples):
         fx = tuple(float(case.f(*column)) for column in zip(*tuples))
-        lhs = float(M(fx))
-        rhs = float(case.f(*(N(t) for N, t in zip(N_list, tuples))))
+        lhs = float(_value(M, fx))
+        rhs = float(case.f(*(_value(N, t) for N, t in zip(N_list, tuples))))
         return lhs, rhs
 
     return sides

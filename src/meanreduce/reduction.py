@@ -21,8 +21,16 @@ The solves leave it "unknown" (except for a constant tuple, whose only fixed
 point is that constant); the separate step ``check_uniqueness`` sets it from
 sign probes in the scalar case and from multi-start disagreement in the
 vector case.  ``reduce_mean``, and so ``meanreduce reduce``, runs that step;
-``reduced_mean_fn`` (the lab) and the reduction oracles read only the value
-and skip it.
+``fixed_point_mean_fn`` and the reduction oracles read only the value and
+skip it.
+
+Families that reduce by selection (deviation means, by Daróczy's
+reducibility theorem) carry a ``MeanFn.select`` hook, and
+``reduced_mean_fn``, which the lab searches with, returns the selected mean
+in place of the fixed point.  The routes stay independent: ``reduce_scalar``,
+``reduce_vector``, ``reduce_mean``, ``fixed_point_mean_fn`` and the
+reduction oracles never consult the hook, and the lab re-evaluates every
+witness it records by ``fixed_point_mean_fn``.
 """
 
 from __future__ import annotations
@@ -82,6 +90,15 @@ class MeanFn:
     ``report`` is set for solver-backed means: it maps a data tuple to the
     solver's ``SolverReport``, and ``eval`` returns that report's value.  It
     is None for closed forms.
+
+    ``select`` is set for the means of a family that reduces by selection,
+    the deviation means of Daróczy's reducibility theorem: on the unselected
+    slots of (x|chi)(y) the deviations vanish, E_i(y, y) = 0, so the
+    reduction along an injection chi of k slots into n = ``arity`` is the
+    family's k-variable mean of the entries that chi picks (weights,
+    generators, deviations or potentials).  ``select(chi)`` returns that
+    mean.  ``reduced_mean_fn`` uses it after checking chi; it is None for a
+    black-box mean, which reduces by the fixed point.
     """
 
     arity: int
@@ -89,6 +106,7 @@ class MeanFn:
     dim: Optional[int] = None
     label: str = "mean"
     report: Optional[Callable] = None
+    select: Optional[Callable[[Injection], "MeanFn"]] = None
 
     def __post_init__(self):
         if self.arity <= 0:
@@ -108,13 +126,16 @@ class MeanFn:
         return self.eval(tuple(x))
 
 
-def _solver_mean_fn(solve, entries: tuple, cfg: SolverConfig, label: str,
+def _solver_mean_fn(solve, entries, cfg: SolverConfig, label: str,
                     dim: Optional[int] = None) -> MeanFn:
     # Each evaluation is one solve of its own: the mean is a function of its
-    # arguments alone.
+    # arguments alone.  Selection keeps the container type of the entries
+    # (a DeviationTuple or a tuple).
     report = lambda xs: solve(entries, xs, cfg)  # noqa: E731
     return MeanFn(arity=len(entries), dim=dim, label=label, report=report,
-                  eval=lambda xs: report(xs).value)
+                  eval=lambda xs: report(xs).value,
+                  select=lambda chi: _solver_mean_fn(solve, type(entries)(select(entries, chi)),
+                                                     cfg, label, dim))
 
 
 def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
@@ -272,8 +293,8 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
 
     The uniqueness flag is left "unknown" ("unique" for a constant tuple).
     ``check_uniqueness`` sets it; ``reduce_mean``, and so ``meanreduce
-    reduce``, runs that step, while the lab (``reduced_mean_fn``) and the
-    reduction oracles skip it.
+    reduce``, runs that step, while ``fixed_point_mean_fn`` (the lab's
+    recheck) and the reduction oracles skip it.
     """
     a0, b0, res_tol, m = _scalar_setup(M, chi, x, cfg)
 
@@ -401,8 +422,8 @@ def reduce_vector(M: MeanFn, chi: Injection, x: Sequence,
 
     The uniqueness flag is left "unknown" ("unique" for a constant tuple).
     ``check_uniqueness`` sets it from restarts; ``reduce_mean``, and so
-    ``meanreduce reduce``, runs that step, while the lab
-    (``reduced_mean_fn``) and the reduction oracles skip it.
+    ``meanreduce reduce``, runs that step, while ``fixed_point_mean_fn``
+    (the lab's recheck) and the reduction oracles skip it.
     """
     pts, centroid, spread, tol, m = _vector_setup(M, chi, x, cfg)
 
@@ -471,8 +492,8 @@ def check_uniqueness(M: MeanFn, chi: Injection, x: Sequence, result: ReductionRe
 
     Otherwise the flag is "unique", as it is for a constant tuple.  An
     unconverged result stays "unknown" and costs no evaluation.
-    ``reduce_mean`` runs this step; ``reduced_mean_fn`` and the reduction
-    oracles skip it.
+    ``reduce_mean`` runs this step; ``fixed_point_mean_fn`` and the
+    reduction oracles skip it.
     """
     if not result.certificate.converged:
         return replace(result, unique_flag=UNKNOWN)
@@ -488,9 +509,10 @@ def reduce_mean(M: MeanFn, chi: Injection, x: Sequence,
     """Dispatch to the scalar or vector reduction, then set the uniqueness
     flag with ``check_uniqueness``.
 
-    This is the reduction ``meanreduce reduce`` prints.  The lab
-    (``reduced_mean_fn``) and the reduction oracles read only the value and
-    call the solves directly, skipping the uniqueness step.
+    This is the reduction ``meanreduce reduce`` prints, always by the fixed
+    point: the selection hook is not consulted.  ``fixed_point_mean_fn``
+    and the reduction oracles read only the value and call the solves
+    directly, skipping the uniqueness step.
     """
     solve = reduce_scalar if M.dim is None else reduce_vector
     return check_uniqueness(M, chi, x, solve(M, chi, x, cfg), cfg)
@@ -499,6 +521,41 @@ def reduce_mean(M: MeanFn, chi: Injection, x: Sequence,
 def reduced_mean_fn(M: MeanFn, chi: Injection,
                     cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
     """The k-variable mean x -> reduction of M along chi at x.
+
+    Where M reduces by selection (``M.select`` is set), this is
+    ``M.select(chi)``: the family's k-variable mean of the selected entries,
+    evaluated with the configuration M was built with.  A solver-backed
+    selection raises NoConvergenceError on a solve that did not converge.
+    Otherwise it is ``fixed_point_mean_fn(M, chi, cfg)``.  Either way chi
+    must map into M's n slots (InvalidArgumentError otherwise).
+
+    The lab reduces through this function and re-evaluates every witness it
+    records by ``fixed_point_mean_fn``; ``reduce_mean`` and the reduction
+    oracles never consult the hook.
+    """
+    if chi.n != M.arity:
+        raise InvalidArgumentError(f"injection targets {chi.n} slots, mean has {M.arity}")
+    if M.select is None:
+        return fixed_point_mean_fn(M, chi, cfg)
+    selected = M.select(chi)
+    label = f"{M.label} reduced by {chi.map}"
+    if selected.report is None:
+        return replace(selected, label=label)
+
+    def eval_selected(xs):
+        report = selected.report(xs)
+        if not report.converged:
+            raise NoConvergenceError(f"reduction of {M.label} did not converge at {xs}",
+                                     best=report.value, residual=report.residual)
+        return report.value
+
+    return replace(selected, eval=eval_selected, label=label)
+
+
+def fixed_point_mean_fn(M: MeanFn, chi: Injection,
+                        cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
+    """The k-variable mean x -> reduction of M along chi at x, by the fixed
+    point whether or not M reduces by selection.
 
     Each evaluation runs ``reduce_scalar`` or ``reduce_vector`` and returns
     its value, or raises NoConvergenceError when the reduction does not
@@ -549,24 +606,30 @@ class OracleCheckReport:
 
 
 def _oracle_check(samples: int, tol: float, draw: Callable, reduced: Callable,
-                  direct: Callable, error: Callable) -> OracleCheckReport:
-    """Compare reduced(x) with direct(x) by error(reduced, direct) on
-    ``samples`` draws x = draw(), recording each draw whose error exceeds
-    tol."""
+                  direct: Callable, size: Callable) -> OracleCheckReport:
+    """Compare reduced(x) with direct(x) on ``samples`` draws x = draw(),
+    recording each draw whose error size(reduced - direct) exceeds
+    tol (1 + size(direct)), the scaling the lab gives its slacks; ``size``
+    is abs for scalars and the Euclidean norm for points.  The report's
+    max_abs_error is the largest unscaled error."""
     worst = 0.0
     failures = []
     for _ in range(samples):
         xs = draw()
         lhs = reduced(xs)
         rhs = direct(xs)
-        err = error(lhs, rhs)
+        err = size(lhs - rhs)
         worst = max(worst, err)
-        if err > tol:
+        if err > tol * (1.0 + size(rhs)):
             plain = [np.asarray(v, dtype=float).tolist() for v in (xs, lhs, rhs)]
             failures.append({"x": plain[0], "reduced": plain[1], "direct": plain[2],
                              "error": err})
     return OracleCheckReport(samples=samples, tol=tol, max_abs_error=worst,
                              failures=tuple(failures))
+
+
+def _norm(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v))
 
 
 def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
@@ -595,7 +658,7 @@ def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
     return _oracle_check(
         samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),
         lambda xs: reduce_scalar(M, chi, xs, run_cfg).reduced_value,
-        lambda xs: weighted_arith_mean(w_sel, xs), lambda lhs, rhs: abs(lhs - rhs))
+        lambda xs: weighted_arith_mean(w_sel, xs), abs)
 
 
 def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
@@ -627,8 +690,7 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
         return _oracle_check(
             samples, tol, lambda: tuple(rng.uniform(low, high, dim) for _ in range(chi.k)),
             lambda xs: reduce_vector(M, chi, xs, outer).reduced_value,
-            lambda xs: gen_deviation_mean(selected, xs, inner).value,
-            lambda lhs, rhs: float(np.linalg.norm(lhs - rhs)))
+            lambda xs: gen_deviation_mean(selected, xs, inner).value, _norm)
     dev = as_deviation_tuple(entries)
     lo, hi = dev.common_domain.finite_window()
     selected = dev.select(chi)
@@ -636,4 +698,4 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
     return _oracle_check(
         samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),
         lambda xs: reduce_scalar(M, chi, xs, outer).reduced_value,
-        lambda xs: deviation_mean(selected, xs, inner).value, lambda lhs, rhs: abs(lhs - rhs))
+        lambda xs: deviation_mean(selected, xs, inner).value, abs)

@@ -16,6 +16,14 @@ whose full check passes while its reduced check finds a violation is an
 implication violation: the reduction theorems exclude it, so it fails the
 suite as a machinery defect.
 
+The reduced checks search with the means reduced by selection: every mean a
+descriptor builds carries a ``MeanFn.select`` hook, so a reduced evaluation
+is one evaluation of the family's k-variable mean.  A witness a reduced
+check records is evaluated again by the fixed-point reductions, and those
+sides are reported; a side that disagrees beyond ``reduced_tol`` makes the
+case an error (ReductionMismatchError), which fails the suite.  The
+``*-reduction`` oracle cases keep the fixed point against selection.
+
 Runs are deterministic: per-case seeds derive from the suite seed by index,
 and reports are plain JSON data.
 """

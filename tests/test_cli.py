@@ -6,13 +6,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import meanreduce
+import meanreduce.suites
 
 from meanreduce.cli import main
+from meanreduce.core import Injection
+from meanreduce.descriptors import build_mean
 
 
 def run_cli(capsys, *argv):
@@ -297,8 +301,9 @@ class TestVerifyCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_suite_over_a_box_wider_than_the_float_range(self, capsys, tmp_path):
-        # The boxes' widths overflow.  At some witness the deviation sum
-        # holds +inf and -inf, a DomainError: that case reports an error,
+        # The boxes' widths overflow.  At some witness of the full check the
+        # deviation sum holds +inf and -inf, a DomainError of the mean at a
+        # witness inside the box: that case reports the mean's own error,
         # and the next cases still run.
         box = {"low": -1.7e308, "high": 1.7e308}
         deviations = {"kind": "deviation-custom", "arity": 3, "params": {
@@ -307,7 +312,7 @@ class TestVerifyCommand:
         suite = tmp_path / "wide.json"
         suite.write_text(json.dumps({"cases": [
             {"name": "overflowing-deviations", "type": "comparison", "chi": [1, 3],
-             "domain": box, "E": deviations, "G": arithmetic},
+             "domain": box, "G": deviations, "E": arithmetic},
             {"name": "arithmetic", "type": "comparison", "chi": [1, 3],
              "domain": box, "E": arithmetic, "G": arithmetic},
             {"name": "weighted-reduction", "type": "weighted-arith-reduction",
@@ -317,9 +322,38 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "20")
         assert (code, err) == (1, "")
         first, second, third = json.loads(out)["cases"]
-        assert "both infinities" in first["error"]
+        assert first["error"].startswith("DomainError: custom deviation mean at (")
+        assert "both infinities" in first["error"] and "sampler" not in first["error"]
         assert second["ok"] is True and second["full"]["found"] is False
         assert "error" not in third and third["samples"] == 3
+
+    def test_selection_of_the_wrong_slots_fails_the_recheck(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # G and E are one weighted arithmetic mean, once as a Bajraktarevic
+        # mean with the identity generator.  G's selection hook reverses the
+        # slots chi picks, so the reduced search finds G_chi > E_chi; the
+        # fixed-point recheck of that witness disagrees with it.
+        def build_with_reversed_slots(desc, cfg):
+            M = build_mean(desc, cfg)
+            if desc.kind != "weighted-arithmetic":
+                return M
+            return replace(M, select=lambda chi: M.select(
+                Injection.of(tuple(reversed(chi.map)), n=chi.n)))
+
+        monkeypatch.setattr(meanreduce.suites, "build_mean", build_with_reversed_slots)
+        weights = [1.0, 9.0, 1.0]
+        suite = tmp_path / "wrong-slots.json"
+        suite.write_text(json.dumps({"cases": [
+            {"name": "wrong-slots", "type": "comparison", "chi": [1, 2],
+             "G": {"kind": "weighted-arithmetic", "arity": 3, "params": {"weights": weights}},
+             "E": {"kind": "bajraktarevic", "arity": 3,
+                   "params": {"f": "u", "weights": weights}}},
+        ]}))
+        code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "20")
+        assert (code, err) == (1, "")
+        case, = json.loads(out)["cases"]
+        assert case["error"].startswith("ReductionMismatchError: wrong-slots (reduced): at (")
+        assert "by selection and" in case["error"]
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "reduction-oracles", "--format", "csv")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,18 @@ import pytest
 from meanreduce.core import Injection
 from meanreduce.descriptors import (
     arithmetic_mean_fn,
+    bajraktarevic_mean_fn,
+    gini_mean_fn,
     holder_mean_fn,
     quasi_arithmetic_mean_fn,
+    weighted_arithmetic_mean_fn,
 )
-from meanreduce.errors import InvalidArgumentError, InvalidSamplerError
+from meanreduce.errors import (
+    DomainError,
+    InvalidArgumentError,
+    InvalidSamplerError,
+    ReductionMismatchError,
+)
 from meanreduce.lab import (
     BoxSampler,
     ConvexityCase,
@@ -23,7 +32,11 @@ from meanreduce.lab import (
     compare_means,
     draw_witnesses,
     fuzz_suite,
+    _search,
+    _value,
 )
+from meanreduce.reduction import MeanFn, fixed_point_mean_fn, reduced_mean_fn
+from meanreduce.suites import REDUCTION_CFG
 
 
 def square(u):
@@ -369,3 +382,86 @@ class TestFuzzSuite:
         report = fuzz_suite([bad], seed=0, trials=5)
         assert report["errors"] == 1
         assert "InvalidSamplerError" in report["cases"][0]["error"]
+
+
+class TestSamplerBlame:
+    def test_holds_checks_every_entry(self):
+        box = BoxSampler(low=(0.0, -1.0), high=(1.0, 1.0), dim=2)
+        assert box.holds((np.array([0.5, -1.0]), np.array([1.0, 0.0])))
+        assert not box.holds((np.array([0.5, -1.0]), np.array([1.0, 1.5])))
+        assert BoxSampler(low=0.1, high=4.0, log_uniform=True).holds((0.1, 4.0))
+        assert not BoxSampler(low=0.1, high=4.0).holds((0.1, 4.5))
+
+    def test_domain_error_inside_the_box_is_the_means(self):
+        def overflow(xs):
+            raise DomainError("overflowed")
+
+        G = MeanFn(arity=2, eval=overflow, label="overflowing")
+        with pytest.raises(DomainError, match=r"^overflowing at \(.*\): overflowed$"):
+            compare_means(G, arithmetic_mean_fn(2), Injection.of([1], n=2), trials=5, tol=1e-9)
+
+    def test_domain_error_outside_the_box_is_the_samplers(self):
+        def below_one(xs):
+            if min(xs) < 1.0:
+                raise DomainError("below 1")
+            return xs[0]
+
+        M = MeanFn(arity=2, eval=below_one)
+        sampler = BoxSampler(low=1.0, high=2.0)
+        with pytest.raises(InvalidSamplerError, match=r"out-of-domain input \(0.5, 1.5\)"):
+            _search(iter([(1.5, 1.5), (0.5, 1.5)]), lambda xs: (_value(M, xs), 2.0), 2, 1e-9,
+                    "case", sampler.holds)
+
+
+def _reversed_slots(M):
+    """M with a selection hook that picks chi's slots in reverse order."""
+    return replace(M, select=lambda chi: M.select(
+        Injection.of(tuple(reversed(chi.map)), n=chi.n)))
+
+
+class TestFixedPointRecheck:
+    # One weighted arithmetic mean twice, once as a Bajraktarevic mean with
+    # the identity generator: the full checks tie, and a wrong selection
+    # hook on one side makes the reduced search find a violation, which the
+    # fixed-point recheck rejects.
+    WEIGHTS = [1.0, 9.0, 1.0]
+    CHI = Injection.of([1, 2], n=3)
+
+    def means(self):
+        return (_reversed_slots(weighted_arithmetic_mean_fn(self.WEIGHTS, 3)),
+                bajraktarevic_mean_fn("u", self.WEIGHTS, 3))
+
+    def test_comparison(self):
+        G, E = self.means()
+        with pytest.raises(ReductionMismatchError, match=r"at \(.*\) the lhs is .* by selection"):
+            compare_means(G, E, self.CHI, trials=40, tol=1e-9, seed=3)
+
+    def test_convexity(self):
+        M, N = self.means()
+        case = ConvexityCase(M=M, N=N, f=float, sampler=BoxSampler(low=0.5, high=4.0), seed=3)
+        assert not check_convexity(case, trials=40, tol=1e-9).found
+        with pytest.raises(ReductionMismatchError):
+            check_reduced_convexity(case, self.CHI, trials=40, tol=1e-9)
+
+    def test_holder_minkowski(self):
+        wrong, right = self.means()
+        case = HolderMinkowskiCase(ell=1, N_list=(right,), M=wrong, f=combiner("sum"),
+                                   chi=self.CHI, samplers=(BoxSampler(low=0.5, high=4.0),),
+                                   seed=3)
+        with pytest.raises(ReductionMismatchError):
+            check_holder_minkowski(case, trials=40, tol=1e-9)
+
+    def test_a_right_hook_reports_the_fixed_point_sides(self):
+        # The lehmer-le-arith-reversed case of the failing suite, whose
+        # reduced lhs differs between the routes in the 11th digit: the
+        # witness is found by selection, its sides are the fixed point's.
+        G, E = gini_mean_fn(2.0, 1.0, 3), gini_mean_fn(1.0, 0.0, 3)
+        pair = compare_means(G, E, self.CHI, trials=200, tol=1e-9,
+                             sampler=BoxSampler(low=0.2, high=4.0, log_uniform=True), seed=11,
+                             cfg=REDUCTION_CFG, reduced_tol=1e-8)
+        assert pair.reduced.found
+        w = pair.reduced.witness
+        sides = (pair.reduced.lhs, pair.reduced.rhs)
+        assert sides == (fixed_point_mean_fn(G, self.CHI, REDUCTION_CFG)(w),
+                         fixed_point_mean_fn(E, self.CHI, REDUCTION_CFG)(w))
+        assert sides[0] != reduced_mean_fn(G, self.CHI)(w)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import meanreduce.reduction
 
 from meanreduce.core import Injection, Interval, POSITIVE_REALS, SolverConfig, splice
 from meanreduce.descriptors import (
+    MeanDescriptor,
     arithmetic_mean_fn,
+    build_mean,
     gen_deviation_mean_fn,
     holder_mean_fn,
     quasi_arithmetic_mean_fn,
@@ -17,6 +20,7 @@ from meanreduce.descriptors import (
 from meanreduce.errors import (
     HullViolationError,
     InvalidArgumentError,
+    NoConvergenceError,
     NotAMeanError,
 )
 from meanreduce.reduction import (
@@ -28,6 +32,7 @@ from meanreduce.reduction import (
     check_mean_function,
     check_uniqueness,
     check_weighted_arith_reduction,
+    fixed_point_mean_fn,
     reduce_mean,
     reduce_scalar,
     reduce_vector,
@@ -39,6 +44,7 @@ from meanreduce.scalar import (
     ScalarDeviation,
     constant_weight,
     deviation_mean,
+    point_average,
     power_weight,
 )
 from meanreduce.suites import REDUCTION_CFG
@@ -357,7 +363,9 @@ class TestReductionWorkCount:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(meanreduce.reduction, "_fixed_point_run", counted_run)
-        M = arithmetic_mean_fn(4, dim=2)
+        # A point mean without a selection hook: reduced_mean_fn takes the
+        # fixed point too.
+        M = MeanFn(arity=4, dim=2, eval=point_average)
         chi = Injection.of([1, 3], n=4)
         x = ((0.0, 0.0), (2.0, 1.0))
         reduce_vector(M, chi, x)
@@ -516,3 +524,176 @@ class TestDeviationReductionOracle:
                                            samples=samples, tol=1e-8, seed=1, cfg=REDUCTION_CFG)
         assert report.passed
         assert calls[0] / samples <= 367
+
+
+# Reduction by selection (MeanFn.select) against the fixed point, at the
+# configuration and the scaled tolerance of the reduction oracles: closed
+# forms reduce at abs_tol = 1e-3 tol, solver-backed means solve at
+# 1e-4 tol inside an outer fixed point at 1e-3 tol.
+ORACLE_TOL = 1e-8
+INNER_CFG = SolverConfig(abs_tol=ORACLE_TOL * 1e-4, rel_tol=1e-13)
+OUTER_CFG = SolverConfig(abs_tol=ORACLE_TOL * 1e-3, rel_tol=REDUCTION_CFG.rel_tol)
+# A custom potential's gradient is a central difference, which certifies a
+# solve to about 1e-10 and no further: it solves at the suites' tolerances
+# inside an outer fixed point at 1e-9.
+DIFFERENCED_CFGS = (REDUCTION_CFG, SolverConfig(abs_tol=1e-9, rel_tol=REDUCTION_CFG.rel_tol))
+SCALAR_DOMAIN = [0.2, 6.0]
+GENERATORS = ("log", "exp", "u", "u^3")
+# The named "log" generator keeps its own domain (0, inf), and Matkowski's
+# generators must share one.
+MATKOWSKI_GENERATORS = ("log(u)", "exp", "u", "u^3")
+WEIGHTS = (1.0, 2.5, 0.5, "u", "1 + u^2")
+DEVIATIONS = ("u - v", "u*(u - v)", "u^3 - v^3", "exp(u) - exp(v)", "(1 + u)*(log(u) - log(v))")
+
+
+def _scalar_params(draw, kind, n):
+    pick = lambda options: [draw(st.sampled_from(options)) for _ in range(n)]  # noqa: E731
+    exponent = st.floats(-4.0, 4.0)
+    return {
+        "arithmetic": {},
+        "weighted-arithmetic": {"weights": pick(WEIGHTS), "domain": SCALAR_DOMAIN},
+        "holder": {"p": draw(exponent)},
+        "gini": {"p": draw(exponent), "q": draw(exponent)},
+        "quasi-arithmetic": {"f": draw(st.sampled_from(GENERATORS)), "domain": SCALAR_DOMAIN},
+        "bajraktarevic": {"f": draw(st.sampled_from(GENERATORS)), "weights": pick(WEIGHTS),
+                          "domain": SCALAR_DOMAIN},
+        "matkowski": {"fs": pick(MATKOWSKI_GENERATORS), "domain": SCALAR_DOMAIN},
+        "deviation-custom": {"exprs": pick(DEVIATIONS), "domain": SCALAR_DOMAIN},
+    }[kind]
+
+
+def _vector_params(draw, kind, n):
+    weight = st.floats(0.5, 2.0)
+    return {
+        "arithmetic": {},
+        "weighted-arithmetic": {"weights": [draw(st.sampled_from((draw(weight), "1 + u1*u1")))
+                                            for _ in range(n)]},
+        "gen-deviation": {"exprs": [[f"{w}*(1 + u2*u2)*(u1 - v1)", f"{w}*(1 + u2*u2)*(u2 - v2)"]
+                                    for w in (draw(weight) for _ in range(n))]},
+        "norm-squared-potential": {"weights": [draw(weight) for _ in range(n)]},
+        "custom-potential": {"exprs": [f"{draw(weight)}*(u1 - v1)^2 + (u2 - v2)^2"
+                                       for _ in range(n)]},
+    }[kind]
+
+
+@st.composite
+def reductions(draw, kind, dim=None, max_n=5, cfg=INNER_CFG):
+    """A mean of the kind built from its descriptor, an injection chi and
+    k data entries: scalars in the domain, or points in [-2, 2]^dim."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    chi = Injection.of(draw(st.permutations(range(1, n + 1)))[:k], n=n)
+    if dim is None:
+        params = _scalar_params(draw, kind, n)
+        x = tuple(draw(st.lists(st.floats(*SCALAR_DOMAIN), min_size=k, max_size=k)))
+    else:
+        params = _vector_params(draw, kind, n)
+        coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+        x = tuple(np.array(draw(coords)) for _ in range(k))
+    M = build_mean(MeanDescriptor(kind, n, params, dim), cfg)
+    return M, chi, x
+
+
+def _agree(selected, fixed):
+    size = abs if np.ndim(selected) == 0 else np.linalg.norm
+    return size(fixed - selected) <= ORACLE_TOL * (1.0 + size(selected))
+
+
+class TestSelectionAgreesWithFixedPoint:
+    @pytest.mark.parametrize("kind", ["arithmetic", "weighted-arithmetic", "holder", "gini",
+                                      "quasi-arithmetic", "bajraktarevic", "matkowski",
+                                      "deviation-custom"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_scalar_kinds(self, kind, data):
+        M, chi, x = data.draw(reductions(kind))
+        assert M.select is not None
+        selected = reduced_mean_fn(M, chi, OUTER_CFG)(x)
+        fixed = reduce_scalar(M, chi, x, OUTER_CFG)
+        assert fixed.certificate.converged
+        assert _agree(selected, fixed.reduced_value)
+
+    @pytest.mark.parametrize("kind", ["arithmetic", "weighted-arithmetic", "gen-deviation",
+                                      "norm-squared-potential", "custom-potential"])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_vector_kinds(self, kind, data):
+        inner, outer = DIFFERENCED_CFGS if kind == "custom-potential" else (INNER_CFG, OUTER_CFG)
+        M, chi, x = data.draw(reductions(kind, dim=2, max_n=4, cfg=inner))
+        assert M.select is not None
+        selected = reduced_mean_fn(M, chi, outer)(x)
+        fixed = reduce_vector(M, chi, x, outer)
+        assert fixed.certificate.converged
+        assert _agree(selected, fixed.reduced_value)
+
+    def test_selection_of_a_selection_composes(self):
+        M = weighted_arithmetic_mean_fn([1.0, 2.0, 3.0, 4.0], 4)
+        once = reduced_mean_fn(reduced_mean_fn(M, Injection.of([4, 2, 1], n=4)),
+                               Injection.of([3, 1], n=3))
+        assert once((2.0, 5.0)) == reduced_mean_fn(M, Injection.of([1, 4], n=4))((2.0, 5.0))
+
+    def test_selection_checks_the_injection(self):
+        with pytest.raises(InvalidArgumentError, match="injection targets 4 slots"):
+            reduced_mean_fn(holder_mean_fn(2.0, 3), Injection.of([1, 2], n=4))
+
+
+def test_selected_solve_out_of_iterations_raises(monkeypatch):
+    # y^3 = mean of the selected cubes: one step of the root search is not
+    # enough.  The selection route raises as the fixed-point route does.
+    monkeypatch.setattr(meanreduce.reduction, "reduce_scalar", _forbidden)
+    M = build_mean(MeanDescriptor("deviation-custom", 3, {"exprs": ["u^3 - v^3"],
+                                                          "domain": SCALAR_DOMAIN}),
+                   SolverConfig(max_iter=1))
+    K = reduced_mean_fn(M, Injection.of([3, 1], n=3))
+    with pytest.raises(NoConvergenceError, match="reduction of custom deviation mean did not"):
+        K((0.5, 4.0))
+
+
+def _forbidden(*args):
+    raise AssertionError("the selection hook or the fixed point was consulted")
+
+
+class TestFixedPointRoutesIgnoreTheHook:
+    def test_reduce_mean(self):
+        M = replace(weighted_arithmetic_mean_fn([1.0, 3.0, 2.0], 3), select=_forbidden)
+        result = reduce_mean(M, Injection.of([3, 1], n=3), (0.5, 2.0))
+        assert result.certificate.converged and result.unique_flag == UNIQUE
+        assert fixed_point_mean_fn(M, Injection.of([2], n=3))((4.0,)) == 4.0
+
+    def test_oracles(self, monkeypatch):
+        # Every MeanFn the oracles build carries a hook that fails the test.
+        monkeypatch.setattr(meanreduce.reduction, "MeanFn",
+                            lambda **fields: MeanFn(**{**fields, "select": _forbidden}))
+        chi = Injection.of([1, 3], n=3)
+        weights = [constant_weight(1.0, POSITIVE_REALS), power_weight(1.0),
+                   constant_weight(2.0, POSITIVE_REALS)]
+        assert check_weighted_arith_reduction(weights, chi, samples=5, tol=1e-8).passed
+        assert check_deviation_reduction(gini_deviations(3), chi, samples=5, tol=1e-8).passed
+        vector = [inner_product_deviation(2, w) for w in (1.0, 2.0, 0.5)]
+        assert check_deviation_reduction(vector, chi, samples=2, tol=1e-8,
+                                         cfg=SolverConfig(abs_tol=1e-11)).passed
+
+
+class TestOraclesAtTheFloatRange:
+    # The two routes agree to rounding at data of magnitude up to 1.7e308,
+    # where an absolute tolerance failed the checks; the errors are judged
+    # at tol (1 + |direct|).
+    BOX = Interval(-1.7e308, 1.7e308)
+
+    def test_weighted_arith_reduction(self):
+        weights = [constant_weight(w, self.BOX) for w in (1.0, 2.0, 1.0)]
+        report = check_weighted_arith_reduction(weights, Injection.of([1, 3], n=3),
+                                                samples=40, tol=1e-9, seed=7)
+        assert report.passed
+        # The largest error is 2.0e292 here, 1.2e-16 of the data's magnitude.
+        assert report.max_abs_error <= 1e-15 * 1.7e308
+
+    def test_deviation_reduction(self):
+        dev = ScalarDeviation(domain=self.BOX, eval=lambda u, v: u - v, label="arith",
+                              validate=False)
+        report = check_deviation_reduction([dev] * 3, Injection.of([1, 3], n=3),
+                                           samples=40, tol=1e-9, seed=7, cfg=REDUCTION_CFG)
+        assert report.passed
+        # The largest error is 7.7e294 here, 4.5e-14 of the data's magnitude:
+        # the inner solves stop at rel_tol = 1e-13.
+        assert report.max_abs_error <= 1e-13 * 1.7e308
