@@ -550,30 +550,31 @@ def _scalar_params(draw, kind, n):
     pick = lambda options: [draw(st.sampled_from(options)) for _ in range(n)]  # noqa: E731
     exponent = st.floats(-4.0, 4.0)
     return {
-        "arithmetic": {},
-        "weighted-arithmetic": {"weights": pick(WEIGHTS), "domain": SCALAR_DOMAIN},
-        "holder": {"p": draw(exponent)},
-        "gini": {"p": draw(exponent), "q": draw(exponent)},
-        "quasi-arithmetic": {"f": draw(st.sampled_from(GENERATORS)), "domain": SCALAR_DOMAIN},
-        "bajraktarevic": {"f": draw(st.sampled_from(GENERATORS)), "weights": pick(WEIGHTS),
-                          "domain": SCALAR_DOMAIN},
-        "matkowski": {"fs": pick(MATKOWSKI_GENERATORS), "domain": SCALAR_DOMAIN},
-        "deviation-custom": {"exprs": pick(DEVIATIONS), "domain": SCALAR_DOMAIN},
-    }[kind]
+        "arithmetic": lambda: {},
+        "weighted-arithmetic": lambda: {"weights": pick(WEIGHTS), "domain": SCALAR_DOMAIN},
+        "holder": lambda: {"p": draw(exponent)},
+        "gini": lambda: {"p": draw(exponent), "q": draw(exponent)},
+        "quasi-arithmetic": lambda: {"f": draw(st.sampled_from(GENERATORS)),
+                                     "domain": SCALAR_DOMAIN},
+        "bajraktarevic": lambda: {"f": draw(st.sampled_from(GENERATORS)),
+                                  "weights": pick(WEIGHTS), "domain": SCALAR_DOMAIN},
+        "matkowski": lambda: {"fs": pick(MATKOWSKI_GENERATORS), "domain": SCALAR_DOMAIN},
+        "deviation-custom": lambda: {"exprs": pick(DEVIATIONS), "domain": SCALAR_DOMAIN},
+    }[kind]()
 
 
 def _vector_params(draw, kind, n):
-    weight = st.floats(0.5, 2.0)
+    weights = lambda: [draw(st.floats(0.5, 2.0)) for _ in range(n)]  # noqa: E731
     return {
-        "arithmetic": {},
-        "weighted-arithmetic": {"weights": [draw(st.sampled_from((draw(weight), "1 + u1*u1")))
-                                            for _ in range(n)]},
-        "gen-deviation": {"exprs": [[f"{w}*(1 + u2*u2)*(u1 - v1)", f"{w}*(1 + u2*u2)*(u2 - v2)"]
-                                    for w in (draw(weight) for _ in range(n))]},
-        "norm-squared-potential": {"weights": [draw(weight) for _ in range(n)]},
-        "custom-potential": {"exprs": [f"{draw(weight)}*(u1 - v1)^2 + (u2 - v2)^2"
-                                       for _ in range(n)]},
-    }[kind]
+        "arithmetic": lambda: {},
+        "weighted-arithmetic": lambda: {"weights": [draw(st.sampled_from((w, "1 + u1*u1")))
+                                                    for w in weights()]},
+        "gen-deviation": lambda: {"exprs": [[f"{w}*(1 + u2*u2)*(u1 - v1)",
+                                             f"{w}*(1 + u2*u2)*(u2 - v2)"] for w in weights()]},
+        "norm-squared-potential": lambda: {"weights": weights()},
+        "custom-potential": lambda: {"exprs": [f"{w}*(u1 - v1)^2 + (u2 - v2)^2"
+                                               for w in weights()]},
+    }[kind]()
 
 
 @st.composite
@@ -637,6 +638,10 @@ class TestSelectionAgreesWithFixedPoint:
             reduced_mean_fn(holder_mean_fn(2.0, 3), Injection.of([1, 2], n=4))
 
 
+def _forbidden(*args):
+    raise AssertionError("the selection hook or the fixed point was consulted")
+
+
 def test_selected_solve_out_of_iterations_raises(monkeypatch):
     # y^3 = mean of the selected cubes: one step of the root search is not
     # enough.  The selection route raises as the fixed-point route does.
@@ -647,10 +652,6 @@ def test_selected_solve_out_of_iterations_raises(monkeypatch):
     K = reduced_mean_fn(M, Injection.of([3, 1], n=3))
     with pytest.raises(NoConvergenceError, match="reduction of custom deviation mean did not"):
         K((0.5, 4.0))
-
-
-def _forbidden(*args):
-    raise AssertionError("the selection hook or the fixed point was consulted")
 
 
 class TestFixedPointRoutesIgnoreTheHook:
