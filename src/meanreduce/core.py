@@ -144,10 +144,6 @@ class Injection:
     def of(cls, entries: Sequence[int], n: int) -> "Injection":
         return cls(k=len(entries), n=n, map=tuple(entries))
 
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.map)
-
     def is_bijection(self) -> bool:
         return self.k == self.n
 

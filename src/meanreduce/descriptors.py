@@ -21,7 +21,7 @@ generators, deviations or potentials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -145,7 +145,9 @@ def parse_domain(spec) -> Interval:
 
 
 def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
-    """A GeneratorFn from a named generator or an expression in u."""
+    """A GeneratorFn from a named generator or an expression in u.  The
+    named "log" takes a domain inside (0, inf), by default (0, inf) itself;
+    any other domain raises InvalidArgumentError."""
     from .scalar import exp_generator, identity_generator, log_generator
 
     if isinstance(spec, GeneratorFn):
@@ -154,7 +156,10 @@ def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
     if text in ("identity", "id", "u"):
         return identity_generator(domain or REALS)
     if text == "log":
-        return log_generator()
+        if domain is not None and (domain.lo < 0.0 or 0.0 in domain):
+            raise InvalidArgumentError(f"the log generator needs a domain inside (0, inf), "
+                                       f"got {domain}")
+        return replace(log_generator(), domain=domain or POSITIVE_REALS)
     if text == "exp":
         return exp_generator(domain or REALS)
     dom = domain or REALS
@@ -228,8 +233,7 @@ def build_gen_deviation(exprs: Sequence[str], dim: int,
     return dev
 
 
-def build_custom_potential(expr_text: str, dim: int,
-                           sample_low: float = -2.0, sample_high: float = 2.0) -> PotentialFn:
+def build_custom_potential(expr_text: str, dim: int) -> PotentialFn:
     """A PotentialFn from an expression for F(u, v); gradient by central
     differences."""
     allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
@@ -239,7 +243,7 @@ def build_custom_potential(expr_text: str, dim: int,
         return fn(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
 
     return PotentialFn(dim=dim, eval=feval, label=f"potential {expr_text!r}",
-                       sample_low=sample_low, sample_high=sample_high)
+                       sample_low=-2.0, sample_high=2.0)
 
 
 # Each constructor's selection hook rebuilds the family from the entries chi
@@ -324,15 +328,14 @@ def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> Mean
         return gini_mean_fn(param("p"), param("q"), arity)
     if kind == "quasi-arithmetic":
         f = param("f")
-        return quasi_arithmetic_mean_fn(f, arity, _generator_domain(param("domain", None), f))
+        return quasi_arithmetic_mean_fn(f, arity, _generator_domain(param("domain", None), [f]))
     if kind == "bajraktarevic":
         f = param("f")
         return bajraktarevic_mean_fn(f, param("weights", [1.0]), arity,
-                                     _generator_domain(param("domain", None), f))
+                                     _generator_domain(param("domain", None), [f]))
     if kind == "matkowski":
-        fs = param("fs")
-        return matkowski_mean_fn(fs, arity,
-                                 _generator_domain(param("domain", None), (fs or [None])[0]), cfg)
+        fs = _expand(param("fs"), arity, "generators")
+        return matkowski_mean_fn(fs, arity, _generator_domain(param("domain", None), fs), cfg)
     if kind == "deviation-custom":
         exprs = _expand(param("exprs"), arity, "deviation expressions")
         domain = parse_domain(param("domain", None))
@@ -369,12 +372,12 @@ def _param(desc: MeanDescriptor, key: str, default=_REQUIRED):
     return default
 
 
-def _generator_domain(spec, f) -> Optional[Interval]:
+def _generator_domain(spec, fs: list) -> Optional[Interval]:
+    # Without a domain, generators that must share one take (0, inf) where
+    # one of them is the named "log", which takes no wider domain.
     if spec is not None:
         return parse_domain(spec)
-    if isinstance(f, str) and f.strip() == "log":
-        return POSITIVE_REALS
-    return None
+    return POSITIVE_REALS if "log" in (str(f).strip() for f in fs) else None
 
 
 def evaluate_with_report(desc: MeanDescriptor, x: Sequence,

@@ -7,12 +7,13 @@ stay unit-free.  Reported witnesses are re-evaluated freshly before they are
 recorded.  The reduced checks search with the means reduced by selection
 where a mean's family allows it (``reduced_mean_fn``), and re-evaluate the
 witness they record with the fixed-point reductions
-(``fixed_point_mean_fn``): each side must agree within the reduced
-tolerance, or the check raises ReductionMismatchError, and the fixed-point
-sides are the ones reported.  The reduction theorems are one-directional
-(an n-variable pass forces the reduced k-variable pass), so a reduced
-failure after a full pass is flagged as an implication violation: a
-machinery defect, not a counterexample.
+(``fixed_point_mean_fn``), all by ``_reduced_search``: each side must agree
+within the reduced tolerance, at least cfg.abs_tol, or the check raises
+ReductionMismatchError, and the fixed-point sides are the ones reported.
+The reduction theorems are one-directional (an n-variable pass forces the
+reduced k-variable pass), so a reduced failure after a full pass is
+flagged by ``ReportPair.implication_violated``: a machinery defect, not a
+counterexample.
 
 Hypotheses on user-supplied means (continuity, unique reducibility) can only
 be sampled, never proven; reports carry ``"hypotheses": "sampled"``.
@@ -272,13 +273,10 @@ def _search(witnesses: Iterator, sides: Callable, trials: int, tol: float,
     ``draw_witnesses``, and stop at the first one whose sides violate
     lhs <= rhs.
 
-    The reported sides are evaluated afresh, by ``recheck`` where it is
-    given: a reduced search finds its witness with the means reduced by
-    selection, and reports the sides of the fixed-point reductions, each
-    within tol (1 + |a| + |b|) of the side a it found
-    (ReductionMismatchError otherwise).  A witness outside the mean's domain
-    (InvalidArgumentError), or one that a DomainError meets outside the
-    sampler's box (``inside``), is the sampler's fault
+    The reported sides are evaluated afresh, by ``recheck(witness, lhs,
+    rhs)`` where it is given (see ``_reduced_search``).  A witness outside
+    the mean's domain (InvalidArgumentError), or one that a DomainError
+    meets outside the sampler's box (``inside``), is the sampler's fault
     (InvalidSamplerError); a DomainError inside the box is the mean's own,
     and is raised as it is.
     """
@@ -292,37 +290,47 @@ def _search(witnesses: Iterator, sides: Callable, trials: int, tol: float,
                 f"sampler produced out-of-domain input {witness}: {exc}"
             ) from exc
         if _violates(lhs, rhs, tol):
-            if recheck is None:
-                lhs, rhs = sides(witness)
-            else:
-                lhs, rhs = _recheck(recheck, witness, lhs, rhs, tol, case_name)
+            lhs, rhs = sides(witness) if recheck is None else recheck(witness, lhs, rhs)
             return CounterexampleReport(found=True, trials=t + 1, witness=witness,
                                         lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case_name)
     return CounterexampleReport(found=False, trials=trials, case=case_name)
 
 
-def _recheck(recheck: Callable, witness: tuple, lhs: float, rhs: float, tol: float,
-             case_name: str) -> tuple[float, float]:
-    """The sides at ``witness`` by the fixed-point reductions, each checked
-    against the side found by selection."""
-    fixed = recheck(witness)
-    for side, found, value in zip(("lhs", "rhs"), (lhs, rhs), fixed):
+def _reduced_search(sides: Callable, means: Sequence[MeanFn], chi: Injection,
+                    cfg: SolverConfig, witnesses: Iterator, trials: int, tol: float,
+                    case_name: str, inside: Callable[[tuple], bool]) -> CounterexampleReport:
+    """``_search`` with the sides ``sides(*means, witness)`` of the means
+    reduced along chi by ``reduced_mean_fn``; the witness found reports the
+    sides of ``fixed_point_mean_fn`` (``_recheck``), compared at max(tol,
+    cfg.abs_tol): no closer than the fixed points' residual tolerance."""
+    found = partial(sides, *(reduced_mean_fn(M, chi, cfg) for M in means))
+    fixed = partial(sides, *(fixed_point_mean_fn(M, chi, cfg) for M in means))
+    return _search(witnesses, found, trials, tol, case_name, inside,
+                   partial(_recheck, fixed, max(tol, cfg.abs_tol), case_name))
+
+
+def _recheck(fixed: Callable, tol: float, case_name: str, witness: tuple, lhs: float,
+             rhs: float) -> tuple[float, float]:
+    """``fixed(witness)``, each side within tol (1 + |a| + |b|) of the side
+    a found by selection, or ReductionMismatchError."""
+    values = fixed(witness)
+    for side, found, value in zip(("lhs", "rhs"), (lhs, rhs), values):
         if abs(found - value) > tol * (1.0 + abs(found) + abs(value)):
             raise ReductionMismatchError(
                 f"{case_name}: at {witness} the {side} is {found} by selection and "
                 f"{value} by the fixed point"
             )
-    return fixed
+    return values
 
 
 def check_convexity(case: ConvexityCase, trials: int, tol: float,
-                    seed: Optional[int] = None,
-                    _recheck: Optional[Callable] = None) -> CounterexampleReport:
-    """Search for x with f(M(x)) > N(f o x) + scaled tol."""
+                    seed: Optional[int] = None) -> CounterexampleReport:
+    """Search for x with f(M(x)) > N(f o x) + scaled tol, the full check of
+    the case; ``check_reduced_convexity`` runs the reduced one."""
     rng = np.random.default_rng(case.seed if seed is None else seed)
     return _search(_single(case.sampler, rng, trials, case.M.arity),
-                   partial(_convexity_sides, case.M, case.N, case.f), trials, tol,
-                   case.name, case.sampler.holds, _recheck)
+                   partial(_convexity_sides, case.f, case.M, case.N), trials, tol,
+                   case.name, case.sampler.holds)
 
 
 def _single(sampler: BoxSampler, rng: np.random.Generator, trials: int,
@@ -331,7 +339,7 @@ def _single(sampler: BoxSampler, rng: np.random.Generator, trials: int,
     return map(itemgetter(0), draw_witnesses((sampler,), rng, trials, count))
 
 
-def _convexity_sides(M: MeanFn, N: MeanFn, f: Callable, xs: tuple) -> tuple[float, float]:
+def _convexity_sides(f: Callable, M: MeanFn, N: MeanFn, xs: tuple) -> tuple[float, float]:
     fx = tuple(float(f(xi)) for xi in xs)
     lhs = float(f(_value(M, xs)))
     rhs = float(_value(N, fx))
@@ -346,17 +354,14 @@ def check_reduced_convexity(case: ConvexityCase, chi: Injection, trials: int,
     The search reduces by selection where the means allow it
     (``reduced_mean_fn``); a witness it finds is evaluated again with the
     fixed-point reductions (``fixed_point_mean_fn``), which must agree
-    within tol on each side, and those sides are reported.  When the full
-    n-variable check passes, a failure here indicates a defect in the
-    reduction machinery, not a counterexample.
+    within max(tol, cfg.abs_tol) on each side, and those sides are
+    reported.  When the full n-variable check passes, a failure here
+    indicates a defect in the reduction machinery, not a counterexample.
     """
-    K = reduced_mean_fn(case.M, chi, cfg)
-    N_chi = reduced_mean_fn(case.N, chi, cfg)
-    reduced = ConvexityCase(M=K, N=N_chi, f=case.f, sampler=case.sampler,
-                            seed=case.seed, name=f"{case.name} (reduced)")
-    fixed = partial(_convexity_sides, fixed_point_mean_fn(case.M, chi, cfg),
-                    fixed_point_mean_fn(case.N, chi, cfg), case.f)
-    return check_convexity(reduced, trials, tol, seed=seed, _recheck=fixed)
+    rng = np.random.default_rng(case.seed if seed is None else seed)
+    return _reduced_search(partial(_convexity_sides, case.f), (case.M, case.N), chi, cfg,
+                           _single(case.sampler, rng, trials, chi.k), trials, tol,
+                           f"{case.name} (reduced)", case.sampler.holds)
 
 
 def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
@@ -368,9 +373,10 @@ def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
 
     The reduced search reduces by selection where the means allow it
     (``reduced_mean_fn``), and reports a witness with the sides of the
-    fixed-point reductions, which must agree within reduced_tol.  For
-    deviation-family means an n-variable pass forces the k-variable pass,
-    so ``implication_violated`` on the result is a machinery defect.
+    fixed-point reductions, which must agree within max(reduced_tol,
+    cfg.abs_tol).  For deviation-family means an n-variable pass forces the
+    k-variable pass, so ``implication_violated`` on the result is a
+    machinery defect.
     """
     if G.arity != E.arity or G.dim is not None or E.dim is not None:
         raise InvalidArgumentError("comparison needs two scalar means of one arity")
@@ -380,13 +386,10 @@ def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
     full = _search(_single(sampler, np.random.default_rng(seed), trials, G.arity),
                    partial(_comparison_sides, G, E), trials, tol, f"{name} (full)",
                    sampler.holds)
-    reduced = _search(_single(sampler, np.random.default_rng(seed + 1), trials, chi.k),
-                      partial(_comparison_sides, reduced_mean_fn(G, chi, cfg),
-                              reduced_mean_fn(E, chi, cfg)),
-                      trials, reduced_tol if reduced_tol is not None else tol,
-                      f"{name} (reduced)", sampler.holds,
-                      partial(_comparison_sides, fixed_point_mean_fn(G, chi, cfg),
-                              fixed_point_mean_fn(E, chi, cfg)))
+    reduced = _reduced_search(_comparison_sides, (G, E), chi, cfg,
+                              _single(sampler, np.random.default_rng(seed + 1), trials, chi.k),
+                              trials, reduced_tol if reduced_tol is not None else tol,
+                              f"{name} (reduced)", sampler.holds)
     return ReportPair(full=full, reduced=reduced)
 
 
@@ -422,33 +425,27 @@ def check_holder_minkowski(case: HolderMinkowskiCase, trials: int, tol: float,
     def inside(tuples):
         return all(s.holds(t) for s, t in zip(case.samplers, tuples))
 
+    means = (*case.N_list, case.M)
     full = _search(draw_witnesses(case.samplers, np.random.default_rng(base_seed), trials,
                                   case.M.arity),
-                   _hm_sides(case, case.N_list, case.M), trials, tol, f"{case.name} (full)",
+                   partial(_hm_sides, case.f, *means), trials, tol, f"{case.name} (full)",
                    inside)
-    reduced = _search(draw_witnesses(case.samplers, np.random.default_rng(base_seed + 1),
-                                     trials, case.chi.k),
-                      _hm_sides(case, *_reduced_means(case, reduced_mean_fn, cfg)), trials,
-                      reduced_tol if reduced_tol is not None else tol, f"{case.name} (reduced)",
-                      inside, _hm_sides(case, *_reduced_means(case, fixed_point_mean_fn, cfg)))
+    reduced = _reduced_search(partial(_hm_sides, case.f), means, case.chi, cfg,
+                              draw_witnesses(case.samplers, np.random.default_rng(base_seed + 1),
+                                             trials, case.chi.k),
+                              trials, reduced_tol if reduced_tol is not None else tol,
+                              f"{case.name} (reduced)", inside)
     return ReportPair(full=full, reduced=reduced)
 
 
-def _reduced_means(case: HolderMinkowskiCase, reduce: Callable, cfg: SolverConfig):
-    """The slot families and the outer mean of a case, each reduced along
-    its chi by ``reduce``."""
-    return tuple(reduce(N, case.chi, cfg) for N in case.N_list), reduce(case.M, case.chi, cfg)
-
-
-def _hm_sides(case: HolderMinkowskiCase, N_list, M) -> Callable:
-    """M(f(x^1, ..., x^ell)) with f componentwise, and f(N_1(x^1), ...)."""
-    def sides(tuples):
-        fx = tuple(float(case.f(*column)) for column in zip(*tuples))
-        lhs = float(_value(M, fx))
-        rhs = float(case.f(*(_value(N, t) for N, t in zip(N_list, tuples))))
-        return lhs, rhs
-
-    return sides
+def _hm_sides(f: Callable, *args) -> tuple[float, float]:
+    """M(f(x^1, ..., x^ell)) with f componentwise, and f(N_1(x^1), ...), for
+    the arguments N_1, ..., N_ell, M, (x^1, ..., x^ell)."""
+    *N_list, M, tuples = args
+    fx = tuple(float(f(*column)) for column in zip(*tuples))
+    lhs = float(_value(M, fx))
+    rhs = float(f(*(_value(N, t) for N, t in zip(N_list, tuples))))
+    return lhs, rhs
 
 
 @dataclass(frozen=True)

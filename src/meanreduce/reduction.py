@@ -207,24 +207,17 @@ class ReductionResult:
         return self.certificate.residual
 
     def to_json(self) -> dict:
-        value = self.reduced_value
-        if isinstance(value, np.ndarray):
-            value = [float(v) for v in value]
-        else:
-            value = float(value)
-        return {
-            "value": value,
-            "residual": float(self.fixed_point_residual),
-            "iterations": int(self.certificate.iterations),
-            "converged": bool(self.certificate.converged),
-            "unique_flag": self.unique_flag,
-            "continuity_suspect": bool(self.continuity_suspect),
-        }
+        return {**self.certificate.to_json(), "unique_flag": self.unique_flag,
+                "continuity_suspect": bool(self.continuity_suspect)}
+
+
+def _check_target(M: MeanFn, chi: Injection):
+    if chi.n != M.arity:
+        raise InvalidArgumentError(f"injection targets {chi.n} slots, mean has {M.arity}")
 
 
 def _check_chi(M: MeanFn, chi: Injection, x: Sequence):
-    if chi.n != M.arity:
-        raise InvalidArgumentError(f"injection targets {chi.n} slots, mean has {M.arity}")
+    _check_target(M, chi)
     if len(x) != chi.k:
         raise InvalidArgumentError(f"tuple length {len(x)} != injection arity {chi.k}")
 
@@ -252,30 +245,18 @@ def spliced_eval(M: MeanFn, chi: Injection, x: Sequence, y):
 
 def _scalar_setup(M: MeanFn, chi: Injection, x: Sequence[float], cfg: SolverConfig):
     """Bracket ends, residual tolerance and spliced evaluation y ->
-    M((x|chi)(y)) of a scalar reduction.
-
-    Once ``_check_chi`` has matched len(x) to chi, the n slots are laid out
-    once in a template, x along chi; each evaluation copies it and writes y
-    into the free slots, where ``core.splice`` would check the length and
-    lay out every slot again.  Each evaluation still calls M, so it goes
-    through ``MeanFn.__call__``.  The residual tolerance abs_tol (1 + (b0 -
-    a0)) is formed without overflow where b0 - a0 leaves the float range.
+    M(splice(x, chi, y)) of a scalar reduction, as ``_vector_setup`` gives
+    for points.  The residual tolerance abs_tol (1 + (b0 - a0)) is formed
+    without overflow where b0 - a0 leaves the float range.
     """
     _check_chi(M, chi, x)
     if M.dim is not None:
         raise InvalidArgumentError("reduce_scalar needs a scalar mean")
     xs = [float(v) for v in x]
     a0, b0 = min(xs), max(xs)
-    template = [None] * chi.n
-    for v, slot in zip(xs, chi.map):
-        template[slot - 1] = v
-    free = [i for i, v in enumerate(template) if v is None]
 
     def m(y: float) -> float:
-        args = template[:]
-        for i in free:
-            args[i] = y
-        return float(M(args))
+        return float(M(splice(xs, chi, y)))
 
     return a0, b0, scaled_width(cfg.abs_tol, a0, b0, 1.0), m
 
@@ -533,8 +514,7 @@ def reduced_mean_fn(M: MeanFn, chi: Injection,
     records by ``fixed_point_mean_fn``; ``reduce_mean`` and the reduction
     oracles never consult the hook.
     """
-    if chi.n != M.arity:
-        raise InvalidArgumentError(f"injection targets {chi.n} slots, mean has {M.arity}")
+    _check_target(M, chi)
     if M.select is None:
         return fixed_point_mean_fn(M, chi, cfg)
     selected = M.select(chi)
@@ -693,7 +673,7 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
             lambda xs: gen_deviation_mean(selected, xs, inner).value, _norm)
     dev = as_deviation_tuple(entries)
     lo, hi = dev.common_domain.finite_window()
-    selected = dev.select(chi)
+    selected = as_deviation_tuple(select(entries, chi))
     M = deviation_mean_fn(dev, inner)
     return _oracle_check(
         samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),

@@ -334,11 +334,6 @@ class DeviationTuple:
     def __getitem__(self, i):
         return self.deviations[i]
 
-    def select(self, chi) -> "DeviationTuple":
-        from .core import select as _select
-
-        return DeviationTuple(_select(self.deviations, chi))
-
 
 def as_deviation_tuple(E) -> DeviationTuple:
     if isinstance(E, DeviationTuple):

@@ -14,15 +14,16 @@ A suite file is ``{"schema": 1, "name": ..., "cases": [...]}``.  Case types:
 check must produce a counterexample).  Whatever the expectation, a case
 whose full check passes while its reduced check finds a violation is an
 implication violation: the reduction theorems exclude it, so it fails the
-suite as a machinery defect.
+suite as a machinery defect; ``_judge`` reads it off the ReportPair.
 
 The reduced checks search with the means reduced by selection: every mean a
 descriptor builds carries a ``MeanFn.select`` hook, so a reduced evaluation
 is one evaluation of the family's k-variable mean.  A witness a reduced
 check records is evaluated again by the fixed-point reductions, and those
-sides are reported; a side that disagrees beyond ``reduced_tol`` makes the
-case an error (ReductionMismatchError), which fails the suite.  The
-``*-reduction`` oracle cases keep the fixed point against selection.
+sides are reported; a side that disagrees beyond ``reduced_tol``, or
+``REDUCTION_CFG.abs_tol`` if larger, makes the case an error
+(ReductionMismatchError).  The ``*-reduction`` oracle cases keep the fixed
+point against selection.
 
 Runs are deterministic: per-case seeds derive from the suite seed by index,
 and reports are plain JSON data.
@@ -34,7 +35,7 @@ import json
 import math
 import os
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -52,8 +53,10 @@ from .expr import parse_expression
 from .lab import (
     BoxSampler,
     ConvexityCase,
+    CounterexampleReport,
     FuzzCase,
     HolderMinkowskiCase,
+    ReportPair,
     check_convexity,
     check_holder_minkowski,
     check_reduced_convexity,
@@ -175,14 +178,10 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
 
         def run(seed: int, run_trials: int) -> dict:
             full = check_convexity(conv, trials, tol, seed=seed)
-            out = {"full": full.to_json()}
-            reduced = None
-            if chi is not None:
-                reduced = check_reduced_convexity(conv, chi, trials, reduced_tol,
-                                                  seed=seed + 1, cfg=REDUCTION_CFG)
-                out["reduced"] = reduced.to_json()
-            out.update(_judge(expected, full, reduced, tol))
-            return out
+            if chi is None:
+                return _judge(expected, full, tol)
+            return _judge(expected, ReportPair(full, check_reduced_convexity(
+                conv, chi, trials, reduced_tol, seed=seed + 1, cfg=REDUCTION_CFG)), tol)
 
     elif kind == "comparison":
         G = build_mean(MeanDescriptor.from_json(case["G"]), REDUCTION_CFG)
@@ -191,12 +190,9 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
         sampler = _sampler(case.get("domain"))
 
         def run(seed: int, run_trials: int) -> dict:
-            pair = compare_means(G, E, chi, trials, tol, sampler=sampler,
-                                 seed=seed, cfg=REDUCTION_CFG, reduced_tol=reduced_tol,
-                                 name=name)
-            out = pair.to_json()
-            out.update(_judge(expected, pair.full, pair.reduced, tol))
-            return out
+            return _judge(expected, compare_means(G, E, chi, trials, tol, sampler=sampler,
+                                                  seed=seed, cfg=REDUCTION_CFG,
+                                                  reduced_tol=reduced_tol, name=name), tol)
 
     elif kind == "holder-minkowski":
         descriptors = case["N"]
@@ -213,11 +209,9 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
                                  chi=chi, samplers=samplers, name=name)
 
         def run(seed: int, run_trials: int) -> dict:
-            pair = check_holder_minkowski(hm, trials, tol, seed=seed,
-                                          cfg=REDUCTION_CFG, reduced_tol=reduced_tol)
-            out = pair.to_json()
-            out.update(_judge(expected, pair.full, pair.reduced, tol))
-            return out
+            return _judge(expected, check_holder_minkowski(hm, trials, tol, seed=seed,
+                                                           cfg=REDUCTION_CFG,
+                                                           reduced_tol=reduced_tol), tol)
 
     elif kind == "weighted-arith-reduction":
         domain = parse_domain(case.get("domain", [0.2, 6.0]))
@@ -264,18 +258,22 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
     return FuzzCase(name=name, kind=kind, runner=run)
 
 
-def _judge(expected: str, full, reduced, tol: float) -> dict:
-    """Expectation verdict plus the one-way implication defect flag."""
-    implication_violated = bool(reduced is not None and not full.found and reduced.found)
+def _judge(expected: str, result: Union[ReportPair, CounterexampleReport], tol: float) -> dict:
+    """The entry of an inequality case: its reports, the expectation and the
+    verdict.  ``result`` is the case's ReportPair, whose
+    ``implication_violated`` fails the case, or the full report of a
+    convexity case without chi, which has no reduced check to violate it."""
+    pair = result if isinstance(result, ReportPair) else None
+    full = result.full if pair else result
+    out = pair.to_json() if pair else {"full": full.to_json(), "implication_violated": False}
     if expected == "pass":
-        ok = not full.found and (reduced is None or not reduced.found)
+        ok = not full.found and not (pair and pair.reduced.found)
     else:
         # A deliberate failure must produce a strict, re-evaluated witness.
         ok = bool(full.found and full.gap is not None
                   and full.gap > tol * (1.0 + abs(full.lhs) + abs(full.rhs)))
-    if implication_violated:
-        ok = False
-    return {"expected": expected, "ok": ok, "implication_violated": implication_violated}
+    out.update(expected=expected, ok=ok and not (pair and pair.implication_violated))
+    return out
 
 
 def run_suite(suite: dict, seed: int = 0, trials: int = DEFAULT_TRIALS,

@@ -17,6 +17,8 @@ import meanreduce.suites
 from meanreduce.cli import main
 from meanreduce.core import Injection
 from meanreduce.descriptors import build_mean
+from meanreduce.lab import CounterexampleReport
+from meanreduce.suites import load_suite
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +94,21 @@ class TestMeanCommand:
         assert code == 2
         assert out == ""
         assert err == ("error: evaluating 'exp(u^0.5)': must be real number, not complex\n")
+
+    def test_matkowski_generators_with_log_share_a_given_domain(self, capsys):
+        # Swapping the generators and the data gives the same mean; a given
+        # domain inside (0, inf) leaves it as it is.
+        values = [run_json(capsys, "mean", "--kind", "matkowski", "--fs", fs, "--x", x,
+                           *domain)["value"]
+                  for fs, x in (("log;exp", "1,2"), ("exp;log", "2,1"))
+                  for domain in ((), ("--domain", "0.2,6"))]
+        assert values == [pytest.approx(1.908468589758539)] * 4
+
+    def test_log_generator_outside_the_positive_reals_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "log",
+                                 "--domain", "-1,2", "--x", "1,2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the log generator needs a domain inside (0, inf)")
 
     def test_parameter_the_kind_does_not_read_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "mean", "--kind", "holder", "--p", "2", "--q", "3",
@@ -299,6 +316,25 @@ class TestVerifyCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_REPORTS[suite]
 
+    # The same for the scalar cases of the suites with vector cases, those
+    # whose case or domain-side mean names no "dim": jensen's convexity
+    # verdicts and the scalar reduction oracles.
+    PINNED_SCALAR_CASES = {
+        "jensen": "44e9add07a88978c8bc14ddb23504fc8678a0405cda837bd40b1690423354215",
+        "reduction-oracles": "57bdd231ad24ddb63cd6406e98269aec4dedea4b8578b63226847758114a93ba",
+    }
+
+    @pytest.mark.parametrize("suite", sorted(PINNED_SCALAR_CASES))
+    def test_scalar_case_reports_are_pinned(self, capsys, tmp_path, suite):
+        data = load_suite(suite)
+        data["cases"] = [c for c in data["cases"]
+                         if "dim" not in c and "dim" not in c.get("M", {})]
+        path = tmp_path / f"{suite}.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SCALAR_CASES[suite]
+
     @pytest.mark.filterwarnings("error")
     def test_suite_over_a_box_wider_than_the_float_range(self, capsys, tmp_path):
         # The boxes' widths overflow.  At some witness of the full check the
@@ -332,7 +368,8 @@ class TestVerifyCommand:
         # G and E are one weighted arithmetic mean, once as a Bajraktarevic
         # mean with the identity generator.  G's selection hook reverses the
         # slots chi picks, so the reduced search finds G_chi > E_chi; the
-        # fixed-point recheck of that witness disagrees with it.
+        # fixed-point recheck of that witness disagrees with it, also where
+        # a zero reduced tolerance leaves the fixed point's own as the floor.
         def build_with_reversed_slots(desc, cfg):
             M = build_mean(desc, cfg)
             if desc.kind != "weighted-arithmetic":
@@ -349,11 +386,45 @@ class TestVerifyCommand:
              "E": {"kind": "bajraktarevic", "arity": 3,
                    "params": {"f": "u", "weights": weights}}},
         ]}))
-        code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "20")
+        for flags in ((), ("--reduced-tol", "0")):
+            code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "20", *flags)
+            assert (code, err) == (1, "")
+            case, = json.loads(out)["cases"]
+            assert case["error"].startswith(
+                "ReductionMismatchError: wrong-slots (reduced): at (")
+            assert "by selection and" in case["error"]
+
+    def test_reduced_find_after_a_full_pass_fails_the_case(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # The reduced check is planted to find a witness.  A convexity case
+        # without chi has no reduced check and reports the flag false; with
+        # chi, the full pass and the reduced find flag an implication
+        # violation, which fails the case.
+        found = CounterexampleReport(found=True, trials=1, witness=(1.0, 2.0), lhs=2.0,
+                                     rhs=1.0, gap=1.0, case="planted")
+        monkeypatch.setattr(meanreduce.suites, "check_reduced_convexity",
+                            lambda *args, **kwargs: found)
+        arithmetic = {"kind": "arithmetic", "arity": 3}
+        case = {"type": "convexity", "M": arithmetic, "N": arithmetic, "f": "u^2",
+                "domain": {"low": -4.0, "high": 4.0}}
+        suite = tmp_path / "planted.json"
+        suite.write_text(json.dumps({"cases": [dict(case, name="no-chi"),
+                                               dict(case, name="chi", chi=[1, 2])]}))
+        code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "10")
         assert (code, err) == (1, "")
-        case, = json.loads(out)["cases"]
-        assert case["error"].startswith("ReductionMismatchError: wrong-slots (reduced): at (")
-        assert "by selection and" in case["error"]
+        no_chi, with_chi = json.loads(out)["cases"]
+        assert (no_chi["ok"], no_chi["implication_violated"]) == (True, False)
+        assert "reduced" not in no_chi
+        assert (with_chi["ok"], with_chi["implication_violated"]) == (False, True)
+        assert with_chi["reduced"]["found"] is True
+
+    def test_zero_reduced_tolerance_asks_no_more_than_the_fixed_point(self, capsys):
+        # Selection and the fixed point differ by 1 ulp on log-not-convex and
+        # by 2e-11 relative on lehmer-le-arith-reversed; they are compared at
+        # the fixed point's residual tolerance, 1e-10.
+        code, out, _ = run_cli(capsys, "verify", "failing", "--seed", "7", "--reduced-tol", "0")
+        assert code == 0
+        assert not any("error" in case for case in json.loads(out)["cases"])
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "reduction-oracles", "--format", "csv")

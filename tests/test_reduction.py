@@ -418,7 +418,7 @@ class TestReductionSelectsSlots:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(slot_selections())
     def test_every_evaluation_sees_the_spliced_tuple(self, case):
-        # The slot template of the reduction against core.splice.
+        # Every evaluation of the reduction is M at core.splice(x, chi, y).
         chi, weights, x = case
         seen = []
         M = weighted_arithmetic_mean_fn(weights, chi.n)
@@ -539,8 +539,8 @@ OUTER_CFG = SolverConfig(abs_tol=ORACLE_TOL * 1e-3, rel_tol=REDUCTION_CFG.rel_to
 DIFFERENCED_CFGS = (REDUCTION_CFG, SolverConfig(abs_tol=1e-9, rel_tol=REDUCTION_CFG.rel_tol))
 SCALAR_DOMAIN = [0.2, 6.0]
 GENERATORS = ("log", "exp", "u", "u^3")
-# The named "log" generator keeps its own domain (0, inf), and Matkowski's
-# generators must share one.
+# Matkowski's generators share one domain; the logarithm is drawn here as
+# the expression "log(u)".
 MATKOWSKI_GENERATORS = ("log(u)", "exp", "u", "u^3")
 WEIGHTS = (1.0, 2.5, 0.5, "u", "1 + u^2")
 DEVIATIONS = ("u - v", "u*(u - v)", "u^3 - v^3", "exp(u) - exp(v)", "(1 + u)*(log(u) - log(v))")
