@@ -382,12 +382,14 @@ class SolverReport:
 
     ``converged`` is set by the solver only when the residual meets the
     tolerance it was asked for.  ``barycentric`` carries the hull-membership
-    certificate for vector solves.
+    certificate for vector solves.  A residual and iteration count of None
+    (null in JSON) mark a value solved numerically by a solver that reports
+    neither.
     """
 
     value: Union[float, np.ndarray]
-    residual: float
-    iterations: int
+    residual: Optional[float]
+    iterations: Optional[int]
     converged: bool
     barycentric: Optional[Barycentric] = None
 
@@ -399,8 +401,8 @@ class SolverReport:
             value = float(value)
         out = {
             "value": value,
-            "residual": float(self.residual),
-            "iterations": int(self.iterations),
+            "residual": None if self.residual is None else float(self.residual),
+            "iterations": None if self.iterations is None else int(self.iterations),
             "converged": bool(self.converged),
         }
         if self.barycentric is not None:

@@ -15,7 +15,10 @@ objects.  The solver-backed ones (``deviation_mean_fn``,
 ``evaluate_with_report`` evaluates what it builds and takes the solver's
 report from ``MeanFn.report``.  Every constructor sets ``MeanFn.select``:
 each family reduces to its own k-variable mean of the selected weights,
-generators, deviations or potentials.
+generators, deviations or potentials.  The scalar closed forms with a numpy
+form also set ``MeanFn.batch``: the arithmetic mean, the weighted arithmetic
+mean with constant weights, the Hölder and Gini means, and the
+quasi-arithmetic means of the named generators log, exp and identity.
 """
 
 from __future__ import annotations
@@ -44,13 +47,17 @@ from .scalar import (
     ScalarDeviation,
     WeightFn,
     average,
+    average_batch,
     bajraktarevic_mean,
     constant_weight,
+    gini_batch,
     gini_mean,
+    holder_batch,
     holder_mean,
     matkowski_mean,
     numeric_inverse,
     point_average,
+    quasi_arithmetic_batch,
     quasi_arithmetic_mean,
     weighted_arith_mean,
 )
@@ -144,6 +151,9 @@ def parse_domain(spec) -> Interval:
     return Interval(lo=lo, hi=hi, lo_open=(lo == 0.0))
 
 
+_IDENTITY_NAMES = ("identity", "id", "u")
+
+
 def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
     """A GeneratorFn from a named generator or an expression in u.  The
     named "log" takes a domain inside (0, inf), by default (0, inf) itself;
@@ -153,7 +163,7 @@ def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
     if isinstance(spec, GeneratorFn):
         return spec
     text = str(spec).strip()
-    if text in ("identity", "id", "u"):
+    if text in _IDENTITY_NAMES:
         return identity_generator(domain or REALS)
     if text == "log":
         if domain is not None and (domain.lo < 0.0 or 0.0 in domain):
@@ -248,44 +258,55 @@ def build_custom_potential(expr_text: str, dim: int) -> PotentialFn:
 
 # Each constructor's selection hook rebuilds the family from the entries chi
 # picks; build_weight, build_point_weight and build_generator pass built
-# entries through.
+# entries through, and numeric weights stay numbers, so that a selected
+# weighted mean keeps its numpy form.
 
 
 def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
     return MeanFn(arity=arity, dim=dim, label="arithmetic",
                   eval=average if dim is None else point_average,
-                  select=lambda chi: arithmetic_mean_fn(chi.k, dim))
+                  select=lambda chi: arithmetic_mean_fn(chi.k, dim),
+                  batch=partial(average_batch, (1.0,) * arity) if dim is None else None)
 
 
 def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
                                 dim: Optional[int] = None,
                                 domain: Interval = REALS) -> MeanFn:
+    specs = _expand(weights, arity, "weights")
     if dim is None:
-        ws = tuple(build_weight(w, domain) for w in _expand(weights, arity, "weights"))
+        ws = tuple(build_weight(w, domain) for w in specs)
     else:
-        ws = tuple(build_point_weight(w, dim) for w in _expand(weights, arity, "weights"))
+        ws = tuple(build_point_weight(w, dim) for w in specs)
+    numeric = [isinstance(w, (int, float)) for w in specs]
+    entries = tuple(w if plain else built for w, built, plain in zip(specs, ws, numeric))
     return MeanFn(arity=arity, dim=dim, label="weighted arithmetic",
                   eval=lambda xs, ws=ws: weighted_arith_mean(ws, xs),
-                  select=lambda chi: weighted_arithmetic_mean_fn(select(ws, chi), chi.k, dim))
+                  select=lambda chi: weighted_arithmetic_mean_fn(select(entries, chi), chi.k,
+                                                                 dim, domain),
+                  batch=(partial(average_batch, tuple(map(float, specs)))
+                         if dim is None and all(numeric) else None))
 
 
 def holder_mean_fn(p: float, arity: int) -> MeanFn:
     return MeanFn(arity=arity, label=f"holder p={p}",
                   eval=lambda xs, p=float(p): holder_mean(p, xs),
-                  select=lambda chi: holder_mean_fn(p, chi.k))
+                  select=lambda chi: holder_mean_fn(p, chi.k),
+                  batch=partial(holder_batch, float(p)))
 
 
 def gini_mean_fn(p: float, q: float, arity: int) -> MeanFn:
     return MeanFn(arity=arity, label=f"gini p={p} q={q}",
                   eval=lambda xs, p=float(p), q=float(q): gini_mean(p, q, xs),
-                  select=lambda chi: gini_mean_fn(p, q, chi.k))
+                  select=lambda chi: gini_mean_fn(p, q, chi.k),
+                  batch=partial(gini_batch, float(p), float(q)))
 
 
 def quasi_arithmetic_mean_fn(f, arity: int, domain: Optional[Interval] = None) -> MeanFn:
     gen = build_generator(f, domain)
     return MeanFn(arity=arity, label="quasi-arithmetic",
                   eval=lambda xs, g=gen: quasi_arithmetic_mean(g, xs),
-                  select=lambda chi: quasi_arithmetic_mean_fn(gen, chi.k))
+                  select=lambda chi: quasi_arithmetic_mean_fn(gen, chi.k),
+                  batch=quasi_arithmetic_batch(gen))
 
 
 def bajraktarevic_mean_fn(f, weights: Sequence, arity: int,
@@ -385,7 +406,9 @@ def evaluate_with_report(desc: MeanDescriptor, x: Sequence,
     """Evaluate a descriptor-defined mean, returning (value, SolverReport).
 
     Solver-backed kinds return the solver's own report (``MeanFn.report``);
-    closed-form kinds report zero residual and zero iterations.  The mean is
+    closed-form kinds report zero residual and zero iterations.  Kinds
+    solved numerically without a report (``_solved_numerically``) report
+    None for both: their solvers keep neither.  The mean is
     built on every call: its expressions parsed and compiled, its axioms
     sampled.  For many tuples, call ``build_mean`` once and then
     ``M.report`` (or ``M``) per tuple.
@@ -395,4 +418,21 @@ def evaluate_with_report(desc: MeanDescriptor, x: Sequence,
         report = M.report(tuple(x))
         return report.value, report
     value = M(tuple(x))
-    return value, SolverReport(value=value, residual=0.0, iterations=0, converged=True)
+    # A numeric inversion that returns has converged: it raises otherwise.
+    unknown = _solved_numerically(desc)
+    return value, SolverReport(value=value, residual=None if unknown else 0.0,
+                               iterations=None if unknown else 0, converged=True)
+
+
+def _solved_numerically(desc: MeanDescriptor) -> bool:
+    """Whether the mean is found by a numeric root search: a Matkowski mean
+    (its summed generators inverted by ``core.bracketed_root``) or a
+    quasi-arithmetic or Bajraktarevic mean whose generator is not named
+    (inverted by ``numeric_inverse``)."""
+    if desc.kind == "matkowski":
+        return True
+    if desc.kind in ("quasi-arithmetic", "bajraktarevic"):
+        f = desc.params.get("f")
+        return (not isinstance(f, GeneratorFn)
+                and str(f).strip() not in _IDENTITY_NAMES + ("log", "exp"))
+    return False

@@ -15,6 +15,21 @@ reduced k-variable pass), so a reduced failure after a full pass is
 flagged by ``ReportPair.implication_violated``: a machinery defect, not a
 counterexample.
 
+Every search screens its trials in numpy first, as the axiom checks accept
+in numpy and judge in scalar (``core.judge_samples``).  Where every mean of
+the search has a ``MeanFn.batch`` form, and the case function f (or the
+"sum" and "product" combiners) a ``batch`` attribute with its numpy form
+(``suites`` sets it from ``Expression.bind_batch``), the sides of each block
+of drawn trials are evaluated in one numpy pass under raising
+``np.errstate``; a floating-point signal sends the whole block to the scalar
+path.  A trial is skipped only when its numpy sides are finite and clear the
+violation threshold by ``core.BATCH_MARGIN`` (1 + |lhs| + |rhs|); the scalar
+sides run, in trial order, on every other trial.  So every witness, trial
+count, side, error and recheck a search reports comes from the scalar
+means, as without the screen.  A search with a mean or function that has no
+numpy form (vector, deviation, Bajraktarevic and Matkowski means, expression
+generators, a user callable) runs every trial through the scalar path.
+
 Hypotheses on user-supplied means (continuity, unique reducibility) can only
 be sampled, never proven; reports carry ``"hypotheses": "sampled"``.
 """
@@ -23,13 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence, Union
+from functools import partial, reduce
+from itertools import accumulate, repeat
+from operator import add, itemgetter, mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, Injection, SolverConfig, wide_uniform
+from .core import BATCH_MARGIN, DEFAULT_CONFIG, Injection, SolverConfig, wide_uniform
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -94,15 +110,20 @@ class BoxSampler:
             return np.full(count, lows), np.full(count, highs)
         return np.tile(lows, count), np.tile(highs, count)
 
-    def tuples(self, block: np.ndarray, count: int) -> Iterator[tuple]:
-        """The count-tuples of a block of rows of variates drawn within
-        ``entry_bounds(count)``, one per row: floats for scalars, arrays of
-        shape (dim,) for points."""
+    def drawn(self, block: np.ndarray, count: int) -> np.ndarray:
+        """The drawn values of a block of rows of variates drawn within
+        ``entry_bounds(count)``: shape (rows, count) for scalars, (rows,
+        count, dim) for points."""
         if self.log_uniform:
             block = np.exp(block)
+        return block if self.dim is None else block.reshape(len(block), count, self.dim)
+
+    def tuples(self, values: np.ndarray, count: int) -> Iterator[tuple]:
+        """The count-tuples of a block of ``drawn(block, count)``, one per
+        row: floats for scalars, arrays of shape (dim,) for points."""
         if self.dim is None:
-            return map(tuple, block.tolist())
-        return map(tuple, block.reshape(len(block), count, self.dim))
+            return map(tuple, values.tolist())
+        return map(tuple, values)
 
     def holds(self, entries: tuple) -> bool:
         """Whether every entry of a drawn tuple lies in the box."""
@@ -128,25 +149,40 @@ class BoxSampler:
         )
 
 
-def draw_witnesses(samplers: Sequence[BoxSampler], rng: np.random.Generator, trials: int,
-                   count: int) -> Iterator[tuple]:
-    """Yield ``trials`` witnesses, each one count-tuple per sampler.
+def draw_blocks(samplers: Sequence[BoxSampler], rng: np.random.Generator, trials: int,
+                count: int) -> Iterator[tuple[tuple, Iterator[tuple]]]:
+    """Yield the ``trials`` witnesses in blocks of up to _BLOCK_TRIALS: per
+    block, the tuple of each sampler's ``drawn`` values and an iterator of the
+    block's witnesses, each one count-tuple per sampler, made of the same
+    floats.
 
-    The variates of up to _BLOCK_TRIALS trials come from one ``rng.uniform``
-    call, each row laid out as the per-trial draws would take them from the
-    stream: the tuple of the first sampler, then of the next, entry by
-    entry.  Once every trial is drawn, the Generator is left as those draws
-    would leave it.  A search that stops early leaves the rest of its block
-    unseen, and owns its Generator, so nothing else sees the extra draws.
+    The variates of a block come from one ``rng.uniform`` call, each row
+    laid out as the per-trial draws would take them from the stream: the
+    tuple of the first sampler, then of the next, entry by entry.  Once
+    every trial is drawn, the Generator is left as those draws would leave
+    it.  A search that stops early leaves the rest of its block unseen, and
+    owns its Generator, so nothing else sees the extra draws.
     """
     bounds = [s.entry_bounds(count) for s in samplers]
     lows = np.concatenate([lo for lo, _ in bounds])
     highs = np.concatenate([hi for _, hi in bounds])
-    edges = np.cumsum([0] + [lo.size for lo, _ in bounds]).tolist()
+    edges = list(accumulate((lo.size for lo, _ in bounds), initial=0))
+    if (lows == lows[0]).all() and (highs == highs[0]).all():
+        # One pair of bounds for every entry: rng.uniform's scalar path
+        # draws the same variates several times faster.
+        lows, highs = float(lows[0]), float(highs[0])
     for start in range(0, trials, _BLOCK_TRIALS):
-        block = wide_uniform(rng, lows, highs, (min(_BLOCK_TRIALS, trials - start), lows.size))
-        yield from zip(*(s.tuples(np.ascontiguousarray(block[:, i:j]), count)
-                         for s, i, j in zip(samplers, edges, edges[1:])))
+        block = wide_uniform(rng, lows, highs, (min(_BLOCK_TRIALS, trials - start), edges[-1]))
+        values = tuple(s.drawn(np.ascontiguousarray(block[:, i:j]), count)
+                       for s, i, j in zip(samplers, edges, edges[1:]))
+        yield values, zip(*(s.tuples(v, count) for s, v in zip(samplers, values)))
+
+
+def draw_witnesses(samplers: Sequence[BoxSampler], rng: np.random.Generator, trials: int,
+                   count: int) -> Iterator[tuple]:
+    """Yield the ``trials`` witnesses of ``draw_blocks`` one by one."""
+    for _, witnesses in draw_blocks(samplers, rng, trials, count):
+        yield from witnesses
 
 
 def _jsonable(value):
@@ -266,47 +302,95 @@ def _value(M: MeanFn, xs):
         raise DomainError(f"{M.label} at {xs}: {exc}") from exc
 
 
-def _search(witnesses: Iterator, sides: Callable, trials: int, tol: float,
-            case_name: str, inside: Callable[[tuple], bool],
-            recheck: Optional[Callable] = None) -> CounterexampleReport:
-    """Run the ``trials`` witnesses, drawn ahead in blocks by
-    ``draw_witnesses``, and stop at the first one whose sides violate
-    lhs <= rhs.
+def _search(blocks: Iterable, sides: Callable, trials: int, tol: float, case_name: str,
+            inside: Callable[[tuple], bool], recheck: Optional[Callable] = None,
+            screen: Optional[Callable] = None) -> CounterexampleReport:
+    """Run the ``trials`` witnesses, drawn ahead in blocks of (values,
+    witnesses) by ``draw_blocks``, and stop at the first one whose sides
+    violate lhs <= rhs.
 
-    The reported sides are evaluated afresh, by ``recheck(witness, lhs,
-    rhs)`` where it is given (see ``_reduced_search``).  A witness outside
-    the mean's domain (InvalidArgumentError), or one that a DomainError
-    meets outside the sampler's box (``inside``), is the sampler's fault
+    ``screen(values)``, where it is given, returns the numpy sides of a
+    block (see ``_with_batches``), and ``_cleared`` skips the trials they
+    clear; ``sides`` runs on every other trial, in order.  The reported
+    sides are evaluated afresh, by ``recheck(witness, lhs, rhs)`` where it
+    is given (see ``_reduced_search``).  A witness outside the mean's domain
+    (InvalidArgumentError), or one that a DomainError meets outside the
+    sampler's box (``inside``), is the sampler's fault
     (InvalidSamplerError); a DomainError inside the box is the mean's own,
     and is raised as it is.
     """
-    for t, witness in enumerate(witnesses):
-        try:
-            lhs, rhs = sides(witness)
-        except (InvalidArgumentError, DomainError) as exc:
-            if isinstance(exc, DomainError) and inside(witness):
-                raise
-            raise InvalidSamplerError(
-                f"sampler produced out-of-domain input {witness}: {exc}"
-            ) from exc
-        if _violates(lhs, rhs, tol):
-            lhs, rhs = sides(witness) if recheck is None else recheck(witness, lhs, rhs)
-            return CounterexampleReport(found=True, trials=t + 1, witness=witness,
-                                        lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case_name)
+    t = 0
+    for values, witnesses in blocks:
+        cleared = repeat(False) if screen is None else _cleared(screen, values, tol)
+        for witness, clear in zip(witnesses, cleared):
+            t += 1
+            if clear:
+                continue
+            try:
+                lhs, rhs = sides(witness)
+            except (InvalidArgumentError, DomainError) as exc:
+                if isinstance(exc, DomainError) and inside(witness):
+                    raise
+                raise InvalidSamplerError(
+                    f"sampler produced out-of-domain input {witness}: {exc}"
+                ) from exc
+            if _violates(lhs, rhs, tol):
+                lhs, rhs = sides(witness) if recheck is None else recheck(witness, lhs, rhs)
+                return CounterexampleReport(found=True, trials=t, witness=witness,
+                                            lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case_name)
     return CounterexampleReport(found=False, trials=trials, case=case_name)
 
 
-def _reduced_search(sides: Callable, means: Sequence[MeanFn], chi: Injection,
-                    cfg: SolverConfig, witnesses: Iterator, trials: int, tol: float,
-                    case_name: str, inside: Callable[[tuple], bool]) -> CounterexampleReport:
+def _cleared(screen: Callable, values, tol: float) -> Iterable[bool]:
+    """Per trial of a block, whether its numpy sides are finite and clear
+    lhs <= rhs + tol (1 + |lhs| + |rhs|) by BATCH_MARGIN (1 + |lhs| +
+    |rhs|); no trial where the screen raises or signals a floating-point
+    error (underflow aside, as in ``core.batch_values``)."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            lhs, rhs = screen(values)
+            slack = (rhs - lhs) - (BATCH_MARGIN - tol) * (1.0 + np.abs(lhs) + np.abs(rhs))
+    except Exception:  # noqa: BLE001 - the scalar sides report it
+        return repeat(False)
+    # A NaN row compares false; comparing it may set the invalid flag.
+    with np.errstate(invalid="ignore"):
+        return (np.isfinite(lhs) & np.isfinite(rhs) & (slack >= 0.0)).tolist()
+
+
+def _with_batches(batch_sides: Optional[Callable], fns: Sequence) -> Optional[Callable]:
+    """``batch_sides`` with the numpy forms (the ``batch`` attributes) of
+    the means and functions fns bound in front, or None where it is None
+    or one of fns has none."""
+    forms = [getattr(fn, "batch", None) for fn in fns]
+    if batch_sides is None or any(form is None for form in forms):
+        return None
+    return partial(batch_sides, *forms)
+
+
+def _lift(f: Callable, *arrays: np.ndarray) -> np.ndarray:
+    """The numpy form f of a function on arrays of its arguments, as a float
+    array of their shape (a constant expression returns a float)."""
+    value = np.asarray(f(*arrays))
+    if value.dtype.kind != "f":
+        raise TypeError(f"a numpy form returned {value.dtype}")
+    shape = arrays[0].shape
+    return value if value.shape == shape else np.broadcast_to(value, shape)
+
+
+def _reduced_search(sides: Callable, batch_sides: Optional[Callable], means: Sequence[MeanFn],
+                    chi: Injection, cfg: SolverConfig, blocks: Iterable, trials: int,
+                    tol: float, case_name: str,
+                    inside: Callable[[tuple], bool]) -> CounterexampleReport:
     """``_search`` with the sides ``sides(*means, witness)`` of the means
-    reduced along chi by ``reduced_mean_fn``; the witness found reports the
-    sides of ``fixed_point_mean_fn`` (``_recheck``), compared at max(tol,
+    reduced along chi by ``reduced_mean_fn``, screened by ``batch_sides``
+    with their numpy forms; the witness found reports the sides of
+    ``fixed_point_mean_fn`` (``_recheck``), compared at max(tol,
     cfg.abs_tol): no closer than the fixed points' residual tolerance."""
-    found = partial(sides, *(reduced_mean_fn(M, chi, cfg) for M in means))
+    reduced = [reduced_mean_fn(M, chi, cfg) for M in means]
     fixed = partial(sides, *(fixed_point_mean_fn(M, chi, cfg) for M in means))
-    return _search(witnesses, found, trials, tol, case_name, inside,
-                   partial(_recheck, fixed, max(tol, cfg.abs_tol), case_name))
+    return _search(blocks, partial(sides, *reduced), trials, tol, case_name, inside,
+                   partial(_recheck, fixed, max(tol, cfg.abs_tol), case_name),
+                   _with_batches(batch_sides, reduced))
 
 
 def _recheck(fixed: Callable, tol: float, case_name: str, witness: tuple, lhs: float,
@@ -328,15 +412,18 @@ def check_convexity(case: ConvexityCase, trials: int, tol: float,
     """Search for x with f(M(x)) > N(f o x) + scaled tol, the full check of
     the case; ``check_reduced_convexity`` runs the reduced one."""
     rng = np.random.default_rng(case.seed if seed is None else seed)
+    fns = (case.f, case.M, case.N)
     return _search(_single(case.sampler, rng, trials, case.M.arity),
-                   partial(_convexity_sides, case.f, case.M, case.N), trials, tol,
-                   case.name, case.sampler.holds)
+                   partial(_convexity_sides, *fns), trials, tol, case.name,
+                   case.sampler.holds, screen=_with_batches(_convexity_batch, fns))
 
 
 def _single(sampler: BoxSampler, rng: np.random.Generator, trials: int,
             count: int) -> Iterator[tuple]:
-    """The witnesses of a search with one sampler: its count-tuples."""
-    return map(itemgetter(0), draw_witnesses((sampler,), rng, trials, count))
+    """The blocks of a search with one sampler: its values and its
+    count-tuples."""
+    for (values,), witnesses in draw_blocks((sampler,), rng, trials, count):
+        yield values, map(itemgetter(0), witnesses)
 
 
 def _convexity_sides(f: Callable, M: MeanFn, N: MeanFn, xs: tuple) -> tuple[float, float]:
@@ -344,6 +431,12 @@ def _convexity_sides(f: Callable, M: MeanFn, N: MeanFn, xs: tuple) -> tuple[floa
     lhs = float(f(_value(M, xs)))
     rhs = float(_value(N, fx))
     return lhs, rhs
+
+
+def _convexity_batch(f: Callable, M: Callable, N: Callable,
+                     X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_convexity_sides`` of every row of X, from numpy forms."""
+    return _lift(f, M(X)), N(_lift(f, X))
 
 
 def check_reduced_convexity(case: ConvexityCase, chi: Injection, trials: int,
@@ -359,8 +452,9 @@ def check_reduced_convexity(case: ConvexityCase, chi: Injection, trials: int,
     indicates a defect in the reduction machinery, not a counterexample.
     """
     rng = np.random.default_rng(case.seed if seed is None else seed)
-    return _reduced_search(partial(_convexity_sides, case.f), (case.M, case.N), chi, cfg,
-                           _single(case.sampler, rng, trials, chi.k), trials, tol,
+    return _reduced_search(partial(_convexity_sides, case.f),
+                           _with_batches(_convexity_batch, (case.f,)), (case.M, case.N), chi,
+                           cfg, _single(case.sampler, rng, trials, chi.k), trials, tol,
                            f"{case.name} (reduced)", case.sampler.holds)
 
 
@@ -385,8 +479,8 @@ def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
     sampler = sampler or BoxSampler(low=0.1, high=4.0, log_uniform=True)
     full = _search(_single(sampler, np.random.default_rng(seed), trials, G.arity),
                    partial(_comparison_sides, G, E), trials, tol, f"{name} (full)",
-                   sampler.holds)
-    reduced = _reduced_search(_comparison_sides, (G, E), chi, cfg,
+                   sampler.holds, screen=_with_batches(_comparison_batch, (G, E)))
+    reduced = _reduced_search(_comparison_sides, _comparison_batch, (G, E), chi, cfg,
                               _single(sampler, np.random.default_rng(seed + 1), trials, chi.k),
                               trials, reduced_tol if reduced_tol is not None else tol,
                               f"{name} (reduced)", sampler.holds)
@@ -397,14 +491,27 @@ def _comparison_sides(G: MeanFn, E: MeanFn, xs: tuple) -> tuple[float, float]:
     return float(_value(G, xs)), float(_value(E, xs))
 
 
-_BUILTIN_COMBINERS = {
-    "sum": lambda *args: math.fsum(args),
-    "product": lambda *args: math.prod(args),
-}
+def _comparison_batch(G: Callable, E: Callable, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return G(X), E(X)
+
+
+def _sum(*args: float) -> float:
+    return math.fsum(args)
+
+
+def _product(*args: float) -> float:
+    return math.prod(args)
+
+
+# The numpy forms of the combiners, on arrays of their arguments.
+_sum.batch = lambda *args: reduce(add, args)
+_product.batch = lambda *args: reduce(mul, args)
+_BUILTIN_COMBINERS = {"sum": _sum, "product": _product}
 
 
 def combiner(spec) -> Callable:
-    """The componentwise combining function: "sum", "product", or callable."""
+    """The componentwise combining function: "sum", "product", or callable.
+    The named ones carry their numpy form as a ``batch`` attribute."""
     if callable(spec):
         return spec
     if spec in _BUILTIN_COMBINERS:
@@ -426,13 +533,14 @@ def check_holder_minkowski(case: HolderMinkowskiCase, trials: int, tol: float,
         return all(s.holds(t) for s, t in zip(case.samplers, tuples))
 
     means = (*case.N_list, case.M)
-    full = _search(draw_witnesses(case.samplers, np.random.default_rng(base_seed), trials,
-                                  case.M.arity),
+    full = _search(draw_blocks(case.samplers, np.random.default_rng(base_seed), trials,
+                               case.M.arity),
                    partial(_hm_sides, case.f, *means), trials, tol, f"{case.name} (full)",
-                   inside)
-    reduced = _reduced_search(partial(_hm_sides, case.f), means, case.chi, cfg,
-                              draw_witnesses(case.samplers, np.random.default_rng(base_seed + 1),
-                                             trials, case.chi.k),
+                   inside, screen=_with_batches(_hm_batch, (case.f, *means)))
+    reduced = _reduced_search(partial(_hm_sides, case.f), _with_batches(_hm_batch, (case.f,)),
+                              means, case.chi, cfg,
+                              draw_blocks(case.samplers, np.random.default_rng(base_seed + 1),
+                                          trials, case.chi.k),
                               trials, reduced_tol if reduced_tol is not None else tol,
                               f"{case.name} (reduced)", inside)
     return ReportPair(full=full, reduced=reduced)
@@ -446,6 +554,13 @@ def _hm_sides(f: Callable, *args) -> tuple[float, float]:
     lhs = float(_value(M, fx))
     rhs = float(f(*(_value(N, t) for N, t in zip(N_list, tuples))))
     return lhs, rhs
+
+
+def _hm_batch(f: Callable, *args) -> tuple[np.ndarray, np.ndarray]:
+    """``_hm_sides`` of every row of the arrays, from numpy forms, for the
+    arguments f, N_1, ..., N_ell, M, (X^1, ..., X^ell)."""
+    *N_list, M, arrays = args
+    return M(_lift(f, *arrays)), _lift(f, *(N(X) for N, X in zip(N_list, arrays)))
 
 
 @dataclass(frozen=True)

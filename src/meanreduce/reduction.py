@@ -99,6 +99,15 @@ class MeanFn:
     generators, deviations or potentials).  ``select(chi)`` returns that
     mean.  ``reduced_mean_fn`` uses it after checking chi; it is None for a
     black-box mean, which reduces by the fixed point.
+
+    ``batch`` is set for the scalar closed forms that have a numpy form (see
+    :mod:`meanreduce.descriptors`): it maps a (T, arity) array of data
+    tuples to their T values in one call.  Each finite value lies within
+    ``core.BATCH_MARGIN`` / 4 times |eval| of ``eval`` on that row, and a
+    row is NaN wherever ``eval`` raises or the form cannot promise that
+    budget.  The lab screens its trials with it (see :mod:`meanreduce.lab`);
+    every reported value still comes from ``eval``.  ``reduced_mean_fn``
+    keeps the selected mean's hook.
     """
 
     arity: int
@@ -107,6 +116,7 @@ class MeanFn:
     label: str = "mean"
     report: Optional[Callable] = None
     select: Optional[Callable[[Injection], "MeanFn"]] = None
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.arity <= 0:
@@ -505,7 +515,8 @@ def reduced_mean_fn(M: MeanFn, chi: Injection,
 
     Where M reduces by selection (``M.select`` is set), this is
     ``M.select(chi)``: the family's k-variable mean of the selected entries,
-    evaluated with the configuration M was built with.  A solver-backed
+    evaluated with the configuration M was built with, its ``batch`` hook
+    kept.  A solver-backed
     selection raises NoConvergenceError on a solve that did not converge.
     Otherwise it is ``fixed_point_mean_fn(M, chi, cfg)``.  Either way chi
     must map into M's n slots (InvalidArgumentError otherwise).

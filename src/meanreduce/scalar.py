@@ -94,8 +94,9 @@ def _deviation_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarra
     """ScalarDeviation's verdict on the first len(duu) samples, for (duu,
     duv, duw) = values, the E(u,u), E(u,v), E(u,w): |E(u,u)| <= 1e-9 m, for
     m the running magnitude max(1, |E(u,v)|, |E(u,w)|); where |v - w| > 1e-9
-    span, E(u, min) > E(u, max) - 1e-12 m; where |u - v| > 1e-9 span,
-    E(u,v) (u - v) > 0.  ``clear`` asks for BATCH_MARGIN m more."""
+    span, E(u, min) > E(u, max) - 1e-12 m, unless both overflowed to one
+    infinity, which orders nothing; where |u - v| > 1e-9 span, E(u,v) (u -
+    v) > 0.  ``clear`` asks for BATCH_MARGIN m more."""
     duu, duv, _ = values  # as returned, for the messages
     euu, euv, euw = np.asarray(values, dtype=float)
     us, vs, ws = us[:len(duu)], vs[:len(duu)], ws[:len(duu)]
@@ -110,7 +111,8 @@ def _deviation_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarra
         return first_failure([
             (np.abs(euu) <= 1e-9 * magnitude - slack,
              lambda k: f"{label}: E(u,u) = {duu[k]} != 0 at u={us[k]}"),
-            (~(np.abs(vs - ws) > 1e-9 * span) | (lo_e - (hi_e - 1e-12 * magnitude) > slack),
+            (~(np.abs(vs - ws) > 1e-9 * span) | (lo_e - (hi_e - 1e-12 * magnitude) > slack)
+             | ((lo_e == hi_e) & np.isinf(lo_e)),
              lambda k: (f"{label}: section not strictly decreasing on "
                         f"({us[k]}; {min(vs[k], ws[k])}, {max(vs[k], ws[k])})")),
             (~(dist > 1e-9 * span) | ~(euv * gap <= slack * dist),
@@ -248,8 +250,12 @@ def numeric_inverse(fn: Callable[[float], float], domain: Interval,
     return inverse
 
 
+def _identity(u: float) -> float:
+    return u
+
+
 def identity_generator(domain: Interval = REALS) -> GeneratorFn:
-    return GeneratorFn(eval=lambda u: u, inverse=lambda t: t, domain=domain, validate=False)
+    return GeneratorFn(eval=_identity, inverse=_identity, domain=domain, validate=False)
 
 
 def log_generator() -> GeneratorFn:
@@ -296,8 +302,9 @@ class ScalarDeviation:
         ``eval``, or else of ``eval`` on floats (see ``judge_samples``)."""
         rng = np.random.default_rng(_VALIDATION_SEED + 2)
         us, vs, ws = (_sample_window(self.domain, rng, _VALIDATION_SAMPLES) for _ in range(3))
-        # On Python floats a span past the float range is inf, with no warning.
-        span = float(us.max()) - float(us.min()) + 1.0
+        # On Python floats a span past the float range is inf, with no
+        # warning; capped, it still gates the monotonicity and sign tests.
+        span = min(float(us.max()) - float(us.min()) + 1.0, sys.float_info.max)
         judge_samples(partial(_deviation_verdict, self.label, us, vs, ws, span),
                       None if batch is None else sample_triples(batch, us, vs, ws), self.eval,
                       lambda: ((u, x) for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist())
@@ -516,6 +523,68 @@ def quasi_arithmetic_mean(f: GeneratorFn, x: Sequence[float]) -> float:
     return _invert_average(f, xs, None)
 
 
+# Numpy forms of the closed forms, the ``MeanFn.batch`` hooks (see
+# :class:`meanreduce.reduction.MeanFn`): each maps the rows of a (T, n)
+# array to T values.  A form bounds, row by row, how far its value and the
+# scalar form's can each lie from the exact value of the formula they share,
+# in ulps of the value, and returns NaN where twice that bound exceeds the
+# budget BATCH_MARGIN / 4 relative, where the scalar form raises, and outside
+# the regime the scalar form computes directly.  So each finite value lies
+# within BATCH_MARGIN / 4 times |eval| of the scalar form's value.
+_EPS = sys.float_info.epsilon
+_BATCH_ULPS = BATCH_MARGIN / (8.0 * _EPS)
+
+
+def _budgeted(ok: np.ndarray, values: np.ndarray, ulps) -> np.ndarray:
+    """values where ok, finite and within the budget of ulps, else NaN."""
+    return np.where(ok & np.isfinite(values) & (ulps <= _BATCH_ULPS), values, np.nan)
+
+
+def _clip(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``_clamp`` row by row (np.clip's result, at less overhead)."""
+    return np.minimum(np.maximum(values, lo), hi)
+
+
+def _inside(domain: Interval, X: np.ndarray) -> np.ndarray:
+    """Whether every entry of a row of X lies in the domain, row by row."""
+    lo_ok = (X > domain.lo) | ((X == domain.lo) & (not domain.lo_open))
+    hi_ok = (X < domain.hi) | ((X == domain.hi) & (not domain.hi_open))
+    return (lo_ok & hi_ok).all(axis=1)
+
+
+# The named generators' numpy forms, keyed by their scalar (eval, inverse):
+# the eval, the inverse and the inverse's derivative.
+_NAMED_FORMS = {
+    (math.log, math.exp): (np.log, np.exp, np.exp),
+    (math.exp, math.log): (np.exp, np.log, np.reciprocal),
+    (_identity, _identity): (np.positive, np.positive, np.ones_like),
+}
+
+
+def quasi_arithmetic_batch(f: GeneratorFn) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """The numpy form of ``quasi_arithmetic_mean(f, .)`` for the named
+    generators (log, exp, identity), or None for any other generator."""
+    forms = _NAMED_FORMS.get((f.eval, f.inverse))
+    return None if forms is None else partial(_quasi_arithmetic_rows, forms, f.domain)
+
+
+def _quasi_arithmetic_rows(forms: tuple, domain: Interval, X: np.ndarray) -> np.ndarray:
+    """h(average of g over the row), clamped as ``_invert_average`` clamps,
+    for the numpy forms (g, h, h') of a named generator: NaN for rows outside
+    the domain or where an average or a value is not a normal float.  An
+    average of n values off by (n + 2) eps times their mean magnitude moves
+    the value by h' times that."""
+    g, h, dh = forms
+    n = X.shape[1]
+    with np.errstate(all="ignore"):
+        fw = g(X)
+        t = _clip(fw.sum(axis=1) / n, fw.min(axis=1), fw.max(axis=1))
+        y = _clip(h(t), X.min(axis=1), X.max(axis=1))
+        ok = _inside(domain, X) & (np.abs(t) >= _NORMAL_MIN) & (np.abs(y) >= _NORMAL_MIN)
+        ulps = (n + 2) * np.abs(dh(t)) * np.abs(fw).mean(axis=1) / np.abs(y) + 3
+        return _budgeted(ok, y, ulps)
+
+
 def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
                    cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     """(f_1 + ... + f_n)^{-1}(f_1(x_1) + ... + f_n(x_n)).
@@ -613,14 +682,15 @@ def _exp_clamped(log_y: float, lo: float, hi: float) -> float:
 _SMALL_GAP = 0.5
 
 
-def _is_small_gap(d: float, lo: float, hi: float) -> bool:
+def _is_small_gap(d: float, lo, hi, log: Callable = math.log):
     """Whether the mean of exponent gap d on data in [lo, hi] is formed by
     the small-gap form of ``_gini_anchored``: 0 < d < _SMALL_GAP and d
     log(hi / lo) <= 1.  Each power x_i^d then lies within a factor e of
     every other, so the weighted mean of them cannot cancel.  Outside that
     range d > 1 / log(hi / lo), and the direct and log-sum forms lose no
-    more than the 1/d power of a rounded sum costs."""
-    return 0.0 < d < _SMALL_GAP and d * (math.log(hi) - math.log(lo)) <= 1.0
+    more than the 1/d power of a rounded sum costs.  With ``log=np.log``
+    and arrays lo, hi it answers row by row: False, or an array of bools."""
+    return 0.0 < d < _SMALL_GAP and d * (log(hi) - log(lo)) <= 1.0
 
 
 def _gini_anchored(p: float, q: float, xs: list, lo: float, hi: float) -> float:
@@ -701,6 +771,38 @@ def holder_mean(p: float, x: Sequence[float]) -> float:
     return _gini_anchored(max(p, 0.0), min(p, 0.0), xs, lo, hi)
 
 
+def _direct(ok: np.ndarray, d: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """ok, and not where gap d takes the small-gap form on [lo, hi]."""
+    small = _is_small_gap(d, lo, hi, np.log)
+    return ok if small is False else ok & ~small
+
+
+def holder_batch(p: float, X: np.ndarray) -> np.ndarray:
+    """``holder_mean(p, x)`` for each row x of X, in numpy: the direct form
+    (p = 0 and p = +-inf included), NaN where ``holder_mean`` raises and
+    where it takes ``_gini_anchored`` (a small gap, min x / max x below the
+    normal range, an overflowing power).  The 1/p power of a sum of n
+    powers carries its (n + 4) ulps up by 1/|p|; the exp of a mean of logs
+    carries theirs up by max |log x|."""
+    n = X.shape[1]
+    if math.isnan(p):
+        return np.full(len(X), np.nan)
+    with np.errstate(all="ignore"):
+        lo, hi = X.min(axis=1), X.max(axis=1)
+        ok = (lo > 0.0) & (hi < math.inf)
+        if math.isinf(p):
+            return _budgeted(ok, hi if p > 0.0 else lo, 0)
+        if p == 0.0:
+            logs = np.log(X)
+            values = _clip(np.exp(logs.sum(axis=1) / n), lo, hi)
+            return _budgeted(ok, values, (n + 2) * np.abs(logs).max(axis=1) + 3)
+        m = hi if p > 0.0 else lo
+        power = (((X / m[:, None]) ** p).sum(axis=1) / n) ** (1.0 / p)
+        ok &= (lo / hi >= _NORMAL_MIN) & np.isfinite(power)
+        return _budgeted(_direct(ok, abs(p), lo, hi), _clip(m * power, lo, hi),
+                         (n + 4) / abs(p) + 3)
+
+
 def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     """The Gini mean (sum x^p / sum x^q)^(1/(p-q)); for p = q, the limiting
     form exp(sum x^p log x / sum x^p).
@@ -734,6 +836,27 @@ def gini_mean(p: float, q: float, x: Sequence[float]) -> float:
     return _gini_anchored(p, q, xs, lo, hi)
 
 
+def gini_batch(p: float, q: float, X: np.ndarray) -> np.ndarray:
+    """``gini_mean(p, q, x)`` for each row x of X, in numpy: the direct form
+    for p != q, NaN where ``gini_mean`` raises and where it takes
+    ``_gini_anchored`` (p = q, a small gap, min x / max x below the normal
+    range, a ratio of power sums outside it).  The ratio's 2n + 4 ulps are
+    carried up by 1/(p - q)."""
+    n = X.shape[1]
+    if not (math.isfinite(p) and math.isfinite(q)) or p == q:
+        return np.full(len(X), np.nan)
+    p, q = max(p, q), min(p, q)
+    d = p - q
+    with np.errstate(all="ignore"):
+        lo, hi = X.min(axis=1), X.max(axis=1)
+        scaled = X / hi[:, None]
+        ratio = (scaled ** p).sum(axis=1) / (scaled ** q).sum(axis=1)
+        power = ratio ** (1.0 / d)
+        ok = ((lo > 0.0) & (lo / hi >= _NORMAL_MIN) & (ratio >= _NORMAL_MIN)
+              & (ratio <= _NORMAL_MAX) & np.isfinite(power))
+        return _budgeted(_direct(ok, d, lo, hi), _clip(hi * power, lo, hi), (2 * n + 4) / d + 3)
+
+
 def average(xs: Sequence[float], weights: Optional[Sequence[float]] = None) -> float:
     """sum_i w_i x_i / sum_i w_i for positive weights, by math.fsum; for
     unit weights (None) no product is formed and the mean is fsum(x) / n.
@@ -758,6 +881,21 @@ def average(xs: Sequence[float], weights: Optional[Sequence[float]] = None) -> f
         m = max(map(abs, xs))
         return math.fsum([w * (v / m) for w, v in zip(weights or [1.0] * len(xs), xs)]) / total * m
     return s / total
+
+
+def average_batch(weights: tuple, X: np.ndarray) -> np.ndarray:
+    """``average(x, weights)`` for each row x of X and constant positive
+    weights, in numpy: NaN where a sum overflows and where the value is not
+    a normal float.  The numpy sum of the n products is off by n eps times
+    the sum of their magnitudes, which cancellation can make large against
+    the value."""
+    n = X.shape[1]
+    with np.errstate(all="ignore"):
+        terms = X * np.asarray(weights, dtype=float)
+        s = terms.sum(axis=1)
+        values = s / math.fsum(weights)
+        ulps = n * np.abs(terms).sum(axis=1) / np.abs(s) + 3
+        return _budgeted(np.abs(values) >= _NORMAL_MIN, values, ulps)
 
 
 def point_average(pts: Sequence, weights: Optional[Sequence[float]] = None) -> np.ndarray:

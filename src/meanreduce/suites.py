@@ -104,13 +104,20 @@ def load_suite(source: str) -> dict:
 
 
 def _build_function(spec, dim: Optional[int]) -> Callable:
-    """The case function f from an expression in u (scalar) or u1..ud."""
+    """The case function f from an expression in u (scalar) or u1..ud.  A
+    scalar f carries the expression's numpy form as its ``batch``
+    attribute, which the lab screens trials with."""
     if callable(spec):
         return spec
     text = str(spec)
     if dim is None:
-        fn = parse_expression(text, allowed=("u",)).bind(("u",))
-        return lambda u, fn=fn: fn(float(u))
+        fn, batch = parse_expression(text, allowed=("u",)).bind_batch(("u",))
+
+        def f(u, fn=fn):
+            return fn(float(u))
+
+        f.batch = batch
+        return f
     allowed = tuple(f"u{i + 1}" for i in range(dim))
     fn = parse_expression(text, allowed=allowed).bind(allowed)
     return lambda u, fn=fn: fn(*np.asarray(u, float).tolist())

@@ -21,6 +21,13 @@ from meanreduce.lab import CounterexampleReport
 from meanreduce.suites import load_suite
 
 
+def _pin_params(table):
+    """(suite, seed) parameters of a table of pinned report hashes; seed 7,
+    the first pinned, keeps the bare suite name as its test id."""
+    return [pytest.param(suite, seed, id=suite if seed == 7 else f"{suite}-seed{seed}")
+            for suite, seed in sorted(table)]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -68,6 +75,23 @@ class TestMeanCommand:
         assert data["value"] == pytest.approx(expected, abs=1e-9)
         assert data["converged"] is True
         assert data["iterations"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "matkowski", "--fs", "u;u^3"],
+        ["--kind", "quasi-arithmetic", "--f", "u^3+u"],
+    ], ids=["matkowski", "expression-generator"])
+    def test_numeric_solve_without_a_report_prints_null(self, capsys, argv):
+        # Both means are found by a numeric root search that keeps neither a
+        # residual nor an iteration count; 0.0 and 0 would claim an exact
+        # closed form.
+        data = run_json(capsys, "mean", *argv, "--x", "1,2")
+        assert (data["residual"], data["iterations"], data["converged"]) == (None, None, True)
+        assert 1.0 < data["value"] < 2.0
+
+    def test_closed_form_with_a_named_generator_reports_zero(self, capsys):
+        data = run_json(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "log",
+                        "--x", "1,4")
+        assert (data["value"], data["residual"], data["iterations"]) == (2.0, 0.0, 0)
 
     def test_descriptor_json_string(self, capsys):
         desc = json.dumps({"kind": "holder", "arity": 2, "params": {"p": 2}})
@@ -301,39 +325,55 @@ class TestVerifyCommand:
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    # sha256 of the seed-7 reports of the packaged suites with no vector
-    # case, whose bytes depend on no BLAS kernel; together they run every
-    # scalar closed form.
+    # sha256 of the seed-1, -7 and -1001 reports of the packaged suites with
+    # no vector case, whose bytes depend on no BLAS kernel; together they
+    # run every scalar closed form.
     PINNED_REPORTS = {
-        "comparisons": "2aee7215143ad7c0b37728ab983025cd195ce7a0dec03bb2b0d8c07daa685eca",
-        "failing": "f35ccb1f44f7d0acbb7e779be42fb212286252e0bbaa9d7d8b4c79bad90e7f4c",
-        "holder-minkowski": "43561db0ad064c97733bd69e64879d48949dfd57c01acfc215c4dda7ab87f6c0",
+        ("comparisons", 1): "90a3159b4f16437f7c9d518d226e72c9f0d8a9c2370ca504c341d8f8f4c0a9f6",
+        ("comparisons", 7): "2aee7215143ad7c0b37728ab983025cd195ce7a0dec03bb2b0d8c07daa685eca",
+        ("comparisons", 1001): "828944dc1cb74aec0e853afad02e0444d065d306cf21cfaeac8fb4153b050422",
+        ("failing", 1): "733d8fb1b2b0291fff3cdadbe8a5e6db689aded35c8c1f4331265151342d8c3d",
+        ("failing", 7): "f35ccb1f44f7d0acbb7e779be42fb212286252e0bbaa9d7d8b4c79bad90e7f4c",
+        ("failing", 1001): "3d30cdabd29bacfa1994fde579312008484ac8f3a3825e41cd57839b818e2285",
+        ("holder-minkowski", 1):
+            "2328fdf4dd4595b0b317c3ec248601b1fc07cd7545162a7de52e37c5c3f91d49",
+        ("holder-minkowski", 7):
+            "43561db0ad064c97733bd69e64879d48949dfd57c01acfc215c4dda7ab87f6c0",
+        ("holder-minkowski", 1001):
+            "7e7959d37b9f27f09e30988f4a32ae35ec6948028bb3814d88f501cc4fbe7d47",
     }
 
-    @pytest.mark.parametrize("suite", sorted(PINNED_REPORTS))
-    def test_scalar_suite_reports_are_pinned(self, capsys, suite):
-        code, out, _ = run_cli(capsys, "verify", suite, "--seed", "7")
+    @pytest.mark.parametrize("suite,seed", _pin_params(PINNED_REPORTS))
+    def test_scalar_suite_reports_are_pinned(self, capsys, suite, seed):
+        code, out, _ = run_cli(capsys, "verify", suite, "--seed", str(seed))
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_REPORTS[suite]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_REPORTS[suite, seed]
 
     # The same for the scalar cases of the suites with vector cases, those
     # whose case or domain-side mean names no "dim": jensen's convexity
     # verdicts and the scalar reduction oracles.
     PINNED_SCALAR_CASES = {
-        "jensen": "44e9add07a88978c8bc14ddb23504fc8678a0405cda837bd40b1690423354215",
-        "reduction-oracles": "57bdd231ad24ddb63cd6406e98269aec4dedea4b8578b63226847758114a93ba",
+        ("jensen", 1): "312f4d6e2f4bf66b8f0c491a915997d7d033fb512abb4e3ccbfa04fc1d47acfe",
+        ("jensen", 7): "44e9add07a88978c8bc14ddb23504fc8678a0405cda837bd40b1690423354215",
+        ("jensen", 1001): "93e97f9666d1c124b240435a405b6a9c6b8fcca853cff8a97f2fa108dbf24222",
+        ("reduction-oracles", 1):
+            "d13b5cb780f44fb2872081994eaffd29cabbf2a43a3d40e4ce0c9cc73e302672",
+        ("reduction-oracles", 7):
+            "57bdd231ad24ddb63cd6406e98269aec4dedea4b8578b63226847758114a93ba",
+        ("reduction-oracles", 1001):
+            "0426f5d94921793134392bfa536db636bccb564e8bd4b08d87fe558bd3d72278",
     }
 
-    @pytest.mark.parametrize("suite", sorted(PINNED_SCALAR_CASES))
-    def test_scalar_case_reports_are_pinned(self, capsys, tmp_path, suite):
+    @pytest.mark.parametrize("suite,seed", _pin_params(PINNED_SCALAR_CASES))
+    def test_scalar_case_reports_are_pinned(self, capsys, tmp_path, suite, seed):
         data = load_suite(suite)
         data["cases"] = [c for c in data["cases"]
                          if "dim" not in c and "dim" not in c.get("M", {})]
         path = tmp_path / f"{suite}.json"
         path.write_text(json.dumps(data))
-        code, out, _ = run_cli(capsys, "verify", str(path), "--seed", "7")
+        code, out, _ = run_cli(capsys, "verify", str(path), "--seed", str(seed))
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SCALAR_CASES[suite]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SCALAR_CASES[suite, seed]
 
     @pytest.mark.filterwarnings("error")
     def test_suite_over_a_box_wider_than_the_float_range(self, capsys, tmp_path):
@@ -518,6 +558,17 @@ def test_sampling_box_wider_than_the_float_range(capsys, flags, code):
     else:
         assert err.startswith(f"error: evaluating {flags[-1]!r}: ")
         assert "Numerical result out of range" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("domain", ["-1.7e308,1.7e308", "-1e300,1e300"])
+def test_increasing_deviation_fails_at_construction_on_any_domain(capsys, domain):
+    # On the wider domain the sampled span overflows; uncapped it switched
+    # the monotonicity and sign tests off, and the solve failed instead.
+    code, out, err = run_cli(capsys, "mean", "--kind", "deviation-custom", "--exprs", "v-u",
+                             f"--domain={domain}", "--x", "1,2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: deviation 'v-u': section not strictly decreasing on (")
 
 
 def test_deviation_sum_over_both_infinities_exits_2(capsys):

@@ -261,6 +261,9 @@ class FixedSampler:
         values = np.asarray(self.values[:count], dtype=float)
         return values, values
 
+    def drawn(self, block, count):
+        return block
+
     def tuples(self, block, count):
         return map(tuple, block.tolist())
 
@@ -409,8 +412,8 @@ class TestSamplerBlame:
         M = MeanFn(arity=2, eval=below_one)
         sampler = BoxSampler(low=1.0, high=2.0)
         with pytest.raises(InvalidSamplerError, match=r"out-of-domain input \(0.5, 1.5\)"):
-            _search(iter([(1.5, 1.5), (0.5, 1.5)]), lambda xs: (_value(M, xs), 2.0), 2, 1e-9,
-                    "case", sampler.holds)
+            _search([(None, iter([(1.5, 1.5), (0.5, 1.5)]))], lambda xs: (_value(M, xs), 2.0),
+                    2, 1e-9, "case", sampler.holds)
 
 
 def _reversed_slots(M):
