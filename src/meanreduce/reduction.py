@@ -7,13 +7,14 @@ mu(y) = M((x|chi)(y)) - y at the ends of [min(x), max(x)], so a bracketed
 search on mu converges unconditionally; fixed-point iteration could cycle for
 non-contractive maps.  The search is ``core.bracketed_root``: Chandrupatla's
 interpolation step (Adv. Eng. Software 28(3), 1997) inside ITP's projection
-(Oliveira & Takahashi, ACM TOMS 2020), never more than one step over
-bisection's count, superlinear on smooth mu and mostly one step on affine
-mu.  For vector means the solver is a damped fixed-point iteration from the
-centroid, with a safeguarded secant (Anderson depth-1) extrapolation layered
-on top: plain iteration contracts arbitrarily slowly when the spliced slots
-dominate, and the extrapolated iterate is only ever accepted when it reduces
-the fixed-point residual, so certificates are unaffected.
+(Oliveira & Takahashi, ACM TOMS 2020), never more than n_0 = 6 steps over
+bisection's count ceil(log2(w / width_tol)), superlinear on smooth mu and
+mostly one step on affine mu.  For vector means the solver is a damped
+fixed-point iteration from the centroid, with a safeguarded secant
+(Anderson depth-1) extrapolation layered on top: plain iteration contracts
+arbitrarily slowly when the spliced slots dominate, and the extrapolated
+iterate is only ever accepted when it reduces the fixed-point residual, so
+certificates are unaffected.
 
 Uniqueness cannot be decided for a black-box mean; results carry a tri-state
 flag ("unique" / "multiple-suspected" / "unknown"), never a silent claim.

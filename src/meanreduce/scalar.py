@@ -12,8 +12,8 @@ the bracketed search of ``core.bracketed_root``: Chandrupatla's step
 (Adv. Eng. Software 28(3), 1997) inside ITP's projection (Oliveira &
 Takahashi, ACM TOMS 2020).  Like bisection it keeps a sign change bracketed
 and needs nothing beyond continuity and monotonicity; it never takes more
-than one step over bisection's count, and on smooth sections it converges
-superlinearly.
+than ceil(log2(w / width_tol)) + 6 steps on a bracket of width w, six over
+bisection's count, and on smooth sections it converges superlinearly.
 
 Classical families (Bajraktarevic, Matkowski, Gini, Holder / power means,
 quasi-arithmetic means) are provided in closed form; they double as oracles
@@ -71,6 +71,11 @@ from .errors import (
 
 _VALIDATION_SAMPLES = 64
 _VALIDATION_SEED = 20240901
+
+_EPS = sys.float_info.epsilon
+_NORMAL_MIN = sys.float_info.min
+_NORMAL_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)
 
 
 def _sample_window(domain: Interval, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -223,7 +228,11 @@ def numeric_inverse(fn: Callable[[float], float], domain: Interval,
     The bracket starts from the domain's finite window and grows outward
     (geometrically toward infinite endpoints, by endpoint-halving toward open
     finite ones) until it straddles the target value; ``core.bracketed_root``
-    then narrows it with bisection's worst case plus one step.
+    then narrows it, in at most bisection's count plus six steps, to a
+    half-width of 2 eps min(|a|, |b|) + t, t = 2^-1074 the smallest positive
+    float: its midpoint u, the value returned, lies within 2 eps |u| + t of
+    the root (Brent's stop; Algorithms for Minimization without Derivatives,
+    1973, ch. 4), a few ulps of u wherever the root is a normal float.
     """
     lo0, hi0 = domain.finite_window()
 
@@ -236,13 +245,8 @@ def numeric_inverse(fn: Callable[[float], float], domain: Interval,
             return a
         if fb == t:
             return b
-        # Inverses feed round-trip checks at 1e-10; narrow to near machine
-        # resolution.  Terms are halved (exactly) before sums that could
-        # overflow near the largest float.
-        root = bracketed_root(
-            lambda u: fn(u) - t, a, b, fa - t, fb - t, 1e-14, cfg.max_iter,
-            done=lambda u, fu, lo, hi: (0.5 * (hi - lo)
-                                        <= 1e-14 * (0.5 + 0.5 * abs(lo) + 0.5 * abs(hi))))
+        root = bracketed_root(lambda u: fn(u) - t, a, b, fa - t, fb - t, 2.0 * _TINY,
+                              cfg.max_iter, rel_tol=4.0 * _EPS)
         if not root.converged:
             raise NoConvergenceError("generator inversion exhausted its iteration budget")
         return 0.5 * root.a + 0.5 * root.b
@@ -367,12 +371,13 @@ def e_sum(E, x: Sequence[float], u: float) -> float:
 def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> SolverReport:
     """Solve sum_i E_i(x_i, y) = 0 on [min(x), max(x)] by ``core.bracketed_root``.
 
-    The search takes at most one step more than bisection would and
-    needs only continuity and monotonicity of the sections.  The summed
-    section decreases strictly from a nonnegative value at min(x) to a
-    nonpositive value at max(x); a sign anomaly at the bracket endpoints or a
-    value outside the range of the bracket's end values during the search
-    raises InvalidDeviationError.  Exhausting the iteration budget returns a
+    The search takes at most ceil(log2((max(x) - min(x)) / width_tol)) + 6
+    steps, six more than bisection would, and needs only continuity and
+    monotonicity of the sections.  The summed section decreases strictly
+    from a nonnegative value at min(x) to a nonpositive value at max(x); a
+    sign anomaly at the bracket endpoints or a value outside the range of
+    the bracket's end values during the search raises
+    InvalidDeviationError.  Exhausting the iteration budget returns a
     non-converged report with the last iterate.
     """
     E = as_deviation_tuple(E)
@@ -488,17 +493,39 @@ def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
     ``bajraktarevic_mean`` and ``quasi_arithmetic_mean`` (weights None)
     share: the average is clamped into the hull of the f-values, its inverse
     checked against the generator domain and clamped into the hull of xs.  A
-    generator that overflows on the data raises DomainError."""
+    generator that overflows on the data raises DomainError.
+
+    Where the average underflows (is 0 or subnormal), the exp generator
+    averages exp(x_i - max x) instead and adds max x back to the log; any
+    other generator whose inverse raises there, or leaves the hull of xs,
+    has lost the mean to the underflow and raises DomainError.  Every other
+    average is inverted as it is."""
     try:
         fw = [f.eval(xi) for xi in xs]
     except OverflowError as exc:
         raise DomainError(f"generator overflows on the data {xs}: {exc}") from None
-    t = average(fw, weights)
-    t = min(max(t, min(fw)), max(fw))
-    y = f.inverse(t)
+    t = _clamped_average(fw, weights)
+    if abs(t) >= _NORMAL_MIN:
+        y = f.inverse(t)
+    elif f.eval is math.exp and f.inverse is math.log:
+        m = max(xs)
+        y = math.log(_clamped_average([math.exp(xi - m) for xi in xs], weights)) + m
+    else:
+        try:
+            y = f.inverse(t)
+        except (ArithmeticError, ValueError, DomainError):
+            y = math.nan
+        if not min(xs) <= y <= max(xs):
+            raise DomainError(f"the generator's values underflow on the data {xs}: their "
+                              f"average {t} does not determine the mean")
     if not math.isfinite(y) or (y not in f.domain and not _near_domain(y, f.domain)):
         raise DomainError(f"inverted value {y} escapes the generator domain")
     return min(max(y, min(xs)), max(xs))
+
+
+def _clamped_average(fw: list, weights: Optional[list]) -> float:
+    """The average of fw, clamped into their hull against rounding."""
+    return min(max(average(fw, weights), min(fw)), max(fw))
 
 
 def _near_domain(y: float, domain: Interval, slack: float = 1e-9) -> bool:
@@ -531,7 +558,6 @@ def quasi_arithmetic_mean(f: GeneratorFn, x: Sequence[float]) -> float:
 # budget BATCH_MARGIN / 4 relative, where the scalar form raises, and outside
 # the regime the scalar form computes directly.  So each finite value lies
 # within BATCH_MARGIN / 4 times |eval| of the scalar form's value.
-_EPS = sys.float_info.epsilon
 _BATCH_ULPS = BATCH_MARGIN / (8.0 * _EPS)
 
 
@@ -637,10 +663,6 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
         raise NoConvergenceError("matkowski mean inversion exhausted its iteration budget",
                                  best=mid, residual=root.b - root.a)
     return mid
-
-
-_NORMAL_MIN = sys.float_info.min
-_NORMAL_MAX = sys.float_info.max
 
 
 def _check_positive(x) -> list:

@@ -128,6 +128,31 @@ class TestMeanCommand:
                   for domain in ((), ("--domain", "0.2,6"))]
         assert values == [pytest.approx(1.908468589758539)] * 4
 
+    def test_numeric_inverse_is_relative_below_1(self, capsys):
+        # ((1e-10^0.3 + 2e-10^0.3) / 2)^(1 / 0.3), mpmath; the absolute stop
+        # of 1e-14 printed 1.4398618483614798e-10.
+        data = run_json(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "u^0.3",
+                        "--domain", "0,inf", "--arity", "2", "--x", "1e-10,2e-10")
+        assert abs(data["value"] - 1.4398777445801272e-10) <= 1e-12 * 1.4398777445801272e-10
+
+    @pytest.mark.parametrize("argv, exact", [
+        (("--kind", "quasi-arithmetic"), -800.693147180559945),
+        (("--kind", "bajraktarevic", "--weights", "1;3"), -801.386294361119891),
+    ], ids=["quasi-arithmetic", "bajraktarevic"])
+    def test_exp_generator_values_that_underflow(self, capsys, argv, exact):
+        # Every exp of the data is 0: the average was 0 and log(0) a bare
+        # "math domain error".  The exact means are from mpmath.
+        data = run_json(capsys, "mean", *argv, "--f", "exp", "--x=-800,-900")
+        assert abs(data["value"] - exact) <= 1e-15 * abs(exact)
+
+    def test_generator_values_that_underflow_exit_2(self, capsys):
+        # The expression exp(u) is not the named generator: its average 0 has
+        # no inverse in the hull of the data, which printed -900 as the mean.
+        code, out, err = run_cli(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "exp(u)",
+                                 "--x=-800,-900")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the generator's values underflow on the data")
+
     def test_log_generator_outside_the_positive_reals_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "log",
                                  "--domain", "-1,2", "--x", "1,2")
@@ -333,8 +358,8 @@ class TestVerifyCommand:
         ("comparisons", 7): "2aee7215143ad7c0b37728ab983025cd195ce7a0dec03bb2b0d8c07daa685eca",
         ("comparisons", 1001): "828944dc1cb74aec0e853afad02e0444d065d306cf21cfaeac8fb4153b050422",
         ("failing", 1): "733d8fb1b2b0291fff3cdadbe8a5e6db689aded35c8c1f4331265151342d8c3d",
-        ("failing", 7): "f35ccb1f44f7d0acbb7e779be42fb212286252e0bbaa9d7d8b4c79bad90e7f4c",
-        ("failing", 1001): "3d30cdabd29bacfa1994fde579312008484ac8f3a3825e41cd57839b818e2285",
+        ("failing", 7): "08b4e2ec73a41b1ed695a8cff7644c41edd2a73a44be74735922594013e7883e",
+        ("failing", 1001): "6bdc66f73d883feef990fa5c50d6cf68aef59f494adb6413adfb941753c09343",
         ("holder-minkowski", 1):
             "2328fdf4dd4595b0b317c3ec248601b1fc07cd7545162a7de52e37c5c3f91d49",
         ("holder-minkowski", 7):
@@ -357,11 +382,11 @@ class TestVerifyCommand:
         ("jensen", 7): "44e9add07a88978c8bc14ddb23504fc8678a0405cda837bd40b1690423354215",
         ("jensen", 1001): "93e97f9666d1c124b240435a405b6a9c6b8fcca853cff8a97f2fa108dbf24222",
         ("reduction-oracles", 1):
-            "d13b5cb780f44fb2872081994eaffd29cabbf2a43a3d40e4ce0c9cc73e302672",
+            "c58147c1ce302b73a29dfc1fba2fcb54aaa2fbe86ccc9a4028e3a210a981ea70",
         ("reduction-oracles", 7):
-            "57bdd231ad24ddb63cd6406e98269aec4dedea4b8578b63226847758114a93ba",
+            "d3f3c67e8f0f1a047883dc78231db3550f616f899c20cf39f2db18a6babdd0ec",
         ("reduction-oracles", 1001):
-            "0426f5d94921793134392bfa536db636bccb564e8bd4b08d87fe558bd3d72278",
+            "4f95e4907f33eeb42ac9f993abed0452e31794343758b56bee8b2df899c9cba6",
     }
 
     @pytest.mark.parametrize("suite,seed", _pin_params(PINNED_SCALAR_CASES))

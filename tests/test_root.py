@@ -1,7 +1,7 @@
 """Property tests of the shared root finder ``core.bracketed_root``:
 Chandrupatla's step (regula falsi first, then inverse quadratic
 interpolation or bisection) inside ITP's projection, which keeps every
-search within one step of bisection's count."""
+search within ITP_N0 steps of bisection's count."""
 
 import math
 import sys
@@ -9,11 +9,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanreduce.core import ITP_N0, REALS, Injection, Interval, bracketed_root, wide_fsum
+from meanreduce.core import (ITP_N0, REALS, Injection, Interval, SolverConfig, bracketed_root,
+                             wide_fsum)
 from meanreduce.descriptors import arithmetic_mean_fn
 from meanreduce.errors import DomainError, InvalidDeviationError
 from meanreduce.reduction import MeanFn, reduce_scalar
-from meanreduce.scalar import DeviationTuple, ScalarDeviation, deviation_mean
+from meanreduce.scalar import DeviationTuple, ScalarDeviation, deviation_mean, e_sum
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -142,6 +143,69 @@ def test_affine_sections_of_the_callers_take_one_step():
     assert report.value == pytest.approx(7.0 / 3.0, abs=1e-12)
 
 
+# The inner tolerances of the reduction oracles (reduction._oracle_check at
+# tol 1e-8), under which every probe of a deviation reduction is a
+# deviation_mean solve.
+ORACLE_INNER = SolverConfig(abs_tol=1e-12, rel_tol=1e-13)
+NESTED_DOMAIN = Interval(0.2, 6.0)
+
+
+def test_curved_section_ends_without_a_bisection_tail():
+    # u (u - v) + log u - log v: its third step landed 1.3e-4 from the root
+    # with n_0 = 1, and the projection's spent slack made the 37 steps after
+    # it midpoints.  The root is from mpmath.
+    devs = (ScalarDeviation(domain=NESTED_DOMAIN, eval=lambda u, v: u * (u - v),
+                            validate=False),
+            ScalarDeviation(domain=NESTED_DOMAIN, eval=lambda u, v: math.log(u) - math.log(v),
+                            validate=False))
+    report = deviation_mean(DeviationTuple(devs), (0.3760317074278475, 0.9127741927890543),
+                            ORACLE_INNER)
+    assert report.converged
+    assert report.iterations <= 6
+    assert abs(report.value - 0.78319530875702358) <= 1e-12
+
+
+# The deviation families w(u) (f(u) - f(v)) of the benchmark's nested
+# reductions on [0.2, 6], each with its parameter's range.
+NESTED_FAMILIES = {
+    "linear": ((0.5, 3.0), lambda c: lambda u, v: c * (u - v)),
+    "power-weight": ((0.0, 2.0), lambda p: lambda u, v: u ** p * (u - v)),
+    "log": ((0.2, 2.0), lambda c: lambda u, v: (c + u) * (math.log(u) - math.log(v))),
+    "exp": ((0.1, 0.6), lambda s: lambda u, v: math.exp(s * u) - math.exp(s * v)),
+    "sqrt": ((0.1, 1.0), lambda c: lambda u, v: (1.0 + c * u * u) * (math.sqrt(u) - math.sqrt(v))),
+    "power": ((0.3, 2.5), lambda p: lambda u, v: u ** p - v ** p),
+}
+
+
+@st.composite
+def nested_deviation_sums(draw):
+    n = draw(st.integers(2, 6))
+    devs, xs = [], []
+    for _ in range(n):
+        (lo, hi), family = NESTED_FAMILIES[draw(st.sampled_from(sorted(NESTED_FAMILIES)))]
+        devs.append(ScalarDeviation(domain=NESTED_DOMAIN, eval=family(draw(st.floats(lo, hi))),
+                                    validate=False))
+        xs.append(draw(st.floats(0.2, 6.0)))
+    return DeviationTuple(tuple(devs)), xs
+
+
+@SETTINGS
+@given(nested_deviation_sums())
+def test_nested_deviation_sums_end_within_ten_steps(sample):
+    # With n_0 = 1 such sums took up to 43 steps in 20,000 draws; with
+    # n_0 = 6, at most 8.  The certificate is a residual within abs_tol, or
+    # a sign change within the width tolerance (the width stop).
+    E, xs = sample
+    report = deviation_mean(E, xs, ORACLE_INNER)
+    assert report.converged
+    assert report.iterations <= 10
+    a, b = min(xs), max(xs)
+    if report.residual > ORACLE_INNER.abs_tol:
+        width_tol = ORACLE_INNER.rel_tol * (b - a) + ORACLE_INNER.abs_tol
+        lo, hi = max(report.value - width_tol, a), min(report.value + width_tol, b)
+        assert e_sum(E, xs, lo) >= 0.0 >= e_sum(E, xs, hi)
+
+
 @SETTINGS
 @given(st.floats(-5.0, 5.0), st.floats(0.01, 10.0), st.floats(10.0, 100.0),
        st.sampled_from([1.0, -1.0]))
@@ -212,6 +276,25 @@ def test_deviation_mean_stops_at_float_resolution():
     assert report.iterations <= 100
     assert not report.converged
     assert abs(report.value - (1e5 + 1.3e-3 / 3.0)) <= 1e-10
+
+
+def test_relative_tolerance_steps_over_the_root():
+    # numeric_inverse's search for the cube root of 0.06 on the bracket of
+    # the generator u^3 over [0.02, 80].  A fixed width tolerance taken at
+    # the bracket end 0.02 makes Brent's minimum step a tenth of an ulp at
+    # the root: the step over the root rounds back onto the bracket end, and
+    # the search took 50 steps, bisecting after it had landed next to the
+    # root.  The root is from mpmath.
+    root = 0.3914867641168864
+
+    def f(u):
+        return u ** 3 - 0.06
+
+    result = bracketed_root(f, 0.02, 80.0, f(0.02), f(80.0), 2.0 * math.ulp(0.0), 10_000,
+                            rel_tol=4.0 * sys.float_info.epsilon)
+    assert result.converged
+    assert result.iterations <= 20
+    assert abs(0.5 * result.a + 0.5 * result.b - root) <= 4e-16 * root
 
 
 @pytest.mark.parametrize("root", [-3e307, 0.0, 1.5e308, 1.7e308])

@@ -247,6 +247,37 @@ class TestQuasiArithmeticMean:
         assert quasi_arithmetic_mean(identity_generator(), (1e308, 1.5e308)) == pytest.approx(
             1.25e308, rel=1e-15)
 
+    @pytest.mark.parametrize("x, weights, exact", [
+        # log((e^-800 + e^-900) / 2) and log((e^-800 + 3 e^-900) / 4), mpmath.
+        ((-800.0, -900.0), None, -800.6931471805599453),
+        ((-800.0, -900.0), (1.0, 3.0), -801.3862943611198906),
+        # exp(-740) is subnormal: the shift also restores the digits it lost.
+        ((-740.0, -741.0), None, -740.3798854930417225),
+    ])
+    def test_exp_generator_values_that_underflow(self, x, weights, exact):
+        f = build_generator("exp")
+        if weights is None:
+            y = quasi_arithmetic_mean(f, x)
+        else:
+            y = bajraktarevic_mean(f, [constant_weight(w) for w in weights], x)
+        assert abs(y - exact) <= 4e-16 * abs(exact)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=6))
+    def test_exp_generator_is_unshifted_where_its_average_is_normal(self, x):
+        # exp(-700) is normal: log(average of exp(x)), no shift.
+        ws = [math.exp(v) for v in x]
+        t = min(max(math.fsum(ws) / len(ws), min(ws)), max(ws))
+        assert quasi_arithmetic_mean(build_generator("exp"), x) == min(max(math.log(t), min(x)),
+                                                                       max(x))
+
+    def test_other_generator_whose_values_underflow_is_a_domain_error(self):
+        # exp as a generator that is not the named one: its inverse log
+        # raises at the average 0.
+        f = GeneratorFn(eval=lambda u: math.exp(u), inverse=math.log, validate=False)
+        with pytest.raises(DomainError, match="generator's values underflow on the data"):
+            quasi_arithmetic_mean(f, (-800.0, -900.0))
+
 
 class TestMatkowskiMean:
     def test_identity_generators(self):
@@ -763,6 +794,16 @@ class TestGeneratorFn:
         exact = exact_inverse(math.fsum(g.eval(v) for v in x) / 2.0)
         assert u <= y <= 3.0 * u
         assert abs(y - exact) <= 1e-10 * (1.0 + exact)
+
+    @pytest.mark.parametrize("text,target", [
+        ("log(u)", -50.0), ("log(u)", -5.0), ("log(u)", 0.3), ("log(u)", 50.0),
+        ("u^0.3", 1e-6), ("u^0.3", 1e-3), ("u^0.3", 2.0), ("u^0.3", 1e6),
+    ])
+    def test_numeric_inverse_has_relative_precision(self, text, target):
+        # The stop is 2 eps |u| + 2^-1074: at exp(-50) = 1.9e-22 an absolute
+        # stop of 1e-14 was wrong in every digit.
+        exact = OPEN_GENERATORS[text](target)
+        assert abs(open_generator(text).inverse(target) - exact) <= 1e-12 * exact
 
     def test_power_generator_requires_positive_exponent(self):
         with pytest.raises(InvalidArgumentError):
