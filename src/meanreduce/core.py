@@ -393,11 +393,14 @@ def wide_uniform(rng: np.random.Generator, lo, hi, size) -> np.ndarray:
 class SolverReport:
     """Outcome of one numerical solve: value, residual, and iteration count.
 
-    ``converged`` is set by the solver only when the residual meets the
-    tolerance it was asked for.  ``barycentric`` carries the hull-membership
-    certificate for vector solves.  A residual and iteration count of None
-    (null in JSON) mark a value solved numerically by a solver that reports
-    neither.
+    ``converged`` is set by the solver only when it holds a certificate for
+    the value: the residual meets the tolerance it was asked for, or, for a
+    bracketed scalar search (``bracketed_root``), the value is an end of a
+    final bracket no wider than the width tolerance across which the
+    function changes sign, whatever the residual there.  ``barycentric``
+    carries the hull-membership certificate for vector solves.  A residual
+    and iteration count of None (null in JSON) mark a value solved
+    numerically by a solver that reports neither.
     """
 
     value: Union[float, np.ndarray]
@@ -490,21 +493,23 @@ def batch_values(batch: Callable, args: tuple, shape: tuple) -> Optional[np.ndar
     return value if np.isfinite(value).all() else None
 
 
-def sample_triples(batch: Callable, us: np.ndarray, vs: np.ndarray,
-                   ws: np.ndarray) -> Optional[np.ndarray]:
+def sample_triples(batch: Callable, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                   lead: tuple = ()) -> Optional[np.ndarray]:
     """E(u, u), E(u, v) and E(u, w) of every sample from one call of
-    batch(first points, second points), stacked on a new first axis; None as
-    for batch_values."""
+    batch(first points, second points), stacked on a new axis after the
+    ``lead`` axes that batch returns first (one per member of a family);
+    None as for batch_values."""
+    m = us.shape[0]
     values = batch_values(batch, (np.concatenate((us, us, us)), np.concatenate((us, vs, ws))),
-                          (3 * us.shape[0],) + us.shape[1:])
-    return None if values is None else values.reshape((3,) + us.shape)
+                          lead + (3 * m,) + us.shape[1:])
+    return None if values is None else values.reshape(lead + (3,) + us.shape)
 
 
 def running_magnitude(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The running magnitude max(1, |a_1|, |b_1|, ..., |a_k|, |b_k|) at every
-    sample k, for nonnegative a and b.  A NaN is passed over, as Python's
-    ``max`` passes over it after its first argument."""
-    return np.fmax.accumulate(np.fmax(np.fmax(a, b), 1.0))
+    sample k along the last axis, for nonnegative a and b.  A NaN is passed
+    over, as Python's ``max`` passes over it after its first argument."""
+    return np.fmax.accumulate(np.fmax(np.fmax(a, b), 1.0), axis=-1)
 
 
 def first_failure(checks: Sequence[tuple]) -> Optional[str]:

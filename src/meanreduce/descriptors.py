@@ -39,16 +39,19 @@ from .core import (
     SolverReport,
     select,
 )
-from .errors import InvalidArgumentError
-from .expr import bind_family, parse_expression
+from .errors import ExpressionError, InvalidArgumentError, MeansError
+from .expr import Member, bind_family, bind_members, parse_expression
 from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
 from .scalar import (
+    DeviationTuple,
     GeneratorFn,
     ScalarDeviation,
     WeightFn,
     average,
     average_batch,
     bajraktarevic_mean,
+    check_deviations,
+    check_weights,
     constant_weight,
     gini_batch,
     gini_mean,
@@ -177,26 +180,75 @@ def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
     return GeneratorFn(eval=feval, inverse=numeric_inverse(feval, dom), domain=dom)
 
 
+def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
+    """WeightFns from positive numbers and expressions in u; a WeightFn
+    passes through.  The expressions are bound as one family
+    (``expr.bind_members``) and checked on the sample draw they share
+    (``scalar.check_weights``).  Errors come in the order of the specs, as
+    if each weight were built and checked on its own: a spec that raises
+    does so only after the expression weights before it pass their check."""
+    built: list = []
+    parsed: list = []  # (slot, expression)
+    error = None
+    for spec in specs:
+        try:
+            if isinstance(spec, WeightFn):
+                built.append(spec)
+            elif isinstance(spec, (int, float)):
+                built.append(constant_weight(float(spec), domain))
+            else:
+                parsed.append((len(built), parse_expression(str(spec), allowed=("u",))))
+                built.append(None)
+        except MeansError as exc:
+            error = exc
+            break
+    if parsed:
+        fns, batch = bind_members([e for _, e in parsed], ("u",))
+        weights = [WeightFn(eval=fn, domain=domain, validate=False) for fn in fns]
+        check_weights(weights, batch)
+        for (slot, _), weight in zip(parsed, weights):
+            built[slot] = weight
+    if error is not None:
+        raise error
+    return tuple(built)
+
+
 def build_weight(spec, domain: Interval) -> WeightFn:
-    """A WeightFn from a positive number or an expression in u."""
-    if isinstance(spec, WeightFn):
-        return spec
-    if isinstance(spec, (int, float)):
-        return constant_weight(float(spec), domain)
-    fn, batch = parse_expression(str(spec), allowed=("u",)).bind_batch(("u",))
-    weight = WeightFn(eval=fn, domain=domain, validate=False)
-    weight._check(batch)
-    return weight
+    """A WeightFn from a positive number or an expression in u: the
+    one-member case of ``build_weights``."""
+    return build_weights([spec], domain)[0]
+
+
+def build_deviations(texts: Sequence[str], domain: Interval) -> DeviationTuple:
+    """A DeviationTuple of expressions in u, v, bound as one family: each
+    deviation's eval is an ``expr.Member``, so the tuple's section is one
+    compiled function of them all (``expr.bind_section``), and its numpy
+    form checks the axioms of every member on the sample draw they share
+    (``scalar.check_deviations``).  Errors come in member order, as if each
+    deviation were built and checked on its own: a text that does not parse
+    raises only after the members before it pass their checks."""
+    members = []
+    error = None
+    for text in texts:
+        try:
+            expression = parse_expression(str(text), allowed=("u", "v"))
+        except ExpressionError as exc:
+            error = exc
+            break
+        members.append(ScalarDeviation(domain=domain, eval=Member(expression, ("u", "v")),
+                                       label=f"deviation {text!r}", validate=False))
+    if members or error is None:
+        family = DeviationTuple(tuple(members))  # no texts at all: rejected here
+        check_deviations(family.deviations, family.batch)
+    if error is not None:
+        raise error
+    return family
 
 
 def build_scalar_deviation(expr_text: str, domain: Interval) -> ScalarDeviation:
-    """A ScalarDeviation from an expression in u, v, its axioms checked on
-    the expression's numpy form first."""
-    fn, batch = parse_expression(str(expr_text), allowed=("u", "v")).bind_batch(("u", "v"))
-    dev = ScalarDeviation(domain=domain, eval=fn, label=f"deviation {expr_text!r}",
-                          validate=False)
-    dev._check_axioms(batch)
-    return dev
+    """A ScalarDeviation from an expression in u, v: the one-member case of
+    ``build_deviations``."""
+    return build_deviations([expr_text], domain)[0]
 
 
 def _expand(entries, arity: int, what: str) -> list:
@@ -257,9 +309,10 @@ def build_custom_potential(expr_text: str, dim: int) -> PotentialFn:
 
 
 # Each constructor's selection hook rebuilds the family from the entries chi
-# picks; build_weight, build_point_weight and build_generator pass built
+# picks; build_weights, build_point_weight and build_generator pass built
 # entries through, and numeric weights stay numbers, so that a selected
-# weighted mean keeps its numpy form.
+# weighted mean keeps its numpy form.  A deviation mean selects through its
+# DeviationTuple, which binds the selected deviations as one family.
 
 
 def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
@@ -274,7 +327,7 @@ def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
                                 domain: Interval = REALS) -> MeanFn:
     specs = _expand(weights, arity, "weights")
     if dim is None:
-        ws = tuple(build_weight(w, domain) for w in specs)
+        ws = build_weights(specs, domain)
     else:
         ws = tuple(build_point_weight(w, dim) for w in specs)
     numeric = [isinstance(w, (int, float)) for w in specs]
@@ -312,7 +365,7 @@ def quasi_arithmetic_mean_fn(f, arity: int, domain: Optional[Interval] = None) -
 def bajraktarevic_mean_fn(f, weights: Sequence, arity: int,
                           domain: Optional[Interval] = None) -> MeanFn:
     gen = build_generator(f, domain)
-    ws = tuple(build_weight(w, gen.domain) for w in _expand(weights, arity, "weights"))
+    ws = build_weights(_expand(weights, arity, "weights"), gen.domain)
     return MeanFn(arity=arity, label="bajraktarevic",
                   eval=lambda xs, g=gen, ws=ws: bajraktarevic_mean(g, ws, xs),
                   select=lambda chi: bajraktarevic_mean_fn(gen, select(ws, chi), chi.k))
@@ -360,8 +413,8 @@ def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> Mean
     if kind == "deviation-custom":
         exprs = _expand(param("exprs"), arity, "deviation expressions")
         domain = parse_domain(param("domain", None))
-        devs = [build_scalar_deviation(e, domain) for e in exprs]
-        return deviation_mean_fn(devs, cfg, label="custom deviation mean")
+        return deviation_mean_fn(build_deviations(exprs, domain), cfg,
+                                 label="custom deviation mean")
     if kind == "gen-deviation":
         exprs = param("exprs")
         if exprs and isinstance(exprs[0], str):

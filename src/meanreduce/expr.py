@@ -15,23 +15,36 @@ decided by the caller (``u``/``v`` for scalar deviations and weights,
 ``u1..ud``/``v1..vd`` for vector potentials).  Everything is evaluated in
 double precision, and a literal that overflows to infinity is rejected.
 
-Each expression, and each family of d covector coordinates, is compiled once
-into one Python function of positional floats (``Expression.bind``,
-``bind_family``); a keyword call runs the same kind of function.  Variables
-are checked when the function is built, not per call.  Every form keeps one
-error contract: a math domain error, overflow or division by zero raises
-DomainError naming the expression, so does a complex result or a complex
-operand of a math function, and the value is a ``float``.  A family that
-fails is evaluated again one coordinate at a time, so the error names the
-failing coordinate.
+Each expression, and each family of expressions, is compiled once into one
+Python function of positional floats; a keyword call runs the same kind of
+function.  The binders:
 
-``Expression.bind_batch`` and ``bind_family`` return, besides the scalar
-function, a numpy form of the same compiled code: the ``_fn_*`` names map to
-numpy's ufuncs, so it takes arrays of samples and evaluates them in one call.
-It has no error contract of its own (numpy signals a floating-point error
-where ``math`` raises, and its ``exp`` and ``power`` may differ from
-``math``'s in the last bit); the axiom checks use it to accept a sample set
-at once and leave every other verdict to the scalar function.
+- ``Expression.bind``: one expression;
+- ``bind_family``: the d covector coordinates of a generalized deviation,
+  one function returning all d values;
+- ``bind_section``: a family of scalar deviations E_i(u, v) given as
+  ``Member``s, one function of (y, x_1, ..., x_n) returning the n values
+  E_i(x_i, y), the section that a deviation mean sums;
+- ``bind_members``: a family of weights w_i(u), each its own function, all
+  from one compile.
+
+Variables are checked when the function is built, not per call.  Every form
+keeps one error contract: a math domain error, overflow or division by zero
+raises DomainError naming the expression, so does a complex result or a
+complex operand of a math function, and the value is a ``float``.  A family
+function that fails is evaluated again one member at a time, in order, so
+the error names the first member that fails.  A ``Member`` is compiled on
+its own only when it is called on its own.
+
+``Expression.bind_batch`` and the family binders return, besides the scalar
+functions, a numpy form of the same compiled code: the ``_fn_*`` names map
+to numpy's ufuncs, so it takes arrays of samples and evaluates them in one
+call (a family's form returns the tuple of its members' values).  It has no
+error contract of its own (numpy signals a floating-point error where
+``math`` raises, and its ``exp`` and ``power`` may differ from ``math``'s in
+the last bit); the axiom checks use it to accept every member of a family on
+one sample set at once and leave every other verdict to the scalar
+functions.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -223,10 +236,9 @@ def _code(body: str, arity: int, label: str):
     return compile(f"lambda {params}: {body}", label, "eval")
 
 
-def _bound(text: str, code, arity: int) -> Callable[..., float]:
-    """The compiled code of one expression, with the error contract of an
-    expression call: the lambda itself cannot hold a ``try``."""
-    raw = eval(code, _EVAL_GLOBALS)  # noqa: S307
+def _contract(text: str, raw: Callable, arity: int) -> Callable[..., float]:
+    """``raw``, the compiled code of one expression, with the error contract
+    of an expression call: the lambda itself cannot hold a ``try``."""
 
     def call(*args):
         try:
@@ -244,6 +256,15 @@ def _bound(text: str, code, arity: int) -> Callable[..., float]:
         return float(value)
 
     return call
+
+
+def _positional(names: Sequence[str]) -> dict[str, str]:
+    """The argument name ``_a{i}`` of each name, i its index in names."""
+    return {name: f"_a{i}" for i, name in enumerate(names)}
+
+
+def _bound(text: str, code, arity: int) -> Callable[..., float]:
+    return _contract(text, eval(code, _EVAL_GLOBALS), arity)  # noqa: S307
 
 
 @dataclass(frozen=True)
@@ -270,16 +291,15 @@ class Expression:
         missing = sorted(self.variables.difference(names))
         return ExpressionError(f"expression {self.text!r} needs variables {missing}")
 
-    def _body(self, names: tuple[str, ...]) -> str:
-        """The code of the expression with its variables as arguments
-        ``_a{i}``, i the variable's index in names."""
-        if not self.variables.issubset(names):
-            raise self._missing(names)
-        position = {name: i for i, name in enumerate(names)}
-        return self._template.format(*[f"_a{position[v]}" for v in self._order])
+    def _body(self, args: dict[str, str]) -> str:
+        """The code of the expression with each variable replaced by its
+        argument name in ``args``."""
+        if not self.variables.issubset(args):
+            raise self._missing(args)
+        return self._template.format(*[args[v] for v in self._order])
 
     def _code_for(self, names: tuple[str, ...]):
-        return _code(self._body(names), len(names), f"<expr {self.text!r}>")
+        return _code(self._body(_positional(names)), len(names), f"<expr {self.text!r}>")
 
     def bind(self, names: Sequence[str]) -> Callable[..., float]:
         """A function of len(names) positional floats, in the order of names."""
@@ -319,7 +339,7 @@ def bind_family(exprs: Sequence[Expression],
     """
     names = tuple(names)
     # Texts and code only: the Expression objects need not outlive the build.
-    code = [(e.text, e._body(names)) for e in exprs]
+    code = [(e.text, e._body(_positional(names))) for e in exprs]
     arity = len(names)
     family = _code(f"({', '.join(body for _, body in code)},)", arity,
                    f"<family {[text for text, _ in code]!r}>")
@@ -337,6 +357,86 @@ def bind_family(exprs: Sequence[Expression],
             return [c(*args) for c in coordinates]
 
     return call, eval(family, _NUMPY_GLOBALS)  # noqa: S307
+
+
+def bind_members(exprs: Sequence[Expression],
+                 names: Sequence[str]) -> tuple[list[Callable[..., float]], Callable]:
+    """Each expression as ``Expression.bind(names)`` binds it, and the numpy
+    form of the family, which returns the tuple of the members' values: all
+    from one compile."""
+    names = tuple(names)
+    args = _positional(names)
+    bodies = [e._body(args) for e in exprs]
+    params = ", ".join(args.values())
+    lambdas = [f"lambda {params}: {body}" for body in bodies]
+    lambdas.append(f"lambda {params}: ({', '.join(bodies)},)")
+    code = compile(f"({', '.join(lambdas)},)", f"<family {[e.text for e in exprs]!r}>", "eval")
+    raws = eval(code, _EVAL_GLOBALS)  # noqa: S307
+    return ([_contract(e.text, raw, len(names)) for e, raw in zip(exprs, raws)],
+            eval(code, _NUMPY_GLOBALS)[-1])  # noqa: S307
+
+
+class Member:
+    """An expression bound to names as ``Expression.bind(names)`` binds it,
+    compiled on its first call.
+
+    A family of members in two names, the first taking a data point x and
+    the second the evaluation point y, is evaluated through its section
+    (``bind_section``), one compiled function of all of them; a member is
+    compiled only where it is called on its own.  It refers to nothing
+    that refers back to it, so a family is freed as soon as its last user
+    drops it.
+    """
+
+    __slots__ = ("expression", "names", "_fn")
+
+    def __init__(self, expression: Expression, names: Sequence[str]):
+        self.names = tuple(names)
+        if not expression.variables.issubset(self.names):
+            raise expression._missing(self.names)
+        self.expression = expression
+        self._fn = None
+
+    def __call__(self, *args) -> float:
+        if self._fn is None:
+            self._fn = self.expression.bind(self.names)
+        return self._fn(*args)
+
+
+def bind_section(members: Sequence[Callable]) -> tuple[Callable[..., list], Optional[Callable]]:
+    """The section y -> [E_1(x_1, y), ..., E_n(x_n, y)] of a family of
+    two-place functions E_i(x, y), as one function of (y, x_1, ..., x_n),
+    and its numpy form, which returns the tuple of the members' values.
+
+    Where every E_i is a ``Member`` in two names, the section is compiled as
+    a single lambda, as ``bind_family`` compiles a family, with its
+    fallback: a call that fails is evaluated again member by member, in
+    order, so the DomainError names the first member that fails.  Any other
+    family calls each E_i in turn, and has no numpy form (None).
+    """
+    members = list(members)
+    if not all(isinstance(m, Member) and len(m.names) == 2 for m in members):
+        def section(y, *xs):
+            return [m(x, y) for m, x in zip(members, xs)]
+
+        return section, None
+    bodies = [m.expression._body({m.names[0]: f"_a{i + 1}", m.names[1]: "_a0"})
+              for i, m in enumerate(members)]
+    arity = len(members) + 1
+    code = _code(f"({', '.join(bodies)},)", arity,
+                 f"<section {[m.expression.text for m in members]!r}>")
+    raw = eval(code, _EVAL_GLOBALS)  # noqa: S307
+
+    def section(*args):
+        try:
+            # float() of a complex value raises TypeError.
+            return list(map(float, raw(*args)))
+        except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+            if len(args) != arity:
+                raise
+            return [m(x, args[0]) for m, x in zip(members, args[1:])]
+
+    return section, eval(code, _NUMPY_GLOBALS)  # noqa: S307
 
 
 def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Expression:

@@ -62,7 +62,7 @@ from .errors import (
     NoConvergenceError,
     NotAMeanError,
 )
-from .scalar import as_deviation_tuple, deviation_mean, weighted_arith_mean
+from .scalar import DeviationTuple, as_deviation_tuple, deviation_mean, weighted_arith_mean
 from .vector import (
     GenDeviation,
     PotentialFn,
@@ -140,13 +140,18 @@ class MeanFn:
 def _solver_mean_fn(solve, entries, cfg: SolverConfig, label: str,
                     dim: Optional[int] = None) -> MeanFn:
     # Each evaluation is one solve of its own: the mean is a function of its
-    # arguments alone.  Selection keeps the container type of the entries
-    # (a DeviationTuple or a tuple).
+    # arguments alone.
     report = lambda xs: solve(entries, xs, cfg)  # noqa: E731
     return MeanFn(arity=len(entries), dim=dim, label=label, report=report,
                   eval=lambda xs: report(xs).value,
-                  select=lambda chi: _solver_mean_fn(solve, type(entries)(select(entries, chi)),
+                  select=lambda chi: _solver_mean_fn(solve, _select_entries(entries, chi),
                                                      cfg, label, dim))
+
+
+def _select_entries(entries, chi: Injection):
+    """The entries chi picks: a DeviationTuple binds them as one family
+    (``DeviationTuple.select``), any other entries are a tuple."""
+    return entries.select(chi) if isinstance(entries, DeviationTuple) else select(entries, chi)
 
 
 def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
@@ -683,9 +688,9 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
             samples, tol, lambda: tuple(rng.uniform(low, high, dim) for _ in range(chi.k)),
             lambda xs: reduce_vector(M, chi, xs, outer).reduced_value,
             lambda xs: gen_deviation_mean(selected, xs, inner).value, _norm)
-    dev = as_deviation_tuple(entries)
+    dev = E if isinstance(E, DeviationTuple) else DeviationTuple(entries)
     lo, hi = dev.common_domain.finite_window()
-    selected = as_deviation_tuple(select(entries, chi))
+    selected = dev.select(chi)
     M = deviation_mean_fn(dev, inner)
     return _oracle_check(
         samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),

@@ -20,16 +20,22 @@ quasi-arithmetic means) are provided in closed form; they double as oracles
 for the root-finding path in the test suite.
 
 Every deviation mean, a classical family's included, is solved through the
-same summed section: each deviation's ``eval`` at the fixed data points.
+same summed section: one call of the ``DeviationTuple``'s section per
+evaluation, which returns every E_i(x_i, y) at the fixed data points.  An
+expression family's section is one compiled function (see
+:mod:`meanreduce.expr`); any other family's calls each deviation's ``eval``.
 
 Deviation axioms cannot be proven for arbitrary callables, so constructors
 check them on 64 randomized samples unless ``validate=False``; strictness
 remains sampled, not proven.  A check evaluates, then judges: one verdict
-function per family decides on arrays of values.  A builder that holds a
-numpy form of the callback (see :mod:`meanreduce.expr`) passes it to the
-check, which evaluates all samples in one call and may accept from those
-values alone; otherwise the callback's own values, sample by sample, are
-judged, and every rejection comes from them.
+function per kind of function decides on arrays of values.  The functions of
+one kind on one domain share one sample draw, so a family is checked at
+once (``check_deviations``, ``check_weights``): a builder that holds the
+numpy form of the family passes it to the check, which evaluates every
+member on all samples in one call and may accept members from those values
+alone, judged along a member axis; every other member has its own values,
+sample by sample, judged in member order, and every rejection comes from
+them.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import numpy as np
 from .core import (
     BATCH_MARGIN,
     DEFAULT_CONFIG,
+    Injection,
     Interval,
     POSITIVE_REALS,
     REALS,
@@ -59,6 +66,7 @@ from .core import (
     running_magnitude,
     sample_triples,
     scaled_width,
+    select,
     wide_fsum,
     wide_uniform,
 )
@@ -68,6 +76,7 @@ from .errors import (
     InvalidDeviationError,
     NoConvergenceError,
 )
+from .expr import bind_section
 
 _VALIDATION_SAMPLES = 64
 _VALIDATION_SEED = 20240901
@@ -83,28 +92,69 @@ def _sample_window(domain: Interval, rng: np.random.Generator, count: int) -> np
     return wide_uniform(rng, lo, hi, count)
 
 
-def _weight_verdict(us: np.ndarray, values, clear: bool = False) -> Optional[str]:
-    """WeightFn's verdict on the first len(w) samples, for (w,) = values:
-    w(u) finite and above 0, or BATCH_MARGIN times the largest for
-    ``clear``."""
+def _validation_draw(domain: Interval, offset: int, k: int) -> list[np.ndarray]:
+    """k arrays of 64 samples of the domain's finite window, drawn in turn
+    from the seed _VALIDATION_SEED + offset: 0 for weights, 1 for
+    generators, 2 for deviations.  Every function of one kind on one domain
+    is checked on the same draw."""
+    rng = np.random.default_rng(_VALIDATION_SEED + offset)
+    return [_sample_window(domain, rng, _VALIDATION_SAMPLES) for _ in range(k)]
+
+
+def _stacked(values, shape: tuple) -> np.ndarray:
+    """The values of a family's members, each broadcast to shape (a
+    constant member returns a float), stacked on a first member axis."""
+    return np.array([np.broadcast_to(v, shape) for v in values])
+
+
+def _weight_passes(w: np.ndarray, clear: bool = False) -> np.ndarray:
+    """Where w(u) is finite and above 0, or, for ``clear``, above
+    BATCH_MARGIN times the largest |w| along the last (sample) axis."""
+    floor = BATCH_MARGIN * np.abs(w).max(axis=-1, keepdims=True) if clear else 0.0
+    return np.isfinite(w) & (w > floor)
+
+
+def _weight_verdict(us: np.ndarray, values) -> Optional[str]:
+    """The weight verdict on the first len(w) samples, for (w,) = values."""
     (w,) = values
-    arr = np.asarray(w, dtype=float)
-    floor = BATCH_MARGIN * np.abs(arr).max() if clear else 0.0
-    return first_failure([(np.isfinite(arr) & (arr > floor),
+    return first_failure([(_weight_passes(np.asarray(w, dtype=float)),
                            lambda k: f"weight function is not positive at u={us[k]}: {w[k]}")])
 
 
-def _deviation_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-                       span: float, values, clear: bool = False) -> Optional[str]:
-    """ScalarDeviation's verdict on the first len(duu) samples, for (duu,
-    duv, duw) = values, the E(u,u), E(u,v), E(u,w): |E(u,u)| <= 1e-9 m, for
-    m the running magnitude max(1, |E(u,v)|, |E(u,w)|); where |v - w| > 1e-9
-    span, E(u, min) > E(u, max) - 1e-12 m, unless both overflowed to one
-    infinity, which orders nothing; where |u - v| > 1e-9 span, E(u,v) (u -
-    v) > 0.  ``clear`` asks for BATCH_MARGIN m more."""
-    duu, duv, _ = values  # as returned, for the messages
-    euu, euv, euw = np.asarray(values, dtype=float)
-    us, vs, ws = us[:len(duu)], vs[:len(duu)], ws[:len(duu)]
+def check_weights(weights: Sequence[WeightFn], batch: Optional[Callable] = None):
+    """Positivity of each weight on the 64 samples that the weights of one
+    domain share, each weight judged by ``_weight_verdict`` in turn.
+
+    ``batch``, the numpy form of the family (one call on the sample array
+    returns every member's values, as ``expr.bind_members`` returns it),
+    lets one verdict along a member axis accept each member whose values
+    clear the threshold by BATCH_MARGIN (see ``judge_samples``).  Each
+    member it does not clear is judged on its own ``eval``, sample by
+    sample, in member order, so every rejection and its message are the
+    member's own."""
+    (us,) = _validation_draw(weights[0].domain, 0, 1)
+    cleared = np.zeros(len(weights), dtype=bool)
+    if batch is not None:
+        w = batch_values(lambda u: _stacked(batch(u), u.shape), (us,),
+                         (len(weights),) + us.shape)
+        if w is not None:
+            cleared = _weight_passes(w, clear=True).all(axis=-1)
+    for weight, ok in zip(weights, cleared):
+        if not ok:
+            judge_samples(partial(_weight_verdict, us), None, weight.eval,
+                          lambda: ((u,) for u in us.tolist()), 1, InvalidArgumentError)
+
+
+def _deviation_passes(us: np.ndarray, vs: np.ndarray, ws: np.ndarray, span: float,
+                      euu: np.ndarray, euv: np.ndarray, euw: np.ndarray,
+                      clear: bool = False) -> tuple:
+    """The pass masks of the deviation axioms at E(u,u), E(u,v), E(u,w),
+    along the last (sample) axis, under any leading member axes:
+    |E(u,u)| <= 1e-9 m, for m the running magnitude max(1, |E(u,v)|,
+    |E(u,w)|); where |v - w| > 1e-9 span, E(u, min) > E(u, max) - 1e-12 m,
+    unless both overflowed to one infinity, which orders nothing; where
+    |u - v| > 1e-9 span, E(u,v) (u - v) > 0.  ``clear`` asks for
+    BATCH_MARGIN m more."""
     # lo_e - hi_e may overflow to inf, and NaN values compare false.
     with np.errstate(all="ignore"):
         magnitude = running_magnitude(np.abs(euv), np.abs(euw))
@@ -113,21 +163,69 @@ def _deviation_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarra
         lo_e, hi_e = np.where(ordered, euv, euw), np.where(ordered, euw, euv)
         gap = us - vs
         dist = np.abs(gap)
-        return first_failure([
-            (np.abs(euu) <= 1e-9 * magnitude - slack,
-             lambda k: f"{label}: E(u,u) = {duu[k]} != 0 at u={us[k]}"),
-            (~(np.abs(vs - ws) > 1e-9 * span) | (lo_e - (hi_e - 1e-12 * magnitude) > slack)
-             | ((lo_e == hi_e) & np.isinf(lo_e)),
-             lambda k: (f"{label}: section not strictly decreasing on "
-                        f"({us[k]}; {min(vs[k], ws[k])}, {max(vs[k], ws[k])})")),
-            (~(dist > 1e-9 * span) | ~(euv * gap <= slack * dist),
-             lambda k: f"{label}: sign property fails at (u,v)=({us[k]},{vs[k]}): E={duv[k]}"),
-        ])
+        return (np.abs(euu) <= 1e-9 * magnitude - slack,
+                ~(np.abs(vs - ws) > 1e-9 * span) | (lo_e - (hi_e - 1e-12 * magnitude) > slack)
+                | ((lo_e == hi_e) & np.isinf(lo_e)),
+                ~(dist > 1e-9 * span) | ~(euv * gap <= slack * dist))
+
+
+def _deviation_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
+                       span: float, values) -> Optional[str]:
+    """The deviation verdict (``_deviation_passes``) on the first len(duu)
+    samples, for (duu, duv, duw) = values, the E(u,u), E(u,v), E(u,w)."""
+    duu, duv, _ = values  # as returned, for the messages
+    n = len(duu)
+    us, vs, ws = us[:n], vs[:n], ws[:n]
+    diagonal, decreasing, sign = _deviation_passes(us, vs, ws, span,
+                                                   *np.asarray(values, dtype=float))
+    return first_failure([
+        (diagonal, lambda k: f"{label}: E(u,u) = {duu[k]} != 0 at u={us[k]}"),
+        (decreasing, lambda k: (f"{label}: section not strictly decreasing on "
+                                f"({us[k]}; {min(vs[k], ws[k])}, {max(vs[k], ws[k])})")),
+        (sign, lambda k: f"{label}: sign property fails at (u,v)=({us[k]},{vs[k]}): E={duv[k]}"),
+    ])
+
+
+def check_deviations(devs: Sequence[ScalarDeviation], batch: Optional[Callable] = None):
+    """The axioms of each deviation on the 64 sampled triples (u, v, w) that
+    the deviations of one domain share, each deviation judged by
+    ``_deviation_verdict`` in turn.
+
+    ``batch``, the numpy form of the family's section (``expr.bind_section``:
+    arrays y, x_1, ..., x_n in, the tuple of the members' values out),
+    evaluates every member on all samples in one call, and one verdict
+    along a member axis accepts each member whose values clear every
+    threshold by BATCH_MARGIN (see ``judge_samples``).  Each member it does
+    not clear is judged on its own ``eval``, sample by sample, in member
+    order, so every verdict, error and message is the member's own."""
+    us, vs, ws = _validation_draw(devs[0].domain, 2, 3)
+    # On Python floats a span past the float range is inf, with no
+    # warning; capped, it still gates the monotonicity and sign tests.
+    span = min(float(us.max()) - float(us.min()) + 1.0, sys.float_info.max)
+    n = len(devs)
+    cleared = np.zeros(n, dtype=bool)
+    if batch is not None:
+        values = sample_triples(lambda u, v: _stacked(batch(v, *[u] * n), u.shape),
+                                us, vs, ws, (n,))
+        if values is not None:
+            passes = _deviation_passes(us, vs, ws, span, values[:, 0], values[:, 1],
+                                       values[:, 2], clear=True)
+            cleared = (passes[0] & passes[1] & passes[2]).all(axis=-1)
+    for dev, ok in zip(devs, cleared):
+        if not ok:
+            judge_samples(partial(_deviation_verdict, dev.label, us, vs, ws, span), None,
+                          dev.eval,
+                          lambda: ((u, x) for u, v, w in zip(us.tolist(), vs.tolist(),
+                                                             ws.tolist()) for x in (u, v, w)),
+                          3, InvalidDeviationError)
 
 
 @dataclass(frozen=True)
 class WeightFn:
-    """A positive weight function on an interval."""
+    """A positive weight function on an interval, checked on 64 samples at
+    construction unless ``validate=False`` (``check_weights``).  A family
+    of expression weights is built and checked at once by
+    ``descriptors.build_weights``."""
 
     eval: Callable[[float], float]
     domain: Interval = REALS
@@ -135,16 +233,7 @@ class WeightFn:
 
     def __post_init__(self):
         if self.validate:
-            self._check()
-
-    def _check(self, batch: Optional[Callable] = None):
-        """Positivity on 64 samples, judged by ``_weight_verdict`` on the
-        values of ``batch``, a numpy form of ``eval``, or else of ``eval``."""
-        rng = np.random.default_rng(_VALIDATION_SEED)
-        us = _sample_window(self.domain, rng, _VALIDATION_SAMPLES)
-        w = None if batch is None else batch_values(batch, (us,), us.shape)
-        judge_samples(partial(_weight_verdict, us), None if w is None else (w,),
-                      self.eval, lambda: ((u,) for u in us.tolist()), 1, InvalidArgumentError)
+            check_weights((self,))
 
     def __call__(self, u: float) -> float:
         return self.eval(u)
@@ -171,8 +260,7 @@ class GeneratorFn:
 
     def __post_init__(self):
         if self.validate:
-            rng = np.random.default_rng(_VALIDATION_SEED + 1)
-            us = np.sort(_sample_window(self.domain, rng, _VALIDATION_SAMPLES))
+            us = np.sort(_validation_draw(self.domain, 1, 1)[0])
             prev_u, prev_f = None, None
             for u in us:
                 u = float(u)
@@ -287,8 +375,12 @@ class ScalarDeviation:
     """A deviation function E(u, v) on an interval.
 
     Axioms checked on randomized triples at construction unless
-    ``validate=False``: E(u, u) = 0, the sections v -> E(u, v) strictly
-    decrease, and sgn E(u, v) = sgn(u - v).  The solvers read only ``eval``.
+    ``validate=False`` (``check_deviations``): E(u, u) = 0, the sections v
+    -> E(u, v) strictly decrease, and sgn E(u, v) = sgn(u - v).  The
+    solvers read the deviation through the section of a ``DeviationTuple``;
+    ``eval`` is what that section calls, unless the family is compiled as
+    one (an ``expr.Member`` eval, as ``descriptors.build_deviations``
+    builds it).
     """
 
     domain: Interval
@@ -298,21 +390,7 @@ class ScalarDeviation:
 
     def __post_init__(self):
         if self.validate:
-            self._check_axioms()
-
-    def _check_axioms(self, batch: Optional[Callable] = None):
-        """The axioms on 64 sampled triples (u, v, w), judged by
-        ``_deviation_verdict`` on the values of ``batch``, a numpy form of
-        ``eval``, or else of ``eval`` on floats (see ``judge_samples``)."""
-        rng = np.random.default_rng(_VALIDATION_SEED + 2)
-        us, vs, ws = (_sample_window(self.domain, rng, _VALIDATION_SAMPLES) for _ in range(3))
-        # On Python floats a span past the float range is inf, with no
-        # warning; capped, it still gates the monotonicity and sign tests.
-        span = min(float(us.max()) - float(us.min()) + 1.0, sys.float_info.max)
-        judge_samples(partial(_deviation_verdict, self.label, us, vs, ws, span),
-                      None if batch is None else sample_triples(batch, us, vs, ws), self.eval,
-                      lambda: ((u, x) for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist())
-                               for x in (u, v, w)), 3, InvalidDeviationError)
+            check_deviations((self,))
 
     def __call__(self, u: float, v: float) -> float:
         return self.eval(u, v)
@@ -320,10 +398,23 @@ class ScalarDeviation:
 
 @dataclass(frozen=True)
 class DeviationTuple:
-    """A tuple of deviations sharing one interval."""
+    """A tuple of deviations sharing one interval, with its section.
+
+    ``section(y, x_1, ..., x_n)`` returns the list [E_1(x_1, y), ...,
+    E_n(x_n, y)]: every evaluation of the summed section (``e_sum``,
+    ``deviation_mean``) is one call of it.  Where every deviation's ``eval``
+    is an ``expr.Member`` (``descriptors.build_deviations``), the section
+    is one compiled function of them all and ``batch`` its numpy form
+    (``expr.bind_section``); otherwise the section calls each ``eval`` in
+    turn and ``batch`` is None.  ``select(chi)`` binds the deviations that
+    chi picks as one family of their own, once per injection.
+    """
 
     deviations: tuple[ScalarDeviation, ...]
     common_domain: Interval = field(init=False)
+    section: Callable[..., list] = field(init=False, repr=False, compare=False)
+    batch: Optional[Callable] = field(init=False, repr=False, compare=False)
+    _selected: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         devs = tuple(self.deviations)
@@ -335,6 +426,17 @@ class DeviationTuple:
             if d.domain != dom:
                 raise InvalidArgumentError("all deviations must share one domain")
         object.__setattr__(self, "common_domain", dom)
+        section, batch = bind_section([d.eval for d in devs])
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "batch", batch)
+
+    def select(self, chi: Injection) -> DeviationTuple:
+        """The tuple of the deviations chi picks, bound on the first call
+        with chi and kept for later ones."""
+        picked = self._selected.get(chi)
+        if picked is None:
+            picked = self._selected[chi] = DeviationTuple(select(self.deviations, chi))
+        return picked
 
     def __len__(self) -> int:
         return len(self.deviations)
@@ -365,7 +467,7 @@ def e_sum(E, x: Sequence[float], u: float) -> float:
         raise InvalidArgumentError(f"tuple length {len(x)} != deviation count {len(E)}")
     _check_in_domain(E.common_domain, x, "data value")
     _check_in_domain(E.common_domain, (u,), "evaluation point")
-    return math.fsum(d.eval(float(xi), u) for d, xi in zip(E.deviations, x))
+    return math.fsum(E.section(u, *[float(xi) for xi in x]))
 
 
 def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> SolverReport:
@@ -377,8 +479,16 @@ def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) ->
     from a nonnegative value at min(x) to a nonpositive value at max(x); a
     sign anomaly at the bracket endpoints or a value outside the range of
     the bracket's end values during the search raises
-    InvalidDeviationError.  Exhausting the iteration budget returns a
-    non-converged report with the last iterate.
+    InvalidDeviationError.
+
+    A converged report carries one of two certificates: a residual
+    |sum_i E_i(x_i, y)| within ``cfg.abs_tol``, or, where the width stop
+    ends the search first, a sign change of the summed section across a
+    final bracket that has the value as an end and is no wider than the
+    width tolerance ``cfg.rel_tol (max(x) - min(x)) + cfg.abs_tol``.  On a
+    steep section the second may leave a residual above ``abs_tol``, up to
+    the section's slope times the width tolerance.  Exhausting the
+    iteration budget returns a non-converged report with the last iterate.
     """
     E = as_deviation_tuple(E)
     if len(x) != len(E):
@@ -423,16 +533,15 @@ def _check_monotone(y: float, fy: float, a: float, fa: float, b: float, fb: floa
 
 
 def _summed_section(E: DeviationTuple, xs: list) -> Callable[[float], float]:
-    """The map y -> sum_i E_i(x_i, y) with x fixed, through each deviation's
-    ``eval``.
+    """The map y -> sum_i E_i(x_i, y) with x fixed, one call of the tuple's
+    section per evaluation.
 
     Classical families are summed here too, so that their closed forms stay
     independent oracles for this path.  A sum beyond the float range is an
     infinity of its sign (``core.wide_fsum``): only its sign moves the
     bracket.
     """
-    evals = [d.eval for d in E.deviations]
-    return lambda y, evals=evals, xs=xs: wide_fsum([ev(xi, y) for ev, xi in zip(evals, xs)])
+    return lambda y, section=E.section, xs=xs: wide_fsum(section(y, *xs))
 
 
 def deviation_sign(E, x: Sequence[float], u: float,
@@ -496,10 +605,13 @@ def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
     generator that overflows on the data raises DomainError.
 
     Where the average underflows (is 0 or subnormal), the exp generator
-    averages exp(x_i - max x) instead and adds max x back to the log; any
-    other generator whose inverse raises there, or leaves the hull of xs,
-    has lost the mean to the underflow and raises DomainError.  Every other
-    average is inverted as it is."""
+    averages exp(x_i - max x) instead and adds max x back to the log.  Any
+    other generator has the average's neighbours t - 2^-1074 and t +
+    2^-1074 inverted as well: where its inverse raises, leaves the hull of
+    xs, or moves by more than the inverse's own stop (2 eps |y| + 2^-1074,
+    see ``numeric_inverse``) between t and a neighbour, the few bits the
+    average keeps do not determine the mean, and DomainError is raised.
+    Every other average is inverted as it is."""
     try:
         fw = [f.eval(xi) for xi in xs]
     except OverflowError as exc:
@@ -513,9 +625,11 @@ def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
     else:
         try:
             y = f.inverse(t)
+            stop = 2.0 * _EPS * abs(y) + _TINY
+            determined = all(abs(f.inverse(s) - y) <= stop for s in (t - _TINY, t + _TINY))
         except (ArithmeticError, ValueError, DomainError):
-            y = math.nan
-        if not min(xs) <= y <= max(xs):
+            y, determined = math.nan, False
+        if not (determined and min(xs) <= y <= max(xs)):
             raise DomainError(f"the generator's values underflow on the data {xs}: their "
                               f"average {t} does not determine the mean")
     if not math.isfinite(y) or (y not in f.domain and not _near_domain(y, f.domain)):

@@ -42,10 +42,10 @@ import numpy as np
 from .core import Injection, SolverConfig
 from .descriptors import (
     MeanDescriptor,
+    build_deviations,
     build_mean,
     build_point_weight,
-    build_scalar_deviation,
-    build_weight,
+    build_weights,
     parse_domain,
 )
 from .errors import InvalidArgumentError
@@ -65,7 +65,6 @@ from .lab import (
     fuzz_suite,
 )
 from .reduction import check_deviation_reduction, check_weighted_arith_reduction
-from .scalar import DeviationTuple
 from .vector import inner_product_deviation
 
 SCHEMA_VERSION = 1
@@ -222,7 +221,7 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
 
     elif kind == "weighted-arith-reduction":
         domain = parse_domain(case.get("domain", [0.2, 6.0]))
-        weights = [build_weight(w, domain) for w in case["weights"]]
+        weights = build_weights(case["weights"], domain)
         chi = Injection.of([int(v) for v in case["chi"]], n=len(weights))
         samples = int(case.get("samples", 60))
 
@@ -237,9 +236,9 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
         samples = int(case.get("samples", 40))
         if "exprs" in case:
             domain = parse_domain(case.get("domain", [0.2, 6.0]))
-            exprs = case["exprs"]
-            devs = DeviationTuple(tuple(build_scalar_deviation(e, domain) for e in exprs))
+            devs = build_deviations(case["exprs"], domain)
             chi = Injection.of([int(v) for v in case["chi"]], n=len(devs))
+            devs.select(chi)  # the oracle's selected family, bound with the case
             entries = devs
         else:
             dim = int(case["dim"])

@@ -25,7 +25,7 @@ from meanreduce.descriptors import (
     parse_domain,
 )
 from meanreduce.errors import DomainError, MeansError
-from meanreduce.expr import bind_family, parse_expression
+from meanreduce.expr import Member, bind_family, bind_members, bind_section, parse_expression
 
 # The numpy values of each family; None sends the check to the callback.
 _NUMPY_VALUES = {
@@ -189,10 +189,13 @@ def test_batched_path_accepts_valid_families():
     # The point of the batch: a family that satisfies the axioms is never
     # evaluated through its callback.
     domain = parse_domain([0.2, 6.0])
-    _, batch = parse_expression("exp(u)*(log(u) - log(v))").bind_batch(("u", "v"))
-    scalar.ScalarDeviation(domain=domain, eval=_never, validate=False)._check_axioms(batch)
-    _, weight = parse_expression("1 + u^2").bind_batch(("u",))
-    scalar.WeightFn(eval=_never, domain=domain, validate=False)._check(weight)
+    texts = ("exp(u)*(log(u) - log(v))", "u - v", "u^2*(u - v)")
+    _, batch = bind_section([Member(parse_expression(t), ("u", "v")) for t in texts])
+    scalar.check_deviations([scalar.ScalarDeviation(domain=domain, eval=_never, validate=False)
+                             for _ in texts], batch)
+    _, weights = bind_members([parse_expression(t) for t in ("1 + u^2", "2", "exp(-u)")], ("u",))
+    scalar.check_weights([scalar.WeightFn(eval=_never, domain=domain, validate=False)] * 3,
+                         weights)
     names = ("u1", "u2", "v1", "v2")
     _, family = bind_family([parse_expression(e) for e in
                              ("2*(1 + u2^2)*(u1 - v1)", "2*(1 + u2^2)*(u2 - v2)")], names)
@@ -232,9 +235,10 @@ def test_fallback_outcomes_are_the_scalar_loops(kind, case, expected):
 
 def _nan_at(batch, index):
     def spoiled(*args):
-        value = np.array(np.broadcast_to(batch(*args), args[0].shape), dtype=float)
+        (value,) = batch(*args)
+        value = np.array(value, dtype=float)
         value[index] = math.nan
-        return value
+        return (value,)
     return spoiled
 
 
@@ -245,22 +249,24 @@ def _raising(*args):
 @pytest.mark.parametrize("spoil", [_raising, "nan", "complex"],
                          ids=["raises", "nan-in-one-sample", "complex"])
 def test_a_failing_batch_leaves_the_verdict_to_the_scalar_loop(spoil):
-    fn, batch = parse_expression("exp(u)*(log(u) - log(v))").bind_batch(("u", "v"))
+    expression = parse_expression("exp(u)*(log(u) - log(v))")
+    fn = expression.bind(("u", "v"))
+    _, batch = bind_section([Member(expression, ("u", "v"))])
     if spoil == "nan":
         spoil = _nan_at(batch, 17)
     elif spoil == "complex":
-        spoil = lambda us, vs: batch(us, vs) + 0j  # noqa: E731
+        spoil = lambda ys, xs: (batch(ys, xs)[0] + 0j,)  # noqa: E731
     by_callback = mock.Mock(wraps=fn)
     dev = scalar.ScalarDeviation(domain=parse_domain([0.2, 6.0]), eval=by_callback,
                                  validate=False)
-    dev._check_axioms(spoil)  # accepted on the callback's values
+    scalar.check_deviations([dev], spoil)  # accepted on the callback's values
     assert by_callback.called
     bad = scalar.ScalarDeviation(domain=parse_domain([0.2, 6.0]), eval=lambda u, v: v - u,
                                  label="reversed", validate=False)
     with pytest.raises(MeansError) as info:
-        bad._check_axioms(spoil)
+        scalar.check_deviations([bad], spoil)
     with pytest.raises(MeansError) as direct:
-        bad._check_axioms()
+        scalar.check_deviations([bad])
     assert str(info.value) == str(direct.value)
 
 

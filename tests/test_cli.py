@@ -153,6 +153,30 @@ class TestMeanCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: the generator's values underflow on the data")
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "quasi-arithmetic"),
+        ("--kind", "bajraktarevic", "--weights", "1;3"),
+    ], ids=["quasi-arithmetic", "bajraktarevic"])
+    def test_subnormal_generator_average_exits_2(self, capsys, argv):
+        # exp(u) of the data is about 4e-322: the average keeps a few bits,
+        # and the mean printed was -740.3762023611497 where the exact one is
+        # -740.3798854930417, which the named exp prints.
+        code, out, err = run_cli(capsys, "mean", *argv, "--f", "exp(u)", "--x=-740,-741")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the generator's values underflow on the data "
+                              "[-740.0, -741.0]")
+        # The exact means, from mpmath.
+        exact = -740.379885493041722 if len(argv) == 2 else -740.642625980491211
+        named = run_json(capsys, "mean", *argv, "--f", "exp", "--x=-740,-741")
+        assert abs(named["value"] - exact) <= 1e-15 * abs(exact)
+
+    def test_identity_generator_keeps_a_subnormal_mean(self, capsys):
+        # The average of subnormal data is the mean itself: its neighbours
+        # move it by 2^-1074, within the inverse's stop.
+        data = run_json(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "identity",
+                        "--x", "1e-320,3e-320")
+        assert data["value"] == 2e-320
+
     def test_log_generator_outside_the_positive_reals_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "log",
                                  "--domain", "-1,2", "--x", "1,2")

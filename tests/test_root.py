@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from meanreduce.core import (ITP_N0, REALS, Injection, Interval, SolverConfig, bracketed_root,
                              wide_fsum)
-from meanreduce.descriptors import arithmetic_mean_fn
+from meanreduce.descriptors import arithmetic_mean_fn, build_deviations
 from meanreduce.errors import DomainError, InvalidDeviationError
 from meanreduce.reduction import MeanFn, reduce_scalar
 from meanreduce.scalar import DeviationTuple, ScalarDeviation, deviation_mean, e_sum
@@ -204,6 +204,24 @@ def test_nested_deviation_sums_end_within_ten_steps(sample):
         width_tol = ORACLE_INNER.rel_tol * (b - a) + ORACLE_INNER.abs_tol
         lo, hi = max(report.value - width_tol, a), min(report.value + width_tol, b)
         assert e_sum(E, xs, lo) >= 0.0 >= e_sum(E, xs, hi)
+
+
+def test_width_stop_certifies_a_steep_section_by_its_sign_change():
+    # A sum of five nested families of slope about 36 at the root: the width
+    # stop (a bracket no wider than 1.3e-12) ends the search where the
+    # residual is 7e-12, above abs_tol.  The report is converged on the
+    # other certificate: the sign change within the width tolerance.
+    E = build_deviations(["u^1.325 - v^1.325", "1.425*(u - v)",
+                          "(1 + 0.5415*u^2)*(sqrt(u) - sqrt(v))", "u^1.85*(u - v)",
+                          "u^0.882*(u - v)"], NESTED_DOMAIN)
+    xs = [4.299, 2.975, 3.698, 5.908, 4.091]
+    report = deviation_mean(E, xs, ORACLE_INNER)
+    y, h = report.value, 1e-7
+    assert 35.0 < (e_sum(E, xs, y - h) - e_sum(E, xs, y + h)) / (2.0 * h) < 37.0
+    assert report.converged
+    assert report.residual > ORACLE_INNER.abs_tol
+    width_tol = ORACLE_INNER.rel_tol * (max(xs) - min(xs)) + ORACLE_INNER.abs_tol
+    assert e_sum(E, xs, y - width_tol) > 0.0 > e_sum(E, xs, y + width_tol)
 
 
 @SETTINGS
