@@ -24,7 +24,7 @@ function.  The binders:
   one function returning all d values;
 - ``bind_section``: a family of scalar deviations E_i(u, v) given as
   ``Member``s, one function of (y, x_1, ..., x_n) returning the n values
-  E_i(x_i, y), the section that a deviation mean sums;
+  E_i(x_i, y), the section that a deviation mean sums, and its sum;
 - ``bind_members``: a family of weights w_i(u), each its own function, all
   from one compile.
 
@@ -57,6 +57,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .core import wide_fsum
 from .errors import DomainError, ExpressionError
 
 _TOKEN_RE = re.compile(
@@ -264,6 +265,7 @@ def _positional(names: Sequence[str]) -> dict[str, str]:
 
 
 def _bound(text: str, code, arity: int) -> Callable[..., float]:
+    """The compiled code of one expression, with its error contract."""
     return _contract(text, eval(code, _EVAL_GLOBALS), arity)  # noqa: S307
 
 
@@ -403,23 +405,31 @@ class Member:
         return self._fn(*args)
 
 
-def bind_section(members: Sequence[Callable]) -> tuple[Callable[..., list], Optional[Callable]]:
+def bind_section(members: Sequence[Callable]) -> tuple[Callable[..., list],
+                                                       Callable[..., float], Optional[Callable]]:
     """The section y -> [E_1(x_1, y), ..., E_n(x_n, y)] of a family of
-    two-place functions E_i(x, y), as one function of (y, x_1, ..., x_n),
-    and its numpy form, which returns the tuple of the members' values.
+    two-place functions E_i(x, y), as one function of (y, x_1, ..., x_n);
+    its total, the same function summed by ``core.wide_fsum``; and its
+    numpy form, which returns the tuple of the members' values.
 
     Where every E_i is a ``Member`` in two names, the section is compiled as
     a single lambda, as ``bind_family`` compiles a family, with its
     fallback: a call that fails is evaluated again member by member, in
-    order, so the DomainError names the first member that fails.  Any other
-    family calls each E_i in turn, and has no numpy form (None).
+    order, so the DomainError names the first member that fails.  The total
+    sums that lambda's values by ``math.fsum`` and takes the section's path
+    wherever that raises, so its value and errors are those of the section
+    summed.  Any other family calls each E_i in turn, and has no numpy form
+    (None).
     """
     members = list(members)
     if not all(isinstance(m, Member) and len(m.names) == 2 for m in members):
         def section(y, *xs):
             return [m(x, y) for m, x in zip(members, xs)]
 
-        return section, None
+        def total(y, *xs):
+            return wide_fsum(section(y, *xs))
+
+        return section, total, None
     bodies = [m.expression._body({m.names[0]: f"_a{i + 1}", m.names[1]: "_a0"})
               for i, m in enumerate(members)]
     arity = len(members) + 1
@@ -436,7 +446,16 @@ def bind_section(members: Sequence[Callable]) -> tuple[Callable[..., list], Opti
                 raise
             return [m(x, args[0]) for m, x in zip(members, args[1:])]
 
-    return section, eval(code, _NUMPY_GLOBALS)  # noqa: S307
+    def total(*args):
+        try:
+            # math.fsum rejects a complex value with TypeError, a partial sum
+            # past the float range with OverflowError and inf - inf with
+            # ValueError.
+            return math.fsum(raw(*args))
+        except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+            return wide_fsum(section(*args))
+
+    return section, total, eval(code, _NUMPY_GLOBALS)  # noqa: S307
 
 
 def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Expression:

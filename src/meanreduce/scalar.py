@@ -67,7 +67,6 @@ from .core import (
     sample_triples,
     scaled_width,
     select,
-    wide_fsum,
     wide_uniform,
 )
 from .errors import (
@@ -401,10 +400,11 @@ class DeviationTuple:
     """A tuple of deviations sharing one interval, with its section.
 
     ``section(y, x_1, ..., x_n)`` returns the list [E_1(x_1, y), ...,
-    E_n(x_n, y)]: every evaluation of the summed section (``e_sum``,
-    ``deviation_mean``) is one call of it.  Where every deviation's ``eval``
-    is an ``expr.Member`` (``descriptors.build_deviations``), the section
-    is one compiled function of them all and ``batch`` its numpy form
+    E_n(x_n, y)], and ``total`` the same arguments' sum of it by
+    ``core.wide_fsum``: every evaluation of the summed section is one call
+    of either (``e_sum``, ``deviation_mean``).  Where every deviation's
+    ``eval`` is an ``expr.Member`` (``descriptors.build_deviations``), both
+    run one compiled function of them all and ``batch`` is its numpy form
     (``expr.bind_section``); otherwise the section calls each ``eval`` in
     turn and ``batch`` is None.  ``select(chi)`` binds the deviations that
     chi picks as one family of their own, once per injection.
@@ -413,6 +413,7 @@ class DeviationTuple:
     deviations: tuple[ScalarDeviation, ...]
     common_domain: Interval = field(init=False)
     section: Callable[..., list] = field(init=False, repr=False, compare=False)
+    total: Callable[..., float] = field(init=False, repr=False, compare=False)
     batch: Optional[Callable] = field(init=False, repr=False, compare=False)
     _selected: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
@@ -426,8 +427,9 @@ class DeviationTuple:
             if d.domain != dom:
                 raise InvalidArgumentError("all deviations must share one domain")
         object.__setattr__(self, "common_domain", dom)
-        section, batch = bind_section([d.eval for d in devs])
+        section, total, batch = bind_section([d.eval for d in devs])
         object.__setattr__(self, "section", section)
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "batch", batch)
 
     def select(self, chi: Injection) -> DeviationTuple:
@@ -534,14 +536,14 @@ def _check_monotone(y: float, fy: float, a: float, fa: float, b: float, fb: floa
 
 def _summed_section(E: DeviationTuple, xs: list) -> Callable[[float], float]:
     """The map y -> sum_i E_i(x_i, y) with x fixed, one call of the tuple's
-    section per evaluation.
+    total per evaluation.
 
     Classical families are summed here too, so that their closed forms stay
     independent oracles for this path.  A sum beyond the float range is an
     infinity of its sign (``core.wide_fsum``): only its sign moves the
     bracket.
     """
-    return lambda y, section=E.section, xs=xs: wide_fsum(section(y, *xs))
+    return lambda y, total=E.total, xs=xs: total(y, *xs)
 
 
 def deviation_sign(E, x: Sequence[float], u: float,

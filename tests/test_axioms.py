@@ -190,7 +190,7 @@ def test_batched_path_accepts_valid_families():
     # evaluated through its callback.
     domain = parse_domain([0.2, 6.0])
     texts = ("exp(u)*(log(u) - log(v))", "u - v", "u^2*(u - v)")
-    _, batch = bind_section([Member(parse_expression(t), ("u", "v")) for t in texts])
+    batch = bind_section([Member(parse_expression(t), ("u", "v")) for t in texts])[2]
     scalar.check_deviations([scalar.ScalarDeviation(domain=domain, eval=_never, validate=False)
                              for _ in texts], batch)
     _, weights = bind_members([parse_expression(t) for t in ("1 + u^2", "2", "exp(-u)")], ("u",))
@@ -251,7 +251,7 @@ def _raising(*args):
 def test_a_failing_batch_leaves_the_verdict_to_the_scalar_loop(spoil):
     expression = parse_expression("exp(u)*(log(u) - log(v))")
     fn = expression.bind(("u", "v"))
-    _, batch = bind_section([Member(expression, ("u", "v"))])
+    batch = bind_section([Member(expression, ("u", "v"))])[2]
     if spoil == "nan":
         spoil = _nan_at(batch, 17)
     elif spoil == "complex":

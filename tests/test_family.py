@@ -91,7 +91,7 @@ def test_section_values_are_the_members_bit_for_bit(texts, data):
     values = E.section(y, *xs)
     assert all(type(v) is float for v in values)
     assert _bits(values) == _bits(expected)
-    assert _bits([wide_fsum(values)]) == _bits([wide_fsum(expected)])
+    assert _bits([E.total(y, *xs)]) == _bits([wide_fsum(expected)])
     assert _bits([e_sum(E, xs, y)]) == _bits([math.fsum(expected)])
 
 
@@ -114,9 +114,35 @@ def test_a_member_that_raises_is_named_as_on_its_own(texts, data):
     members = [parse_expression(t).bind(("u", "v")) for t in texts]
     expected = _outcome(lambda: [fn(x, y) for fn, x in zip(members, xs)])
     assert _outcome(lambda: E.section(y, *xs)) == expected
+    assert _outcome(lambda: E.total(y, *xs)) == _outcome(
+        lambda: wide_fsum([fn(x, y) for fn, x in zip(members, xs)]))
     assert _outcome(lambda: scalar.deviation_mean(E, xs)) == _outcome(
         lambda: scalar.deviation_mean(DeviationTuple(tuple(
             ScalarDeviation(domain=DOMAIN, eval=fn, validate=False) for fn in members)), xs))
+
+
+def _result(fn):
+    try:
+        return fn()
+    except MeansError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("texts, args", [
+    (["1e308*(u - v)", "1e308*(u - v)"], (0.0, 1.5, 1.9)),
+    (["-1e308*(u - v)", "1e308*(u - v)", "u - v"], (0.0, 1.5e300, 1.9e300, 1.0)),
+    (["u - v", "(u - v)*(v - 3)^0.5"], (1.0, 2.0, 3.0)),
+    (["u - v", "log(u - 3)*(u - v)"], (1.0, 2.0, 3.0)),
+], ids=["sum-past-the-float-range", "both-infinities", "complex-member", "math-error"])
+def test_total_is_the_section_summed(texts, args):
+    E = DeviationTuple(tuple(ScalarDeviation(domain=DOMAIN, validate=False,
+                                             eval=Member(parse_expression(t), ("u", "v")))
+                             for t in texts))
+    members = [parse_expression(t).bind(("u", "v")) for t in texts]
+    y, *xs = args
+    expected = _result(lambda: wide_fsum([fn(x, y) for fn, x in zip(members, xs)]))
+    assert _result(lambda: E.total(*args)) == expected
+    assert _result(lambda: wide_fsum(E.section(*args))) == expected
 
 
 # Members that break one axiom on [0.2, 6]: a diagonal that does not vanish,
@@ -168,7 +194,7 @@ def test_section_family_is_freed_by_reference_counting_alone():
         E.section(1.0, 2.0, 3.0, 4.0)
         E[0](1.0, 2.0)  # binds one member on its own
         selected = DeviationTuple(E.deviations[1:])
-        refs = [weakref.ref(obj) for obj in (E, E.section, E.batch, selected,
+        refs = [weakref.ref(obj) for obj in (E, E.section, E.total, E.batch, selected,
                                             selected.section, *E.deviations)]
         del E, selected
         assert [r() for r in refs] == [None] * len(refs)
