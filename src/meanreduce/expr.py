@@ -418,18 +418,27 @@ def bind_section(members: Sequence[Callable]) -> tuple[Callable[..., list],
     order, so the DomainError names the first member that fails.  The total
     sums that lambda's values by ``math.fsum`` and takes the section's path
     wherever that raises, so its value and errors are those of the section
-    summed.  Any other family calls each E_i in turn, and has no numpy form
-    (None).
+    summed.  The last 16 such families are kept, keyed by their members, so
+    that a family bound again from the same members (``deviation_mean`` of a
+    list of deviations binds one per call) is not compiled again.  Any
+    other family calls each E_i in turn, and has no numpy form (None).
     """
-    members = list(members)
-    if not all(isinstance(m, Member) and len(m.names) == 2 for m in members):
-        def section(y, *xs):
-            return [m(x, y) for m, x in zip(members, xs)]
+    members = tuple(members)
+    if all(isinstance(m, Member) and len(m.names) == 2 for m in members):
+        return _compiled_section(members)
 
-        def total(y, *xs):
-            return wide_fsum(section(y, *xs))
+    def section(y, *xs):
+        return [m(x, y) for m, x in zip(members, xs)]
 
-        return section, total, None
+    def total(y, *xs):
+        return wide_fsum(section(y, *xs))
+
+    return section, total, None
+
+
+@lru_cache(maxsize=16)
+def _compiled_section(members: tuple[Member, ...]) -> tuple:
+    """``bind_section`` of a family of Members."""
     bodies = [m.expression._body({m.names[0]: f"_a{i + 1}", m.names[1]: "_a0"})
               for i, m in enumerate(members)]
     arity = len(members) + 1
