@@ -386,17 +386,15 @@ class Member:
     the second the evaluation point y, is evaluated through its section
     (``bind_section``), one compiled function of all of them; a member is
     compiled only where it is called on its own.  It refers to nothing
-    that refers back to it, so a family is freed as soon as its last user
-    drops it.
+    that refers back to it, so reference counting frees a family as soon
+    as its users and the cache of compiled sections drop it.
     """
 
     __slots__ = ("expression", "names", "_fn")
 
     def __init__(self, expression: Expression, names: Sequence[str]):
-        self.names = tuple(names)
-        if not expression.variables.issubset(self.names):
-            raise expression._missing(self.names)
         self.expression = expression
+        self.names = tuple(names)
         self._fn = None
 
     def __call__(self, *args) -> float:
