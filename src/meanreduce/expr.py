@@ -387,7 +387,7 @@ class Member:
     (``bind_section``), one compiled function of all of them; a member is
     compiled only where it is called on its own.  It refers to nothing
     that refers back to it, so reference counting frees a family as soon
-    as its users and the cache of compiled sections drop it.
+    as its users drop it.
     """
 
     __slots__ = ("expression", "names", "_fn")
@@ -403,8 +403,8 @@ class Member:
         return self._fn(*args)
 
 
-def bind_section(members: Sequence[Callable]) -> tuple[Callable[..., list],
-                                                       Callable[..., float], Optional[Callable]]:
+def bind_section(members: Sequence[Callable], compiled: bool = True
+                 ) -> tuple[Callable[..., list], Callable[..., float], Optional[Callable]]:
     """The section y -> [E_1(x_1, y), ..., E_n(x_n, y)] of a family of
     two-place functions E_i(x, y), as one function of (y, x_1, ..., x_n);
     its total, the same function summed by ``core.wide_fsum``; and its
@@ -416,13 +416,11 @@ def bind_section(members: Sequence[Callable]) -> tuple[Callable[..., list],
     order, so the DomainError names the first member that fails.  The total
     sums that lambda's values by ``math.fsum`` and takes the section's path
     wherever that raises, so its value and errors are those of the section
-    summed.  The last 16 such families are kept, keyed by their members, so
-    that a family bound again from the same members (``deviation_mean`` of a
-    list of deviations binds one per call) is not compiled again.  Any
-    other family calls each E_i in turn, and has no numpy form (None).
+    summed.  Any other family, and every family where ``compiled`` is
+    False, calls each E_i in turn, and has no numpy form (None).
     """
     members = tuple(members)
-    if all(isinstance(m, Member) and len(m.names) == 2 for m in members):
+    if compiled and all(isinstance(m, Member) and len(m.names) == 2 for m in members):
         return _compiled_section(members)
 
     def section(y, *xs):
@@ -434,7 +432,6 @@ def bind_section(members: Sequence[Callable]) -> tuple[Callable[..., list],
     return section, total, None
 
 
-@lru_cache(maxsize=16)
 def _compiled_section(members: tuple[Member, ...]) -> tuple:
     """``bind_section`` of a family of Members."""
     bodies = [m.expression._body({m.names[0]: f"_a{i + 1}", m.names[1]: "_a0"})

@@ -62,7 +62,7 @@ from .errors import (
     NoConvergenceError,
     NotAMeanError,
 )
-from .scalar import DeviationTuple, as_deviation_tuple, deviation_mean, weighted_arith_mean
+from .scalar import DeviationTuple, deviation_mean, weighted_arith_mean
 from .vector import (
     GenDeviation,
     PotentialFn,
@@ -156,7 +156,9 @@ def _select_entries(entries, chi: Injection):
 
 def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
                       label: str = "deviation mean") -> MeanFn:
-    return _solver_mean_fn(deviation_mean, as_deviation_tuple(E), cfg, label)
+    # Bound once here, for every solve of the mean.
+    E = E if isinstance(E, DeviationTuple) else DeviationTuple(tuple(E))
+    return _solver_mean_fn(deviation_mean, E, cfg, label)
 
 
 def gen_deviation_mean_fn(E: Sequence[GenDeviation], cfg: SolverConfig = DEFAULT_CONFIG,

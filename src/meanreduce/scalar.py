@@ -23,7 +23,8 @@ Every deviation mean, a classical family's included, is solved through the
 same summed section: one call of the ``DeviationTuple``'s section per
 evaluation, which returns every E_i(x_i, y) at the fixed data points.  An
 expression family's section is one compiled function (see
-:mod:`meanreduce.expr`); any other family's calls each deviation's ``eval``.
+:mod:`meanreduce.expr`); any other family's, and a plain sequence's, calls
+each deviation's ``eval``.
 
 Deviation axioms cannot be proven for arbitrary callables, so constructors
 check them on 64 randomized samples unless ``validate=False``; strictness
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
@@ -405,19 +406,21 @@ class DeviationTuple:
     of either (``e_sum``, ``deviation_mean``).  Where every deviation's
     ``eval`` is an ``expr.Member`` (``descriptors.build_deviations``), both
     run one compiled function of them all and ``batch`` is its numpy form
-    (``expr.bind_section``); otherwise the section calls each ``eval`` in
-    turn and ``batch`` is None.  ``select(chi)`` binds the deviations that
-    chi picks as one family of their own, once per injection.
+    (``expr.bind_section``); otherwise, or where ``compiled`` is False, the
+    section calls each ``eval`` in turn and ``batch`` is None.
+    ``select(chi)`` binds the deviations that chi picks as one family of
+    their own, once per injection.
     """
 
     deviations: tuple[ScalarDeviation, ...]
+    compiled: InitVar[bool] = True
     common_domain: Interval = field(init=False)
     section: Callable[..., list] = field(init=False, repr=False, compare=False)
     total: Callable[..., float] = field(init=False, repr=False, compare=False)
     batch: Optional[Callable] = field(init=False, repr=False, compare=False)
     _selected: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, compiled: bool):
         devs = tuple(self.deviations)
         object.__setattr__(self, "deviations", devs)
         if len(devs) == 0:
@@ -427,7 +430,7 @@ class DeviationTuple:
             if d.domain != dom:
                 raise InvalidArgumentError("all deviations must share one domain")
         object.__setattr__(self, "common_domain", dom)
-        section, total, batch = bind_section([d.eval for d in devs])
+        section, total, batch = bind_section([d.eval for d in devs], compiled)
         object.__setattr__(self, "section", section)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "batch", batch)
@@ -451,9 +454,12 @@ class DeviationTuple:
 
 
 def as_deviation_tuple(E) -> DeviationTuple:
+    """E itself, or a tuple of the deviations in E whose section calls each
+    ``eval`` in turn: a sequence is bound on every call that takes one, and
+    a compiled section would cost more than it saves there."""
     if isinstance(E, DeviationTuple):
         return E
-    return DeviationTuple(tuple(E))
+    return DeviationTuple(tuple(E), compiled=False)
 
 
 def _check_in_domain(domain: Interval, values, what: str):
@@ -607,13 +613,15 @@ def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
     generator that overflows on the data raises DomainError.
 
     Where the average underflows (is 0 or subnormal), the exp generator
-    averages exp(x_i - max x) instead and adds max x back to the log.  Any
-    other generator has the average's neighbours t - 2^-1074 and t +
-    2^-1074 inverted as well: where its inverse raises, leaves the hull of
-    xs, or moves by more than the inverse's own stop (2 eps |y| + 2^-1074,
-    see ``numeric_inverse``) between t and a neighbour, the few bits the
-    average keeps do not determine the mean, and DomainError is raised.
-    Every other average is inverted as it is."""
+    averages exp(x_i - max x) instead and adds max x back to the log.  For
+    any other generator, DomainError is raised where the inverse raises
+    there or leaves the hull of xs, and, where the f-values themselves
+    underflowed, also where it moves by more than its own stop (2 eps |y| +
+    2^-1074, see ``numeric_inverse``) between t and either neighbour t -
+    2^-1074, t + 2^-1074: the few bits the average keeps do not determine
+    the mean.  An average that cancels from normal f-values carries the
+    usual rounding of order eps max |f(x_i)| and is inverted as it is, as
+    is every other average."""
     try:
         fw = [f.eval(xi) for xi in xs]
     except OverflowError as exc:
@@ -628,7 +636,8 @@ def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
         try:
             y = f.inverse(t)
             stop = 2.0 * _EPS * abs(y) + _TINY
-            determined = all(abs(f.inverse(s) - y) <= stop for s in (t - _TINY, t + _TINY))
+            determined = (max(map(abs, fw)) >= _NORMAL_MIN
+                          or all(abs(f.inverse(s) - y) <= stop for s in (t - _TINY, t + _TINY)))
         except (ArithmeticError, ValueError, DomainError):
             y, determined = math.nan, False
         if not (determined and min(xs) <= y <= max(xs)):

@@ -238,7 +238,6 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
             domain = parse_domain(case.get("domain", [0.2, 6.0]))
             devs = build_deviations(case["exprs"], domain)
             chi = Injection.of([int(v) for v in case["chi"]], n=len(devs))
-            devs.select(chi)  # the oracle's selected family, bound with the case
             entries = devs
         else:
             dim = int(case["dim"])

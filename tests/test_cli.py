@@ -177,6 +177,13 @@ class TestMeanCommand:
                         "--x", "1e-320,3e-320")
         assert data["value"] == 2e-320
 
+    @pytest.mark.parametrize("f", ["u^3", "u^5", "u*abs(u)"])
+    def test_generator_values_that_cancel_keep_their_mean(self, capsys, f):
+        # f(-1) + f(1) cancels to 0 from normal values: the average is not
+        # an underflow, and its inverse 0 is the mean.
+        data = run_json(capsys, "mean", "--kind", "quasi-arithmetic", "--f", f, "--x=-1,1")
+        assert data["value"] == 0.0
+
     def test_log_generator_outside_the_positive_reals_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "log",
                                  "--domain", "-1,2", "--x", "1,2")

@@ -15,11 +15,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanreduce import expr, reduction, scalar
+from meanreduce import reduction, scalar
 from meanreduce.core import Injection, wide_fsum
 from meanreduce.descriptors import (
     build_deviations,
-    build_scalar_deviation,
     build_weights,
     parse_domain,
 )
@@ -188,8 +187,7 @@ def test_weight_errors_come_in_spec_order(specs, expected):
 
 def test_section_family_is_freed_by_reference_counting_alone():
     # A family whose members referred back to it would live until the cycle
-    # collector ran, which raised peak memory.  The bounded cache of
-    # compiled sections is the one holder left once the tuples go.
+    # collector ran, which raised peak memory.
     gc.disable()
     try:
         E = build_deviations(["u - v", "log(u) - log(v)", "u^2*(u - v)"], DOMAIN)
@@ -199,28 +197,21 @@ def test_section_family_is_freed_by_reference_counting_alone():
         refs = [weakref.ref(obj) for obj in (E, E.section, E.total, E.batch, selected,
                                             selected.section, *E.deviations)]
         del E, selected
-        expr._compiled_section.cache_clear()
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
 
-def test_a_list_of_deviations_is_compiled_once():
-    # deviation_mean binds a DeviationTuple of a list on every call; the
-    # same members find their compiled section again.
-    devs = [build_scalar_deviation(t, DOMAIN) for t in ("u - v", "u*(u - v)", "log(u) - log(v)")]
-    compiles = []
-    original = expr._code
-
-    def counting(*args):
-        compiles.append(args[-1])
-        return original(*args)
-
-    with mock.patch.object(expr, "_code", counting):
-        values = [scalar.deviation_mean(devs, [1.0, 2.0, 4.0]).value for _ in range(3)]
-        e_sum(devs, [1.0, 2.0, 4.0], 2.0)
-    assert len(compiles) == 1 and compiles[0].startswith("<section ")
-    assert values == [scalar.deviation_mean(DeviationTuple(tuple(devs)), [1.0, 2.0, 4.0]).value] * 3
+def test_a_list_of_deviations_is_summed_member_by_member():
+    # A plain sequence is bound on every call that takes one: no section is
+    # compiled for it, and its value is the bound family's.
+    E = build_deviations(["u - v", "u*(u - v)", "log(u) - log(v)"], DOMAIN)
+    devs = list(E)
+    assert scalar.as_deviation_tuple(devs).batch is None
+    assert scalar.as_deviation_tuple(E) is E
+    xs = [1.0, 2.0, 4.0]
+    assert scalar.deviation_mean(devs, xs) == scalar.deviation_mean(E, xs)
+    assert _bits([e_sum(devs, xs, 2.0)]) == _bits([e_sum(E, xs, 2.0)])
 
 
 def test_reduction_oracles_bind_and_check_each_family_once():
