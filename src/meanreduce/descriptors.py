@@ -40,7 +40,7 @@ from .core import (
     select,
 )
 from .errors import ExpressionError, InvalidArgumentError, MeansError
-from .expr import Member, bind_family, bind_members, parse_expression
+from .expr import Member, _bind_family, parse_expression
 from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
 from .scalar import (
     DeviationTuple,
@@ -182,11 +182,12 @@ def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
 
 def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
     """WeightFns from positive numbers and expressions in u; a WeightFn
-    passes through.  The expressions are bound as one family
-    (``expr.bind_members``) and checked on the sample draw they share
-    (``scalar.check_weights``).  Errors come in the order of the specs, as
-    if each weight were built and checked on its own: a spec that raises
-    does so only after the expression weights before it pass their check."""
+    passes through.  The expressions are compiled as one family, each
+    member with its own function (``expr._bind_family``), and checked on
+    the sample draw they share (``scalar.check_weights``).  Errors come in
+    the order of the specs, as if each weight were built and checked on its
+    own: a spec that raises does so only after the expression weights
+    before it pass their check."""
     built: list = []
     parsed: list = []  # (slot, expression)
     error = None
@@ -203,7 +204,8 @@ def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
             error = exc
             break
     if parsed:
-        fns, batch = bind_members([e for _, e in parsed], ("u",))
+        _, _, batch, fns = _bind_family([e for _, e in parsed], [{"u": 0}] * len(parsed), 1,
+                                        members=True)
         weights = [WeightFn(eval=fn, domain=domain, validate=False) for fn in fns]
         check_weights(weights, batch)
         for (slot, _), weight in zip(parsed, weights):
@@ -221,9 +223,9 @@ def build_weight(spec, domain: Interval) -> WeightFn:
 
 def build_deviations(texts: Sequence[str], domain: Interval) -> DeviationTuple:
     """A DeviationTuple of expressions in u, v, bound as one family: each
-    deviation's eval is an ``expr.Member``, so the tuple's section is one
-    compiled function of them all (``expr.bind_section``), and its numpy
-    form checks the axioms of every member on the sample draw they share
+    deviation's eval is an ``expr.Member``, so the tuple compiles its
+    section as one function of them all, and its numpy form checks the
+    axioms of every member on the sample draw they share
     (``scalar.check_deviations``).  Errors come in member order, as if each
     deviation were built and checked on its own: a text that does not parse
     raises only after the members before it pass their checks."""
@@ -262,6 +264,12 @@ def _expand(entries, arity: int, what: str) -> list:
     return entries
 
 
+def _of_points(fn: Callable) -> Callable:
+    """fn of the coordinates of the point u, then of the point v where one
+    is given, as Python floats."""
+    return lambda u, v=(): fn(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
+
+
 def build_point_weight(spec, dim: int) -> Callable:
     """A positive weight on points from a number or an expression in u1..ud."""
     if callable(spec):
@@ -272,8 +280,7 @@ def build_point_weight(spec, dim: int) -> Callable:
             raise InvalidArgumentError("weight must be positive")
         return lambda u, c=c: c
     allowed = tuple(f"u{i + 1}" for i in range(dim))
-    fn = parse_expression(str(spec), allowed=allowed).bind(allowed)
-    return lambda u, fn=fn: fn(*np.asarray(u, float).tolist())
+    return _of_points(parse_expression(str(spec), allowed=allowed).bind(allowed))
 
 
 def build_gen_deviation(exprs: Sequence[str], dim: int,
@@ -283,13 +290,10 @@ def build_gen_deviation(exprs: Sequence[str], dim: int,
     if len(exprs) != dim:
         raise InvalidArgumentError(f"need {dim} covector expressions, got {len(exprs)}")
     allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
-    family, batch = bind_family([parse_expression(str(e), allowed=allowed) for e in exprs],
-                                allowed)
-
-    def eval_cov(u, v, family=family):
-        return family(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
-
-    dev = GenDeviation(dim=dim, eval=eval_cov, label="custom generalized deviation",
+    # Every coordinate reads the same arguments (u1..ud, v1..vd).
+    family, _, batch, _ = _bind_family([parse_expression(str(e), allowed=allowed) for e in exprs],
+                                       [dict(zip(allowed, range(2 * dim)))] * dim, 2 * dim)
+    dev = GenDeviation(dim=dim, eval=_of_points(family), label="custom generalized deviation",
                        sample_low=sample_low, sample_high=sample_high, validate=False)
     dev._check_axioms(batch)
     return dev
@@ -300,11 +304,7 @@ def build_custom_potential(expr_text: str, dim: int) -> PotentialFn:
     differences."""
     allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
     fn = parse_expression(str(expr_text), allowed=allowed).bind(allowed)
-
-    def feval(u, v, fn=fn):
-        return fn(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
-
-    return PotentialFn(dim=dim, eval=feval, label=f"potential {expr_text!r}",
+    return PotentialFn(dim=dim, eval=_of_points(fn), label=f"potential {expr_text!r}",
                        sample_low=-2.0, sample_high=2.0)
 
 

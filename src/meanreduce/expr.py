@@ -17,33 +17,35 @@ double precision, and a literal that overflows to infinity is rejected.
 
 Each expression, and each family of expressions, is compiled once into one
 Python function of positional floats; a keyword call runs the same kind of
-function.  The binders:
+function.  ``Expression.bind`` compiles one expression.  A family is
+compiled by one primitive, ``_bind_family``, from the members' expressions
+and one argument map per member, which says which positional argument each
+variable reads:
 
-- ``Expression.bind``: one expression;
-- ``bind_family``: the d covector coordinates of a generalized deviation,
-  one function returning all d values;
-- ``bind_section``: a family of scalar deviations E_i(u, v) given as
-  ``Member``s, one function of (y, x_1, ..., x_n) returning the n values
-  E_i(x_i, y), the section that a deviation mean sums, and its sum;
-- ``bind_members``: a family of weights w_i(u), each its own function, all
-  from one compile.
+- the d covector coordinates of a generalized deviation all read the same
+  (u1..ud, v1..vd);
+- the section of a family of scalar deviations E_i(u, v), the function of
+  (y, x_1, ..., x_n) that returns every E_i(x_i, y), has member i read x_i
+  as u and the shared y as v;
+- a family of weights w_i(u) has every member read argument 0, and asks
+  for each member's own function from the same compile.
 
 Variables are checked when the function is built, not per call.  Every form
 keeps one error contract: a math domain error, overflow or division by zero
 raises DomainError naming the expression, so does a complex result or a
 complex operand of a math function, and the value is a ``float``.  A family
 function that fails is evaluated again one member at a time, in order, so
-the error names the first member that fails.  A ``Member`` is compiled on
-its own only when it is called on its own.
+the error names the first member that fails.  A ``Member`` is one
+expression compiled on its own only when it is called on its own.
 
-``Expression.bind_batch`` and the family binders return, besides the scalar
+``Expression.bind_batch`` and ``_bind_family`` return, besides the scalar
 functions, a numpy form of the same compiled code: the ``_fn_*`` names map
 to numpy's ufuncs, so it takes arrays of samples and evaluates them in one
 call (a family's form returns the tuple of its members' values).  It has no
 error contract of its own (numpy signals a floating-point error where
 ``math`` raises, and its ``exp`` and ``power`` may differ from ``math``'s in
 the last bit); the axiom checks use it to accept every member of a family on
-one sample set at once and leave every other verdict to the scalar
+one sample draw at once and leave every other verdict to the scalar
 functions.
 """
 
@@ -53,7 +55,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -226,15 +228,13 @@ _NUMPY_GLOBALS = {"__builtins__": {}, "_fn_exp": np.exp, "_fn_log": np.log,
                   "_fn_sqrt": np.sqrt, "_fn_abs": np.abs, "_fn_pow": np.power}
 
 
-def _code(body: str, arity: int, label: str):
-    """The code of ``lambda _a0, ..., _a{arity-1}: body``, to be evaluated
-    against ``_EVAL_GLOBALS`` or ``_NUMPY_GLOBALS``.
+def _params(arity: int) -> str:
+    """The parameters ``_a0, ..., _a{arity-1}`` of a compiled lambda.
 
     Arguments are named by position, never after a user variable, so no
     variable can collide with a generated name.
     """
-    params = ", ".join(f"_a{i}" for i in range(arity))
-    return compile(f"lambda {params}: {body}", label, "eval")
+    return ", ".join(f"_a{i}" for i in range(arity))
 
 
 def _contract(text: str, raw: Callable, arity: int) -> Callable[..., float]:
@@ -257,16 +257,6 @@ def _contract(text: str, raw: Callable, arity: int) -> Callable[..., float]:
         return float(value)
 
     return call
-
-
-def _positional(names: Sequence[str]) -> dict[str, str]:
-    """The argument name ``_a{i}`` of each name, i its index in names."""
-    return {name: f"_a{i}" for i, name in enumerate(names)}
-
-
-def _bound(text: str, code, arity: int) -> Callable[..., float]:
-    """The compiled code of one expression, with its error contract."""
-    return _contract(text, eval(code, _EVAL_GLOBALS), arity)  # noqa: S307
 
 
 @dataclass(frozen=True)
@@ -293,26 +283,30 @@ class Expression:
         missing = sorted(self.variables.difference(names))
         return ExpressionError(f"expression {self.text!r} needs variables {missing}")
 
-    def _body(self, args: dict[str, str]) -> str:
-        """The code of the expression with each variable replaced by its
-        argument name in ``args``."""
+    def _body(self, args: dict[str, int]) -> str:
+        """The code of the expression with each variable x replaced by the
+        positional argument ``_a{args[x]}``."""
         if not self.variables.issubset(args):
             raise self._missing(args)
-        return self._template.format(*[args[v] for v in self._order])
+        return self._template.format(*[f"_a{args[v]}" for v in self._order])
 
     def _code_for(self, names: tuple[str, ...]):
-        return _code(self._body(_positional(names)), len(names), f"<expr {self.text!r}>")
+        """The code of the expression as a lambda of len(names) positional
+        arguments, to be evaluated against ``_EVAL_GLOBALS`` or
+        ``_NUMPY_GLOBALS``."""
+        body = self._body({name: i for i, name in enumerate(names)})
+        return compile(f"lambda {_params(len(names))}: {body}", f"<expr {self.text!r}>", "eval")
 
     def bind(self, names: Sequence[str]) -> Callable[..., float]:
         """A function of len(names) positional floats, in the order of names."""
-        names = tuple(names)
-        return _bound(self.text, self._code_for(names), len(names))
+        return self.bind_batch(names)[0]
 
     def bind_batch(self, names: Sequence[str]) -> tuple[Callable[..., float], Callable]:
         """``bind(names)`` and its numpy form, from one compile."""
         names = tuple(names)
         code = self._code_for(names)
-        return _bound(self.text, code, len(names)), eval(code, _NUMPY_GLOBALS)  # noqa: S307
+        return (_contract(self.text, eval(code, _EVAL_GLOBALS), len(names)),  # noqa: S307
+                eval(code, _NUMPY_GLOBALS))  # noqa: S307
 
     @cached_property
     def _by_keyword(self) -> Callable[..., float]:
@@ -330,64 +324,70 @@ class Expression:
         return self._by_keyword(*args)
 
 
-def bind_family(exprs: Sequence[Expression],
-                names: Sequence[str]) -> tuple[Callable[..., list], Callable]:
-    """One function of len(names) positional floats returning the list of
-    the expressions' values, compiled as a single lambda, and its numpy
-    form, which returns the tuple of the coordinates' values.
+def _bind_family(exprs: Sequence[Expression], args: Sequence[dict[str, int]], arity: int,
+                 members: bool = False) -> tuple:
+    """The expressions compiled as one family, in one ``compile`` call:
+    exprs[i] reads each of its variables x as positional argument
+    args[i][x] of a function of ``arity`` floats.
 
-    A call that fails is evaluated again one coordinate at a time, in order,
-    so the DomainError names the first coordinate that fails.
+    Returns the family function, which returns the list of the members'
+    values as floats; its total, their sum; the numpy form of the family,
+    which returns the tuple of the members' values; and, only where
+    ``members`` asks for them, each member's function as ``Expression.bind``
+    gives it, from the same compile (else None).
+
+    A family call with a wrong argument count raises its TypeError at once;
+    any other call that fails runs the members one at a time, in order, so
+    the DomainError names the first member that fails (members not asked
+    for are compiled, in one call, on the first failure).  The total sums
+    the compiled values by ``math.fsum`` and takes the family's path
+    wherever that raises, so its value and errors are those of the family
+    summed by ``core.wide_fsum``.
     """
-    names = tuple(names)
-    # Texts and code only: the Expression objects need not outlive the build.
-    code = [(e.text, e._body(_positional(names))) for e in exprs]
-    arity = len(names)
-    family = _code(f"({', '.join(body for _, body in code)},)", arity,
-                   f"<family {[text for text, _ in code]!r}>")
-    raw = eval(family, _EVAL_GLOBALS)  # noqa: S307
-    coordinates: list = []  # bound on the first failure only
+    texts = [e.text for e in exprs]
+    bodies = [e._body(a) for e, a in zip(exprs, args)]
+    params = _params(arity)
+    singles = ", ".join(f"lambda {params}: {body}" for body in bodies)
+    label = f"<family {texts!r}>"
+    code = compile(f"(lambda {params}: ({', '.join(bodies)},), {singles if members else ''})",
+                   label, "eval")
+    raw, *raws = eval(code, _EVAL_GLOBALS)  # noqa: S307
+    fns = [_contract(text, fn, arity) for text, fn in zip(texts, raws)]
 
-    def call(*args):
+    def family(*values):
         try:
-            # float() of a complex coordinate raises TypeError.
-            return list(map(float, raw(*args)))
+            # float() of a complex value raises TypeError.
+            return list(map(float, raw(*values)))
         except (ValueError, OverflowError, ZeroDivisionError, TypeError):
-            if not coordinates:
-                coordinates.extend(_bound(text, _code(body, arity, f"<expr {text!r}>"), arity)
-                                   for text, body in code)
-            return [c(*args) for c in coordinates]
+            if len(values) != arity:
+                raise
+            if not fns:
+                fresh = eval(compile(f"({singles},)", label, "eval"), _EVAL_GLOBALS)  # noqa: S307
+                fns.extend(_contract(text, fn, arity) for text, fn in zip(texts, fresh))
+            return [fn(*values) for fn in fns]
 
-    return call, eval(family, _NUMPY_GLOBALS)  # noqa: S307
+    def total(*values):
+        try:
+            # math.fsum rejects a complex value with TypeError, a partial sum
+            # past the float range with OverflowError and inf - inf with
+            # ValueError.
+            return math.fsum(raw(*values))
+        except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+            return wide_fsum(family(*values))
 
-
-def bind_members(exprs: Sequence[Expression],
-                 names: Sequence[str]) -> tuple[list[Callable[..., float]], Callable]:
-    """Each expression as ``Expression.bind(names)`` binds it, and the numpy
-    form of the family, which returns the tuple of the members' values: all
-    from one compile."""
-    names = tuple(names)
-    args = _positional(names)
-    bodies = [e._body(args) for e in exprs]
-    params = ", ".join(args.values())
-    lambdas = [f"lambda {params}: {body}" for body in bodies]
-    lambdas.append(f"lambda {params}: ({', '.join(bodies)},)")
-    code = compile(f"({', '.join(lambdas)},)", f"<family {[e.text for e in exprs]!r}>", "eval")
-    raws = eval(code, _EVAL_GLOBALS)  # noqa: S307
-    return ([_contract(e.text, raw, len(names)) for e, raw in zip(exprs, raws)],
-            eval(code, _NUMPY_GLOBALS)[-1])  # noqa: S307
+    return family, total, eval(code, _NUMPY_GLOBALS)[0], fns if members else None  # noqa: S307
 
 
 class Member:
     """An expression bound to names as ``Expression.bind(names)`` binds it,
     compiled on its first call.
 
-    A family of members in two names, the first taking a data point x and
-    the second the evaluation point y, is evaluated through its section
-    (``bind_section``), one compiled function of all of them; a member is
-    compiled only where it is called on its own.  It refers to nothing
-    that refers back to it, so reference counting frees a family as soon
-    as its users drop it.
+    A ``DeviationTuple`` of deviations whose evals are members in two
+    names, the first taking a data point x and the second the evaluation
+    point y, compiles their section as one family (``_bind_family``); a
+    member is compiled only where it is called on its own.  It refers to
+    nothing that refers back to it, so reference counting frees a family as
+    soon as its users drop it.
     """
 
     __slots__ = ("expression", "names", "_fn")
@@ -401,65 +401,6 @@ class Member:
         if self._fn is None:
             self._fn = self.expression.bind(self.names)
         return self._fn(*args)
-
-
-def bind_section(members: Sequence[Callable], compiled: bool = True
-                 ) -> tuple[Callable[..., list], Callable[..., float], Optional[Callable]]:
-    """The section y -> [E_1(x_1, y), ..., E_n(x_n, y)] of a family of
-    two-place functions E_i(x, y), as one function of (y, x_1, ..., x_n);
-    its total, the same function summed by ``core.wide_fsum``; and its
-    numpy form, which returns the tuple of the members' values.
-
-    Where every E_i is a ``Member`` in two names, the section is compiled as
-    a single lambda, as ``bind_family`` compiles a family, with its
-    fallback: a call that fails is evaluated again member by member, in
-    order, so the DomainError names the first member that fails.  The total
-    sums that lambda's values by ``math.fsum`` and takes the section's path
-    wherever that raises, so its value and errors are those of the section
-    summed.  Any other family, and every family where ``compiled`` is
-    False, calls each E_i in turn, and has no numpy form (None).
-    """
-    members = tuple(members)
-    if compiled and all(isinstance(m, Member) and len(m.names) == 2 for m in members):
-        return _compiled_section(members)
-
-    def section(y, *xs):
-        return [m(x, y) for m, x in zip(members, xs)]
-
-    def total(y, *xs):
-        return wide_fsum(section(y, *xs))
-
-    return section, total, None
-
-
-def _compiled_section(members: tuple[Member, ...]) -> tuple:
-    """``bind_section`` of a family of Members."""
-    bodies = [m.expression._body({m.names[0]: f"_a{i + 1}", m.names[1]: "_a0"})
-              for i, m in enumerate(members)]
-    arity = len(members) + 1
-    code = _code(f"({', '.join(bodies)},)", arity,
-                 f"<section {[m.expression.text for m in members]!r}>")
-    raw = eval(code, _EVAL_GLOBALS)  # noqa: S307
-
-    def section(*args):
-        try:
-            # float() of a complex value raises TypeError.
-            return list(map(float, raw(*args)))
-        except (ValueError, OverflowError, ZeroDivisionError, TypeError):
-            if len(args) != arity:
-                raise
-            return [m(x, args[0]) for m, x in zip(members, args[1:])]
-
-    def total(*args):
-        try:
-            # math.fsum rejects a complex value with TypeError, a partial sum
-            # past the float range with OverflowError and inf - inf with
-            # ValueError.
-            return math.fsum(raw(*args))
-        except (ValueError, OverflowError, ZeroDivisionError, TypeError):
-            return wide_fsum(section(*args))
-
-    return section, total, eval(code, _NUMPY_GLOBALS)  # noqa: S307
 
 
 def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Expression:

@@ -68,6 +68,7 @@ from .core import (
     sample_triples,
     scaled_width,
     select,
+    wide_fsum,
     wide_uniform,
 )
 from .errors import (
@@ -76,7 +77,7 @@ from .errors import (
     InvalidDeviationError,
     NoConvergenceError,
 )
-from .expr import bind_section
+from .expr import Member, _bind_family
 
 _VALIDATION_SAMPLES = 64
 _VALIDATION_SEED = 20240901
@@ -126,7 +127,7 @@ def check_weights(weights: Sequence[WeightFn], batch: Optional[Callable] = None)
     domain share, each weight judged by ``_weight_verdict`` in turn.
 
     ``batch``, the numpy form of the family (one call on the sample array
-    returns every member's values, as ``expr.bind_members`` returns it),
+    returns every member's values, as ``expr._bind_family`` returns it),
     lets one verdict along a member axis accept each member whose values
     clear the threshold by BATCH_MARGIN (see ``judge_samples``).  Each
     member it does not clear is judged on its own ``eval``, sample by
@@ -191,7 +192,7 @@ def check_deviations(devs: Sequence[ScalarDeviation], batch: Optional[Callable] 
     the deviations of one domain share, each deviation judged by
     ``_deviation_verdict`` in turn.
 
-    ``batch``, the numpy form of the family's section (``expr.bind_section``:
+    ``batch``, the numpy form of the family's section (``DeviationTuple``:
     arrays y, x_1, ..., x_n in, the tuple of the members' values out),
     evaluates every member on all samples in one call, and one verdict
     along a member axis accepts each member whose values clear every
@@ -404,12 +405,13 @@ class DeviationTuple:
     E_n(x_n, y)], and ``total`` the same arguments' sum of it by
     ``core.wide_fsum``: every evaluation of the summed section is one call
     of either (``e_sum``, ``deviation_mean``).  Where every deviation's
-    ``eval`` is an ``expr.Member`` (``descriptors.build_deviations``), both
-    run one compiled function of them all and ``batch`` is its numpy form
-    (``expr.bind_section``); otherwise, or where ``compiled`` is False, the
-    section calls each ``eval`` in turn and ``batch`` is None.
-    ``select(chi)`` binds the deviations that chi picks as one family of
-    their own, once per injection.
+    ``eval`` is an ``expr.Member`` in two names, as
+    ``descriptors.build_deviations`` builds them, the section is compiled
+    as one family (``expr._bind_family``) and ``batch`` is its numpy form;
+    otherwise, or where ``compiled`` is False, the section calls each
+    ``eval`` in turn and ``batch`` is None.  ``select(chi)`` binds the
+    deviations that chi picks as one family of their own, once per
+    injection.
     """
 
     deviations: tuple[ScalarDeviation, ...]
@@ -430,7 +432,20 @@ class DeviationTuple:
             if d.domain != dom:
                 raise InvalidArgumentError("all deviations must share one domain")
         object.__setattr__(self, "common_domain", dom)
-        section, total, batch = bind_section([d.eval for d in devs], compiled)
+        evals = [d.eval for d in devs]
+        if compiled and all(isinstance(e, Member) and len(e.names) == 2 for e in evals):
+            # Member i reads x_i, argument i + 1, as u and y, argument 0, as v.
+            section, total, batch, _ = _bind_family(
+                [e.expression for e in evals],
+                [{e.names[0]: i + 1, e.names[1]: 0} for i, e in enumerate(evals)], len(evals) + 1)
+        else:
+            def section(y, *xs):
+                return [e(x, y) for e, x in zip(evals, xs)]
+
+            def total(y, *xs):
+                return wide_fsum(section(y, *xs))
+
+            batch = None
         object.__setattr__(self, "section", section)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "batch", batch)

@@ -224,7 +224,7 @@ class GenDeviation:
     def _check_axioms(self, batch: Optional[Callable] = None):
         """The axioms on 32 sampled triples of points (u, v, w), judged by
         ``_gen_verdict`` on the values of ``batch``, a numpy form of ``eval``
-        in the layout of ``expr.bind_family`` (arrays of the coordinates
+        in the layout of ``expr._bind_family`` (arrays of the coordinates
         u1..ud, v1..vd in, one array or constant per covector coordinate
         out), or else of ``eval`` on array rows (see ``judge_samples``)."""
         rng = np.random.default_rng(_VALIDATION_SEED)

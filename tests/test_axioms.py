@@ -25,7 +25,7 @@ from meanreduce.descriptors import (
     parse_domain,
 )
 from meanreduce.errors import DomainError, MeansError
-from meanreduce.expr import Member, bind_family, bind_members, bind_section, parse_expression
+from meanreduce.expr import _bind_family, parse_expression
 
 # The numpy values of each family; None sends the check to the callback.
 _NUMPY_VALUES = {
@@ -190,15 +190,18 @@ def test_batched_path_accepts_valid_families():
     # evaluated through its callback.
     domain = parse_domain([0.2, 6.0])
     texts = ("exp(u)*(log(u) - log(v))", "u - v", "u^2*(u - v)")
-    batch = bind_section([Member(parse_expression(t), ("u", "v")) for t in texts])[2]
+    batch = _bind_family([parse_expression(t) for t in texts],
+                         [{"u": i + 1, "v": 0} for i in range(len(texts))], len(texts) + 1)[2]
     scalar.check_deviations([scalar.ScalarDeviation(domain=domain, eval=_never, validate=False)
                              for _ in texts], batch)
-    _, weights = bind_members([parse_expression(t) for t in ("1 + u^2", "2", "exp(-u)")], ("u",))
+    weights = _bind_family([parse_expression(t) for t in ("1 + u^2", "2", "exp(-u)")],
+                           [{"u": 0}] * 3, 1)[2]
     scalar.check_weights([scalar.WeightFn(eval=_never, domain=domain, validate=False)] * 3,
                          weights)
     names = ("u1", "u2", "v1", "v2")
-    _, family = bind_family([parse_expression(e) for e in
-                             ("2*(1 + u2^2)*(u1 - v1)", "2*(1 + u2^2)*(u2 - v2)")], names)
+    family = _bind_family([parse_expression(e) for e in
+                           ("2*(1 + u2^2)*(u1 - v1)", "2*(1 + u2^2)*(u2 - v2)")],
+                          [dict(zip(names, range(4)))] * 2, 4)[2]
     vector.GenDeviation(dim=2, eval=_never, sample_low=-2.0, sample_high=2.0,
                         validate=False)._check_axioms(family)
 
@@ -251,7 +254,7 @@ def _raising(*args):
 def test_a_failing_batch_leaves_the_verdict_to_the_scalar_loop(spoil):
     expression = parse_expression("exp(u)*(log(u) - log(v))")
     fn = expression.bind(("u", "v"))
-    batch = bind_section([Member(expression, ("u", "v"))])[2]
+    batch = _bind_family([expression], [{"u": 1, "v": 0}], 2)[2]
     if spoil == "nan":
         spoil = _nan_at(batch, 17)
     elif spoil == "complex":

@@ -9,7 +9,15 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from meanreduce.descriptors import build_gen_deviation
 from meanreduce.errors import DomainError, ExpressionError
-from meanreduce.expr import bind_family, parse_expression, point_vars
+from meanreduce.expr import _bind_family, parse_expression, point_vars
+
+
+def _covectors(exprs, names):
+    """The family of expressions that all read names, in order, and its
+    numpy form, as a generalized deviation binds its covector."""
+    family, _, batch, _ = _bind_family(exprs, [dict(zip(names, range(len(names))))] * len(exprs),
+                                       len(names))
+    return family, batch
 
 
 @pytest.mark.parametrize("text,env,expected", [
@@ -92,7 +100,7 @@ def test_missing_variable_at_bind():
     with pytest.raises(ExpressionError, match="needs variables"):
         parse_expression("u + v").bind(("u",))
     with pytest.raises(ExpressionError, match="needs variables"):
-        bind_family([parse_expression("u"), parse_expression("w")], ("u", "v"))
+        _covectors([parse_expression("u"), parse_expression("w")], ("u", "v"))
 
 
 def test_bound_arguments_follow_the_given_order():
@@ -107,12 +115,12 @@ def test_variables_named_like_generated_names_do_not_collide():
 
 
 def test_family_errors_name_the_failing_coordinate():
-    family, _ = bind_family([parse_expression(t) for t in ("u1 - v1", "log(u2 - v2)")],
-                            ("u1", "u2", "v1", "v2"))
+    family, _ = _covectors([parse_expression(t) for t in ("u1 - v1", "log(u2 - v2)")],
+                           ("u1", "u2", "v1", "v2"))
     assert family(3.0, 4.0, 1.0, 3.0) == [2.0, 0.0]
     with pytest.raises(DomainError, match=r"evaluating 'log\(u2 - v2\)': math domain error"):
         family(3.0, 1.0, 1.0, 3.0)
-    complex_first, _ = bind_family([parse_expression(t) for t in ("u^0.5", "log(u)")], ("u",))
+    complex_first, _ = _covectors([parse_expression(t) for t in ("u^0.5", "log(u)")], ("u",))
     with pytest.raises(DomainError, match=r"expression 'u\^0.5' produced a complex value"):
         complex_first(-1.0)
 
@@ -231,7 +239,7 @@ def test_positional_and_keyword_forms_agree(case):
         assert _outcome(lambda: expr.bind(order)(*args)) == keyword
         assert _reference_outcome(tree, env, expr.text) == keyword
         outcomes.append(keyword)
-    family = _outcome(lambda: bind_family(exprs, order)[0](*args))
+    family = _outcome(lambda: _covectors(exprs, order)[0](*args))
     failures = [o for o in outcomes if o.startswith("DomainError")]
     if failures:
         assert family == failures[0]
@@ -246,7 +254,7 @@ def test_complex_values_rejected_in_every_form(text, env):
     names = sorted(env)
     message = f"expression {text!r} produced a complex value"
     for call in (lambda: expr(**env), lambda: expr.bind(names)(*env.values()),
-                 lambda: bind_family([expr, parse_expression("1")], names)[0](*env.values())):
+                 lambda: _covectors([expr, parse_expression("1")], names)[0](*env.values())):
         with pytest.raises(DomainError) as info:
             call()
         assert str(info.value) == message
@@ -260,7 +268,7 @@ def test_complex_operands_of_math_functions_are_domain_errors(text, env):
     names = sorted(env)
     message = f"evaluating {text!r}: must be real number, not complex"
     for call in (lambda: expr(**env), lambda: expr.bind(names)(*env.values()),
-                 lambda: bind_family([parse_expression("1"), expr], names)[0](*env.values())):
+                 lambda: _covectors([parse_expression("1"), expr], names)[0](*env.values())):
         with pytest.raises(DomainError) as info:
             call()
         assert str(info.value) == message
@@ -268,7 +276,7 @@ def test_complex_operands_of_math_functions_are_domain_errors(text, env):
 
 def test_a_wrong_argument_count_stays_a_type_error():
     single = parse_expression("exp(u^0.5)").bind(("u",))
-    family, _ = bind_family([parse_expression("exp(u^0.5)")], ("u",))
+    family, _ = _covectors([parse_expression("exp(u^0.5)")], ("u",))
     for call in (lambda: single(-1.0, 2.0), lambda: single(),
                  lambda: family(-1.0, 2.0), lambda: family()):
         with pytest.raises(TypeError, match="positional argument"):
@@ -282,8 +290,8 @@ def test_batch_forms_evaluate_arrays_with_numpy():
     values = batch(us, vs)
     assert isinstance(values, np.ndarray) and values.shape == (3,)
     assert values == pytest.approx([fn(u, v) for u, v in zip(us, vs)], rel=1e-15)
-    family, coordinates = bind_family([parse_expression("u1 - v1"), parse_expression("2")],
-                                      ("u1", "v1"))
+    family, coordinates = _covectors([parse_expression("u1 - v1"), parse_expression("2")],
+                                     ("u1", "v1"))
     first, second = coordinates(us, vs)
     assert list(first) == list(us - vs) and second == 2.0
     assert family(3.0, 1.0) == [2.0, 2.0]
@@ -310,8 +318,8 @@ def test_bound_functions_are_freed_by_reference_counting_alone():
     gc.disable()
     try:
         single = parse_expression("u1*v2 + log(u2)").bind(names)
-        family, batch = bind_family([parse_expression("log(u1 - v1)"),
-                                     parse_expression("u2 - v2")], names)
+        family, batch = _covectors([parse_expression("log(u1 - v1)"),
+                                    parse_expression("u2 - v2")], names)
         with pytest.raises(DomainError):
             family(0.0, 0.0, 1.0, 0.0)  # binds the coordinates for the cold path
         dev = build_gen_deviation(["2*(u1 - v1)", "2*(u2 - v2)"], 2)

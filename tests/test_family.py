@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanreduce import reduction, scalar
+from meanreduce import expr, reduction, scalar
 from meanreduce.core import Injection, wide_fsum
 from meanreduce.descriptors import (
     build_deviations,
@@ -185,6 +185,30 @@ def test_weight_errors_come_in_spec_order(specs, expected):
     assert _outcome(lambda: build_weights(specs, DOMAIN)).startswith(expected)
 
 
+# The expression weights of the benchmark's weighted reductions, each with
+# its parameter's range, and weights that are positive on [0.2, 6] but
+# raise below 0: a math domain error and a complex power.
+WEIGHT_KINDS = [((0.1, 1.0), "1 + {}*u^2"), ((0.1, 0.5), "exp(-{}*u)"),
+                ((0.2, 2.0), "1/(1 + {}*u)"), ((0.1, 1.0), "sqrt(u) + {}"),
+                ((1.7, 3.0), "log(u) + {}"), ((0.5, 1.5), "u^{}")]
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(WEIGHT_KINDS), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6),
+       st.floats(-6.0, 6.0))
+def test_each_weight_of_a_family_is_its_text_bound_alone(kinds, u):
+    texts = [form.format(_num(lo + t * (hi - lo))) for ((lo, hi), form), t in kinds]
+    for text, weight in zip(texts, build_weights(texts, DOMAIN)):
+        alone = parse_expression(text).bind(("u",))
+        expected = _result(lambda: alone(u))
+        got = _result(lambda: weight(u))
+        if isinstance(expected, float):
+            assert type(got) is float and _bits([got]) == _bits([expected])
+        else:
+            assert got == expected and expected.startswith("DomainError: ")
+
+
 def test_section_family_is_freed_by_reference_counting_alone():
     # A family whose members referred back to it would live until the cycle
     # collector ran, which raised peak memory.
@@ -216,8 +240,9 @@ def test_a_list_of_deviations_is_summed_member_by_member():
 
 def test_reduction_oracles_bind_and_check_each_family_once():
     # Axiom samples are drawn once per deviation family and once per weight
-    # family with an expression weight; every deviation solve of the
-    # deviation cases goes through a compiled section, no member on its own.
+    # family with an expression weight, and each family is compiled once;
+    # every deviation solve of the deviation cases goes through a compiled
+    # section, no member on its own.
     cases = load_suite("reduction-oracles")["cases"]
     deviation_cases = [c for c in cases if "exprs" in c]
     weight_cases = [c for c in cases
@@ -230,11 +255,23 @@ def test_reduction_oracles_bind_and_check_each_family_once():
         draws.append(offset)
         return original_draw(domain, offset, k)
 
-    with mock.patch.object(scalar, "_validation_draw", counting_draw):
+    # Every compile of an expression goes through the builtin as expr sees it.
+    compiles = []
+
+    def counting_compile(source, *args):
+        compiles.append(source)
+        return compile(source, *args)
+
+    with mock.patch.object(scalar, "_validation_draw", counting_draw), \
+            mock.patch.object(expr, "compile", counting_compile, create=True):
         runners = [build_runner(c, 40, 1e-9, 1e-8) for c in cases]
     assert draws.count(2) == len(deviation_cases) == 4
     assert draws.count(0) == len(weight_cases) == 2
     assert len(draws) == 6
+    # One compile per family: the deviation and weight families and the one
+    # expression point weight of the vector case.
+    assert len(compiles) == len(deviation_cases) + len(weight_cases) + 1 == 7
+    del compiles[:]
 
     member_calls, solves = [], []
     original_call, original_solve = Member.__call__, reduction.deviation_mean
@@ -249,9 +286,12 @@ def test_reduction_oracles_bind_and_check_each_family_once():
         return original_solve(E, x, cfg)
 
     with mock.patch.object(Member, "__call__", counting_call), \
-            mock.patch.object(reduction, "deviation_mean", counting_solve):
+            mock.patch.object(reduction, "deviation_mean", counting_solve), \
+            mock.patch.object(expr, "compile", counting_compile, create=True):
         for case, runner in zip(cases, runners):
             if case in deviation_cases:
                 assert runner.runner(7, 40)["ok"]
     assert len(solves) > 1000
     assert member_calls == []
+    # One compile per case: the family its injection selects.
+    assert len(compiles) == len(deviation_cases)
