@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, Injection, SolverConfig
+from .core import DEFAULT_CONFIG, Injection, SolverConfig, _certified
 from .descriptors import MeanDescriptor, build_mean, evaluate_with_report
 from .errors import InvalidArgumentError, MeansError, NoConvergenceError
 from .reduction import reduce_mean
@@ -182,10 +182,8 @@ def cmd_mean(args) -> int:
     desc = _descriptor_from_args(args)
     x = _parse_data(args.x, desc.dim)
     cfg = _solver_config(args)
-    value, report = evaluate_with_report(desc, x, cfg)
-    if not report.converged:
-        print("mean solve did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    _, report = evaluate_with_report(desc, x, cfg)
+    _certified(report, f"{desc.kind} mean", x)
     payload = {"command": "mean", "kind": desc.kind, "x": _jsonable_x(x)}
     payload.update(report.to_json())
     header, values = _value_columns(payload["value"])
@@ -208,9 +206,7 @@ def cmd_reduce(args) -> int:
     cfg = _solver_config(args)
     M = build_mean(desc, cfg)
     result = reduce_mean(M, chi, x, cfg)
-    if not result.certificate.converged:
-        print("reduction did not converge", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    _certified(result.certificate, f"{M.label} reduced by {chi.map}", x)
     payload = {"command": "reduce", "kind": desc.kind, "chi": list(chi.map),
                "x": _jsonable_x(x)}
     payload.update(result.to_json())

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError, NoConvergenceError
 
 BARY_SUM_TOL = 1e-12
 
@@ -424,6 +424,18 @@ class SolverReport:
         if self.barycentric is not None:
             out["barycentric"] = [float(w) for w in self.barycentric.weights]
         return out
+
+
+def _certified(report: SolverReport, label: str, x) -> Union[float, np.ndarray]:
+    """The value of ``report``, the solve of ``label`` at the data ``x``,
+    where the solve converged; NoConvergenceError otherwise.  Every report
+    that becomes a mean value passes here: a value without a certificate is
+    never returned as one, and a fixed point cannot be more accurate than
+    the inner solves it iterates."""
+    if not report.converged:
+        raise NoConvergenceError(f"{label} did not converge at {np.asarray(x, float).tolist()}",
+                                 best=report.value, residual=report.residual)
+    return report.value
 
 
 def splice(x: Sequence, chi: Injection, y) -> tuple:

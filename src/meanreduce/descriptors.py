@@ -267,7 +267,8 @@ def _expand(entries, arity: int, what: str) -> list:
 def _of_points(fn: Callable) -> Callable:
     """fn of the coordinates of the point u, then of the point v where one
     is given, as Python floats."""
-    return lambda u, v=(): fn(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
+    return lambda u, v=None: fn(*np.asarray(u, float).tolist(),
+                                *(() if v is None else np.asarray(v, float).tolist()))
 
 
 def build_point_weight(spec, dim: int) -> Callable:

@@ -32,6 +32,14 @@ in place of the fixed point.  The routes stay independent: ``reduce_scalar``,
 ``reduce_vector``, ``reduce_mean``, ``fixed_point_mean_fn`` and the
 reduction oracles never consult the hook, and the lab re-evaluates every
 witness it records by ``fixed_point_mean_fn``.
+
+A solver's report becomes a mean value only where the solve converged
+(``core._certified``; NoConvergenceError otherwise): the solver-backed
+means built here, their selections, ``fixed_point_mean_fn``, both sides of
+the reduction oracles and ``meanreduce mean`` and ``reduce`` all pass
+through it.  A fixed point cannot be more accurate than the inner solves it
+iterates, so an inner solve that did not converge stops the reduction that
+called it; ``check_uniqueness`` reads such a stop as "unknown".
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from .core import (
     Injection,
     SolverConfig,
     SolverReport,
+    _certified,
     as_point_tuple,
     bracketed_root,
     not_finite,
@@ -89,8 +98,10 @@ class MeanFn:
     black-box callable; ``check_mean_function`` samples them on demand.
 
     ``report`` is set for solver-backed means: it maps a data tuple to the
-    solver's ``SolverReport``, and ``eval`` returns that report's value.  It
-    is None for closed forms.
+    solver's ``SolverReport``, and ``eval`` returns that report's value where
+    the solve converged and raises NoConvergenceError, naming the mean and
+    the data, where it did not (``core._certified``).  It is None for closed
+    forms.
 
     ``select`` is set for the means of a family that reduces by selection,
     the deviation means of Daróczy's reducibility theorem: on the unselected
@@ -143,9 +154,9 @@ def _solver_mean_fn(solve, entries, cfg: SolverConfig, label: str,
     # arguments alone.
     report = lambda xs: solve(entries, xs, cfg)  # noqa: E731
     return MeanFn(arity=len(entries), dim=dim, label=label, report=report,
-                  eval=lambda xs: report(xs).value,
-                  select=lambda chi: _solver_mean_fn(solve, _select_entries(entries, chi),
-                                                     cfg, label, dim))
+                  eval=lambda xs: _certified(report(xs), label, xs),
+                  select=lambda chi: _solver_mean_fn(solve, _select_entries(entries, chi), cfg,
+                                                     f"{label} reduced by {chi.map}", dim))
 
 
 def _select_entries(entries, chi: Injection):
@@ -490,16 +501,21 @@ def check_uniqueness(M: MeanFn, chi: Injection, x: Sequence, result: ReductionRe
       1e-6 give "multiple-suspected".
 
     Otherwise the flag is "unique", as it is for a constant tuple.  An
-    unconverged result stays "unknown" and costs no evaluation.
+    unconverged result stays "unknown" and costs no evaluation, and a probe
+    or restart whose inner solve of M does not converge (NoConvergenceError)
+    gives "unknown".
     ``reduce_mean`` runs this step; ``fixed_point_mean_fn`` and the
     reduction oracles skip it.
     """
     if not result.certificate.converged:
         return replace(result, unique_flag=UNKNOWN)
-    if M.dim is None:
-        flag = _scalar_uniqueness(M, chi, x, float(result.reduced_value), cfg)
-    else:
-        flag = _vector_uniqueness(M, chi, x, result.reduced_value, cfg)
+    try:
+        if M.dim is None:
+            flag = _scalar_uniqueness(M, chi, x, float(result.reduced_value), cfg)
+        else:
+            flag = _vector_uniqueness(M, chi, x, result.reduced_value, cfg)
+    except NoConvergenceError:
+        flag = UNKNOWN
     return replace(result, unique_flag=flag)
 
 
@@ -523,9 +539,9 @@ def reduced_mean_fn(M: MeanFn, chi: Injection,
 
     Where M reduces by selection (``M.select`` is set), this is
     ``M.select(chi)``: the family's k-variable mean of the selected entries,
-    evaluated with the configuration M was built with, its ``batch`` hook
-    kept.  A solver-backed
-    selection raises NoConvergenceError on a solve that did not converge.
+    evaluated with the configuration M was built with, its ``report`` and
+    ``batch`` hooks kept.  A solver-backed selection, as every solver-backed
+    mean, raises NoConvergenceError on a solve that did not converge.
     Otherwise it is ``fixed_point_mean_fn(M, chi, cfg)``.  Either way chi
     must map into M's n slots (InvalidArgumentError otherwise).
 
@@ -536,19 +552,7 @@ def reduced_mean_fn(M: MeanFn, chi: Injection,
     _check_target(M, chi)
     if M.select is None:
         return fixed_point_mean_fn(M, chi, cfg)
-    selected = M.select(chi)
-    label = f"{M.label} reduced by {chi.map}"
-    if selected.report is None:
-        return replace(selected, label=label)
-
-    def eval_selected(xs):
-        report = selected.report(xs)
-        if not report.converged:
-            raise NoConvergenceError(f"reduction of {M.label} did not converge at {xs}",
-                                     best=report.value, residual=report.residual)
-        return report.value
-
-    return replace(selected, eval=eval_selected, label=label)
+    return replace(M.select(chi), label=f"{M.label} reduced by {chi.map}")
 
 
 def fixed_point_mean_fn(M: MeanFn, chi: Injection,
@@ -556,29 +560,21 @@ def fixed_point_mean_fn(M: MeanFn, chi: Injection,
     """The k-variable mean x -> reduction of M along chi at x, by the fixed
     point whether or not M reduces by selection.
 
-    Each evaluation runs ``reduce_scalar`` or ``reduce_vector`` and returns
-    its value, or raises NoConvergenceError when the reduction does not
-    converge.  It skips ``check_uniqueness``, which only ``reduce_mean``
-    (and so ``meanreduce reduce``) runs: the flag would be dropped here.
+    Each evaluation runs ``reduce_scalar`` or ``reduce_vector``, whose
+    fixed-point certificate is the mean's ``report``, and returns its value,
+    or raises NoConvergenceError when the reduction, or an inner solve of M,
+    does not converge.  It skips ``check_uniqueness``, which only
+    ``reduce_mean`` (and so ``meanreduce reduce``) runs: the flag would be
+    dropped here.
     """
+    label = f"{M.label} reduced by {chi.map}"
 
-    def eval_reduced(xs):
+    def report(xs):
         solve = reduce_scalar if M.dim is None else reduce_vector
-        result = solve(M, chi, xs, cfg)
-        if not result.certificate.converged:
-            raise NoConvergenceError(
-                f"reduction of {M.label} did not converge at {xs}",
-                best=result.reduced_value,
-                residual=result.fixed_point_residual,
-            )
-        return result.reduced_value
+        return solve(M, chi, xs, cfg).certificate
 
-    return MeanFn(
-        arity=chi.k,
-        eval=eval_reduced,
-        dim=M.dim,
-        label=f"{M.label} reduced by {chi.map}",
-    )
+    return MeanFn(arity=chi.k, dim=M.dim, label=label, report=report,
+                  eval=lambda xs: _certified(report(xs), label, xs))
 
 
 @dataclass(frozen=True)
@@ -656,8 +652,7 @@ def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
     rng = np.random.default_rng(seed)
     return _oracle_check(
         samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),
-        lambda xs: reduce_scalar(M, chi, xs, run_cfg).reduced_value,
-        lambda xs: weighted_arith_mean(w_sel, xs), abs)
+        fixed_point_mean_fn(M, chi, run_cfg), lambda xs: weighted_arith_mean(w_sel, xs), abs)
 
 
 def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
@@ -684,17 +679,13 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
     outer = replace(cfg, abs_tol=max(tol * 1e-3, inner_abs * 10.0))
     if isinstance(entries[0], GenDeviation):
         dim = entries[0].dim
-        selected = select(entries, chi)
-        M = gen_deviation_mean_fn(entries, inner)
         return _oracle_check(
             samples, tol, lambda: tuple(rng.uniform(low, high, dim) for _ in range(chi.k)),
-            lambda xs: reduce_vector(M, chi, xs, outer).reduced_value,
-            lambda xs: gen_deviation_mean(selected, xs, inner).value, _norm)
+            fixed_point_mean_fn(gen_deviation_mean_fn(entries, inner), chi, outer),
+            gen_deviation_mean_fn(select(entries, chi), inner), _norm)
     dev = E if isinstance(E, DeviationTuple) else DeviationTuple(entries)
     lo, hi = dev.common_domain.finite_window()
-    selected = dev.select(chi)
-    M = deviation_mean_fn(dev, inner)
     return _oracle_check(
         samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),
-        lambda xs: reduce_scalar(M, chi, xs, outer).reduced_value,
-        lambda xs: deviation_mean(selected, xs, inner).value, abs)
+        fixed_point_mean_fn(deviation_mean_fn(dev, inner), chi, outer),
+        deviation_mean_fn(dev.select(chi), inner), abs)

@@ -490,7 +490,7 @@ def e_sum(E, x: Sequence[float], u: float) -> float:
         raise InvalidArgumentError(f"tuple length {len(x)} != deviation count {len(E)}")
     _check_in_domain(E.common_domain, x, "data value")
     _check_in_domain(E.common_domain, (u,), "evaluation point")
-    return math.fsum(E.section(u, *[float(xi) for xi in x]))
+    return E.total(u, *[float(xi) for xi in x])
 
 
 def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) -> SolverReport:

@@ -37,11 +37,10 @@ import os
 from importlib import resources
 from typing import Callable, Optional, Union
 
-import numpy as np
-
 from .core import Injection, SolverConfig
 from .descriptors import (
     MeanDescriptor,
+    _of_points,
     build_deviations,
     build_mean,
     build_point_weight,
@@ -118,8 +117,7 @@ def _build_function(spec, dim: Optional[int]) -> Callable:
         f.batch = batch
         return f
     allowed = tuple(f"u{i + 1}" for i in range(dim))
-    fn = parse_expression(text, allowed=allowed).bind(allowed)
-    return lambda u, fn=fn: fn(*np.asarray(u, float).tolist())
+    return _of_points(parse_expression(text, allowed=allowed).bind(allowed))
 
 
 def _sampler(spec, dim: Optional[int] = None) -> BoxSampler:

@@ -76,6 +76,12 @@ class TestMeanCommand:
         assert data["converged"] is True
         assert data["iterations"] > 0
 
+    def test_budget_exhaustion_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "mean", "--kind", "deviation-custom", "--exprs", "u^3-v^3",
+                                 "--domain", "0.1,10", "--x", "0.5,4,2", "--max-iter", "1")
+        assert (code, out) == (3, "")
+        assert err == "no convergence: deviation-custom mean did not converge at [0.5, 4.0, 2.0]\n"
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "matkowski", "--fs", "u;u^3"],
         ["--kind", "quasi-arithmetic", "--f", "u^3+u"],
@@ -262,11 +268,18 @@ class TestReduceCommand:
     def test_budget_exhaustion_exits_3(self, capsys):
         # One step solves the arithmetic reduction (its section is affine),
         # so the budget runs out on a curved one.
-        code, _, err = run_cli(capsys, "reduce", "--kind", "holder", "--p", "3",
-                               "--arity", "4", "--chi", "1,2,3", "--x", "1,2,4",
-                               "--max-iter", "1", "--abs-tol", "1e-13")
-        assert code == 3
+        code, out, err = run_cli(capsys, "reduce", "--kind", "holder", "--p", "3",
+                                 "--arity", "4", "--chi", "1,2,3", "--x", "1,2,4",
+                                 "--max-iter", "1", "--abs-tol", "1e-13")
+        assert (code, out) == (3, "")
         assert "converge" in err
+        # Five steps settle the outer search, but 14 inner deviation-mean
+        # solves do not converge in five: no certificate, no value.
+        code, out, err = run_cli(capsys, "reduce", "--kind", "deviation-custom", "--exprs",
+                                 "u^3-v^3", "--arity", "3", "--domain", "0.1,10", "--chi", "1,3",
+                                 "--x", "0.5,4", "--max-iter", "5")
+        assert (code, out) == (3, "")
+        assert err.startswith("no convergence: custom deviation mean did not converge at [0.5, ")
 
 
 class TestValuesStartingWithMinus:

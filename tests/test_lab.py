@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meanreduce.core import Injection
+from meanreduce.core import Injection, SolverConfig
 from meanreduce.descriptors import (
+    MeanDescriptor,
     arithmetic_mean_fn,
     bajraktarevic_mean_fn,
+    build_mean,
     gini_mean_fn,
     holder_mean_fn,
     quasi_arithmetic_mean_fn,
@@ -18,6 +20,7 @@ from meanreduce.errors import (
     DomainError,
     InvalidArgumentError,
     InvalidSamplerError,
+    NoConvergenceError,
     ReductionMismatchError,
 )
 from meanreduce.lab import (
@@ -192,6 +195,17 @@ class TestConvexity:
         with pytest.raises(InvalidArgumentError):
             ConvexityCase(M=arithmetic_mean_fn(2), N=arithmetic_mean_fn(3),
                           f=square, sampler=BoxSampler())
+
+    def test_a_mean_without_a_certificate_stops_the_search(self):
+        # One step of the inner solve gives M((0.5, 4, 2)) = 1.81 for 2.89:
+        # the search raises rather than compare uncertified values.
+        M = build_mean(MeanDescriptor("deviation-custom", 3, {"exprs": ["u^3 - v^3"],
+                                                              "domain": [0.1, 10.0]}),
+                       SolverConfig(max_iter=1))
+        case = ConvexityCase(M=M, N=arithmetic_mean_fn(3), f=square,
+                             sampler=BoxSampler(low=0.1, high=10.0), seed=3)
+        with pytest.raises(NoConvergenceError, match="custom deviation mean did not converge"):
+            check_convexity(case, trials=40, tol=1e-9)
 
 
 class TestReducedConvexity:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -330,6 +331,20 @@ class TestCheckUniqueness:
         assert check_uniqueness(M, chi, (0.0, 1.0), result).unique_flag == UNKNOWN
         assert calls[0] == 0
 
+    def test_a_probe_whose_inner_solve_does_not_converge_gives_unknown(self):
+        # The solve finds the root 0.5 on its own; the probes below 0.4 raise.
+        def arithmetic_above(xs):
+            if 0.0 < xs[1] < 0.4:
+                raise NoConvergenceError("inner solve out of iterations")
+            return sum(xs) / 3.0
+
+        M = MeanFn(arity=3, eval=arithmetic_above)
+        chi = Injection.of([1, 3], n=3)
+        result = reduce_scalar(M, chi, (0.0, 1.0))
+        assert result.certificate.converged
+        assert check_uniqueness(M, chi, (0.0, 1.0), result).unique_flag == UNKNOWN
+        assert reduce_mean(arithmetic_mean_fn(3), chi, (0.0, 1.0)).unique_flag == UNIQUE
+
     def test_unconverged_vector_result_stays_unknown(self):
         M, calls = counted_mean(weighted_arithmetic_mean_fn([3.0, 1.0, 1.0, 1.0, 1.0], 5, dim=2))
         chi = Injection.of([1, 2], n=5)
@@ -650,8 +665,33 @@ def test_selected_solve_out_of_iterations_raises(monkeypatch):
                                                           "domain": SCALAR_DOMAIN}),
                    SolverConfig(max_iter=1))
     K = reduced_mean_fn(M, Injection.of([3, 1], n=3))
-    with pytest.raises(NoConvergenceError, match="reduction of custom deviation mean did not"):
+    message = r"custom deviation mean reduced by \(3, 1\) did not converge at \[0.5, 4.0\]"
+    with pytest.raises(NoConvergenceError, match=message):
         K((0.5, 4.0))
+
+
+POINTS = (np.array([0.0, 0.0]), np.array([2.0, 4.0]), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("desc, x", [
+    (MeanDescriptor("deviation-custom", 3, {"exprs": ["u^3 - v^3"], "domain": SCALAR_DOMAIN}),
+     (0.5, 4.0, 2.0)),
+    (MeanDescriptor("gen-deviation", 3, {"exprs": [
+        ["(1 + u2*u2)*(u1 - v1)", "(1 + u2*u2)*(u2 - v2)"], ["2*(u1 - v1)", "2*(u2 - v2)"],
+        ["(1 + u1*u1)*(u1 - v1)", "(1 + u1*u1)*(u2 - v2)"]]}, 2), POINTS),
+    (MeanDescriptor("norm-squared-potential", 3, {"weights": [1.0, 3.0, 2.0]}, 2), POINTS),
+], ids=["deviation-custom", "gen-deviation", "norm-squared-potential"])
+def test_a_solve_out_of_iterations_is_no_mean_value(desc, x):
+    # One step of each solve is not enough for these data: the report says
+    # so, and the mean and its selection raise, naming the mean and the data.
+    M = build_mean(desc, SolverConfig(max_iter=1))
+    assert not M.report(x).converged
+    label, data = re.escape(M.label), re.escape(str(np.asarray(x, float).tolist()))
+    with pytest.raises(NoConvergenceError, match=f"^{label} did not converge at {data}$"):
+        M(x)
+    K = reduced_mean_fn(M, Injection.of([3, 1, 2], n=3))
+    with pytest.raises(NoConvergenceError, match=rf"by \(3, 1, 2\) did not converge at {data}$"):
+        K(x)
 
 
 class TestFixedPointRoutesIgnoreTheHook:

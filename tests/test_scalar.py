@@ -158,6 +158,13 @@ class TestDeviationSign:
     def test_below_mean(self):
         E = DeviationTuple((arithmetic_deviation(),) * 2)
         assert deviation_sign(E, (1.0, 3.0), 1.5) == 1
+        # A summed section past the float range is +inf, as deviation_mean
+        # sums it, for a plain list as for a DeviationTuple.
+        huge = ScalarDeviation(domain=REALS, eval=lambda u, v: 1e308 * (u - v),
+                               label="huge", validate=False)
+        for E in ([huge, huge], DeviationTuple((huge, huge))):
+            assert e_sum(E, (1.5, 1.5), 0.0) == math.inf
+            assert deviation_sign(E, (1.5, 1.5), 0.0) == 1
 
     def test_at_mean(self):
         E = DeviationTuple((arithmetic_deviation(),) * 2)
