@@ -11,8 +11,6 @@ from .core import (
     SolverConfig,
     SolverReport,
     as_point,
-    hull_combination,
-    in_hull_1d,
     select,
     splice,
 )

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, Injection, SolverConfig, _certified
+from .core import DEFAULT_CONFIG, Injection, SolverConfig, _certified, _jsonable
 from .descriptors import MeanDescriptor, build_mean, evaluate_with_report
 from .errors import InvalidArgumentError, MeansError, NoConvergenceError
 from .reduction import reduce_mean
@@ -52,13 +52,14 @@ def _add_solver_flags(parser: argparse.ArgumentParser):
                         help="relative solver tolerance (default 1e-10)")
     parser.add_argument("--max-iter", type=int, default=DEFAULT_CONFIG.max_iter,
                         help="iteration budget (default 10000)")
-    parser.add_argument("--damping", type=float, default=DEFAULT_CONFIG.damping,
-                        help="damping/step factor in (0, 1]")
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                        max_iter=args.max_iter, damping=args.damping)
+    return SolverConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol, max_iter=args.max_iter)
+
+
+# The flags that describe a mean; --descriptor replaces them all.
+_MEAN_FLAGS = ("kind", "arity", "dim", "p", "q", "f", "fs", "weights", "exprs", "domain")
 
 
 def _add_descriptor_flags(parser: argparse.ArgumentParser):
@@ -81,6 +82,9 @@ def _split_list(text: str) -> list:
 
 def _descriptor_from_args(args) -> MeanDescriptor:
     if args.descriptor:
+        given = [f"--{flag}" for flag in _MEAN_FLAGS if getattr(args, flag) is not None]
+        if given:
+            raise InvalidArgumentError(f"--descriptor excludes {', '.join(given)}")
         text = args.descriptor
         if text.strip().startswith("{"):
             data = json.loads(text)
@@ -114,7 +118,10 @@ def _descriptor_from_args(args) -> MeanDescriptor:
         params["domain"] = [lo, hi]
     arity = args.arity
     if arity is None:
-        arity = _infer_arity(args)
+        if args.command == "reduce":
+            raise InvalidArgumentError("reduce needs --arity, the number of arguments of the "
+                                       "mean it reduces, or --descriptor")
+        arity = len(_parse_data(args.x, args.dim))
     return MeanDescriptor(kind=args.kind, arity=arity, params=params, dim=args.dim)
 
 
@@ -127,12 +134,6 @@ def _number_or_text(token: str):
         return float(token)
     except ValueError:
         return token
-
-
-def _infer_arity(args) -> int:
-    if args.x is not None:
-        return len(_parse_data(args.x, args.dim))
-    raise MeansError("--arity is required when it cannot be inferred from --x")
 
 
 def _parse_data(text: str, dim: Optional[int]):
@@ -182,21 +183,14 @@ def cmd_mean(args) -> int:
     desc = _descriptor_from_args(args)
     x = _parse_data(args.x, desc.dim)
     cfg = _solver_config(args)
-    _, report = evaluate_with_report(desc, x, cfg)
-    _certified(report, f"{desc.kind} mean", x)
-    payload = {"command": "mean", "kind": desc.kind, "x": _jsonable_x(x)}
+    value, report = evaluate_with_report(desc, x, cfg)
+    payload = {"command": "mean", "kind": desc.kind, "x": _jsonable(x)}
     payload.update(report.to_json())
-    header, values = _value_columns(payload["value"])
+    header, values = _value_columns(value)
     rows = [header + ["residual", "iterations", "converged"],
             values + [report.residual, report.iterations, report.converged]]
     _emit(payload, args.format, args.output, csv_rows=rows)
     return EXIT_OK
-
-
-def _jsonable_x(x):
-    if x and isinstance(x[0], tuple):
-        return [list(p) for p in x]
-    return list(x)
 
 
 def cmd_reduce(args) -> int:
@@ -208,7 +202,7 @@ def cmd_reduce(args) -> int:
     result = reduce_mean(M, chi, x, cfg)
     _certified(result.certificate, f"{M.label} reduced by {chi.map}", x)
     payload = {"command": "reduce", "kind": desc.kind, "chi": list(chi.map),
-               "x": _jsonable_x(x)}
+               "x": _jsonable(x)}
     payload.update(result.to_json())
     header, values = _value_columns(payload["value"])
     rows = [header + ["residual", "iterations", "converged", "unique_flag"],

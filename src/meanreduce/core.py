@@ -53,25 +53,25 @@ class Interval:
             return False
         return True
 
-    def finite_window(self, width: float = 8.0, margin: float = 1e-6) -> tuple[float, float]:
+    def finite_window(self) -> tuple[float, float]:
         """A closed finite subinterval usable for sampling and clipping.
 
-        Infinite endpoints are clipped to a window of the given width around
-        the finite endpoint (or around 0 when both are infinite); open finite
-        endpoints are shrunk inward by ``margin`` times the window span.
+        Infinite endpoints are clipped to a window of width 8 around the
+        finite endpoint (or around 0 when both are infinite); open finite
+        endpoints are shrunk inward by 1e-6 times the window span.
         """
         lo, hi = self.lo, self.hi
         if math.isinf(lo) and math.isinf(hi):
-            lo, hi = -width / 2, width / 2
+            lo, hi = -4.0, 4.0
         elif math.isinf(lo):
-            lo = hi - width
+            lo = hi - 8.0
         elif math.isinf(hi):
-            hi = lo + width
+            hi = lo + 8.0
         span = hi - lo
         if self.lo_open:
-            lo += margin * span
+            lo += 1e-6 * span
         if self.hi_open:
-            hi -= margin * span
+            hi -= 1e-6 * span
         return lo, hi
 
 
@@ -181,7 +181,6 @@ class SolverConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_iter: int = 10_000
-    damping: float = 1.0
 
     def __post_init__(self):
         if not self.abs_tol > 0:
@@ -190,8 +189,6 @@ class SolverConfig:
             raise InvalidArgumentError("rel_tol must be positive")
         if self.max_iter <= 0:
             raise InvalidArgumentError("max_iter must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise InvalidArgumentError("damping must lie in (0, 1]")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -411,19 +408,27 @@ class SolverReport:
 
     def to_json(self) -> dict:
         value = self.value
-        if isinstance(value, np.ndarray):
-            value = [float(v) for v in value]
-        else:
-            value = float(value)
         out = {
-            "value": value,
+            "value": _jsonable(value) if isinstance(value, np.ndarray) else float(value),
             "residual": None if self.residual is None else float(self.residual),
             "iterations": None if self.iterations is None else int(self.iterations),
             "converged": bool(self.converged),
         }
         if self.barycentric is not None:
-            out["barycentric"] = [float(w) for w in self.barycentric.weights]
+            out["barycentric"] = _jsonable(self.barycentric.weights)
         return out
+
+
+def _jsonable(value):
+    """value with its arrays, tuples and numpy scalars turned into JSON lists
+    and numbers."""
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.floating, np.integer)):
+        return float(value)
+    return value
 
 
 def _certified(report: SolverReport, label: str, x) -> Union[float, np.ndarray]:
@@ -457,24 +462,6 @@ def select(x: Sequence, chi: Injection) -> tuple:
     if len(x) != chi.n:
         raise InvalidArgumentError(f"select needs len(x) == chi.n, got {len(x)} != {chi.n}")
     return tuple(x[slot - 1] for slot in chi.map)
-
-
-def hull_combination(x: Sequence, lam: Barycentric) -> np.ndarray:
-    """The convex combination sum(lam_i * x_i) of a tuple of points."""
-    pts = as_point_tuple(x)
-    if len(lam) != len(pts):
-        raise InvalidArgumentError(
-            f"weight count {len(lam)} does not match point count {len(pts)}"
-        )
-    X = np.stack(pts, axis=0)
-    return lam.array @ X
-
-
-def in_hull_1d(x: Sequence[float], y: float) -> bool:
-    """Whether y lies in [min(x), max(x)]."""
-    if len(x) == 0:
-        raise InvalidArgumentError("empty tuple has no hull")
-    return min(x) <= y <= max(x)
 
 
 # Sampled axiom checks evaluate, then judge (``judge_samples``): one verdict
@@ -536,18 +523,15 @@ def first_failure(checks: Sequence[tuple]) -> Optional[str]:
     return next(message(k) for passed, message in checks if not passed[k])
 
 
-def judge_samples(judge: Callable, numpy_values, fn: Callable, calls: Callable[[], Iterable],
+def judge_samples(judge: Callable, fn: Callable, calls: Callable[[], Iterable],
                   width: int, error: type, stop: Optional[Callable] = None):
-    """Evaluate, then judge: ``judge(values, clear)``, given one sequence of
-    values per call position, words the first failing sample or returns
-    None.  ``numpy_values`` (or None) are accepted if every threshold is
-    cleared.  Otherwise fn(*args) runs for each args of ``calls()``,
-    ``width`` calls per sample, up to a call that raises (its sample is left
-    out) or whose value ``stop`` flags (that value fills its sample); the
-    first failing sample raises ``error``, else the exception is re-raised.
+    """Evaluate, then judge: ``judge(values)``, given one sequence of values
+    per call position, words the first failing sample or returns None.
+    fn(*args) runs for each args of ``calls()``, ``width`` calls per sample,
+    up to a call that raises (its sample is left out) or whose value
+    ``stop`` flags (that value fills its sample); the first failing sample
+    raises ``error``, else the exception is re-raised.
     """
-    if numpy_values is not None and judge(numpy_values, clear=True) is None:
-        return
     values = []
     held = None
     try:

@@ -37,6 +37,7 @@ from .core import (
     REALS,
     SolverConfig,
     SolverReport,
+    _certified,
     select,
 )
 from .errors import ExpressionError, InvalidArgumentError, MeansError
@@ -66,8 +67,6 @@ from .scalar import (
 )
 from .vector import GenDeviation, PotentialFn, make_norm_sq_potential
 from .vector import gen_deviation_mean  # noqa: F401  (perfbench's wrapper test rebinds it)
-
-SCHEMA_VERSION = 1
 
 # The parameters each kind reads; any other key is rejected.
 _PARAMS = {
@@ -157,10 +156,12 @@ def parse_domain(spec) -> Interval:
 _IDENTITY_NAMES = ("identity", "id", "u")
 
 
-def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
-    """A GeneratorFn from a named generator or an expression in u.  The
-    named "log" takes a domain inside (0, inf), by default (0, inf) itself;
-    any other domain raises InvalidArgumentError."""
+def build_generator(spec, domain: Optional[Interval] = None,
+                    cfg: SolverConfig = DEFAULT_CONFIG) -> GeneratorFn:
+    """A GeneratorFn from a named generator or an expression in u, whose
+    inverse is a numeric one on cfg's iteration budget.  The named "log"
+    takes a domain inside (0, inf), by default (0, inf) itself; any other
+    domain raises InvalidArgumentError."""
     from .scalar import exp_generator, identity_generator, log_generator
 
     if isinstance(spec, GeneratorFn):
@@ -177,7 +178,7 @@ def build_generator(spec, domain: Optional[Interval] = None) -> GeneratorFn:
         return exp_generator(domain or REALS)
     dom = domain or REALS
     feval = parse_expression(text, allowed=("u",)).bind(("u",))
-    return GeneratorFn(eval=feval, inverse=numeric_inverse(feval, dom), domain=dom)
+    return GeneratorFn(eval=feval, inverse=numeric_inverse(feval, dom, cfg), domain=dom)
 
 
 def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
@@ -215,12 +216,6 @@ def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
     return tuple(built)
 
 
-def build_weight(spec, domain: Interval) -> WeightFn:
-    """A WeightFn from a positive number or an expression in u: the
-    one-member case of ``build_weights``."""
-    return build_weights([spec], domain)[0]
-
-
 def build_deviations(texts: Sequence[str], domain: Interval) -> DeviationTuple:
     """A DeviationTuple of expressions in u, v, bound as one family: each
     deviation's eval is an ``expr.Member``, so the tuple compiles its
@@ -245,12 +240,6 @@ def build_deviations(texts: Sequence[str], domain: Interval) -> DeviationTuple:
     if error is not None:
         raise error
     return family
-
-
-def build_scalar_deviation(expr_text: str, domain: Interval) -> ScalarDeviation:
-    """A ScalarDeviation from an expression in u, v: the one-member case of
-    ``build_deviations``."""
-    return build_deviations([expr_text], domain)[0]
 
 
 def _expand(entries, arity: int, what: str) -> list:
@@ -284,10 +273,9 @@ def build_point_weight(spec, dim: int) -> Callable:
     return _of_points(parse_expression(str(spec), allowed=allowed).bind(allowed))
 
 
-def build_gen_deviation(exprs: Sequence[str], dim: int,
-                        sample_low: float = -2.0, sample_high: float = 2.0) -> GenDeviation:
+def build_gen_deviation(exprs: Sequence[str], dim: int) -> GenDeviation:
     """A GenDeviation whose covector coordinates are expressions in
-    u1..ud, v1..vd."""
+    u1..ud, v1..vd, its axioms sampled on [-2, 2]^d."""
     if len(exprs) != dim:
         raise InvalidArgumentError(f"need {dim} covector expressions, got {len(exprs)}")
     allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
@@ -295,7 +283,7 @@ def build_gen_deviation(exprs: Sequence[str], dim: int,
     family, _, batch, _ = _bind_family([parse_expression(str(e), allowed=allowed) for e in exprs],
                                        [dict(zip(allowed, range(2 * dim)))] * dim, 2 * dim)
     dev = GenDeviation(dim=dim, eval=_of_points(family), label="custom generalized deviation",
-                       sample_low=sample_low, sample_high=sample_high, validate=False)
+                       sample_low=-2.0, sample_high=2.0, validate=False)
     dev._check_axioms(batch)
     return dev
 
@@ -355,8 +343,9 @@ def gini_mean_fn(p: float, q: float, arity: int) -> MeanFn:
                   batch=partial(gini_batch, float(p), float(q)))
 
 
-def quasi_arithmetic_mean_fn(f, arity: int, domain: Optional[Interval] = None) -> MeanFn:
-    gen = build_generator(f, domain)
+def quasi_arithmetic_mean_fn(f, arity: int, domain: Optional[Interval] = None,
+                             cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
+    gen = build_generator(f, domain, cfg)
     return MeanFn(arity=arity, label="quasi-arithmetic",
                   eval=lambda xs, g=gen: quasi_arithmetic_mean(g, xs),
                   select=lambda chi: quasi_arithmetic_mean_fn(gen, chi.k),
@@ -364,8 +353,9 @@ def quasi_arithmetic_mean_fn(f, arity: int, domain: Optional[Interval] = None) -
 
 
 def bajraktarevic_mean_fn(f, weights: Sequence, arity: int,
-                          domain: Optional[Interval] = None) -> MeanFn:
-    gen = build_generator(f, domain)
+                          domain: Optional[Interval] = None,
+                          cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
+    gen = build_generator(f, domain, cfg)
     ws = build_weights(_expand(weights, arity, "weights"), gen.domain)
     return MeanFn(arity=arity, label="bajraktarevic",
                   eval=lambda xs, g=gen, ws=ws: bajraktarevic_mean(g, ws, xs),
@@ -377,7 +367,7 @@ def matkowski_mean_fn(fs: Sequence, arity: int, domain: Optional[Interval] = Non
     # The reduction solves sum_sel f_i(x_i) + sum_unsel f_i(y) = sum_i f_i(y),
     # that is sum_sel f_i(x_i) = sum_sel f_i(y): the mean of the selected
     # generators.
-    gens = tuple(build_generator(f, domain) for f in _expand(fs, arity, "generators"))
+    gens = tuple(build_generator(f, domain, cfg) for f in _expand(fs, arity, "generators"))
     return MeanFn(arity=arity, label="matkowski",
                   eval=lambda xs, gs=gens, cfg=cfg: matkowski_mean(gs, xs, cfg),
                   select=lambda chi: matkowski_mean_fn(select(gens, chi), chi.k, cfg=cfg))
@@ -403,11 +393,12 @@ def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> Mean
         return gini_mean_fn(param("p"), param("q"), arity)
     if kind == "quasi-arithmetic":
         f = param("f")
-        return quasi_arithmetic_mean_fn(f, arity, _generator_domain(param("domain", None), [f]))
+        return quasi_arithmetic_mean_fn(f, arity, _generator_domain(param("domain", None), [f]),
+                                        cfg)
     if kind == "bajraktarevic":
         f = param("f")
         return bajraktarevic_mean_fn(f, param("weights", [1.0]), arity,
-                                     _generator_domain(param("domain", None), [f]))
+                                     _generator_domain(param("domain", None), [f]), cfg)
     if kind == "matkowski":
         fs = _expand(param("fs"), arity, "generators")
         return matkowski_mean_fn(fs, arity, _generator_domain(param("domain", None), fs), cfg)
@@ -459,8 +450,10 @@ def evaluate_with_report(desc: MeanDescriptor, x: Sequence,
                          cfg: SolverConfig = DEFAULT_CONFIG) -> tuple:
     """Evaluate a descriptor-defined mean, returning (value, SolverReport).
 
-    Solver-backed kinds return the solver's own report (``MeanFn.report``);
-    closed-form kinds report zero residual and zero iterations.  Kinds
+    Solver-backed kinds return the solver's own report (``MeanFn.report``)
+    and its value where the solve converged; where it did not, they raise
+    NoConvergenceError naming the kind and the data (``core._certified``).
+    Closed-form kinds report zero residual and zero iterations.  Kinds
     solved numerically without a report (``_solved_numerically``) report
     None for both: their solvers keep neither.  The mean is
     built on every call: its expressions parsed and compiled, its axioms
@@ -470,7 +463,7 @@ def evaluate_with_report(desc: MeanDescriptor, x: Sequence,
     M = build_mean(desc, cfg)
     if M.report is not None:
         report = M.report(tuple(x))
-        return report.value, report
+        return _certified(report, f"{desc.kind} mean", x), report
     value = M(tuple(x))
     # A numeric inversion that returns has converged: it raises otherwise.
     unknown = _solved_numerically(desc)

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import BATCH_MARGIN, DEFAULT_CONFIG, Injection, SolverConfig, wide_uniform
+from .core import BATCH_MARGIN, DEFAULT_CONFIG, Injection, SolverConfig, _jsonable, wide_uniform
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -183,16 +183,6 @@ def draw_witnesses(samplers: Sequence[BoxSampler], rng: np.random.Generator, tri
     """Yield the ``trials`` witnesses of ``draw_blocks`` one by one."""
     for _, witnesses in draw_blocks(samplers, rng, trials, count):
         yield from witnesses
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
 
 
 @dataclass(frozen=True)

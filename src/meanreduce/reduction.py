@@ -91,7 +91,7 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class MeanFn:
-    """An n-variable mean as a callable with declared arity and kind.
+    """An n-variable mean as a callable with declared arity and dimension.
 
     ``dim`` is None for scalar means and the point dimension for vector
     means.  The mean property and reflexivity are not enforceable for a
@@ -135,10 +135,6 @@ class MeanFn:
             raise InvalidArgumentError("mean arity must be positive")
         if self.dim is not None and self.dim <= 0:
             raise InvalidArgumentError("mean dimension must be positive")
-
-    @property
-    def kind(self) -> str:
-        return "scalar" if self.dim is None else "vector"
 
     def __call__(self, x: Sequence):
         if len(x) != self.arity:
@@ -359,17 +355,20 @@ def reduce_scalar(M: MeanFn, chi: Injection, x: Sequence[float],
     return ReductionResult(report, continuity_suspect=suspect)
 
 
-def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float, cfg: SolverConfig,
-                     max_iter: int) -> tuple[np.ndarray, float, int, bool]:
-    """Damped fixed-point iteration with safeguarded secant extrapolation."""
-    alpha = cfg.damping
+def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float,
+                     cfg: SolverConfig) -> tuple[np.ndarray, float, int, bool]:
+    """Fixed-point iteration with safeguarded secant extrapolation: a plain
+    step y + alpha (m(y) - y), alpha = 1, stands where the extrapolation is
+    missing or does not lower the residual, and alpha halves, down to 1/64,
+    after 10 steps in a row that do not lower it."""
+    alpha = 1.0
     y = y0.copy()
     r = m(y) - y
     rnorm = math.sqrt(float(r @ r))
     prev: Optional[tuple[np.ndarray, np.ndarray]] = None
     no_progress = 0
     iterations = 0
-    while rnorm > tol and iterations < max_iter:
+    while rnorm > tol and iterations < cfg.max_iter:
         iterations += 1
         y_next = None
         if prev is not None:
@@ -441,7 +440,7 @@ def reduce_vector(M: MeanFn, chi: Injection, x: Sequence,
         report = SolverReport(value=pts[0].copy(), residual=0.0, iterations=0, converged=True)
         return ReductionResult(report, unique_flag=UNIQUE)
 
-    y, rnorm, iterations, converged = _fixed_point_run(m, centroid, tol, cfg, cfg.max_iter)
+    y, rnorm, iterations, converged = _fixed_point_run(m, centroid, tol, cfg)
     report = SolverReport(value=y, residual=rnorm, iterations=iterations, converged=converged)
     return ReductionResult(report)
 
@@ -473,8 +472,7 @@ def _vector_uniqueness(M: MeanFn, chi: Injection, x: Sequence, root: np.ndarray,
     restart_tol = max(tol, 1e-8 * (1.0 + spread))
     results = [root]
     for p in pts:
-        yj, _, _, ok = _fixed_point_run(m, 0.5 * p + 0.5 * centroid, restart_tol, cfg,
-                                        cfg.max_iter)
+        yj, _, _, ok = _fixed_point_run(m, 0.5 * p + 0.5 * centroid, restart_tol, cfg)
         if not ok:
             return UNKNOWN
         results.append(yj)

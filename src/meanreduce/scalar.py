@@ -142,7 +142,7 @@ def check_weights(weights: Sequence[WeightFn], batch: Optional[Callable] = None)
             cleared = _weight_passes(w, clear=True).all(axis=-1)
     for weight, ok in zip(weights, cleared):
         if not ok:
-            judge_samples(partial(_weight_verdict, us), None, weight.eval,
+            judge_samples(partial(_weight_verdict, us), weight.eval,
                           lambda: ((u,) for u in us.tolist()), 1, InvalidArgumentError)
 
 
@@ -214,8 +214,7 @@ def check_deviations(devs: Sequence[ScalarDeviation], batch: Optional[Callable] 
             cleared = (passes[0] & passes[1] & passes[2]).all(axis=-1)
     for dev, ok in zip(devs, cleared):
         if not ok:
-            judge_samples(partial(_deviation_verdict, dev.label, us, vs, ws, span), None,
-                          dev.eval,
+            judge_samples(partial(_deviation_verdict, dev.label, us, vs, ws, span), dev.eval,
                           lambda: ((u, x) for u, v, w in zip(us.tolist(), vs.tolist(),
                                                              ws.tolist()) for x in (u, v, w)),
                           3, InvalidDeviationError)
@@ -567,8 +566,7 @@ def _summed_section(E: DeviationTuple, xs: list) -> Callable[[float], float]:
     return lambda y, total=E.total, xs=xs: total(y, *xs)
 
 
-def deviation_sign(E, x: Sequence[float], u: float,
-                   cfg: SolverConfig = DEFAULT_CONFIG) -> int:
+def deviation_sign(E, x: Sequence[float], u: float) -> int:
     """Sign of the summed deviation at u: +1, 0, or -1.
 
     Equals sgn(deviation_mean(E, x) - u) wherever the summed section does not
@@ -668,10 +666,10 @@ def _clamped_average(fw: list, weights: Optional[list]) -> float:
     return min(max(average(fw, weights), min(fw)), max(fw))
 
 
-def _near_domain(y: float, domain: Interval, slack: float = 1e-9) -> bool:
+def _near_domain(y: float, domain: Interval) -> bool:
     lo, hi = domain.lo, domain.hi
     scale = 1.0 + abs(y)
-    return (lo - slack * scale) <= y <= (hi + slack * scale)
+    return (lo - 1e-9 * scale) <= y <= (hi + 1e-9 * scale)
 
 
 def quasi_arithmetic_mean(f: GeneratorFn, x: Sequence[float]) -> float:

@@ -226,18 +226,22 @@ class GenDeviation:
         ``_gen_verdict`` on the values of ``batch``, a numpy form of ``eval``
         in the layout of ``expr._bind_family`` (arrays of the coordinates
         u1..ud, v1..vd in, one array or constant per covector coordinate
-        out), or else of ``eval`` on array rows (see ``judge_samples``)."""
+        out), accepted where they clear every threshold by BATCH_MARGIN, or
+        else of ``eval`` on array rows (see ``judge_samples``)."""
         rng = np.random.default_rng(_VALIDATION_SEED)
         shape = (_VALIDATION_SAMPLES, self.dim)
         us, vs, ws = (rng.uniform(self.sample_low, self.sample_high, shape) for _ in range(3))
-        # Rows of us and vs are points; the covectors come back as rows.
-        numpy_values = None if batch is None else sample_triples(
-            lambda us, vs: np.stack(np.broadcast_arrays(*batch(*us.T, *vs.T)), axis=-1),
-            us, vs, ws)
+        verdict = partial(_gen_verdict, self.label, us, vs, ws)
+        if batch is not None:
+            # Rows of us and vs are points; the covectors come back as rows.
+            values = sample_triples(
+                lambda us, vs: np.stack(np.broadcast_arrays(*batch(*us.T, *vs.T)), axis=-1),
+                us, vs, ws)
+            if values is not None and verdict(values, clear=True) is None:
+                return
         # A covector that is not finite ends the evaluation: the checks of its
         # sample stop there.
-        judge_samples(partial(_gen_verdict, self.label, us, vs, ws), numpy_values,
-                      lambda a, b: _as_shape(self.eval(a, b), self.dim),
+        judge_samples(verdict, lambda a, b: _as_shape(self.eval(a, b), self.dim),
                       lambda: ((u, x) for u, v, w in zip(us, vs, ws) for x in (u, v, w)), 3,
                       InvalidDeviationError, stop=not_finite)
 
@@ -707,7 +711,7 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
 class _Extragradient:
     """Direction rule of the VI route: one extragradient step (Korpelevich
     1976) from lam along the slack vector.  The half step is
-    ``_slack_step`` with nu = 0.5 damping, tried first at the last step that
+    ``_slack_step`` with nu = 1/2, tried first at the last step that
     passed (at first 1) times the loop's step scale; the full step from lam
     along the slacks at the half point takes the same step.
 
@@ -715,14 +719,13 @@ class _Extragradient:
     violations on observed iterate pairs mean the deviation axioms fail.
     """
 
-    def __init__(self, point, nu: float):
+    def __init__(self, point):
         self.point = point
-        self.nu = nu
         self.tau = 1.0
         self.wrong_pairings = 0
 
     def step(self, cur: _Iterate, scale: float) -> _Iterate:
-        half, tau = _slack_step(self.point, cur, self.tau * scale, self.nu)
+        half, tau = _slack_step(self.point, cur, self.tau * scale, 0.5)
         self.tau = tau / scale
         g, g_half = cur.g, half.g
         dy = cur.y - half.y
@@ -751,9 +754,9 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
     y = sum_j lam_j x_j, the search direction is the slack vector
     (g (x_j - y))_j, stepped and projected back onto the simplex.  The step
     passes the local test of ``_slack_step``,
-    step |s(lam') - s(lam)| <= (damping / 2) |lam' - lam| for the slacks s:
+    step |s(lam') - s(lam)| <= nu |lam' - lam| for the slacks s, nu = 1/2:
     first tried at 1, a step that fails is cut to the bound
-    (damping / 2) |lam' - lam| / |s(lam') - s(lam)| it measured, or to half
+    nu |lam' - lam| / |s(lam') - s(lam)| it measured, or to half
     of it if that is smaller, and the step that passed is kept for the next
     iteration.  The loop adds the safeguarded projected-Newton candidate,
     with the exact Jacobian -2 sum_i w_i(x_i) I for inner-weight families and
@@ -780,7 +783,7 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
         lam = _project_simplex(lam)
 
     point, jac = _sum_grad(E, pts, X, dim)
-    rule = _Extragradient(point, 0.5 * cfg.damping)
+    rule = _Extragradient(point)
     return _simplex_solve(rule, point, jac, X, lam, tol, cfg.max_iter)
 
 

@@ -1,7 +1,7 @@
 """The batched axiom checks against the sample-by-sample evaluation.
 
-``build_scalar_deviation``, ``build_gen_deviation`` and ``build_weight``
-check their samples on the expression's numpy form first.  That form may
+``build_deviations``, ``build_gen_deviation`` and ``build_weights`` check
+their samples on the expression's numpy form first.  That form may
 only accept: every rejection, and its message, must be the one the values
 of the callback itself give.  The reference here is the same builder with
 the numpy values switched off, so both sides draw the same samples and are
@@ -19,9 +19,10 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from meanreduce import scalar, vector
 from meanreduce.core import POSITIVE_REALS, REALS, Interval
 from meanreduce.descriptors import (
+    _of_points,
+    build_deviations,
     build_gen_deviation,
-    build_scalar_deviation,
-    build_weight,
+    build_weights,
     parse_domain,
 )
 from meanreduce.errors import DomainError, MeansError
@@ -62,12 +63,28 @@ def _both(kind: str, build) -> tuple[str, str]:
 def _build(kind: str, case):
     if kind == "scalar":
         text, domain = case
-        return lambda: build_scalar_deviation(text, domain)
+        return lambda: build_deviations([text], domain)[0]
     if kind == "weight":
         text, domain = case
-        return lambda: build_weight(text, domain)
+        return lambda: build_weights([text], domain)[0]
     exprs, low, high = case
-    return lambda: build_gen_deviation(exprs, len(exprs), low, high)
+    if (low, high) == (-2.0, 2.0):
+        return lambda: build_gen_deviation(exprs, len(exprs))
+    return lambda: _gen_deviation(exprs, low, high)
+
+
+def _gen_deviation(exprs, low: float, high: float) -> vector.GenDeviation:
+    """The deviation ``build_gen_deviation`` builds, with its axioms sampled
+    on [low, high]^d instead of [-2, 2]^d."""
+    d = len(exprs)
+    names = tuple(f"u{i + 1}" for i in range(d)) + tuple(f"v{i + 1}" for i in range(d))
+    family, _, batch, _ = _bind_family([parse_expression(e, allowed=names) for e in exprs],
+                                       [dict(zip(names, range(2 * d)))] * d, 2 * d)
+    dev = vector.GenDeviation(dim=d, eval=_of_points(family),
+                              label="custom generalized deviation", sample_low=low,
+                              sample_high=high, validate=False)
+    dev._check_axioms(batch)
+    return dev
 
 
 # Expression texts over the grammar.  Leaves include zero (division by

@@ -104,6 +104,48 @@ class TestMeanCommand:
         data = run_json(capsys, "mean", "--descriptor", desc, "--x", "1,7")
         assert data["value"] == pytest.approx(5.0)
 
+    def test_descriptor_file(self, capsys, tmp_path):
+        path = tmp_path / "gini.json"
+        path.write_text(json.dumps({"kind": "gini", "arity": 2, "params": {"p": 2, "q": 1}}),
+                        encoding="utf-8")
+        data = run_json(capsys, "mean", "--descriptor", str(path), "--x", "1,3")
+        assert (data["kind"], data["value"]) == ("gini", 2.5)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--p", "3", "--kind", "gini", "--arity", "5"], "--kind, --arity, --p"),
+        (["--dim", "1"], "--dim"),
+        (["--q", "1"], "--q"),
+        (["--f", "log"], "--f"),
+        (["--fs", "u;u"], "--fs"),
+        (["--weights", "1;2"], "--weights"),
+        (["--exprs", "u-v"], "--exprs"),
+        (["--domain", "0,1"], "--domain"),
+    ], ids=["kind-arity-p", "dim", "q", "f", "fs", "weights", "exprs", "domain"])
+    def test_descriptor_excludes_the_mean_flags(self, capsys, flags, named):
+        # A flag given with --descriptor would be silently dropped.
+        desc = json.dumps({"kind": "holder", "arity": 2, "params": {"p": 1}})
+        code, out, err = run_cli(capsys, "mean", "--descriptor", desc, *flags, "--x", "1,2")
+        assert (code, out) == (2, "")
+        assert err == f"error: --descriptor excludes {named}\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "quasi-arithmetic", "--f", "u^3+u"],
+        ["--kind", "bajraktarevic", "--f", "u^3+u", "--weights", "u", "--domain", "0.5,3"],
+    ], ids=["quasi-arithmetic", "bajraktarevic"])
+    def test_expression_generator_inversion_honours_max_iter(self, capsys, flags):
+        assert run_json(capsys, "mean", *flags, "--x", "1,2")["converged"] is True
+        code, out, err = run_cli(capsys, "mean", *flags, "--x", "1,2", "--max-iter", "1")
+        assert (code, out) == (3, "")
+        assert err == "no convergence: generator inversion exhausted its iteration budget\n"
+
+    def test_gen_deviation_takes_one_covector_per_slot(self, capsys):
+        # ';' separates the slots' deviations, '|' the coordinates of one.
+        data = run_json(capsys, "mean", "--kind", "gen-deviation", "--dim", "2", "--exprs",
+                        "u1-v1|u2-v2;2*(u1-v1)|2*(u2-v2)", "--x", "0,0;2,4")
+        assert data["converged"] is True
+        assert data["value"] == pytest.approx([4 / 3, 8 / 3], abs=1e-9)
+        assert data["x"] == [[0.0, 0.0], [2.0, 4.0]]
+
     def test_invalid_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "mean", "--kind", "holder", "--p", "1",
                                "--x", "1,-3")
@@ -264,6 +306,23 @@ class TestReduceCommand:
         data = run_json(capsys, "reduce", "--kind", "arithmetic", "--arity", "4",
                         "--dim", "2", "--chi", "1,3", "--x", "0,0;2,2")
         assert data["value"] == pytest.approx([1.0, 1.0], abs=1e-9)
+
+    @pytest.mark.parametrize("chi", ["2,1", "1,3"])
+    def test_the_arity_of_the_mean_is_required(self, capsys, chi):
+        # --x holds the k-tuple, whose length is not the mean's arity n.
+        code, out, err = run_cli(capsys, "reduce", "--kind", "arithmetic", "--chi", chi,
+                                 "--x", "1,5")
+        assert (code, out) == (2, "")
+        assert err == ("error: reduce needs --arity, the number of arguments of the mean it "
+                       "reduces, or --descriptor\n")
+        data = run_json(capsys, "reduce", "--kind", "arithmetic", "--arity", "3", "--chi", chi,
+                        "--x", "1,5")
+        assert data["value"] == pytest.approx(3.0, abs=1e-9)
+        desc = json.dumps({"kind": "arithmetic", "arity": 3})
+        data = run_json(capsys, "reduce", "--descriptor", desc, "--chi", chi, "--x", "1,5")
+        assert data["value"] == pytest.approx(3.0, abs=1e-9)
+        # mean still reads its arity from --x.
+        assert run_json(capsys, "mean", "--kind", "arithmetic", "--x", "1,5")["value"] == 3.0
 
     def test_budget_exhaustion_exits_3(self, capsys):
         # One step solves the arithmetic reduction (its section is affine),

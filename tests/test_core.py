@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +10,6 @@ from meanreduce.core import (
     Interval,
     SolverConfig,
     as_point,
-    hull_combination,
-    in_hull_1d,
     select,
     splice,
 )
@@ -107,42 +104,6 @@ class TestInjection:
         assert not Injection.of([2], n=2).is_bijection()
 
 
-class TestHullCombination:
-    def test_centroid(self):
-        x = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)]
-        lam = Barycentric((1 / 3, 1 / 3, 1 / 3))
-        np.testing.assert_allclose(hull_combination(x, lam), [2 / 3, 2 / 3], rtol=1e-15)
-
-    def test_vertex_weight_is_exact(self):
-        x = [(1.0, 1.0), (5.0, 5.0)]
-        lam = Barycentric((1.0, 0.0))
-        assert hull_combination(x, lam).tolist() == [1.0, 1.0]
-
-    def test_1d_interpolation(self):
-        x = [(0.0,), (10.0,)]
-        lam = Barycentric((0.25, 0.75))
-        assert hull_combination(x, lam).tolist() == [7.5]
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            hull_combination([(0.0, 0.0), (1.0,)], Barycentric((0.5, 0.5)))
-
-    def test_weight_count_mismatch_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            hull_combination([(0.0,), (1.0,)], Barycentric((1.0,)))
-
-
-class TestInHull1d:
-    def test_interior(self):
-        assert in_hull_1d((1, 5, 3), 4)
-
-    def test_boundary(self):
-        assert in_hull_1d((1, 5, 3), 5)
-
-    def test_degenerate_hull(self):
-        assert not in_hull_1d((2, 2), 2.0001)
-
-
 class TestBarycentric:
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidArgumentError):
@@ -199,14 +160,13 @@ class TestSolverConfig:
         assert cfg.abs_tol == 1e-12
         assert cfg.rel_tol == 1e-10
         assert cfg.max_iter == 10_000
-        assert cfg.damping == 1.0
 
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},
         {"rel_tol": -1.0},
         {"max_iter": 0},
-        {"damping": 0.0},
-        {"damping": 1.5},
+        {"abs_tol": math.nan},
+        {"rel_tol": math.nan},
     ])
     def test_invariants(self, kwargs):
         with pytest.raises(InvalidArgumentError):

@@ -10,7 +10,7 @@ from meanreduce.descriptors import (
     evaluate_with_report,
     parse_domain,
 )
-from meanreduce.errors import InvalidArgumentError
+from meanreduce.errors import InvalidArgumentError, NoConvergenceError
 
 
 DESCRIPTORS = [
@@ -186,6 +186,15 @@ class TestEvaluateWithReport:
         assert value == pytest.approx(2.0, abs=1e-9)
         assert report.converged
         assert report.iterations > 0
+
+    def test_a_solve_that_did_not_converge_gives_no_value(self):
+        # One step leaves the curved section's bracket wide open.
+        desc = MeanDescriptor.from_json(
+            {"kind": "deviation-custom", "arity": 3,
+             "params": {"exprs": ["u^3 - v^3"], "domain": [0.1, 10]}})
+        with pytest.raises(NoConvergenceError,
+                           match=r"deviation-custom mean did not converge at \[0.5, 4.0, 2.0\]"):
+            evaluate_with_report(desc, (0.5, 4.0, 2.0), SolverConfig(max_iter=1))
 
     @pytest.mark.parametrize("data", DESCRIPTORS, ids=lambda d: d["kind"] + str(d.get("dim", "")))
     def test_report_value_matches_built_mean(self, data):

@@ -289,6 +289,39 @@ class TestReduceVector:
             scale = 1.0 + float(np.linalg.norm(result.reduced_value))
             assert residual <= 1e-9 * scale
 
+    def test_a_rejected_extrapolation_and_a_halved_step_reach_the_fixed_point(self):
+        # M(a, b, c) = (e^(2 - 10c) a + e^(-7c) b + c) / (e^(2 - 10c) + e^(-7c) + 1),
+        # a mean whose positive weights move steeply with its last argument.
+        # Reduced along (1, 2) at (1, -1) from the centroid 0, the first
+        # step overshoots to 0.68, where M(1, -1, y) is flat: the secant
+        # extrapolation is rejected once, 10 steps that do not lower the
+        # residual halve the plain step, and the iteration still converges.
+        def steep(a, b, c):
+            wa, wb = math.exp(2.0 - 10.0 * c), math.exp(-7.0 * c)
+            return (wa * a + wb * b + c) / (wa + wb + 1.0)
+
+        calls = []
+
+        def points(xs):
+            a, b, c = (float(p[0]) for p in xs)
+            value = np.array([steep(a, b, c)])
+            calls.append((xs[2].copy(), value))
+            return value
+
+        chi = Injection.of([1, 2], n=3)
+        certificate = reduce_vector(MeanFn(arity=3, dim=1, eval=points), chi,
+                                    ((1.0,), (-1.0,))).certificate
+        assert certificate.converged
+        # One evaluation per iteration after the first, and one more for
+        # each plain step that replaces a rejected extrapolation.
+        assert len(calls) - 1 - certificate.iterations == 1
+        # A halved plain step from y is y + (M(..., y) - y) / 2.
+        assert any(np.array_equal(q, y + 0.5 * (m - y))
+                   for i, (q, _) in enumerate(calls) for y, m in calls[:i])
+        # The scalar reduction brackets the same fixed point.
+        scalar = reduce_scalar(MeanFn(arity=3, eval=lambda xs: steep(*xs)), chi, (1.0, -1.0))
+        assert abs(certificate.value[0] - scalar.reduced_value) <= 1e-11
+
 
 SCALAR_CASES = [
     (arithmetic_mean_fn(3), Injection.of([1, 2], n=3), (1.0, 5.0)),

@@ -5,14 +5,16 @@ import signal
 import numpy as np
 import pytest
 
-from meanreduce.core import POSITIVE_REALS, SolverConfig
+from meanreduce.core import POSITIVE_REALS
 from meanreduce.errors import (
+    DomainError,
     HullViolationError,
     InvalidArgumentError,
     InvalidDeviationError,
     InvalidPotentialError,
 )
 from meanreduce import vector
+from meanreduce.reduction import gen_deviation_mean_fn
 from meanreduce.scalar import ScalarDeviation, deviation_mean
 from meanreduce.vector import (
     Covector,
@@ -100,21 +102,6 @@ class TestGenDeviationMean:
     def test_empty_tuple_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gen_deviation_mean([], ())
-
-    def test_damped_routes_converge_to_the_weighted_mean(self):
-        # damping enters the VI route's local step test only; both routes
-        # still converge to the functionally weighted mean.
-        weights = [lambda u, c=c: c * (1.0 + 0.5 * math.tanh(float(u[0]))) for c in (1, 2, 3, 4)]
-        x = ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (1.5, 1.5))
-        closed = sum(w(p) * np.asarray(p) for w, p in zip(weights, x)) / sum(
-            w(p) for w, p in zip(weights, x))
-        cfg = SolverConfig(damping=0.25)
-        E = [library_ipd(w, 2) for w in weights]
-        vi = gen_deviation_mean(E, x, cfg)
-        pot = potential_mean([make_norm_sq_potential(w, 2) for w in weights], x, cfg)
-        for report in (vi, pot):
-            assert report.converged
-            np.testing.assert_allclose(report.value, closed, rtol=0.0, atol=1e-10)
 
     def test_uniqueness_across_initializations(self):
         rng = np.random.default_rng(41)
@@ -306,6 +293,61 @@ class TestGenDeviationMean:
         # Anchored: "non-finite" in the weight check's message contains "init".
         with pytest.raises(InvalidArgumentError, match=r"^init\b"):
             gen_deviation_mean(E, TRIANGLE, init=(bad, 0.5, 0.5))
+
+    def test_a_jacobian_probe_off_the_hull_skips_the_newton_candidate(self):
+        # The hull is a segment of the axis v2 = 0, where every iterate lies,
+        # and the deviations are defined for v2 >= 0 only: the central
+        # difference probe at v2 = -h raises, which skips that Newton
+        # candidate, and the extragradient steps converge on their own.
+        raised = [0]
+
+        def upper(w):
+            def ev(u, v):
+                if v[1] < 0.0:
+                    raised[0] += 1
+                    raise DomainError("defined for v2 >= 0 only")
+                return w * (np.asarray(u, float) - np.asarray(v, float))
+            return GenDeviation(dim=2, eval=ev, label="upper half-plane", validate=False)
+
+        value = gen_deviation_mean_fn([upper(1.0), upper(3.0)])(((0.0, 0.0), (2.0, 0.0)))
+        assert raised[0] > 0
+        np.testing.assert_allclose(value, [1.5, 0.0], rtol=0.0, atol=1e-11)
+
+    def test_merit_growth_at_the_rounding_floor_halves_the_step(self, monkeypatch):
+        # Gradient problem 95 of stream 15 (hull_corpora): six points in R^4
+        # under quadratic and quartic potentials of condition numbers up to
+        # 10^4.  On the VI route the merit falls to about 2e-22 and then
+        # stays 16 times above that, at the rounding floor of the slacks.
+        # The iterate stops there: 10 zero steps halve the step scale, and
+        # so, once, do 12 iterations of merit growth.
+        seen = []
+        step = vector._Extragradient.step
+
+        def recorded(rule, cur, scale):
+            seen.append((scale, vector._merit(cur.slack)))
+            return step(rule, cur, scale)
+
+        monkeypatch.setattr(vector._Extragradient, "step", recorded)
+        x, F = hull_corpora.gradient_problem(95, 15)
+        report = gen_deviation_mean([make_potential_deviation(f) for f in F], x)
+        tol = 1e-12 * (1.0 + max(float(np.linalg.norm(p)) for p in x))
+        # The growth rule replayed on the merits the rule saw: 12 iterations
+        # above 4 times the least merit halve the scale and restart the count.
+        fired, streak, least = [], 0, math.inf
+        for i, (_, merit) in enumerate(seen):
+            least = min(least, merit)
+            streak = streak + 1 if merit > 4.0 * least + tol ** 2 else 0
+            if streak == 12:
+                fired.append(i)
+                streak, least = 0, merit
+        assert len(fired) == 1
+        assert seen[fired[0]][0] == 0.5 * seen[fired[0] - 1][0]
+        # The certificate stays the slack's; the value is the potential
+        # route's, which certifies it with residual 0.
+        assert report.converged == (report.residual <= tol)
+        pot = potential_mean(F, x)
+        assert pot.converged
+        np.testing.assert_allclose(report.value, pot.value, rtol=0.0, atol=1e-14)
 
 
 class TestGenDeviationValidation:
