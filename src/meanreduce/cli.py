@@ -217,8 +217,6 @@ def _suite_csv_rows(report: dict):
              "found_reduced", "lhs", "rhs", "gap"]]
     for entry in report["cases"]:
         full = entry.get("full") or {}
-        if not full and entry.get("found") is not None:
-            full = entry
         reduced = entry.get("reduced") or {}
         rows.append([
             entry.get("case"), entry.get("kind"), entry.get("expected", ""),

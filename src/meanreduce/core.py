@@ -144,9 +144,6 @@ class Injection:
     def of(cls, entries: Sequence[int], n: int) -> "Injection":
         return cls(k=len(entries), n=n, map=tuple(entries))
 
-    def is_bijection(self) -> bool:
-        return self.k == self.n
-
 
 @dataclass(frozen=True)
 class Barycentric:

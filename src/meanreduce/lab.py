@@ -1,6 +1,9 @@
 """Randomized verification of convexity, comparison, and product/sum
 inequalities between means, together with their reductions.
 
+A comparison G <= E is the (G, E)-convexity of the identity, and every
+check takes the seed of its search as an argument.
+
 Each check samples tuples from a box sampler and hunts for a violation of the
 stated inequality; the slack tolerance is scaled by (1 + |lhs| + |rhs|) to
 stay unit-free.  Reported witnesses are re-evaluated freshly before they are
@@ -240,7 +243,6 @@ class ConvexityCase:
     N: MeanFn
     f: Callable
     sampler: BoxSampler
-    seed: int = 0
     name: str = "convexity"
 
     def __post_init__(self):
@@ -264,7 +266,6 @@ class HolderMinkowskiCase:
     f: Callable
     chi: Injection
     samplers: tuple[BoxSampler, ...]
-    seed: int = 0
     name: str = "holder-minkowski"
 
     def __post_init__(self):
@@ -398,10 +399,10 @@ def _recheck(fixed: Callable, tol: float, case_name: str, witness: tuple, lhs: f
 
 
 def check_convexity(case: ConvexityCase, trials: int, tol: float,
-                    seed: Optional[int] = None) -> CounterexampleReport:
+                    seed: int = 0) -> CounterexampleReport:
     """Search for x with f(M(x)) > N(f o x) + scaled tol, the full check of
     the case; ``check_reduced_convexity`` runs the reduced one."""
-    rng = np.random.default_rng(case.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     fns = (case.f, case.M, case.N)
     return _search(_single(case.sampler, rng, trials, case.M.arity),
                    partial(_convexity_sides, *fns), trials, tol, case.name,
@@ -430,7 +431,7 @@ def _convexity_batch(f: Callable, M: Callable, N: Callable,
 
 
 def check_reduced_convexity(case: ConvexityCase, chi: Injection, trials: int,
-                            tol: float, seed: Optional[int] = None,
+                            tol: float, seed: int = 0,
                             cfg: SolverConfig = DEFAULT_CONFIG) -> CounterexampleReport:
     """The k-variable inequality with both means replaced by reductions.
 
@@ -441,7 +442,7 @@ def check_reduced_convexity(case: ConvexityCase, chi: Injection, trials: int,
     reported.  When the full n-variable check passes, a failure here
     indicates a defect in the reduction machinery, not a counterexample.
     """
-    rng = np.random.default_rng(case.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     return _reduced_search(partial(_convexity_sides, case.f),
                            _with_batches(_convexity_batch, (case.f,)), (case.M, case.N), chi,
                            cfg, _single(case.sampler, rng, trials, chi.k), trials, tol,
@@ -453,36 +454,30 @@ def compare_means(G: MeanFn, E: MeanFn, chi: Injection, trials: int, tol: float,
                   cfg: SolverConfig = DEFAULT_CONFIG,
                   reduced_tol: Optional[float] = None,
                   name: str = "comparison") -> ReportPair:
-    """Search for violations of G <= E and of the reduced comparison.
+    """Search for violations of G <= E, the (G, E)-convexity of the
+    identity, and of the reduced comparison, as ``check_convexity`` and
+    ``check_reduced_convexity`` do with f the identity.
 
-    The reduced search reduces by selection where the means allow it
-    (``reduced_mean_fn``), and reports a witness with the sides of the
-    fixed-point reductions, which must agree within max(reduced_tol,
-    cfg.abs_tol).  For deviation-family means an n-variable pass forces the
-    k-variable pass, so ``implication_violated`` on the result is a
-    machinery defect.
+    The reduced search reports a witness with the sides of the fixed-point
+    reductions, which must agree within max(reduced_tol, cfg.abs_tol).  For
+    deviation-family means an n-variable pass forces the k-variable pass,
+    so ``implication_violated`` on the result is a machinery defect.
     """
     if G.arity != E.arity or G.dim is not None or E.dim is not None:
         raise InvalidArgumentError("comparison needs two scalar means of one arity")
     if chi.n != G.arity:
         raise InvalidArgumentError("injection does not match the means' arity")
     sampler = sampler or BoxSampler(low=0.1, high=4.0, log_uniform=True)
+    fns = (_identity, G, E)
     full = _search(_single(sampler, np.random.default_rng(seed), trials, G.arity),
-                   partial(_comparison_sides, G, E), trials, tol, f"{name} (full)",
-                   sampler.holds, screen=_with_batches(_comparison_batch, (G, E)))
-    reduced = _reduced_search(_comparison_sides, _comparison_batch, (G, E), chi, cfg,
+                   partial(_convexity_sides, *fns), trials, tol, f"{name} (full)",
+                   sampler.holds, screen=_with_batches(_convexity_batch, fns))
+    reduced = _reduced_search(partial(_convexity_sides, _identity),
+                              _with_batches(_convexity_batch, (_identity,)), (G, E), chi, cfg,
                               _single(sampler, np.random.default_rng(seed + 1), trials, chi.k),
                               trials, reduced_tol if reduced_tol is not None else tol,
                               f"{name} (reduced)", sampler.holds)
     return ReportPair(full=full, reduced=reduced)
-
-
-def _comparison_sides(G: MeanFn, E: MeanFn, xs: tuple) -> tuple[float, float]:
-    return float(_value(G, xs)), float(_value(E, xs))
-
-
-def _comparison_batch(G: Callable, E: Callable, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return G(X), E(X)
 
 
 def _sum(*args: float) -> float:
@@ -493,9 +488,15 @@ def _product(*args: float) -> float:
     return math.prod(args)
 
 
-# The numpy forms of the combiners, on arrays of their arguments.
+def _identity(x):
+    return x
+
+
+# The numpy forms of the combiners, on arrays of their arguments, and of the
+# identity that compare_means runs with.
 _sum.batch = lambda *args: reduce(add, args)
 _product.batch = lambda *args: reduce(mul, args)
+_identity.batch = _identity
 _BUILTIN_COMBINERS = {"sum": _sum, "product": _product}
 
 
@@ -510,26 +511,25 @@ def combiner(spec) -> Callable:
 
 
 def check_holder_minkowski(case: HolderMinkowskiCase, trials: int, tol: float,
-                           seed: Optional[int] = None,
+                           seed: int = 0,
                            cfg: SolverConfig = DEFAULT_CONFIG,
                            reduced_tol: Optional[float] = None) -> ReportPair:
     """Search for violations of the n ell-variable inequality and of its
     k ell-variable reduction.  The reduced search reduces by selection where
     the means allow it, and reports a witness with the sides of the
     fixed-point reductions, as ``compare_means`` does."""
-    base_seed = case.seed if seed is None else seed
 
     def inside(tuples):
         return all(s.holds(t) for s, t in zip(case.samplers, tuples))
 
     means = (*case.N_list, case.M)
-    full = _search(draw_blocks(case.samplers, np.random.default_rng(base_seed), trials,
+    full = _search(draw_blocks(case.samplers, np.random.default_rng(seed), trials,
                                case.M.arity),
                    partial(_hm_sides, case.f, *means), trials, tol, f"{case.name} (full)",
                    inside, screen=_with_batches(_hm_batch, (case.f, *means)))
     reduced = _reduced_search(partial(_hm_sides, case.f), _with_batches(_hm_batch, (case.f,)),
                               means, case.chi, cfg,
-                              draw_blocks(case.samplers, np.random.default_rng(base_seed + 1),
+                              draw_blocks(case.samplers, np.random.default_rng(seed + 1),
                                           trials, case.chi.k),
                               trials, reduced_tol if reduced_tol is not None else tol,
                               f"{case.name} (reduced)", inside)

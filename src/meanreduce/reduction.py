@@ -14,7 +14,8 @@ fixed-point iteration from the centroid, with a safeguarded secant
 (Anderson depth-1) extrapolation layered on top: plain iteration contracts
 arbitrarily slowly when the spliced slots dominate, and the extrapolated
 iterate is only ever accepted when it reduces the fixed-point residual, so
-certificates are unaffected.
+certificates are unaffected.  The damping halves, down to 1/64, on every
+tenth step of the run that does not lower the residual.
 
 Uniqueness cannot be decided for a black-box mean; results carry a tri-state
 flag ("unique" / "multiple-suspected" / "unknown"), never a silent claim.
@@ -360,7 +361,8 @@ def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float,
     """Fixed-point iteration with safeguarded secant extrapolation: a plain
     step y + alpha (m(y) - y), alpha = 1, stands where the extrapolation is
     missing or does not lower the residual, and alpha halves, down to 1/64,
-    after 10 steps in a row that do not lower it."""
+    on every tenth step of the run that does not lower it, so that no cycle
+    of steps escapes the halving."""
     alpha = 1.0
     y = y0.copy()
     r = m(y) - y
@@ -397,11 +399,8 @@ def _fixed_point_run(m: Callable, y0: np.ndarray, tol: float,
             prev = (y, r)
         if rn >= rnorm:
             no_progress += 1
-            if no_progress >= 10:
+            if no_progress % 10 == 0:
                 alpha = max(alpha * 0.5, 1.0 / 64.0)
-                no_progress = 0
-        else:
-            no_progress = 0
         y, r, rnorm = y_next, r_next, rn
     return y, rnorm, iterations, rnorm <= tol
 

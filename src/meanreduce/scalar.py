@@ -409,8 +409,7 @@ class DeviationTuple:
     as one family (``expr._bind_family``) and ``batch`` is its numpy form;
     otherwise, or where ``compiled`` is False, the section calls each
     ``eval`` in turn and ``batch`` is None.  ``select(chi)`` binds the
-    deviations that chi picks as one family of their own, once per
-    injection.
+    deviations that chi picks as one family of their own.
     """
 
     deviations: tuple[ScalarDeviation, ...]
@@ -419,7 +418,6 @@ class DeviationTuple:
     section: Callable[..., list] = field(init=False, repr=False, compare=False)
     total: Callable[..., float] = field(init=False, repr=False, compare=False)
     batch: Optional[Callable] = field(init=False, repr=False, compare=False)
-    _selected: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self, compiled: bool):
         devs = tuple(self.deviations)
@@ -450,12 +448,8 @@ class DeviationTuple:
         object.__setattr__(self, "batch", batch)
 
     def select(self, chi: Injection) -> DeviationTuple:
-        """The tuple of the deviations chi picks, bound on the first call
-        with chi and kept for later ones."""
-        picked = self._selected.get(chi)
-        if picked is None:
-            picked = self._selected[chi] = DeviationTuple(select(self.deviations, chi))
-        return picked
+        """The tuple of the deviations chi picks."""
+        return DeviationTuple(select(self.deviations, chi))
 
     def __len__(self) -> int:
         return len(self.deviations)

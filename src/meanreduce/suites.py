@@ -171,6 +171,9 @@ def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> Fu
     if expected not in ("pass", "fail"):
         raise InvalidArgumentError(f"case {name!r}: expected must be 'pass' or 'fail'")
     trials, tol, reduced_tol = _case_tols(case, trials, tol, reduced_tol)
+    if tol == 0.0 and kind in ("weighted-arith-reduction", "deviation-reduction"):
+        # The oracles derive the abs_tol of their solves from tol.
+        raise InvalidArgumentError(f"case {name!r}: tol must be positive for a {kind} case")
 
     if kind == "convexity":
         M = build_mean(MeanDescriptor.from_json(case["M"]), REDUCTION_CFG)

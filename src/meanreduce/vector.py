@@ -681,8 +681,6 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
         if step == 0.0:
             stagnant += 1
             if stagnant >= 10:
-                if gap <= tol:
-                    break
                 # Pinned at a face with positive gap: the step overshot and
                 # the projection absorbed it; retry smaller.
                 scale *= 0.5

@@ -425,6 +425,19 @@ class TestVerifyCommand:
         assert out == ""
         assert f"{field} must be finite and nonnegative" in err
 
+    @pytest.mark.parametrize("case", [
+        {"type": "weighted-arith-reduction", "weights": [1.0, 2.0, 3.0], "chi": [1, 2]},
+        {"type": "deviation-reduction", "exprs": ["u - v", "u^2 - v^2"], "chi": [2]},
+    ])
+    def test_zero_oracle_tolerance_exits_2(self, capsys, tmp_path, case):
+        # The oracles derive the abs_tol of their solves from tol: at 0 the
+        # case was an error entry about an abs_tol the suite never set.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"cases": [dict(case, name="zero-tol", tol=0)]}))
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: case 'zero-tol': tol must be positive")
+
     def test_case_missing_a_field_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"cases": [{"name": "no-M", "type": "convexity",
@@ -599,6 +612,22 @@ class TestVerifyCommand:
         assert code == 0
         header = out.splitlines()[0]
         assert header.startswith("case,kind,expected,ok")
+
+    def test_csv_columns_of_an_inequality_suite_are_its_full_reports(self, capsys):
+        # Every entry of an inequality suite carries its reports under
+        # "full" (and "reduced"); the CSV reads the found flags and sides
+        # from there.
+        entries = run_json(capsys, "verify", "failing", "--seed", "7")["cases"]
+        code, out, _ = run_cli(capsys, "verify", "failing", "--seed", "7", "--format", "csv")
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert header[5:] == ["found_full", "found_reduced", "lhs", "rhs", "gap"]
+        assert [row[5:7] for row in rows] == [
+            ["True", "False"], ["True", "False"], ["True", "True"], ["True", "False"],
+            ["True", "True"], ["True", "False"], ["True", "False"]]
+        assert [row[7:] for row in rows] == [
+            [str(e["full"][key]) for key in ("lhs", "rhs", "gap")] for e in entries]
+        assert all(float(row[9]) > 0.0 for row in rows)
 
 
 class TestFuzzCommand:

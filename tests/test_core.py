@@ -65,14 +65,14 @@ def tuple_and_injection(draw):
     return x, chi, y
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=80, derandomize=True)
 @given(tuple_and_injection())
 def test_select_splice_roundtrip(data):
     x, chi, y = data
     assert select(splice(select(x, chi), chi, y), chi) == select(x, chi)
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=80, derandomize=True)
 @given(tuple_and_injection())
 def test_splice_fills_exactly_the_complement(data):
     x, chi, y = data
@@ -98,10 +98,6 @@ class TestInjection:
     def test_rejects_k_greater_than_n(self):
         with pytest.raises(InvalidArgumentError):
             Injection.of([1, 2, 3], n=2)
-
-    def test_bijection_flag(self):
-        assert Injection.of([2, 1], n=2).is_bijection()
-        assert not Injection.of([2], n=2).is_bijection()
 
 
 class TestBarycentric:

@@ -162,22 +162,22 @@ class TestConvexity:
     def test_jensen_square_passes(self):
         case = ConvexityCase(M=arithmetic_mean_fn(2), N=arithmetic_mean_fn(2),
                              f=square, sampler=BoxSampler(low=-4.0, high=4.0),
-                             seed=3, name="jensen-square")
-        report = check_convexity(case, trials=200, tol=1e-9)
+                             name="jensen-square")
+        report = check_convexity(case, trials=200, tol=1e-9, seed=3)
         assert not report.found
 
     def test_exp_geometric_equality_case(self):
         case = ConvexityCase(M=arithmetic_mean_fn(2), N=holder_mean_fn(0.0, 2),
                              f=math.exp, sampler=BoxSampler(low=-2.0, high=2.0),
-                             seed=4, name="exp-geometric")
-        report = check_convexity(case, trials=200, tol=1e-9)
+                             name="exp-geometric")
+        report = check_convexity(case, trials=200, tol=1e-9, seed=4)
         assert not report.found
 
     def test_square_vs_harmonic_fails(self):
         case = ConvexityCase(M=arithmetic_mean_fn(2), N=holder_mean_fn(-1.0, 2),
                              f=square, sampler=BoxSampler(low=0.5, high=5.0),
-                             seed=5, name="square-harmonic")
-        report = check_convexity(case, trials=300, tol=1e-9)
+                             name="square-harmonic")
+        report = check_convexity(case, trials=300, tol=1e-9, seed=5)
         assert report.found
         # The recorded witness re-evaluates to a strict violation.
         lhs = square(case.M(report.witness))
@@ -186,10 +186,9 @@ class TestConvexity:
 
     def test_sampler_domain_mismatch_detected(self):
         case = ConvexityCase(M=holder_mean_fn(2.0, 2), N=arithmetic_mean_fn(2),
-                             f=square, sampler=BoxSampler(low=-1.0, high=1.0),
-                             seed=6, name="bad-sampler")
+                             f=square, sampler=BoxSampler(low=-1.0, high=1.0), name="bad-sampler")
         with pytest.raises(InvalidSamplerError):
-            check_convexity(case, trials=100, tol=1e-9)
+            check_convexity(case, trials=100, tol=1e-9, seed=6)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -203,28 +202,27 @@ class TestConvexity:
                                                               "domain": [0.1, 10.0]}),
                        SolverConfig(max_iter=1))
         case = ConvexityCase(M=M, N=arithmetic_mean_fn(3), f=square,
-                             sampler=BoxSampler(low=0.1, high=10.0), seed=3)
+                             sampler=BoxSampler(low=0.1, high=10.0))
         with pytest.raises(NoConvergenceError, match="custom deviation mean did not converge"):
-            check_convexity(case, trials=40, tol=1e-9)
+            check_convexity(case, trials=40, tol=1e-9, seed=3)
 
 
 class TestReducedConvexity:
     def test_jensen_reduction_passes(self):
         case = ConvexityCase(M=arithmetic_mean_fn(3), N=arithmetic_mean_fn(3),
-                             f=square, sampler=BoxSampler(low=-4.0, high=4.0),
-                             seed=7, name="jensen-3")
+                             f=square, sampler=BoxSampler(low=-4.0, high=4.0), name="jensen-3")
         chi = Injection.of([1, 2], n=3)
-        full = check_convexity(case, trials=60, tol=1e-9)
-        reduced = check_reduced_convexity(case, chi, trials=60, tol=1e-8)
+        full = check_convexity(case, trials=60, tol=1e-9, seed=7)
+        reduced = check_reduced_convexity(case, chi, trials=60, tol=1e-8, seed=7)
         assert not full.found and not reduced.found
 
     def test_bijection_matches_full_check(self):
         case = ConvexityCase(M=arithmetic_mean_fn(2), N=holder_mean_fn(-1.0, 2),
                              f=square, sampler=BoxSampler(low=0.5, high=5.0),
-                             seed=8, name="square-harmonic")
+                             name="square-harmonic")
         chi = Injection.of([1, 2], n=2)
-        full = check_convexity(case, trials=120, tol=1e-9)
-        reduced = check_reduced_convexity(case, chi, trials=120, tol=1e-9)
+        full = check_convexity(case, trials=120, tol=1e-9, seed=8)
+        reduced = check_reduced_convexity(case, chi, trials=120, tol=1e-9, seed=8)
         assert full.found and reduced.found
 
     def test_geometric_mean_range_side(self):
@@ -232,10 +230,10 @@ class TestReducedConvexity:
         case = ConvexityCase(M=arithmetic_mean_fn(3),
                              N=quasi_arithmetic_mean_fn("log", 3),
                              f=math.exp, sampler=BoxSampler(low=-1.5, high=1.5),
-                             seed=9, name="exp-geometric-3")
+                             name="exp-geometric-3")
         chi = Injection.of([1, 3], n=3)
-        full = check_convexity(case, trials=40, tol=1e-9)
-        reduced = check_reduced_convexity(case, chi, trials=40, tol=1e-8)
+        full = check_convexity(case, trials=40, tol=1e-9, seed=9)
+        reduced = check_reduced_convexity(case, chi, trials=40, tol=1e-8, seed=9)
         assert not full.found and not reduced.found
 
 
@@ -291,10 +289,9 @@ class TestHolderMinkowski:
             f=combiner("product"),
             chi=Injection.of([1], n=2),
             samplers=(FixedSampler((1.0, 2.0)), FixedSampler((2.0, 1.0))),
-            seed=13,
             name="cauchy-schwarz",
         )
-        report = check_holder_minkowski(case, trials=1, tol=1e-9)
+        report = check_holder_minkowski(case, trials=1, tol=1e-9, seed=13)
         # lhs = A(1*2, 2*1) = 2; rhs = sqrt(2.5) * sqrt(2.5) = 2.5
         assert not report.full.found
         # Reductions of one slot replay the single-slot tuple directly.
@@ -308,9 +305,8 @@ class TestHolderMinkowski:
             f=combiner("product"),
             chi=Injection.of([1, 2], n=3),
             samplers=(s, s),
-            seed=14,
         )
-        pair = check_holder_minkowski(case, trials=60, tol=1e-9)
+        pair = check_holder_minkowski(case, trials=60, tol=1e-9, seed=14)
         assert not pair.full.found and not pair.reduced.found
         assert not pair.implication_violated
 
@@ -323,9 +319,8 @@ class TestHolderMinkowski:
             f=combiner("sum"),
             chi=Injection.of([2, 3], n=3),
             samplers=(s, s),
-            seed=15,
         )
-        pair = check_holder_minkowski(case, trials=60, tol=1e-9)
+        pair = check_holder_minkowski(case, trials=60, tol=1e-9, seed=15)
         assert not pair.full.found and not pair.reduced.found
 
     def test_single_slot_identity_is_equality(self):
@@ -334,9 +329,8 @@ class TestHolderMinkowski:
         case = HolderMinkowskiCase(
             ell=1, N_list=(holder_mean_fn(1.0, 3),), M=M,
             f=lambda u: u, chi=Injection.of([1, 2], n=3), samplers=(s,),
-            seed=16,
         )
-        pair = check_holder_minkowski(case, trials=40, tol=1e-9)
+        pair = check_holder_minkowski(case, trials=40, tol=1e-9, seed=16)
         assert not pair.full.found and not pair.reduced.found
 
     def test_reversed_outer_mean_fails(self):
@@ -348,10 +342,9 @@ class TestHolderMinkowski:
             f=combiner("sum"),
             chi=Injection.of([1], n=2),
             samplers=(s, s),
-            seed=17,
             name="reversed-minkowski",
         )
-        report = check_holder_minkowski(case, trials=120, tol=1e-9)
+        report = check_holder_minkowski(case, trials=120, tol=1e-9, seed=17)
         assert report.full.found
 
     def test_unknown_combiner_rejected(self):
@@ -455,18 +448,17 @@ class TestFixedPointRecheck:
 
     def test_convexity(self):
         M, N = self.means()
-        case = ConvexityCase(M=M, N=N, f=float, sampler=BoxSampler(low=0.5, high=4.0), seed=3)
-        assert not check_convexity(case, trials=40, tol=1e-9).found
+        case = ConvexityCase(M=M, N=N, f=float, sampler=BoxSampler(low=0.5, high=4.0))
+        assert not check_convexity(case, trials=40, tol=1e-9, seed=3).found
         with pytest.raises(ReductionMismatchError):
-            check_reduced_convexity(case, self.CHI, trials=40, tol=1e-9)
+            check_reduced_convexity(case, self.CHI, trials=40, tol=1e-9, seed=3)
 
     def test_holder_minkowski(self):
         wrong, right = self.means()
         case = HolderMinkowskiCase(ell=1, N_list=(right,), M=wrong, f=combiner("sum"),
-                                   chi=self.CHI, samplers=(BoxSampler(low=0.5, high=4.0),),
-                                   seed=3)
+                                   chi=self.CHI, samplers=(BoxSampler(low=0.5, high=4.0),))
         with pytest.raises(ReductionMismatchError):
-            check_holder_minkowski(case, trials=40, tol=1e-9)
+            check_holder_minkowski(case, trials=40, tol=1e-9, seed=3)
 
     def test_a_right_hook_reports_the_fixed_point_sides(self):
         # The lehmer-le-arith-reversed case of the failing suite, whose

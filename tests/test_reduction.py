@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import meanreduce.reduction
 
@@ -33,6 +33,7 @@ from meanreduce.reduction import (
     check_mean_function,
     check_uniqueness,
     check_weighted_arith_reduction,
+    _oracle_check,
     fixed_point_mean_fn,
     reduce_mean,
     reduce_scalar,
@@ -294,8 +295,8 @@ class TestReduceVector:
         # a mean whose positive weights move steeply with its last argument.
         # Reduced along (1, 2) at (1, -1) from the centroid 0, the first
         # step overshoots to 0.68, where M(1, -1, y) is flat: the secant
-        # extrapolation is rejected once, 10 steps that do not lower the
-        # residual halve the plain step, and the iteration still converges.
+        # extrapolation is rejected once, the tenth step that does not lower
+        # the residual halves the plain step, and the iteration converges.
         def steep(a, b, c):
             wa, wb = math.exp(2.0 - 10.0 * c), math.exp(-7.0 * c)
             return (wa * a + wb * b + c) / (wa + wb + 1.0)
@@ -321,6 +322,37 @@ class TestReduceVector:
         # The scalar reduction brackets the same fixed point.
         scalar = reduce_scalar(MeanFn(arity=3, eval=lambda xs: steep(*xs)), chi, (1.0, -1.0))
         assert abs(certificate.value[0] - scalar.reduced_value) <= 1e-11
+
+
+def tilted_mean(k: float, centre: float):
+    """M(a, b, c) = (e^(kt) a + e^(-kt) b + c) / (e^(kt) + e^(-kt) + 1) with
+    t = tanh(k (c - centre)), coordinatewise: positive weights that swing
+    from b to a as c crosses the centre."""
+    def m(a, b, c):
+        t = np.tanh(k * (c - centre))
+        wa, wb = np.exp(k * t), np.exp(-k * t)
+        return (wa * a + wb * b + c) / (wa + wb + 1.0)
+    return m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(1.0, 8.0), st.floats(-0.5, 0.5), st.sampled_from([1, 2]))
+@example(5.0, 0.2, 1)
+@example(3.0, 0.2, 2)
+def test_a_cycle_of_steps_still_halves_the_step(k, centre, d):
+    # At k = 5, centre = 0.2 the iteration fell into a 3-cycle: a plain step
+    # and an accepted extrapolation that lowered the residual, then a
+    # rejected extrapolation whose plain step raised it back.  Halving after
+    # 10 such steps in a row never fired, and all 10,000 iterations ran out
+    # at residual 0.97; halving on every tenth over the run converges.
+    m = tilted_mean(k, centre)
+    chi = Injection.of([1, 2], n=3)
+    vector = reduce_vector(MeanFn(arity=3, dim=d, eval=lambda xs: m(*xs)), chi,
+                           (np.zeros(d), np.ones(d)))
+    assert vector.certificate.converged
+    if d == 1:
+        scalar = reduce_scalar(MeanFn(arity=3, eval=lambda xs: float(m(*xs))), chi, (0.0, 1.0))
+        assert abs(vector.reduced_value[0] - scalar.reduced_value) <= 1e-9
 
 
 SCALAR_CASES = [
@@ -523,6 +555,24 @@ class TestWeightedArithReductionOracle:
         chi = Injection.of([2, 3], n=4)
         report = check_weighted_arith_reduction(w, chi, samples=40, tol=1e-9, seed=4)
         assert report.passed
+
+    def test_a_failure_records_the_draw_and_both_routes_as_plain_lists(self):
+        # The routes differ by 0.25 in each coordinate on the first draw and
+        # agree on the second: one failure, of error |(0.25, 0.25)|.
+        draws = iter([(np.array([1.0, 2.0]),), (np.array([-1.0, 0.5]),)])
+
+        def reduced(xs):
+            return xs[0] + (0.25 if xs[0][0] > 0.0 else 0.0)
+
+        report = _oracle_check(2, 1e-9, lambda: next(draws), reduced, lambda xs: xs[0].copy(),
+                               lambda v: float(np.linalg.norm(v)))
+        error = math.sqrt(0.125)
+        assert report.failures == ({"x": [[1.0, 2.0]], "reduced": [1.25, 2.25],
+                                    "direct": [1.0, 2.0], "error": error},)
+        failure, = report.failures
+        assert all(type(failure[key]) is list for key in ("x", "reduced", "direct"))
+        assert report.to_json() == {"samples": 2, "tol": 1e-9, "max_abs_error": error,
+                                    "failures": 1, "passed": False}
 
 
 class TestDeviationReductionOracle:

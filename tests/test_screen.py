@@ -187,9 +187,10 @@ def test_convexity_reports_are_those_of_the_scalar_means(case, text):
     f = _build_function(text, None)
 
     def run(f, M, N):
-        conv = ConvexityCase(M=M, N=N, f=f, sampler=sampler, seed=seed)
-        return (lambda: check_convexity(conv, trials, 1e-9),
-                lambda: check_reduced_convexity(conv, chi, trials, 1e-8, cfg=REDUCTION_CFG))
+        conv = ConvexityCase(M=M, N=N, f=f, sampler=sampler)
+        return (lambda: check_convexity(conv, trials, 1e-9, seed=seed),
+                lambda: check_reduced_convexity(conv, chi, trials, 1e-8, seed=seed,
+                                                cfg=REDUCTION_CFG))
 
     screened = [outcome(r) for r in run(f, M, N)]
     assert screened == [outcome(r) for r in run(plain(f), unbatched(M), unbatched(N))]
@@ -203,8 +204,8 @@ def test_holder_minkowski_reports_are_those_of_the_scalar_means(case, ell, spec)
 
     def run(f, N, M):
         hm = HolderMinkowskiCase(ell=ell, N_list=(N,) * ell, M=M, f=f, chi=chi,
-                                 samplers=(sampler,) * ell, seed=seed)
-        return lambda: check_holder_minkowski(hm, trials, 1e-9, cfg=REDUCTION_CFG,
+                                 samplers=(sampler,) * ell)
+        return lambda: check_holder_minkowski(hm, trials, 1e-9, seed=seed, cfg=REDUCTION_CFG,
                                               reduced_tol=1e-8)
 
     assert outcome(run(f, N, M)) == outcome(run(plain(f), unbatched(N), unbatched(M)))
@@ -247,13 +248,13 @@ def test_an_injected_violation_and_failure_are_met_in_trial_order(seed, n, at, f
                                  cfg=REDUCTION_CFG).full
     elif check == "convexity":
         def run(G, E, f):
-            conv = ConvexityCase(M=G, N=E, f=f, sampler=_POSITIVE, seed=seed)
-            return check_convexity(conv, trials, 1e-9)
+            conv = ConvexityCase(M=G, N=E, f=f, sampler=_POSITIVE)
+            return check_convexity(conv, trials, 1e-9, seed=seed)
     else:
         def run(G, E, f):
             hm = HolderMinkowskiCase(ell=1, N_list=(E,), M=G, f=f, chi=chi,
-                                     samplers=(_POSITIVE,), seed=seed)
-            return check_holder_minkowski(hm, trials, 1e-9, cfg=REDUCTION_CFG).full
+                                     samplers=(_POSITIVE,))
+            return check_holder_minkowski(hm, trials, 1e-9, seed=seed, cfg=REDUCTION_CFG).full
 
     # The identity keeps the sides as the means give them: a convexity or
     # Hölder-Minkowski check of G against E is the comparison G <= E.
@@ -283,8 +284,8 @@ def test_a_violation_inside_the_budget_of_the_numpy_sides_is_not_skipped():
 
     E = replace(G, eval=e_eval, batch=e_batch)
     identity = _build_function("u", None)
-    conv = ConvexityCase(M=G, N=E, f=identity, sampler=_POSITIVE, seed=5)
-    report = check_convexity(conv, 40, tol)
+    conv = ConvexityCase(M=G, N=E, f=identity, sampler=_POSITIVE)
+    report = check_convexity(conv, 40, tol, seed=5)
     assert report.found and report.trials == 1
     plain_conv = replace(conv, M=unbatched(G), N=unbatched(E), f=plain(identity))
-    assert report == check_convexity(plain_conv, 40, tol)
+    assert report == check_convexity(plain_conv, 40, tol, seed=5)
