@@ -35,7 +35,6 @@ from .scalar import (
     bajraktarevic_mean,
     constant_weight,
     deviation_mean,
-    deviation_sign,
     e_sum,
     gini_mean,
     holder_mean,
@@ -69,7 +68,6 @@ from .reduction import (
     reduce_scalar,
     reduce_vector,
     reduced_mean_fn,
-    spliced_eval,
 )
 from .descriptors import MeanDescriptor, build_mean, evaluate_with_report
 from .lab import (

@@ -33,6 +33,7 @@ from .suites import (
     DEFAULT_REDUCED_TOL,
     DEFAULT_TOL,
     DEFAULT_TRIALS,
+    _count,
     build_runner,
     load_suite,
     run_suite,
@@ -228,8 +229,7 @@ def _suite_csv_rows(report: dict):
 
 
 def _load_suite(args) -> dict:
-    if args.trials < 1:
-        raise ValueError("trials must be at least 1")
+    _count("trials", args.trials)
     return load_suite(args.suite)
 
 
@@ -251,17 +251,12 @@ def cmd_fuzz(args) -> int:
 
 
 def _fuzz_runner(case: dict, args) -> FuzzCase:
-    """The case's runner, or for a case that fails to build one that raises
-    the build error, so that ``fuzz_suite`` records it as an error entry."""
+    """The case's runner, or for a case that fails to build the entry of its
+    build error, which ``fuzz_suite`` records as an error entry."""
     try:
         return build_runner(case, args.trials, args.tol, args.reduced_tol)
     except MeansError as exc:
-        def fail(seed: int, trials: int, exc=exc):
-            raise exc
-
-        case = case if isinstance(case, dict) else {}
-        kind = case.get("type")
-        return FuzzCase(name=case.get("name", kind or "case"), kind=kind, runner=fail)
+        return exc.entry
 
 
 def build_parser() -> argparse.ArgumentParser:

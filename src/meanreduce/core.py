@@ -120,20 +120,21 @@ def as_point_tuple(xs, dim: Optional[int] = None) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Injection:
-    """An injective map from slot indices 1..k into slot indices 1..n."""
+    """An injective map from slot indices 1..k into slot indices 1..n.
 
-    k: int
+    ``k`` is ``len(map)``, set once at construction as a plain attribute.
+    """
+
     n: int
     map: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(int(j) for j in self.map))
+        object.__setattr__(self, "k", len(self.map))
         if self.k <= 0 or self.n <= 0:
             raise InvalidArgumentError("injection arities must be positive")
         if self.k > self.n:
             raise InvalidArgumentError(f"injection needs k <= n, got k={self.k}, n={self.n}")
-        if len(self.map) != self.k:
-            raise InvalidArgumentError("injection map length must equal k")
         if len(set(self.map)) != self.k:
             raise InvalidArgumentError("injection map entries must be pairwise distinct")
         for j in self.map:
@@ -142,7 +143,7 @@ class Injection:
 
     @classmethod
     def of(cls, entries: Sequence[int], n: int) -> "Injection":
-        return cls(k=len(entries), n=n, map=tuple(entries))
+        return cls(n=n, map=tuple(entries))
 
 
 @dataclass(frozen=True)

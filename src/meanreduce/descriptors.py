@@ -41,7 +41,7 @@ from .core import (
     select,
 )
 from .errors import ExpressionError, InvalidArgumentError, MeansError
-from .expr import Member, _bind_family, parse_expression
+from .expr import Member, _bind_family, _point_keys, parse_expression
 from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
 from .scalar import (
     DeviationTuple,
@@ -260,6 +260,13 @@ def _of_points(fn: Callable) -> Callable:
                                 *(() if v is None else np.asarray(v, float).tolist()))
 
 
+def _point_expression(text, dim: int, pair: bool = False) -> Callable:
+    """The expression ``text`` in u1..ud, and v1..vd where ``pair``, as a
+    function of the point u, and of the point v (``_of_points``)."""
+    names = _point_keys("u", dim) + (_point_keys("v", dim) if pair else ())
+    return _of_points(parse_expression(str(text), allowed=names).bind(names))
+
+
 def build_point_weight(spec, dim: int) -> Callable:
     """A positive weight on points from a number or an expression in u1..ud."""
     if callable(spec):
@@ -269,8 +276,7 @@ def build_point_weight(spec, dim: int) -> Callable:
         if not c > 0:
             raise InvalidArgumentError("weight must be positive")
         return lambda u, c=c: c
-    allowed = tuple(f"u{i + 1}" for i in range(dim))
-    return _of_points(parse_expression(str(spec), allowed=allowed).bind(allowed))
+    return _point_expression(spec, dim)
 
 
 def build_gen_deviation(exprs: Sequence[str], dim: int) -> GenDeviation:
@@ -278,7 +284,7 @@ def build_gen_deviation(exprs: Sequence[str], dim: int) -> GenDeviation:
     u1..ud, v1..vd, its axioms sampled on [-2, 2]^d."""
     if len(exprs) != dim:
         raise InvalidArgumentError(f"need {dim} covector expressions, got {len(exprs)}")
-    allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
+    allowed = _point_keys("u", dim) + _point_keys("v", dim)
     # Every coordinate reads the same arguments (u1..ud, v1..vd).
     family, _, batch, _ = _bind_family([parse_expression(str(e), allowed=allowed) for e in exprs],
                                        [dict(zip(allowed, range(2 * dim)))] * dim, 2 * dim)
@@ -291,10 +297,8 @@ def build_gen_deviation(exprs: Sequence[str], dim: int) -> GenDeviation:
 def build_custom_potential(expr_text: str, dim: int) -> PotentialFn:
     """A PotentialFn from an expression for F(u, v); gradient by central
     differences."""
-    allowed = tuple(f"u{i + 1}" for i in range(dim)) + tuple(f"v{i + 1}" for i in range(dim))
-    fn = parse_expression(str(expr_text), allowed=allowed).bind(allowed)
-    return PotentialFn(dim=dim, eval=_of_points(fn), label=f"potential {expr_text!r}",
-                       sample_low=-2.0, sample_high=2.0)
+    return PotentialFn(dim=dim, eval=_point_expression(expr_text, dim, pair=True),
+                       label=f"potential {expr_text!r}", sample_low=-2.0, sample_high=2.0)
 
 
 # Each constructor's selection hook rebuilds the family from the entries chi

@@ -254,13 +254,13 @@ class ConvexityCase:
 
 @dataclass(frozen=True)
 class HolderMinkowskiCase:
-    """ell mean families N_i, one scalar mean M, and a combining function f.
+    """ell = len(N_list) mean families N_i, one sampler per family, one
+    scalar mean M, and a combining function f.
 
     The inequality under test is M(f(x^1, ..., x^ell)) <=
     f(N_1(x^1), ..., N_ell(x^ell)) with f applied componentwise on the left.
     """
 
-    ell: int
     N_list: tuple[MeanFn, ...]
     M: MeanFn
     f: Callable
@@ -269,7 +269,7 @@ class HolderMinkowskiCase:
     name: str = "holder-minkowski"
 
     def __post_init__(self):
-        if self.ell != len(self.N_list) or self.ell != len(self.samplers):
+        if len(self.N_list) != len(self.samplers):
             raise InvalidArgumentError("need one mean family and sampler per slot")
         n = self.M.arity
         for N in self.N_list:

@@ -67,7 +67,6 @@ from .core import (
     wide_uniform,
 )
 from .errors import (
-    HullViolationError,
     InvalidArgumentError,
     NoConvergenceError,
     NotAMeanError,
@@ -246,27 +245,6 @@ def _check_chi(M: MeanFn, chi: Injection, x: Sequence):
     _check_target(M, chi)
     if len(x) != chi.k:
         raise InvalidArgumentError(f"tuple length {len(x)} != injection arity {chi.k}")
-
-
-def spliced_eval(M: MeanFn, chi: Injection, x: Sequence, y):
-    """Evaluate M on the tuple that places x along chi and y elsewhere.
-
-    y must lie in the hull of x (interval check for scalars, least-squares
-    feasibility for points); otherwise HullViolationError.
-    """
-    _check_chi(M, chi, x)
-    if M.dim is None:
-        xs = [float(v) for v in x]
-        spread = max(xs) - min(xs)
-        slack = 1e-12 * (1.0 + spread + abs(float(y)))
-        if not (min(xs) - slack <= float(y) <= max(xs) + slack):
-            raise HullViolationError(f"{y} outside [{min(xs)}, {max(xs)}]")
-        return M(splice(xs, chi, float(y)))
-    pts = as_point_tuple(x, M.dim)
-    _, residual = barycentric_feasibility(pts, y)
-    if residual > 1e-9 * (1.0 + float(np.linalg.norm(np.asarray(y, float)))):
-        raise HullViolationError(f"{y} outside conv(x): residual {residual:.3g}")
-    return M(splice(pts, chi, np.asarray(y, dtype=float)))
 
 
 def _scalar_setup(M: MeanFn, chi: Injection, x: Sequence[float], cfg: SolverConfig):

@@ -560,20 +560,6 @@ def _summed_section(E: DeviationTuple, xs: list) -> Callable[[float], float]:
     return lambda y, total=E.total, xs=xs: total(y, *xs)
 
 
-def deviation_sign(E, x: Sequence[float], u: float) -> int:
-    """Sign of the summed deviation at u: +1, 0, or -1.
-
-    Equals sgn(deviation_mean(E, x) - u) wherever the summed section does not
-    vanish.
-    """
-    s = e_sum(E, x, u)
-    if s > 0.0:
-        return 1
-    if s < 0.0:
-        return -1
-    return 0
-
-
 def make_bajraktarevic_deviation(f: GeneratorFn, w: WeightFn,
                                  label: Optional[str] = None) -> ScalarDeviation:
     """The deviation E(u, v) = w(u) * (f(u) - f(v)).

@@ -1,6 +1,7 @@
 """Verification suites: JSON case corpora and their runner.
 
-A suite file is ``{"schema": 1, "name": ..., "cases": [...]}``.  Case types:
+A suite file is ``{"schema": 1, "name": ..., "cases": [...]}`` with at
+least one case.  Case types:
 
 - ``convexity``: f with a domain-side mean M and a scalar range-side mean N;
   optional ``chi`` adds the reduced k-variable check.
@@ -10,11 +11,18 @@ A suite file is ``{"schema": 1, "name": ..., "cases": [...]}``.  Case types:
 - ``weighted-arith-reduction`` / ``deviation-reduction``: two-route oracle
   agreement checks from the reduction module.
 
+``build_runner`` reads every field of a case once, when it builds the case.
+A case's name is its ``name``, else its ``type``, else "case", and every
+fault of its content is raised as one MeansError of the fault's own type
+(InvalidArgumentError for a missing or malformed field) whose message
+starts ``case '<name>': ``.  ``trials`` and ``samples`` are at least 1.
+
 ``expected`` is "pass" (no counterexample anywhere) or "fail" (the full
-check must produce a counterexample).  Whatever the expectation, a case
-whose full check passes while its reduced check finds a violation is an
-implication violation: the reduction theorems exclude it, so it fails the
-suite as a machinery defect; ``_judge`` reads it off the ReportPair.
+check must produce a counterexample; an oracle case, a failed sample).
+``_judge`` gives the verdict of every kind.  Whatever the expectation, a
+case whose full check passes while its reduced check finds a violation is
+an implication violation: the reduction theorems exclude it, so it fails
+the suite as a machinery defect; ``_judge`` reads it off the ReportPair.
 
 The reduced checks search with the means reduced by selection: every mean a
 descriptor builds carries a ``MeanFn.select`` hook, so a reduced evaluation
@@ -40,14 +48,14 @@ from typing import Callable, Optional, Union
 from .core import Injection, SolverConfig
 from .descriptors import (
     MeanDescriptor,
-    _of_points,
+    _point_expression,
     build_deviations,
     build_mean,
     build_point_weight,
     build_weights,
     parse_domain,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, MeansError
 from .expr import parse_expression
 from .lab import (
     BoxSampler,
@@ -56,6 +64,7 @@ from .lab import (
     FuzzCase,
     HolderMinkowskiCase,
     ReportPair,
+    _violates,
     check_convexity,
     check_holder_minkowski,
     check_reduced_convexity,
@@ -63,7 +72,12 @@ from .lab import (
     compare_means,
     fuzz_suite,
 )
-from .reduction import check_deviation_reduction, check_weighted_arith_reduction
+from .reduction import (
+    MeanFn,
+    OracleCheckReport,
+    check_deviation_reduction,
+    check_weighted_arith_reduction,
+)
 from .vector import inner_product_deviation
 
 SCHEMA_VERSION = 1
@@ -96,43 +110,46 @@ def load_suite(source: str) -> dict:
                 f"{name!r} (available: {', '.join(packaged_suite_names())})"
             )
         data = json.loads(entry.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or "cases" not in data or not isinstance(data["cases"], list):
-        raise InvalidArgumentError("a suite must be an object with a 'cases' list")
+    if not isinstance(data, dict) or not isinstance(data.get("cases"), list) or not data["cases"]:
+        raise InvalidArgumentError("a suite must be an object with a nonempty 'cases' list")
     return data
+
+
+def _count(key: str, value) -> int:
+    """A count of trials or samples, which must be at least 1."""
+    count = int(value)
+    if count < 1:
+        raise InvalidArgumentError(f"{key} must be at least 1")
+    return count
+
+
+def _mean(data) -> MeanFn:
+    """The mean a case's descriptor describes, solved at REDUCTION_CFG."""
+    return build_mean(MeanDescriptor.from_json(data), REDUCTION_CFG)
 
 
 def _build_function(spec, dim: Optional[int]) -> Callable:
     """The case function f from an expression in u (scalar) or u1..ud.  A
     scalar f carries the expression's numpy form as its ``batch``
     attribute, which the lab screens trials with."""
-    if callable(spec):
-        return spec
-    text = str(spec)
-    if dim is None:
-        fn, batch = parse_expression(text, allowed=("u",)).bind_batch(("u",))
+    if dim is not None:
+        return _point_expression(spec, dim)
+    fn, batch = parse_expression(str(spec), allowed=("u",)).bind_batch(("u",))
 
-        def f(u, fn=fn):
-            return fn(float(u))
+    def f(u, fn=fn):
+        return fn(float(u))
 
-        f.batch = batch
-        return f
-    allowed = tuple(f"u{i + 1}" for i in range(dim))
-    return _of_points(parse_expression(text, allowed=allowed).bind(allowed))
+    f.batch = batch
+    return f
 
 
 def _sampler(spec, dim: Optional[int] = None) -> BoxSampler:
     if spec is None:
         return BoxSampler(low=0.1, high=4.0, dim=dim, log_uniform=True)
-    data = dict(spec)
-    data.setdefault("dim", dim)
-    if data.get("dim") is None:
-        data.pop("dim", None)
-    return BoxSampler.from_json(data)
+    return BoxSampler.from_json({"dim": dim, **spec})
 
 
 def _chi(case: dict, arity: int) -> Injection:
-    if "chi" not in case:
-        raise InvalidArgumentError(f"case {case.get('name')!r} needs a 'chi' entry")
     return Injection.of([int(v) for v in case["chi"]], n=arity)
 
 
@@ -146,129 +163,135 @@ def _case_tols(case: dict, trials: int, tol: float, reduced_tol: float):
         if not (math.isfinite(value) and value >= 0.0):
             raise InvalidArgumentError(f"{key} must be finite and nonnegative, got {value}")
         tols.append(value)
-    return (int(case.get("trials", trials)), *tols)
+    return (_count("trials", case.get("trials", trials)), *tols)
 
 
 def build_runner(case: dict, trials: int, tol: float, reduced_tol: float) -> FuzzCase:
-    """Compile one suite case into a seeded runnable returning its report.
+    """Compile one suite case into a seeded runnable returning its entry.
 
-    A case that is not an object, or lacks a field its type needs, raises
-    InvalidArgumentError.
+    A case that fails to build raises a MeansError: InvalidArgumentError
+    for a case that is not an object, else the error of its faulty content,
+    prefixed ``case '<name>': ``.  The error's ``entry`` is a FuzzCase of
+    the case that raises it again when run, which ``fuzz`` records as an
+    error entry.
     """
     if not isinstance(case, dict):
-        raise InvalidArgumentError(f"a suite case must be an object, got {case!r}")
-    try:
-        return _compile_case(case, trials, tol, reduced_tol)
-    except KeyError as exc:
-        name = case.get("name", case.get("type") or "case")
-        raise InvalidArgumentError(f"case {name!r}: missing field {exc}") from None
-
-
-def _compile_case(case: dict, trials: int, tol: float, reduced_tol: float) -> FuzzCase:
+        _refuse("case", None, InvalidArgumentError(f"a suite case must be an object, got {case!r}"))
     kind = case.get("type")
     name = case.get("name", kind or "case")
+    try:
+        return FuzzCase(name=name, kind=kind,
+                        runner=_compile_case(case, kind, name, trials, tol, reduced_tol))
+    except KeyError as exc:
+        error = InvalidArgumentError(f"missing field {exc}")
+    except MeansError as exc:
+        error = exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        error = InvalidArgumentError(str(exc))
+    _refuse(name, kind, type(error)(f"case {name!r}: {error}"))
+
+
+def _refuse(name, kind, error: MeansError):
+    """Raise ``error``, its ``entry`` the case's FuzzCase that raises it."""
+    def fail(seed: int, trials: int):
+        raise error
+
+    error.entry = FuzzCase(name=name, kind=kind, runner=fail)
+    raise error
+
+
+def _compile_case(case: dict, kind, name, trials: int, tol: float,
+                  reduced_tol: float) -> Callable[[int, int], dict]:
     expected = case.get("expected", "pass")
     if expected not in ("pass", "fail"):
-        raise InvalidArgumentError(f"case {name!r}: expected must be 'pass' or 'fail'")
+        raise InvalidArgumentError("expected must be 'pass' or 'fail'")
     trials, tol, reduced_tol = _case_tols(case, trials, tol, reduced_tol)
     if tol == 0.0 and kind in ("weighted-arith-reduction", "deviation-reduction"):
         # The oracles derive the abs_tol of their solves from tol.
-        raise InvalidArgumentError(f"case {name!r}: tol must be positive for a {kind} case")
+        raise InvalidArgumentError(f"tol must be positive for a {kind} case")
 
     if kind == "convexity":
-        M = build_mean(MeanDescriptor.from_json(case["M"]), REDUCTION_CFG)
-        N = build_mean(MeanDescriptor.from_json(case["N"]), REDUCTION_CFG)
-        f = _build_function(case["f"], M.dim)
-        sampler = _sampler(case.get("domain"), M.dim)
-        conv = ConvexityCase(M=M, N=N, f=f, sampler=sampler, name=name)
+        M, N = _mean(case["M"]), _mean(case["N"])
+        conv = ConvexityCase(M=M, N=N, f=_build_function(case["f"], M.dim),
+                             sampler=_sampler(case.get("domain"), M.dim), name=name)
         chi = _chi(case, M.arity) if "chi" in case else None
 
-        def run(seed: int, run_trials: int) -> dict:
+        def check(seed: int):
             full = check_convexity(conv, trials, tol, seed=seed)
             if chi is None:
-                return _judge(expected, full, tol)
-            return _judge(expected, ReportPair(full, check_reduced_convexity(
-                conv, chi, trials, reduced_tol, seed=seed + 1, cfg=REDUCTION_CFG)), tol)
+                return full
+            return ReportPair(full, check_reduced_convexity(
+                conv, chi, trials, reduced_tol, seed=seed + 1, cfg=REDUCTION_CFG))
 
     elif kind == "comparison":
-        G = build_mean(MeanDescriptor.from_json(case["G"]), REDUCTION_CFG)
-        E = build_mean(MeanDescriptor.from_json(case["E"]), REDUCTION_CFG)
+        G, E = _mean(case["G"]), _mean(case["E"])
         chi = _chi(case, G.arity)
         sampler = _sampler(case.get("domain"))
 
-        def run(seed: int, run_trials: int) -> dict:
-            return _judge(expected, compare_means(G, E, chi, trials, tol, sampler=sampler,
-                                                  seed=seed, cfg=REDUCTION_CFG,
-                                                  reduced_tol=reduced_tol, name=name), tol)
+        def check(seed: int):
+            return compare_means(G, E, chi, trials, tol, sampler=sampler, seed=seed,
+                                 cfg=REDUCTION_CFG, reduced_tol=reduced_tol, name=name)
 
     elif kind == "holder-minkowski":
-        descriptors = case["N"]
-        N_list = tuple(build_mean(MeanDescriptor.from_json(d), REDUCTION_CFG)
-                       for d in descriptors)
-        M = build_mean(MeanDescriptor.from_json(case["M"]), REDUCTION_CFG)
+        N_list = tuple(_mean(d) for d in case["N"])
+        M = _mean(case["M"])
         chi = _chi(case, M.arity)
         domains = case.get("domains")
         if domains is None:
             domains = [case.get("domain")] * len(N_list)
-        samplers = tuple(_sampler(d) for d in domains)
-        f = combiner(case.get("f", "product"))
-        hm = HolderMinkowskiCase(ell=len(N_list), N_list=N_list, M=M, f=f,
-                                 chi=chi, samplers=samplers, name=name)
+        hm = HolderMinkowskiCase(N_list=N_list, M=M, f=combiner(case.get("f", "product")),
+                                 chi=chi, samplers=tuple(_sampler(d) for d in domains),
+                                 name=name)
 
-        def run(seed: int, run_trials: int) -> dict:
-            return _judge(expected, check_holder_minkowski(hm, trials, tol, seed=seed,
-                                                           cfg=REDUCTION_CFG,
-                                                           reduced_tol=reduced_tol), tol)
+        def check(seed: int):
+            return check_holder_minkowski(hm, trials, tol, seed=seed, cfg=REDUCTION_CFG,
+                                          reduced_tol=reduced_tol)
 
     elif kind == "weighted-arith-reduction":
-        domain = parse_domain(case.get("domain", [0.2, 6.0]))
-        weights = build_weights(case["weights"], domain)
-        chi = Injection.of([int(v) for v in case["chi"]], n=len(weights))
-        samples = int(case.get("samples", 60))
+        weights = build_weights(case["weights"], parse_domain(case.get("domain", [0.2, 6.0])))
+        chi = _chi(case, len(weights))
+        samples = _count("samples", case.get("samples", 60))
 
-        def run(seed: int, run_trials: int) -> dict:
-            report = check_weighted_arith_reduction(weights, chi, samples, tol,
-                                                    seed=seed, cfg=REDUCTION_CFG)
-            out = report.to_json()
-            out["ok"] = report.passed if expected == "pass" else not report.passed
-            return out
+        def check(seed: int):
+            return check_weighted_arith_reduction(weights, chi, samples, tol, seed=seed,
+                                                  cfg=REDUCTION_CFG)
 
     elif kind == "deviation-reduction":
-        samples = int(case.get("samples", 40))
+        samples = _count("samples", case.get("samples", 40))
+        low, high = float(case.get("low", -2.0)), float(case.get("high", 2.0))
         if "exprs" in case:
-            domain = parse_domain(case.get("domain", [0.2, 6.0]))
-            devs = build_deviations(case["exprs"], domain)
-            chi = Injection.of([int(v) for v in case["chi"]], n=len(devs))
-            entries = devs
+            entries = build_deviations(case["exprs"],
+                                       parse_domain(case.get("domain", [0.2, 6.0])))
         else:
             dim = int(case["dim"])
-            weights = case.get("weights", [1.0])
-            entries = tuple(
-                inner_product_deviation(build_point_weight(w, dim), dim)
-                for w in weights
-            )
-            chi = Injection.of([int(v) for v in case["chi"]], n=len(entries))
+            entries = tuple(inner_product_deviation(build_point_weight(w, dim), dim)
+                            for w in case.get("weights", [1.0]))
+        chi = _chi(case, len(entries))
 
-        def run(seed: int, run_trials: int) -> dict:
-            report = check_deviation_reduction(entries, chi, samples, tol,
-                                               seed=seed, cfg=REDUCTION_CFG,
-                                               low=float(case.get("low", -2.0)),
-                                               high=float(case.get("high", 2.0)))
-            out = report.to_json()
-            out["ok"] = report.passed if expected == "pass" else not report.passed
-            return out
+        def check(seed: int):
+            return check_deviation_reduction(entries, chi, samples, tol, seed=seed,
+                                             cfg=REDUCTION_CFG, low=low, high=high)
 
     else:
-        raise InvalidArgumentError(f"case {name!r}: unknown type {kind!r}")
+        raise InvalidArgumentError(f"unknown type {kind!r}")
 
-    return FuzzCase(name=name, kind=kind, runner=run)
+    def run(seed: int, run_trials: int) -> dict:
+        return _judge(expected, check(seed), tol)
+
+    return run
 
 
-def _judge(expected: str, result: Union[ReportPair, CounterexampleReport], tol: float) -> dict:
-    """The entry of an inequality case: its reports, the expectation and the
-    verdict.  ``result`` is the case's ReportPair, whose
-    ``implication_violated`` fails the case, or the full report of a
-    convexity case without chi, which has no reduced check to violate it."""
+def _judge(expected: str,
+           result: Union[OracleCheckReport, ReportPair, CounterexampleReport],
+           tol: float) -> dict:
+    """The entry of a case: its reports and its verdict.  ``result`` is the
+    report of an oracle case, which passes where no sample fails; the
+    ReportPair of an inequality case, whose ``implication_violated`` fails
+    it; or the full report of a convexity case without chi, which has no
+    reduced check to violate it.  An inequality case entry also records its
+    expectation."""
+    if isinstance(result, OracleCheckReport):
+        return dict(result.to_json(), ok=result.passed == (expected == "pass"))
     pair = result if isinstance(result, ReportPair) else None
     full = result.full if pair else result
     out = pair.to_json() if pair else {"full": full.to_json(), "implication_violated": False}
@@ -276,8 +299,7 @@ def _judge(expected: str, result: Union[ReportPair, CounterexampleReport], tol: 
         ok = not full.found and not (pair and pair.reduced.found)
     else:
         # A deliberate failure must produce a strict, re-evaluated witness.
-        ok = bool(full.found and full.gap is not None
-                  and full.gap > tol * (1.0 + abs(full.lhs) + abs(full.rhs)))
+        ok = bool(full.found and _violates(full.lhs, full.rhs, tol))
     out.update(expected=expected, ok=ok and not (pair and pair.implication_violated))
     return out
 

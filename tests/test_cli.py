@@ -18,6 +18,7 @@ from meanreduce.cli import main
 from meanreduce.core import Injection
 from meanreduce.descriptors import build_mean
 from meanreduce.lab import CounterexampleReport
+from meanreduce.reduction import OracleCheckReport
 from meanreduce.suites import load_suite
 
 
@@ -26,6 +27,33 @@ def _pin_params(table):
     the first pinned, keeps the bare suite name as its test id."""
     return [pytest.param(suite, seed, id=suite if seed == 7 else f"{suite}-seed{seed}")
             for suite, seed in sorted(table)]
+
+
+JENSEN_SQUARE = {"name": "jensen-square", "type": "convexity", "f": "u^2",
+                 "M": {"kind": "arithmetic", "arity": 2},
+                 "N": {"kind": "arithmetic", "arity": 2}}
+_WEIGHTS = {"type": "weighted-arith-reduction", "weights": ["u", 1.0, 2.0], "chi": [1, 2]}
+_POINTS = {"type": "deviation-reduction", "dim": 2, "weights": [1.0, 2.0], "chi": [1]}
+
+# Cases with one malformed field; a suite that has one exits 2 naming it.
+MALFORMED = {
+    "chi-number": dict(JENSEN_SQUARE, chi=3),
+    "weights-number": dict(_WEIGHTS, weights=5),
+    "domain-list": dict(JENSEN_SQUARE, domain=[1, 2]),
+    "trials-text": dict(JENSEN_SQUARE, trials="many"),
+    "samples-text": dict(_WEIGHTS, samples="x"),
+    "domain-low-text": dict(JENSEN_SQUARE, domain={"low": "a", "high": 4}),
+    "low-text": dict(_POINTS, low="a"),
+}
+# Cases that would run no trial or sample, and so pass whatever they test.
+NO_TRIALS = {
+    "concave-jensen": dict(JENSEN_SQUARE, f="-(u^2)", trials=0),
+    "false-comparison": {"type": "comparison", "trials": -5, "chi": [1],
+                         "G": {"kind": "holder", "arity": 2, "params": {"p": 2}},
+                         "E": {"kind": "holder", "arity": 2, "params": {"p": 1}}},
+    "no-samples": dict(_WEIGHTS, samples=0),
+}
+BAD_CASES = {**MALFORMED, **NO_TRIALS}
 
 
 def run_cli(capsys, *argv):
@@ -423,7 +451,49 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", str(bad))
         assert code == 2
         assert out == ""
-        assert f"{field} must be finite and nonnegative" in err
+        assert err.startswith(f"error: case 'jensen-square': {field} must be finite and "
+                              "nonnegative")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED) + sorted(NO_TRIALS))
+    def test_malformed_case_exits_2_naming_it(self, capsys, tmp_path, name):
+        # A malformed field printed a traceback (exit 1) or an error that
+        # named no case; a case that runs no trial passed.
+        suite = tmp_path / "bad.json"
+        suite.write_text(json.dumps({"cases": [JENSEN_SQUARE, {**BAD_CASES[name],
+                                                               "name": name}]}))
+        code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "5")
+        assert (code, out) == (2, "")
+        line, = err.splitlines()
+        assert line.startswith(f"error: case '{name}': ")
+
+    def test_suite_without_cases_exits_2(self, capsys, tmp_path):
+        suite = tmp_path / "empty.json"
+        suite.write_text(json.dumps({"name": "empty", "cases": []}))
+        code, out, err = run_cli(capsys, "verify", str(suite))
+        assert (code, out) == (2, "")
+        assert err == "error: a suite must be an object with a nonempty 'cases' list\n"
+
+    @pytest.mark.parametrize("kind", ["weighted-arith-reduction", "deviation-reduction"])
+    @pytest.mark.parametrize("expected", ["pass", "fail"])
+    @pytest.mark.parametrize("failures", [0, 1])
+    def test_oracle_verdict(self, capsys, tmp_path, monkeypatch, kind, expected, failures):
+        # An oracle case passes where its failed samples meet its
+        # expectation: none for "pass", some for "fail".
+        report = OracleCheckReport(samples=3, tol=1e-8, max_abs_error=0.5 * failures,
+                                   failures=({"error": 0.5},) * failures)
+        check = "check_" + kind.replace("-", "_")
+        monkeypatch.setattr(meanreduce.suites, check, lambda *args, **kwargs: report)
+        case = {"weighted-arith-reduction": {"weights": [1.0, 2.0, 3.0], "chi": [1, 2]},
+                "deviation-reduction": {"exprs": ["u - v", "u - v"], "chi": [2]}}[kind]
+        suite = tmp_path / "oracle.json"
+        suite.write_text(json.dumps({"cases": [dict(case, type=kind, name="planted",
+                                                    expected=expected)]}))
+        code, out, err = run_cli(capsys, "verify", str(suite))
+        entry, = json.loads(out)["cases"]
+        ok = (failures == 0) == (expected == "pass")
+        assert (code, err) == (0 if ok else 1, "")
+        assert entry["ok"] is ok
+        assert (entry["failures"], entry["passed"]) == (failures, failures == 0)
 
     @pytest.mark.parametrize("case", [
         {"type": "weighted-arith-reduction", "weights": [1.0, 2.0, 3.0], "chi": [1, 2]},
@@ -659,15 +729,20 @@ class TestFuzzCommand:
              "M": {"kind": "arithmetic", "arity": 2},
              "N": {"kind": "arithmetic", "arity": 2}},
         ]}
+        names = sorted(MALFORMED) + sorted(NO_TRIALS)
+        suite["cases"] += [{**BAD_CASES[name], "name": name} for name in names]
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps(suite))
         report = run_json(capsys, "fuzz", str(path), "--trials", "5")
-        bogus, no_m, not_object, good = report["cases"]
-        assert "unknown type" in bogus["error"]
-        assert "'M'" in no_m["error"]
+        bogus, no_m, not_object, good, *bad = report["cases"]
+        assert bogus["error"] == "InvalidArgumentError: case 'bogus': unknown type 'no-such-type'"
+        assert no_m["error"] == "InvalidArgumentError: case 'no-M': missing field 'M'"
         assert "must be an object" in not_object["error"]
         assert "error" not in good and good["full"]["found"] is False
-        assert report["errors"] == 3
+        assert [entry["case"] for entry in bad] == names
+        for name, entry in zip(names, bad):
+            assert entry["error"].startswith(f"InvalidArgumentError: case '{name}': ")
+        assert report["errors"] == 3 + len(names)
 
 
 def test_scalar_commands_do_not_import_scipy():
@@ -805,3 +880,35 @@ def test_extreme_data_exits_cleanly(case, command, data):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _readme_suite() -> dict:
+    """The example suite of README's suite schema section."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Suite schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(block)
+
+
+README_CASES = _readme_suite()["cases"]
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(index=st.integers(0, len(README_CASES) - 1), data=st.data())
+def test_suite_reader_names_the_case_of_every_build_error(index, data):
+    """A README example case with one top-level field replaced by a small
+    JSON value builds, or raises a MeansError that names the case; never
+    another exception."""
+    case = dict(README_CASES[index])
+    case[data.draw(st.sampled_from(sorted(case)))] = data.draw(_SMALL_JSON)
+    try:
+        meanreduce.suites.build_runner(case, 40, 1e-9, 1e-8)
+    except meanreduce.MeansError as exc:
+        assert str(exc).startswith(f"case {case['name']!r}: "), exc

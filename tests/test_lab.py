@@ -283,7 +283,6 @@ class FixedSampler:
 class TestHolderMinkowski:
     def test_cauchy_schwarz_instance_values(self):
         case = HolderMinkowskiCase(
-            ell=2,
             N_list=(holder_mean_fn(2.0, 2), holder_mean_fn(2.0, 2)),
             M=arithmetic_mean_fn(2),
             f=combiner("product"),
@@ -299,7 +298,6 @@ class TestHolderMinkowski:
     def test_cauchy_schwarz_randomized(self):
         s = BoxSampler(low=0.2, high=4.0, log_uniform=True)
         case = HolderMinkowskiCase(
-            ell=2,
             N_list=(holder_mean_fn(2.0, 3), holder_mean_fn(2.0, 3)),
             M=arithmetic_mean_fn(3),
             f=combiner("product"),
@@ -313,7 +311,6 @@ class TestHolderMinkowski:
     def test_minkowski_randomized(self):
         s = BoxSampler(low=0.2, high=4.0, log_uniform=True)
         case = HolderMinkowskiCase(
-            ell=2,
             N_list=(holder_mean_fn(2.0, 3), holder_mean_fn(2.0, 3)),
             M=holder_mean_fn(2.0, 3),
             f=combiner("sum"),
@@ -327,7 +324,7 @@ class TestHolderMinkowski:
         s = BoxSampler(low=0.2, high=4.0)
         M = holder_mean_fn(1.0, 3)
         case = HolderMinkowskiCase(
-            ell=1, N_list=(holder_mean_fn(1.0, 3),), M=M,
+            N_list=(holder_mean_fn(1.0, 3),), M=M,
             f=lambda u: u, chi=Injection.of([1, 2], n=3), samplers=(s,),
         )
         pair = check_holder_minkowski(case, trials=40, tol=1e-9, seed=16)
@@ -336,7 +333,6 @@ class TestHolderMinkowski:
     def test_reversed_outer_mean_fails(self):
         s = BoxSampler(low=0.2, high=4.0, log_uniform=True)
         case = HolderMinkowskiCase(
-            ell=2,
             N_list=(holder_mean_fn(1.0, 2), holder_mean_fn(1.0, 2)),
             M=holder_mean_fn(2.0, 2),
             f=combiner("sum"),
@@ -455,7 +451,7 @@ class TestFixedPointRecheck:
 
     def test_holder_minkowski(self):
         wrong, right = self.means()
-        case = HolderMinkowskiCase(ell=1, N_list=(right,), M=wrong, f=combiner("sum"),
+        case = HolderMinkowskiCase(N_list=(right,), M=wrong, f=combiner("sum"),
                                    chi=self.CHI, samplers=(BoxSampler(low=0.5, high=4.0),))
         with pytest.raises(ReductionMismatchError):
             check_holder_minkowski(case, trials=40, tol=1e-9, seed=3)

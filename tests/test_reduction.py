@@ -19,7 +19,6 @@ from meanreduce.descriptors import (
     weighted_arithmetic_mean_fn,
 )
 from meanreduce.errors import (
-    HullViolationError,
     InvalidArgumentError,
     NoConvergenceError,
     NotAMeanError,
@@ -39,7 +38,6 @@ from meanreduce.reduction import (
     reduce_scalar,
     reduce_vector,
     reduced_mean_fn,
-    spliced_eval,
 )
 from meanreduce.scalar import (
     DeviationTuple,
@@ -81,35 +79,6 @@ def two_roots_mean():
 
 def jump_mean():
     return MeanFn(arity=3, eval=lambda xs: 0.8 if xs[2] < 0.6 else 0.3, label="jump")
-
-
-class TestSplicedEval:
-    def test_three_slot_arithmetic(self):
-        M = arithmetic_mean_fn(3)
-        chi = Injection.of([1, 2], n=3)
-        assert spliced_eval(M, chi, (1.0, 5.0), 2.0) == pytest.approx(8 / 3)
-
-    def test_fixed_point_value(self):
-        M = arithmetic_mean_fn(3)
-        chi = Injection.of([1, 2], n=3)
-        assert spliced_eval(M, chi, (1.0, 5.0), 3.0) == pytest.approx(3.0)
-
-    def test_constant_tuple(self):
-        M = arithmetic_mean_fn(2)
-        chi = Injection.of([1], n=2)
-        assert spliced_eval(M, chi, (4.0,), 4.0) == pytest.approx(4.0)
-
-    def test_hull_violation_scalar(self):
-        M = arithmetic_mean_fn(3)
-        chi = Injection.of([1, 2], n=3)
-        with pytest.raises(HullViolationError):
-            spliced_eval(M, chi, (1.0, 5.0), 9.0)
-
-    def test_hull_violation_vector(self):
-        M = arithmetic_mean_fn(3, dim=2)
-        chi = Injection.of([1, 2], n=3)
-        with pytest.raises(HullViolationError):
-            spliced_eval(M, chi, ((0.0, 0.0), (1.0, 0.0)), (0.5, 1.0))
 
 
 class TestReduceScalar:
@@ -192,7 +161,7 @@ class TestReduceScalar:
                 y = float(y)
                 if abs(y - root) <= 1e-6:
                     continue
-                mu = spliced_eval(M, chi, x, y) - y
+                mu = M(splice(x, chi, y)) - y
                 assert mu * (root - y) > 0
 
     def test_symmetric_mean_reduction_is_injection_independent(self):

@@ -203,7 +203,7 @@ def test_holder_minkowski_reports_are_those_of_the_scalar_means(case, ell, spec)
     f = combiner(spec)
 
     def run(f, N, M):
-        hm = HolderMinkowskiCase(ell=ell, N_list=(N,) * ell, M=M, f=f, chi=chi,
+        hm = HolderMinkowskiCase(N_list=(N,) * ell, M=M, f=f, chi=chi,
                                  samplers=(sampler,) * ell)
         return lambda: check_holder_minkowski(hm, trials, 1e-9, seed=seed, cfg=REDUCTION_CFG,
                                               reduced_tol=1e-8)
@@ -252,7 +252,7 @@ def test_an_injected_violation_and_failure_are_met_in_trial_order(seed, n, at, f
             return check_convexity(conv, trials, 1e-9, seed=seed)
     else:
         def run(G, E, f):
-            hm = HolderMinkowskiCase(ell=1, N_list=(E,), M=G, f=f, chi=chi,
+            hm = HolderMinkowskiCase(N_list=(E,), M=G, f=f, chi=chi,
                                      samplers=(_POSITIVE,))
             return check_holder_minkowski(hm, trials, 1e-9, seed=seed, cfg=REDUCTION_CFG).full
 
