@@ -25,15 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, Injection, SolverConfig, _certified, _jsonable
-from .descriptors import MeanDescriptor, build_mean, evaluate_with_report
+from .core import DEFAULT_CONFIG, Injection, SolverConfig, _certified, _is_count, _jsonable
+from .descriptors import MeanDescriptor, build_mean, evaluate_with_report, parse_domain
 from .errors import InvalidArgumentError, MeansError, NoConvergenceError
 from .reduction import reduce_mean
 from .suites import (
     DEFAULT_REDUCED_TOL,
     DEFAULT_TOL,
     DEFAULT_TRIALS,
-    _count,
     build_runner,
     load_suite,
     run_suite,
@@ -77,8 +76,8 @@ def _add_descriptor_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--domain", help="domain as 'lo,hi' (inf endpoints allowed)")
 
 
-def _split_list(text: str) -> list:
-    return [part.strip() for part in text.split(";") if part.strip()]
+def _split_list(text: str, sep: str = ";") -> list:
+    return [part.strip() for part in text.split(sep) if part.strip()]
 
 
 def _descriptor_from_args(args) -> MeanDescriptor:
@@ -109,14 +108,17 @@ def _descriptor_from_args(args) -> MeanDescriptor:
     if args.exprs:
         exprs = _split_list(args.exprs)
         if args.kind == "gen-deviation":
-            params["exprs"] = [_split_list_inner(e) for e in exprs]
+            params["exprs"] = [_split_list(e, "|") for e in exprs]
         else:
             params["exprs"] = exprs
     if args.domain:
-        lo_text, hi_text = args.domain.split(",")
-        lo = None if "inf" in lo_text.lower() else float(lo_text)
-        hi = None if "inf" in hi_text.lower() else float(hi_text)
-        params["domain"] = [lo, hi]
+        entries = [None if "inf" in t.lower() else _number_or_text(t)
+                   for t in args.domain.split(",")]
+        try:
+            parse_domain(entries)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"--domain: {exc}") from None
+        params["domain"] = entries
     arity = args.arity
     if arity is None:
         if args.command == "reduce":
@@ -124,10 +126,6 @@ def _descriptor_from_args(args) -> MeanDescriptor:
                                        "mean it reduces, or --descriptor")
         arity = len(_parse_data(args.x, args.dim))
     return MeanDescriptor(kind=args.kind, arity=arity, params=params, dim=args.dim)
-
-
-def _split_list_inner(text: str) -> list[str]:
-    return [part.strip() for part in text.split("|") if part.strip()]
 
 
 def _number_or_text(token: str):
@@ -229,7 +227,9 @@ def _suite_csv_rows(report: dict):
 
 
 def _load_suite(args) -> dict:
-    _count("trials", args.trials)
+    if not _is_count(args.trials):
+        raise InvalidArgumentError(f"--trials: expected an integer of at least 1, "
+                                   f"got {args.trials}")
     return load_suite(args.suite)
 
 

@@ -1,5 +1,5 @@
-"""Shared domain types, the splice/select operators, hull utilities, and the
-helpers of the sampled axiom checks.
+"""Shared domain types, the splice/select operators, hull utilities, the
+helpers of the sampled axiom checks, and the reader of JSON records.
 
 Tuples of values are represented by plain Python sequences; points in R^d are
 represented by read-only float64 numpy arrays produced by :func:`as_point`.
@@ -163,13 +163,6 @@ class Barycentric:
         total = math.fsum(ws)
         if abs(total - 1.0) > BARY_SUM_TOL:
             raise InvalidArgumentError(f"barycentric weights sum to {total}, not 1")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -427,6 +420,78 @@ def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         return float(value)
     return value
+
+
+# Every JSON record the package reads (a suite file, a suite case, a mean
+# descriptor, a sampler box, a domain) is described once, as a table of its
+# fields (key -> _Field), and read by _read_fields.
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """A field of a JSON record: ``test`` is the predicate its value passes,
+    ``expected`` says in words what the test accepts, and ``default`` is the
+    value of an absent field (_REQUIRED: the field must be given)."""
+
+    test: Callable[[object], bool]
+    expected: str
+    default: object = _REQUIRED
+
+
+def _read_fields(record, fields: dict, where: str = "", defaults: dict = {}) -> list:
+    """The values of the fields of the JSON object ``record``, in the order
+    of the table ``fields``.  An absent field takes its value in
+    ``defaults``, else its table default, and every value, a default too,
+    must pass its test.  A record that is not an object, a key the table
+    does not list, a missing required field and a refused value raise
+    InvalidArgumentError, its message starting ``where``; a refused value
+    names its field: ``field '<key>': expected <what>, got <value>``, or
+    ``field '<key>': `` and the message of a test that raises
+    InvalidArgumentError itself, as the reader of a nested record does."""
+    if not isinstance(record, dict):
+        raise InvalidArgumentError(f"{where}expected an object, got {record!r}")
+    for key in record:
+        if key not in fields:
+            raise InvalidArgumentError(f"{where}unknown field {key!r}")
+    values = []
+    for key, (test, expected, default) in fields.items():
+        value = record.get(key, defaults.get(key, default))
+        if value is _REQUIRED:
+            raise InvalidArgumentError(f"{where}missing field {key!r}")
+        try:
+            if test(value):
+                values.append(value)
+                continue
+            message = f"expected {expected}, got {value!r}"
+        except InvalidArgumentError as exc:
+            message = str(exc)
+        raise InvalidArgumentError(f"{where}field {key!r}: {message}")
+    return values
+
+
+def _is_text(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _or_null(test: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: value is None or test(value)
+
+
+def _list_of(test: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+_FLAG = _Field(lambda value: isinstance(value, bool), "true or false", False)
+_DIM = _Field(_or_null(_is_count), "an integer of at least 1, or null", None)
 
 
 def _certified(report: SolverReport, label: str, x) -> Union[float, np.ndarray]:

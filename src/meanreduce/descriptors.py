@@ -6,11 +6,10 @@ generator, deviation, and potential parameters are expression strings in the
 shared grammar (see :mod:`meanreduce.expr`): variables ``u``/``v`` for scalar
 kinds, ``u1..ud``/``v1..vd`` for vector kinds.
 
-Plain-Python constructors for each family are also provided; they are what
-the CLI, the verification suites, and the tests use to assemble MeanFn
-objects.  The solver-backed ones (``deviation_mean_fn``,
-``gen_deviation_mean_fn``, ``potential_mean_fn``) live in
-:mod:`meanreduce.reduction` beside ``MeanFn`` and are re-exported here.
+Plain-Python constructors of each family assemble MeanFn objects; the
+solver-backed ones (``deviation_mean_fn``, ``gen_deviation_mean_fn``,
+``potential_mean_fn``) live in :mod:`meanreduce.reduction` beside ``MeanFn``
+and are re-exported here.
 ``build_mean`` is the one path from a descriptor to a mean;
 ``evaluate_with_report`` evaluates what it builds and takes the solver's
 report from ``MeanFn.report``.  Every constructor sets ``MeanFn.select``:
@@ -38,6 +37,15 @@ from .core import (
     SolverConfig,
     SolverReport,
     _certified,
+    _DIM,
+    _FLAG,
+    _Field,
+    _is_count,
+    _is_number,
+    _is_text,
+    _list_of,
+    _or_null,
+    _read_fields,
     select,
 )
 from .errors import ExpressionError, InvalidArgumentError, MeansError
@@ -68,29 +76,56 @@ from .scalar import (
 from .vector import GenDeviation, PotentialFn, make_norm_sq_potential
 from .vector import gen_deviation_mean  # noqa: F401  (perfbench's wrapper test rebinds it)
 
-# The parameters each kind reads; any other key is rejected.
+
+def _one_or_list(test):
+    """An entry that stands for every slot, or a list of entries."""
+    return lambda value: test(value) or _list_of(test)(value)
+
+
+# A domain's test is its reader, which raises on a fault.
+_DOMAIN_FIELD = _Field(lambda spec: parse_domain(spec) is not None, "a domain", None)
+_WEIGHTS = _Field(_one_or_list(lambda w: _is_number(w) or _is_text(w)),
+                  "a number or an expression, or a list of them", [1.0])
+_EXPRS = _Field(_one_or_list(_is_text), "an expression, or a list of them")
+_NUMBER = _Field(_is_number, "a number")
+_GENERATOR = _Field(_is_text, "a generator: identity, log, exp or an expression in u")
+
+# The parameters of each kind; any other key is refused.
 _PARAMS = {
-    "arithmetic": (),
-    "weighted-arithmetic": ("weights", "domain"),
-    "holder": ("p",),
-    "gini": ("p", "q"),
-    "quasi-arithmetic": ("f", "domain"),
-    "bajraktarevic": ("f", "weights", "domain"),
-    "matkowski": ("fs", "domain"),
-    "deviation-custom": ("exprs", "domain"),
-    "gen-deviation": ("exprs",),
-    "norm-squared-potential": ("weights",),
-    "custom-potential": ("exprs",),
+    "arithmetic": {},
+    "weighted-arithmetic": {"weights": _WEIGHTS, "domain": _DOMAIN_FIELD},
+    "holder": {"p": _NUMBER},
+    "gini": {"p": _NUMBER, "q": _NUMBER},
+    "quasi-arithmetic": {"f": _GENERATOR, "domain": _DOMAIN_FIELD},
+    "bajraktarevic": {"f": _GENERATOR, "weights": _WEIGHTS, "domain": _DOMAIN_FIELD},
+    "matkowski": {"fs": _Field(_one_or_list(_is_text), "a generator, or a list of them"),
+                  "domain": _DOMAIN_FIELD},
+    "deviation-custom": {"exprs": _EXPRS, "domain": _DOMAIN_FIELD},
+    "gen-deviation": {"exprs": _Field(_one_or_list(_list_of(_is_text)),
+                                      "a covector (a list of coordinates), or a list of them")},
+    "norm-squared-potential": {"weights": _WEIGHTS},
+    "custom-potential": {"exprs": _EXPRS},
 }
 
 KINDS = tuple(_PARAMS)
 
 _VECTOR_KINDS = {"gen-deviation", "norm-squared-potential", "custom-potential"}
+_POINT_KINDS = {"arithmetic", "weighted-arithmetic", *_VECTOR_KINDS}
+
+_DESCRIPTOR = {
+    "kind": _Field(lambda kind: _is_text(kind) and kind in _PARAMS, "one of " + ", ".join(KINDS)),
+    "arity": _Field(_is_count, "an integer of at least 1"),
+    "params": _Field(lambda params: isinstance(params, dict), "an object", {}),
+    "dim": _DIM,
+}
 
 
 @dataclass(frozen=True)
 class MeanDescriptor:
-    """A serializable recipe for a mean family."""
+    """A serializable recipe for a mean family: the fields of the JSON
+    record ``_DESCRIPTOR`` and the kind's parameters ``_PARAMS``, checked
+    when the descriptor is made, from JSON or in Python.  ``dim`` is given
+    for the vector kinds, and may be for the arithmetic means."""
 
     kind: str
     arity: int
@@ -98,15 +133,17 @@ class MeanDescriptor:
     dim: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidArgumentError(f"unknown mean kind {self.kind!r}")
-        if self.arity <= 0:
-            raise InvalidArgumentError("descriptor arity must be positive")
-        if self.kind in _VECTOR_KINDS and (self.dim is None or self.dim <= 0):
+        _read_fields(vars(self), _DESCRIPTOR)
+        if self.kind in _VECTOR_KINDS and self.dim is None:
             raise InvalidArgumentError(f"kind {self.kind!r} needs a positive dim")
-        unread = sorted(set(self.params) - set(_PARAMS[self.kind]))
-        if unread:
-            raise InvalidArgumentError(f"kind {self.kind!r} does not take parameters {unread}")
+        if self.dim is not None and self.kind not in _POINT_KINDS:
+            raise InvalidArgumentError(f"field 'dim': kind {self.kind!r} takes no points")
+        self._values()
+
+    def _values(self) -> list:
+        """The kind's parameters in ``_PARAMS`` order, defaults filled in."""
+        return _read_fields(self.params, _PARAMS[self.kind],
+                            f"kind {self.kind!r}: field 'params': ")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "arity": self.arity, "params": dict(self.params)}
@@ -116,41 +153,30 @@ class MeanDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "MeanDescriptor":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise InvalidArgumentError("a mean descriptor must be an object with a 'kind'")
-        extra = set(data) - {"kind", "arity", "params", "dim"}
-        if extra:
-            raise InvalidArgumentError(f"unknown descriptor fields {sorted(extra)}")
-        return cls(
-            kind=data["kind"],
-            arity=int(data.get("arity", 0)),
-            params=dict(data.get("params", {})),
-            dim=int(data["dim"]) if data.get("dim") is not None else None,
-        )
+        return cls(*_read_fields(data, _DESCRIPTOR))
+
+
+_BOUND = _Field(_or_null(_is_number), "a number, or null for an infinite end", None)
+# The object form of a domain; its list form is [lo, hi].
+_DOMAIN = {"lo": _BOUND, "hi": _BOUND, "lo_open": _FLAG, "hi_open": _FLAG}
 
 
 def parse_domain(spec) -> Interval:
     """Interval from JSON: [lo, hi] with null for infinite, or an object with
-    explicit open flags."""
-    if spec is None:
-        return REALS
-    if isinstance(spec, Interval):
-        return spec
+    explicit open flags (``_DOMAIN``); None is the real line."""
+    if spec is None or isinstance(spec, Interval):
+        return REALS if spec is None else spec
     if isinstance(spec, dict):
-        lo = spec.get("lo")
-        hi = spec.get("hi")
-        return Interval(
-            lo=-math.inf if lo is None else float(lo),
-            hi=math.inf if hi is None else float(hi),
-            lo_open=bool(spec.get("lo_open", False)),
-            hi_open=bool(spec.get("hi_open", False)),
-        )
-    lo, hi = spec
-    lo = -math.inf if lo is None else float(lo)
-    hi = math.inf if hi is None else float(hi)
-    # A finite zero lower endpoint is by far most often a positivity
-    # constraint; treat it as open so log-type expressions stay evaluable.
-    return Interval(lo=lo, hi=hi, lo_open=(lo == 0.0))
+        lo, hi, lo_open, hi_open = _read_fields(spec, _DOMAIN)
+    elif isinstance(spec, list) and len(spec) == 2 and all(map(_BOUND.test, spec)):
+        # A finite zero lower endpoint is by far most often a positivity
+        # constraint; treat it as open so log-type expressions stay evaluable.
+        (lo, hi), lo_open, hi_open = spec, spec[0] == 0, False
+    else:
+        raise InvalidArgumentError(f"expected [lo, hi] or an object with lo, hi, lo_open and "
+                                   f"hi_open, got {spec!r}")
+    return Interval(lo=-math.inf if lo is None else float(lo),
+                    hi=math.inf if hi is None else float(hi), lo_open=lo_open, hi_open=hi_open)
 
 
 _IDENTITY_NAMES = ("identity", "id", "u")
@@ -377,69 +403,45 @@ def matkowski_mean_fn(fs: Sequence, arity: int, domain: Optional[Interval] = Non
                   select=lambda chi: matkowski_mean_fn(select(gens, chi), chi.k, cfg=cfg))
 
 
-def _norm_sq_potentials(weights, arity: int, dim: int) -> tuple[PotentialFn, ...]:
-    specs = _expand(weights if weights is not None else [1.0], arity, "weights")
-    return tuple(make_norm_sq_potential(build_point_weight(w, dim), dim) for w in specs)
-
-
 def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
     """Construct the MeanFn described by a descriptor."""
     kind, arity, dim = desc.kind, desc.arity, desc.dim
-    param = partial(_param, desc)
+    values = desc._values()
     if kind == "arithmetic":
         return arithmetic_mean_fn(arity, dim)
     if kind == "weighted-arithmetic":
-        return weighted_arithmetic_mean_fn(param("weights", [1.0]), arity, dim,
-                                           parse_domain(param("domain", None)))
+        weights, domain = values
+        return weighted_arithmetic_mean_fn(weights, arity, dim, parse_domain(domain))
     if kind == "holder":
-        return holder_mean_fn(param("p"), arity)
+        return holder_mean_fn(*values, arity)
     if kind == "gini":
-        return gini_mean_fn(param("p"), param("q"), arity)
+        return gini_mean_fn(*values, arity)
     if kind == "quasi-arithmetic":
-        f = param("f")
-        return quasi_arithmetic_mean_fn(f, arity, _generator_domain(param("domain", None), [f]),
-                                        cfg)
+        f, domain = values
+        return quasi_arithmetic_mean_fn(f, arity, _generator_domain(domain, [f]), cfg)
     if kind == "bajraktarevic":
-        f = param("f")
-        return bajraktarevic_mean_fn(f, param("weights", [1.0]), arity,
-                                     _generator_domain(param("domain", None), [f]), cfg)
+        f, weights, domain = values
+        return bajraktarevic_mean_fn(f, weights, arity, _generator_domain(domain, [f]), cfg)
     if kind == "matkowski":
-        fs = _expand(param("fs"), arity, "generators")
-        return matkowski_mean_fn(fs, arity, _generator_domain(param("domain", None), fs), cfg)
+        fs = _expand(values[0], arity, "generators")
+        return matkowski_mean_fn(fs, arity, _generator_domain(values[1], fs), cfg)
     if kind == "deviation-custom":
-        exprs = _expand(param("exprs"), arity, "deviation expressions")
-        domain = parse_domain(param("domain", None))
-        return deviation_mean_fn(build_deviations(exprs, domain), cfg,
+        exprs = _expand(values[0], arity, "deviation expressions")
+        return deviation_mean_fn(build_deviations(exprs, parse_domain(values[1])), cfg,
                                  label="custom deviation mean")
     if kind == "gen-deviation":
-        exprs = param("exprs")
-        if exprs and isinstance(exprs[0], str):
-            exprs = [exprs]
-        exprs = _expand(exprs, arity, "covector expression lists")
-        devs = [build_gen_deviation(e, dim) for e in exprs]
-        return gen_deviation_mean_fn(devs, cfg)
+        exprs, = values  # one covector for every slot, or a list of them
+        exprs = _expand([exprs] if exprs and isinstance(exprs[0], str) else exprs, arity,
+                        "covector expression lists")
+        return gen_deviation_mean_fn([build_gen_deviation(e, dim) for e in exprs], cfg)
     if kind == "norm-squared-potential":
-        pots = _norm_sq_potentials(param("weights", None), arity, dim)
+        pots = tuple(make_norm_sq_potential(build_point_weight(w, dim), dim)
+                     for w in _expand(values[0], arity, "weights"))
         return potential_mean_fn(pots, cfg, label="norm-squared potential mean")
-    if kind == "custom-potential":
-        exprs = _expand(param("exprs"), arity, "potential expressions")
-        pots = tuple(build_custom_potential(e, dim) for e in exprs)
-        return potential_mean_fn(pots, cfg, label="custom potential mean")
-    raise InvalidArgumentError(f"unknown mean kind {kind!r}")
-
-
-_REQUIRED = object()
-
-
-def _param(desc: MeanDescriptor, key: str, default=_REQUIRED):
-    # Only keys that _PARAMS lists for the kind may be read: it is the table
-    # MeanDescriptor checks the given keys against.
-    assert key in _PARAMS[desc.kind], f"_PARAMS[{desc.kind!r}] does not list {key!r}"
-    if key in desc.params:
-        return desc.params[key]
-    if default is _REQUIRED:
-        raise InvalidArgumentError(f"missing required parameter {key!r}")
-    return default
+    # custom-potential, the last of the KINDS
+    pots = tuple(build_custom_potential(e, dim)
+                 for e in _expand(values[0], arity, "potential expressions"))
+    return potential_mean_fn(pots, cfg, label="custom potential mean")
 
 
 def _generator_domain(spec, fs: list) -> Optional[Interval]:
@@ -447,7 +449,7 @@ def _generator_domain(spec, fs: list) -> Optional[Interval]:
     # one of them is the named "log", which takes no wider domain.
     if spec is not None:
         return parse_domain(spec)
-    return POSITIVE_REALS if "log" in (str(f).strip() for f in fs) else None
+    return POSITIVE_REALS if "log" in (f.strip() for f in fs) else None
 
 
 def evaluate_with_report(desc: MeanDescriptor, x: Sequence,
@@ -482,8 +484,5 @@ def _solved_numerically(desc: MeanDescriptor) -> bool:
     (inverted by ``numeric_inverse``)."""
     if desc.kind == "matkowski":
         return True
-    if desc.kind in ("quasi-arithmetic", "bajraktarevic"):
-        f = desc.params.get("f")
-        return (not isinstance(f, GeneratorFn)
-                and str(f).strip() not in _IDENTITY_NAMES + ("log", "exp"))
-    return False
+    return (desc.kind in ("quasi-arithmetic", "bajraktarevic")
+            and desc.params["f"].strip() not in _IDENTITY_NAMES + ("log", "exp"))

@@ -48,7 +48,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import BATCH_MARGIN, DEFAULT_CONFIG, Injection, SolverConfig, _jsonable, wide_uniform
+from .core import (BATCH_MARGIN, DEFAULT_CONFIG, _DIM, _FLAG, Injection, SolverConfig, _Field,
+                   _is_number, _jsonable, _read_fields, wide_uniform)
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -61,6 +62,11 @@ from .reduction import MeanFn, fixed_point_mean_fn, reduced_mean_fn
 # Trials drawn per rng.uniform call: however many trials a search runs, it
 # holds at most this many drawn witnesses.
 _BLOCK_TRIALS = 256
+
+# A sampler box in JSON, its fields in BoxSampler's order; each bound holds
+# for every coordinate.
+_BOX = {"low": _Field(_is_number, "a number", 0.0), "high": _Field(_is_number, "a number", 1.0),
+        "dim": _DIM, "log_uniform": _FLAG}
 
 
 @dataclass(frozen=True)
@@ -144,12 +150,7 @@ class BoxSampler:
 
     @classmethod
     def from_json(cls, data: dict) -> "BoxSampler":
-        return cls(
-            low=data.get("low", 0.0),
-            high=data.get("high", 1.0),
-            dim=data.get("dim"),
-            log_uniform=bool(data.get("log_uniform", False)),
-        )
+        return cls(*_read_fields(data, _BOX))
 
 
 def draw_blocks(samplers: Sequence[BoxSampler], rng: np.random.Generator, trials: int,
@@ -272,9 +273,8 @@ class HolderMinkowskiCase:
         if len(self.N_list) != len(self.samplers):
             raise InvalidArgumentError("need one mean family and sampler per slot")
         n = self.M.arity
-        for N in self.N_list:
-            if N.arity != n:
-                raise InvalidArgumentError("all mean families must share the arity of M")
+        if any(N.arity != n for N in self.N_list):
+            raise InvalidArgumentError("all mean families must share the arity of M")
         if self.M.dim is not None:
             raise InvalidArgumentError("the outer mean must be scalar")
         if self.chi.n != n:

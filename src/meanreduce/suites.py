@@ -1,21 +1,12 @@
 """Verification suites: JSON case corpora and their runner.
 
-A suite file is ``{"schema": 1, "name": ..., "cases": [...]}`` with at
-least one case.  Case types:
-
-- ``convexity``: f with a domain-side mean M and a scalar range-side mean N;
-  optional ``chi`` adds the reduced k-variable check.
-- ``comparison``: two scalar means G <= E plus the reduced comparison.
-- ``holder-minkowski``: slot families N_i, outer scalar mean M, combining
-  function f ("sum" or "product"), plus the reduced check.
-- ``weighted-arith-reduction`` / ``deviation-reduction``: two-route oracle
-  agreement checks from the reduction module.
-
-``build_runner`` reads every field of a case once, when it builds the case.
-A case's name is its ``name``, else its ``type``, else "case", and every
-fault of its content is raised as one MeansError of the fault's own type
-(InvalidArgumentError for a missing or malformed field) whose message
-starts ``case '<name>': ``.  ``trials`` and ``samples`` are at least 1.
+A suite file (``_SUITE``) holds at least one case; a case's ``type`` picks
+the table of its fields (``_CASES``).  ``build_runner`` reads every field of
+a case once, when it builds the case, through ``core._read_fields``: a key
+the table does not list, a missing field and a value its test refuses are
+errors that name the field.  A case's name is its ``name``, else its
+``type``, else "case", and every fault of its content is raised as one
+MeansError of the fault's own type whose message starts ``case '<name>': ``.
 
 ``expected`` is "pass" (no counterexample anywhere) or "fail" (the full
 check must produce a counterexample; an oracle case, a failed sample).
@@ -45,19 +36,14 @@ import os
 from importlib import resources
 from typing import Callable, Optional, Union
 
-from .core import Injection, SolverConfig
-from .descriptors import (
-    MeanDescriptor,
-    _point_expression,
-    build_deviations,
-    build_mean,
-    build_point_weight,
-    build_weights,
-    parse_domain,
-)
+from .core import (Injection, SolverConfig, _Field, _is_count, _is_number, _is_text, _list_of,
+                   _or_null, _read_fields)
+from .descriptors import (_DOMAIN_FIELD, MeanDescriptor, _point_expression, build_deviations,
+                          build_mean, build_point_weight, build_weights, parse_domain)
 from .errors import InvalidArgumentError, MeansError
 from .expr import parse_expression
 from .lab import (
+    _BOX as _SAMPLER_BOX,
     BoxSampler,
     ConvexityCase,
     CounterexampleReport,
@@ -72,12 +58,8 @@ from .lab import (
     compare_means,
     fuzz_suite,
 )
-from .reduction import (
-    MeanFn,
-    OracleCheckReport,
-    check_deviation_reduction,
-    check_weighted_arith_reduction,
-)
+from .reduction import (MeanFn, OracleCheckReport, check_deviation_reduction,
+                        check_weighted_arith_reduction)
 from .vector import inner_product_deviation
 
 SCHEMA_VERSION = 1
@@ -89,6 +71,58 @@ DEFAULT_REDUCED_TOL = 1e-8
 # Tolerances for reductions nested inside suite checks: the certificate must
 # stay attainable when every mean evaluation is itself an iterative solve.
 REDUCTION_CFG = SolverConfig(abs_tol=1e-10, rel_tol=1e-12)
+
+# The JSON records of a suite, each field with its test, the values it
+# accepts in words and its default (core._read_fields).
+_COUNT = "an integer of at least 1"
+_SUITE = {"schema": _Field(lambda v: _is_count(v) and v == SCHEMA_VERSION, str(SCHEMA_VERSION),
+                           SCHEMA_VERSION),
+          "name": _Field(_is_text, "a string", "suite"),
+          "description": _Field(_is_text, "a string", ""),
+          "cases": _Field(lambda cases: isinstance(cases, list) and cases != [],
+                          "a nonempty list of cases")}
+# A case's sampler box: a BoxSampler's fields but dim, which is its mean's.
+_BOX = {key: field for key, field in _SAMPLER_BOX.items() if key != "dim"}
+_SAMPLER = _Field(lambda box: _read_fields(box, _BOX) is not None, "a sampler box",
+                  {"low": 0.1, "high": 4.0, "log_uniform": True})
+_INTERVAL = _DOMAIN_FIELD._replace(default=[0.2, 6.0])
+_MEAN = _Field(lambda data: MeanDescriptor.from_json(data) is not None, "a mean descriptor")
+_CHI = _Field(_list_of(_is_count), "a list of slots, integers of at least 1")
+_WEIGHTS = _Field(_list_of(lambda w: _is_number(w) or _is_text(w)),
+                  "a list of numbers and expressions")
+_TOL = _Field(lambda t: _is_number(t) and math.isfinite(t) and t >= 0.0,
+              "a finite number of at least 0", DEFAULT_TOL)
+# A case's name defaults to its type (``build_runner``).
+_CASE = {"name": _Field(_is_text, "a string"), "type": _Field(_is_text, "a string"),
+         "expected": _Field(lambda e: e in ("pass", "fail"), "'pass' or 'fail'", "pass")}
+_INEQUALITY = {**_CASE, "tol": _TOL, "trials": _Field(_is_count, _COUNT, DEFAULT_TRIALS),
+               "reduced_tol": _TOL._replace(default=DEFAULT_REDUCED_TOL)}
+# The oracles derive the abs_tol of their solves from tol.
+_ORACLE = {**_CASE, "tol": _Field(lambda t: _TOL.test(t) and t > 0.0, "a positive finite number",
+                                  DEFAULT_TOL), "chi": _CHI}
+_CASES = {
+    "convexity": {**_INEQUALITY, "f": _Field(_is_text, "an expression in u, or in u1..ud"),
+                  "M": _MEAN, "N": _MEAN, "domain": _SAMPLER,
+                  "chi": _Field(_or_null(_CHI.test), _CHI.expected + ", or null", None)},
+    "comparison": {**_INEQUALITY, "G": _MEAN, "E": _MEAN, "chi": _CHI, "domain": _SAMPLER},
+    "holder-minkowski": {
+        **_INEQUALITY, "N": _Field(_list_of(_MEAN.test), "a list of mean descriptors"), "M": _MEAN,
+        "f": _Field(lambda f: f in ("sum", "product"), "'sum' or 'product'", "product"),
+        "chi": _CHI, "domain": _SAMPLER,
+        "domains": _Field(_or_null(_list_of(_SAMPLER.test)), "a list of sampler boxes", None)},
+    "weighted-arith-reduction": {**_ORACLE, "weights": _WEIGHTS, "domain": _INTERVAL,
+                                 "samples": _Field(_is_count, _COUNT, 60)},
+    "deviation-reduction": {**_ORACLE,
+                            "exprs": _Field(_list_of(_is_text), "a list of expressions in u, v"),
+                            "domain": _INTERVAL, "samples": _Field(_is_count, _COUNT, 40)},
+}
+# A deviation-reduction case without exprs: inner-product deviations of
+# weights on points in R^dim, the data drawn from [low, high]^dim.
+_POINT_DEVIATIONS = {**_ORACLE, "dim": _Field(_is_count, _COUNT),
+                     "weights": _WEIGHTS._replace(default=[1.0]),
+                     "low": _Field(_is_number, "a number", -2.0),
+                     "high": _Field(_is_number, "a number", 2.0),
+                     "samples": _Field(_is_count, _COUNT, 40)}
 
 
 def packaged_suite_names() -> list[str]:
@@ -110,17 +144,8 @@ def load_suite(source: str) -> dict:
                 f"{name!r} (available: {', '.join(packaged_suite_names())})"
             )
         data = json.loads(entry.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or not isinstance(data.get("cases"), list) or not data["cases"]:
-        raise InvalidArgumentError("a suite must be an object with a nonempty 'cases' list")
+    _read_fields(data, _SUITE)
     return data
-
-
-def _count(key: str, value) -> int:
-    """A count of trials or samples, which must be at least 1."""
-    count = int(value)
-    if count < 1:
-        raise InvalidArgumentError(f"{key} must be at least 1")
-    return count
 
 
 def _mean(data) -> MeanFn:
@@ -128,13 +153,13 @@ def _mean(data) -> MeanFn:
     return build_mean(MeanDescriptor.from_json(data), REDUCTION_CFG)
 
 
-def _build_function(spec, dim: Optional[int]) -> Callable:
+def _build_function(text: str, dim: Optional[int]) -> Callable:
     """The case function f from an expression in u (scalar) or u1..ud.  A
     scalar f carries the expression's numpy form as its ``batch``
     attribute, which the lab screens trials with."""
     if dim is not None:
-        return _point_expression(spec, dim)
-    fn, batch = parse_expression(str(spec), allowed=("u",)).bind_batch(("u",))
+        return _point_expression(text, dim)
+    fn, batch = parse_expression(text, allowed=("u",)).bind_batch(("u",))
 
     def f(u, fn=fn):
         return fn(float(u))
@@ -143,50 +168,31 @@ def _build_function(spec, dim: Optional[int]) -> Callable:
     return f
 
 
-def _sampler(spec, dim: Optional[int] = None) -> BoxSampler:
-    if spec is None:
-        return BoxSampler(low=0.1, high=4.0, dim=dim, log_uniform=True)
-    return BoxSampler.from_json({"dim": dim, **spec})
-
-
-def _chi(case: dict, arity: int) -> Injection:
-    return Injection.of([int(v) for v in case["chi"]], n=arity)
-
-
-def _case_tols(case: dict, trials: int, tol: float, reduced_tol: float):
-    """The case's trial count and tolerances, its own fields over the run's.
-    A NaN, infinite or negative tolerance raises InvalidArgumentError: a NaN
-    slack would pass every check, a negative one fail every check."""
-    tols = []
-    for key, default in (("tol", tol), ("reduced_tol", reduced_tol)):
-        value = float(case.get(key, default))
-        if not (math.isfinite(value) and value >= 0.0):
-            raise InvalidArgumentError(f"{key} must be finite and nonnegative, got {value}")
-        tols.append(value)
-    return (_count("trials", case.get("trials", trials)), *tols)
+def _sampler(spec: dict, dim: Optional[int] = None) -> BoxSampler:
+    low, high, log_uniform = _read_fields(spec, _BOX)
+    return BoxSampler(low, high, dim, log_uniform)
 
 
 def build_runner(case: dict, trials: int, tol: float, reduced_tol: float) -> FuzzCase:
     """Compile one suite case into a seeded runnable returning its entry.
 
-    A case that fails to build raises a MeansError: InvalidArgumentError
-    for a case that is not an object, else the error of its faulty content,
-    prefixed ``case '<name>': ``.  The error's ``entry`` is a FuzzCase of
-    the case that raises it again when run, which ``fuzz`` records as an
-    error entry.
+    The case's own fields override the run's ``trials``, ``tol`` and
+    ``reduced_tol``.  A case that fails to build raises a MeansError:
+    InvalidArgumentError for a case that is not an object, else the error
+    of its faulty content, prefixed ``case '<name>': ``.  The error's
+    ``entry`` is a FuzzCase of the case that raises it again when run, which
+    ``fuzz`` records as an error entry.
     """
     if not isinstance(case, dict):
         _refuse("case", None, InvalidArgumentError(f"a suite case must be an object, got {case!r}"))
-    kind = case.get("type")
-    name = case.get("name", kind or "case")
+    kind, name = case.get("type"), case.get("name")
+    name = name if isinstance(name, str) else kind if isinstance(kind, str) and kind else "case"
+    run = {"name": kind, "trials": trials, "tol": tol, "reduced_tol": reduced_tol}
     try:
-        return FuzzCase(name=name, kind=kind,
-                        runner=_compile_case(case, kind, name, trials, tol, reduced_tol))
-    except KeyError as exc:
-        error = InvalidArgumentError(f"missing field {exc}")
+        return FuzzCase(name=name, kind=kind, runner=_compile_case(case, kind, run))
     except MeansError as exc:
         error = exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:  # a count too large for an index, as an arity of 10**20
         error = InvalidArgumentError(str(exc))
     _refuse(name, kind, type(error)(f"case {name!r}: {error}"))
 
@@ -200,21 +206,20 @@ def _refuse(name, kind, error: MeansError):
     raise error
 
 
-def _compile_case(case: dict, kind, name, trials: int, tol: float,
-                  reduced_tol: float) -> Callable[[int, int], dict]:
-    expected = case.get("expected", "pass")
-    if expected not in ("pass", "fail"):
-        raise InvalidArgumentError("expected must be 'pass' or 'fail'")
-    trials, tol, reduced_tol = _case_tols(case, trials, tol, reduced_tol)
-    if tol == 0.0 and kind in ("weighted-arith-reduction", "deviation-reduction"):
-        # The oracles derive the abs_tol of their solves from tol.
-        raise InvalidArgumentError(f"tol must be positive for a {kind} case")
+def _compile_case(case: dict, kind, run: dict) -> Callable[[int, int], dict]:
+    fields = _CASES.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise InvalidArgumentError(f"unknown type {kind!r}")
+    if kind == "deviation-reduction" and "exprs" not in case:
+        fields = _POINT_DEVIATIONS
+    name, _, expected, tol, *values = _read_fields(case, fields, defaults=run)
 
     if kind == "convexity":
-        M, N = _mean(case["M"]), _mean(case["N"])
-        conv = ConvexityCase(M=M, N=N, f=_build_function(case["f"], M.dim),
-                             sampler=_sampler(case.get("domain"), M.dim), name=name)
-        chi = _chi(case, M.arity) if "chi" in case else None
+        trials, reduced_tol, f, M, N, domain, chi = values
+        M, N = _mean(M), _mean(N)
+        conv = ConvexityCase(M=M, N=N, f=_build_function(f, M.dim),
+                             sampler=_sampler(domain, M.dim), name=name)
+        chi = None if chi is None else Injection.of(chi, n=M.arity)
 
         def check(seed: int):
             full = check_convexity(conv, trials, tol, seed=seed)
@@ -224,56 +229,51 @@ def _compile_case(case: dict, kind, name, trials: int, tol: float,
                 conv, chi, trials, reduced_tol, seed=seed + 1, cfg=REDUCTION_CFG))
 
     elif kind == "comparison":
-        G, E = _mean(case["G"]), _mean(case["E"])
-        chi = _chi(case, G.arity)
-        sampler = _sampler(case.get("domain"))
+        trials, reduced_tol, G, E, chi, domain = values
+        G, E = _mean(G), _mean(E)
+        chi, sampler = Injection.of(chi, n=G.arity), _sampler(domain)
 
         def check(seed: int):
             return compare_means(G, E, chi, trials, tol, sampler=sampler, seed=seed,
                                  cfg=REDUCTION_CFG, reduced_tol=reduced_tol, name=name)
 
     elif kind == "holder-minkowski":
-        N_list = tuple(_mean(d) for d in case["N"])
-        M = _mean(case["M"])
-        chi = _chi(case, M.arity)
-        domains = case.get("domains")
-        if domains is None:
-            domains = [case.get("domain")] * len(N_list)
-        hm = HolderMinkowskiCase(N_list=N_list, M=M, f=combiner(case.get("f", "product")),
-                                 chi=chi, samplers=tuple(_sampler(d) for d in domains),
-                                 name=name)
+        trials, reduced_tol, N, M, f, chi, domain, domains = values
+        if domains is not None and "domain" in case:
+            raise InvalidArgumentError("field 'domains': excludes field 'domain'")
+        N_list, M = tuple(map(_mean, N)), _mean(M)
+        boxes = [domain] * len(N_list) if domains is None else domains
+        hm = HolderMinkowskiCase(N_list=N_list, M=M, f=combiner(f),
+                                 chi=Injection.of(chi, n=M.arity),
+                                 samplers=tuple(map(_sampler, boxes)), name=name)
 
         def check(seed: int):
             return check_holder_minkowski(hm, trials, tol, seed=seed, cfg=REDUCTION_CFG,
                                           reduced_tol=reduced_tol)
 
     elif kind == "weighted-arith-reduction":
-        weights = build_weights(case["weights"], parse_domain(case.get("domain", [0.2, 6.0])))
-        chi = _chi(case, len(weights))
-        samples = _count("samples", case.get("samples", 60))
+        chi, weights, domain, samples = values
+        weights = build_weights(weights, parse_domain(domain))
+        chi = Injection.of(chi, n=len(weights))
 
         def check(seed: int):
             return check_weighted_arith_reduction(weights, chi, samples, tol, seed=seed,
                                                   cfg=REDUCTION_CFG)
 
-    elif kind == "deviation-reduction":
-        samples = _count("samples", case.get("samples", 40))
-        low, high = float(case.get("low", -2.0)), float(case.get("high", 2.0))
-        if "exprs" in case:
-            entries = build_deviations(case["exprs"],
-                                       parse_domain(case.get("domain", [0.2, 6.0])))
-        else:
-            dim = int(case["dim"])
+    else:
+        if fields is _POINT_DEVIATIONS:
+            chi, dim, weights, low, high, samples = values
             entries = tuple(inner_product_deviation(build_point_weight(w, dim), dim)
-                            for w in case.get("weights", [1.0]))
-        chi = _chi(case, len(entries))
+                            for w in weights)
+            bounds = {"low": low, "high": high}
+        else:
+            chi, exprs, domain, samples = values
+            entries, bounds = build_deviations(exprs, parse_domain(domain)), {}
+        chi = Injection.of(chi, n=len(entries))
 
         def check(seed: int):
             return check_deviation_reduction(entries, chi, samples, tol, seed=seed,
-                                             cfg=REDUCTION_CFG, low=low, high=high)
-
-    else:
-        raise InvalidArgumentError(f"unknown type {kind!r}")
+                                             cfg=REDUCTION_CFG, **bounds)
 
     def run(seed: int, run_trials: int) -> dict:
         return _judge(expected, check(seed), tol)
@@ -313,7 +313,7 @@ def run_suite(suite: dict, seed: int = 0, trials: int = DEFAULT_TRIALS,
         1 for entry in report["cases"] if entry.get("error") or not entry.get("ok", False)
     )
     report["schema"] = SCHEMA_VERSION
-    report["suite"] = suite.get("name", "suite")
+    report["suite"] = _read_fields(suite, _SUITE)[1]
     report["tol"] = tol
     report["reduced_tol"] = reduced_tol
     report["failures"] = failures

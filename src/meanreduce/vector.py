@@ -116,9 +116,6 @@ class Covector:
     def __call__(self, h) -> float:
         return float(np.dot(self.array, as_point(h, dim=len(self.grad))))
 
-    def __len__(self) -> int:
-        return len(self.grad)
-
 
 def _as_shape(value, dim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(-1)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meanreduce
+import meanreduce.descriptors
+import meanreduce.lab
 import meanreduce.suites
 
 from meanreduce.cli import main
@@ -54,6 +57,51 @@ NO_TRIALS = {
     "no-samples": dict(_WEIGHTS, samples=0),
 }
 BAD_CASES = {**MALFORMED, **NO_TRIALS}
+_DEVIATIONS = {"type": "deviation-reduction", "name": "exprs", "exprs": ["u - v", "u - v"],
+               "chi": [1]}
+_COUNT = "expected an integer of at least 1"
+# Per case id: a case with one misspelled or mistyped field, the name its
+# error gives the case, and the message after the name.
+REFUSED = {
+    "chii": (dict(JENSEN_SQUARE, chii=[1, 2]), "jensen-square", "unknown field 'chii'"),
+    "domian": (dict(JENSEN_SQUARE, domian={"low": -1, "high": 1}), "jensen-square",
+               "unknown field 'domian'"),
+    "trails": (dict(JENSEN_SQUARE, trails=5), "jensen-square", "unknown field 'trails'"),
+    "logUniform": (dict(JENSEN_SQUARE, domain={"low": 0.1, "high": 4, "logUniform": True}),
+                   "jensen-square", "field 'domain': unknown field 'logUniform'"),
+    "box-dim": (dict(JENSEN_SQUARE, domain={"low": -1, "high": 1, "dim": 3}), "jensen-square",
+                "field 'domain': unknown field 'dim'"),
+    "domain-open": (dict(_WEIGHTS, name="w", domain={"lo": 0.2, "hi": 6, "open": True}), "w",
+                    "field 'domain': unknown field 'open'"),
+    "trials-true": (dict(JENSEN_SQUARE, trials=True), "jensen-square",
+                    f"field 'trials': {_COUNT}, got True"),
+    "trials-float": (dict(JENSEN_SQUARE, trials=2.7), "jensen-square",
+                     f"field 'trials': {_COUNT}, got 2.7"),
+    "samples-float": (dict(_WEIGHTS, name="w", samples=2.7), "w",
+                      f"field 'samples': {_COUNT}, got 2.7"),
+    "name-list": (dict(JENSEN_SQUARE, name=[1]), "convexity",
+                  "field 'name': expected a string, got [1]"),
+    "f-number": (dict(JENSEN_SQUARE, f=3), "jensen-square",
+                 "field 'f': expected an expression in u, or in u1..ud, got 3"),
+    "weights-text": (dict(_WEIGHTS, name="w", weights="uu"), "w",
+                     "field 'weights': expected a list of numbers and expressions, got 'uu'"),
+    "chi-number": (dict(JENSEN_SQUARE, chi=3), "jensen-square", "field 'chi': expected a list "
+                   "of slots, integers of at least 1, or null, got 3"),
+    "domain-triple": (dict(_WEIGHTS, name="w", domain=[0, 5, 9]), "w",
+                      "field 'domain': expected [lo, hi] or an object with lo, hi, lo_open and "
+                      "hi_open, got [0, 5, 9]"),
+    "arity-float": (dict(JENSEN_SQUARE, M={"kind": "arithmetic", "arity": 2.7}), "jensen-square",
+                    f"field 'M': field 'arity': {_COUNT}, got 2.7"),
+    "domains-and-domain": ({"type": "holder-minkowski", "name": "hm", "chi": [1],
+                            "M": {"kind": "arithmetic", "arity": 2},
+                            "N": [{"kind": "holder", "arity": 2, "params": {"p": 2}}] * 2,
+                            "domain": {"low": 0.2, "high": 4},
+                            "domains": [{"low": 0.2, "high": 4}] * 2},
+                           "hm", "field 'domains': excludes field 'domain'"),
+    **{f"exprs-with-{key}": (dict(_DEVIATIONS, **{key: value}), "exprs",
+                             f"unknown field {key!r}")
+       for key, value in [("dim", 2), ("weights", [1.0]), ("low", -1.0), ("high", 1.0)]},
+}
 
 
 def run_cli(capsys, *argv):
@@ -271,7 +319,41 @@ class TestMeanCommand:
                                  "--domain", "0,5", "--x", "1,7")
         assert code == 2
         assert out == ""
-        assert err == "error: kind 'holder' does not take parameters ['domain', 'q']\n"
+        assert err == "error: kind 'holder': field 'params': unknown field 'q'\n"
+
+    @pytest.mark.parametrize("descriptor, message", [
+        ({"kind": "holder", "arity": 2.7, "params": {"p": 2}},
+         "field 'arity': expected an integer of at least 1, got 2.7"),
+        ({"kind": "holder", "arity": "2", "params": {"p": 2}},
+         "field 'arity': expected an integer of at least 1, got '2'"),
+        ({"kind": "holder", "arity": 2, "params": [["p", 3]]},
+         "field 'params': expected an object, got [['p', 3]]"),
+        ({"kind": "holder", "arity": 2, "params": {"p": True}},
+         "kind 'holder': field 'params': field 'p': expected a number, got True"),
+        ({"kind": "quasi-arithmetic", "arity": 2,
+          "params": {"f": "u^3", "domain": {"lo": 0.1, "hi": 9, "lo_open": "no"}}},
+         "kind 'quasi-arithmetic': field 'params': field 'domain': field 'lo_open': expected "
+         "true or false, got 'no'"),
+        ({"kind": "holder", "arity": 2, "dim": 1, "params": {"p": 2}},
+         "field 'dim': kind 'holder' takes no points"),
+    ], ids=["arity-float", "arity-text", "params-pairs", "p-bool", "lo-open-text", "scalar-dim"])
+    def test_descriptor_field_of_the_wrong_type_exits_2_naming_it(self, capsys, descriptor,
+                                                                   message):
+        # A value of the wrong type is refused, never cast; a scalar kind
+        # takes no dim rather than failing later on its data.
+        code, out, err = run_cli(capsys, "mean", "--descriptor", json.dumps(descriptor),
+                                 "--x", "1,7")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("domain, given", [("1,2,3", "[1.0, 2.0, 3.0]"),
+                                               ("x,2", "['x', 2.0]")])
+    def test_malformed_domain_flag_exits_2_naming_it(self, capsys, domain, given):
+        # The error names the flag, not Python's unpacking or float().
+        code, out, err = run_cli(capsys, "mean", "--kind", "quasi-arithmetic", "--f", "u^3",
+                                 "--domain", domain, "--x", "1,2")
+        assert (code, out) == (2, "")
+        assert err == ("error: --domain: expected [lo, hi] or an object with lo, hi, lo_open "
+                       f"and hi_open, got {given}\n")
 
     @pytest.mark.parametrize("argv", [
         ["--kind", "arithmetic", "--arity", "2"],
@@ -427,7 +509,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, command, "jensen", "--trials", "0")
         assert code == 2
         assert out == ""
-        assert "trials must be at least 1" in err
+        assert err == "error: --trials: expected an integer of at least 1, got 0\n"
 
     @pytest.mark.parametrize("flag, value", [
         ("--tol", "nan"), ("--reduced-tol", "nan"), ("--tol", "-1"),
@@ -439,7 +521,9 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "jensen", "--trials", "5", flag, value)
         assert code == 2
         assert out == ""
-        assert "must be finite and nonnegative" in err
+        field = flag[2:].replace("-", "_")
+        assert err == (f"error: case 'square-arith-3to2': field '{field}': expected a finite "
+                       f"number of at least 0, got {float(value)!r}\n")
 
     @pytest.mark.parametrize("field, value", [("tol", -1.0), ("reduced_tol", float("nan"))])
     def test_bad_case_tolerance_exits_2(self, capsys, tmp_path, field, value):
@@ -451,8 +535,8 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", str(bad))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: case 'jensen-square': {field} must be finite and "
-                              "nonnegative")
+        assert err == (f"error: case 'jensen-square': field '{field}': expected a finite number "
+                       f"of at least 0, got {value!r}\n")
 
     @pytest.mark.parametrize("name", sorted(MALFORMED) + sorted(NO_TRIALS))
     def test_malformed_case_exits_2_naming_it(self, capsys, tmp_path, name):
@@ -471,7 +555,28 @@ class TestVerifyCommand:
         suite.write_text(json.dumps({"name": "empty", "cases": []}))
         code, out, err = run_cli(capsys, "verify", str(suite))
         assert (code, out) == (2, "")
-        assert err == "error: a suite must be an object with a nonempty 'cases' list\n"
+        assert err == "error: field 'cases': expected a nonempty list of cases, got []\n"
+
+    @pytest.mark.parametrize("field, message", [
+        ({"schema": 99}, "field 'schema': expected 1, got 99"),
+        ({"nmae": "typo"}, "unknown field 'nmae'"),
+    ], ids=["schema", "nmae"])
+    def test_suite_file_field_is_read_not_ignored(self, capsys, tmp_path, field, message):
+        # Neither is ignored: the report would say schema 1 and suite "suite".
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"cases": [JENSEN_SQUARE], **field}))
+        code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_case_field_is_refused_naming_it(self, capsys, tmp_path, name):
+        # A misspelled field is refused, not ignored; a value of the wrong
+        # type is refused, not coerced, and named by its field.
+        case, label, message = REFUSED[name]
+        suite = tmp_path / "bad.json"
+        suite.write_text(json.dumps({"cases": [JENSEN_SQUARE, case]}))
+        code, out, err = run_cli(capsys, "verify", str(suite), "--trials", "5")
+        assert (code, out, err) == (2, "", f"error: case '{label}': {message}\n")
 
     @pytest.mark.parametrize("kind", ["weighted-arith-reduction", "deviation-reduction"])
     @pytest.mark.parametrize("expected", ["pass", "fail"])
@@ -506,7 +611,8 @@ class TestVerifyCommand:
         bad.write_text(json.dumps({"cases": [dict(case, name="zero-tol", tol=0)]}))
         code, out, err = run_cli(capsys, "verify", str(bad))
         assert (code, out) == (2, "")
-        assert err.startswith("error: case 'zero-tol': tol must be positive")
+        assert err == ("error: case 'zero-tol': field 'tol': expected a positive finite number, "
+                       "got 0\n")
 
     def test_case_missing_a_field_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -718,7 +824,9 @@ class TestFuzzCommand:
     def test_nan_tolerance_is_an_error_in_every_case(self, capsys):
         report = run_json(capsys, "fuzz", "jensen", "--trials", "5", "--tol", "nan")
         assert report["errors"] == len(report["cases"]) > 0
-        assert all("tol must be finite" in entry["error"] for entry in report["cases"])
+        assert all(entry["error"].endswith(
+            "field 'tol': expected a finite number of at least 0, got nan")
+            for entry in report["cases"])
 
     def test_malformed_case_becomes_an_error_entry(self, capsys, tmp_path):
         suite = {"name": "mixed", "cases": [
@@ -882,14 +990,35 @@ def test_extreme_data_exits_cleanly(case, command, data):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
-def _readme_suite() -> dict:
-    """The example suite of README's suite schema section."""
+def _readme_section(title: str) -> str:
+    """The text of README's section ``## <title>``, up to the next section."""
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
-    block = text.split("## Suite schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_suite() -> dict:
+    """The example suite of README's suite schema section."""
+    block = _readme_section("Suite schema").split("```json\n", 1)[1].split("```", 1)[0]
     return json.loads(block)
+
+
+def test_readme_schema_sections_name_every_field():
+    # Every table of fields that the readers of suites and descriptors use.
+    suites, descriptors = meanreduce.suites, meanreduce.descriptors
+    tables = {"Suite schema": [suites._SUITE, suites._BOX, meanreduce.lab._BOX,
+                               suites._POINT_DEVIATIONS, *suites._CASES.values()],
+              "Descriptor schema": [descriptors._DESCRIPTOR, descriptors._DOMAIN,
+                                    *descriptors._PARAMS.values()]}
+    for title, records in tables.items():
+        text = _readme_section(title)
+        missing = {key for record in records for key in record if f"`{key}`" not in text}
+        assert missing == set(), (title, missing)
+    suite, descriptor = _readme_section("Suite schema"), _readme_section("Descriptor schema")
+    assert all(f"| `{kind}` |" in suite for kind in suites._CASES)
+    assert all(f"| `{kind}` |" in descriptor for kind in descriptors.KINDS)
 
 
 README_CASES = _readme_suite()["cases"]
@@ -900,15 +1029,68 @@ _SMALL_JSON = st.recursive(
     max_leaves=4)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+def _field_paths(record: dict, path: tuple = ()):
+    """The path of every field of a JSON record and of the records nested in
+    it: keys, and the index of a record in a list."""
+    for key, value in record.items():
+        yield path + (key,)
+        nested = enumerate(value) if isinstance(value, list) else [(None, value)]
+        for i, entry in nested:
+            if isinstance(entry, dict):
+                yield from _field_paths(entry, path + (key,) + (() if i is None else (i,)))
+
+
+def _table(case: dict, parents: list) -> dict:
+    """The table of fields of the record at ``parents`` in a case."""
+    keys = [step for step in parents if isinstance(step, str)]
+    if not keys:
+        return meanreduce.suites._CASES[case["type"]]
+    if keys[-1] == "params":
+        descriptor = case
+        for step in parents[:-1]:
+            descriptor = descriptor[step]
+        return meanreduce.descriptors._PARAMS[descriptor["kind"]]
+    if keys[-1] in ("domain", "domains"):
+        inequality = "trials" in meanreduce.suites._CASES[case["type"]]
+        return meanreduce.suites._BOX if len(keys) == 1 and inequality \
+            else meanreduce.descriptors._DOMAIN
+    return meanreduce.descriptors._DESCRIPTOR
+
+
+def _refused(field, value) -> bool:
+    """Whether a field's test refuses the value: it fails, or it raises, as
+    the reader of a nested record does."""
+    try:
+        return not field.test(value)
+    except meanreduce.MeansError:
+        return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(index=st.integers(0, len(README_CASES) - 1), data=st.data())
 def test_suite_reader_names_the_case_of_every_build_error(index, data):
-    """A README example case with one top-level field replaced by a small
-    JSON value builds, or raises a MeansError that names the case; never
-    another exception."""
-    case = dict(README_CASES[index])
-    case[data.draw(st.sampled_from(sorted(case)))] = data.draw(_SMALL_JSON)
+    """A README example case with one field replaced by a small JSON value,
+    a field of the case or of a record nested in it (a descriptor, a box or
+    a domain), builds, or raises a MeansError that names the case, never
+    another exception.  A value that the field's test refuses is named by
+    its full path: ``case '<name>': field 'M': field 'arity': ...``."""
+    case = copy.deepcopy(README_CASES[index])
+    *parents, key = data.draw(st.sampled_from(list(_field_paths(case))))
+    table = None if key == "type" else _table(case, parents)
+    record = case
+    for step in parents:
+        record = record[step]
+    record[key] = value = data.draw(_SMALL_JSON)
+    name = case["name"] if isinstance(case["name"], str) else case["type"]
+    path, record = f"case {name!r}: ", case
+    for depth, step in enumerate(parents + [key]):
+        if step == "params" and depth < len(parents):  # the kind's parameters name their kind
+            path += f"kind {record['kind']!r}: "
+        path += "" if isinstance(step, int) else f"field {step!r}: "
+        record = record[step]
     try:
         meanreduce.suites.build_runner(case, 40, 1e-9, 1e-8)
     except meanreduce.MeansError as exc:
-        assert str(exc).startswith(f"case {case['name']!r}: "), exc
+        assert str(exc).startswith(f"case {name!r}: "), exc
+        if table is not None and _refused(table[key], value):
+            assert str(exc).startswith(path), exc

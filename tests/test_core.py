@@ -9,6 +9,10 @@ from meanreduce.core import (
     Injection,
     Interval,
     SolverConfig,
+    _Field,
+    _is_count,
+    _is_number,
+    _read_fields,
     as_point,
     select,
     splice,
@@ -98,6 +102,40 @@ class TestInjection:
     def test_rejects_k_greater_than_n(self):
         with pytest.raises(InvalidArgumentError):
             Injection.of([1, 2, 3], n=2)
+
+
+_INNER = {"n": _Field(_is_count, "an integer of at least 1", 1)}
+_OUTER = {"x": _Field(_is_number, "a number"),
+          "inner": _Field(lambda record: _read_fields(record, _INNER) is not None, "a record",
+                          {})}
+
+
+class TestReadFields:
+    def test_values_come_in_table_order_with_defaults(self):
+        assert _read_fields({"inner": {"n": 3}, "x": 2.5}, _OUTER) == [2.5, {"n": 3}]
+        assert _read_fields({"x": 1}, _OUTER) == [1, {}]
+        assert _read_fields({}, _OUTER, defaults={"x": 4.0}) == [4.0, {}]
+
+    @pytest.mark.parametrize("record, message", [
+        ([1], "at: expected an object, got [1]"),
+        ({"x": 1, "y": 2}, "at: unknown field 'y'"),
+        ({}, "at: missing field 'x'"),
+        ({"x": True}, "at: field 'x': expected a number, got True"),
+        ({"x": 1, "inner": {"n": 2.0}},
+         "at: field 'inner': field 'n': expected an integer of at least 1, got 2.0"),
+        ({"x": 1, "inner": {"m": 1}}, "at: field 'inner': unknown field 'm'"),
+    ], ids=["not-an-object", "unknown", "missing", "bool-number", "nested-value",
+            "nested-unknown"])
+    def test_faults_name_the_field_path(self, record, message):
+        with pytest.raises(InvalidArgumentError) as exc:
+            _read_fields(record, _OUTER, "at: ")
+        assert str(exc.value) == message
+
+    def test_a_default_passes_its_test_too(self):
+        finite = {"x": _Field(math.isfinite, "a finite number", 0.0)}
+        with pytest.raises(InvalidArgumentError, match="^field 'x': expected a finite number, "
+                                                       "got nan$"):
+            _read_fields({}, finite, defaults={"x": math.nan})
 
 
 class TestBarycentric:

@@ -487,8 +487,25 @@ class TestCheckMeanFunction:
 
     def test_rejects_non_mean(self):
         fake = MeanFn(arity=2, eval=lambda xs: xs[0] + xs[1], label="sum")
-        with pytest.raises(NotAMeanError):
+        with pytest.raises(NotAMeanError, match=r"^sum: value \S+ outside \["):
             check_mean_function(fake, lambda rng: float(rng.uniform(0.2, 5.0)), samples=16)
+
+    def test_rejects_a_point_outside_the_hull(self):
+        fake = MeanFn(arity=2, dim=2, eval=lambda xs: xs[0] + xs[1], label="point sum")
+        with pytest.raises(NotAMeanError, match=r"^point sum: value .* outside the hull$"):
+            check_mean_function(fake, lambda rng: rng.uniform(0.2, 5.0, 2), samples=16)
+
+    @pytest.mark.parametrize("dim", [None, 2])
+    def test_rejects_a_mean_that_is_not_reflexive(self, dim):
+        # The arithmetic mean, but one more at a tuple of equal entries: it
+        # passes the mean property on distinct data, not reflexivity.
+        average = arithmetic_mean_fn(2, dim)
+        fake = MeanFn(arity=2, dim=dim, label="shifted",
+                      eval=lambda xs: average(xs) + float(np.array_equal(xs[0], xs[1])))
+        point = (lambda rng: float(rng.uniform(0.2, 5.0))) if dim is None \
+            else (lambda rng: rng.uniform(0.2, 5.0, dim))
+        with pytest.raises(NotAMeanError, match="^shifted: not reflexive at "):
+            check_mean_function(fake, point, samples=16)
 
 
 class TestWeightedArithReductionOracle:

@@ -33,6 +33,7 @@ from meanreduce.scalar import (
     deviation_mean,
     e_sum,
     gini_mean,
+    holder_batch,
     holder_mean,
     identity_generator,
     log_generator,
@@ -434,6 +435,20 @@ class TestHolderMean:
             x = tuple(rng.uniform(0.2, 6.0, 4))
             p, q = sorted(rng.uniform(-4.0, 4.0, 2))
             assert holder_mean(p, x) <= holder_mean(q, x) + 1e-10
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_batch_rows_of_nan_and_infinite_exponents(self, p):
+        # A row is holder_mean's value, or NaN where holder_mean raises: on
+        # a NaN exponent, and on data out of the positive reals.
+        X = np.array([[0.5, 2.0, 7.0], [3.0, 3.0, 3.0], [1e-300, 1.0, 1e300],
+                      [0.0, 1.0, 2.0], [1.0, math.inf, 2.0]])
+        for x, row in zip(X, holder_batch(p, X)):
+            try:
+                expected = holder_mean(p, tuple(x))
+            except InvalidArgumentError:
+                assert math.isnan(row)
+            else:
+                assert row == expected
 
 
 class TestGiniMean:
