@@ -14,10 +14,14 @@ and are re-exported here.
 ``evaluate_with_report`` evaluates what it builds and takes the solver's
 report from ``MeanFn.report``.  Every constructor sets ``MeanFn.select``:
 each family reduces to its own k-variable mean of the selected weights,
-generators, deviations or potentials.  The scalar closed forms with a numpy
-form also set ``MeanFn.batch``: the arithmetic mean, the weighted arithmetic
-mean with constant weights, the Hölder and Gini means, and the
-quasi-arithmetic means of the named generators log, exp and identity.
+generators, deviations or potentials.  The closed forms with a numpy form
+also set ``MeanFn.batch``: the arithmetic mean and the weighted arithmetic
+mean, of scalars with weights that are numbers or expressions and of points
+with weights that are numbers; the Hölder and Gini means; and the
+quasi-arithmetic and Bajraktarević means of the named generators log, exp
+and identity, the latter with weights that are numbers or expressions.  The
+means found by a solve (deviation, Matkowski and vector means, and every
+mean of an expression generator) have none: see :mod:`meanreduce.lab`.
 """
 
 from __future__ import annotations
@@ -66,9 +70,11 @@ from .scalar import (
     gini_mean,
     holder_batch,
     holder_mean,
+    identity_generator,
     matkowski_mean,
     numeric_inverse,
     point_average,
+    point_average_batch,
     quasi_arithmetic_batch,
     quasi_arithmetic_mean,
     weighted_arith_mean,
@@ -210,11 +216,11 @@ def build_generator(spec, domain: Optional[Interval] = None,
 def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
     """WeightFns from positive numbers and expressions in u; a WeightFn
     passes through.  The expressions are compiled as one family, each
-    member with its own function (``expr._bind_family``), and checked on
-    the sample draw they share (``scalar.check_weights``).  Errors come in
-    the order of the specs, as if each weight were built and checked on its
-    own: a spec that raises does so only after the expression weights
-    before it pass their check."""
+    member with its own function and numpy form, the weight's ``batch``
+    (``expr._bind_family``), and checked on the sample draw they share
+    (``scalar.check_weights``).  Errors come in the order of the specs, as
+    if each weight were built and checked on its own: a spec that raises
+    does so only after the expression weights before it pass their check."""
     built: list = []
     parsed: list = []  # (slot, expression)
     error = None
@@ -231,9 +237,10 @@ def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
             error = exc
             break
     if parsed:
-        _, _, batch, fns = _bind_family([e for _, e in parsed], [{"u": 0}] * len(parsed), 1,
-                                        members=True)
-        weights = [WeightFn(eval=fn, domain=domain, validate=False) for fn in fns]
+        _, _, batch, members = _bind_family([e for _, e in parsed], [{"u": 0}] * len(parsed), 1,
+                                            members=True)
+        weights = [WeightFn(eval=fn, domain=domain, validate=False, batch=form)
+                   for fn, form in members]
         check_weights(weights, batch)
         for (slot, _), weight in zip(parsed, weights):
             built[slot] = weight
@@ -338,7 +345,7 @@ def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
     return MeanFn(arity=arity, dim=dim, label="arithmetic",
                   eval=average if dim is None else point_average,
                   select=lambda chi: arithmetic_mean_fn(chi.k, dim),
-                  batch=partial(average_batch, (1.0,) * arity) if dim is None else None)
+                  batch=partial(average_batch if dim is None else point_average_batch, None))
 
 
 def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
@@ -351,12 +358,17 @@ def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
         ws = tuple(build_point_weight(w, dim) for w in specs)
     numeric = [isinstance(w, (int, float)) for w in specs]
     entries = tuple(w if plain else built for w, built, plain in zip(specs, ws, numeric))
+    if all(numeric):
+        batch = partial(average_batch if dim is None else point_average_batch,
+                        tuple(map(float, specs)))
+    else:
+        # The Bajraktarevic mean of the identity, weighted as this mean is.
+        batch = quasi_arithmetic_batch(identity_generator(domain), ws) if dim is None else None
     return MeanFn(arity=arity, dim=dim, label="weighted arithmetic",
                   eval=lambda xs, ws=ws: weighted_arith_mean(ws, xs),
                   select=lambda chi: weighted_arithmetic_mean_fn(select(entries, chi), chi.k,
                                                                  dim, domain),
-                  batch=(partial(average_batch, tuple(map(float, specs)))
-                         if dim is None and all(numeric) else None))
+                  batch=batch)
 
 
 def holder_mean_fn(p: float, arity: int) -> MeanFn:
@@ -389,7 +401,8 @@ def bajraktarevic_mean_fn(f, weights: Sequence, arity: int,
     ws = build_weights(_expand(weights, arity, "weights"), gen.domain)
     return MeanFn(arity=arity, label="bajraktarevic",
                   eval=lambda xs, g=gen, ws=ws: bajraktarevic_mean(g, ws, xs),
-                  select=lambda chi: bajraktarevic_mean_fn(gen, select(ws, chi), chi.k))
+                  select=lambda chi: bajraktarevic_mean_fn(gen, select(ws, chi), chi.k),
+                  batch=quasi_arithmetic_batch(gen, ws))
 
 
 def matkowski_mean_fn(fs: Sequence, arity: int, domain: Optional[Interval] = None,

@@ -333,8 +333,9 @@ def _bind_family(exprs: Sequence[Expression], args: Sequence[dict[str, int]], ar
     Returns the family function, which returns the list of the members'
     values as floats; its total, their sum; the numpy form of the family,
     which returns the tuple of the members' values; and, only where
-    ``members`` asks for them, each member's function as ``Expression.bind``
-    gives it, from the same compile (else None).
+    ``members`` asks for them, the pair of each member's function as
+    ``Expression.bind`` gives it and its numpy form, from the same compile
+    (else None).
 
     A family call with a wrong argument count raises its TypeError at once;
     any other call that fails runs the members one at a time, in order, so
@@ -375,7 +376,8 @@ def _bind_family(exprs: Sequence[Expression], args: Sequence[dict[str, int]], ar
         except (ValueError, OverflowError, ZeroDivisionError, TypeError):
             return wide_fsum(family(*values))
 
-    return family, total, eval(code, _NUMPY_GLOBALS)[0], fns if members else None  # noqa: S307
+    batch, *forms = eval(code, _NUMPY_GLOBALS)  # noqa: S307
+    return family, total, batch, list(zip(fns, forms)) if members else None
 
 
 class Member:

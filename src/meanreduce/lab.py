@@ -22,16 +22,29 @@ Every search screens its trials in numpy first, as the axiom checks accept
 in numpy and judge in scalar (``core.judge_samples``).  Where every mean of
 the search has a ``MeanFn.batch`` form, and the case function f (or the
 "sum" and "product" combiners) a ``batch`` attribute with its numpy form
-(``suites`` sets it from ``Expression.bind_batch``), the sides of each block
-of drawn trials are evaluated in one numpy pass under raising
-``np.errstate``; a floating-point signal sends the whole block to the scalar
-path.  A trial is skipped only when its numpy sides are finite and clear the
-violation threshold by ``core.BATCH_MARGIN`` (1 + |lhs| + |rhs|); the scalar
-sides run, in trial order, on every other trial.  So every witness, trial
+(``suites`` sets it from ``Expression.bind_batch``, a function of the
+coordinates for a function of points), the sides of each block of drawn
+trials are evaluated in one numpy pass under raising ``np.errstate``; a
+floating-point signal sends the whole block to the scalar path.  A trial is
+skipped only when its numpy sides are finite and clear the violation
+threshold by ``core.BATCH_MARGIN`` (1 + |lhs| + |rhs|); the scalar sides
+run, in trial order, on every other trial.  So every witness, trial
 count, side, error and recheck a search reports comes from the scalar
-means, as without the screen.  A search with a mean or function that has no
-numpy form (vector, deviation, Bajraktarevic and Matkowski means, expression
-generators, a user callable) runs every trial through the scalar path.
+means, as without the screen.
+
+The closed forms are screened: the arithmetic and weighted arithmetic means
+of scalars and of points, the Hölder and Gini means, and the
+quasi-arithmetic and Bajraktarević means of the named generators (see
+``descriptors``).  A search with a mean or function that has no numpy form
+runs every trial through the scalar path: the deviation and Matkowski
+means, the means of an expression generator, the vector means of a solve,
+the weighted means of points with expression weights, and a user callable.
+A deviation or Matkowski mean is a root search that promises its value only
+to the width it stops at: ``REDUCTION_CFG.abs_tol`` (1e-10) in the suites,
+400 times the budget of ``MeanFn.batch`` at a mean of 1, so no numpy form
+can promise to lie within that budget of it.  A mean of an expression
+generator inverts it by a scalar root search (``scalar.numeric_inverse``),
+which has no numpy form.
 
 Hypotheses on user-supplied means (continuity, unique reducibility) can only
 be sampled, never proven; reports carry ``"hypotheses": "sampled"``.
@@ -358,9 +371,14 @@ def _with_batches(batch_sides: Optional[Callable], fns: Sequence) -> Optional[Ca
     return partial(batch_sides, *forms)
 
 
-def _lift(f: Callable, *arrays: np.ndarray) -> np.ndarray:
+def _lift(f: Callable, *arrays: np.ndarray, points: bool = False) -> np.ndarray:
     """The numpy form f of a function on arrays of its arguments, as a float
-    array of their shape (a constant expression returns a float)."""
+    array of their shape (a constant expression returns a float).  For
+    ``points``, the one array is a block of points, its last axis the
+    coordinates that f takes as its arguments, and the value has the shape
+    of the block less that axis."""
+    if points:
+        arrays = tuple(np.moveaxis(arrays[0], -1, 0))
     value = np.asarray(f(*arrays))
     if value.dtype.kind != "f":
         raise TypeError(f"a numpy form returned {value.dtype}")
@@ -426,8 +444,10 @@ def _convexity_sides(f: Callable, M: MeanFn, N: MeanFn, xs: tuple) -> tuple[floa
 
 def _convexity_batch(f: Callable, M: Callable, N: Callable,
                      X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_convexity_sides`` of every row of X, from numpy forms."""
-    return _lift(f, M(X)), N(_lift(f, X))
+    """``_convexity_sides`` of every row of X, from numpy forms; a (T, n, d)
+    block of tuples of points gives f the coordinates of each point."""
+    points = X.ndim == 3
+    return _lift(f, M(X), points=points), N(_lift(f, X, points=points))
 
 
 def check_reduced_convexity(case: ConvexityCase, chi: Injection, trials: int,

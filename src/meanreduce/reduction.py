@@ -112,14 +112,20 @@ class MeanFn:
     mean.  ``reduced_mean_fn`` uses it after checking chi; it is None for a
     black-box mean, which reduces by the fixed point.
 
-    ``batch`` is set for the scalar closed forms that have a numpy form (see
-    :mod:`meanreduce.descriptors`): it maps a (T, arity) array of data
-    tuples to their T values in one call.  Each finite value lies within
-    ``core.BATCH_MARGIN`` / 4 times |eval| of ``eval`` on that row, and a
-    row is NaN wherever ``eval`` raises or the form cannot promise that
+    ``batch`` is set for the closed forms that have a numpy form (see
+    :mod:`meanreduce.descriptors`): the arithmetic and weighted arithmetic
+    means, the Hölder and Gini means, and the quasi-arithmetic and
+    Bajraktarević means of the named generators.  It maps a (T, arity)
+    array of data tuples to their T values in one call, and for a mean of
+    points in R^d a (T, arity, d) block of tuples of points to their T
+    points, shape (T, d).  Each finite value, or coordinate, lies within
+    ``core.BATCH_MARGIN`` / 4 times its |eval| of ``eval`` on that row, and
+    a row is NaN wherever ``eval`` raises or the form cannot promise that
     budget.  The lab screens its trials with it (see :mod:`meanreduce.lab`);
     every reported value still comes from ``eval``.  ``reduced_mean_fn``
-    keeps the selected mean's hook.
+    keeps the selected mean's hook.  The means of a solve have none: a
+    deviation, Matkowski or vector mean promises its value only to its stop
+    width, and an expression generator is inverted by a scalar search.
     """
 
     arity: int

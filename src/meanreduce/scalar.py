@@ -225,11 +225,14 @@ class WeightFn:
     """A positive weight function on an interval, checked on 64 samples at
     construction unless ``validate=False`` (``check_weights``).  A family
     of expression weights is built and checked at once by
-    ``descriptors.build_weights``."""
+    ``descriptors.build_weights``.  ``batch``, where it is set, is the numpy
+    form of ``eval`` on an array of u: an array of its shape, or a float
+    for a constant weight."""
 
     eval: Callable[[float], float]
     domain: Interval = REALS
     validate: bool = True
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.validate:
@@ -242,7 +245,8 @@ class WeightFn:
 def constant_weight(c: float, domain: Interval = REALS) -> WeightFn:
     if not c > 0:
         raise InvalidArgumentError("constant weight must be positive")
-    return WeightFn(eval=lambda u, c=float(c): c, domain=domain, validate=False)
+    constant = lambda u, c=float(c): c  # noqa: E731  (a float on an array of u too)
+    return WeightFn(eval=constant, domain=domain, validate=False, batch=constant)
 
 
 def power_weight(q: float, domain: Interval = POSITIVE_REALS) -> WeightFn:
@@ -670,13 +674,20 @@ def quasi_arithmetic_mean(f: GeneratorFn, x: Sequence[float]) -> float:
 
 # Numpy forms of the closed forms, the ``MeanFn.batch`` hooks (see
 # :class:`meanreduce.reduction.MeanFn`): each maps the rows of a (T, n)
-# array to T values.  A form bounds, row by row, how far its value and the
-# scalar form's can each lie from the exact value of the formula they share,
-# in ulps of the value, and returns NaN where twice that bound exceeds the
-# budget BATCH_MARGIN / 4 relative, where the scalar form raises, and outside
-# the regime the scalar form computes directly.  So each finite value lies
-# within BATCH_MARGIN / 4 times |eval| of the scalar form's value.
+# array to T values, and a point form the (T, n, d) block of T tuples of
+# points to T points, each coordinate bounded as a value.  A form bounds,
+# row by row, how far its value and the scalar form's can each lie from the
+# exact value of the formula they share, in ulps of the value, and returns
+# NaN where twice that bound exceeds the budget BATCH_MARGIN / 4 relative,
+# where the scalar form raises, and outside the regime the scalar form
+# computes directly.  So each finite value lies within BATCH_MARGIN / 4
+# times |eval| of the scalar form's value.
 _BATCH_ULPS = BATCH_MARGIN / (8.0 * _EPS)
+# numpy's exp, log and power and math's differ by at most one ulp (measured
+# over 200,000 draws of each across its range, numpy 2.4 on x86-64), so a
+# weight expression of a few of them is taken within this many ulps of its
+# math value.  An expression that cancels within itself can differ by more.
+_WEIGHT_ULPS = 8
 
 
 def _budgeted(ok: np.ndarray, values: np.ndarray, ulps) -> np.ndarray:
@@ -705,27 +716,52 @@ _NAMED_FORMS = {
 }
 
 
-def quasi_arithmetic_batch(f: GeneratorFn) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """The numpy form of ``quasi_arithmetic_mean(f, .)`` for the named
-    generators (log, exp, identity), or None for any other generator."""
+def quasi_arithmetic_batch(f: GeneratorFn, weights: Optional[Sequence[WeightFn]] = None
+                           ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """The numpy form of ``quasi_arithmetic_mean(f, .)``, or of
+    ``bajraktarevic_mean(f, weights, .)`` where weights are given, for the
+    named generators (log, exp, identity) and weights that have a numpy form
+    (``WeightFn.batch``); None for any other generator or weight."""
     forms = _NAMED_FORMS.get((f.eval, f.inverse))
-    return None if forms is None else partial(_quasi_arithmetic_rows, forms, f.domain)
+    rows = None if weights is None else tuple(w.batch for w in weights)
+    if forms is None or (rows is not None and None in rows):
+        return None
+    return partial(_quasi_arithmetic_rows, forms, f.domain, rows)
 
 
-def _quasi_arithmetic_rows(forms: tuple, domain: Interval, X: np.ndarray) -> np.ndarray:
-    """h(average of g over the row), clamped as ``_invert_average`` clamps,
-    for the numpy forms (g, h, h') of a named generator: NaN for rows outside
-    the domain or where an average or a value is not a normal float.  An
-    average of n values off by (n + 2) eps times their mean magnitude moves
-    the value by h' times that."""
+def _quasi_arithmetic_rows(forms: tuple, domain: Interval, weights: Optional[tuple],
+                           X: np.ndarray) -> np.ndarray:
+    """h(average of g over the row), weighted where the numpy forms of the
+    slots' weights are given, clamped as ``_invert_average`` clamps, for the
+    numpy forms (g, h, h') of a named generator: NaN for rows outside the
+    domain, where a weight, their sum or the weighted sum of g is not a
+    normal float, or where an average or a value is not one.  An average of
+    n values off by (n + 2) eps times their mean magnitude moves the value
+    by h' times that.  A weighted average is off by (2n + 2) eps times the
+    weighted mean magnitude, m = sum w |g| / sum w, and, as each weight may
+    be _WEIGHT_ULPS off math's, by 2 _WEIGHT_ULPS eps m more: a relative
+    change r of the weights moves it by at most r sum w |g - t| / sum w,
+    which is at most 2 r m."""
     g, h, dh = forms
     n = X.shape[1]
     with np.errstate(all="ignore"):
         fw = g(X)
-        t = _clip(fw.sum(axis=1) / n, fw.min(axis=1), fw.max(axis=1))
+        ok = _inside(domain, X)
+        if weights is None:
+            t = fw.sum(axis=1) / n
+            slack = (n + 2) * np.abs(fw).mean(axis=1)
+        else:
+            W = np.stack([np.broadcast_to(np.asarray(w(X[:, i]), dtype=float), (len(X),))
+                          for i, w in enumerate(weights)], axis=1)
+            total, mass = (W * fw).sum(axis=1), W.sum(axis=1)
+            t = total / mass
+            ok &= (((W >= _NORMAL_MIN) & (W <= _NORMAL_MAX)).all(axis=1)
+                   & (mass <= _NORMAL_MAX) & (np.abs(total) >= _NORMAL_MIN))
+            slack = (2 * n + 2 + 2 * _WEIGHT_ULPS) * (W * np.abs(fw)).sum(axis=1) / mass
+        t = _clip(t, fw.min(axis=1), fw.max(axis=1))
         y = _clip(h(t), X.min(axis=1), X.max(axis=1))
-        ok = _inside(domain, X) & (np.abs(t) >= _NORMAL_MIN) & (np.abs(y) >= _NORMAL_MIN)
-        ulps = (n + 2) * np.abs(dh(t)) * np.abs(fw).mean(axis=1) / np.abs(y) + 3
+        ok &= (np.abs(t) >= _NORMAL_MIN) & (np.abs(y) >= _NORMAL_MIN)
+        ulps = slack * np.abs(dh(t)) / np.abs(y) + 3
         return _budgeted(ok, y, ulps)
 
 
@@ -1023,19 +1059,34 @@ def average(xs: Sequence[float], weights: Optional[Sequence[float]] = None) -> f
     return s / total
 
 
-def average_batch(weights: tuple, X: np.ndarray) -> np.ndarray:
+def average_batch(weights: Optional[tuple], X: np.ndarray) -> np.ndarray:
     """``average(x, weights)`` for each row x of X and constant positive
-    weights, in numpy: NaN where a sum overflows and where the value is not
-    a normal float.  The numpy sum of the n products is off by n eps times
-    the sum of their magnitudes, which cancellation can make large against
-    the value."""
+    weights, or unit weights (None), in numpy: NaN where a sum overflows and
+    where the value is not a normal float.  The numpy sum of the n products
+    is off by n eps times the sum of their magnitudes, which cancellation can
+    make large against the value."""
     n = X.shape[1]
     with np.errstate(all="ignore"):
-        terms = X * np.asarray(weights, dtype=float)
+        if weights is None:
+            terms, total = X, n
+        else:
+            terms, total = X * np.asarray(weights, dtype=float), math.fsum(weights)
         s = terms.sum(axis=1)
-        values = s / math.fsum(weights)
+        values = s / total
         ulps = n * np.abs(terms).sum(axis=1) / np.abs(s) + 3
         return _budgeted(np.abs(values) >= _NORMAL_MIN, values, ulps)
+
+
+def _point_sum(pts, weights: Optional[Sequence[float]]) -> np.ndarray:
+    """sum_i w_i x_i, summed in order by a loop, or for unit weights (None)
+    the sum of the stacked x_i along their first axis, bitwise np.sum; each
+    x_i is a point, or a block of points, one per row."""
+    if weights is None:
+        return np.asarray(pts, dtype=float).sum(axis=0)
+    acc = np.zeros_like(pts[0])
+    for w, pt in zip(weights, pts):
+        acc = acc + w * pt
+    return acc
 
 
 def point_average(pts: Sequence, weights: Optional[Sequence[float]] = None) -> np.ndarray:
@@ -1047,12 +1098,8 @@ def point_average(pts: Sequence, weights: Optional[Sequence[float]] = None) -> n
     overflows, the sum is formed again on x_i / m for m the largest |x_i| in
     each coordinate (1 where all are 0)."""
     with np.errstate(over="ignore"):
-        if weights is None:
-            acc, total = np.asarray(pts, dtype=float).sum(axis=0), len(pts)
-        else:
-            acc, total = np.zeros_like(pts[0]), math.fsum(weights)
-            for w, pt in zip(weights, pts):
-                acc = acc + w * pt
+        acc = _point_sum(pts, weights)
+    total = len(pts) if weights is None else math.fsum(weights)
     if not_finite(acc.ravel()):
         arr = np.asarray(pts, dtype=float)
         if np.isfinite(arr).all():
@@ -1060,6 +1107,23 @@ def point_average(pts: Sequence, weights: Optional[Sequence[float]] = None) -> n
             m[m == 0.0] = 1.0
             return sum(w * (pt / m) for w, pt in zip(weights or [1.0] * len(arr), arr)) / total * m
     return acc / total
+
+
+def point_average_batch(weights: Optional[tuple], X: np.ndarray) -> np.ndarray:
+    """``point_average(x, weights)`` for each row x of the (T, n, d) block X
+    of n-tuples of points and constant positive weights, or unit weights
+    (None), by point_average's own sums (``_point_sum``) of every row at
+    once: a (T, d) block whose row is NaN where a coordinate of it is, as
+    ``average_batch`` bounds each coordinate (a sum that overflows, where
+    point_average sums again, scaled, is NaN)."""
+    n = X.shape[1]
+    pts = X.swapaxes(0, 1)
+    with np.errstate(all="ignore"):
+        s = _point_sum(pts, weights)
+        values = s / (n if weights is None else math.fsum(weights))
+        ulps = n * _point_sum(np.abs(pts), weights) / np.abs(s) + 3
+        values = _budgeted(np.abs(values) >= _NORMAL_MIN, values, ulps)
+        return np.where(np.isnan(values).any(axis=1, keepdims=True), np.nan, values)
 
 
 def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:

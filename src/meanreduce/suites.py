@@ -38,10 +38,10 @@ from typing import Callable, Optional, Union
 
 from .core import (Injection, SolverConfig, _Field, _is_count, _is_number, _is_text, _list_of,
                    _or_null, _read_fields)
-from .descriptors import (_DOMAIN_FIELD, MeanDescriptor, _point_expression, build_deviations,
+from .descriptors import (_DOMAIN_FIELD, MeanDescriptor, _of_points, build_deviations,
                           build_mean, build_point_weight, build_weights, parse_domain)
 from .errors import InvalidArgumentError, MeansError
-from .expr import parse_expression
+from .expr import _point_keys, parse_expression
 from .lab import (
     _BOX as _SAMPLER_BOX,
     BoxSampler,
@@ -154,16 +154,17 @@ def _mean(data) -> MeanFn:
 
 
 def _build_function(text: str, dim: Optional[int]) -> Callable:
-    """The case function f from an expression in u (scalar) or u1..ud.  A
-    scalar f carries the expression's numpy form as its ``batch``
-    attribute, which the lab screens trials with."""
-    if dim is not None:
-        return _point_expression(text, dim)
-    fn, batch = parse_expression(text, allowed=("u",)).bind_batch(("u",))
-
-    def f(u, fn=fn):
-        return fn(float(u))
-
+    """The case function f from an expression in u (scalar) or u1..ud, a
+    function of a point (``descriptors._of_points``).  f carries the
+    expression's numpy form, of u or of the coordinates u1..ud, as its
+    ``batch`` attribute, which the lab screens trials with."""
+    names = ("u",) if dim is None else _point_keys("u", dim)
+    fn, batch = parse_expression(text, allowed=names).bind_batch(names)
+    if dim is None:
+        def f(u, fn=fn):
+            return fn(float(u))
+    else:
+        f = _of_points(fn)
     f.batch = batch
     return f
 

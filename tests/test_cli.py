@@ -47,6 +47,12 @@ MALFORMED = {
     "samples-text": dict(_WEIGHTS, samples="x"),
     "domain-low-text": dict(JENSEN_SQUARE, domain={"low": "a", "high": 4}),
     "low-text": dict(_POINTS, low="a"),
+    # Its one weight is repeated for 10**20 slots (suites.build_runner's
+    # OverflowError).
+    "arity-beyond-an-index": {"type": "comparison", "chi": [1],
+                              "G": {"kind": "weighted-arithmetic", "arity": 10**20,
+                                    "params": {"weights": [1.0]}},
+                              "E": {"kind": "arithmetic", "arity": 10**20}},
 }
 # Cases that would run no trial or sample, and so pass whatever they test.
 NO_TRIALS = {
@@ -320,6 +326,14 @@ class TestMeanCommand:
         assert code == 2
         assert out == ""
         assert err == "error: kind 'holder': field 'params': unknown field 'q'\n"
+
+    def test_arity_beyond_an_index_exits_2(self, capsys):
+        # The numpy form of the arithmetic mean built a tuple of 10**20
+        # unit weights: a traceback, exit 1.
+        code, out, err = run_cli(capsys, "mean", "--kind", "arithmetic", "--arity", str(10**20),
+                                 "--x", "1,2")
+        assert (code, out, err) == (2, "", f"error: arithmetic expects {10**20} arguments, "
+                                           "got 2\n")
 
     @pytest.mark.parametrize("descriptor, message", [
         ({"kind": "holder", "arity": 2.7, "params": {"p": 2}},

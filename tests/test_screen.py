@@ -3,10 +3,11 @@ sets it, and searches that report the same with and without the screen."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meanreduce.core import BATCH_MARGIN, Injection
 from meanreduce.descriptors import MeanDescriptor, build_mean, holder_mean_fn
@@ -23,7 +24,8 @@ from meanreduce.lab import (
     draw_witnesses,
 )
 from meanreduce.reduction import MeanFn
-from meanreduce.suites import REDUCTION_CFG, _build_function
+from meanreduce.suites import REDUCTION_CFG, _build_function, load_suite, packaged_suite_names
+from meanreduce.suites import _mean as suite_mean
 
 _SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -31,21 +33,60 @@ _EXPONENTS = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, -0.5, 1e-3, -1e-3, 1e-300, -1e-300, 1e300,
                      -1e300, math.inf, -math.inf, math.nan]),
     st.floats(-60.0, 60.0))
-_WEIGHTS = st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 1e-3, 1e3]), min_size=1, max_size=4)
+_NUMBERS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 1e-3, 1e3])
 _GENERATORS = st.one_of(
     st.tuples(st.sampled_from(["log", "exp", "identity", "u", "id"]), st.none()),
     st.tuples(st.sampled_from(["exp", "identity"]), st.sampled_from([[-5.0, 5.0], [0.1, 10.0]])),
     st.tuples(st.just("log"), st.sampled_from([[0.1, 10.0], [1e-300, 1e300]])))
+# Domains with expression weights positive and finite on them.  On [1, 700]
+# the products of exp(u) with the exp generator's values overflow in numpy,
+# near 709.5 the sum of two exp(u) does, and on [1, 740] exp(-u) underflows
+# to subnormal weights.
+_WEIGHTED_DOMAINS = st.sampled_from([
+    ([0.1, 10.0], ["u", "1 + u^2", "u^3", "sqrt(u)", "1/u", "exp(u)", "exp(-u)", "2"]),
+    ([1.0, 700.0], ["exp(u)", "u^3", "u"]),
+    ([1.0, 709.5], ["exp(u)"]),
+    ([1.0, 740.0], ["exp(-u)", "1/u", "exp(-u/2)"])])
+
+
+def _slots(draw, entries, arity):
+    """One entry for every slot, or one for each."""
+    entries = draw(st.lists(entries, min_size=1, max_size=4))
+    return entries if len(entries) == 1 else (entries * arity)[:arity]
+
+
+@st.composite
+def weighted_params(draw, arity, generator):
+    """The parameters of a scalar weighted mean: numeric weights on a domain
+    of _GENERATORS, or numeric and expression weights on a domain of
+    _WEIGHTED_DOMAINS; and a named generator f where ``generator``."""
+    if draw(st.booleans()):
+        f, domain = draw(_GENERATORS)
+        params = {"weights": _slots(draw, _NUMBERS, arity)}
+    else:
+        domain, pool = draw(_WEIGHTED_DOMAINS)
+        f = draw(st.sampled_from(["log", "exp", "identity"]))
+        params = {"weights": _slots(draw, st.one_of(_NUMBERS, st.sampled_from(pool)), arity)}
+    if generator:
+        params["f"] = f
+    return params if domain is None else dict(params, domain=domain)
 
 
 @st.composite
 def batched_descriptors(draw, arity):
     """A descriptor of every kind whose built mean sets ``batch``."""
     kind = draw(st.sampled_from(["arithmetic", "weighted-arithmetic", "holder", "gini",
-                                 "quasi-arithmetic"]))
+                                 "quasi-arithmetic", "bajraktarevic"]))
+    dim = None
+    if kind in ("arithmetic", "weighted-arithmetic"):
+        dim = draw(st.sampled_from([None, None, 1, 2, 3]))
     if kind == "weighted-arithmetic":
-        weights = draw(_WEIGHTS)
-        params = {"weights": weights if len(weights) == 1 else (weights * arity)[:arity]}
+        if dim is None:
+            params = draw(weighted_params(arity, False))
+        else:
+            params = {"weights": _slots(draw, st.sampled_from([0.5, 1.0, 3.0, 1e3]), arity)}
+    elif kind == "bajraktarevic":
+        params = draw(weighted_params(arity, True))
     elif kind == "holder":
         params = {"p": draw(_EXPONENTS)}
     elif kind == "gini":
@@ -55,7 +96,7 @@ def batched_descriptors(draw, arity):
         params = {"f": f} if domain is None else {"f": f, "domain": domain}
     else:
         params = {}
-    return MeanDescriptor(kind=kind, arity=arity, params=params)
+    return MeanDescriptor(kind=kind, arity=arity, params=params, dim=dim)
 
 
 # Data across the float range: out of every domain (zero, negatives,
@@ -67,49 +108,135 @@ _WIDE = st.builds(lambda m, e, sign: sign * m * 10.0 ** e, st.floats(1.0, 9.99),
 
 
 @st.composite
-def data_rows(draw, arity):
+def data_rows(draw, arity, dim=None, domain=(0.1, 745.0)):
+    """Rows of arity entries, or of arity points in R^dim (a (T, arity, dim)
+    block): each row's entries in one style, one of them inside the domain
+    and one near its upper end."""
+    size = arity * (dim or 1)
+    lo, hi = domain
     rows = []
     for _ in range(draw(st.integers(1, 6))):
-        style = draw(st.sampled_from(["wide", "box", "cluster", "special"]))
+        style = draw(st.sampled_from(["wide", "box", "cluster", "special", "range", "edge",
+                                      "cancel"]))
         if style == "wide":
-            row = draw(st.lists(_WIDE, min_size=arity, max_size=arity))
+            row = draw(st.lists(_WIDE, min_size=size, max_size=size))
         elif style == "box":
-            row = draw(st.lists(st.floats(-5.0, 5.0), min_size=arity, max_size=arity))
+            row = draw(st.lists(st.floats(-5.0, 5.0), min_size=size, max_size=size))
         elif style == "cluster":
             base = draw(st.floats(1e-3, 1e3))
-            row = [base * (1.0 + draw(st.floats(-1e-6, 1e-6))) for _ in range(arity)]
+            row = [base * (1.0 + draw(st.floats(-1e-6, 1e-6))) for _ in range(size)]
+        elif style == "range":
+            row = draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+        elif style == "edge":
+            row = draw(st.lists(st.floats(hi - 1e-3 * (hi - lo), hi), min_size=size,
+                                max_size=size))
+        elif style == "cancel":
+            # The last entry, or point, nearly cancels the sum of the others.
+            row = draw(st.lists(st.floats(-5.0, 5.0), min_size=size, max_size=size))
+            width = dim or 1
+            for c in range(width):
+                column = row[c:size - width:width]
+                row[size - width + c] = -math.fsum(column) * (1.0 + draw(st.floats(-1e-9, 1e-9)))
         else:
-            row = draw(st.lists(st.one_of(_SPECIALS, _WIDE), min_size=arity, max_size=arity))
+            row = draw(st.lists(st.one_of(_SPECIALS, _WIDE), min_size=size, max_size=size))
         rows.append(row)
-    return np.array(rows, dtype=float)
+    X = np.array(rows, dtype=float)
+    return X if dim is None else X.reshape(len(X), arity, dim)
 
 
-@_SETTINGS
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(batched_descriptors(n), data_rows(n))))
+@st.composite
+def batched_cases(draw):
+    arity = draw(st.integers(1, 5))
+    desc = draw(batched_descriptors(arity))
+    domain = desc.params.get("domain")
+    return desc, draw(data_rows(arity, desc.dim, *([tuple(domain)] if domain else [])))
+
+
+def _exact_average(x: np.ndarray, weights) -> np.ndarray:
+    """The weighted average of the entries of x, or of its points coordinate
+    by coordinate, rounded once from exact rational arithmetic."""
+    ws = [Fraction(w) for w in (weights * len(x))[:len(x)]]
+    columns = x.reshape(len(x), -1).T.tolist()
+    return np.array([float(sum(w * Fraction(v) for w, v in zip(ws, column)) / sum(ws))
+                     for column in columns])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(batched_cases())
+# Weights whose sum overflows though the weighted sum of log u does not.
+@example((MeanDescriptor(kind="bajraktarevic", arity=2,
+                         params={"f": "log", "weights": [1e308], "domain": [0.1, 10.0]}),
+          np.array([[1.01, 1.02], [0.5, 2.0]])))
 def test_batch_values_lie_within_the_budget_of_eval(case):
+    # A point form's row is a point, each coordinate within the budget of
+    # eval's, or NaN throughout.  A form of an average with numeric weights
+    # is also held to its own half of the budget about the exact average.
     desc, X = case
     M = build_mean(desc)
     assert M.batch is not None
     values = M.batch(X)
-    assert values.shape == (len(X),)
-    for x, value in zip(X.tolist(), values.tolist()):
+    assert values.shape == X.shape[:1] + X.shape[2:]
+    weights = desc.params.get("weights", [1.0])
+    rational = desc.kind in ("arithmetic", "weighted-arithmetic") and all(
+        isinstance(w, float) for w in weights)
+    for x, value in zip(X, values):
         try:
-            expected = M(x)
+            expected = M(list(x) if desc.dim else x.tolist())
         except Exception:  # noqa: BLE001 - any raise of eval asks for NaN
-            assert math.isnan(value), (desc, x, value)
+            assert np.isnan(value).all(), (desc, x, value)
             continue
-        if math.isfinite(value):
-            assert abs(value - expected) <= BATCH_MARGIN / 4 * abs(expected), (desc, x)
+        if not np.isfinite(value).all():
+            assert np.isnan(value).all(), (desc, x, value)
+            continue
+        assert (np.abs(value - expected) <= BATCH_MARGIN / 4 * np.abs(expected)).all(), (desc, x)
+        if rational:
+            exact = _exact_average(x, weights).reshape(np.shape(value))
+            assert (np.abs(value - exact) <= BATCH_MARGIN / 8 * np.abs(exact)).all(), (desc, x)
 
 
 def test_means_without_a_numpy_form_set_no_batch():
     for kind, params in [("quasi-arithmetic", {"f": "u^3"}), ("matkowski", {"fs": "u"}),
-                         ("bajraktarevic", {"f": "log", "weights": [1.0]}),
-                         ("weighted-arithmetic", {"weights": ["u^2 + 1"]}),
+                         ("bajraktarevic", {"f": "u^3", "weights": [1.0]}),
                          ("deviation-custom", {"exprs": "u - v", "domain": [0.1, 10.0]})]:
         assert build_mean(MeanDescriptor(kind=kind, arity=2, params=params)).batch is None
-    vector = MeanDescriptor(kind="arithmetic", arity=2, dim=2)
-    assert build_mean(vector).batch is None
+    points = MeanDescriptor(kind="weighted-arithmetic", arity=2, dim=2,
+                            params={"weights": ["1 + u1^2", 1.0]})
+    assert build_mean(points).batch is None
+
+
+# The packaged cases with a mean that has no numpy form, each with the kind
+# of that mean: deviation and Matkowski means, and means of an expression
+# generator, which are found by a solve (see meanreduce.lab).  The lab
+# screens every trial of every other packaged case.
+_UNSCREENED = {
+    "geometric-le-arith-deviation": {"deviation-custom"},
+    "arith-deviation-le-lehmer": {"deviation-custom"},
+    "matkowski-identity-vs-arith": {"matkowski"},
+    "square-vs-cubic-power-range": {"expression generator"},
+    "square-vs-arith-deviation-range": {"deviation-custom"},
+}
+
+
+def _solved_kind(desc: dict) -> str:
+    """The kind of a descriptor, or "expression generator" for a mean of
+    one."""
+    f = desc.get("params", {}).get("f")
+    return desc["kind"] if f is None or f in ("log", "exp", "identity", "id", "u") else (
+        "expression generator")
+
+
+def test_only_the_means_of_a_solve_go_unscreened():
+    unscreened = {}
+    for source in packaged_suite_names():
+        for case in load_suite(source)["cases"]:
+            descs = [case[key] for key in ("M", "N", "G", "E") if isinstance(case.get(key), dict)]
+            descs += case["N"] if isinstance(case.get("N"), list) else []
+            kinds = {_solved_kind(desc) for desc in descs if suite_mean(desc).batch is None}
+            if kinds:
+                unscreened[case["name"]] = kinds
+            if case["type"] == "convexity":
+                assert _build_function(case["f"], case["M"].get("dim")).batch is not None
+    assert unscreened == _UNSCREENED
 
 
 def test_selection_keeps_the_numpy_form():
@@ -119,6 +246,12 @@ def test_selection_keeps_the_numpy_form():
     reduced = M.select(chi)
     X = np.array([[1.0, 3.0], [2.0, 5.0]])
     assert reduced.batch(X) == pytest.approx([(4.0 * 1 + 3.0) / 5, (4.0 * 2 + 5.0) / 5])
+    for desc in [MeanDescriptor(kind="arithmetic", arity=3, dim=2),
+                 MeanDescriptor(kind="weighted-arithmetic", arity=3, dim=2,
+                                params={"weights": [1.0, 2.0, 4.0]}),
+                 MeanDescriptor(kind="bajraktarevic", arity=3,
+                                params={"f": "log", "weights": ["u", 2.0, "1 + u^2"]})]:
+        assert build_mean(desc).select(chi).batch is not None, desc
 
 
 def unbatched(M: MeanFn) -> MeanFn:
@@ -149,21 +282,35 @@ _POWER_MEANS = st.one_of(
               st.sampled_from([-1.0, 0.0, 1.0])),
     st.just(("quasi-arithmetic", {"f": "log"})), st.just(("arithmetic", {})),
     st.just(("weighted-arithmetic", {"weights": [1.0, 3.0]})))
+# Bajraktarević means, the packaged Lehmer one first, and a weighted
+# arithmetic mean with an expression weight, which shares their numpy form.
+_BAJRAKTAREVIC_MEANS = st.sampled_from([
+    ("bajraktarevic", {"f": "u", "weights": ["u"], "domain": [0.02, 18.0]}),
+    ("bajraktarevic", {"f": "log", "weights": ["u"]}),
+    ("bajraktarevic", {"f": "log", "weights": ["1 + u^2", 2.0]}),
+    ("bajraktarevic", {"f": "exp", "weights": [1.0, 3.0]}),
+    ("bajraktarevic", {"f": "identity", "weights": ["exp(-u)"]}),
+    ("weighted-arithmetic", {"weights": ["1/u", 1.0], "domain": [0.0, None]})])
 
 
-def _mean(spec, arity):
+def _mean(spec, arity, dim=None):
     kind, params = spec
-    if kind == "weighted-arithmetic":
-        params = {"weights": (params["weights"] * arity)[:arity]}
-    return build_mean(MeanDescriptor(kind=kind, arity=arity, params=params), REDUCTION_CFG)
+    if "weights" in params:
+        params = dict(params, weights=(params["weights"] * arity)[:arity])
+    return build_mean(MeanDescriptor(kind=kind, arity=arity, params=params, dim=dim),
+                      REDUCTION_CFG)
+
+
+def _injection(draw, n):
+    k = draw(st.integers(1, n))
+    return Injection.of(draw(st.permutations(range(1, n + 1)))[:k], n=n)
 
 
 @st.composite
-def comparisons(draw):
+def comparisons(draw, first=_POWER_MEANS):
     n = draw(st.integers(2, 4))
-    k = draw(st.integers(1, n))
-    chi = Injection.of(draw(st.permutations(range(1, n + 1)))[:k], n=n)
-    return (_mean(draw(_POWER_MEANS), n), _mean(draw(_POWER_MEANS), n), chi,
+    chi = _injection(draw, n)
+    return (_mean(draw(first), n), _mean(draw(_POWER_MEANS), n), chi,
             draw(_SAMPLERS), draw(st.integers(0, 2**16)), draw(st.integers(1, 70)))
 
 
@@ -180,20 +327,70 @@ def test_comparison_reports_are_those_of_the_scalar_means(case):
 
 
 @_SETTINGS
+@given(comparisons(_BAJRAKTAREVIC_MEANS), st.booleans())
+def test_bajraktarevic_comparison_reports_are_those_of_the_scalar_means(case, swap):
+    # compare_means runs the full and the reduced comparison.
+    B, P, chi, sampler, seed, trials = case
+    G, E = (P, B) if swap else (B, P)
+
+    def run(G, E):
+        return lambda: compare_means(G, E, chi, trials, 1e-9, sampler=sampler, seed=seed,
+                                     cfg=REDUCTION_CFG, reduced_tol=1e-8)
+
+    assert outcome(run(G, E)) == outcome(run(unbatched(G), unbatched(E)))
+
+
+def _convexity_outcomes(f, M, N, chi, sampler, seed, trials):
+    """The outcomes of the full and reduced convexity checks, screened, and
+    of the scalar means alone."""
+
+    def run(f, M, N):
+        conv = ConvexityCase(M=M, N=N, f=f, sampler=sampler)
+        return [outcome(lambda: check_convexity(conv, trials, 1e-9, seed=seed)),
+                outcome(lambda: check_reduced_convexity(conv, chi, trials, 1e-8, seed=seed,
+                                                        cfg=REDUCTION_CFG))]
+
+    return run(f, M, N), run(plain(f), unbatched(M), unbatched(N))
+
+
+@_SETTINGS
 @given(comparisons(), st.sampled_from(["u^2", "exp(u)", "1/u", "log(u)", "sqrt(u)",
                                        "u*log(u)", "-log(u)", "2", "u^0.5 - u"]))
 def test_convexity_reports_are_those_of_the_scalar_means(case, text):
     M, N, chi, sampler, seed, trials = case
-    f = _build_function(text, None)
+    screened, scalar = _convexity_outcomes(_build_function(text, None), M, N, chi, sampler,
+                                           seed, trials)
+    assert screened == scalar
 
-    def run(f, M, N):
-        conv = ConvexityCase(M=M, N=N, f=f, sampler=sampler)
-        return (lambda: check_convexity(conv, trials, 1e-9, seed=seed),
-                lambda: check_reduced_convexity(conv, chi, trials, 1e-8, seed=seed,
-                                                cfg=REDUCTION_CFG))
 
-    screened = [outcome(r) for r in run(f, M, N)]
-    assert screened == [outcome(r) for r in run(plain(f), unbatched(M), unbatched(N))]
+# The functions of the packaged vector cases, and their like in fewer
+# dimensions, each with the dimension it needs; -exp(u1) is concave.
+_POINT_FUNCTIONS = [("u1^2 + u2^2", 2), ("exp(u1 + u2)", 2), ("abs(u1) + abs(u2) + abs(u3)", 3),
+                    ("u1^2", 1), ("exp(u1)", 1), ("abs(u1)", 1), ("-exp(u1)", 1)]
+
+
+@st.composite
+def point_convexity(draw):
+    """A Jensen case on points: f of the point arithmetic mean, unit or
+    weighted, against a scalar arithmetic mean of f."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    text = draw(st.sampled_from([text for text, need in _POINT_FUNCTIONS if need <= d]))
+    M = _mean(draw(st.sampled_from([("arithmetic", {}),
+                                    ("weighted-arithmetic", {"weights": [1.0, 3.0]})])), n, d)
+    N = _mean(draw(st.sampled_from([("arithmetic", {}),
+                                    ("weighted-arithmetic", {"weights": [2.0, 1.0, 0.5]})])), n)
+    low, high = draw(st.sampled_from([(-2.0, 2.0), (-1.2, 1.2), (0.5, 3.0), (-800.0, 800.0)]))
+    return (text, M, N, _injection(draw, n), BoxSampler(low=low, high=high, dim=d),
+            draw(st.integers(0, 2**16)), draw(st.integers(1, 70)))
+
+
+@_SETTINGS
+@given(point_convexity())
+def test_point_convexity_reports_are_those_of_the_scalar_means(case):
+    text, M, N, chi, sampler, seed, trials = case
+    screened, scalar = _convexity_outcomes(_build_function(text, M.dim), M, N, chi, sampler,
+                                           seed, trials)
+    assert screened == scalar
 
 
 @_SETTINGS
