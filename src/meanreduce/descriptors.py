@@ -14,14 +14,18 @@ and are re-exported here.
 ``evaluate_with_report`` evaluates what it builds and takes the solver's
 report from ``MeanFn.report``.  Every constructor sets ``MeanFn.select``:
 each family reduces to its own k-variable mean of the selected weights,
-generators, deviations or potentials.  The closed forms with a numpy form
-also set ``MeanFn.batch``: the arithmetic mean and the weighted arithmetic
-mean, of scalars with weights that are numbers or expressions and of points
-with weights that are numbers; the Hölder and Gini means; and the
+generators, deviations or potentials.  Every scalar mean also sets
+``MeanFn.batch``, its numpy form with a radius (see ``MeanFn``).  The closed
+forms have radius 0: the arithmetic and weighted arithmetic means, of
+scalars with weights that are numbers or expressions and of points with
+weights that are numbers; the Hölder and Gini means; and the
 quasi-arithmetic and Bajraktarević means of the named generators log, exp
-and identity, the latter with weights that are numbers or expressions.  The
-means found by a solve (deviation, Matkowski and vector means, and every
-mean of an expression generator) have none: see :mod:`meanreduce.lab`.
+and identity.  The means of a solve enclose the solve's root and certify
+the enclosure with the scalar section (``scalar.deviation_batch``,
+``scalar.matkowski_batch`` and, for an expression generator, whose numpy
+form comes from the compile of its expression, ``quasi_arithmetic_batch``).
+The vector means of a solve and the weighted means of points with
+expression weights have none: see :mod:`meanreduce.lab`.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .scalar import (
     GeneratorFn,
     ScalarDeviation,
     WeightFn,
+    _exact,
     average,
     average_batch,
     bajraktarevic_mean,
@@ -71,8 +76,9 @@ from .scalar import (
     holder_batch,
     holder_mean,
     identity_generator,
+    matkowski_batch,
     matkowski_mean,
-    numeric_inverse,
+    numeric_generator,
     point_average,
     point_average_batch,
     quasi_arithmetic_batch,
@@ -191,9 +197,10 @@ _IDENTITY_NAMES = ("identity", "id", "u")
 def build_generator(spec, domain: Optional[Interval] = None,
                     cfg: SolverConfig = DEFAULT_CONFIG) -> GeneratorFn:
     """A GeneratorFn from a named generator or an expression in u, whose
-    inverse is a numeric one on cfg's iteration budget.  The named "log"
-    takes a domain inside (0, inf), by default (0, inf) itself; any other
-    domain raises InvalidArgumentError."""
+    inverse is a numeric one on cfg's iteration budget and whose numpy form
+    comes from the same compile (``scalar.numeric_generator``).  The named
+    "log" takes a domain inside (0, inf), by default (0, inf) itself; any
+    other domain raises InvalidArgumentError."""
     from .scalar import exp_generator, identity_generator, log_generator
 
     if isinstance(spec, GeneratorFn):
@@ -208,9 +215,9 @@ def build_generator(spec, domain: Optional[Interval] = None,
         return replace(log_generator(), domain=domain or POSITIVE_REALS)
     if text == "exp":
         return exp_generator(domain or REALS)
-    dom = domain or REALS
-    feval = parse_expression(text, allowed=("u",)).bind(("u",))
-    return GeneratorFn(eval=feval, inverse=numeric_inverse(feval, dom, cfg), domain=dom)
+    # One compile gives the generator and its numpy form.
+    return numeric_generator(*parse_expression(text, allowed=("u",)).bind_batch(("u",)),
+                             domain or REALS, cfg)
 
 
 def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
@@ -280,7 +287,11 @@ def _expand(entries, arity: int, what: str) -> list:
         entries = [entries]
     entries = list(entries)
     if len(entries) == 1:
-        entries = entries * arity
+        try:
+            entries = entries * arity
+        except OverflowError:
+            raise InvalidArgumentError(f"cannot repeat one of the {what} for an arity of "
+                                       f"{arity}") from None
     if len(entries) != arity:
         raise InvalidArgumentError(f"need 1 or {arity} {what}, got {len(entries)}")
     return entries
@@ -345,7 +356,8 @@ def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:
     return MeanFn(arity=arity, dim=dim, label="arithmetic",
                   eval=average if dim is None else point_average,
                   select=lambda chi: arithmetic_mean_fn(chi.k, dim),
-                  batch=partial(average_batch if dim is None else point_average_batch, None))
+                  batch=partial(_exact, partial(average_batch if dim is None
+                                                else point_average_batch, None)))
 
 
 def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
@@ -359,8 +371,8 @@ def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
     numeric = [isinstance(w, (int, float)) for w in specs]
     entries = tuple(w if plain else built for w, built, plain in zip(specs, ws, numeric))
     if all(numeric):
-        batch = partial(average_batch if dim is None else point_average_batch,
-                        tuple(map(float, specs)))
+        batch = partial(_exact, partial(average_batch if dim is None else point_average_batch,
+                                        tuple(map(float, specs))))
     else:
         # The Bajraktarevic mean of the identity, weighted as this mean is.
         batch = quasi_arithmetic_batch(identity_generator(domain), ws) if dim is None else None
@@ -375,14 +387,14 @@ def holder_mean_fn(p: float, arity: int) -> MeanFn:
     return MeanFn(arity=arity, label=f"holder p={p}",
                   eval=lambda xs, p=float(p): holder_mean(p, xs),
                   select=lambda chi: holder_mean_fn(p, chi.k),
-                  batch=partial(holder_batch, float(p)))
+                  batch=partial(_exact, partial(holder_batch, float(p))))
 
 
 def gini_mean_fn(p: float, q: float, arity: int) -> MeanFn:
     return MeanFn(arity=arity, label=f"gini p={p} q={q}",
                   eval=lambda xs, p=float(p), q=float(q): gini_mean(p, q, xs),
                   select=lambda chi: gini_mean_fn(p, q, chi.k),
-                  batch=partial(gini_batch, float(p), float(q)))
+                  batch=partial(_exact, partial(gini_batch, float(p), float(q))))
 
 
 def quasi_arithmetic_mean_fn(f, arity: int, domain: Optional[Interval] = None,
@@ -413,7 +425,8 @@ def matkowski_mean_fn(fs: Sequence, arity: int, domain: Optional[Interval] = Non
     gens = tuple(build_generator(f, domain, cfg) for f in _expand(fs, arity, "generators"))
     return MeanFn(arity=arity, label="matkowski",
                   eval=lambda xs, gs=gens, cfg=cfg: matkowski_mean(gs, xs, cfg),
-                  select=lambda chi: matkowski_mean_fn(select(gens, chi), chi.k, cfg=cfg))
+                  select=lambda chi: matkowski_mean_fn(select(gens, chi), chi.k, cfg=cfg),
+                  batch=matkowski_batch(gens, cfg))
 
 
 def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:

@@ -25,26 +25,20 @@ the search has a ``MeanFn.batch`` form, and the case function f (or the
 (``suites`` sets it from ``Expression.bind_batch``, a function of the
 coordinates for a function of points), the sides of each block of drawn
 trials are evaluated in one numpy pass under raising ``np.errstate``; a
-floating-point signal sends the whole block to the scalar path.  A trial is
+floating-point signal sends the whole block to the scalar path.  A mean's
+form returns its values and a radius, how far its ``eval`` may lie from
+each: 0 for a closed form, the enclosure's reach plus the stop width for
+the mean of a solve.  A radius passes only straight to a side: N's, E's,
+G's under the identity of a comparison, and M's in a Hölder-Minkowski
+check; a row whose radius would pass f or a combiner is NaN.  A trial is
 skipped only when its numpy sides are finite and clear the violation
-threshold by ``core.BATCH_MARGIN`` (1 + |lhs| + |rhs|); the scalar sides
-run, in trial order, on every other trial.  So every witness, trial
-count, side, error and recheck a search reports comes from the scalar
-means, as without the screen.
-
-The closed forms are screened: the arithmetic and weighted arithmetic means
-of scalars and of points, the Hölder and Gini means, and the
-quasi-arithmetic and Bajraktarević means of the named generators (see
-``descriptors``).  A search with a mean or function that has no numpy form
-runs every trial through the scalar path: the deviation and Matkowski
-means, the means of an expression generator, the vector means of a solve,
-the weighted means of points with expression weights, and a user callable.
-A deviation or Matkowski mean is a root search that promises its value only
-to the width it stops at: ``REDUCTION_CFG.abs_tol`` (1e-10) in the suites,
-400 times the budget of ``MeanFn.batch`` at a mean of 1, so no numpy form
-can promise to lie within that budget of it.  A mean of an expression
-generator inverts it by a scalar root search (``scalar.numeric_inverse``),
-which has no numpy form.
+threshold by ``core.BATCH_MARGIN`` (1 + |lhs| + |rhs|) and by the sides'
+radii; the scalar sides run, in trial order, on every other trial.  So
+every witness, trial count, side, error and recheck a search reports comes
+from the scalar means, as without the screen.  Every packaged case is
+screened; a search with a mean or function that has no numpy form (a
+vector mean of a solve, a weighted mean of points with expression weights,
+a user callable) runs every trial through the scalar path.
 
 Hypotheses on user-supplied means (continuity, unique reducibility) can only
 be sampled, never proven; reports carry ``"hypotheses": "sampled"``.
@@ -348,12 +342,17 @@ def _search(blocks: Iterable, sides: Callable, trials: int, tol: float, case_nam
 def _cleared(screen: Callable, values, tol: float) -> Iterable[bool]:
     """Per trial of a block, whether its numpy sides are finite and clear
     lhs <= rhs + tol (1 + |lhs| + |rhs|) by BATCH_MARGIN (1 + |lhs| +
-    |rhs|); no trial where the screen raises or signals a floating-point
-    error (underflow aside, as in ``core.batch_values``)."""
+    |rhs|) and by (1 + tol + BATCH_MARGIN) times the radius the sides carry
+    (the sum of both sides' radii: the scalar sides may lie that far off,
+    and the tolerance they are held to moves with them); no trial where the
+    screen raises or signals a floating-point error (underflow aside, as in
+    ``core.batch_values``)."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            lhs, rhs = screen(values)
+            lhs, rhs, radius = screen(values)
             slack = (rhs - lhs) - (BATCH_MARGIN - tol) * (1.0 + np.abs(lhs) + np.abs(rhs))
+            if isinstance(radius, np.ndarray):  # a closed form's radius is the float 0
+                slack = slack - (1.0 + tol + BATCH_MARGIN) * radius
     except Exception:  # noqa: BLE001 - the scalar sides report it
         return repeat(False)
     # A NaN row compares false; comparing it may set the invalid flag.
@@ -442,12 +441,23 @@ def _convexity_sides(f: Callable, M: MeanFn, N: MeanFn, xs: tuple) -> tuple[floa
     return lhs, rhs
 
 
-def _convexity_batch(f: Callable, M: Callable, N: Callable,
-                     X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_convexity_sides`` of every row of X, from numpy forms; a (T, n, d)
-    block of tuples of points gives f the coordinates of each point."""
+def _straight(values: np.ndarray, radius) -> np.ndarray:
+    """values where their radius is 0, NaN where a function of them would
+    carry a nonzero radius: nothing bounds how far it moves them."""
+    return np.where(radius > 0, np.nan, values) if isinstance(radius, np.ndarray) else values
+
+
+def _convexity_batch(f: Callable, M: Callable, N: Callable, X: np.ndarray) -> tuple:
+    """``_convexity_sides`` of every row of X, from numpy forms, and the sum
+    of the sides' radii; a (T, n, d) block of tuples of points gives f the
+    coordinates of each point.  M's radius passes to the side only under
+    the identity of a comparison."""
     points = X.ndim == 3
-    return _lift(f, M(X), points=points), N(_lift(f, X, points=points))
+    m, m_radius = M(X)
+    rhs, radius = N(_lift(f, X, points=points))
+    if f is _identity:
+        return m, rhs, m_radius + radius
+    return _lift(f, _straight(m, m_radius), points=points), rhs, radius
 
 
 def check_reduced_convexity(case: ConvexityCase, chi: Injection, trials: int,
@@ -566,11 +576,13 @@ def _hm_sides(f: Callable, *args) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _hm_batch(f: Callable, *args) -> tuple[np.ndarray, np.ndarray]:
-    """``_hm_sides`` of every row of the arrays, from numpy forms, for the
-    arguments f, N_1, ..., N_ell, M, (X^1, ..., X^ell)."""
+def _hm_batch(f: Callable, *args) -> tuple:
+    """``_hm_sides`` of every row of the arrays, from numpy forms, and M's
+    radius, for the arguments f, N_1, ..., N_ell, M, (X^1, ..., X^ell); an
+    N's radius does not pass the combiner."""
     *N_list, M, arrays = args
-    return M(_lift(f, *arrays)), _lift(f, *(N(X) for N, X in zip(N_list, arrays)))
+    lhs, radius = M(_lift(f, *arrays))
+    return lhs, _lift(f, *(_straight(*N(X)) for N, X in zip(N_list, arrays))), radius
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ from .errors import (
     NoConvergenceError,
     NotAMeanError,
 )
-from .scalar import DeviationTuple, deviation_mean, weighted_arith_mean
+from .scalar import DeviationTuple, deviation_batch, deviation_mean, weighted_arith_mean
 from .vector import (
     GenDeviation,
     PotentialFn,
@@ -112,20 +112,30 @@ class MeanFn:
     mean.  ``reduced_mean_fn`` uses it after checking chi; it is None for a
     black-box mean, which reduces by the fixed point.
 
-    ``batch`` is set for the closed forms that have a numpy form (see
-    :mod:`meanreduce.descriptors`): the arithmetic and weighted arithmetic
-    means, the Hölder and Gini means, and the quasi-arithmetic and
-    Bajraktarević means of the named generators.  It maps a (T, arity)
-    array of data tuples to their T values in one call, and for a mean of
-    points in R^d a (T, arity, d) block of tuples of points to their T
-    points, shape (T, d).  Each finite value, or coordinate, lies within
+    ``batch`` is the mean's numpy form, where it has one (see
+    :mod:`meanreduce.descriptors`).  It maps a (T, arity) array of data
+    tuples to ``(values, radius)``: their T values and how far ``eval`` may
+    lie from each, a float or an array of T.  A mean of points in R^d maps a
+    (T, arity, d) block of tuples of points to their T points, shape
+    (T, d).  Each finite value, or coordinate, lies within radius plus
     ``core.BATCH_MARGIN`` / 4 times its |eval| of ``eval`` on that row, and
-    a row is NaN wherever ``eval`` raises or the form cannot promise that
-    budget.  The lab screens its trials with it (see :mod:`meanreduce.lab`);
-    every reported value still comes from ``eval``.  ``reduced_mean_fn``
-    keeps the selected mean's hook.  The means of a solve have none: a
-    deviation, Matkowski or vector mean promises its value only to its stop
-    width, and an expression generator is inverted by a scalar search.
+    a row is NaN wherever ``eval`` raises or the form cannot promise that.
+    A closed form's radius is 0.  A solve promises its value only to the
+    width it stops at, so the form of a deviation, Matkowski or
+    inverted-generator mean encloses the root of the solve's section in
+    numpy and checks each end with one scalar call of that section: its
+    radius is the enclosure's reach plus that width (see the forms of a
+    solve in :mod:`meanreduce.scalar`).  That proof assumes the section
+    monotone and finite on the hull of the data, as the deviation axioms
+    and the generators' monotonicity, sampled at build, say.  The numpy
+    search checks what it evaluates: ``_check_monotone``'s guard on its own
+    points, finite values at the ends of the hull.  So the one case the
+    form cannot see is a section that is not monotone, or not finite, only
+    at or between the points the scalar solve itself evaluates: there the
+    scalar path raises where the form gave a value.  The lab screens its
+    trials with the form (see :mod:`meanreduce.lab`); every reported value
+    still comes from ``eval``.  ``reduced_mean_fn`` keeps the selected
+    mean's hook.  The vector means of a solve have none.
     """
 
     arity: int
@@ -134,7 +144,7 @@ class MeanFn:
     label: str = "mean"
     report: Optional[Callable] = None
     select: Optional[Callable[[Injection], "MeanFn"]] = None
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batch: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         if self.arity <= 0:
@@ -151,14 +161,16 @@ class MeanFn:
 
 
 def _solver_mean_fn(solve, entries, cfg: SolverConfig, label: str,
-                    dim: Optional[int] = None) -> MeanFn:
+                    dim: Optional[int] = None, batch: Optional[Callable] = None) -> MeanFn:
     # Each evaluation is one solve of its own: the mean is a function of its
-    # arguments alone.
+    # arguments alone.  batch(entries, cfg), where given, is the numpy form
+    # of the solve, or None; a selection builds its own.
     report = lambda xs: solve(entries, xs, cfg)  # noqa: E731
     return MeanFn(arity=len(entries), dim=dim, label=label, report=report,
                   eval=lambda xs: _certified(report(xs), label, xs),
                   select=lambda chi: _solver_mean_fn(solve, _select_entries(entries, chi), cfg,
-                                                     f"{label} reduced by {chi.map}", dim))
+                                                     f"{label} reduced by {chi.map}", dim, batch),
+                  batch=None if batch is None else batch(entries, cfg))
 
 
 def _select_entries(entries, chi: Injection):
@@ -171,7 +183,7 @@ def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
                       label: str = "deviation mean") -> MeanFn:
     # Bound once here, for every solve of the mean.
     E = E if isinstance(E, DeviationTuple) else DeviationTuple(tuple(E))
-    return _solver_mean_fn(deviation_mean, E, cfg, label)
+    return _solver_mean_fn(deviation_mean, E, cfg, label, batch=deviation_batch)
 
 
 def gen_deviation_mean_fn(E: Sequence[GenDeviation], cfg: SolverConfig = DEFAULT_CONFIG,

@@ -43,8 +43,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -52,12 +54,14 @@ import numpy as np
 from .core import (
     BATCH_MARGIN,
     DEFAULT_CONFIG,
+    ITP_N0,
     Injection,
     Interval,
     POSITIVE_REALS,
     REALS,
     SolverConfig,
     SolverReport,
+    _certified,
     as_point_tuple,
     batch_values,
     bracketed_root,
@@ -255,12 +259,19 @@ def power_weight(q: float, domain: Interval = POSITIVE_REALS) -> WeightFn:
 
 @dataclass(frozen=True)
 class GeneratorFn:
-    """A strictly increasing continuous function together with its inverse."""
+    """A strictly increasing continuous function together with its inverse.
+
+    ``batch``, where it is set, is the numpy form of ``eval``, and
+    ``inverse`` is ``numeric_inverse`` of ``eval``, which settles within its
+    budget on every target of data in the domain's finite window
+    (``numeric_generator``, which ``descriptors.build_generator`` calls for
+    an expression generator)."""
 
     eval: Callable[[float], float]
     inverse: Callable[[float], float]
     domain: Interval = REALS
     validate: bool = True
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.validate:
@@ -344,6 +355,31 @@ def numeric_inverse(fn: Callable[[float], float], domain: Interval,
         return 0.5 * root.a + 0.5 * root.b
 
     return inverse
+
+
+def numeric_generator(fn: Callable[[float], float], form: Callable, domain: Interval,
+                      cfg: SolverConfig = DEFAULT_CONFIG) -> GeneratorFn:
+    """The generator fn, inverted by ``numeric_inverse`` on cfg's budget,
+    with ``form``, the numpy form of fn, as its ``batch`` where every
+    inversion of a target of data in the domain's finite window [lo, hi]
+    settles within that budget.  That is so where fn(lo) and fn(hi) are
+    finite, so that no bracket is expanded, and the search's count of steps
+    on [lo, hi] (``core.bracketed_root``) is below cfg.max_iter: bisection's
+    count to the first tolerance, plus ITP_N0, and, for a window that holds
+    0, where the relative tolerance shrinks toward 2^-1073, the count of
+    bisection steps down to that width."""
+    lo, hi = domain.finite_window()
+    try:
+        ends = (fn(lo), fn(hi))
+    except Exception:  # noqa: BLE001 - every inversion raises it: no numpy form
+        ends = (math.nan,)
+    span = math.log2(0.5 * hi - 0.5 * lo) + 1.0
+    steps = math.ceil(span - math.log2(2.0 * _TINY + 4.0 * _EPS * min(abs(lo), abs(hi)))) + ITP_N0
+    if lo < 0.0 < hi:
+        steps += math.ceil(span - math.log2(2.0 * _TINY)) + ITP_N0
+    settles = all(map(math.isfinite, ends)) and steps < cfg.max_iter
+    return GeneratorFn(eval=fn, inverse=numeric_inverse(fn, domain, cfg), domain=domain,
+                       batch=form if settles else None)
 
 
 def _identity(u: float) -> float:
@@ -595,11 +631,16 @@ def bajraktarevic_mean(f: GeneratorFn, w: Sequence[WeightFn], x: Sequence[float]
         raise InvalidArgumentError("empty tuple")
     xs = [float(v) for v in x]
     _check_in_domain(f.domain, xs, "data value")
+    return _invert_average(f, xs, _weight_values(w, xs))
+
+
+def _weight_values(w: Sequence[WeightFn], xs: list) -> list:
+    """The weights w_i(x_i), each positive, or InvalidArgumentError."""
     weights = [wi(xi) for wi, xi in zip(w, xs)]
     for wi, xi in zip(weights, xs):
         if not wi > 0:
             raise InvalidArgumentError(f"weight {wi} not positive at {xi}")
-    return _invert_average(f, xs, weights)
+    return weights
 
 
 def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
@@ -619,11 +660,7 @@ def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
     the mean.  An average that cancels from normal f-values carries the
     usual rounding of order eps max |f(x_i)| and is inverted as it is, as
     is every other average."""
-    try:
-        fw = [f.eval(xi) for xi in xs]
-    except OverflowError as exc:
-        raise DomainError(f"generator overflows on the data {xs}: {exc}") from None
-    t = _clamped_average(fw, weights)
+    fw, t = _average_target(f, xs, weights)
     if abs(t) >= _NORMAL_MIN:
         y = f.inverse(t)
     elif f.eval is math.exp and f.inverse is math.log:
@@ -643,6 +680,17 @@ def _invert_average(f: GeneratorFn, xs: list, weights: Optional[list]) -> float:
     if not math.isfinite(y) or (y not in f.domain and not _near_domain(y, f.domain)):
         raise DomainError(f"inverted value {y} escapes the generator domain")
     return min(max(y, min(xs)), max(xs))
+
+
+def _average_target(f: GeneratorFn, xs: list, weights: Optional[list]) -> tuple[list, float]:
+    """The f-values of xs and the target ``_invert_average`` inverts: their
+    average, clamped into their hull.  A generator that overflows on the
+    data raises DomainError."""
+    try:
+        fw = [f.eval(xi) for xi in xs]
+    except OverflowError as exc:
+        raise DomainError(f"generator overflows on the data {xs}: {exc}") from None
+    return fw, _clamped_average(fw, weights)
 
 
 def _clamped_average(fw: list, weights: Optional[list]) -> float:
@@ -695,16 +743,17 @@ def _budgeted(ok: np.ndarray, values: np.ndarray, ulps) -> np.ndarray:
     return np.where(ok & np.isfinite(values) & (ulps <= _BATCH_ULPS), values, np.nan)
 
 
-def _clip(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``_clamp`` row by row (np.clip's result, at less overhead)."""
-    return np.minimum(np.maximum(values, lo), hi)
+def _clip(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, out=None) -> np.ndarray:
+    """``_clamp`` row by row (np.clip's result, at less overhead), into out
+    where it is given."""
+    return np.minimum(np.maximum(values, lo, out=out), hi, out=out)
 
 
-def _inside(domain: Interval, X: np.ndarray) -> np.ndarray:
-    """Whether every entry of a row of X lies in the domain, row by row."""
-    lo_ok = (X > domain.lo) | ((X == domain.lo) & (not domain.lo_open))
-    hi_ok = (X < domain.hi) | ((X == domain.hi) & (not domain.hi_open))
-    return (lo_ok & hi_ok).all(axis=1)
+def _inside(domain: Interval, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each row lies in the domain, from its least and greatest
+    entries a and b (NaN, where a row holds one: outside)."""
+    return ((a > domain.lo if domain.lo_open else a >= domain.lo)
+            & (b < domain.hi if domain.hi_open else b <= domain.hi))
 
 
 # The named generators' numpy forms, keyed by their scalar (eval, inverse):
@@ -716,17 +765,34 @@ _NAMED_FORMS = {
 }
 
 
+def _exact(form: Callable, X: np.ndarray) -> tuple:
+    """A closed form's values, with radius 0 (see ``MeanFn.batch``)."""
+    return form(X), 0.0
+
+
 def quasi_arithmetic_batch(f: GeneratorFn, weights: Optional[Sequence[WeightFn]] = None
-                           ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+                           ) -> Optional[Callable[[np.ndarray], tuple]]:
     """The numpy form of ``quasi_arithmetic_mean(f, .)``, or of
-    ``bajraktarevic_mean(f, weights, .)`` where weights are given, for the
-    named generators (log, exp, identity) and weights that have a numpy form
-    (``WeightFn.batch``); None for any other generator or weight."""
+    ``bajraktarevic_mean(f, weights, .)`` where weights are given, for
+    weights that have a numpy form (``WeightFn.batch``): a closed form, with
+    radius 0, for the named generators (log, exp, identity), and the
+    enclosure of the inverse (``_inverse_rows``) for a generator with a
+    numpy form (``GeneratorFn.batch``); None for any other generator or
+    weight."""
     forms = _NAMED_FORMS.get((f.eval, f.inverse))
     rows = None if weights is None else tuple(w.batch for w in weights)
-    if forms is None or (rows is not None and None in rows):
+    if rows is not None and None in rows:
         return None
-    return partial(_quasi_arithmetic_rows, forms, f.domain, rows)
+    if forms is not None:
+        return partial(_exact, partial(_quasi_arithmetic_rows, forms, f.domain, rows))
+    return None if f.batch is None else partial(_inverse_rows, f, weights, rows)
+
+
+def _weight_rows(weights: tuple, X: np.ndarray) -> np.ndarray:
+    """The (T, n) weights of the rows of X, slot i weighted by the numpy
+    form weights[i] (a constant weight returns a float)."""
+    return np.stack([np.broadcast_to(np.asarray(w(X[:, i]), dtype=float), (len(X),))
+                     for i, w in enumerate(weights)], axis=1)
 
 
 def _quasi_arithmetic_rows(forms: tuple, domain: Interval, weights: Optional[tuple],
@@ -746,23 +812,348 @@ def _quasi_arithmetic_rows(forms: tuple, domain: Interval, weights: Optional[tup
     n = X.shape[1]
     with np.errstate(all="ignore"):
         fw = g(X)
-        ok = _inside(domain, X)
+        lo, hi = X.min(axis=1), X.max(axis=1)
+        ok = _inside(domain, lo, hi)
         if weights is None:
             t = fw.sum(axis=1) / n
             slack = (n + 2) * np.abs(fw).mean(axis=1)
         else:
-            W = np.stack([np.broadcast_to(np.asarray(w(X[:, i]), dtype=float), (len(X),))
-                          for i, w in enumerate(weights)], axis=1)
+            W = _weight_rows(weights, X)
             total, mass = (W * fw).sum(axis=1), W.sum(axis=1)
             t = total / mass
             ok &= (((W >= _NORMAL_MIN) & (W <= _NORMAL_MAX)).all(axis=1)
                    & (mass <= _NORMAL_MAX) & (np.abs(total) >= _NORMAL_MIN))
             slack = (2 * n + 2 + 2 * _WEIGHT_ULPS) * (W * np.abs(fw)).sum(axis=1) / mass
         t = _clip(t, fw.min(axis=1), fw.max(axis=1))
-        y = _clip(h(t), X.min(axis=1), X.max(axis=1))
+        y = _clip(h(t), lo, hi)
         ok &= (np.abs(t) >= _NORMAL_MIN) & (np.abs(y) >= _NORMAL_MIN)
         ulps = slack * np.abs(dh(t)) / np.abs(y) + 3
         return _budgeted(ok, y, ulps)
+
+
+# The numpy forms of the means of a solve: deviation and Matkowski means,
+# and the quasi-arithmetic and Bajraktarevic means of a generator inverted
+# by ``numeric_inverse``.  Each narrows the monotone section h its scalar
+# solve reads (made increasing: a deviation's summed section is negated),
+# every row at once, by one numpy search (``_enclose``) to an enclosure
+# [alpha, beta] whose numpy values lie beyond a band +-thr about 0.  Then it
+# calls the scalar section once at each end, and keeps the row where its
+# values lie beyond the solve's own stop: beyond +-cfg.abs_tol for a
+# deviation mean, of strictly opposite signs for a Matkowski section and for
+# a generator against the scalar target of ``_invert_average``.  As the
+# section is monotone, every value the scalar stop rule can return then
+# lies within the solve's width tolerance w of [alpha, beta]: the row's
+# value is the enclosure's midpoint and its radius the enclosure's reach
+# plus w.  That rests on the scalar values alone, not on how far numpy's
+# values lie from math's; a row that fails is NaN.  A row whose root the
+# numpy values place within the band of an end of the hull (where a solve
+# returns that end) takes the scalar mean's own value, radius 0, or NaN
+# where it raises.  The band, _BAND_ULPS ulps of the magnitudes a section
+# sums, only spares the scalar check the rows it would fail.
+_BAND_ULPS = 64
+# The points of each step of ``_enclose`` that cut its bracket evenly, as
+# fractions of its width.
+_GRID = 6
+_CUTS = np.arange(1, _GRID + 1)[:, None] / (_GRID + 1)
+# The nodes at which ``_tabled`` evaluates the part of a section that every
+# row shares.
+_TABLE = 1024
+# The most steps of ``_enclose``, some twice the count that the cuts alone
+# need to narrow a bracket by 2^-36; a row still open after them is NaN.
+_ENCLOSE_STEPS = 24
+
+
+def _enclose(h: Callable, rows: np.ndarray, a: np.ndarray, b: np.ndarray, ha: np.ndarray,
+             hb: np.ndarray, thr: np.ndarray, width: np.ndarray,
+             guard: bool = False) -> np.ndarray:
+    """Enclosures [alpha, beta] of the roots of increasing sections, every
+    row of rows at once.  ``h(rows, Y)`` is the numpy form of the sections
+    of the given rows at the points Y, of shape (k, len(rows)); row r's
+    bracket [a, b] has h(a) = ha < -thr and h(b) = hb > thr.
+
+    Each step evaluates, in one call of h, two probes d either side of the
+    row's estimate of the root, d = max(width / 2, 2 thr / s) for its
+    estimate s of the slope, and the _GRID points that cut the bracket into
+    _GRID + 1 equal parts.  It moves each end of the bracket to the nearest
+    point beyond the band on its side, so that the bracket shrinks by that
+    factor at least; a probe inside the band quadruples the row's d.  The
+    first estimate is the root of the bracket's chord, each next the root
+    of the secant through the probes where a probe is an end of the new
+    bracket and that root falls inside it, and else of the new bracket's
+    chord.  A row closes once its probes fall on either side of the band,
+    or its bracket is at most width wide.
+
+    Returns the (2, len(a)) array of alpha and beta, NaN off rows, on a row
+    that a value not finite stops, or, for ``guard``, a point y with h(y)
+    outside [h(a) - g, h(b) + g], g = 1e-9 (1 + |h(a)| + |h(b)| + |h(y)|),
+    the guard of ``_check_monotone``; NaN too on a row still open after
+    _ENCLOSE_STEPS steps."""
+    out = np.full((2, len(a)), np.nan)
+    # The open rows: every row as a view while none has closed.
+    at = slice(None) if len(rows) == len(a) else rows
+    a, b, ha, hb, thr, width = (v[at] for v in (a, b, ha, hb, thr, width))
+    slope = (hb - ha) / (b - a)
+    x, spread = a - ha / slope, np.ones(len(a))
+    P = np.empty((2 + _GRID, len(a)))
+    for _ in range(_ENCLOSE_STEPS):
+        if not len(a):
+            break
+        d = spread * np.maximum(0.5 * width, 2.0 * thr / slope)
+        np.subtract(x, d, out=P[0])
+        np.add(x, d, out=P[1])
+        _clip(P[:2], a, b, out=P[:2])
+        np.add(a, _CUTS * (b - a), out=P[2:])
+        H = h(at, P)
+        below, above = H < -thr, H > thr
+        bad = ~np.isfinite(H).all(axis=0)
+        if guard and ((H < ha) | (H > hb)).any():
+            g = 1e-9 * (1.0 + np.abs(ha) + np.abs(hb) + np.abs(H))
+            bad |= ((H < ha - g) | (H > hb + g)).any(axis=0)
+        closed = below[0] & above[1]
+        if (closed & ~bad).all():
+            out[:, at] = P[:2]
+            break
+        na, nb = np.where(below, P, a).max(axis=0), np.where(above, P, b).min(axis=0)
+        nha, nhb = np.where(below, H, ha).max(axis=0), np.where(above, H, hb).min(axis=0)
+        slope = (H[1] - H[0]) / (P[1] - P[0])
+        x = P[0] - H[0] / slope
+        near = ((P[:2] == na) | (P[:2] == nb)).any(axis=0) & (na < x) & (x < nb)
+        x = np.where(near, x, na - nha * ((nb - na) / (nhb - nha)))
+        spread = np.where((below[:2] | above[:2]).all(axis=0), spread, 4.0 * spread)
+        a, b, ha, hb = na, nb, nha, nhb
+        done = closed | (b - a <= width) | bad
+        if done.any():
+            at = np.arange(len(out[0]))[at]
+            kept = done & ~bad
+            out[:, at[kept]] = np.where(closed, P[:2], (a, b))[:, kept]
+            keep = ~done
+            at, a, b, ha, hb, thr, width, spread, x, slope = (
+                v[keep] for v in (at, a, b, ha, hb, thr, width, spread, x, slope))
+            P = P[:, keep]
+    return out
+
+
+def _tabled(g: Callable, t: np.ndarray, thr: np.ndarray, rows: np.ndarray, a: np.ndarray,
+            b: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple:
+    """The brackets of the rows of rows for ``_enclose``, narrowed where the
+    section h = g - t of every row has the same increasing part g: g is
+    evaluated once at _TABLE nodes that span the rows' hulls, and each end
+    of a row's bracket moves in to the nearest node beyond the band on its
+    side.  Returns the new a, b, ha and hb."""
+    if not rows.size:
+        return a, b, ha, hb
+    nodes = np.linspace(a[rows].min(), b[rows].max(), _TABLE)
+    G = np.broadcast_to(g(nodes), nodes.shape)
+    lo = np.maximum(np.searchsorted(G, t - thr) - 1, 0)
+    hi = np.minimum(np.searchsorted(G, t + thr, side="right"), _TABLE - 1)
+    h_lo, h_hi = G[lo] - t, G[hi] - t
+    up, down = (nodes[lo] > a) & (h_lo < -thr), (nodes[hi] < b) & (h_hi > thr)
+    return (np.where(up, nodes[lo], a), np.where(down, nodes[hi], b),
+            np.where(up, h_lo, ha), np.where(down, h_hi, hb))
+
+
+def _settled(a: np.ndarray, b: np.ndarray, w: np.ndarray, max_iter: int) -> np.ndarray:
+    """The rows whose ``core.bracketed_root`` on [a, b] at the width
+    tolerance w (rel_tol 0) ends by that width within max_iter steps: its
+    count ceil(log2((b - a) / w)) + ITP_N0, and one step spare, is at most
+    max_iter; no two adjacent floats of [a, b] lie more than w apart, nor
+    are a and b adjacent, where the search would stop at float resolution
+    (adjacent floats of magnitude at most m lie at most eps m apart)."""
+    ulp = _EPS * np.maximum(np.abs(a), np.abs(b))
+    ok = (ulp <= w) & (b - a > ulp)
+    steps = max_iter - ITP_N0 - 1
+    return ok & (b - a <= math.ldexp(1.0, steps) * w) if steps < 1024 else ok
+
+
+def _scalar_rows(mean: Callable, xs: list, rows: np.ndarray, values: np.ndarray):
+    """values[i] = mean(xs[i]) for each row i of rows, left NaN where the
+    scalar mean raises: the row's own value, with radius 0."""
+    for i in rows.tolist():
+        try:
+            values[i] = mean(xs[i])
+        except Exception:  # noqa: BLE001 - the scalar path raises it again
+            pass
+
+
+def _certified_rows(check: Callable, xs: list, rows: np.ndarray, ends: np.ndarray, w,
+                    values: np.ndarray, radius: np.ndarray, ulps: int = 2):
+    """Each row i of rows whose enclosure (alpha, beta), column i of ends,
+    the scalar certificate ``check(xs[i], alpha, beta)`` accepts takes the
+    midpoint, and the radius (beta - alpha) / 2 plus w (w[i], for an array)
+    and ulps eps of the ends, 2 for the rounding of both; a row whose check
+    fails or raises stays NaN."""
+    passed = []
+    for i, lo, hi in zip(rows.tolist(), *ends[:, rows].tolist()):
+        try:
+            passed.append(lo == lo and check(xs[i], lo, hi))  # a NaN enclosure stays NaN
+        except Exception:  # noqa: BLE001 - the scalar path raises it again
+            passed.append(False)
+    rows = rows[np.array(passed, dtype=bool)]
+    lo, hi = ends[:, rows]
+    values[rows] = 0.5 * lo + 0.5 * hi
+    radius[rows] = (0.5 * (hi - lo) + (w[rows] if np.ndim(w) else w)
+                    + ulps * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+
+
+def _summed(values, shape: tuple) -> np.ndarray:
+    """The sum of a family's member values, as an array of shape."""
+    total = reduce(add, values)
+    return total if np.shape(total) == shape else np.broadcast_to(total, shape)
+
+
+def deviation_batch(E: DeviationTuple, cfg: SolverConfig = DEFAULT_CONFIG
+                    ) -> Optional[Callable[[np.ndarray], tuple]]:
+    """The numpy form of ``deviation_mean(E, ., cfg)``, through the numpy
+    form of E's section (``DeviationTuple.batch``); None where E has none.
+    See ``_deviation_rows``."""
+    return None if E.batch is None else partial(_deviation_rows, E, cfg)
+
+
+def _deviation_rows(E: DeviationTuple, cfg: SolverConfig, X: np.ndarray) -> tuple:
+    """The values and radii of ``deviation_mean(E, x, cfg)`` for each row x
+    of X (see the forms of a solve above): a constant row its value, radius
+    0; NaN for rows outside the domain, where the section is not finite at
+    an end of the hull, and where ``_settled`` cannot promise that
+    ``deviation_mean``'s search ends by its width tolerance w = rel_tol (max
+    x - min x) + abs_tol.  The search runs ``_check_monotone``'s guard on
+    its own probes; the certificate is E.total beyond +-abs_tol at alpha
+    and beta.  The band is 2 abs_tol plus _BAND_ULPS n eps of the summed
+    section's |values| at both ends of the hull, where its terms share
+    their sign."""
+    T, n = X.shape
+    a, b = X.min(axis=1), X.max(axis=1)
+    cols = tuple(X.T)
+    inside = _inside(E.common_domain, a, b)
+    values, radius = np.where(inside & (a == b), a, np.nan), np.zeros(T)
+    tol, total = cfg.abs_tol, E.total
+    with np.errstate(all="ignore"):
+        lo, hi = -_summed(E.batch(np.stack((a, b)), *cols), (2, T))
+        thr = 2.0 * tol + _BAND_ULPS * n * _EPS * (np.abs(lo) + np.abs(hi))
+        w = cfg.rel_tol * (b - a) + tol
+        ok = inside & (a < b) & np.isfinite(lo + hi) & _settled(a, b, w, cfg.max_iter)
+        inner = ok & (lo < -thr) & (hi > thr)
+        xs = X.tolist()
+        _scalar_rows(lambda x: _certified(deviation_mean(E, x, cfg), "deviation mean", x), xs,
+                     np.flatnonzero(ok & ~inner), values)
+        rows = np.flatnonzero(inner)
+        enclosed = _enclose(
+            lambda rows, Y: -_summed(E.batch(Y, *(c[rows] for c in cols)), Y.shape),
+            rows, a, b, lo, hi, thr, w, guard=True)
+        _certified_rows(lambda x, lo, hi: total(lo, *x) > tol and total(hi, *x) < -tol,
+                        xs, rows, enclosed, w, values, radius)
+    return values, radius
+
+
+def matkowski_batch(f: Sequence[GeneratorFn], cfg: SolverConfig = DEFAULT_CONFIG
+                    ) -> Optional[Callable[[np.ndarray], tuple]]:
+    """The numpy form of ``matkowski_mean(f, ., cfg)``, for generators of
+    one domain that each have a numpy form: a named one (log, exp,
+    identity) or ``GeneratorFn.batch``; None otherwise.  See
+    ``_matkowski_rows``."""
+    forms = [fi.batch or _NAMED_FORMS.get((fi.eval, fi.inverse), (None,))[0] for fi in f]
+    if None in forms or any(fi.domain != f[0].domain for fi in f):
+        return None
+    return partial(_matkowski_rows, tuple(f), forms, cfg)
+
+
+def _matkowski_rows(f: tuple, forms: list, cfg: SolverConfig, X: np.ndarray) -> tuple:
+    """The values and radii of ``matkowski_mean(f, x, cfg)`` for each row x
+    of X (see the forms of a solve above): a constant row its value, radius
+    0; NaN for rows outside the domain, where a generator's numpy value is
+    not finite on the data or at an end of the hull, and where ``_settled``
+    cannot promise that the search ends by its width tolerance w.  The
+    certificate is ``_matkowski_section``, built from the data as the solve
+    builds it, below 0 at alpha and above 0 at beta.  The band is
+    _BAND_ULPS n eps of the sum of the scaled |f_i| at both ends of the
+    hull and of the target."""
+    T, n = X.shape
+    a, b = X.min(axis=1), X.max(axis=1)
+    scale = math.ldexp(1.0, -(2 * n - 1).bit_length())
+    inside = _inside(f[0].domain, a, b)
+    values, radius = np.where(inside & (a == b), a, np.nan), np.zeros(T)
+    evals = [fi.eval for fi in f]
+
+    def check(x: list, lo: float, hi: float) -> bool:
+        g = _matkowski_section(evals, x)
+        return g(lo) < 0.0 < g(hi)
+
+    # Each distinct numpy form, with its count of slots, evaluated once.
+    counts = Counter(forms)
+
+    def terms(Y: np.ndarray) -> list:
+        return [count * scale * form(Y) for form, count in counts.items()]
+
+    def shared(Y: np.ndarray) -> np.ndarray:
+        return _summed(terms(Y), Y.shape)
+
+    with np.errstate(all="ignore"):
+        if len(counts) == 1:
+            target = scale * np.broadcast_to(forms[0](X), X.shape).sum(axis=1)
+        else:
+            target = _summed([scale * form(x) for form, x in zip(forms, X.T)], (T,))
+        at_ends = terms(np.stack((a, b)))
+        lo, hi = _summed(at_ends, (2, T)) - target
+        thr = _BAND_ULPS * n * _EPS * (_summed(map(np.abs, at_ends), (2, T)).sum(axis=0)
+                                       + np.abs(target))
+        w = cfg.rel_tol * (b - a) + cfg.abs_tol
+        ok = inside & (a < b) & np.isfinite(lo + hi) & _settled(a, b, w, cfg.max_iter)
+        inner = ok & (lo < -thr) & (hi > thr)
+        xs = X.tolist()
+        _scalar_rows(lambda x: matkowski_mean(f, x, cfg), xs, np.flatnonzero(ok & ~inner), values)
+        rows = np.flatnonzero(inner)
+        enclosed = _enclose(lambda rows, Y: shared(Y) - target[rows], rows,
+                            *_tabled(shared, target, thr, rows, a, b, lo, hi), thr, w)
+        _certified_rows(check, xs, rows, enclosed, w, values, radius)
+    return values, radius
+
+
+def _inverse_rows(f: GeneratorFn, weights: Optional[tuple], forms: Optional[tuple],
+                  X: np.ndarray) -> tuple:
+    """The values and radii of ``quasi_arithmetic_mean(f, x)``, or of
+    ``bajraktarevic_mean(f, weights, x)`` where weights are given, with
+    their numpy forms ``forms``, for each row x of X (see the forms of a
+    solve above), where f.inverse is ``numeric_inverse`` of f.eval and
+    settles on the domain's finite window (``GeneratorFn.batch``).  NaN for
+    rows outside that window, where the search would first widen its
+    bracket.  The certificate is f.eval below the scalar target of
+    ``_invert_average`` (``_average_target``, the weights checked as
+    ``bajraktarevic_mean`` checks them) at alpha and above it at beta, a
+    target at least the least normal float, where the inverse needs no
+    underflow check.  The inverse ends on a bracket no wider than 2^-1073 +
+    4 eps of its ends, of which it returns the midpoint, clamped into the
+    hull as the value here is: so the radius adds 8 eps of the ends and
+    2^-1072 to the enclosure's reach.  The band is _BAND_ULPS (n + 2) eps of
+    |t| and of the (weighted) mean of |f(x_i)|, for the average t."""
+    T, n = X.shape
+    a, b = X.min(axis=1), X.max(axis=1)
+    window = f.domain.finite_window()
+    values, radius = np.full(T, np.nan), np.zeros(T)
+
+    def check(x: list, lo: float, hi: float) -> bool:
+        _, target = _average_target(f, x, None if weights is None else _weight_values(weights, x))
+        return abs(target) >= _NORMAL_MIN and f.eval(lo) < target < f.eval(hi)
+
+    with np.errstate(all="ignore"):
+        fw = np.broadcast_to(f.batch(X), X.shape)
+        W = 1.0 if forms is None else _weight_rows(forms, X)
+        mass = n if forms is None else W.sum(axis=1)
+        t = _clip((W * fw).sum(axis=1) / mass, fw.min(axis=1), fw.max(axis=1))
+        thr = _BAND_ULPS * (n + 2) * _EPS * (np.abs(t) + (W * np.abs(fw)).sum(axis=1) / mass)
+        lo, hi = fw.min(axis=1) - t, fw.max(axis=1) - t
+        ok = (_inside(f.domain, a, b) & (a >= window[0]) & (b <= window[1])
+              & np.isfinite(thr))
+        inner = ok & (lo < -thr) & (hi > thr)
+        xs = X.tolist()
+        _scalar_rows(partial(quasi_arithmetic_mean, f) if weights is None
+                     else partial(bajraktarevic_mean, f, weights),
+                     xs, np.flatnonzero(ok & ~inner), values)
+        rows = np.flatnonzero(inner)
+        enclosed = _enclose(lambda rows, Y: np.broadcast_to(f.batch(Y), Y.shape) - t[rows], rows,
+                            *_tabled(f.batch, t, thr, rows, a, b, lo, hi), thr,
+                            2.0 ** -36 * (b - a))
+        _certified_rows(check, xs, rows, enclosed, 4.0 * _TINY, values, radius, ulps=8)
+    values[rows] = _clip(values[rows], a[rows], b[rows])
+    return values, radius
 
 
 def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
@@ -790,17 +1181,8 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
     a, b = min(xs), max(xs)
     if a == b:
         return a
-    evals = [fi.eval for fi in f]
-    scale = math.ldexp(1.0, -(2 * len(xs) - 1).bit_length())
     try:
-        values = [ev(xi) for ev, xi in zip(evals, xs)]
-        if not all(map(math.isfinite, values)):
-            raise DomainError(f"a generator is not finite on the data {xs}")
-        target = math.fsum([scale * v for v in values])
-
-        def g(y: float) -> float:
-            return math.fsum([scale * ev(y) for ev in evals]) - target
-
+        g = _matkowski_section([fi.eval for fi in f], xs)
         ga, gb = g(a), g(b)
         if ga >= 0.0:
             return a
@@ -817,6 +1199,19 @@ def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],
         raise NoConvergenceError("matkowski mean inversion exhausted its iteration budget",
                                  best=mid, residual=root.b - root.a)
     return mid
+
+
+def _matkowski_section(evals: list, xs: list) -> Callable[[float], float]:
+    """The section g(y) = sum_i s f_i(y) - sum_i s f_i(x_i) that
+    ``matkowski_mean`` solves, for s = 2^-k, 2^k >= 2n; DomainError where a
+    generator is not finite on the data.  A generator's OverflowError
+    passes, here and in g."""
+    scale = math.ldexp(1.0, -(2 * len(xs) - 1).bit_length())
+    values = [ev(xi) for ev, xi in zip(evals, xs)]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"a generator is not finite on the data {xs}")
+    target = math.fsum([scale * v for v in values])
+    return lambda y: math.fsum([scale * ev(y) for ev in evals]) - target
 
 
 def _check_positive(x) -> list:

@@ -193,8 +193,6 @@ def build_runner(case: dict, trials: int, tol: float, reduced_tol: float) -> Fuz
         return FuzzCase(name=name, kind=kind, runner=_compile_case(case, kind, run))
     except MeansError as exc:
         error = exc
-    except OverflowError as exc:  # a count too large for an index, as an arity of 10**20
-        error = InvalidArgumentError(str(exc))
     _refuse(name, kind, type(error)(f"case {name!r}: {error}"))
 
 

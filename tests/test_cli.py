@@ -47,8 +47,7 @@ MALFORMED = {
     "samples-text": dict(_WEIGHTS, samples="x"),
     "domain-low-text": dict(JENSEN_SQUARE, domain={"low": "a", "high": 4}),
     "low-text": dict(_POINTS, low="a"),
-    # Its one weight is repeated for 10**20 slots (suites.build_runner's
-    # OverflowError).
+    # Its one weight cannot be repeated for 10**20 slots.
     "arity-beyond-an-index": {"type": "comparison", "chi": [1],
                               "G": {"kind": "weighted-arithmetic", "arity": 10**20,
                                     "params": {"weights": [1.0]}},
@@ -334,6 +333,18 @@ class TestMeanCommand:
                                  "--x", "1,2")
         assert (code, out, err) == (2, "", f"error: arithmetic expects {10**20} arguments, "
                                            "got 2\n")
+
+    @pytest.mark.parametrize("flags, what", [
+        (["--kind", "weighted-arithmetic", "--weights", "1"], "weights"),
+        (["--kind", "bajraktarevic", "--f", "log", "--weights", "1"], "weights"),
+        (["--kind", "matkowski", "--fs", "u"], "generators"),
+    ], ids=["weighted-arithmetic", "bajraktarevic", "matkowski"])
+    def test_one_entry_for_an_arity_beyond_an_index_exits_2(self, capsys, flags, what):
+        # Repeating the one weight or generator for every slot raised
+        # OverflowError: a traceback, exit 1.
+        code, out, err = run_cli(capsys, "mean", *flags, "--arity", str(10**20), "--x", "1,2")
+        assert (code, out, err) == (2, "", f"error: cannot repeat one of the {what} for an "
+                                           f"arity of {10**20}\n")
 
     @pytest.mark.parametrize("descriptor, message", [
         ({"kind": "holder", "arity": 2.7, "params": {"p": 2}},

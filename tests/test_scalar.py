@@ -13,14 +13,18 @@ from meanreduce.descriptors import (
     KINDS,
     _VECTOR_KINDS,
     MeanDescriptor,
+    build_deviations,
     build_generator,
     build_mean,
+    parse_domain,
 )
 from meanreduce.errors import (
     DomainError,
     InvalidArgumentError,
     InvalidDeviationError,
+    NoConvergenceError,
 )
+from meanreduce.expr import Member, parse_expression
 from meanreduce.reduction import check_mean_function, deviation_mean_fn
 from meanreduce.scalar import (
     DeviationTuple,
@@ -30,6 +34,7 @@ from meanreduce.scalar import (
     average,
     bajraktarevic_mean,
     constant_weight,
+    deviation_batch,
     deviation_mean,
     e_sum,
     gini_mean,
@@ -38,6 +43,7 @@ from meanreduce.scalar import (
     identity_generator,
     log_generator,
     make_bajraktarevic_deviation,
+    matkowski_batch,
     matkowski_mean,
     numeric_inverse,
     point_average,
@@ -144,6 +150,35 @@ class TestDeviationMean:
         report = deviation_mean(E, (0.1, 1.0), cfg)
         assert not report.converged
         assert report.iterations == 3
+
+    @pytest.mark.parametrize("text, domain, x, end", [
+        # (1e-110)^3 underflows to 0: the section is 0 at min x.
+        ("(u - v)^3", [-1.0, 1.0], (0.0, 1e-110), 0.0),
+        # (1e-20)^20 underflows: positive at min x, -0.0 at max x.
+        ("u^20*(u - v)", [0.0, 1.0], (1e-20, 1e-14), 1e-14),
+    ], ids=["zero-at-min", "zero-at-max"])
+    def test_a_section_zero_at_an_end_returns_that_end(self, text, domain, x, end):
+        # The exact-endpoint returns (fa <= 0, fb >= 0), and the numpy row:
+        # the same end, radius 0.
+        E = build_deviations([text] * 2, parse_domain(domain))
+        report = deviation_mean(E, x)
+        assert (report.value, report.iterations, report.converged) == (end, 0, True)
+        values, radius = deviation_batch(E)(np.array([x]))
+        assert (values[0], radius[0]) == (end, 0.0)
+
+    def test_the_numpy_row_is_nan_where_a_solve_raises_or_runs_out(self):
+        # The sign guard at the bracket ends, and a budget of 3 steps.
+        E = build_deviations(["u - v"] * 2, REALS)
+        reversed_ = DeviationTuple((ScalarDeviation(REALS, Member(parse_expression("v - u"),
+                                                                  ("u", "v")),
+                                                    validate=False),) * 2)
+        assert reversed_.batch is not None
+        with pytest.raises(InvalidDeviationError):
+            deviation_mean(reversed_, (0.0, 1.0))
+        assert np.isnan(deviation_batch(reversed_)(np.array([[0.0, 1.0]]))[0]).all()
+        cfg = SolverConfig(abs_tol=1e-300, rel_tol=1e-300, max_iter=3)
+        assert not deviation_mean(E, (0.1, 1.0), cfg).converged
+        assert np.isnan(deviation_batch(E, cfg)(np.array([[0.1, 1.0]]))[0]).all()
 
     def test_construction_validation_rejects_reversed_sign(self):
         with pytest.raises(InvalidDeviationError):
@@ -305,6 +340,32 @@ class TestMatkowskiMean:
 
     def test_quasi_arithmetic_alias(self):
         assert quasi_arithmetic_mean(log_generator(), (2.0, 8.0)) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("fs, x, end", [
+        # u^3 underflows to 0 at both data: g(min x) = 0.
+        (["u^3"], (0.0, 1e-110), 0.0),
+        # f_1 = u^3 is 0 at both data, so g(max x) = f_2(max x) - f_2(x_2) = 0.
+        (["u^3", "u"], (0.0, 1e-110), 1e-110),
+    ], ids=["zero-at-min", "zero-at-max"])
+    def test_a_section_zero_at_an_end_returns_that_end(self, fs, x, end):
+        # The exact-endpoint returns (ga >= 0, gb <= 0), and the numpy row:
+        # the same end, radius 0.
+        gens = [build_generator(f, Interval(-1.0, 1.0)) for f in fs]
+        gens = (gens * 2)[:2]
+        assert matkowski_mean(gens, x) == end
+        values, radius = matkowski_batch(gens)(np.array([x]))
+        assert (values[0], radius[0]) == (end, 0.0)
+
+    def test_budget_exhaustion_raises_and_the_numpy_row_is_nan(self):
+        # u^3 is not solved by the first step, and the budget is one step.
+        gens = [build_generator("u^3", POSITIVE_REALS)] * 2
+        cfg = SolverConfig(max_iter=1)
+        with pytest.raises(NoConvergenceError, match="exhausted its iteration budget"):
+            matkowski_mean(gens, (1.0, 2.0), cfg)
+        values, radius = matkowski_batch(gens, cfg)(np.array([[1.0, 2.0]]))
+        assert np.isnan(values[0]) and radius[0] == 0.0
+        assert matkowski_batch(gens)(np.array([[1.0, 2.0]]))[0][0] == pytest.approx(
+            matkowski_mean(gens, (1.0, 2.0)))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.floats(0.1, 50.0), min_size=2, max_size=5), st.data())

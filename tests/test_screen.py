@@ -174,7 +174,8 @@ def test_batch_values_lie_within_the_budget_of_eval(case):
     desc, X = case
     M = build_mean(desc)
     assert M.batch is not None
-    values = M.batch(X)
+    values, radius = M.batch(X)
+    assert radius == 0.0  # a closed form's
     assert values.shape == X.shape[:1] + X.shape[2:]
     weights = desc.params.get("weights", [1.0])
     rational = desc.kind in ("arithmetic", "weighted-arithmetic") and all(
@@ -194,27 +195,132 @@ def test_batch_values_lie_within_the_budget_of_eval(case):
             assert (np.abs(value - exact) <= BATCH_MARGIN / 8 * np.abs(exact)).all(), (desc, x)
 
 
+# Means found by a solve, each kind with the domains its pool of
+# expressions is defined and monotone on.  Deviations are steep and flat;
+# "exp" overflows on [1, 720], and u^3 underflows on [1e-103, 1e-101], where
+# the average of its values can be subnormal.
+_DEVIATION_EXPRS = ["{c}*(u - v)", "{c}*u*(u - v)", "{c}*(u^3 - v^3)", "{c}*(exp(u) - exp(v))",
+                    "{c}*(log(u) - log(v))", "{c}*(u - v)^3", "{c}*(sqrt(u) - sqrt(v))",
+                    "{c}*(u - v)/u"]
+_STEEPNESS = st.sampled_from([1.0, 1e-8, 1e-4, 3.0, 1e4, 1e8])
+_NAMED_GENERATORS = ["u", "log", "exp"]
+_EXPRESSION_GENERATORS = ["u^3", "u + u^3", "exp(u/3)", "sqrt(u)", "-1/u", "log(1 + u)", "u^7",
+                          "1e8*u", "1e-08*u"]
+_SOLVED_DOMAINS = st.sampled_from([(0.1, 10.0), (0.1, 10.0), (0.02, 80.0), (1.0, 720.0),
+                                   (1e-103, 1e-101)])
+
+
+@st.composite
+def solved_descriptors(draw, arity):
+    """A descriptor of a deviation, Matkowski or inverted-generator mean,
+    and the domain its data are drawn about."""
+    kind = draw(st.sampled_from(["deviation-custom", "matkowski", "quasi-arithmetic",
+                                 "bajraktarevic"]))
+    lo, hi = draw(_SOLVED_DOMAINS)
+    if kind == "deviation-custom":
+        lo, hi = draw(st.sampled_from([(0.1, 10.0), (0.02, 18.0)]))
+        exprs = st.builds(str.format, st.sampled_from(_DEVIATION_EXPRS), c=_STEEPNESS)
+        params = {"exprs": _slots(draw, exprs, arity)}
+    elif kind == "matkowski":
+        pool = _NAMED_GENERATORS if hi == 720.0 else _NAMED_GENERATORS + _EXPRESSION_GENERATORS
+        pool = ["u^3", "u"] if lo == 1e-103 else pool
+        params = {"fs": _slots(draw, st.sampled_from(pool), arity)}
+    else:
+        pool = ["u^3"] if lo == 1e-103 else _EXPRESSION_GENERATORS[:7]
+        lo, hi = (lo, hi) if hi != 720.0 else (0.1, 10.0)
+        params = {"f": draw(st.sampled_from(pool))}
+        if kind == "bajraktarevic":
+            params["weights"] = _slots(draw, st.sampled_from(["u", "1 + u^2", 2.0, "1/u"]), arity)
+    return MeanDescriptor(kind=kind, arity=arity, params=dict(params, domain=[lo, hi])), (lo, hi)
+
+
+@st.composite
+def hull_rows(draw, arity, domain):
+    """Rows of arity entries: spread over the domain, clustered, at or next
+    to either end, constant, or with one entry outside it."""
+    lo, hi = domain
+    inside = st.floats(lo, hi)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        style = draw(st.sampled_from(["spread", "cluster", "low", "high", "constant", "outside"]))
+        if style == "cluster":
+            base = draw(inside)
+            row = [min(max(base * (1.0 + draw(st.floats(-1e-9, 1e-9))), lo), hi)
+                   for _ in range(arity)]
+        elif style in ("low", "high"):
+            end, other = (lo, hi) if style == "low" else (hi, lo)
+            row = draw(st.lists(st.sampled_from([end, math.nextafter(end, other)]) | inside,
+                                min_size=arity, max_size=arity))
+        elif style == "constant":
+            row = [draw(inside)] * arity
+        else:
+            row = draw(st.lists(inside, min_size=arity, max_size=arity))
+            if style == "outside":
+                row[draw(st.integers(0, arity - 1))] = draw(st.sampled_from(
+                    [0.0, -1.0, 2.0 * hi, math.nan, math.inf, math.nextafter(hi, math.inf)]))
+        rows.append(row)
+    return np.array(rows, dtype=float)
+
+
+@st.composite
+def solved_cases(draw):
+    arity = draw(st.integers(1, 4))
+    desc, domain = draw(solved_descriptors(arity))
+    return desc, draw(hull_rows(arity, domain))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(solved_cases())
+# exp overflows in math past 709.78, and 705 is lost beside exp(705) + 709.7.
+@example((MeanDescriptor(kind="matkowski", arity=2,
+                         params={"fs": ["exp", "u"], "domain": [1.0, 720.0]}),
+          np.array([[700.0, 715.0], [705.0, 709.7], [709.9, 1.0], [709.0, 709.78]])))
+# The average of u^3 underflows on the first row.
+@example((MeanDescriptor(kind="quasi-arithmetic", arity=2,
+                         params={"f": "u^3", "domain": [1e-103, 1e-101]}),
+          np.array([[1e-103, 2e-103], [5e-102, 9e-102]])))
+# (1e-110)^3 underflows: the section is 0 at min x, where the solve stops.
+@example((MeanDescriptor(kind="deviation-custom", arity=2,
+                         params={"exprs": ["(u - v)^3"], "domain": [-1.0, 1.0]}),
+          np.array([[0.0, 1e-110], [0.5, -0.5], [0.3, 0.3]])))
+def test_solved_batch_values_lie_within_their_radius_of_eval(case):
+    # Every finite row lies within its radius, and the budget, of eval, and
+    # is NaN where eval raises: a value out of the domain, an overflowing
+    # generator, an average that underflows.
+    desc, X = case
+    M = build_mean(desc, REDUCTION_CFG)
+    assert M.batch is not None
+    values, radius = M.batch(X)
+    assert values.shape == radius.shape == X.shape[:1]
+    for x, value, r in zip(X.tolist(), values, radius):
+        try:
+            expected = M(x)
+        except MeansError:
+            assert np.isnan(value), (desc, x, value)
+            continue
+        if np.isnan(value):
+            assert r == 0.0
+            continue
+        assert 0.0 <= r < math.inf
+        assert abs(value - expected) <= r + BATCH_MARGIN / 4 * abs(expected), (desc, x, r)
+        if min(x) == max(x):
+            assert (value, r) == (x[0], 0.0)
+
+
 def test_means_without_a_numpy_form_set_no_batch():
-    for kind, params in [("quasi-arithmetic", {"f": "u^3"}), ("matkowski", {"fs": "u"}),
-                         ("bajraktarevic", {"f": "u^3", "weights": [1.0]}),
-                         ("deviation-custom", {"exprs": "u - v", "domain": [0.1, 10.0]})]:
-        assert build_mean(MeanDescriptor(kind=kind, arity=2, params=params)).batch is None
-    points = MeanDescriptor(kind="weighted-arithmetic", arity=2, dim=2,
-                            params={"weights": ["1 + u1^2", 1.0]})
-    assert build_mean(points).batch is None
+    # The vector means of a solve, and the point means with expression
+    # weights.
+    for kind, params in [("weighted-arithmetic", {"weights": ["1 + u1^2", 1.0]}),
+                         ("gen-deviation", {"exprs": ["u1 - v1", "u2 - v2"]}),
+                         ("norm-squared-potential", {"weights": [1.0]}),
+                         ("custom-potential", {"exprs": ["(u1 - v1)^2 + (u2 - v2)^2"]})]:
+        assert build_mean(MeanDescriptor(kind=kind, arity=2, dim=2, params=params)).batch is None
 
 
 # The packaged cases with a mean that has no numpy form, each with the kind
-# of that mean: deviation and Matkowski means, and means of an expression
-# generator, which are found by a solve (see meanreduce.lab).  The lab
-# screens every trial of every other packaged case.
-_UNSCREENED = {
-    "geometric-le-arith-deviation": {"deviation-custom"},
-    "arith-deviation-le-lehmer": {"deviation-custom"},
-    "matkowski-identity-vs-arith": {"matkowski"},
-    "square-vs-cubic-power-range": {"expression generator"},
-    "square-vs-arith-deviation-range": {"deviation-custom"},
-}
+# of that mean.  Every packaged mean has one: the lab screens every trial of
+# every packaged case.
+_UNSCREENED = {}
 
 
 def _solved_kind(desc: dict) -> str:
@@ -245,12 +351,20 @@ def test_selection_keeps_the_numpy_form():
                                   params={"weights": [1.0, 2.0, 4.0]}))
     reduced = M.select(chi)
     X = np.array([[1.0, 3.0], [2.0, 5.0]])
-    assert reduced.batch(X) == pytest.approx([(4.0 * 1 + 3.0) / 5, (4.0 * 2 + 5.0) / 5])
+    assert reduced.batch(X)[0] == pytest.approx([(4.0 * 1 + 3.0) / 5, (4.0 * 2 + 5.0) / 5])
     for desc in [MeanDescriptor(kind="arithmetic", arity=3, dim=2),
                  MeanDescriptor(kind="weighted-arithmetic", arity=3, dim=2,
                                 params={"weights": [1.0, 2.0, 4.0]}),
                  MeanDescriptor(kind="bajraktarevic", arity=3,
-                                params={"f": "log", "weights": ["u", 2.0, "1 + u^2"]})]:
+                                params={"f": "log", "weights": ["u", 2.0, "1 + u^2"]}),
+                 MeanDescriptor(kind="bajraktarevic", arity=3,
+                                params={"f": "u^3", "weights": ["u", 2.0, "1 + u^2"],
+                                        "domain": [0.1, 10.0]}),
+                 MeanDescriptor(kind="quasi-arithmetic", arity=3, params={"f": "u^3"}),
+                 MeanDescriptor(kind="matkowski", arity=3, params={"fs": ["u", "exp", "u^3"]}),
+                 MeanDescriptor(kind="deviation-custom", arity=3,
+                                params={"exprs": ["u - v", "u*(u - v)", "u^3 - v^3"],
+                                        "domain": [0.1, 10.0]})]:
         assert build_mean(desc).select(chi).batch is not None, desc
 
 
@@ -293,10 +407,25 @@ _BAJRAKTAREVIC_MEANS = st.sampled_from([
     ("weighted-arithmetic", {"weights": ["1/u", 1.0], "domain": [0.0, None]})])
 
 
+# Means of a solve: the packaged ones first, then steeper, flatter and
+# mixed families.
+_SOLVED_MEANS = st.sampled_from([
+    ("deviation-custom", {"exprs": ["u - v"], "domain": [0.02, 18.0]}),
+    ("deviation-custom", {"exprs": ["u*(u - v)"], "domain": [0.02, 18.0]}),
+    ("matkowski", {"fs": ["u"], "domain": [-30.0, 30.0]}),
+    ("quasi-arithmetic", {"f": "u^3", "domain": [0.02, 80.0]}),
+    ("deviation-custom", {"exprs": ["exp(u) - exp(v)", "1e4*(u - v)", "1e-4*u*(u - v)"],
+                          "domain": [0.02, 18.0]}),
+    ("matkowski", {"fs": ["u", "exp", "u^3"], "domain": [0.01, 30.0]}),
+    ("bajraktarevic", {"f": "u^3", "weights": ["u", 2.0], "domain": [0.02, 80.0]})])
+
+
 def _mean(spec, arity, dim=None):
+    """The mean of spec, each list of entries (but the domain) repeated to
+    the arity."""
     kind, params = spec
-    if "weights" in params:
-        params = dict(params, weights=(params["weights"] * arity)[:arity])
+    params = {key: (value * arity)[:arity] if isinstance(value, list) and key != "domain"
+              else value for key, value in params.items()}
     return build_mean(MeanDescriptor(kind=kind, arity=arity, params=params, dim=dim),
                       REDUCTION_CFG)
 
@@ -340,6 +469,37 @@ def test_bajraktarevic_comparison_reports_are_those_of_the_scalar_means(case, sw
     assert outcome(run(G, E)) == outcome(run(unbatched(G), unbatched(E)))
 
 
+@_SETTINGS
+@given(comparisons(_SOLVED_MEANS), st.booleans())
+def test_solved_comparison_reports_are_those_of_the_scalar_means(case, swap):
+    S, P, chi, sampler, seed, trials = case
+    G, E = (P, S) if swap else (S, P)
+
+    def run(G, E):
+        return lambda: compare_means(G, E, chi, trials, 1e-9, sampler=sampler, seed=seed,
+                                     cfg=REDUCTION_CFG, reduced_tol=1e-8)
+
+    assert outcome(run(G, E)) == outcome(run(unbatched(G), unbatched(E)))
+
+
+def test_a_failing_deviation_comparison_reports_the_scalar_witness():
+    # Lehmer's mean sum x^2 / sum x lies above the arithmetic mean: every
+    # trial of Lehmer <= arithmetic that the tolerance does not hide
+    # violates it, and reaches the scalar means through the screen.
+    lehmer, arith = (_mean(("deviation-custom", {"exprs": [text], "domain": [0.02, 18.0]}), 3)
+                     for text in ("u*(u - v)", "u - v"))
+    chi = Injection.of([2, 3], n=3)
+
+    def run(G, E):
+        return lambda: compare_means(G, E, chi, 40, 1e-9, sampler=_POSITIVE, seed=3,
+                                     cfg=REDUCTION_CFG, reduced_tol=1e-8)
+
+    screened = outcome(run(lehmer, arith))
+    assert screened == outcome(run(unbatched(lehmer), unbatched(arith)))
+    assert screened["full"]["found"] and screened["reduced"]["found"]
+    assert outcome(run(arith, lehmer)) == outcome(run(unbatched(arith), unbatched(lehmer)))
+
+
 def _convexity_outcomes(f, M, N, chi, sampler, seed, trials):
     """The outcomes of the full and reduced convexity checks, screened, and
     of the scalar means alone."""
@@ -361,6 +521,37 @@ def test_convexity_reports_are_those_of_the_scalar_means(case, text):
     screened, scalar = _convexity_outcomes(_build_function(text, None), M, N, chi, sampler,
                                            seed, trials)
     assert screened == scalar
+
+
+@_SETTINGS
+@given(comparisons(_SOLVED_MEANS), st.booleans(),
+       st.sampled_from(["u", "u^2", "exp(u)", "log(u)", "-log(u)"]))
+def test_solved_convexity_reports_are_those_of_the_scalar_means(case, swap, text):
+    # A solved M's radius does not pass f, unless f is the identity of a
+    # comparison; a solved N's passes to its side.
+    S, P, chi, sampler, seed, trials = case
+    M, N = (P, S) if swap else (S, P)
+    screened, scalar = _convexity_outcomes(_build_function(text, None), M, N, chi, sampler,
+                                           seed, trials)
+    assert screened == scalar
+
+
+@_SETTINGS
+@given(comparisons(_SOLVED_MEANS), st.integers(1, 2), st.sampled_from(["sum", "product"]),
+       st.booleans())
+def test_solved_holder_minkowski_reports_are_those_of_the_scalar_means(case, ell, spec, swap):
+    # A solved N's radius does not pass the combiner; a solved M's passes.
+    S, P, chi, sampler, seed, trials = case
+    M, N = (P, S) if swap else (S, P)
+    f = combiner(spec)
+
+    def run(f, N, M):
+        hm = HolderMinkowskiCase(N_list=(N,) * ell, M=M, f=f, chi=chi,
+                                 samplers=(sampler,) * ell)
+        return lambda: check_holder_minkowski(hm, trials, 1e-9, seed=seed, cfg=REDUCTION_CFG,
+                                              reduced_tol=1e-8)
+
+    assert outcome(run(f, N, M)) == outcome(run(plain(f), unbatched(N), unbatched(M)))
 
 
 # The functions of the packaged vector cases, and their like in fewer
@@ -419,9 +610,9 @@ def injected(base: MeanFn, violation: tuple, failure: tuple) -> MeanFn:
         return value / 4.0 if xs == violation else value
 
     def batch(X):
-        values = base.batch(X)
+        values, radius = base.batch(X)
         values = np.where(np.all(X == np.array(violation), axis=1), values / 4.0, values)
-        return np.where(np.all(X == np.array(failure), axis=1), np.nan, values)
+        return np.where(np.all(X == np.array(failure), axis=1), np.nan, values), radius
 
     return replace(base, eval=eval_, batch=batch)
 
@@ -476,8 +667,8 @@ def test_a_violation_inside_the_budget_of_the_numpy_sides_is_not_skipped():
         return g - tol * (1.0 + 2.0 * g) * (1.0 + 1e-6)
 
     def e_batch(X):
-        g = G.batch(X)
-        return (g - tol * (1.0 + 2.0 * g) * (1.0 + 1e-6)) * (1.0 + BATCH_MARGIN / 8)
+        g, radius = G.batch(X)
+        return (g - tol * (1.0 + 2.0 * g) * (1.0 + 1e-6)) * (1.0 + BATCH_MARGIN / 8), radius
 
     E = replace(G, eval=e_eval, batch=e_batch)
     identity = _build_function("u", None)
