@@ -315,10 +315,11 @@ def _search(blocks: Iterable, sides: Callable, trials: int, tol: float, case_nam
     (InvalidArgumentError), or one that a DomainError meets outside the
     sampler's box (``inside``), is the sampler's fault
     (InvalidSamplerError); a DomainError inside the box is the mean's own,
-    and is raised as it is.
+    and is raised as it is.  A block too large to draw is the case's fault
+    (``_drawn``).
     """
     t = 0
-    for values, witnesses in blocks:
+    for values, witnesses in _drawn(blocks, case_name):
         cleared = repeat(False) if screen is None else _cleared(screen, values, tol)
         for witness, clear in zip(witnesses, cleared):
             t += 1
@@ -337,6 +338,16 @@ def _search(blocks: Iterable, sides: Callable, trials: int, tol: float, case_nam
                 return CounterexampleReport(found=True, trials=t, witness=witness,
                                             lhs=lhs, rhs=rhs, gap=lhs - rhs, case=case_name)
     return CounterexampleReport(found=False, trials=trials, case=case_name)
+
+
+def _drawn(blocks: Iterable, case_name: str) -> Iterator:
+    """The blocks; where numpy refuses to draw one (a shape beyond its
+    index range, or beyond memory), an InvalidArgumentError naming the
+    case."""
+    try:
+        yield from blocks
+    except (ValueError, MemoryError) as exc:
+        raise InvalidArgumentError(f"{case_name}: cannot draw its trials: {exc}") from None
 
 
 def _cleared(screen: Callable, values, tol: float) -> Iterable[bool]:

@@ -132,10 +132,13 @@ class MeanFn:
     points, finite values at the ends of the hull.  So the one case the
     form cannot see is a section that is not monotone, or not finite, only
     at or between the points the scalar solve itself evaluates: there the
-    scalar path raises where the form gave a value.  The lab screens its
-    trials with the form (see :mod:`meanreduce.lab`); every reported value
-    still comes from ``eval``.  ``reduced_mean_fn`` keeps the selected
-    mean's hook.  The vector means of a solve have none.
+    scalar path raises where the form gave a value.  Two kinds of row are
+    NaN without a search: a row whose root lies within the band of an end
+    of the hull, and a constant row of an expression generator's mean,
+    whose scalar inverse can raise on an underflowing target.  The lab
+    screens its trials with the form (see :mod:`meanreduce.lab`); every
+    reported value still comes from ``eval``.  ``reduced_mean_fn`` keeps
+    the selected mean's hook.  The vector means of a solve have none.
     """
 
     arity: int

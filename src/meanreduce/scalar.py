@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from functools import partial, reduce
 from operator import add
@@ -61,7 +60,6 @@ from .core import (
     REALS,
     SolverConfig,
     SolverReport,
-    _certified,
     as_point_tuple,
     batch_values,
     bracketed_root,
@@ -776,7 +774,7 @@ def quasi_arithmetic_batch(f: GeneratorFn, weights: Optional[Sequence[WeightFn]]
     ``bajraktarevic_mean(f, weights, .)`` where weights are given, for
     weights that have a numpy form (``WeightFn.batch``): a closed form, with
     radius 0, for the named generators (log, exp, identity), and the
-    enclosure of the inverse (``_inverse_rows``) for a generator with a
+    enclosure of the inverse (``_inverse_solve``) for a generator with a
     numpy form (``GeneratorFn.batch``); None for any other generator or
     weight."""
     forms = _NAMED_FORMS.get((f.eval, f.inverse))
@@ -785,7 +783,9 @@ def quasi_arithmetic_batch(f: GeneratorFn, weights: Optional[Sequence[WeightFn]]
         return None
     if forms is not None:
         return partial(_exact, partial(_quasi_arithmetic_rows, forms, f.domain, rows))
-    return None if f.batch is None else partial(_inverse_rows, f, weights, rows)
+    if f.batch is None:
+        return None
+    return partial(_solved_rows, partial(_inverse_solve, f, weights, rows))
 
 
 def _weight_rows(weights: tuple, X: np.ndarray) -> np.ndarray:
@@ -833,31 +833,34 @@ def _quasi_arithmetic_rows(forms: tuple, domain: Interval, weights: Optional[tup
 
 # The numpy forms of the means of a solve: deviation and Matkowski means,
 # and the quasi-arithmetic and Bajraktarevic means of a generator inverted
-# by ``numeric_inverse``.  Each narrows the monotone section h its scalar
-# solve reads (made increasing: a deviation's summed section is negated),
-# every row at once, by one numpy search (``_enclose``) to an enclosure
-# [alpha, beta] whose numpy values lie beyond a band +-thr about 0.  Then it
-# calls the scalar section once at each end, and keeps the row where its
-# values lie beyond the solve's own stop: beyond +-cfg.abs_tol for a
-# deviation mean, of strictly opposite signs for a Matkowski section and for
-# a generator against the scalar target of ``_invert_average``.  As the
-# section is monotone, every value the scalar stop rule can return then
+# by ``numeric_inverse``.  One driver, ``_solved_rows``, runs them all, and
+# each kind states only its own part: the monotone section h its scalar
+# solve reads, in numpy (made increasing: a deviation's summed section is
+# negated), its band, widths and reach, and its scalar check.  The driver
+# narrows every row at once by one numpy search (``_enclose``) to an
+# enclosure [alpha, beta] whose numpy values lie beyond a band +-thr about
+# 0.  Then it calls the scalar section once at each end, and keeps the row
+# where its values lie beyond the solve's own stop: beyond +-cfg.abs_tol
+# for a deviation mean, of strictly opposite signs for a Matkowski section
+# and for a generator against the scalar target of ``_invert_average``.  As
+# the section is monotone, every value the scalar stop rule can return then
 # lies within the solve's width tolerance w of [alpha, beta]: the row's
 # value is the enclosure's midpoint and its radius the enclosure's reach
 # plus w.  That rests on the scalar values alone, not on how far numpy's
-# values lie from math's; a row that fails is NaN.  A row whose root the
-# numpy values place within the band of an end of the hull (where a solve
-# returns that end) takes the scalar mean's own value, radius 0, or NaN
-# where it raises.  The band, _BAND_ULPS ulps of the magnitudes a section
-# sums, only spares the scalar check the rows it would fail.
+# values lie from math's; a row that fails is NaN.  So are two kinds of row
+# that the search never takes, and the lab evaluates them with the scalar
+# mean, as it does every NaN row: a row whose root the numpy values place
+# within the band of an end of the hull (where a solve returns that end),
+# and a constant row of an expression generator's mean, whose scalar
+# inverse can raise on an underflowing target.  A constant row of a
+# deviation or Matkowski mean is its own value, radius 0.  The band,
+# _BAND_ULPS ulps of the magnitudes a section sums, only spares the scalar
+# check the rows it would fail.
 _BAND_ULPS = 64
 # The points of each step of ``_enclose`` that cut its bracket evenly, as
 # fractions of its width.
 _GRID = 6
 _CUTS = np.arange(1, _GRID + 1)[:, None] / (_GRID + 1)
-# The nodes at which ``_tabled`` evaluates the part of a section that every
-# row shares.
-_TABLE = 1024
 # The most steps of ``_enclose``, some twice the count that the cuts alone
 # need to narrow a bracket by 2^-36; a row still open after them is NaN.
 _ENCLOSE_STEPS = 24
@@ -933,25 +936,6 @@ def _enclose(h: Callable, rows: np.ndarray, a: np.ndarray, b: np.ndarray, ha: np
     return out
 
 
-def _tabled(g: Callable, t: np.ndarray, thr: np.ndarray, rows: np.ndarray, a: np.ndarray,
-            b: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple:
-    """The brackets of the rows of rows for ``_enclose``, narrowed where the
-    section h = g - t of every row has the same increasing part g: g is
-    evaluated once at _TABLE nodes that span the rows' hulls, and each end
-    of a row's bracket moves in to the nearest node beyond the band on its
-    side.  Returns the new a, b, ha and hb."""
-    if not rows.size:
-        return a, b, ha, hb
-    nodes = np.linspace(a[rows].min(), b[rows].max(), _TABLE)
-    G = np.broadcast_to(g(nodes), nodes.shape)
-    lo = np.maximum(np.searchsorted(G, t - thr) - 1, 0)
-    hi = np.minimum(np.searchsorted(G, t + thr, side="right"), _TABLE - 1)
-    h_lo, h_hi = G[lo] - t, G[hi] - t
-    up, down = (nodes[lo] > a) & (h_lo < -thr), (nodes[hi] < b) & (h_hi > thr)
-    return (np.where(up, nodes[lo], a), np.where(down, nodes[hi], b),
-            np.where(up, h_lo, ha), np.where(down, h_hi, hb))
-
-
 def _settled(a: np.ndarray, b: np.ndarray, w: np.ndarray, max_iter: int) -> np.ndarray:
     """The rows whose ``core.bracketed_root`` on [a, b] at the width
     tolerance w (rel_tol 0) ends by that width within max_iter steps: its
@@ -965,34 +949,35 @@ def _settled(a: np.ndarray, b: np.ndarray, w: np.ndarray, max_iter: int) -> np.n
     return ok & (b - a <= math.ldexp(1.0, steps) * w) if steps < 1024 else ok
 
 
-def _scalar_rows(mean: Callable, xs: list, rows: np.ndarray, values: np.ndarray):
-    """values[i] = mean(xs[i]) for each row i of rows, left NaN where the
-    scalar mean raises: the row's own value, with radius 0."""
-    for i in rows.tolist():
-        try:
-            values[i] = mean(xs[i])
-        except Exception:  # noqa: BLE001 - the scalar path raises it again
-            pass
-
-
-def _certified_rows(check: Callable, xs: list, rows: np.ndarray, ends: np.ndarray, w,
-                    values: np.ndarray, radius: np.ndarray, ulps: int = 2):
-    """Each row i of rows whose enclosure (alpha, beta), column i of ends,
-    the scalar certificate ``check(xs[i], alpha, beta)`` accepts takes the
-    midpoint, and the radius (beta - alpha) / 2 plus w (w[i], for an array)
-    and ulps eps of the ends, 2 for the rounding of both; a row whose check
-    fails or raises stays NaN."""
-    passed = []
-    for i, lo, hi in zip(rows.tolist(), *ends[:, rows].tolist()):
-        try:
-            passed.append(lo == lo and check(xs[i], lo, hi))  # a NaN enclosure stays NaN
-        except Exception:  # noqa: BLE001 - the scalar path raises it again
-            passed.append(False)
-    rows = rows[np.array(passed, dtype=bool)]
-    lo, hi = ends[:, rows]
-    values[rows] = 0.5 * lo + 0.5 * hi
-    radius[rows] = (0.5 * (hi - lo) + (w[rows] if np.ndim(w) else w)
-                    + ulps * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+def _solved_rows(solve: Callable, X: np.ndarray) -> tuple:
+    """The values and radii of a mean of a solve for each row of X (see the
+    forms of a solve above).  ``solve(X, a, b)``, for the rows' least and
+    greatest entries a and b, gives the kind's part: the rows on which a
+    constant row is its own value; the rows it can promise; its numpy
+    section at a and at b, and the band; the section h(rows, Y) of
+    ``_enclose``, the width that closes a row there and whether to guard
+    monotonicity; the solve's stop width (a float, or one per row) and the
+    ulps of the ends that a radius adds; and the scalar check(x, alpha,
+    beta).  A row's midpoint is clamped into its hull."""
+    T = len(X)
+    a, b = X.min(axis=1), X.max(axis=1)
+    with np.errstate(all="ignore"):
+        fixed, ok, lo, hi, thr, section, width, guard, stop, ulps, check = solve(X, a, b)
+        values, radius = np.where(fixed & (a == b), a, np.nan), np.zeros(T)
+        rows = np.flatnonzero(ok & (lo < -thr) & (hi > thr))
+        ends = _enclose(section, rows, a, b, lo, hi, thr, width, guard)
+        passed = []
+        for x, lo, hi in zip(X[rows].tolist(), *ends[:, rows].tolist()):
+            try:
+                passed.append(lo == lo and check(x, lo, hi))  # a NaN enclosure stays NaN
+            except Exception:  # noqa: BLE001 - the scalar path raises it again
+                passed.append(False)
+        rows = rows[np.array(passed, dtype=bool)]
+        lo, hi = ends[:, rows]
+        values[rows] = _clip(0.5 * lo + 0.5 * hi, a[rows], b[rows])
+        radius[rows] = (0.5 * (hi - lo) + (stop[rows] if np.ndim(stop) else stop)
+                        + ulps * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+    return values, radius
 
 
 def _summed(values, shape: tuple) -> np.ndarray:
@@ -1005,43 +990,31 @@ def deviation_batch(E: DeviationTuple, cfg: SolverConfig = DEFAULT_CONFIG
                     ) -> Optional[Callable[[np.ndarray], tuple]]:
     """The numpy form of ``deviation_mean(E, ., cfg)``, through the numpy
     form of E's section (``DeviationTuple.batch``); None where E has none.
-    See ``_deviation_rows``."""
-    return None if E.batch is None else partial(_deviation_rows, E, cfg)
+    See ``_deviation_solve``."""
+    return None if E.batch is None else partial(_solved_rows, partial(_deviation_solve, E, cfg))
 
 
-def _deviation_rows(E: DeviationTuple, cfg: SolverConfig, X: np.ndarray) -> tuple:
-    """The values and radii of ``deviation_mean(E, x, cfg)`` for each row x
-    of X (see the forms of a solve above): a constant row its value, radius
-    0; NaN for rows outside the domain, where the section is not finite at
-    an end of the hull, and where ``_settled`` cannot promise that
-    ``deviation_mean``'s search ends by its width tolerance w = rel_tol (max
-    x - min x) + abs_tol.  The search runs ``_check_monotone``'s guard on
-    its own probes; the certificate is E.total beyond +-abs_tol at alpha
-    and beta.  The band is 2 abs_tol plus _BAND_ULPS n eps of the summed
-    section's |values| at both ends of the hull, where its terms share
-    their sign."""
+def _deviation_solve(E: DeviationTuple, cfg: SolverConfig, X: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> tuple:
+    """``deviation_mean(E, x, cfg)`` for each row x of X (see the forms of
+    a solve above): a constant row is its value; NaN for rows outside the
+    domain, where the section is not finite at an end of the hull, and
+    where ``_settled`` cannot promise that ``deviation_mean``'s search ends
+    by its width tolerance w = rel_tol (max x - min x) + abs_tol.  The
+    search runs ``_check_monotone``'s guard on its own probes; the
+    certificate is E.total beyond +-abs_tol at alpha and beta.  The band is
+    2 abs_tol plus _BAND_ULPS n eps of the summed section's |values| at both
+    ends of the hull, where its terms share their sign."""
     T, n = X.shape
-    a, b = X.min(axis=1), X.max(axis=1)
     cols = tuple(X.T)
     inside = _inside(E.common_domain, a, b)
-    values, radius = np.where(inside & (a == b), a, np.nan), np.zeros(T)
     tol, total = cfg.abs_tol, E.total
-    with np.errstate(all="ignore"):
-        lo, hi = -_summed(E.batch(np.stack((a, b)), *cols), (2, T))
-        thr = 2.0 * tol + _BAND_ULPS * n * _EPS * (np.abs(lo) + np.abs(hi))
-        w = cfg.rel_tol * (b - a) + tol
-        ok = inside & (a < b) & np.isfinite(lo + hi) & _settled(a, b, w, cfg.max_iter)
-        inner = ok & (lo < -thr) & (hi > thr)
-        xs = X.tolist()
-        _scalar_rows(lambda x: _certified(deviation_mean(E, x, cfg), "deviation mean", x), xs,
-                     np.flatnonzero(ok & ~inner), values)
-        rows = np.flatnonzero(inner)
-        enclosed = _enclose(
+    lo, hi = -_summed(E.batch(np.stack((a, b)), *cols), (2, T))
+    w = cfg.rel_tol * (b - a) + tol
+    return (inside, inside & _settled(a, b, w, cfg.max_iter), lo, hi,
+            2.0 * tol + _BAND_ULPS * n * _EPS * (np.abs(lo) + np.abs(hi)),
             lambda rows, Y: -_summed(E.batch(Y, *(c[rows] for c in cols)), Y.shape),
-            rows, a, b, lo, hi, thr, w, guard=True)
-        _certified_rows(lambda x, lo, hi: total(lo, *x) > tol and total(hi, *x) < -tol,
-                        xs, rows, enclosed, w, values, radius)
-    return values, radius
+            w, True, w, 2, lambda x, lo, hi: total(lo, *x) > tol and total(hi, *x) < -tol)
 
 
 def matkowski_batch(f: Sequence[GeneratorFn], cfg: SolverConfig = DEFAULT_CONFIG
@@ -1049,111 +1022,79 @@ def matkowski_batch(f: Sequence[GeneratorFn], cfg: SolverConfig = DEFAULT_CONFIG
     """The numpy form of ``matkowski_mean(f, ., cfg)``, for generators of
     one domain that each have a numpy form: a named one (log, exp,
     identity) or ``GeneratorFn.batch``; None otherwise.  See
-    ``_matkowski_rows``."""
+    ``_matkowski_solve``."""
     forms = [fi.batch or _NAMED_FORMS.get((fi.eval, fi.inverse), (None,))[0] for fi in f]
     if None in forms or any(fi.domain != f[0].domain for fi in f):
         return None
-    return partial(_matkowski_rows, tuple(f), forms, cfg)
+    return partial(_solved_rows, partial(_matkowski_solve, tuple(f), forms, cfg))
 
 
-def _matkowski_rows(f: tuple, forms: list, cfg: SolverConfig, X: np.ndarray) -> tuple:
-    """The values and radii of ``matkowski_mean(f, x, cfg)`` for each row x
-    of X (see the forms of a solve above): a constant row its value, radius
-    0; NaN for rows outside the domain, where a generator's numpy value is
-    not finite on the data or at an end of the hull, and where ``_settled``
-    cannot promise that the search ends by its width tolerance w.  The
-    certificate is ``_matkowski_section``, built from the data as the solve
-    builds it, below 0 at alpha and above 0 at beta.  The band is
-    _BAND_ULPS n eps of the sum of the scaled |f_i| at both ends of the
-    hull and of the target."""
+def _matkowski_solve(f: tuple, forms: list, cfg: SolverConfig, X: np.ndarray, a: np.ndarray,
+                     b: np.ndarray) -> tuple:
+    """``matkowski_mean(f, x, cfg)`` for each row x of X (see the forms of
+    a solve above): a constant row is its value; NaN for rows outside the
+    domain, where a generator's numpy value is not finite on the data or at
+    an end of the hull, and where ``_settled`` cannot promise that the
+    search ends by its width tolerance w.  The certificate is
+    ``_matkowski_section``, built from the data as the solve builds it,
+    below 0 at alpha and above 0 at beta.  The band is _BAND_ULPS n eps of
+    the sum of the scaled |f_i| at both ends of the hull and of the
+    target."""
     T, n = X.shape
-    a, b = X.min(axis=1), X.max(axis=1)
     scale = math.ldexp(1.0, -(2 * n - 1).bit_length())
     inside = _inside(f[0].domain, a, b)
-    values, radius = np.where(inside & (a == b), a, np.nan), np.zeros(T)
     evals = [fi.eval for fi in f]
+
+    def terms(Y: np.ndarray) -> list:
+        return [scale * form(Y) for form in forms]
 
     def check(x: list, lo: float, hi: float) -> bool:
         g = _matkowski_section(evals, x)
         return g(lo) < 0.0 < g(hi)
 
-    # Each distinct numpy form, with its count of slots, evaluated once.
-    counts = Counter(forms)
-
-    def terms(Y: np.ndarray) -> list:
-        return [count * scale * form(Y) for form, count in counts.items()]
-
-    def shared(Y: np.ndarray) -> np.ndarray:
-        return _summed(terms(Y), Y.shape)
-
-    with np.errstate(all="ignore"):
-        if len(counts) == 1:
-            target = scale * np.broadcast_to(forms[0](X), X.shape).sum(axis=1)
-        else:
-            target = _summed([scale * form(x) for form, x in zip(forms, X.T)], (T,))
-        at_ends = terms(np.stack((a, b)))
-        lo, hi = _summed(at_ends, (2, T)) - target
-        thr = _BAND_ULPS * n * _EPS * (_summed(map(np.abs, at_ends), (2, T)).sum(axis=0)
-                                       + np.abs(target))
-        w = cfg.rel_tol * (b - a) + cfg.abs_tol
-        ok = inside & (a < b) & np.isfinite(lo + hi) & _settled(a, b, w, cfg.max_iter)
-        inner = ok & (lo < -thr) & (hi > thr)
-        xs = X.tolist()
-        _scalar_rows(lambda x: matkowski_mean(f, x, cfg), xs, np.flatnonzero(ok & ~inner), values)
-        rows = np.flatnonzero(inner)
-        enclosed = _enclose(lambda rows, Y: shared(Y) - target[rows], rows,
-                            *_tabled(shared, target, thr, rows, a, b, lo, hi), thr, w)
-        _certified_rows(check, xs, rows, enclosed, w, values, radius)
-    return values, radius
+    target = _summed([scale * form(x) for form, x in zip(forms, X.T)], (T,))
+    at_ends = terms(np.stack((a, b)))
+    lo, hi = _summed(at_ends, (2, T)) - target
+    w = cfg.rel_tol * (b - a) + cfg.abs_tol
+    return (inside, inside & _settled(a, b, w, cfg.max_iter), lo, hi,
+            _BAND_ULPS * n * _EPS * (_summed(map(np.abs, at_ends), (2, T)).sum(axis=0)
+                                     + np.abs(target)),
+            lambda rows, Y: _summed(terms(Y), Y.shape) - target[rows], w, False, w, 2, check)
 
 
-def _inverse_rows(f: GeneratorFn, weights: Optional[tuple], forms: Optional[tuple],
-                  X: np.ndarray) -> tuple:
-    """The values and radii of ``quasi_arithmetic_mean(f, x)``, or of
-    ``bajraktarevic_mean(f, weights, x)`` where weights are given, with
-    their numpy forms ``forms``, for each row x of X (see the forms of a
-    solve above), where f.inverse is ``numeric_inverse`` of f.eval and
-    settles on the domain's finite window (``GeneratorFn.batch``).  NaN for
-    rows outside that window, where the search would first widen its
-    bracket.  The certificate is f.eval below the scalar target of
-    ``_invert_average`` (``_average_target``, the weights checked as
-    ``bajraktarevic_mean`` checks them) at alpha and above it at beta, a
-    target at least the least normal float, where the inverse needs no
-    underflow check.  The inverse ends on a bracket no wider than 2^-1073 +
-    4 eps of its ends, of which it returns the midpoint, clamped into the
-    hull as the value here is: so the radius adds 8 eps of the ends and
-    2^-1072 to the enclosure's reach.  The band is _BAND_ULPS (n + 2) eps of
-    |t| and of the (weighted) mean of |f(x_i)|, for the average t."""
-    T, n = X.shape
-    a, b = X.min(axis=1), X.max(axis=1)
+def _inverse_solve(f: GeneratorFn, weights: Optional[tuple], forms: Optional[tuple],
+                   X: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """``quasi_arithmetic_mean(f, x)``, or ``bajraktarevic_mean(f, weights,
+    x)`` where weights are given, with their numpy forms ``forms``, for each
+    row x of X (see the forms of a solve above), where f.inverse is
+    ``numeric_inverse`` of f.eval and settles on the domain's finite window
+    (``GeneratorFn.batch``).  NaN for constant rows and for rows outside
+    that window, where the search would first widen its bracket.  The
+    certificate is f.eval below the scalar target of ``_invert_average``
+    (``_average_target``, the weights checked as ``bajraktarevic_mean``
+    checks them) at alpha and above it at beta, a target at least the least
+    normal float, where the inverse needs no underflow check.  The inverse
+    ends on a bracket no wider than 2^-1073 + 4 eps of its ends, of which it
+    returns the midpoint, clamped into the hull as the value here is: so the
+    radius adds 8 eps of the ends and 2^-1072 to the enclosure's reach.  The
+    band is _BAND_ULPS (n + 2) eps of |t| and of the (weighted) mean of
+    |f(x_i)|, for the average t."""
+    n = X.shape[1]
     window = f.domain.finite_window()
-    values, radius = np.full(T, np.nan), np.zeros(T)
 
     def check(x: list, lo: float, hi: float) -> bool:
         _, target = _average_target(f, x, None if weights is None else _weight_values(weights, x))
         return abs(target) >= _NORMAL_MIN and f.eval(lo) < target < f.eval(hi)
 
-    with np.errstate(all="ignore"):
-        fw = np.broadcast_to(f.batch(X), X.shape)
-        W = 1.0 if forms is None else _weight_rows(forms, X)
-        mass = n if forms is None else W.sum(axis=1)
-        t = _clip((W * fw).sum(axis=1) / mass, fw.min(axis=1), fw.max(axis=1))
-        thr = _BAND_ULPS * (n + 2) * _EPS * (np.abs(t) + (W * np.abs(fw)).sum(axis=1) / mass)
-        lo, hi = fw.min(axis=1) - t, fw.max(axis=1) - t
-        ok = (_inside(f.domain, a, b) & (a >= window[0]) & (b <= window[1])
-              & np.isfinite(thr))
-        inner = ok & (lo < -thr) & (hi > thr)
-        xs = X.tolist()
-        _scalar_rows(partial(quasi_arithmetic_mean, f) if weights is None
-                     else partial(bajraktarevic_mean, f, weights),
-                     xs, np.flatnonzero(ok & ~inner), values)
-        rows = np.flatnonzero(inner)
-        enclosed = _enclose(lambda rows, Y: np.broadcast_to(f.batch(Y), Y.shape) - t[rows], rows,
-                            *_tabled(f.batch, t, thr, rows, a, b, lo, hi), thr,
-                            2.0 ** -36 * (b - a))
-        _certified_rows(check, xs, rows, enclosed, 4.0 * _TINY, values, radius, ulps=8)
-    values[rows] = _clip(values[rows], a[rows], b[rows])
-    return values, radius
+    fw = np.broadcast_to(f.batch(X), X.shape)
+    W = 1.0 if forms is None else _weight_rows(forms, X)
+    mass = n if forms is None else W.sum(axis=1)
+    t = _clip((W * fw).sum(axis=1) / mass, fw.min(axis=1), fw.max(axis=1))
+    return (False, _inside(f.domain, a, b) & (a >= window[0]) & (b <= window[1]),
+            fw.min(axis=1) - t, fw.max(axis=1) - t,
+            _BAND_ULPS * (n + 2) * _EPS * (np.abs(t) + (W * np.abs(fw)).sum(axis=1) / mass),
+            lambda rows, Y: np.broadcast_to(f.batch(Y), Y.shape) - t[rows],
+            2.0 ** -36 * (b - a), False, 4.0 * _TINY, 8, check)
 
 
 def matkowski_mean(f: Sequence[GeneratorFn], x: Sequence[float],

@@ -575,6 +575,41 @@ class TestVerifyCommand:
         line, = err.splitlines()
         assert line.startswith(f"error: case '{name}': ")
 
+    @staticmethod
+    def _drawn_case_entry(capsys, tmp_path, command, arity):
+        # A comparison whose full search draws tuples of the given arity.
+        suite = tmp_path / "wide.json"
+        suite.write_text(json.dumps({"cases": [{
+            "type": "comparison", "name": "wide", "chi": [1],
+            "G": {"kind": "arithmetic", "arity": arity},
+            "E": {"kind": "holder", "arity": arity, "params": {"p": 2}}}]}))
+        code, out, err = run_cli(capsys, command, str(suite), "--trials", "5")
+        entry, = json.loads(out)["cases"]
+        assert (code, err) == ({"verify": 1, "fuzz": 0}[command], "")
+        return entry
+
+    @pytest.mark.parametrize("command", ["verify", "fuzz"])
+    def test_an_arity_beyond_an_index_is_the_case_error(self, capsys, tmp_path, command):
+        # numpy refuses a block of 10**20 entries before allocating any:
+        # verify exited 2 with numpy's words alone, naming no case.
+        entry = self._drawn_case_entry(capsys, tmp_path, command, 10**20)
+        assert entry["error"] == ("InvalidArgumentError: wide (full): cannot draw its trials: "
+                                  "Maximum allowed dimension exceeded")
+
+    @pytest.mark.parametrize("command", ["verify", "fuzz"])
+    def test_trials_beyond_memory_are_the_case_error(self, capsys, tmp_path, monkeypatch,
+                                                     command):
+        # The bounds of 2**40 entries raised numpy's MemoryError through the
+        # draw: a traceback, exit 1.  The draw is patched to raise it, as a
+        # host that overcommits memory could grant the 8 TiB instead.
+        def beyond_memory(sampler, count):
+            raise MemoryError(f"Unable to allocate {8 * count} bytes")
+
+        monkeypatch.setattr(meanreduce.lab.BoxSampler, "entry_bounds", beyond_memory)
+        entry = self._drawn_case_entry(capsys, tmp_path, command, 2**40)
+        assert entry["error"] == ("InvalidArgumentError: wide (full): cannot draw its trials: "
+                                  f"Unable to allocate {8 * 2**40} bytes")
+
     def test_suite_without_cases_exits_2(self, capsys, tmp_path):
         suite = tmp_path / "empty.json"
         suite.write_text(json.dumps({"name": "empty", "cases": []}))

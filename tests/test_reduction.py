@@ -379,6 +379,26 @@ class TestCheckUniqueness:
         assert check_uniqueness(M, chi, (0.0, 1.0), result).unique_flag == UNKNOWN
         assert reduce_mean(arithmetic_mean_fn(3), chi, (0.0, 1.0)).unique_flag == UNIQUE
 
+    def test_a_constant_vector_tuple_is_unique_without_a_restart(self):
+        M, calls = counted_mean(arithmetic_mean_fn(3, dim=2))
+        chi = Injection.of([1, 2], n=3)
+        x = ((1.0, 2.0), (1.0, 2.0))
+        result = reduce_vector(M, chi, x)
+        calls[0] = 0
+        assert check_uniqueness(M, chi, x, result).unique_flag == UNIQUE
+        assert calls[0] == 0
+
+    def test_a_vector_restart_out_of_budget_gives_unknown(self):
+        # The solve converges; each restart gets one step from its start.
+        M = weighted_arithmetic_mean_fn([3.0, 1.0, 1.0, 1.0, 1.0], 5, dim=2)
+        chi = Injection.of([1, 2], n=5)
+        x = ((0.0, 0.0), (3.0, 1.0))
+        result = reduce_vector(M, chi, x)
+        assert result.certificate.converged
+        assert check_uniqueness(M, chi, x, result).unique_flag == UNIQUE
+        flag = check_uniqueness(M, chi, x, result, SolverConfig(max_iter=1)).unique_flag
+        assert flag == UNKNOWN
+
     def test_unconverged_vector_result_stays_unknown(self):
         M, calls = counted_mean(weighted_arithmetic_mean_fn([3.0, 1.0, 1.0, 1.0, 1.0], 5, dim=2))
         chi = Injection.of([1, 2], n=5)

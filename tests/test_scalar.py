@@ -13,6 +13,7 @@ from meanreduce.descriptors import (
     KINDS,
     _VECTOR_KINDS,
     MeanDescriptor,
+    bajraktarevic_mean_fn,
     build_deviations,
     build_generator,
     build_mean,
@@ -158,13 +159,13 @@ class TestDeviationMean:
         ("u^20*(u - v)", [0.0, 1.0], (1e-20, 1e-14), 1e-14),
     ], ids=["zero-at-min", "zero-at-max"])
     def test_a_section_zero_at_an_end_returns_that_end(self, text, domain, x, end):
-        # The exact-endpoint returns (fa <= 0, fb >= 0), and the numpy row:
-        # the same end, radius 0.
+        # The exact-endpoint returns (fa <= 0, fb >= 0).  The numpy row is
+        # NaN: a root at an end of the hull is left to the scalar mean.
         E = build_deviations([text] * 2, parse_domain(domain))
         report = deviation_mean(E, x)
         assert (report.value, report.iterations, report.converged) == (end, 0, True)
         values, radius = deviation_batch(E)(np.array([x]))
-        assert (values[0], radius[0]) == (end, 0.0)
+        assert np.isnan(values[0]) and radius[0] == 0.0
 
     def test_the_numpy_row_is_nan_where_a_solve_raises_or_runs_out(self):
         # The sign guard at the bracket ends, and a budget of 3 steps.
@@ -179,6 +180,19 @@ class TestDeviationMean:
         cfg = SolverConfig(abs_tol=1e-300, rel_tol=1e-300, max_iter=3)
         assert not deviation_mean(E, (0.1, 1.0), cfg).converged
         assert np.isnan(deviation_batch(E, cfg)(np.array([[0.1, 1.0]]))[0]).all()
+
+    def test_the_numpy_row_is_nan_where_the_section_turns_back(self):
+        # Unvalidated, E(x, y) = d (1 - 1.1 d^2)^2, d = x - y, sums to a
+        # section that falls from 0.01 at min x = 0 to -0.34 at 1/3 and
+        # rises to -0.02 at max x = 1: the scalar solve's guard and the
+        # numpy search's monotone guard on its own probes both see it.
+        dev = ScalarDeviation(REALS, Member(parse_expression("(u - v)*(1 - 1.1*(u - v)^2)^2"),
+                                            ("u", "v")), validate=False)
+        E = DeviationTuple((dev,) * 3)
+        with pytest.raises(InvalidDeviationError, match="not monotone"):
+            deviation_mean(E, (0.0, 0.0, 1.0))
+        values, radius = deviation_batch(E)(np.array([[0.0, 0.0, 1.0]]))
+        assert np.isnan(values[0]) and radius[0] == 0.0
 
     def test_construction_validation_rejects_reversed_sign(self):
         with pytest.raises(InvalidDeviationError):
@@ -260,6 +274,17 @@ class TestBajraktarevicMean:
         f = identity_generator()
         w = [constant_weight(2.0), constant_weight(1.0)]
         assert bajraktarevic_mean(f, w, (0.0, 3.0)) == pytest.approx(1.0)
+
+    def test_the_numpy_row_is_nan_where_a_weight_is_zero_at_a_datum(self):
+        # (u - 2)^2 is positive at the samples its check draws but 0 at the
+        # datum 2: the scalar mean raises, and so does the certificate of
+        # the numpy row, whose own weights go unchecked.
+        M = bajraktarevic_mean_fn("u^3", ["(u - 2)^2"], 3, Interval(0.5, 4.0))
+        with pytest.raises(InvalidArgumentError, match="weight 0.0 not positive at 2.0"):
+            M.eval((1.0, 2.0, 3.0))
+        values, radius = M.batch(np.array([[1.0, 2.0, 3.0], [1.0, 1.5, 3.0]]))
+        assert np.isnan(values[0]) and radius[0] == 0.0
+        assert abs(values[1] - M.eval((1.0, 1.5, 3.0))) <= radius[1]
 
 
 class TestQuasiArithmeticMean:
@@ -348,13 +373,13 @@ class TestMatkowskiMean:
         (["u^3", "u"], (0.0, 1e-110), 1e-110),
     ], ids=["zero-at-min", "zero-at-max"])
     def test_a_section_zero_at_an_end_returns_that_end(self, fs, x, end):
-        # The exact-endpoint returns (ga >= 0, gb <= 0), and the numpy row:
-        # the same end, radius 0.
+        # The exact-endpoint returns (ga >= 0, gb <= 0).  The numpy row is
+        # NaN: a root at an end of the hull is left to the scalar mean.
         gens = [build_generator(f, Interval(-1.0, 1.0)) for f in fs]
         gens = (gens * 2)[:2]
         assert matkowski_mean(gens, x) == end
         values, radius = matkowski_batch(gens)(np.array([x]))
-        assert (values[0], radius[0]) == (end, 0.0)
+        assert np.isnan(values[0]) and radius[0] == 0.0
 
     def test_budget_exhaustion_raises_and_the_numpy_row_is_nan(self):
         # u^3 is not solved by the first step, and the budget is one step.

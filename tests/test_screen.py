@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import meanreduce.lab
+
 from meanreduce.core import BATCH_MARGIN, Injection
 from meanreduce.descriptors import MeanDescriptor, build_mean, holder_mean_fn
 from meanreduce.errors import DomainError, MeansError
@@ -24,7 +26,8 @@ from meanreduce.lab import (
     draw_witnesses,
 )
 from meanreduce.reduction import MeanFn
-from meanreduce.suites import REDUCTION_CFG, _build_function, load_suite, packaged_suite_names
+from meanreduce.suites import (REDUCTION_CFG, _build_function, load_suite, packaged_suite_names,
+                               run_suite)
 from meanreduce.suites import _mean as suite_mean
 
 _SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -677,3 +680,62 @@ def test_a_violation_inside_the_budget_of_the_numpy_sides_is_not_skipped():
     assert report.found and report.trials == 1
     plain_conv = replace(conv, M=unbatched(G), N=unbatched(E), f=plain(identity))
     assert report == check_convexity(plain_conv, 40, tol, seed=5)
+
+
+# Per seed, the searches of one verify pass of the jensen, comparisons,
+# holder-minkowski and failing suites that call the scalar sides, and how
+# often (the recheck of a found witness included): every other trial the
+# numpy screen clears.  52 calls in all over seeds 7 and 1007.
+_SCALAR_SIDES = {
+    7: {
+        "square-arith-4to2 (reduced)": 1, "exp-arith (reduced)": 1, "exp-arith-bijection": 1,
+        "abs-arith": 1, "neglog-geometric-vs-arith": 1, "square-weighted-arith (reduced)": 1,
+        "vector-norm-square": 1, "vector-abs-sum": 1, "vector-abs-sum (reduced)": 1,
+        "sqrt-not-convex": 2, "square-vs-harmonic": 2, "log-not-convex": 2,
+        "log-not-convex (reduced)": 1, "power-order-reversed (full)": 2,
+        "lehmer-le-arith-reversed (full)": 2, "lehmer-le-arith-reversed (reduced)": 1,
+        "hm-outer-mean-too-big (full)": 2, "minkowski-reversed (full)": 2,
+    },
+    1007: {
+        "entropy-positives": 1, "exp-weighted-arith": 1, "exp-vs-quadratic-range (reduced)": 1,
+        "vector-norm-square": 2, "vector-exp-sum": 1, "vector-exp-sum (reduced)": 1,
+        "vector-abs-sum": 3, "vector-abs-sum (reduced)": 1, "sqrt-not-convex": 2,
+        "square-vs-harmonic": 2, "log-not-convex": 2, "log-not-convex (reduced)": 1,
+        "power-order-reversed (full)": 2, "lehmer-le-arith-reversed (full)": 2,
+        "lehmer-le-arith-reversed (reduced)": 1, "hm-outer-mean-too-big (full)": 2,
+        "minkowski-reversed (full)": 2,
+    },
+}
+# The searches whose means include a mean of a solve: a deviation,
+# Matkowski or expression generator's mean.
+_SOLVED_SEARCHES = [
+    "square-vs-cubic-power-range", "square-vs-cubic-power-range (reduced)",
+    "square-vs-arith-deviation-range", "square-vs-arith-deviation-range (reduced)",
+    *(f"{case} ({search})" for case in ("geometric-le-arith-deviation",
+                                        "arith-deviation-le-lehmer",
+                                        "matkowski-identity-vs-arith")
+      for search in ("full", "reduced"))]
+
+
+@pytest.mark.parametrize("seed", sorted(_SCALAR_SIDES))
+def test_the_screen_leaves_the_same_trials_to_the_scalar_means(monkeypatch, seed):
+    # A change that screens fewer trials fails here, not only in the
+    # benchmark's timings.
+    counts = {}
+    search = meanreduce.lab._search
+
+    def counted(blocks, sides, trials, tol, case_name, *args, **kwargs):
+        counts.setdefault(case_name, 0)
+
+        def scalar_sides(witness):
+            counts[case_name] += 1
+            return sides(witness)
+
+        return search(blocks, scalar_sides, trials, tol, case_name, *args, **kwargs)
+
+    monkeypatch.setattr(meanreduce.lab, "_search", counted)
+    for suite in ("jensen", "comparisons", "holder-minkowski", "failing"):
+        run_suite(load_suite(suite), seed=seed)
+    assert len(counts) == 146
+    assert {name: count for name, count in counts.items() if count} == _SCALAR_SIDES[seed]
+    assert [counts[name] for name in _SOLVED_SEARCHES] == [0] * 10
