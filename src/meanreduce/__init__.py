@@ -44,11 +44,9 @@ from .scalar import (
     weighted_arith_mean,
 )
 from .vector import (
-    Covector,
     GenDeviation,
     PotentialFn,
     gen_deviation_mean,
-    gen_e_sum,
     grid_oracle_mean,
     inner_product_deviation,
     lift_scalar_deviation,

@@ -85,7 +85,7 @@ from .scalar import (
     quasi_arithmetic_mean,
     weighted_arith_mean,
 )
-from .vector import GenDeviation, PotentialFn, make_norm_sq_potential
+from .vector import GenDeviation, PotentialFn, _weight_fn, make_norm_sq_potential
 from .vector import gen_deviation_mean  # noqa: F401  (perfbench's wrapper test rebinds it)
 
 
@@ -312,15 +312,11 @@ def _point_expression(text, dim: int, pair: bool = False) -> Callable:
 
 
 def build_point_weight(spec, dim: int) -> Callable:
-    """A positive weight on points from a number or an expression in u1..ud."""
-    if callable(spec):
-        return spec
-    if isinstance(spec, (int, float)):
-        c = float(spec)
-        if not c > 0:
-            raise InvalidArgumentError("weight must be positive")
-        return lambda u, c=c: c
-    return _point_expression(spec, dim)
+    """A weight on points from an expression in u1..ud, else as
+    ``vector._weight_fn`` takes it (a positive number or a callable)."""
+    if isinstance(spec, str):
+        return _point_expression(spec, dim)
+    return _weight_fn(spec, "point")
 
 
 def build_gen_deviation(exprs: Sequence[str], dim: int) -> GenDeviation:

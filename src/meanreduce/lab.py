@@ -55,8 +55,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (BATCH_MARGIN, DEFAULT_CONFIG, _DIM, _FLAG, Injection, SolverConfig, _Field,
-                   _is_number, _jsonable, _read_fields, wide_uniform)
+from .core import BATCH_MARGIN, DEFAULT_CONFIG, Injection, SolverConfig, _jsonable, wide_uniform
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -69,11 +68,6 @@ from .reduction import MeanFn, fixed_point_mean_fn, reduced_mean_fn
 # Trials drawn per rng.uniform call: however many trials a search runs, it
 # holds at most this many drawn witnesses.
 _BLOCK_TRIALS = 256
-
-# A sampler box in JSON, its fields in BoxSampler's order; each bound holds
-# for every coordinate.
-_BOX = {"low": _Field(_is_number, "a number", 0.0), "high": _Field(_is_number, "a number", 1.0),
-        "dim": _DIM, "log_uniform": _FLAG}
 
 
 @dataclass(frozen=True)
@@ -146,18 +140,6 @@ class BoxSampler:
         values = np.asarray(entries, dtype=float)
         return bool(np.all((values >= np.asarray(self.low, dtype=float))
                            & (values <= np.asarray(self.high, dtype=float))))
-
-    def to_json(self) -> dict:
-        out = {"low": _jsonable(self.low), "high": _jsonable(self.high)}
-        if self.dim is not None:
-            out["dim"] = self.dim
-        if self.log_uniform:
-            out["log_uniform"] = True
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BoxSampler":
-        return cls(*_read_fields(data, _BOX))
 
 
 def draw_blocks(samplers: Sequence[BoxSampler], rng: np.random.Generator, trials: int,
@@ -541,14 +523,13 @@ _identity.batch = _identity
 _BUILTIN_COMBINERS = {"sum": _sum, "product": _product}
 
 
-def combiner(spec) -> Callable:
-    """The componentwise combining function: "sum", "product", or callable.
-    The named ones carry their numpy form as a ``batch`` attribute."""
-    if callable(spec):
-        return spec
+def combiner(spec: str) -> Callable:
+    """The componentwise combining function named "sum" or "product", with
+    its numpy form as a ``batch`` attribute.  A HolderMinkowskiCase takes
+    any other callable as it is."""
     if spec in _BUILTIN_COMBINERS:
         return _BUILTIN_COMBINERS[spec]
-    raise InvalidArgumentError(f"unknown combiner {spec!r}; use 'sum', 'product', or a callable")
+    raise InvalidArgumentError(f"unknown combiner {spec!r}; use 'sum' or 'product'")
 
 
 def check_holder_minkowski(case: HolderMinkowskiCase, trials: int, tol: float,

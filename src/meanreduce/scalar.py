@@ -291,9 +291,6 @@ class GeneratorFn:
                     )
                 prev_u, prev_f = u, fu
 
-    def __call__(self, u: float) -> float:
-        return self.eval(u)
-
 
 def _expand_bracket(fn: Callable[[float], float], t: float, x: float, fx: float,
                     end: float, is_open: bool, step: float, below: bool) -> tuple[float, float]:

@@ -36,14 +36,13 @@ import os
 from importlib import resources
 from typing import Callable, Optional, Union
 
-from .core import (Injection, SolverConfig, _Field, _is_count, _is_number, _is_text, _list_of,
-                   _or_null, _read_fields)
+from .core import (_FLAG, Injection, SolverConfig, _Field, _is_count, _is_number, _is_text,
+                   _list_of, _or_null, _read_fields)
 from .descriptors import (_DOMAIN_FIELD, MeanDescriptor, _of_points, build_deviations,
                           build_mean, build_point_weight, build_weights, parse_domain)
 from .errors import InvalidArgumentError, MeansError
 from .expr import _point_keys, parse_expression
 from .lab import (
-    _BOX as _SAMPLER_BOX,
     BoxSampler,
     ConvexityCase,
     CounterexampleReport,
@@ -81,8 +80,10 @@ _SUITE = {"schema": _Field(lambda v: _is_count(v) and v == SCHEMA_VERSION, str(S
           "description": _Field(_is_text, "a string", ""),
           "cases": _Field(lambda cases: isinstance(cases, list) and cases != [],
                           "a nonempty list of cases")}
-# A case's sampler box: a BoxSampler's fields but dim, which is its mean's.
-_BOX = {key: field for key, field in _SAMPLER_BOX.items() if key != "dim"}
+# A case's sampler box, its fields in BoxSampler's order; each bound holds
+# for every coordinate, and the dimension is its mean's.
+_BOX = {"low": _Field(_is_number, "a number", 0.0), "high": _Field(_is_number, "a number", 1.0),
+        "log_uniform": _FLAG}
 _SAMPLER = _Field(lambda box: _read_fields(box, _BOX) is not None, "a sampler box",
                   {"low": 0.1, "high": 4.0, "log_uniform": True})
 _INTERVAL = _DOMAIN_FIELD._replace(default=[0.2, 6.0])

@@ -81,6 +81,7 @@ from .core import (
     sample_triples,
 )
 from .errors import (
+    HullViolationError,
     InvalidArgumentError,
     InvalidDeviationError,
     InvalidPotentialError,
@@ -90,31 +91,6 @@ from .scalar import ScalarDeviation
 
 _VALIDATION_SEED = 20240902
 _VALIDATION_SAMPLES = 32
-
-
-@dataclass(frozen=True)
-class Covector:
-    """A continuous linear functional on R^d, represented by its gradient."""
-
-    grad: tuple[float, ...]
-
-    def __post_init__(self):
-        gs = tuple(float(g) for g in self.grad)
-        object.__setattr__(self, "grad", gs)
-        for g in gs:
-            if not math.isfinite(g):
-                raise InvalidArgumentError("covector entries must be finite")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.grad, dtype=float)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        # Array-convertible like any other covector value a callback returns.
-        return np.asarray(self.grad, dtype=dtype)
-
-    def __call__(self, h) -> float:
-        return float(np.dot(self.array, as_point(h, dim=len(self.grad))))
 
 
 def _as_shape(value, dim: int) -> np.ndarray:
@@ -189,8 +165,8 @@ def _gen_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
 class GenDeviation:
     """A generalized deviation on R^d.
 
-    ``eval(u, v)`` returns the covector E(u, v) (a Covector or any array
-    convertible).  Unless ``validate=False``, sampled at 32 points of
+    ``eval(u, v)`` returns the covector E(u, v) (any array convertible).
+    Unless ``validate=False``, sampled at 32 points of
     ``[sample_low, sample_high]^dim`` at construction: E(u, u) = 0, strict
     monotone decrease of the second section, and E(u, v)(u - v) > 0 off the
     diagonal.  A covector that is not finite at a sample is rejected, naming
@@ -242,9 +218,6 @@ class GenDeviation:
                       lambda: ((u, x) for u, v, w in zip(us, vs, ws) for x in (u, v, w)), 3,
                       InvalidDeviationError, stop=not_finite)
 
-    def __call__(self, u, v) -> Covector:
-        return Covector(tuple(self.grad(as_point(u, self.dim), as_point(v, self.dim))))
-
 
 def lift_scalar_deviation(dev: ScalarDeviation, label: Optional[str] = None) -> GenDeviation:
     """View a scalar deviation as a 1-dimensional generalized deviation."""
@@ -269,18 +242,31 @@ def _weight_fn(weight, what: str) -> Callable:
     return lambda u, c=c: c
 
 
+def _weight_at(w: Callable, u, error: type, label: str) -> float:
+    """The weight w(u) at the data point u; a value that is not finite and
+    positive raises ``error`` naming it and the point."""
+    c = float(w(u))
+    if not 0.0 < c < math.inf:
+        raise error(f"{label}: weight {c} at {np.asarray(u, float).tolist()} is not "
+                    "finite and positive")
+    return c
+
+
 def inner_product_deviation(weight, dim: int,
                             label: str = "inner-product deviation") -> GenDeviation:
     """The gradient-type deviation E(u, v) = 2 w(u) (u - v).
 
-    ``weight`` is a positive constant or a positive callable on points.  This
-    is the deviation of the weighted squared-distance potential; its deviation
-    mean is the functionally weighted arithmetic mean.
+    ``weight`` is a positive constant or a positive callable on points; a
+    weight that is not finite and positive where it is evaluated raises
+    InvalidDeviationError.  This is the deviation of the weighted
+    squared-distance potential; its deviation mean is the functionally
+    weighted arithmetic mean.
     """
     w = _weight_fn(weight, "inner-product deviation")
     return GenDeviation(
         dim=dim,
-        eval=lambda u, v, w=w: 2.0 * w(u) * (np.asarray(u, float) - np.asarray(v, float)),
+        eval=lambda u, v, w=w: (2.0 * _weight_at(w, u, InvalidDeviationError, label)
+                                * (np.asarray(u, float) - np.asarray(v, float))),
         label=label,
         validate=False,
         inner_weight=w,
@@ -316,16 +302,6 @@ def _hull_setup(fns: Sequence, x: Sequence, cfg: SolverConfig, what: str):
         single = SolverReport(value=pts[0].copy(), residual=0.0, iterations=0,
                               converged=True, barycentric=Barycentric((1.0,)))
     return pts, dim, X, tol, single
-
-
-def gen_e_sum(E: Sequence[GenDeviation], x: Sequence, y) -> Covector:
-    """The summed covector sum_i E_i(x_i, y)."""
-    pts, dim = _check_family(E, x)
-    yv = as_point(y, dim)
-    total = np.zeros(dim)
-    for e, xi in zip(E, pts):
-        total += e.grad(xi, yv)
-    return Covector(tuple(total))
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -375,9 +351,8 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarra
     if all(e.inner_weight is not None for e in E):
         # Gradient-type family: sum_i 2 w_i(x_i) (x_i - y) is affine in y
         # with coefficients fixed by the data points.
-        coeffs = np.asarray([float(e.inner_weight(xi)) for e, xi in zip(E, pts)])
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidDeviationError(f"{_labels(E)}: weights at the data are not finite")
+        coeffs = np.asarray([_weight_at(e.inner_weight, xi, InvalidDeviationError, e.label)
+                             for e, xi in zip(E, pts)])
         const = 2.0 * (coeffs @ X)
         total_w = 2.0 * float(coeffs.sum())
 
@@ -814,8 +789,6 @@ def verify_vi(E: Sequence[GenDeviation], x: Sequence, y, tol: float) -> ViReport
     y must be expressible in conv(x) within tol (small nonnegative
     least-squares feasibility solve); otherwise HullViolationError.
     """
-    from .errors import HullViolationError
-
     pts, dim = _check_family(E, x)
     yv = as_point(y, dim)
     _, hull_residual = barycentric_feasibility(pts, yv)
@@ -824,7 +797,7 @@ def verify_vi(E: Sequence[GenDeviation], x: Sequence, y, tol: float) -> ViReport
         raise HullViolationError(
             f"point {yv} is {hull_residual:.3g} away from conv(x), beyond {feas_tol:.3g}"
         )
-    g = gen_e_sum(E, pts, yv).array
+    g = sum(e.grad(p, yv) for e, p in zip(E, pts))
     slacks = tuple(float(g @ (p - yv)) for p in pts)
     worst = int(np.argmax(slacks))
     return ViReport(
@@ -959,17 +932,20 @@ def make_potential_deviation(F: PotentialFn) -> GenDeviation:
 def make_norm_sq_potential(w, dim: int, label: str = "norm-squared") -> PotentialFn:
     """The potential F(u, v) = w(u) |v - u|^2 with Euclidean norm.
 
-    ``w`` is a positive constant or a positive callable on points; the
-    gradient 2 w(u) (v - u) is supplied analytically.
+    ``w`` is a positive constant or a positive callable on points; a weight
+    that is not finite and positive where it is evaluated raises
+    InvalidPotentialError.  The gradient 2 w(u) (v - u) is supplied
+    analytically.
     """
     weight = _weight_fn(w, "norm-squared")
 
     def feval(u, v, weight=weight):
         diff = np.asarray(v, float) - np.asarray(u, float)
-        return float(weight(u) * float(diff @ diff))
+        return _weight_at(weight, u, InvalidPotentialError, label) * float(diff @ diff)
 
     def fgrad(u, v, weight=weight):
-        return 2.0 * weight(u) * (np.asarray(v, float) - np.asarray(u, float))
+        return (2.0 * _weight_at(weight, u, InvalidPotentialError, label)
+                * (np.asarray(v, float) - np.asarray(u, float)))
 
     return PotentialFn(dim=dim, eval=feval, grad_v=fgrad, label=label, validate=False)
 

@@ -227,6 +227,23 @@ class TestMeanCommand:
         assert data["value"] == pytest.approx([4 / 3, 8 / 3], abs=1e-9)
         assert data["x"] == [[0.0, 0.0], [2.0, 4.0]]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--x", "1,2"), "either --descriptor or --kind is required"),
+        (("--kind", "gen-deviation", "--dim", "2", "--exprs", "u1-v1", "--x", "0,0;1,1"),
+         "need 2 covector expressions, got 1"),
+    ], ids=["no-kind", "covector-length"])
+    def test_an_incomplete_mean_exits_2(self, capsys, argv, message):
+        assert run_cli(capsys, "mean", *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind, message", [
+        ("norm-squared-potential", "norm-squared: weight -1.0 at [1.0] is not finite and positive"),
+        ("weighted-arithmetic", "weight -1.0 not positive"),
+    ])
+    def test_point_weight_not_positive_at_the_data_exits_2(self, capsys, kind, message):
+        code, out, err = run_cli(capsys, "mean", "--kind", kind, "--arity", "2", "--dim", "1",
+                                 "--weights", "0-u1", "--x", "1;2")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_invalid_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "mean", "--kind", "holder", "--p", "1",
                                "--x", "1,-3")
@@ -1068,7 +1085,7 @@ def _readme_suite() -> dict:
 def test_readme_schema_sections_name_every_field():
     # Every table of fields that the readers of suites and descriptors use.
     suites, descriptors = meanreduce.suites, meanreduce.descriptors
-    tables = {"Suite schema": [suites._SUITE, suites._BOX, meanreduce.lab._BOX,
+    tables = {"Suite schema": [suites._SUITE, suites._BOX,
                                suites._POINT_DEVIATIONS, *suites._CASES.values()],
               "Descriptor schema": [descriptors._DESCRIPTOR, descriptors._DOMAIN,
                                     *descriptors._PARAMS.values()]}

@@ -14,6 +14,7 @@ from meanreduce.core import (
     _is_number,
     _read_fields,
     as_point,
+    as_point_tuple,
     select,
     splice,
 )
@@ -152,6 +153,10 @@ class TestBarycentric:
         with pytest.raises(InvalidArgumentError):
             Barycentric((1.5, -0.5))
 
+    def test_rejects_no_weights(self):
+        with pytest.raises(InvalidArgumentError, match="^barycentric weights must be nonempty$"):
+            Barycentric(())
+
 
 class TestInterval:
     def test_membership_flags(self):
@@ -169,11 +174,17 @@ class TestInterval:
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
             Interval(1.0, 1.0)
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(InvalidArgumentError, match="^interval endpoints must not be NaN$"):
+                Interval(lo, hi)
 
     def test_finite_window_is_inside(self):
         positive = Interval(0.0, math.inf, lo_open=True)
         lo, hi = positive.finite_window()
         assert lo > 0.0 and hi > lo
+        # An infinite lower end: a window of width 8 below the upper end,
+        # its open lower end shrunk inward.
+        assert Interval(-math.inf, 2.0).finite_window() == (-6.0 + 8e-6, 2.0)
 
 
 class TestPoint:
@@ -186,6 +197,20 @@ class TestPoint:
     def test_dim_check(self):
         with pytest.raises(InvalidArgumentError):
             as_point((1.0, 2.0), dim=3)
+
+    def test_a_number_is_a_point_and_a_matrix_is_not(self):
+        assert as_point(3.0).tolist() == [3.0]
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^a point must be a 1-d coordinate list, got shape \(2, 2\)$"):
+            as_point([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("points, message", [
+        ((), "empty point tuple"),
+        (((1.0, 2.0), (1.0, 2.0, 3.0)), "points in a tuple must share a dimension"),
+    ], ids=["empty", "mixed-dimensions"])
+    def test_point_tuple_guards(self, points, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            as_point_tuple(points)
 
 
 class TestSolverConfig:

@@ -117,6 +117,10 @@ class TestKnownValues:
              "params": {"weights": [3.0, 1.0]}}))
         value = M(((0.0,), (4.0,)))
         assert value[0] == pytest.approx(1.0, abs=1e-9)
+        # One number, not a list, weighs every slot.
+        M = build_mean(MeanDescriptor.from_json(
+            {"kind": "norm-squared-potential", "arity": 2, "dim": 1, "params": {"weights": 2}}))
+        assert M(((0.0,), (4.0,)))[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_gen_deviation_expression(self):
         M = build_mean(MeanDescriptor.from_json(

@@ -38,6 +38,7 @@ def _covectors(exprs, names):
     ("pi", {}, math.pi),
     ("2e-3 + 1", {}, 1.002),
     ("u1 + 2*u2", {"u1": 1.0, "u2": 3.0}, 7.0),
+    ("u + 1 ", {"u": 2.0}, 3.0),   # trailing whitespace
 ])
 def test_evaluation(text, env, expected):
     fn = parse_expression(text)

@@ -26,6 +26,7 @@ from meanreduce.errors import (
 from meanreduce.lab import (
     BoxSampler,
     ConvexityCase,
+    CounterexampleReport,
     FuzzCase,
     HolderMinkowskiCase,
     check_convexity,
@@ -35,6 +36,7 @@ from meanreduce.lab import (
     compare_means,
     draw_witnesses,
     fuzz_suite,
+    _lift,
     _search,
     _value,
 )
@@ -57,15 +59,15 @@ class TestBoxSampler:
         with pytest.raises(InvalidArgumentError):
             BoxSampler(low=-1.0, high=1.0, log_uniform=True)
 
+    def test_needs_low_below_high(self):
+        with pytest.raises(InvalidArgumentError, match="^sampler needs low < high$"):
+            BoxSampler(low=1.0, high=(2.0, 1.0), dim=2)
+
     def test_vector_draws(self):
         s = BoxSampler(low=0.0, high=1.0, dim=3)
         rng = np.random.default_rng(2)
         (drawn,) = next(draw_witnesses((s,), rng, 1, 1))
         assert drawn[0].shape == (3,)
-
-    def test_json_round_trip(self):
-        s = BoxSampler(low=0.1, high=4.0, log_uniform=True)
-        assert BoxSampler.from_json(s.to_json()) == s
 
 
 def _per_entry_draw(sampler, rng):
@@ -89,13 +91,17 @@ STREAM_SAMPLERS = [
     BoxSampler(low=-1.0, high=(0.5, 2.0, 4.0), dim=3),
     BoxSampler(low=(0.2, 0.1, 1.0), high=4.0, dim=3, log_uniform=True),
 ]
+# Their test ids: each box as a JSON record, with its dim.
+STREAM_IDS = ["{'low': -2.0, 'high': 3.0}", "{'low': 0.1, 'high': 4.0, 'log_uniform': True}",
+              "{'low': -1.0, 'high': [0.5, 2.0, 4.0], 'dim': 3}",
+              "{'low': [0.2, 0.1, 1.0], 'high': 4.0, 'dim': 3, 'log_uniform': True}"]
 
 
 class TestBoxSamplerStream:
     """A block draw consumes the Generator exactly as sequential draws do, so
     every sampled tuple, witness and verdict is fixed by the seed alone."""
 
-    @pytest.mark.parametrize("sampler", STREAM_SAMPLERS, ids=lambda s: repr(s.to_json()))
+    @pytest.mark.parametrize("sampler", STREAM_SAMPLERS, ids=STREAM_IDS)
     @pytest.mark.parametrize("seed", [0, 1, 7, 1001])
     def test_draw_tuple_equals_sequential_draws(self, sampler, seed):
         # One sampler, one trial: the drawn count-tuple is the count
@@ -156,6 +162,58 @@ class TestBoxSamplerStream:
         # numpy's uniform raised OverflowError on an infinite width.
         with pytest.raises(InvalidArgumentError, match="finite bounds"):
             BoxSampler(low=low, high=high, dim=None if isinstance(high, float) else 2)
+
+
+_BOX = BoxSampler(low=0.2, high=4.0)
+_A2, _A3, _P2 = arithmetic_mean_fn(2), arithmetic_mean_fn(3), arithmetic_mean_fn(2, dim=2)
+_SUM, _ONE_OF_2, _ONE_OF_3 = combiner("sum"), Injection.of([1], n=2), Injection.of([1], n=3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConvexityCase(M=_P2, N=_P2, f=square, sampler=_BOX),
+     "the range-side mean must be scalar"),
+    (lambda: HolderMinkowskiCase(N_list=(_A2,), M=_A2, f=_SUM, chi=_ONE_OF_2,
+                                 samplers=(_BOX, _BOX)),
+     "need one mean family and sampler per slot"),
+    (lambda: HolderMinkowskiCase(N_list=(_A2, _A3), M=_A2, f=_SUM, chi=_ONE_OF_2,
+                                 samplers=(_BOX, _BOX)),
+     "all mean families must share the arity of M"),
+    (lambda: HolderMinkowskiCase(N_list=(_P2,), M=_P2, f=_SUM, chi=_ONE_OF_2, samplers=(_BOX,)),
+     "the outer mean must be scalar"),
+    (lambda: HolderMinkowskiCase(N_list=(_A2,), M=_A2, f=_SUM, chi=_ONE_OF_3, samplers=(_BOX,)),
+     "injection does not match the case arity"),
+    (lambda: compare_means(_A2, _A3, _ONE_OF_2, 1, 1e-9),
+     "comparison needs two scalar means of one arity"),
+    (lambda: compare_means(_P2, _P2, _ONE_OF_2, 1, 1e-9),
+     "comparison needs two scalar means of one arity"),
+    (lambda: compare_means(_A2, _A2, _ONE_OF_3, 1, 1e-9),
+     "injection does not match the means' arity"),
+], ids=["convexity-vector-range", "hm-sampler-count", "hm-arity", "hm-vector-outer",
+        "hm-injection", "comparison-arity", "comparison-vector", "comparison-injection"])
+def test_cases_refuse_means_that_do_not_fit(build, message):
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        build()
+
+
+def test_a_numpy_form_of_integers_leaves_its_trials_to_the_scalar_sides():
+    def floor(u):
+        return float(math.floor(u))
+
+    def floor_screened(u):
+        return float(math.floor(u))
+
+    floor_screened.batch = lambda u: np.floor(u).astype(np.int64)
+    with pytest.raises(TypeError, match="^a numpy form returned int64$"):
+        _lift(floor_screened.batch, np.array([0.5, 1.5]))
+    reports = [check_convexity(ConvexityCase(M=_A2, N=_A2, f=f, sampler=BoxSampler(-4.0, 4.0)),
+                               trials=60, tol=1e-9, seed=3).to_json()
+               for f in (floor, floor_screened)]
+    assert reports[0]["found"] and reports[0] == reports[1]
+
+
+def test_a_report_writes_numpy_scalars_as_numbers():
+    report = CounterexampleReport(found=True, trials=1, witness=(np.float32(0.5), np.int64(2)))
+    assert report.to_json()["witness"] == [0.5, 2.0]
 
 
 class TestConvexity:

@@ -111,6 +111,9 @@ class TestReduceScalar:
         chi = Injection.of([1, 2], n=3)
         with pytest.raises(NotAMeanError):
             reduce_scalar(fake, chi, (1.0, 5.0))
+        fake = MeanFn(arity=3, eval=lambda xs: max(xs) + 1.0, label="above-hull")
+        with pytest.raises(NotAMeanError, match=r"^mu\(max x\) = 1\.0 > 0: above-hull violates"):
+            reduce_scalar(fake, chi, (1.0, 5.0))
 
     def test_vector_mean_rejected(self):
         M = arithmetic_mean_fn(3, dim=2)
@@ -181,6 +184,23 @@ class TestReduceScalar:
         assert set(data) == {"value", "residual", "iterations", "converged",
                              "unique_flag", "continuity_suspect"}
         assert data["converged"] is True
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MeanFn(arity=0, eval=sum), "mean arity must be positive"),
+    (lambda: MeanFn(arity=2, dim=0, eval=sum), "mean dimension must be positive"),
+    (lambda: reduce_scalar(arithmetic_mean_fn(3), Injection.of([1, 2], n=3), (1.0,)),
+     "tuple length 1 != injection arity 2"),
+    (lambda: check_weighted_arith_reduction([constant_weight(1.0)] * 2, Injection.of([1], n=3),
+                                            1, 1e-9),
+     "need 3 weights, got 2"),
+    (lambda: check_deviation_reduction([inner_product_deviation(2)] * 2, Injection.of([1], n=3),
+                                       1, 1e-9),
+     "need 3 deviations, got 2"),
+], ids=["arity", "dim", "tuple-length", "weight-count", "deviation-count"])
+def test_argument_guards(call, message):
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        call()
 
 
 class TestReduceVector:

@@ -50,6 +50,7 @@ from meanreduce.scalar import (
     point_average,
     power_generator,
     power_weight,
+    quasi_arithmetic_batch,
     quasi_arithmetic_mean,
     weighted_arith_mean,
 )
@@ -582,6 +583,11 @@ class TestClosedFormExtremes:
         assert min(x) <= y <= max(x)
         assert y == pytest.approx(expected, rel=1e-12)
 
+    def test_geometric_mean_whose_log_rounds_past_the_float_range(self):
+        # The mean of 70 logs of the largest float rounds up by one ulp, and
+        # exp of it overflows: the mean is that float.
+        assert holder_mean(0.0, (sys.float_info.max,) * 70) == sys.float_info.max
+
     def test_holder_ratio_underflow(self):
         # 1e-320 / 1e300 underflows to 0, but (1e-620)^1e-4 is about 0.87.
         y = holder_mean(1e-4, (1e-320, 1e300))
@@ -774,6 +780,42 @@ class TestClosedFormsAgainstMpmath:
         self._check(gini_mean(p, q, x), _mp_gini(p, q, x))
 
 
+def _constant_deviation(domain: Interval) -> ScalarDeviation:
+    # Positive everywhere: no axiom holds, and nothing checks them.
+    return ScalarDeviation(domain, lambda u, v: 1.0, validate=False)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GeneratorFn(eval=lambda u: math.inf, inverse=lambda t: t, domain=Interval(0.1, 2.0)),
+     InvalidArgumentError, r"generator not finite at u=\S+$"),
+    (lambda: DeviationTuple((_constant_deviation(Interval(0.1, 9.0)),
+                             _constant_deviation(Interval(0.2, 9.0)))),
+     InvalidArgumentError, "all deviations must share one domain$"),
+    (lambda: deviation_mean([_constant_deviation(Interval(0.1, 9.0))] * 2, (1.0,)),
+     InvalidArgumentError, "tuple length 1 != deviation count 2$"),
+    (lambda: deviation_mean([_constant_deviation(Interval(0.1, 9.0))] * 2, (1.0, 2.0)),
+     InvalidDeviationError, "summed deviation is positive at the upper bracket endpoint: 2.0$"),
+    (lambda: bajraktarevic_mean(identity_generator(), [constant_weight(1.0)], (1.0, 2.0)),
+     InvalidArgumentError, "weight count 1 != tuple length 2$"),
+    (lambda: matkowski_mean([identity_generator()], (1.0, 2.0)),
+     InvalidArgumentError, "generator count 1 != tuple length 2$"),
+    (lambda: matkowski_mean([], ()), InvalidArgumentError, "empty tuple$"),
+    (lambda: matkowski_mean([identity_generator(), identity_generator(POSITIVE_REALS)], (1.0, 2.0)),
+     InvalidArgumentError, "all generators must share one domain$"),
+    (lambda: holder_mean(1.0, ("a", 2.0)), InvalidArgumentError,
+     "power-type means need a tuple of reals: could not convert string to float: 'a'$"),
+    (lambda: weighted_arith_mean([constant_weight(1.0)], (1.0, 2.0)),
+     InvalidArgumentError, "weight count 1 != tuple length 2$"),
+    (lambda: weighted_arith_mean([], ()), InvalidArgumentError, "empty tuple$"),
+    (lambda: average([math.inf, -math.inf]), ValueError, "-inf \\+ inf in fsum$"),
+], ids=["generator-not-finite", "deviation-domains", "deviation-count", "deviation-sign",
+        "bajraktarevic-weights", "matkowski-count", "matkowski-empty", "matkowski-domains",
+        "power-type-reals", "weighted-count", "weighted-empty", "average-both-infinities"])
+def test_argument_guards(call, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
 class TestAverages:
     def test_unit_point_average_is_np_mean_bitwise(self):
         pts = [np.array([-0.0, 0.1, 1e-300]), np.array([-0.0, 0.2, 3.0]),
@@ -821,6 +863,25 @@ def open_generator(text: str) -> GeneratorFn:
 
 
 class TestGeneratorFn:
+    def test_an_inverse_off_the_domain(self):
+        # An inverse a little past the end of the domain is clamped into the
+        # hull of the data; one far past it is an error.
+        def off_by(shift):
+            return GeneratorFn(eval=lambda u: u, inverse=lambda t: t * (1.0 + shift),
+                               domain=Interval(0.0, 2.0), validate=False)
+
+        assert quasi_arithmetic_mean(off_by(1e-10), (2.0, 2.0)) == 2.0
+        with pytest.raises(DomainError, match="^inverted value 3.0 escapes the generator domain$"):
+            quasi_arithmetic_mean(off_by(0.5), (2.0, 2.0))
+
+    def test_numpy_forms_only_for_generators_and_weights_that_have_one(self):
+        plain = GeneratorFn(eval=math.sinh, inverse=math.asinh, validate=False)
+        assert quasi_arithmetic_batch(plain) is None
+        assert quasi_arithmetic_batch(identity_generator(), [power_weight(1.0)] * 2) is None
+        assert matkowski_batch([identity_generator(), plain]) is None
+        assert matkowski_batch([identity_generator(), identity_generator(POSITIVE_REALS)]) is None
+        assert matkowski_batch([identity_generator()] * 2) is not None
+
     def test_inverse_roundtrip_validation(self):
         with pytest.raises(InvalidArgumentError):
             GeneratorFn(eval=lambda u: u ** 3, inverse=lambda t: t,

@@ -17,11 +17,9 @@ from meanreduce import vector
 from meanreduce.reduction import gen_deviation_mean_fn
 from meanreduce.scalar import ScalarDeviation, deviation_mean
 from meanreduce.vector import (
-    Covector,
     GenDeviation,
     PotentialFn,
     gen_deviation_mean,
-    gen_e_sum,
     grid_oracle_mean,
     inner_product_deviation as library_ipd,
     lift_scalar_deviation,
@@ -39,39 +37,6 @@ def inner_product_deviation(dim: int, weight=1.0) -> GenDeviation:
 
 
 TRIANGLE = ((0.0, 0.0), (2.0, 0.0), (0.0, 2.0))
-
-
-class TestCovector:
-    def test_action_is_dot_product(self):
-        cov = Covector((1.0, -2.0))
-        assert cov((3.0, 1.0)) == 1.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidArgumentError):
-            Covector((math.nan,))
-
-
-class TestGenESum:
-    def test_zero_at_centroid(self):
-        E = [inner_product_deviation(2)] * 3
-        out = gen_e_sum(E, TRIANGLE, (2 / 3, 2 / 3))
-        np.testing.assert_allclose(out.array, [0.0, 0.0], atol=1e-15)
-
-    def test_zero_on_diagonal(self):
-        E = [inner_product_deviation(2)] * 3
-        u = (0.4, -1.2)
-        out = gen_e_sum(E, (u, u, u), u)
-        np.testing.assert_allclose(out.array, [0.0, 0.0], atol=1e-15)
-
-    def test_single_deviation_value(self):
-        E = [inner_product_deviation(2)]
-        out = gen_e_sum(E, ((1.0, 0.0),), (0.0, 0.0))
-        np.testing.assert_allclose(out.array, [2.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        E = [inner_product_deviation(2)] * 2
-        with pytest.raises(InvalidArgumentError):
-            gen_e_sum(E, ((0.0, 0.0), (1.0, 1.0)), (0.0, 0.0, 0.0))
 
 
 class TestGenDeviationMean:
@@ -294,6 +259,20 @@ class TestGenDeviationMean:
         with pytest.raises(InvalidArgumentError, match=r"^init\b"):
             gen_deviation_mean(E, TRIANGLE, init=(bad, 0.5, 0.5))
 
+    def test_init_of_another_length_rejected(self):
+        E = [inner_product_deviation(2)] * 3
+        with pytest.raises(InvalidArgumentError,
+                           match="^init must be a barycentric vector of length n$"):
+            gen_deviation_mean(E, TRIANGLE, init=(0.5, 0.5))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GenDeviation(dim=0, eval=lambda u, v: ()), "deviation dimension must be positive"),
+        (lambda: PotentialFn(dim=0, eval=lambda u, v: 0.0), "potential dimension must be positive"),
+    ], ids=["deviation", "potential"])
+    def test_dimension_must_be_positive(self, build, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            build()
+
     def test_a_jacobian_probe_off_the_hull_skips_the_newton_candidate(self):
         # The hull is a segment of the axis v2 = 0, where every iterate lies,
         # and the deviations are defined for v2 >= 0 only: the central
@@ -378,6 +357,11 @@ class TestVerifyVi:
         assert vi.worst_slack == pytest.approx(8.0)
         assert vi.worst_index in (1, 2)
 
+    def test_non_finite_covector_rejected(self):
+        E = [GenDeviation(dim=2, eval=lambda u, v: (math.nan, 0.0), validate=False)] * 3
+        with pytest.raises(InvalidArgumentError, match="^covector entries must be finite$"):
+            verify_vi(E, TRIANGLE, (2 / 3, 2 / 3), 1e-9)
+
     def test_single_point_hull(self):
         E = [inner_product_deviation(2)]
         vi = verify_vi(E, ((1.0, 1.0),), (1.0, 1.0), 1e-12)
@@ -387,6 +371,32 @@ class TestVerifyVi:
         E = [inner_product_deviation(2)] * 3
         with pytest.raises(HullViolationError):
             verify_vi(E, TRIANGLE, (5.0, 5.0), 1e-9)
+        # A point of another dimension than the family's.
+        with pytest.raises(InvalidArgumentError, match="dimension 2, got 3"):
+            verify_vi(E, TRIANGLE, (0.0, 0.0, 0.0), 1e-9)
+
+
+class TestPointWeights:
+    """A point weight that is not finite and positive at a data point raises
+    its family's error, naming the value and the point, on either route."""
+
+    X = ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("w, named", [
+        (lambda u: u[0], r"weight -1\.0 at \[-1\.0, 0\.0\]"),  # weights -1, 1, 0: sum 0
+        (lambda u: math.nan, r"weight nan at \[-1\.0, 0\.0\]"),
+        (lambda u: math.inf if u[1] > 0 else 1.0, r"weight inf at \[0\.0, 1\.0\]"),
+    ], ids=["sum-zero", "nan", "inf"])
+    def test_both_routes_raise(self, w, named):
+        with pytest.raises(InvalidPotentialError, match=f"^norm-squared: {named}"):
+            potential_mean([make_norm_sq_potential(w, 2)] * 3, self.X)
+        with pytest.raises(InvalidDeviationError, match=f"^inner-product deviation: {named}"):
+            gen_deviation_mean([library_ipd(w, 2)] * 3, self.X)
+        # The same weight evaluated outside the solvers.
+        with pytest.raises(InvalidDeviationError, match=named):
+            verify_vi([library_ipd(w, 2)] * 3, self.X, (0.0, 0.5), 1e-9)
+        with pytest.raises(InvalidPotentialError, match=named):
+            grid_oracle_mean([make_norm_sq_potential(w, 2)] * 3, self.X, 4)
 
 
 class TestPotentialDeviation:
@@ -394,23 +404,23 @@ class TestPotentialDeviation:
         F = make_norm_sq_potential(1.0, dim=2)
         E = make_potential_deviation(F)
         u, v = np.array([0.5, 0.5]), np.array([2.0, -1.0])
-        np.testing.assert_allclose(E(u, v).array, 2.0 * (u - v), atol=1e-12)
+        np.testing.assert_allclose(E.grad(u, v), 2.0 * (u - v), atol=1e-12)
 
     def test_zero_on_diagonal(self):
         F = make_norm_sq_potential(2.5, dim=3)
         E = make_potential_deviation(F)
         u = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(E(u, u).array, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(E.grad(u, u), np.zeros(3), atol=1e-12)
 
     def test_one_dimensional_value(self):
         F = PotentialFn(dim=1, eval=lambda u, v: (v[0] - u[0]) ** 2,
                         grad_v=lambda u, v: (2.0 * (v[0] - u[0]),), validate=False)
         E = make_potential_deviation(F)
-        assert E((1.0,), (3.0,)).array[0] == pytest.approx(-4.0)
+        assert E.grad(np.array([1.0]), np.array([3.0]))[0] == pytest.approx(-4.0)
 
     def test_covector_valued_gradient_solves_on_both_routes(self):
         F = PotentialFn(dim=2, eval=lambda u, v: float((v - u) @ (v - u)),
-                        grad_v=lambda u, v: Covector(tuple(2.0 * (v - u))), label="covector")
+                        grad_v=lambda u, v: tuple(2.0 * (v - u)), label="covector")
         E = make_potential_deviation(F)
         for report in (potential_mean([F] * 3, TRIANGLE), gen_deviation_mean([E] * 3, TRIANGLE)):
             assert report.converged
