@@ -115,10 +115,9 @@ def _descriptor_from_args(args) -> MeanDescriptor:
         entries = [None if "inf" in t.lower() else _number_or_text(t)
                    for t in args.domain.split(",")]
         try:
-            parse_domain(entries)
+            params["domain"] = parse_domain(entries)
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"--domain: {exc}") from None
-        params["domain"] = entries
     arity = args.arity
     if arity is None:
         if args.command == "reduce":
@@ -245,7 +244,7 @@ def cmd_fuzz(args) -> int:
     suite = _load_suite(args)
     runners = [_fuzz_runner(c, args) for c in suite["cases"]]
     report = fuzz_suite(runners, seed=args.seed, trials=args.trials)
-    report["suite"] = suite.get("name", "suite")
+    report["suite"] = suite["name"]
     _emit(report, args.format, args.output, csv_rows=_suite_csv_rows(report))
     return EXIT_OK
 

@@ -424,31 +424,31 @@ def _jsonable(value):
 
 # Every JSON record the package reads (a suite file, a suite case, a mean
 # descriptor, a sampler box, a domain) is described once, as a table of its
-# fields (key -> _Field), and read by _read_fields.
+# fields (key -> _Field), and read once, by _read_fields.
 
 _REQUIRED = object()
 
 
 class _Field(NamedTuple):
-    """A field of a JSON record: ``test`` is the predicate its value passes,
-    ``expected`` says in words what the test accepts, and ``default`` is the
-    value of an absent field (_REQUIRED: the field must be given)."""
+    """A field of a JSON record: ``test`` keeps its value (True), refuses it
+    (False) or reads it as a nested record's reader does (any other result,
+    the value read); ``expected`` says in words what the test accepts, and
+    ``default`` is an absent field's value (_REQUIRED: it must be given)."""
 
-    test: Callable[[object], bool]
+    test: Callable[[object], object]
     expected: str
     default: object = _REQUIRED
 
 
 def _read_fields(record, fields: dict, where: str = "", defaults: dict = {}) -> list:
     """The values of the fields of the JSON object ``record``, in the order
-    of the table ``fields``.  An absent field takes its value in
-    ``defaults``, else its table default, and every value, a default too,
-    must pass its test.  A record that is not an object, a key the table
-    does not list, a missing required field and a refused value raise
-    InvalidArgumentError, its message starting ``where``; a refused value
-    names its field: ``field '<key>': expected <what>, got <value>``, or
-    ``field '<key>': `` and the message of a test that raises
-    InvalidArgumentError itself, as the reader of a nested record does."""
+    of the table ``fields``, each, a default too, as its test keeps or reads
+    it (``_Field``); an absent field's default is in ``defaults``, else the
+    table's.  A record that is not an object, a key the table does not list,
+    a missing required field and a refused value raise InvalidArgumentError,
+    its message starting ``where``; a refused value names its field: ``field
+    '<key>': expected <what>, got <value>``, or ``field '<key>': `` and the
+    message of a test that raises InvalidArgumentError, as a reader does."""
     if not isinstance(record, dict):
         raise InvalidArgumentError(f"{where}expected an object, got {record!r}")
     for key in record:
@@ -460,8 +460,10 @@ def _read_fields(record, fields: dict, where: str = "", defaults: dict = {}) -> 
         if value is _REQUIRED:
             raise InvalidArgumentError(f"{where}missing field {key!r}")
         try:
-            if test(value):
-                values.append(value)
+            read = test(value)
+            judged = isinstance(read, (bool, np.bool_))  # kept or refused, not read
+            if not judged or read:
+                values.append(value if judged else read)
                 continue
             message = f"expected {expected}, got {value!r}"
         except InvalidArgumentError as exc:
@@ -482,12 +484,24 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _or_null(test: Callable[[object], bool]) -> Callable[[object], bool]:
+def _or_null(test: Callable[[object], object]) -> Callable[[object], object]:
     return lambda value: value is None or test(value)
 
 
-def _list_of(test: Callable[[object], bool]) -> Callable[[object], bool]:
-    return lambda value: isinstance(value, list) and all(map(test, value))
+def _list_of(test: Callable[[object], object]) -> Callable[[object], object]:
+    """Each entry by ``test``, in order: True where all pass as they are, else the reads."""
+    def read(value):
+        if not isinstance(value, list):
+            return False
+        reads = []
+        for entry in value:
+            got = test(entry)
+            judged = isinstance(got, (bool, np.bool_))
+            if judged and not got:
+                return False
+            reads.append(entry if judged else got)
+        return reads == value or reads
+    return read
 
 
 _FLAG = _Field(lambda value: isinstance(value, bool), "true or false", False)

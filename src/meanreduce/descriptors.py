@@ -94,8 +94,8 @@ def _one_or_list(test):
     return lambda value: test(value) or _list_of(test)(value)
 
 
-# A domain's test is its reader, which raises on a fault.
-_DOMAIN_FIELD = _Field(lambda spec: parse_domain(spec) is not None, "a domain", None)
+# A domain is read into an Interval (parse_domain, below); absent, it stays None.
+_DOMAIN_FIELD = _Field(_or_null(lambda spec: parse_domain(spec)), "a domain", None)
 _WEIGHTS = _Field(_one_or_list(lambda w: _is_number(w) or _is_text(w)),
                   "a number or an expression, or a list of them", [1.0])
 _EXPRS = _Field(_one_or_list(_is_text), "an expression, or a list of them")
@@ -135,9 +135,10 @@ _DESCRIPTOR = {
 @dataclass(frozen=True)
 class MeanDescriptor:
     """A serializable recipe for a mean family: the fields of the JSON
-    record ``_DESCRIPTOR`` and the kind's parameters ``_PARAMS``, checked
-    when the descriptor is made, from JSON or in Python.  ``dim`` is given
-    for the vector kinds, and may be for the arithmetic means."""
+    record ``_DESCRIPTOR`` and the kind's parameters ``_PARAMS``, read once
+    when the descriptor is made, from JSON or in Python, and kept as read
+    for ``build_mean``.  ``dim`` is given for the vector kinds, and may be
+    for the arithmetic means."""
 
     kind: str
     arity: int
@@ -150,12 +151,8 @@ class MeanDescriptor:
             raise InvalidArgumentError(f"kind {self.kind!r} needs a positive dim")
         if self.dim is not None and self.kind not in _POINT_KINDS:
             raise InvalidArgumentError(f"field 'dim': kind {self.kind!r} takes no points")
-        self._values()
-
-    def _values(self) -> list:
-        """The kind's parameters in ``_PARAMS`` order, defaults filled in."""
-        return _read_fields(self.params, _PARAMS[self.kind],
-                            f"kind {self.kind!r}: field 'params': ")
+        object.__setattr__(self, "_values", _read_fields(self.params, _PARAMS[self.kind],
+                                                         f"kind {self.kind!r}: field 'params': "))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "arity": self.arity, "params": dict(self.params)}
@@ -428,12 +425,11 @@ def matkowski_mean_fn(fs: Sequence, arity: int, domain: Optional[Interval] = Non
 def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> MeanFn:
     """Construct the MeanFn described by a descriptor."""
     kind, arity, dim = desc.kind, desc.arity, desc.dim
-    values = desc._values()
+    values = desc._values
     if kind == "arithmetic":
         return arithmetic_mean_fn(arity, dim)
     if kind == "weighted-arithmetic":
-        weights, domain = values
-        return weighted_arithmetic_mean_fn(weights, arity, dim, parse_domain(domain))
+        return weighted_arithmetic_mean_fn(values[0], arity, dim, values[1] or REALS)
     if kind == "holder":
         return holder_mean_fn(*values, arity)
     if kind == "gini":
@@ -449,7 +445,7 @@ def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> Mean
         return matkowski_mean_fn(fs, arity, _generator_domain(values[1], fs), cfg)
     if kind == "deviation-custom":
         exprs = _expand(values[0], arity, "deviation expressions")
-        return deviation_mean_fn(build_deviations(exprs, parse_domain(values[1])), cfg,
+        return deviation_mean_fn(build_deviations(exprs, values[1] or REALS), cfg,
                                  label="custom deviation mean")
     if kind == "gen-deviation":
         exprs, = values  # one covector for every slot, or a list of them
@@ -466,11 +462,11 @@ def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> Mean
     return potential_mean_fn(pots, cfg, label="custom potential mean")
 
 
-def _generator_domain(spec, fs: list) -> Optional[Interval]:
+def _generator_domain(domain: Optional[Interval], fs: list) -> Optional[Interval]:
     # Without a domain, generators that must share one take (0, inf) where
     # one of them is the named "log", which takes no wider domain.
-    if spec is not None:
-        return parse_domain(spec)
+    if domain is not None:
+        return domain
     return POSITIVE_REALS if "log" in (f.strip() for f in fs) else None
 
 

@@ -629,12 +629,13 @@ def bajraktarevic_mean(f: GeneratorFn, w: Sequence[WeightFn], x: Sequence[float]
     return _invert_average(f, xs, _weight_values(w, xs))
 
 
-def _weight_values(w: Sequence[WeightFn], xs: list) -> list:
-    """The weights w_i(x_i), each positive, or InvalidArgumentError."""
+def _weight_values(w: Sequence[Callable], xs: Sequence) -> list:
+    """The weights w_i(x_i), each finite and positive, or InvalidArgumentError."""
     weights = [wi(xi) for wi, xi in zip(w, xs)]
     for wi, xi in zip(weights, xs):
-        if not wi > 0:
-            raise InvalidArgumentError(f"weight {wi} not positive at {xi}")
+        if not 0.0 < wi < math.inf:
+            raise InvalidArgumentError(f"weight {wi} at {np.asarray(xi, float).tolist()} is not "
+                                       "finite and positive")
     return weights
 
 
@@ -1464,17 +1465,13 @@ def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
     ``average`` or ``point_average``.
 
     Weight entries may be WeightFn instances or plain callables; each must be
-    positive at its argument.
+    finite and positive at its argument (``_weight_values``).
     """
     if len(w) != len(x):
         raise InvalidArgumentError(f"weight count {len(w)} != tuple length {len(x)}")
     if len(x) == 0:
         raise InvalidArgumentError("empty tuple")
-    scalar = np.isscalar(x[0]) or np.asarray(x[0]).ndim == 0
-    values = [wi(xi) for wi, xi in zip(w, x)]
-    for wv in values:
-        if not (math.isfinite(wv) and wv > 0):
-            raise InvalidArgumentError(f"weight {wv} not positive")
-    if scalar:
+    values = _weight_values(w, x)
+    if np.isscalar(x[0]) or np.asarray(x[0]).ndim == 0:
         return average([float(xi) for xi in x], values)
     return point_average(as_point_tuple(x), values)

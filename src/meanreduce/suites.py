@@ -2,10 +2,10 @@
 
 A suite file (``_SUITE``) holds at least one case; a case's ``type`` picks
 the table of its fields (``_CASES``).  ``build_runner`` reads every field of
-a case once, when it builds the case, through ``core._read_fields``: a key
-the table does not list, a missing field and a value its test refuses are
-errors that name the field.  A case's name is its ``name``, else its
-``type``, else "case", and every fault of its content is raised as one
+a case once, through ``core._read_fields``, into what it builds the case
+from: a key the table does not list, a missing field and a value its test
+refuses are errors that name the field.  A case's name is its ``name``, else
+its ``type``, else "case", and every fault of its content is raised as one
 MeansError of the fault's own type whose message starts ``case '<name>': ``.
 
 ``expected`` is "pass" (no counterexample anywhere) or "fail" (the full
@@ -38,8 +38,8 @@ from typing import Callable, Optional, Union
 
 from .core import (_FLAG, Injection, SolverConfig, _Field, _is_count, _is_number, _is_text,
                    _list_of, _or_null, _read_fields)
-from .descriptors import (_DOMAIN_FIELD, MeanDescriptor, _of_points, build_deviations,
-                          build_mean, build_point_weight, build_weights, parse_domain)
+from .descriptors import (MeanDescriptor, _of_points, build_deviations, build_mean,
+                          build_point_weight, build_weights, parse_domain)
 from .errors import InvalidArgumentError, MeansError
 from .expr import _point_keys, parse_expression
 from .lab import (
@@ -80,14 +80,14 @@ _SUITE = {"schema": _Field(lambda v: _is_count(v) and v == SCHEMA_VERSION, str(S
           "description": _Field(_is_text, "a string", ""),
           "cases": _Field(lambda cases: isinstance(cases, list) and cases != [],
                           "a nonempty list of cases")}
-# A case's sampler box, its fields in BoxSampler's order; each bound holds
+# A case's sampler box, read into BoxSampler's keywords; each bound holds
 # for every coordinate, and the dimension is its mean's.
 _BOX = {"low": _Field(_is_number, "a number", 0.0), "high": _Field(_is_number, "a number", 1.0),
         "log_uniform": _FLAG}
-_SAMPLER = _Field(lambda box: _read_fields(box, _BOX) is not None, "a sampler box",
+_SAMPLER = _Field(lambda box: dict(zip(_BOX, _read_fields(box, _BOX))), "a sampler box",
                   {"low": 0.1, "high": 4.0, "log_uniform": True})
-_INTERVAL = _DOMAIN_FIELD._replace(default=[0.2, 6.0])
-_MEAN = _Field(lambda data: MeanDescriptor.from_json(data) is not None, "a mean descriptor")
+_INTERVAL = _Field(parse_domain, "a domain", [0.2, 6.0])
+_MEAN = _Field(MeanDescriptor.from_json, "a mean descriptor")
 _CHI = _Field(_list_of(_is_count), "a list of slots, integers of at least 1")
 _WEIGHTS = _Field(_list_of(lambda w: _is_number(w) or _is_text(w)),
                   "a list of numbers and expressions")
@@ -132,7 +132,7 @@ def packaged_suite_names() -> list[str]:
 
 
 def load_suite(source: str) -> dict:
-    """Load a suite from a filesystem path or a packaged suite name."""
+    """The record (``_SUITE``, defaults filled in) of a suite file or packaged suite."""
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -145,13 +145,12 @@ def load_suite(source: str) -> dict:
                 f"{name!r} (available: {', '.join(packaged_suite_names())})"
             )
         data = json.loads(entry.read_text(encoding="utf-8"))
-    _read_fields(data, _SUITE)
-    return data
+    return dict(zip(_SUITE, _read_fields(data, _SUITE)))
 
 
-def _mean(data) -> MeanFn:
+def _mean(desc: MeanDescriptor) -> MeanFn:
     """The mean a case's descriptor describes, solved at REDUCTION_CFG."""
-    return build_mean(MeanDescriptor.from_json(data), REDUCTION_CFG)
+    return build_mean(desc, REDUCTION_CFG)
 
 
 def _build_function(text: str, dim: Optional[int]) -> Callable:
@@ -168,11 +167,6 @@ def _build_function(text: str, dim: Optional[int]) -> Callable:
         f = _of_points(fn)
     f.batch = batch
     return f
-
-
-def _sampler(spec: dict, dim: Optional[int] = None) -> BoxSampler:
-    low, high, log_uniform = _read_fields(spec, _BOX)
-    return BoxSampler(low, high, dim, log_uniform)
 
 
 def build_runner(case: dict, trials: int, tol: float, reduced_tol: float) -> FuzzCase:
@@ -218,7 +212,7 @@ def _compile_case(case: dict, kind, run: dict) -> Callable[[int, int], dict]:
         trials, reduced_tol, f, M, N, domain, chi = values
         M, N = _mean(M), _mean(N)
         conv = ConvexityCase(M=M, N=N, f=_build_function(f, M.dim),
-                             sampler=_sampler(domain, M.dim), name=name)
+                             sampler=BoxSampler(**domain, dim=M.dim), name=name)
         chi = None if chi is None else Injection.of(chi, n=M.arity)
 
         def check(seed: int):
@@ -231,7 +225,7 @@ def _compile_case(case: dict, kind, run: dict) -> Callable[[int, int], dict]:
     elif kind == "comparison":
         trials, reduced_tol, G, E, chi, domain = values
         G, E = _mean(G), _mean(E)
-        chi, sampler = Injection.of(chi, n=G.arity), _sampler(domain)
+        chi, sampler = Injection.of(chi, n=G.arity), BoxSampler(**domain)
 
         def check(seed: int):
             return compare_means(G, E, chi, trials, tol, sampler=sampler, seed=seed,
@@ -245,7 +239,7 @@ def _compile_case(case: dict, kind, run: dict) -> Callable[[int, int], dict]:
         boxes = [domain] * len(N_list) if domains is None else domains
         hm = HolderMinkowskiCase(N_list=N_list, M=M, f=combiner(f),
                                  chi=Injection.of(chi, n=M.arity),
-                                 samplers=tuple(map(_sampler, boxes)), name=name)
+                                 samplers=tuple(BoxSampler(**box) for box in boxes), name=name)
 
         def check(seed: int):
             return check_holder_minkowski(hm, trials, tol, seed=seed, cfg=REDUCTION_CFG,
@@ -253,7 +247,7 @@ def _compile_case(case: dict, kind, run: dict) -> Callable[[int, int], dict]:
 
     elif kind == "weighted-arith-reduction":
         chi, weights, domain, samples = values
-        weights = build_weights(weights, parse_domain(domain))
+        weights = build_weights(weights, domain)
         chi = Injection.of(chi, n=len(weights))
 
         def check(seed: int):
@@ -268,7 +262,7 @@ def _compile_case(case: dict, kind, run: dict) -> Callable[[int, int], dict]:
             bounds = {"low": low, "high": high}
         else:
             chi, exprs, domain, samples = values
-            entries, bounds = build_deviations(exprs, parse_domain(domain)), {}
+            entries, bounds = build_deviations(exprs, domain), {}
         chi = Injection.of(chi, n=len(entries))
 
         def check(seed: int):
@@ -306,14 +300,14 @@ def _judge(expected: str,
 
 def run_suite(suite: dict, seed: int = 0, trials: int = DEFAULT_TRIALS,
               tol: float = DEFAULT_TOL, reduced_tol: float = DEFAULT_REDUCED_TOL) -> dict:
-    """Run every case and fold in the pass/fail expectations."""
+    """Run every case of a ``load_suite`` record; fold in the pass/fail expectations."""
     runners = [build_runner(c, trials, tol, reduced_tol) for c in suite["cases"]]
     report = fuzz_suite(runners, seed=seed, trials=trials)
     failures = sum(
         1 for entry in report["cases"] if entry.get("error") or not entry.get("ok", False)
     )
     report["schema"] = SCHEMA_VERSION
-    report["suite"] = _read_fields(suite, _SUITE)[1]
+    report["suite"] = suite["name"]
     report["tol"] = tol
     report["reduced_tol"] = reduced_tol
     report["failures"] = failures

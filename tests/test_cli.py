@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ import meanreduce.lab
 import meanreduce.suites
 
 from meanreduce.cli import main
-from meanreduce.core import Injection
+from meanreduce.core import Injection, _read_fields
 from meanreduce.descriptors import build_mean
 from meanreduce.lab import CounterexampleReport
 from meanreduce.reduction import OracleCheckReport
@@ -237,7 +238,7 @@ class TestMeanCommand:
 
     @pytest.mark.parametrize("kind, message", [
         ("norm-squared-potential", "norm-squared: weight -1.0 at [1.0] is not finite and positive"),
-        ("weighted-arithmetic", "weight -1.0 not positive"),
+        ("weighted-arithmetic", "weight -1.0 at [1.0] is not finite and positive"),
     ])
     def test_point_weight_not_positive_at_the_data_exits_2(self, capsys, kind, message):
         code, out, err = run_cli(capsys, "mean", "--kind", kind, "--arity", "2", "--dim", "1",
@@ -1096,6 +1097,53 @@ def test_readme_schema_sections_name_every_field():
     suite, descriptor = _readme_section("Suite schema"), _readme_section("Descriptor schema")
     assert all(f"| `{kind}` |" in suite for kind in suites._CASES)
     assert all(f"| `{kind}` |" in descriptor for kind in descriptors.KINDS)
+
+
+def _reads(build: Callable) -> dict:
+    """The calls made while ``build`` runs: of MeanDescriptor.from_json
+    ("descriptor"), of parse_domain ("domain") and of _read_fields on a
+    sampler box ("box")."""
+    suites, descriptors = meanreduce.suites, meanreduce.descriptors
+    names = {descriptors.MeanDescriptor.from_json.__func__.__code__: "descriptor",
+             descriptors.parse_domain.__code__: "domain"}
+    counts = dict.fromkeys(("descriptor", "domain", "box"), 0)
+
+    def count(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+        elif frame.f_code is _read_fields.__code__ and frame.f_locals["fields"] is suites._BOX:
+            counts["box"] += 1
+
+    sys.setprofile(count)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_build_runner_reads_each_record_once():
+    # Every descriptor of a packaged case (each entry of an N list too),
+    # every domain and every sampler box, given or the field's default, is
+    # read once, into what the case is built from.
+    suites = meanreduce.suites
+    cases = [case for source in suites.packaged_suite_names()
+             for case in load_suite(source)["cases"]]
+    expected = dict.fromkeys(("descriptor", "domain", "box"), 0)
+    for case in cases:
+        descs = [d for key in ("M", "N", "G", "E") if key in case
+                 for d in (case[key] if isinstance(case[key], list) else [case[key]])]
+        fields = suites._CASES[case["type"]]
+        if case["type"] == "deviation-reduction" and "exprs" not in case:
+            fields = suites._POINT_DEVIATIONS
+        expected["descriptor"] += len(descs)
+        expected["domain"] += (sum("domain" in d.get("params", {}) for d in descs)
+                               + (fields.get("domain") is suites._INTERVAL))
+        expected["box"] += (fields.get("domain") is suites._SAMPLER) + len(case.get("domains", []))
+    assert min(expected.values()) > 0
+    assert _reads(lambda: [suites.build_runner(c, 40, 1e-9, 1e-8) for c in cases]) == expected
 
 
 README_CASES = _readme_suite()["cases"]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from meanreduce.core import (
     _Field,
     _is_count,
     _is_number,
+    _list_of,
     _read_fields,
     as_point,
     as_point_tuple,
@@ -106,16 +108,30 @@ class TestInjection:
 
 
 _INNER = {"n": _Field(_is_count, "an integer of at least 1", 1)}
+# A nested record's test is its reader; the field's value is the record read.
 _OUTER = {"x": _Field(_is_number, "a number"),
-          "inner": _Field(lambda record: _read_fields(record, _INNER) is not None, "a record",
-                          {})}
+          "inner": _Field(lambda record: _read_fields(record, _INNER), "a record", {})}
+_OUTER["inners"] = _Field(_list_of(_OUTER["inner"].test), "a list of records", [])
 
 
 class TestReadFields:
     def test_values_come_in_table_order_with_defaults(self):
-        assert _read_fields({"inner": {"n": 3}, "x": 2.5}, _OUTER) == [2.5, {"n": 3}]
-        assert _read_fields({"x": 1}, _OUTER) == [1, {}]
-        assert _read_fields({}, _OUTER, defaults={"x": 4.0}) == [4.0, {}]
+        # A read value comes back read, a default is read too, a list of
+        # records comes back as the records read, and an empty list is kept.
+        assert _read_fields({"inner": {"n": 3}, "x": 2.5, "inners": [{}, {"n": 2}]},
+                            _OUTER) == [2.5, [3], [[1], [2]]]
+        assert _read_fields({"x": 1}, _OUTER) == [1, [1], []]
+        assert _read_fields({}, _OUTER, defaults={"x": 4.0}) == [4.0, [1], []]
+        # A list whose entries pass as they are passes as it is.
+        assert _list_of(_is_count)([1, 2]) is True and _list_of(_is_count)([]) is True
+        assert _list_of(_is_count)([1, 0]) is False
+        # A numpy bool is a verdict, as a comparison of a numpy float gives it.
+        positive = _Field(lambda t: np.float64(t) > 0.0, "a positive number")
+        assert _read_fields({"t": 2.0}, {"t": positive}) == [2.0]
+        assert _list_of(positive.test)([1.0, 2.0]) is True
+        assert _list_of(positive.test)([1.0, -1.0]) is False
+        with pytest.raises(InvalidArgumentError, match="^field 't': expected a positive number"):
+            _read_fields({"t": -1.0}, {"t": positive})
 
     @pytest.mark.parametrize("record, message", [
         ([1], "at: expected an object, got [1]"),

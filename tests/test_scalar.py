@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 
 import mpmath
@@ -281,7 +282,8 @@ class TestBajraktarevicMean:
         # datum 2: the scalar mean raises, and so does the certificate of
         # the numpy row, whose own weights go unchecked.
         M = bajraktarevic_mean_fn("u^3", ["(u - 2)^2"], 3, Interval(0.5, 4.0))
-        with pytest.raises(InvalidArgumentError, match="weight 0.0 not positive at 2.0"):
+        with pytest.raises(InvalidArgumentError,
+                           match="weight 0.0 at 2.0 is not finite and positive"):
             M.eval((1.0, 2.0, 3.0))
         values, radius = M.batch(np.array([[1.0, 2.0, 3.0], [1.0, 1.5, 3.0]]))
         assert np.isnan(values[0]) and radius[0] == 0.0
@@ -851,6 +853,18 @@ class TestWeightedArithMean:
         w = [lambda u: 0.0, lambda u: 1.0]
         with pytest.raises(InvalidArgumentError):
             weighted_arith_mean(w, (1.0, 2.0))
+        # The weighted arithmetic and Bajraktarevic means share one rule: a
+        # weight that is not finite and positive at a datum, a scalar or a
+        # point, is refused with its value and the datum.
+        bajraktarevic = functools.partial(bajraktarevic_mean, identity_generator())
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            w = [lambda u, bad=bad: bad if np.max(u) > 5.0 else 1.0, lambda u: 1.0]
+            for mean, x, datum in ((weighted_arith_mean, (6.0, 2.0), "6.0"),
+                                   (bajraktarevic, (6.0, 2.0), "6.0"),
+                                   (weighted_arith_mean, [(6.0, 1.0), (2.0, 2.0)], "[6.0, 1.0]")):
+                with pytest.raises(InvalidArgumentError, match=re.escape(
+                        f"weight {bad} at {datum} is not finite and positive")):
+                    mean(w, x)
 
 
 # Expression generators on the open half-line, with their exact inverses.

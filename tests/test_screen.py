@@ -28,7 +28,6 @@ from meanreduce.lab import (
 from meanreduce.reduction import MeanFn
 from meanreduce.suites import (REDUCTION_CFG, _build_function, load_suite, packaged_suite_names,
                                run_suite)
-from meanreduce.suites import _mean as suite_mean
 
 _SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -340,7 +339,8 @@ def test_only_the_means_of_a_solve_go_unscreened():
         for case in load_suite(source)["cases"]:
             descs = [case[key] for key in ("M", "N", "G", "E") if isinstance(case.get(key), dict)]
             descs += case["N"] if isinstance(case.get("N"), list) else []
-            kinds = {_solved_kind(desc) for desc in descs if suite_mean(desc).batch is None}
+            kinds = {_solved_kind(desc) for desc in descs
+                     if build_mean(MeanDescriptor.from_json(desc), REDUCTION_CFG).batch is None}
             if kinds:
                 unscreened[case["name"]] = kinds
             if case["type"] == "convexity":
