@@ -32,6 +32,7 @@ from .scalar import (
     GeneratorFn,
     ScalarDeviation,
     WeightFn,
+    WeightTuple,
     bajraktarevic_mean,
     constant_weight,
     deviation_mean,

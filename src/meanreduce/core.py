@@ -563,7 +563,8 @@ def batch_values(batch: Callable, args: tuple, shape: tuple) -> Optional[np.ndar
             value = np.asarray(batch(*args))
         if value.dtype.kind != "f":
             return None
-        value = np.broadcast_to(value, shape)
+        if value.shape != shape:
+            value = np.broadcast_to(value, shape)
     except Exception:  # noqa: BLE001 - the callback's evaluation reports it
         return None
     return value if np.isfinite(value).all() else None

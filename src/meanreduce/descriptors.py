@@ -64,6 +64,7 @@ from .scalar import (
     GeneratorFn,
     ScalarDeviation,
     WeightFn,
+    WeightTuple,
     _exact,
     average,
     average_batch,
@@ -147,6 +148,10 @@ class MeanDescriptor:
 
     def __post_init__(self):
         _read_fields(vars(self), _DESCRIPTOR)
+        self._read_params()
+
+    def _read_params(self):
+        """The checks across fields, and the read of the kind's parameters."""
         if self.kind in _VECTOR_KINDS and self.dim is None:
             raise InvalidArgumentError(f"kind {self.kind!r} needs a positive dim")
         if self.dim is not None and self.kind not in _POINT_KINDS:
@@ -162,7 +167,12 @@ class MeanDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "MeanDescriptor":
-        return cls(*_read_fields(data, _DESCRIPTOR))
+        # The fields are read here, once: the constructor would read them again.
+        desc = object.__new__(cls)
+        for key, value in zip(_DESCRIPTOR, _read_fields(data, _DESCRIPTOR)):
+            object.__setattr__(desc, key, value)
+        desc._read_params()
+        return desc
 
 
 _BOUND = _Field(_or_null(_is_number), "a number, or null for an infinite end", None)
@@ -217,40 +227,43 @@ def build_generator(spec, domain: Optional[Interval] = None,
                              domain or REALS, cfg)
 
 
-def build_weights(specs: Sequence, domain: Interval) -> tuple[WeightFn, ...]:
-    """WeightFns from positive numbers and expressions in u; a WeightFn
-    passes through.  The expressions are compiled as one family, each
-    member with its own function and numpy form, the weight's ``batch``
-    (``expr._bind_family``), and checked on the sample draw they share
-    (``scalar.check_weights``).  Errors come in the order of the specs, as
-    if each weight were built and checked on its own: a spec that raises
-    does so only after the expression weights before it pass their check."""
+def build_weights(specs: Sequence, domain: Interval) -> WeightTuple:
+    """The WeightTuple of positive numbers and expressions in u: a number
+    is a ``constant_weight``, an expression a weight whose eval is an
+    ``expr.Member``, and a WeightFn passes through; the tuple binds its
+    numbers and expressions as one family (``scalar.WeightTuple``).  The
+    expressions are checked on the sample draw they share, by the numpy
+    form of their family (``scalar.check_weights``); a WeightFn that passes
+    through is not checked again.  Errors come in the order of the specs,
+    as if each weight were built and checked on its own: a spec that raises
+    does so only after the expression weights before it pass their
+    check."""
     built: list = []
-    parsed: list = []  # (slot, expression)
+    own: list = []  # the weights built here
+    parsed = False
     error = None
     for spec in specs:
         try:
             if isinstance(spec, WeightFn):
                 built.append(spec)
-            elif isinstance(spec, (int, float)):
-                built.append(constant_weight(float(spec), domain))
+                continue
+            if isinstance(spec, (int, float)):
+                own.append(constant_weight(float(spec), domain))
             else:
-                parsed.append((len(built), parse_expression(str(spec), allowed=("u",))))
-                built.append(None)
+                own.append(WeightFn(eval=Member(parse_expression(str(spec), allowed=("u",)),
+                                                ("u",)), domain=domain, validate=False))
+                parsed = True
+            built.append(own[-1])
         except MeansError as exc:
             error = exc
             break
+    family = WeightTuple(built)
     if parsed:
-        _, _, batch, members = _bind_family([e for _, e in parsed], [{"u": 0}] * len(parsed), 1,
-                                            members=True)
-        weights = [WeightFn(eval=fn, domain=domain, validate=False, batch=form)
-                   for fn, form in members]
-        check_weights(weights, batch)
-        for (slot, _), weight in zip(parsed, weights):
-            built[slot] = weight
+        checked = family if len(own) == len(built) else WeightTuple(own)
+        check_weights(checked.weights, checked.batch)
     if error is not None:
         raise error
-    return tuple(built)
+    return family
 
 
 def build_deviations(texts: Sequence[str], domain: Interval) -> DeviationTuple:
@@ -341,8 +354,9 @@ def build_custom_potential(expr_text: str, dim: int) -> PotentialFn:
 # Each constructor's selection hook rebuilds the family from the entries chi
 # picks; build_weights, build_point_weight and build_generator pass built
 # entries through, and numeric weights stay numbers, so that a selected
-# weighted mean keeps its numpy form.  A deviation mean selects through its
-# DeviationTuple, which binds the selected deviations as one family.
+# weighted mean keeps its numpy form: the WeightTuple of the selected
+# weights binds them as one family again, as a deviation mean's
+# DeviationTuple binds the selected deviations.
 
 
 def arithmetic_mean_fn(arity: int, dim: Optional[int] = None) -> MeanFn:

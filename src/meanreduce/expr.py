@@ -27,8 +27,10 @@ variable reads:
 - the section of a family of scalar deviations E_i(u, v), the function of
   (y, x_1, ..., x_n) that returns every E_i(x_i, y), has member i read x_i
   as u and the shared y as v;
-- a family of weights w_i(u) has every member read argument 0, and asks
-  for each member's own function from the same compile.
+- a family of weights, the function of (x_1, ..., x_n) that returns every
+  w_i(x_i), has member i read x_i as u, takes a number as a member written
+  as its literal, and asks for each expression member's own function of u
+  from the same compile.
 
 Variables are checked when the function is built, not per call.  Every form
 keeps one error contract: a math domain error, overflow or division by zero
@@ -36,7 +38,8 @@ raises DomainError naming the expression, so does a complex result or a
 complex operand of a math function, and the value is a ``float``.  A family
 function that fails is evaluated again one member at a time, in order, so
 the error names the first member that fails.  A ``Member`` is one
-expression compiled on its own only when it is called on its own.
+expression compiled on its own only when it is called on its own, unless
+the compile of its weight family gave it its function.
 
 ``Expression.bind_batch`` and ``_bind_family`` return, besides the scalar
 functions, a numpy form of the same compiled code: the ``_fn_*`` names map
@@ -324,36 +327,40 @@ class Expression:
         return self._by_keyword(*args)
 
 
-def _bind_family(exprs: Sequence[Expression], args: Sequence[dict[str, int]], arity: int,
+def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, int]], arity: int,
                  members: bool = False) -> tuple:
     """The expressions compiled as one family, in one ``compile`` call:
     exprs[i] reads each of its variables x as positional argument
-    args[i][x] of a function of ``arity`` floats.
+    args[i][x] of a function of ``arity`` floats.  A float member is its
+    value, written into the code as its ``repr``, which reads back as the
+    same float: nothing is parsed for it.
 
     Returns the family function, which returns the list of the members'
     values as floats; its total, their sum; the numpy form of the family,
     which returns the tuple of the members' values; and, only where
-    ``members`` asks for them, the pair of each member's function as
-    ``Expression.bind`` gives it and its numpy form, from the same compile
-    (else None).
+    ``members`` asks for them, as a weight family does, whose member i
+    reads argument i alone, each expression member's own function of that
+    argument, as ``Expression.bind`` gives it, from the same compile, and
+    None for each float member (else None).
 
     A family call with a wrong argument count raises its TypeError at once;
     any other call that fails runs the members one at a time, in order, so
-    the DomainError names the first member that fails (members not asked
-    for are compiled, in one call, on the first failure).  The total sums
-    the compiled values by ``math.fsum`` and takes the family's path
-    wherever that raises, so its value and errors are those of the family
-    summed by ``core.wide_fsum``.
+    the DomainError names the first member that fails (each member is
+    compiled as a function of the family's arguments, all in one call, on
+    the first failure).  The total sums the compiled values by
+    ``math.fsum`` and takes the family's path wherever that raises, so its
+    value and errors are those of the family summed by ``core.wide_fsum``.
     """
-    texts = [e.text for e in exprs]
-    bodies = [e._body(a) for e, a in zip(exprs, args)]
+    texts = [e.text if isinstance(e, Expression) else repr(e) for e in exprs]
+    bodies = [e._body(a) if isinstance(e, Expression) else text
+              for e, a, text in zip(exprs, args, texts)]
     params = _params(arity)
-    singles = ", ".join(f"lambda {params}: {body}" for body in bodies)
     label = f"<family {texts!r}>"
-    code = compile(f"(lambda {params}: ({', '.join(bodies)},), {singles if members else ''})",
-                   label, "eval")
+    own = [i for i, e in enumerate(exprs) if members and isinstance(e, Expression)]
+    singles = "".join(f"lambda _a{i}: {bodies[i]}, " for i in own)
+    code = compile(f"(lambda {params}: ({', '.join(bodies)},), {singles})", label, "eval")
     raw, *raws = eval(code, _EVAL_GLOBALS)  # noqa: S307
-    fns = [_contract(text, fn, arity) for text, fn in zip(texts, raws)]
+    fns: list = []
 
     def family(*values):
         try:
@@ -363,7 +370,8 @@ def _bind_family(exprs: Sequence[Expression], args: Sequence[dict[str, int]], ar
             if len(values) != arity:
                 raise
             if not fns:
-                fresh = eval(compile(f"({singles},)", label, "eval"), _EVAL_GLOBALS)  # noqa: S307
+                fresh = eval(compile(f"({', '.join(f'lambda {params}: {b}' for b in bodies)},)",
+                                     label, "eval"), _EVAL_GLOBALS)  # noqa: S307
                 fns.extend(_contract(text, fn, arity) for text, fn in zip(texts, fresh))
             return [fn(*values) for fn in fns]
 
@@ -376,33 +384,40 @@ def _bind_family(exprs: Sequence[Expression], args: Sequence[dict[str, int]], ar
         except (ValueError, OverflowError, ZeroDivisionError, TypeError):
             return wide_fsum(family(*values))
 
-    batch, *forms = eval(code, _NUMPY_GLOBALS)  # noqa: S307
-    return family, total, batch, list(zip(fns, forms)) if members else None
+    batch = eval(code, _NUMPY_GLOBALS)[0]  # noqa: S307
+    if not members:
+        return family, total, batch, None
+    single = iter(raws)
+    return family, total, batch, [_contract(text, next(single), 1) if isinstance(e, Expression)
+                                  else None for e, text in zip(exprs, texts)]
 
 
 class Member:
     """An expression bound to names as ``Expression.bind(names)`` binds it,
-    compiled on its first call.
+    compiled on its first call unless a family gave it ``fn``.
 
     A ``DeviationTuple`` of deviations whose evals are members in two
     names, the first taking a data point x and the second the evaluation
     point y, compiles their section as one family (``_bind_family``); a
-    member is compiled only where it is called on its own.  It refers to
-    nothing that refers back to it, so reference counting frees a family as
-    soon as its users drop it.
+    member is compiled only where it is called on its own.  A
+    ``WeightTuple`` of weights whose evals are members in one name compiles
+    them as one family that also gives each member its ``fn``, the
+    function ``bind`` would compile.  A member refers to nothing that refers
+    back to it, so reference counting frees a family as soon as its users
+    drop it.
     """
 
-    __slots__ = ("expression", "names", "_fn")
+    __slots__ = ("expression", "names", "fn")
 
     def __init__(self, expression: Expression, names: Sequence[str]):
         self.expression = expression
         self.names = tuple(names)
-        self._fn = None
+        self.fn = None
 
     def __call__(self, *args) -> float:
-        if self._fn is None:
-            self._fn = self.expression.bind(self.names)
-        return self._fn(*args)
+        if self.fn is None:
+            self.fn = self.expression.bind(self.names)
+        return self.fn(*args)
 
 
 def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Expression:

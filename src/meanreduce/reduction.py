@@ -71,7 +71,8 @@ from .errors import (
     NoConvergenceError,
     NotAMeanError,
 )
-from .scalar import DeviationTuple, deviation_batch, deviation_mean, weighted_arith_mean
+from .scalar import (DeviationTuple, as_weight_tuple, deviation_batch, deviation_mean,
+                     weighted_arith_mean)
 from .vector import (
     GenDeviation,
     PotentialFn,
@@ -630,21 +631,25 @@ def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
 
     Over randomized k-tuples, the fixed-point reduction of the n-variable
     weighted arithmetic mean is compared with the k-variable weighted
-    arithmetic mean built from the weights picked out by the injection.
+    arithmetic mean built from the weights picked out by the injection.  A
+    WeightTuple (``descriptors.build_weights``) evaluates the n weights of
+    the reduced route in one call; the direct route calls each selected
+    weight in turn.
     """
     if len(w) != chi.n:
         raise InvalidArgumentError(f"need {chi.n} weights, got {len(w)}")
+    w = as_weight_tuple(w)
     dom = getattr(w[0], "domain", None)
     lo, hi = dom.finite_window() if dom is not None else (-4.0, 4.0)
     M = MeanFn(
         arity=chi.n,
-        eval=lambda xs, w=tuple(w): weighted_arith_mean(w, xs),
+        eval=lambda xs: weighted_arith_mean(w, xs),
         label="weighted arithmetic",
     )
     # The fixed-point residual amplifies into the value by the inverse slope
     # of mu, so the certificate must sit well below the agreement tolerance.
     run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, tol * 1e-3))
-    w_sel = select(tuple(w), chi)
+    w_sel = w.select(chi)
     rng = np.random.default_rng(seed)
     return _oracle_check(
         samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),

@@ -106,21 +106,21 @@ def _validation_draw(domain: Interval, offset: int, k: int) -> list[np.ndarray]:
 
 def _stacked(values, shape: tuple) -> np.ndarray:
     """The values of a family's members, each broadcast to shape (a
-    constant member returns a float), stacked on a first member axis."""
-    return np.array([np.broadcast_to(v, shape) for v in values])
-
-
-def _weight_passes(w: np.ndarray, clear: bool = False) -> np.ndarray:
-    """Where w(u) is finite and above 0, or, for ``clear``, above
-    BATCH_MARGIN times the largest |w| along the last (sample) axis."""
-    floor = BATCH_MARGIN * np.abs(w).max(axis=-1, keepdims=True) if clear else 0.0
-    return np.isfinite(w) & (w > floor)
+    constant member returns a float), stacked on a first member axis.  The
+    stack takes the type all the values share, as ``np.array`` of them
+    would: complex where one is, so that ``core.batch_values`` refuses it."""
+    out = np.empty((len(values),) + shape, dtype=np.result_type(*values))
+    for i, value in enumerate(values):
+        out[i] = value
+    return out
 
 
 def _weight_verdict(us: np.ndarray, values) -> Optional[str]:
-    """The weight verdict on the first len(w) samples, for (w,) = values."""
+    """The weight verdict on the first len(w) samples, for (w,) = values:
+    w(u) is finite and above 0."""
     (w,) = values
-    return first_failure([(_weight_passes(np.asarray(w, dtype=float)),
+    wf = np.asarray(w, dtype=float)
+    return first_failure([(np.isfinite(wf) & (wf > 0.0),
                            lambda k: f"weight function is not positive at u={us[k]}: {w[k]}")])
 
 
@@ -128,20 +128,21 @@ def check_weights(weights: Sequence[WeightFn], batch: Optional[Callable] = None)
     """Positivity of each weight on the 64 samples that the weights of one
     domain share, each weight judged by ``_weight_verdict`` in turn.
 
-    ``batch``, the numpy form of the family (one call on the sample array
-    returns every member's values, as ``expr._bind_family`` returns it),
-    lets one verdict along a member axis accept each member whose values
-    clear the threshold by BATCH_MARGIN (see ``judge_samples``).  Each
-    member it does not clear is judged on its own ``eval``, sample by
-    sample, in member order, so every rejection and its message are the
-    member's own."""
+    ``batch``, the numpy form of the family (``WeightTuple.batch``: arrays
+    x_1, ..., x_n in, the tuple of the members' values out), evaluates every
+    member on all samples in one call, and one verdict along a member axis
+    accepts each member whose values clear the threshold by BATCH_MARGIN
+    (see ``judge_samples``).  Each member it does not clear is judged on its
+    own ``eval``, sample by sample, in member order, so every rejection and
+    its message are the member's own."""
     (us,) = _validation_draw(weights[0].domain, 0, 1)
-    cleared = np.zeros(len(weights), dtype=bool)
+    n = len(weights)
+    cleared = np.zeros(n, dtype=bool)
     if batch is not None:
-        w = batch_values(lambda u: _stacked(batch(u), u.shape), (us,),
-                         (len(weights),) + us.shape)
+        w = batch_values(lambda u: _stacked(batch(*[u] * n), u.shape), (us,), (n,) + us.shape)
         if w is not None:
-            cleared = _weight_passes(w, clear=True).all(axis=-1)
+            # Finite values, all above BATCH_MARGIN times the member's largest.
+            cleared = w.min(axis=-1) > BATCH_MARGIN * np.abs(w).max(axis=-1)
     for weight, ok in zip(weights, cleared):
         if not ok:
             judge_samples(partial(_weight_verdict, us), weight.eval,
@@ -225,16 +226,15 @@ def check_deviations(devs: Sequence[ScalarDeviation], batch: Optional[Callable] 
 @dataclass(frozen=True)
 class WeightFn:
     """A positive weight function on an interval, checked on 64 samples at
-    construction unless ``validate=False`` (``check_weights``).  A family
-    of expression weights is built and checked at once by
-    ``descriptors.build_weights``.  ``batch``, where it is set, is the numpy
-    form of ``eval`` on an array of u: an array of its shape, or a float
-    for a constant weight."""
+    construction unless ``validate=False`` (``check_weights``).  A weighted
+    mean reads its weights through a ``WeightTuple``: a family of numbers
+    and expression weights, as ``descriptors.build_weights`` builds and
+    checks it, is compiled as one function, with one numpy form, and each
+    evaluation of it is one call, which calls no WeightFn."""
 
     eval: Callable[[float], float]
     domain: Interval = REALS
     validate: bool = True
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.validate:
@@ -244,15 +244,101 @@ class WeightFn:
         return self.eval(u)
 
 
+def _constant(c: float, u) -> float:
+    """A constant weight's value c, whatever u."""
+    return c
+
+
 def constant_weight(c: float, domain: Interval = REALS) -> WeightFn:
-    if not c > 0:
-        raise InvalidArgumentError("constant weight must be positive")
-    constant = lambda u, c=float(c): c  # noqa: E731  (a float on an array of u too)
-    return WeightFn(eval=constant, domain=domain, validate=False, batch=constant)
+    if not 0.0 < c < math.inf:
+        raise InvalidArgumentError("constant weight must be positive and finite")
+    return WeightFn(eval=partial(_constant, float(c)), domain=domain, validate=False)
 
 
 def power_weight(q: float, domain: Interval = POSITIVE_REALS) -> WeightFn:
     return WeightFn(eval=lambda u, q=float(q): u ** q, domain=domain, validate=False)
+
+
+def _family_member(w) -> Union[float, Member, None]:
+    """The member a weight is in a family of weights: the number of a
+    constant weight, the ``expr.Member`` of an expression weight in one
+    name; None for any other weight."""
+    e = getattr(w, "eval", None)
+    if isinstance(e, partial) and e.func is _constant:
+        return e.args[0]
+    return e if isinstance(e, Member) and len(e.names) == 1 else None
+
+
+@dataclass(frozen=True)
+class WeightTuple:
+    """A tuple of weights, with the function of all their values.
+
+    ``values(x_1, ..., x_n)`` returns the list [w_1(x_1), ..., w_n(x_n)],
+    and ``batch`` is its numpy form, arrays x_1, ..., x_n in, the tuple of
+    the members' values out (a constant weight's is a float): every
+    evaluation of a weighted mean's weights is one call of either
+    (``_weight_values``, ``_weight_rows``).  Where every weight is a
+    ``constant_weight`` or has for its eval an ``expr.Member`` in one name,
+    as ``descriptors.build_weights`` builds them, the weights are one
+    family: numbers alone are their values, with nothing compiled; with
+    expressions they are compiled as one function (``expr._bind_family``),
+    in which a number is its float literal, and the same compile gives each
+    expression member its own function (``Member.fn``).  Otherwise, or
+    where ``compiled`` is False, ``values`` calls each weight in turn and
+    ``batch`` is None.  ``select(chi)`` is the tuple of the weights chi
+    picks, called in turn: it compiles nothing.
+    """
+
+    weights: tuple
+    compiled: InitVar[bool] = True
+    values: Callable[..., list] = field(init=False, repr=False, compare=False)
+    batch: Optional[Callable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, compiled: bool):
+        ws = tuple(self.weights)
+        object.__setattr__(self, "weights", ws)
+        members = [_family_member(w) for w in ws] if compiled else [None]
+        if None in members:
+            def values(*xs):
+                return [w(x) for w, x in zip(ws, xs)]
+
+            batch = None
+        elif Member in map(type, members):
+            # Member i reads x_i, argument i, as its one name.
+            values, _, batch, fns = _bind_family(
+                [m if isinstance(m, float) else m.expression for m in members],
+                [{} if isinstance(m, float) else {m.names[0]: i} for i, m in enumerate(members)],
+                len(ws), members=True)
+            for m, fn in zip(members, fns):
+                if fn is not None:
+                    m.fn = fn
+        else:
+            # Numbers alone: nothing to compile.
+            def values(*xs):
+                return list(members)
+
+            def batch(*X):
+                return tuple(members)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "batch", batch)
+
+    def select(self, chi: Injection) -> WeightTuple:
+        """The tuple of the weights chi picks, each called in turn."""
+        return WeightTuple(select(self.weights, chi), compiled=False)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __iter__(self):
+        return iter(self.weights)
+
+    def __getitem__(self, i):
+        return self.weights[i]
+
+
+def as_weight_tuple(w) -> WeightTuple:
+    """w itself, or the WeightTuple of the weights in w."""
+    return w if isinstance(w, WeightTuple) else WeightTuple(w)
 
 
 @dataclass(frozen=True)
@@ -630,8 +716,10 @@ def bajraktarevic_mean(f: GeneratorFn, w: Sequence[WeightFn], x: Sequence[float]
 
 
 def _weight_values(w: Sequence[Callable], xs: Sequence) -> list:
-    """The weights w_i(x_i), each finite and positive, or InvalidArgumentError."""
-    weights = [wi(xi) for wi, xi in zip(w, xs)]
+    """The weights w_i(x_i), each finite and positive, or
+    InvalidArgumentError: one call of a WeightTuple's ``values``, or of each
+    weight of any other sequence in turn."""
+    weights = w.values(*xs) if isinstance(w, WeightTuple) else [wi(xi) for wi, xi in zip(w, xs)]
     for wi, xi in zip(weights, xs):
         if not 0.0 < wi < math.inf:
             raise InvalidArgumentError(f"weight {wi} at {np.asarray(xi, float).tolist()} is not "
@@ -770,15 +858,18 @@ def quasi_arithmetic_batch(f: GeneratorFn, weights: Optional[Sequence[WeightFn]]
                            ) -> Optional[Callable[[np.ndarray], tuple]]:
     """The numpy form of ``quasi_arithmetic_mean(f, .)``, or of
     ``bajraktarevic_mean(f, weights, .)`` where weights are given, for
-    weights that have a numpy form (``WeightFn.batch``): a closed form, with
-    radius 0, for the named generators (log, exp, identity), and the
+    weights that have a numpy form (``WeightTuple.batch``): a closed form,
+    with radius 0, for the named generators (log, exp, identity), and the
     enclosure of the inverse (``_inverse_solve``) for a generator with a
     numpy form (``GeneratorFn.batch``); None for any other generator or
     weight."""
     forms = _NAMED_FORMS.get((f.eval, f.inverse))
-    rows = None if weights is None else tuple(w.batch for w in weights)
-    if rows is not None and None in rows:
-        return None
+    rows = None
+    if weights is not None:
+        weights = as_weight_tuple(weights)
+        rows = weights.batch
+        if rows is None:
+            return None
     if forms is not None:
         return partial(_exact, partial(_quasi_arithmetic_rows, forms, f.domain, rows))
     if f.batch is None:
@@ -786,17 +877,18 @@ def quasi_arithmetic_batch(f: GeneratorFn, weights: Optional[Sequence[WeightFn]]
     return partial(_solved_rows, partial(_inverse_solve, f, weights, rows))
 
 
-def _weight_rows(weights: tuple, X: np.ndarray) -> np.ndarray:
-    """The (T, n) weights of the rows of X, slot i weighted by the numpy
-    form weights[i] (a constant weight returns a float)."""
-    return np.stack([np.broadcast_to(np.asarray(w(X[:, i]), dtype=float), (len(X),))
-                     for i, w in enumerate(weights)], axis=1)
+def _weight_rows(batch: Callable, X: np.ndarray) -> np.ndarray:
+    """The (T, n) weights of the rows of X, from one call of the weights'
+    numpy form ``WeightTuple.batch`` on the columns of X (a constant weight
+    returns a float)."""
+    return np.stack([np.broadcast_to(np.asarray(w, dtype=float), (len(X),))
+                     for w in batch(*X.T)], axis=1)
 
 
-def _quasi_arithmetic_rows(forms: tuple, domain: Interval, weights: Optional[tuple],
+def _quasi_arithmetic_rows(forms: tuple, domain: Interval, weights: Optional[Callable],
                            X: np.ndarray) -> np.ndarray:
-    """h(average of g over the row), weighted where the numpy forms of the
-    slots' weights are given, clamped as ``_invert_average`` clamps, for the
+    """h(average of g over the row), weighted where the numpy form of the
+    weights is given, clamped as ``_invert_average`` clamps, for the
     numpy forms (g, h, h') of a named generator: NaN for rows outside the
     domain, where a weight, their sum or the weighted sum of g is not a
     normal float, or where an average or a value is not one.  An average of
@@ -1060,10 +1152,10 @@ def _matkowski_solve(f: tuple, forms: list, cfg: SolverConfig, X: np.ndarray, a:
             lambda rows, Y: _summed(terms(Y), Y.shape) - target[rows], w, False, w, 2, check)
 
 
-def _inverse_solve(f: GeneratorFn, weights: Optional[tuple], forms: Optional[tuple],
+def _inverse_solve(f: GeneratorFn, weights: Optional[WeightTuple], forms: Optional[Callable],
                    X: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     """``quasi_arithmetic_mean(f, x)``, or ``bajraktarevic_mean(f, weights,
-    x)`` where weights are given, with their numpy forms ``forms``, for each
+    x)`` where weights are given, with their numpy form ``forms``, for each
     row x of X (see the forms of a solve above), where f.inverse is
     ``numeric_inverse`` of f.eval and settles on the domain's finite window
     (``GeneratorFn.batch``).  NaN for constant rows and for rows outside
@@ -1367,16 +1459,33 @@ def gini_batch(p: float, q: float, X: np.ndarray) -> np.ndarray:
         return _budgeted(_direct(ok, d, lo, hi), _clip(hi * power, lo, hi), (2 * n + 4) / d + 3)
 
 
+def _summable(weights: Sequence[float]) -> tuple:
+    """Finite positive weights and their sum by math.fsum; where that sum
+    leaves the float range, the weights times 2^-s instead, for s from the
+    exponent of the largest and the count n, which brings each below
+    2^1024 / n and so their sum below 2^1024.  A power of two scales every
+    weight of at least 2^(s - 1022) exactly, and leaves the weighted mean as
+    it is."""
+    try:
+        return weights, math.fsum(weights)
+    except OverflowError:
+        s = math.frexp(max(weights))[1] + len(weights).bit_length() - 1024
+        weights = [math.ldexp(w, -s) for w in weights]
+        return weights, math.fsum(weights)
+
+
 def average(xs: Sequence[float], weights: Optional[Sequence[float]] = None) -> float:
     """sum_i w_i x_i / sum_i w_i for positive weights, by math.fsum; for
     unit weights (None) no product is formed and the mean is fsum(x) / n.
     Where a product w_i x_i or a partial sum of finite data leaves the float
     range, and the mean does not, the sum is formed again on x_i / m for m =
-    max_i |x_i|."""
+    max_i |x_i|; where the sum of the weights does, the weights are scaled
+    (``_summable``)."""
     if weights is None:
         terms, total = xs, len(xs)
     else:
-        terms, total = [w * v for w, v in zip(weights, xs)], math.fsum(weights)
+        weights, total = _summable(weights)
+        terms = [w * v for w, v in zip(weights, xs)]
     try:
         s = math.fsum(terms)
     except OverflowError:
@@ -1404,7 +1513,8 @@ def average_batch(weights: Optional[tuple], X: np.ndarray) -> np.ndarray:
         if weights is None:
             terms, total = X, n
         else:
-            terms, total = X * np.asarray(weights, dtype=float), math.fsum(weights)
+            weights, total = _summable(weights)
+            terms = X * np.asarray(weights, dtype=float)
         s = terms.sum(axis=1)
         values = s / total
         ulps = n * np.abs(terms).sum(axis=1) / np.abs(s) + 3
@@ -1430,10 +1540,13 @@ def point_average(pts: Sequence, weights: Optional[Sequence[float]] = None) -> n
     and not by a BLAS dot, whose last bits depend on the kernel OpenBLAS
     picks at run time.  Where a product or a partial sum of finite points
     overflows, the sum is formed again on x_i / m for m the largest |x_i| in
-    each coordinate (1 where all are 0)."""
+    each coordinate (1 where all are 0); where the sum of the weights does,
+    the weights are scaled (``_summable``)."""
+    total = len(pts)
+    if weights is not None:
+        weights, total = _summable(weights)
     with np.errstate(over="ignore"):
         acc = _point_sum(pts, weights)
-    total = len(pts) if weights is None else math.fsum(weights)
     if not_finite(acc.ravel()):
         arr = np.asarray(pts, dtype=float)
         if np.isfinite(arr).all():
@@ -1452,9 +1565,12 @@ def point_average_batch(weights: Optional[tuple], X: np.ndarray) -> np.ndarray:
     point_average sums again, scaled, is NaN)."""
     n = X.shape[1]
     pts = X.swapaxes(0, 1)
+    total = n
+    if weights is not None:
+        weights, total = _summable(weights)
     with np.errstate(all="ignore"):
         s = _point_sum(pts, weights)
-        values = s / (n if weights is None else math.fsum(weights))
+        values = s / total
         ulps = n * _point_sum(np.abs(pts), weights) / np.abs(s) + 3
         values = _budgeted(np.abs(values) >= _NORMAL_MIN, values, ulps)
         return np.where(np.isnan(values).any(axis=1, keepdims=True), np.nan, values)
@@ -1464,14 +1580,15 @@ def weighted_arith_mean(w: Sequence, x: Sequence) -> Union[float, np.ndarray]:
     """sum_i w_i(x_i) x_i / sum_i w_i(x_i) for scalar or point entries, by
     ``average`` or ``point_average``.
 
-    Weight entries may be WeightFn instances or plain callables; each must be
-    finite and positive at its argument (``_weight_values``).
+    Weight entries may be WeightFn instances or plain callables, and a
+    WeightTuple evaluates them all in one call; each must be finite and
+    positive at its argument (``_weight_values``).
     """
     if len(w) != len(x):
         raise InvalidArgumentError(f"weight count {len(w)} != tuple length {len(x)}")
     if len(x) == 0:
         raise InvalidArgumentError("empty tuple")
-    values = _weight_values(w, x)
-    if np.isscalar(x[0]) or np.asarray(x[0]).ndim == 0:
-        return average([float(xi) for xi in x], values)
-    return point_average(as_point_tuple(x), values)
+    if isinstance(x[0], float) or np.isscalar(x[0]) or np.asarray(x[0]).ndim == 0:
+        xs = [float(xi) for xi in x]
+        return average(xs, _weight_values(w, xs))
+    return point_average(as_point_tuple(x), _weight_values(w, x))

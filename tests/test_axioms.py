@@ -9,6 +9,7 @@ judged by the same verdict function.
 """
 
 import math
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -212,7 +213,7 @@ def test_batched_path_accepts_valid_families():
     scalar.check_deviations([scalar.ScalarDeviation(domain=domain, eval=_never, validate=False)
                              for _ in texts], batch)
     weights = _bind_family([parse_expression(t) for t in ("1 + u^2", "2", "exp(-u)")],
-                           [{"u": 0}] * 3, 1)[2]
+                           [{"u": i} for i in range(3)], 3)[2]
     scalar.check_weights([scalar.WeightFn(eval=_never, domain=domain, validate=False)] * 3,
                          weights)
     names = ("u1", "u2", "v1", "v2")
@@ -288,6 +289,22 @@ def test_a_failing_batch_leaves_the_verdict_to_the_scalar_loop(spoil):
     with pytest.raises(MeansError) as direct:
         scalar.check_deviations([bad])
     assert str(info.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: build_weights(["u + (-8)^(1/3)"], _DOMAINS[0]), "u + (-8)^(1/3)"),
+    (lambda: build_weights(["1 + u^2", 2.0, "u + (-8)^(1/3)"], _DOMAINS[0]), "u + (-8)^(1/3)"),
+    (lambda: build_deviations(["u - v", "(u - v)*(1 + 0*(-8)^(1/3))"], _DOMAINS[0]),
+     "(u - v)*(1 + 0*(-8)^(1/3))"),
+], ids=["weight", "weight-family", "deviation-family"])
+def test_a_complex_member_is_refused_with_warnings_ignored(build, text):
+    # A constant complex power makes a member's numpy values complex.  The
+    # members' stack must stay complex, so that the verdict falls to the
+    # scalar loop, which refuses the member; cast to its real part, with no
+    # more than a ComplexWarning, it would pass.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _outcome(build) == f"DomainError: expression {text!r} produced a complex value"
 
 
 # Evaluation, then verdict: a callback that raises at sample k has the

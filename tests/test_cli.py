@@ -420,6 +420,18 @@ class TestMeanCommand:
                         "--dim", "2", "--weights", "2;3", "--x", "1e308,1;1e308,-2")
         assert data["value"] == [1e308, pytest.approx(-0.8)]
 
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "weighted-arithmetic", "--x", "1,2"),
+        ("--kind", "weighted-arithmetic", "--dim", "1", "--x", "1;2"),
+        ("--kind", "bajraktarevic", "--f", "u", "--x", "1,2"),
+    ], ids=["scalars", "points", "bajraktarevic"])
+    def test_weight_sum_beyond_the_float_range(self, capsys, flags):
+        # The weights sum to 2e308; scaled by a power of two, their mean
+        # is exact.
+        code, out, err = run_cli(capsys, "mean", "--arity", "2", "--weights", "1e308", *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] in (1.5, [1.5])
+
     @pytest.mark.filterwarnings("error")
     def test_point_sum_beyond_the_float_range(self, capsys):
         # np.mean overflowed to [inf, 1.0] with a RuntimeWarning; each
@@ -526,6 +538,16 @@ class TestVerifyCommand:
         assert reversed_case["full"]["found"] is True
         assert reversed_case["expected"] == "fail"
         assert reversed_case["ok"] is True
+
+    def test_weight_sum_beyond_the_float_range(self, capsys, tmp_path):
+        # Weights that sum past the float range aborted the whole run.
+        suite = tmp_path / "huge.json"
+        suite.write_text(json.dumps({"name": "huge", "cases": [
+            {"type": "weighted-arith-reduction", "name": "huge-weights", "chi": [1, 3],
+             "weights": [1e308, 1e308, 1.0], "domain": [0.2, 6.0]}]}))
+        report = run_json(capsys, "verify", str(suite), "--seed", "7")
+        assert report["passed"] is True
+        assert report["cases"][0]["ok"] is True
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "no-such-suite")
@@ -1102,19 +1124,21 @@ def test_readme_schema_sections_name_every_field():
 def _reads(build: Callable) -> dict:
     """The calls made while ``build`` runs: of MeanDescriptor.from_json
     ("descriptor"), of parse_domain ("domain") and of _read_fields on a
-    sampler box ("box")."""
+    sampler box ("box") and on the fields of a descriptor ("descriptor
+    fields")."""
     suites, descriptors = meanreduce.suites, meanreduce.descriptors
     names = {descriptors.MeanDescriptor.from_json.__func__.__code__: "descriptor",
              descriptors.parse_domain.__code__: "domain"}
-    counts = dict.fromkeys(("descriptor", "domain", "box"), 0)
+    tables = {id(suites._BOX): "box", id(descriptors._DESCRIPTOR): "descriptor fields"}
+    counts = dict.fromkeys(("descriptor", "domain", "box", "descriptor fields"), 0)
 
     def count(frame, event, arg):
         if event != "call":
             return
         if frame.f_code in names:
             counts[names[frame.f_code]] += 1
-        elif frame.f_code is _read_fields.__code__ and frame.f_locals["fields"] is suites._BOX:
-            counts["box"] += 1
+        elif frame.f_code is _read_fields.__code__ and id(frame.f_locals["fields"]) in tables:
+            counts[tables[id(frame.f_locals["fields"])]] += 1
 
     sys.setprofile(count)
     try:
@@ -1127,11 +1151,12 @@ def _reads(build: Callable) -> dict:
 def test_build_runner_reads_each_record_once():
     # Every descriptor of a packaged case (each entry of an N list too),
     # every domain and every sampler box, given or the field's default, is
-    # read once, into what the case is built from.
+    # read once, into what the case is built from; so is each field of a
+    # descriptor.
     suites = meanreduce.suites
     cases = [case for source in suites.packaged_suite_names()
              for case in load_suite(source)["cases"]]
-    expected = dict.fromkeys(("descriptor", "domain", "box"), 0)
+    expected = dict.fromkeys(("descriptor", "domain", "box", "descriptor fields"), 0)
     for case in cases:
         descs = [d for key in ("M", "N", "G", "E") if key in case
                  for d in (case[key] if isinstance(case[key], list) else [case[key]])]
@@ -1142,6 +1167,7 @@ def test_build_runner_reads_each_record_once():
         expected["domain"] += (sum("domain" in d.get("params", {}) for d in descs)
                                + (fields.get("domain") is suites._INTERVAL))
         expected["box"] += (fields.get("domain") is suites._SAMPLER) + len(case.get("domains", []))
+    expected["descriptor fields"] = expected["descriptor"]
     assert min(expected.values()) > 0
     assert _reads(lambda: [suites.build_runner(c, 40, 1e-9, 1e-8) for c in cases]) == expected
 

@@ -209,6 +209,95 @@ def test_each_weight_of_a_family_is_its_text_bound_alone(kinds, u):
             assert got == expected and expected.startswith("DomainError: ")
 
 
+@st.composite
+def weight_specs(draw):
+    """Expression weights of WEIGHT_KINDS mixed with numbers."""
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            specs.append(draw(st.floats(0.0, 1e308, exclude_min=True)))
+        else:
+            (lo, hi), form = draw(st.sampled_from(WEIGHT_KINDS))
+            specs.append(form.format(_num(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))))
+    return specs
+
+
+@SETTINGS
+@given(weight_specs(), st.data())
+def test_weight_values_are_the_members_called_in_turn(specs, data):
+    # One call of the compiled family gives the floats that the members,
+    # each bound alone, give one at a time; where one of them raises (a
+    # math domain error or a complex power below 0), the family raises the
+    # first member's error.
+    w = build_weights(specs, DOMAIN)
+    xs = data.draw(st.lists(st.floats(-6.0, 6.0), min_size=len(specs), max_size=len(specs)))
+    alone = [parse_expression(s).bind(("u",)) if isinstance(s, str) else (lambda u, c=s: c)
+             for s in specs]
+    expected = _result(lambda: [fn(x) for fn, x in zip(alone, xs)])
+    got = _result(lambda: w.values(*xs))
+    if isinstance(expected, list):
+        assert all(type(v) is float for v in got) and _bits(got) == _bits(expected)
+    else:
+        assert got == expected and expected.startswith("DomainError: ")
+
+
+@pytest.mark.parametrize("specs, xs, expected", [
+    (["1 + u", "log(u) + 1", "u^0.5"], (1.0, -1.0, -1.0),
+     "DomainError: evaluating 'log(u) + 1': math domain error"),
+    ([2.0, "u^0.5", "log(u) + 1"], (1.0, -1.0, -1.0),
+     "DomainError: expression 'u^0.5' produced a complex value"),
+])
+def test_the_first_failing_weight_is_named(specs, xs, expected):
+    assert _result(lambda: build_weights(specs, DOMAIN).values(*xs)) == expected
+
+
+def test_a_selected_weight_runs_the_function_of_its_family_compile():
+    # The compile of the family gives each expression weight its own
+    # function, so the direct route of a reduction compiles nothing.
+    w = build_weights(["1 + 0.5*u^2", 2.0, "exp(-0.3*u)"], DOMAIN)
+    alone = [parse_expression("exp(-0.3*u)").bind(("u",)), lambda u: 2.0]
+    with mock.patch.object(expr.Expression, "bind", side_effect=AssertionError("compiled")):
+        selected = w.select(Injection.of([3, 2], n=3))
+        assert selected.values(0.7, 1.9) == [fn(x) for fn, x in zip(alone, (0.7, 1.9))]
+        assert w[0](1.5) == 1 + 0.5 * 1.5 ** 2
+
+
+def _weight_calls(run) -> tuple:
+    """The WeightFn calls made while ``run`` runs, and its value."""
+    calls = []
+    original = scalar.WeightFn.__call__
+
+    def counting(self, u):
+        calls.append(u)
+        return original(self, u)
+
+    with mock.patch.object(scalar.WeightFn, "__call__", counting):
+        value = run()
+    return len(calls), value
+
+
+def test_a_weighted_reduction_calls_only_the_selected_weights():
+    # The reduced route evaluates the n weights in one compiled call and
+    # calls no weight on its own; the direct route calls each of the k
+    # weights that chi selects, once per sample.
+    w = build_weights(["1 + 0.5*u^2", 2.0, "exp(-0.3*u)", "sqrt(u) + 0.2"], DOMAIN)
+    chi = Injection.of([3, 1], n=4)
+    calls, report = _weight_calls(lambda: reduction.check_weighted_arith_reduction(
+        w, chi, samples=25, tol=1e-9, seed=5))
+    assert report.passed
+    assert calls == 25 * chi.k
+
+
+def test_the_weighted_reduction_oracles_call_only_the_selected_weights():
+    # Every weighted case of the packaged oracles, numbers-only ones too.
+    cases = [c for c in load_suite("reduction-oracles")["cases"]
+             if c["type"] == "weighted-arith-reduction"]
+    runners = [build_runner(c, 40, 1e-9, 1e-8) for c in cases]
+    calls, reports = _weight_calls(lambda: [r.runner(7, 40) for r in runners])
+    assert all(report["ok"] for report in reports)
+    assert calls == sum(c.get("samples", 60) * len(c["chi"]) for c in cases)
+
+
 def test_section_family_is_freed_by_reference_counting_alone():
     # A family whose members referred back to it would live until the cycle
     # collector ran, which raised peak memory.

@@ -34,6 +34,7 @@ from meanreduce.scalar import (
     ScalarDeviation,
     WeightFn,
     average,
+    average_batch,
     bajraktarevic_mean,
     constant_weight,
     deviation_batch,
@@ -49,6 +50,7 @@ from meanreduce.scalar import (
     matkowski_mean,
     numeric_inverse,
     point_average,
+    point_average_batch,
     power_generator,
     power_weight,
     quasi_arithmetic_batch,
@@ -833,6 +835,22 @@ class TestAverages:
             acc = acc + w * np.array([v, -v])
         assert point_average([np.array([v, -v]) for v in xs], ws).tobytes() == (
             acc / 6.0).tobytes()
+
+    def test_weights_that_sum_beyond_the_float_range_are_scaled_exactly(self):
+        # 1e308 + 1e308 overflows; the weights scaled by 2^-s, s from the
+        # largest, give the mean of the weights 2^-s times as large, bit for
+        # bit, where math.fsum raised OverflowError.
+        xs, ws = [0.1, 0.2, 0.7], [1e308, 1e308, 3.0]
+        scaled = [w / 4.0 for w in ws]
+        assert average(xs, ws) == average(xs, scaled)
+        assert average([1.0, 2.0], [1e308, 1e308]) == 1.5
+        pts = [np.array([v, -v]) for v in xs]
+        assert point_average(pts, ws).tobytes() == point_average(pts, scaled).tobytes()
+        X = np.array([xs, [1.0, 2.0, 3.0]])
+        assert average_batch(tuple(ws), X).tobytes() == average_batch(tuple(scaled), X).tobytes()
+        blocks = np.stack([X, -X], axis=2)
+        assert point_average_batch(tuple(ws), blocks).tobytes() == point_average_batch(
+            tuple(scaled), blocks).tobytes()
 
 
 class TestWeightedArithMean:
