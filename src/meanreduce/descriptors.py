@@ -336,8 +336,8 @@ def build_gen_deviation(exprs: Sequence[str], dim: int) -> GenDeviation:
         raise InvalidArgumentError(f"need {dim} covector expressions, got {len(exprs)}")
     allowed = _point_keys("u", dim) + _point_keys("v", dim)
     # Every coordinate reads the same arguments (u1..ud, v1..vd).
-    family, _, batch, _ = _bind_family([parse_expression(str(e), allowed=allowed) for e in exprs],
-                                       [dict(zip(allowed, range(2 * dim)))] * dim, 2 * dim)
+    family, _, batch = _bind_family([parse_expression(str(e), allowed=allowed) for e in exprs],
+                                    [dict(zip(allowed, range(2 * dim)))] * dim, 2 * dim)
     dev = GenDeviation(dim=dim, eval=_of_points(family), label="custom generalized deviation",
                        sample_low=-2.0, sample_high=2.0, validate=False)
     dev._check_axioms(batch)

@@ -28,9 +28,8 @@ variable reads:
   (y, x_1, ..., x_n) that returns every E_i(x_i, y), has member i read x_i
   as u and the shared y as v;
 - a family of weights, the function of (x_1, ..., x_n) that returns every
-  w_i(x_i), has member i read x_i as u, takes a number as a member written
-  as its literal, and asks for each expression member's own function of u
-  from the same compile.
+  w_i(x_i), has member i read x_i as u and takes a number as a member
+  written as its literal.
 
 Variables are checked when the function is built, not per call.  Every form
 keeps one error contract: a math domain error, overflow or division by zero
@@ -38,8 +37,8 @@ raises DomainError naming the expression, so does a complex result or a
 complex operand of a math function, and the value is a ``float``.  A family
 function that fails is evaluated again one member at a time, in order, so
 the error names the first member that fails.  A ``Member`` is one
-expression compiled on its own only when it is called on its own, unless
-the compile of its weight family gave it its function.
+expression compiled on its own only when it is called on its own: a
+family compile gives its members nothing.
 
 ``Expression.bind_batch`` and ``_bind_family`` return, besides the scalar
 functions, a numpy form of the same compiled code: the ``_fn_*`` names map
@@ -327,8 +326,8 @@ class Expression:
         return self._by_keyword(*args)
 
 
-def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, int]], arity: int,
-                 members: bool = False) -> tuple:
+def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, int]],
+                 arity: int) -> tuple:
     """The expressions compiled as one family, in one ``compile`` call:
     exprs[i] reads each of its variables x as positional argument
     args[i][x] of a function of ``arity`` floats.  A float member is its
@@ -336,12 +335,8 @@ def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, i
     same float: nothing is parsed for it.
 
     Returns the family function, which returns the list of the members'
-    values as floats; its total, their sum; the numpy form of the family,
-    which returns the tuple of the members' values; and, only where
-    ``members`` asks for them, as a weight family does, whose member i
-    reads argument i alone, each expression member's own function of that
-    argument, as ``Expression.bind`` gives it, from the same compile, and
-    None for each float member (else None).
+    values as floats; its total, their sum; and the numpy form of the
+    family, which returns the tuple of the members' values.
 
     A family call with a wrong argument count raises its TypeError at once;
     any other call that fails runs the members one at a time, in order, so
@@ -356,10 +351,8 @@ def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, i
               for e, a, text in zip(exprs, args, texts)]
     params = _params(arity)
     label = f"<family {texts!r}>"
-    own = [i for i, e in enumerate(exprs) if members and isinstance(e, Expression)]
-    singles = "".join(f"lambda _a{i}: {bodies[i]}, " for i in own)
-    code = compile(f"(lambda {params}: ({', '.join(bodies)},), {singles})", label, "eval")
-    raw, *raws = eval(code, _EVAL_GLOBALS)  # noqa: S307
+    code = compile(f"lambda {params}: ({', '.join(bodies)},)", label, "eval")
+    raw = eval(code, _EVAL_GLOBALS)  # noqa: S307
     fns: list = []
 
     def family(*values):
@@ -384,27 +377,21 @@ def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, i
         except (ValueError, OverflowError, ZeroDivisionError, TypeError):
             return wide_fsum(family(*values))
 
-    batch = eval(code, _NUMPY_GLOBALS)[0]  # noqa: S307
-    if not members:
-        return family, total, batch, None
-    single = iter(raws)
-    return family, total, batch, [_contract(text, next(single), 1) if isinstance(e, Expression)
-                                  else None for e, text in zip(exprs, texts)]
+    return family, total, eval(code, _NUMPY_GLOBALS)  # noqa: S307
 
 
 class Member:
     """An expression bound to names as ``Expression.bind(names)`` binds it,
-    compiled on its first call unless a family gave it ``fn``.
+    compiled on its first call.
 
     A ``DeviationTuple`` of deviations whose evals are members in two
     names, the first taking a data point x and the second the evaluation
-    point y, compiles their section as one family (``_bind_family``); a
-    member is compiled only where it is called on its own.  A
-    ``WeightTuple`` of weights whose evals are members in one name compiles
-    them as one family that also gives each member its ``fn``, the
-    function ``bind`` would compile.  A member refers to nothing that refers
-    back to it, so reference counting frees a family as soon as its users
-    drop it.
+    point y, compiles their section as one family (``_bind_family``), and
+    a ``WeightTuple`` of weights whose evals are members in one name
+    compiles their values as one family in the same way; a member compiles
+    only itself, where it is called on its own.  A member refers to nothing
+    that refers back to it, so reference counting frees a family as soon
+    as its users drop it.
     """
 
     __slots__ = ("expression", "names", "fn")

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -597,17 +598,22 @@ class OracleCheckReport:
         }
 
 
-def _oracle_check(samples: int, tol: float, draw: Callable, reduced: Callable,
-                  direct: Callable, size: Callable) -> OracleCheckReport:
-    """Compare reduced(x) with direct(x) on ``samples`` draws x = draw(),
-    recording each draw whose error size(reduced - direct) exceeds
-    tol (1 + size(direct)), the scaling the lab gives its slacks; ``size``
-    is abs for scalars and the Euclidean norm for points.  The report's
-    max_abs_error is the largest unscaled error."""
+def _oracle_check(tol: float, low, high, shape: tuple, reduced: Callable, direct: Callable,
+                  samples: int, seed: int) -> OracleCheckReport:
+    """Compare reduced(x) with direct(x) on ``samples`` draws x from [low,
+    high], each one ``core.wide_uniform`` call of a generator seeded with
+    ``seed``: a k-tuple of floats for shape (k,), of points in R^dim for
+    shape (k, dim).  Each draw whose error size(reduced - direct) exceeds
+    tol (1 + size(direct)), the scaling the lab gives its slacks, is
+    recorded; ``size`` is abs for scalars and the Euclidean norm for
+    points.  The report's max_abs_error is the largest unscaled error."""
+    rng = np.random.default_rng(seed)
+    size = abs if len(shape) == 1 else _norm
     worst = 0.0
     failures = []
     for _ in range(samples):
-        xs = draw()
+        drawn = wide_uniform(rng, low, high, shape)
+        xs = tuple(drawn.tolist() if len(shape) == 1 else drawn)
         lhs = reduced(xs)
         rhs = direct(xs)
         err = size(lhs - rhs)
@@ -624,6 +630,25 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
+def weighted_arith_oracle(w: Sequence, chi: Injection, tol: float,
+                          cfg: SolverConfig = DEFAULT_CONFIG) -> Callable:
+    """The two routes of ``check_weighted_arith_reduction``, built once, as
+    the function of (samples, seed) that draws and compares them."""
+    if len(w) != chi.n:
+        raise InvalidArgumentError(f"need {chi.n} weights, got {len(w)}")
+    w = as_weight_tuple(w)
+    dom = getattr(w[0], "domain", None)
+    lo, hi = dom.finite_window() if dom is not None else (-4.0, 4.0)
+    M = MeanFn(arity=chi.n, eval=lambda xs: weighted_arith_mean(w, xs),
+               label="weighted arithmetic")
+    # The fixed-point residual amplifies into the value by the inverse slope
+    # of mu, so the certificate must sit well below the agreement tolerance.
+    run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, tol * 1e-3))
+    w_sel = w.select(chi)
+    return partial(_oracle_check, tol, lo, hi, (chi.k,), fixed_point_mean_fn(M, chi, run_cfg),
+                   lambda xs: weighted_arith_mean(w_sel, xs))
+
+
 def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
                                    tol: float, seed: int = 0,
                                    cfg: SolverConfig = DEFAULT_CONFIG) -> OracleCheckReport:
@@ -633,27 +658,38 @@ def check_weighted_arith_reduction(w: Sequence, chi: Injection, samples: int,
     weighted arithmetic mean is compared with the k-variable weighted
     arithmetic mean built from the weights picked out by the injection.  A
     WeightTuple (``descriptors.build_weights``) evaluates the n weights of
-    the reduced route in one call; the direct route calls each selected
-    weight in turn.
+    the reduced route in one call, and its selection (``WeightTuple.select``)
+    the k weights of the direct route.  ``weighted_arith_oracle`` builds the
+    two routes once, for any number of checks.
     """
-    if len(w) != chi.n:
-        raise InvalidArgumentError(f"need {chi.n} weights, got {len(w)}")
-    w = as_weight_tuple(w)
-    dom = getattr(w[0], "domain", None)
-    lo, hi = dom.finite_window() if dom is not None else (-4.0, 4.0)
-    M = MeanFn(
-        arity=chi.n,
-        eval=lambda xs: weighted_arith_mean(w, xs),
-        label="weighted arithmetic",
-    )
-    # The fixed-point residual amplifies into the value by the inverse slope
-    # of mu, so the certificate must sit well below the agreement tolerance.
-    run_cfg = replace(cfg, abs_tol=min(cfg.abs_tol, tol * 1e-3))
-    w_sel = w.select(chi)
-    rng = np.random.default_rng(seed)
-    return _oracle_check(
-        samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),
-        fixed_point_mean_fn(M, chi, run_cfg), lambda xs: weighted_arith_mean(w_sel, xs), abs)
+    return weighted_arith_oracle(w, chi, tol, cfg)(samples, seed)
+
+
+def deviation_oracle(E, chi: Injection, tol: float, cfg: SolverConfig = DEFAULT_CONFIG,
+                     low: float = -2.0, high: float = 2.0) -> Callable:
+    """The two routes of ``check_deviation_reduction``, built once, as the
+    function of (samples, seed) that draws and compares them.  A box of
+    points needs low < high and a finite high - low (InvalidArgumentError
+    otherwise): the hull tolerances scale with the spread of the data."""
+    entries = tuple(E)
+    if len(entries) != chi.n:
+        raise InvalidArgumentError(f"need {chi.n} deviations, got {len(entries)}")
+    inner_abs = min(cfg.abs_tol, tol * 1e-4)
+    inner = replace(cfg, abs_tol=inner_abs, rel_tol=min(cfg.rel_tol, 1e-13))
+    outer = replace(cfg, abs_tol=max(tol * 1e-3, inner_abs * 10.0))
+    if isinstance(entries[0], GenDeviation):
+        low, high = float(low), float(high)
+        if not 0.0 < high - low < math.inf:
+            raise InvalidArgumentError("'low' and 'high': expected low < high with a finite "
+                                       f"high - low, got {low!r} and {high!r}")
+        return partial(_oracle_check, tol, low, high, (chi.k, entries[0].dim),
+                       fixed_point_mean_fn(gen_deviation_mean_fn(entries, inner), chi, outer),
+                       gen_deviation_mean_fn(select(entries, chi), inner))
+    dev = E if isinstance(E, DeviationTuple) else DeviationTuple(entries)
+    lo, hi = dev.common_domain.finite_window()
+    return partial(_oracle_check, tol, lo, hi, (chi.k,),
+                   fixed_point_mean_fn(deviation_mean_fn(dev, inner), chi, outer),
+                   deviation_mean_fn(dev.select(chi), inner))
 
 
 def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
@@ -665,28 +701,13 @@ def check_deviation_reduction(E, chi: Injection, samples: int, tol: float,
     with the k-variable deviation mean of the selected deviations, over
     randomized k-tuples.  Accepts scalar deviation tuples or generalized
     deviations; for the latter the data is drawn from [low, high]^dim.
+    ``deviation_oracle`` builds the two routes once, for any number of
+    checks: a DeviationTuple binds its selection as one family
+    (``DeviationTuple.select``).
 
     Inner mean solves and the outer fixed-point certificate both derive from
     the agreement tolerance: the outer residual amplifies into the reduced
     value by the inverse slope of mu and cannot beat the accuracy of the
     nested evaluations, so the chain is inner << outer << tol.
     """
-    entries = tuple(E)
-    if len(entries) != chi.n:
-        raise InvalidArgumentError(f"need {chi.n} deviations, got {len(entries)}")
-    rng = np.random.default_rng(seed)
-    inner_abs = min(cfg.abs_tol, tol * 1e-4)
-    inner = replace(cfg, abs_tol=inner_abs, rel_tol=min(cfg.rel_tol, 1e-13))
-    outer = replace(cfg, abs_tol=max(tol * 1e-3, inner_abs * 10.0))
-    if isinstance(entries[0], GenDeviation):
-        dim = entries[0].dim
-        return _oracle_check(
-            samples, tol, lambda: tuple(rng.uniform(low, high, dim) for _ in range(chi.k)),
-            fixed_point_mean_fn(gen_deviation_mean_fn(entries, inner), chi, outer),
-            gen_deviation_mean_fn(select(entries, chi), inner), _norm)
-    dev = E if isinstance(E, DeviationTuple) else DeviationTuple(entries)
-    lo, hi = dev.common_domain.finite_window()
-    return _oracle_check(
-        samples, tol, lambda: tuple(float(v) for v in wide_uniform(rng, lo, hi, chi.k)),
-        fixed_point_mean_fn(deviation_mean_fn(dev, inner), chi, outer),
-        deviation_mean_fn(dev.select(chi), inner), abs)
+    return deviation_oracle(E, chi, tol, cfg, low, high)(samples, seed)

@@ -229,8 +229,9 @@ class WeightFn:
     construction unless ``validate=False`` (``check_weights``).  A weighted
     mean reads its weights through a ``WeightTuple``: a family of numbers
     and expression weights, as ``descriptors.build_weights`` builds and
-    checks it, is compiled as one function, with one numpy form, and each
-    evaluation of it is one call, which calls no WeightFn."""
+    checks it, and so each selection of it, is compiled as one function,
+    with one numpy form, and each evaluation of it is one call, which calls
+    no WeightFn."""
 
     eval: Callable[[float], float]
     domain: Interval = REALS
@@ -282,22 +283,19 @@ class WeightTuple:
     as ``descriptors.build_weights`` builds them, the weights are one
     family: numbers alone are their values, with nothing compiled; with
     expressions they are compiled as one function (``expr._bind_family``),
-    in which a number is its float literal, and the same compile gives each
-    expression member its own function (``Member.fn``).  Otherwise, or
-    where ``compiled`` is False, ``values`` calls each weight in turn and
-    ``batch`` is None.  ``select(chi)`` is the tuple of the weights chi
-    picks, called in turn: it compiles nothing.
+    in which a number is its float literal.  Otherwise ``values`` calls
+    each weight in turn and ``batch`` is None.  ``select(chi)`` binds the
+    weights that chi picks as one family of their own.
     """
 
     weights: tuple
-    compiled: InitVar[bool] = True
     values: Callable[..., list] = field(init=False, repr=False, compare=False)
     batch: Optional[Callable] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, compiled: bool):
+    def __post_init__(self):
         ws = tuple(self.weights)
         object.__setattr__(self, "weights", ws)
-        members = [_family_member(w) for w in ws] if compiled else [None]
+        members = [_family_member(w) for w in ws]
         if None in members:
             def values(*xs):
                 return [w(x) for w, x in zip(ws, xs)]
@@ -305,13 +303,10 @@ class WeightTuple:
             batch = None
         elif Member in map(type, members):
             # Member i reads x_i, argument i, as its one name.
-            values, _, batch, fns = _bind_family(
+            values, _, batch = _bind_family(
                 [m if isinstance(m, float) else m.expression for m in members],
                 [{} if isinstance(m, float) else {m.names[0]: i} for i, m in enumerate(members)],
-                len(ws), members=True)
-            for m, fn in zip(members, fns):
-                if fn is not None:
-                    m.fn = fn
+                len(ws))
         else:
             # Numbers alone: nothing to compile.
             def values(*xs):
@@ -323,8 +318,8 @@ class WeightTuple:
         object.__setattr__(self, "batch", batch)
 
     def select(self, chi: Injection) -> WeightTuple:
-        """The tuple of the weights chi picks, each called in turn."""
-        return WeightTuple(select(self.weights, chi), compiled=False)
+        """The tuple of the weights chi picks."""
+        return WeightTuple(select(self.weights, chi))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -553,7 +548,7 @@ class DeviationTuple:
         evals = [d.eval for d in devs]
         if compiled and all(isinstance(e, Member) and len(e.names) == 2 for e in evals):
             # Member i reads x_i, argument i + 1, as u and y, argument 0, as v.
-            section, total, batch, _ = _bind_family(
+            section, total, batch = _bind_family(
                 [e.expression for e in evals],
                 [{e.names[0]: i + 1, e.names[1]: 0} for i, e in enumerate(evals)], len(evals) + 1)
         else:

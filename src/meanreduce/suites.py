@@ -22,7 +22,9 @@ check records is evaluated again by the fixed-point reductions, and those
 sides are reported; a side that disagrees beyond ``reduced_tol``, or
 ``REDUCTION_CFG.abs_tol`` if larger, makes the case an error
 (ReductionMismatchError).  The ``*-reduction`` oracle cases keep the fixed
-point against selection.
+point against selection; each builds its two routes, the fixed point and
+the mean of the entries its injection picks, once, with the case, and a run
+only draws and compares.
 
 Runs are deterministic: per-case seeds derive from the suite seed by index,
 and reports are plain JSON data.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from importlib import resources
 from typing import Callable, Optional, Union
 
@@ -57,8 +60,7 @@ from .lab import (
     compare_means,
     fuzz_suite,
 )
-from .reduction import (MeanFn, OracleCheckReport, check_deviation_reduction,
-                        check_weighted_arith_reduction)
+from .reduction import MeanFn, OracleCheckReport, deviation_oracle, weighted_arith_oracle
 from .vector import inner_product_deviation
 
 SCHEMA_VERSION = 1
@@ -118,11 +120,12 @@ _CASES = {
                             "domain": _INTERVAL, "samples": _Field(_is_count, _COUNT, 40)},
 }
 # A deviation-reduction case without exprs: inner-product deviations of
-# weights on points in R^dim, the data drawn from [low, high]^dim.
+# weights on points in R^dim, the data drawn from [low, high]^dim
+# (``reduction.deviation_oracle`` refuses a box that is empty or too wide).
+_BOUND = _Field(lambda v: _is_number(v) and abs(v) <= sys.float_info.max, "a finite number")
 _POINT_DEVIATIONS = {**_ORACLE, "dim": _Field(_is_count, _COUNT),
                      "weights": _WEIGHTS._replace(default=[1.0]),
-                     "low": _Field(_is_number, "a number", -2.0),
-                     "high": _Field(_is_number, "a number", 2.0),
+                     "low": _BOUND._replace(default=-2.0), "high": _BOUND._replace(default=2.0),
                      "samples": _Field(_is_count, _COUNT, 40)}
 
 
@@ -248,11 +251,11 @@ def _compile_case(case: dict, kind, run: dict) -> Callable[[int, int], dict]:
     elif kind == "weighted-arith-reduction":
         chi, weights, domain, samples = values
         weights = build_weights(weights, domain)
-        chi = Injection.of(chi, n=len(weights))
+        oracle = weighted_arith_oracle(weights, Injection.of(chi, n=len(weights)), tol,
+                                       REDUCTION_CFG)
 
         def check(seed: int):
-            return check_weighted_arith_reduction(weights, chi, samples, tol, seed=seed,
-                                                  cfg=REDUCTION_CFG)
+            return oracle(samples, seed)
 
     else:
         if fields is _POINT_DEVIATIONS:
@@ -263,11 +266,11 @@ def _compile_case(case: dict, kind, run: dict) -> Callable[[int, int], dict]:
         else:
             chi, exprs, domain, samples = values
             entries, bounds = build_deviations(exprs, domain), {}
-        chi = Injection.of(chi, n=len(entries))
+        oracle = deviation_oracle(entries, Injection.of(chi, n=len(entries)), tol,
+                                  REDUCTION_CFG, **bounds)
 
         def check(seed: int):
-            return check_deviation_reduction(entries, chi, samples, tol, seed=seed,
-                                             cfg=REDUCTION_CFG, **bounds)
+            return oracle(samples, seed)
 
     def run(seed: int, run_trials: int) -> dict:
         return _judge(expected, check(seed), tol)

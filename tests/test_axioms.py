@@ -79,8 +79,8 @@ def _gen_deviation(exprs, low: float, high: float) -> vector.GenDeviation:
     on [low, high]^d instead of [-2, 2]^d."""
     d = len(exprs)
     names = tuple(f"u{i + 1}" for i in range(d)) + tuple(f"v{i + 1}" for i in range(d))
-    family, _, batch, _ = _bind_family([parse_expression(e, allowed=names) for e in exprs],
-                                       [dict(zip(names, range(2 * d)))] * d, 2 * d)
+    family, _, batch = _bind_family([parse_expression(e, allowed=names) for e in exprs],
+                                    [dict(zip(names, range(2 * d)))] * d, 2 * d)
     dev = vector.GenDeviation(dim=d, eval=_of_points(family),
                               label="custom generalized deviation", sample_low=low,
                               sample_high=high, validate=False)

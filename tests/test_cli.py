@@ -686,8 +686,10 @@ class TestVerifyCommand:
         # expectation: none for "pass", some for "fail".
         report = OracleCheckReport(samples=3, tol=1e-8, max_abs_error=0.5 * failures,
                                    failures=({"error": 0.5},) * failures)
-        check = "check_" + kind.replace("-", "_")
-        monkeypatch.setattr(meanreduce.suites, check, lambda *args, **kwargs: report)
+        oracle = {"weighted-arith-reduction": "weighted_arith_oracle",
+                  "deviation-reduction": "deviation_oracle"}[kind]
+        monkeypatch.setattr(meanreduce.suites, oracle,
+                            lambda *args, **kwargs: lambda samples, seed: report)
         case = {"weighted-arith-reduction": {"weights": [1.0, 2.0, 3.0], "chi": [1, 2]},
                 "deviation-reduction": {"exprs": ["u - v", "u - v"], "chi": [2]}}[kind]
         suite = tmp_path / "oracle.json"
@@ -713,6 +715,43 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == ("error: case 'zero-tol': field 'tol': expected a positive finite number, "
                        "got 0\n")
+
+    # A point oracle's box: empty, or wider than the float range.  numpy
+    # refused the first in the draw (exit 2, naming no case, no entry for
+    # any case), and the second printed an OverflowError traceback.
+    BOXES = {"flipped": ({"low": 3, "high": 1}, "'low' and 'high': expected low < high with a "
+                         "finite high - low, got 3.0 and 1.0"),
+             "wide": ({"low": -1e308, "high": 1e308}, "'low' and 'high': expected low < high "
+                      "with a finite high - low, got -1e+308 and 1e+308"),
+             "huge": ({"low": -10**400}, "field 'low': expected a finite number, got "
+                      f"{-10**400}")}
+
+    @staticmethod
+    def _box_case(name):
+        return {"type": "deviation-reduction", "name": name, "dim": 2, "chi": [1],
+                "weights": [1.0, 2.0], "samples": 2, **TestVerifyCommand.BOXES[name][0]}
+
+    @pytest.mark.parametrize("name", sorted(BOXES))
+    def test_a_bad_point_box_exits_2_naming_the_case(self, capsys, tmp_path, name):
+        suite = tmp_path / "box.json"
+        suite.write_text(json.dumps({"cases": [self._box_case(name)]}))
+        code, out, err = run_cli(capsys, "verify", str(suite))
+        assert (code, out) == (2, "")
+        assert err == f"error: case '{name}': {self.BOXES[name][1]}\n"
+
+    def test_fuzz_runs_the_other_cases_past_a_bad_point_box(self, capsys, tmp_path):
+        good = {"type": "weighted-arith-reduction", "name": "good", "weights": [1.0, 2.0],
+                "chi": [1], "samples": 3}
+        suite = tmp_path / "box.json"
+        suite.write_text(json.dumps({"cases": [*map(self._box_case, sorted(self.BOXES)), good]}))
+        code, out, err = run_cli(capsys, "fuzz", str(suite))
+        report = json.loads(out)
+        assert (code, err, report["errors"]) == (0, "", 3)
+        *bad, entry = report["cases"]
+        assert [e["error"] for e in bad] == [
+            f"InvalidArgumentError: case '{name}': {self.BOXES[name][1]}"
+            for name in sorted(self.BOXES)]
+        assert (entry["case"], entry["passed"]) == ("good", True)
 
     def test_case_missing_a_field_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

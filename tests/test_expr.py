@@ -15,8 +15,8 @@ from meanreduce.expr import _bind_family, parse_expression, point_vars
 def _covectors(exprs, names):
     """The family of expressions that all read names, in order, and its
     numpy form, as a generalized deviation binds its covector."""
-    family, _, batch, _ = _bind_family(exprs, [dict(zip(names, range(len(names))))] * len(exprs),
-                                       len(names))
+    family, _, batch = _bind_family(exprs, [dict(zip(names, range(len(names))))] * len(exprs),
+                                    len(names))
     return family, batch
 
 

@@ -251,51 +251,56 @@ def test_the_first_failing_weight_is_named(specs, xs, expected):
     assert _result(lambda: build_weights(specs, DOMAIN).values(*xs)) == expected
 
 
-def test_a_selected_weight_runs_the_function_of_its_family_compile():
-    # The compile of the family gives each expression weight its own
-    # function, so the direct route of a reduction compiles nothing.
-    w = build_weights(["1 + 0.5*u^2", 2.0, "exp(-0.3*u)"], DOMAIN)
-    alone = [parse_expression("exp(-0.3*u)").bind(("u",)), lambda u: 2.0]
-    with mock.patch.object(expr.Expression, "bind", side_effect=AssertionError("compiled")):
-        selected = w.select(Injection.of([3, 2], n=3))
-        assert selected.values(0.7, 1.9) == [fn(x) for fn, x in zip(alone, (0.7, 1.9))]
-        assert w[0](1.5) == 1 + 0.5 * 1.5 ** 2
-
-
 def _weight_calls(run) -> tuple:
-    """The WeightFn calls made while ``run`` runs, and its value."""
+    """The weights called as WeightFn while ``run`` runs, one entry per
+    call, and its value."""
     calls = []
     original = scalar.WeightFn.__call__
 
     def counting(self, u):
-        calls.append(u)
+        calls.append(self)
         return original(self, u)
 
     with mock.patch.object(scalar.WeightFn, "__call__", counting):
         value = run()
-    return len(calls), value
+    return calls, value
 
 
 def test_a_weighted_reduction_calls_only_the_selected_weights():
-    # The reduced route evaluates the n weights in one compiled call and
-    # calls no weight on its own; the direct route calls each of the k
-    # weights that chi selects, once per sample.
-    w = build_weights(["1 + 0.5*u^2", 2.0, "exp(-0.3*u)", "sqrt(u) + 0.2"], DOMAIN)
+    # A family of numbers and expressions, and so its selection, is one
+    # compiled call on both routes, which calls no weight on its own.  With
+    # a power weight the tuple and its selection call each weight in turn:
+    # every weight once per evaluation of the reduced route, and each of
+    # the k weights that chi selects once more per sample, for the direct
+    # route.
+    specs = ["1 + 0.5*u^2", 2.0, "exp(-0.3*u)", "sqrt(u) + 0.2"]
     chi = Injection.of([3, 1], n=4)
-    calls, report = _weight_calls(lambda: reduction.check_weighted_arith_reduction(
-        w, chi, samples=25, tol=1e-9, seed=5))
-    assert report.passed
-    assert calls == 25 * chi.k
+
+    def check(w):
+        calls, report = _weight_calls(lambda: reduction.check_weighted_arith_reduction(
+            w, chi, samples=25, tol=1e-9, seed=5))
+        assert report.passed
+        return calls
+
+    assert check(build_weights(specs, DOMAIN)) == []
+    w = build_weights([scalar.power_weight(1.0, DOMAIN)] + specs[1:], DOMAIN)
+    calls = check(w)
+    counts = [sum(c is wi for c in calls) for wi in w]
+    evaluations = counts[1]
+    assert evaluations > 0
+    assert counts == [evaluations + 25, evaluations, evaluations + 25, evaluations]
 
 
 def test_the_weighted_reduction_oracles_call_only_the_selected_weights():
-    # Every weighted case of the packaged oracles, numbers-only ones too.
+    # Every weighted case of the packaged oracles, numbers-only ones too:
+    # the weights and the selected weights are families, so no route calls
+    # a weight on its own.
     cases = [c for c in load_suite("reduction-oracles")["cases"]
              if c["type"] == "weighted-arith-reduction"]
     runners = [build_runner(c, 40, 1e-9, 1e-8) for c in cases]
     calls, reports = _weight_calls(lambda: [r.runner(7, 40) for r in runners])
     assert all(report["ok"] for report in reports)
-    assert calls == sum(c.get("samples", 60) * len(c["chi"]) for c in cases)
+    assert calls == []
 
 
 def test_section_family_is_freed_by_reference_counting_alone():
@@ -329,9 +334,10 @@ def test_a_list_of_deviations_is_summed_member_by_member():
 
 def test_reduction_oracles_bind_and_check_each_family_once():
     # Axiom samples are drawn once per deviation family and once per weight
-    # family with an expression weight, and each family is compiled once;
-    # every deviation solve of the deviation cases goes through a compiled
-    # section, no member on its own.
+    # family with an expression weight, and each family, selected families
+    # too, is compiled once, when its case is built; a run compiles
+    # nothing, and every deviation solve goes through a compiled section,
+    # no member on its own.
     cases = load_suite("reduction-oracles")["cases"]
     deviation_cases = [c for c in cases if "exprs" in c]
     weight_cases = [c for c in cases
@@ -351,17 +357,7 @@ def test_reduction_oracles_bind_and_check_each_family_once():
         compiles.append(source)
         return compile(source, *args)
 
-    with mock.patch.object(scalar, "_validation_draw", counting_draw), \
-            mock.patch.object(expr, "compile", counting_compile, create=True):
-        runners = [build_runner(c, 40, 1e-9, 1e-8) for c in cases]
-    assert draws.count(2) == len(deviation_cases) == 4
-    assert draws.count(0) == len(weight_cases) == 2
-    assert len(draws) == 6
-    # One compile per family: the deviation and weight families and the one
-    # expression point weight of the vector case.
-    assert len(compiles) == len(deviation_cases) + len(weight_cases) + 1 == 7
-    del compiles[:]
-
+    # The routes of a case keep the solve they are built with.
     member_calls, solves = [], []
     original_call, original_solve = Member.__call__, reduction.deviation_mean
 
@@ -374,13 +370,25 @@ def test_reduction_oracles_bind_and_check_each_family_once():
         solves.append(len(E))
         return original_solve(E, x, cfg)
 
-    with mock.patch.object(Member, "__call__", counting_call), \
+    with mock.patch.object(scalar, "_validation_draw", counting_draw), \
             mock.patch.object(reduction, "deviation_mean", counting_solve), \
             mock.patch.object(expr, "compile", counting_compile, create=True):
-        for case, runner in zip(cases, runners):
-            if case in deviation_cases:
-                assert runner.runner(7, 40)["ok"]
+        runners = [build_runner(c, 40, 1e-9, 1e-8) for c in cases]
+    assert draws.count(2) == len(deviation_cases) == 4
+    assert draws.count(0) == len(weight_cases) == 2
+    assert len(draws) == 6
+    # Every family is compiled with its case: each deviation family and the
+    # family its injection selects, each weight family and the one selected
+    # weight family with an expression in it ("1 + u^2" of
+    # weighted-arith-single-slot), and the one expression point weight of
+    # the vector case.
+    assert len(compiles) == 2 * len(deviation_cases) + len(weight_cases) + 1 + 1 == 12
+    del compiles[:]
+
+    with mock.patch.object(Member, "__call__", counting_call), \
+            mock.patch.object(expr, "compile", counting_compile, create=True):
+        assert all(runner.runner(7, 40)["ok"] for runner in runners)
     assert len(solves) > 1000
     assert member_calls == []
-    # One compile per case: the family its injection selects.
-    assert len(compiles) == len(deviation_cases)
+    # A run compiles nothing, whatever its case.
+    assert compiles == []

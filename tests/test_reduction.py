@@ -47,7 +47,7 @@ from meanreduce.scalar import (
     point_average,
     power_weight,
 )
-from meanreduce.suites import REDUCTION_CFG
+from meanreduce.suites import REDUCTION_CFG, build_runner
 from meanreduce.vector import gen_deviation_mean, inner_product_deviation as library_ipd
 
 
@@ -583,18 +583,21 @@ class TestWeightedArithReductionOracle:
         assert report.passed
 
     def test_a_failure_records_the_draw_and_both_routes_as_plain_lists(self):
-        # The routes differ by 0.25 in each coordinate on the first draw and
-        # agree on the second: one failure, of error |(0.25, 0.25)|.
-        draws = iter([(np.array([1.0, 2.0]),), (np.array([-1.0, 0.5]),)])
+        # One point in [2, 3]^2 per draw, as an oracle on points draws it.
+        # The routes differ by 0.25 in each coordinate where the first
+        # coordinate exceeds 2.5, as on the first draw of seed 0, and agree
+        # on the second: one failure, of error |(0.25, 0.25)|.  All values
+        # lie in [2, 4), where adding 0.25 and taking it away are exact.
+        first, second = np.random.default_rng(0).uniform(2.0, 3.0, (2, 2)).tolist()
+        assert first[0] > 2.5 >= second[0]
 
         def reduced(xs):
-            return xs[0] + (0.25 if xs[0][0] > 0.0 else 0.0)
+            return xs[0] + (0.25 if xs[0][0] > 2.5 else 0.0)
 
-        report = _oracle_check(2, 1e-9, lambda: next(draws), reduced, lambda xs: xs[0].copy(),
-                               lambda v: float(np.linalg.norm(v)))
+        report = _oracle_check(1e-9, 2.0, 3.0, (1, 2), reduced, lambda xs: xs[0].copy(), 2, 0)
         error = math.sqrt(0.125)
-        assert report.failures == ({"x": [[1.0, 2.0]], "reduced": [1.25, 2.25],
-                                    "direct": [1.0, 2.0], "error": error},)
+        assert report.failures == ({"x": [first], "reduced": [v + 0.25 for v in first],
+                                    "direct": first, "error": error},)
         failure, = report.failures
         assert all(type(failure[key]) is list for key in ("x", "reduced", "direct"))
         assert report.to_json() == {"samples": 2, "tol": 1e-9, "max_abs_error": error,
@@ -648,6 +651,56 @@ class TestDeviationReductionOracle:
                                            samples=samples, tol=1e-8, seed=1, cfg=REDUCTION_CFG)
         assert report.passed
         assert calls[0] / samples <= 367
+
+
+class TestOracleSolverConfigs:
+    # The configuration each route of a suite's oracle case is built with,
+    # at REDUCTION_CFG (abs_tol 1e-10, rel_tol 1e-12): the weighted fixed
+    # point at min(abs_tol, 1e-3 tol); the deviation means, inside the fixed
+    # point and on the direct route, at min(abs_tol, 1e-4 tol) with rel_tol
+    # 1e-13; the deviation fixed point at max(1e-3 tol, 10 inner).  At tol =
+    # 1e-5 the two fixed points differ (1e-10 and 1e-8); at tol = 1e-10 the
+    # deviation one is one ulp above 1e-3 tol = 1e-13.
+    CASES = {
+        "weighted": {"type": "weighted-arith-reduction", "weights": ["u", 1.0, 2.0],
+                     "chi": [1, 3]},
+        "scalar": {"type": "deviation-reduction", "exprs": ["u - v", "u*(u - v)"], "chi": [2]},
+        "points": {"type": "deviation-reduction", "dim": 2, "weights": [1.0, 2.0], "chi": [1]},
+    }
+    EXPECTED = {
+        (1e-5, "weighted"): [("fixed point", 1e-10, 1e-12)],
+        (1e-5, "scalar"): [("deviation", 1e-10, 1e-13), ("fixed point", 1e-08, 1e-12),
+                           ("deviation", 1e-10, 1e-13)],
+        (1e-5, "points"): [("gen-deviation", 1e-10, 1e-13), ("fixed point", 1e-08, 1e-12),
+                           ("gen-deviation", 1e-10, 1e-13)],
+        (1e-10, "weighted"): [("fixed point", 1e-13, 1e-12)],
+        (1e-10, "scalar"): [("deviation", 1.0000000000000002e-14, 1e-13),
+                            ("fixed point", 1.0000000000000002e-13, 1e-12),
+                            ("deviation", 1.0000000000000002e-14, 1e-13)],
+        (1e-10, "points"): [("gen-deviation", 1.0000000000000002e-14, 1e-13),
+                            ("fixed point", 1.0000000000000002e-13, 1e-12),
+                            ("gen-deviation", 1.0000000000000002e-14, 1e-13)],
+    }
+
+    @pytest.mark.parametrize("tol, kind", sorted(EXPECTED))
+    def test_each_route_is_built_once_at_its_configuration(self, monkeypatch, tol, kind):
+        seen = []
+        for name, label in (("fixed_point_mean_fn", "fixed point"),
+                            ("deviation_mean_fn", "deviation"),
+                            ("gen_deviation_mean_fn", "gen-deviation")):
+            def recorded(*args, original=getattr(meanreduce.reduction, name), label=label):
+                seen.append((label, args[-1]))
+                return original(*args)
+
+            monkeypatch.setattr(meanreduce.reduction, name, recorded)
+        runner = build_runner(dict(self.CASES[kind], tol=tol, samples=2), 40, 1e-9, 1e-8).runner
+        max_iter = REDUCTION_CFG.max_iter
+        assert seen == [(label, SolverConfig(abs_tol=abs_tol, rel_tol=rel_tol, max_iter=max_iter))
+                        for label, abs_tol, rel_tol in self.EXPECTED[tol, kind]]
+        # A run builds no route.
+        del seen[:]
+        runner(7, 40)
+        assert seen == []
 
 
 # Reduction by selection (MeanFn.select) against the fixed point, at the
