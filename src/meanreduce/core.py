@@ -477,7 +477,16 @@ def _is_text(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int (not a bool) that converts to one: a JSON integer
+    past the float range is refused here, not by the OverflowError of the
+    first float() that meets it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_count(value) -> bool:

@@ -56,7 +56,7 @@ from .core import (
     _read_fields,
     select,
 )
-from .errors import ExpressionError, InvalidArgumentError, MeansError
+from .errors import InvalidArgumentError, MeansError
 from .expr import Member, _bind_family, _point_keys, parse_expression
 from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
 from .scalar import (
@@ -227,69 +227,61 @@ def build_generator(spec, domain: Optional[Interval] = None,
                              domain or REALS, cfg)
 
 
-def build_weights(specs: Sequence, domain: Interval) -> WeightTuple:
-    """The WeightTuple of positive numbers and expressions in u: a number
-    is a ``constant_weight``, an expression a weight whose eval is an
-    ``expr.Member``, and a WeightFn passes through; the tuple binds its
-    numbers and expressions as one family (``scalar.WeightTuple``).  The
-    expressions are checked on the sample draw they share, by the numpy
-    form of their family (``scalar.check_weights``); a WeightFn that passes
-    through is not checked again.  Errors come in the order of the specs,
-    as if each weight were built and checked on its own: a spec that raises
-    does so only after the expression weights before it pass their
-    check."""
-    built: list = []
-    own: list = []  # the weights built here
-    parsed = False
+def _build_family(kind: type, check: Callable, build: Callable, specs: Sequence):
+    """The family ``kind`` of the members ``build`` makes of the specs, in
+    spec order; ``check`` checks the members built here (not a member that
+    passes through as its own spec) on the sample draw they share, by the
+    numpy form of their family, where one of them is an expression.
+    Errors come in spec order, as if each member were built and checked on
+    its own: a spec that raises does so only after the members before it
+    pass their check."""
+    members: list = []
     error = None
     for spec in specs:
         try:
-            if isinstance(spec, WeightFn):
-                built.append(spec)
-                continue
-            if isinstance(spec, (int, float)):
-                own.append(constant_weight(float(spec), domain))
-            else:
-                own.append(WeightFn(eval=Member(parse_expression(str(spec), allowed=("u",)),
-                                                ("u",)), domain=domain, validate=False))
-                parsed = True
-            built.append(own[-1])
+            members.append(build(spec))
         except MeansError as exc:
             error = exc
             break
-    family = WeightTuple(built)
-    if parsed:
-        checked = family if len(own) == len(built) else WeightTuple(own)
-        check_weights(checked.weights, checked.batch)
+    if members or error is None:
+        family = kind(members)  # no specs at all: refused here
+        own = [m for m, spec in zip(members, specs) if m is not spec]
+        if any(isinstance(m.eval, Member) for m in own):
+            checked = family if len(own) == len(members) else kind(own)
+            check(checked.members, checked.batch)
     if error is not None:
         raise error
     return family
+
+
+def _weight(domain: Interval, spec) -> WeightFn:
+    if isinstance(spec, WeightFn):
+        return spec
+    if isinstance(spec, (int, float)):
+        return constant_weight(float(spec), domain)
+    return WeightFn(eval=Member(parse_expression(str(spec), allowed=("u",)), ("u",)),
+                    domain=domain, validate=False)
+
+
+def build_weights(specs: Sequence, domain: Interval) -> WeightTuple:
+    """The WeightTuple of positive numbers and expressions in u: a number
+    is a ``constant_weight``, an expression a weight whose eval is an
+    ``expr.Member``, and a WeightFn passes through, not checked again
+    (``_build_family``, ``scalar.check_weights``)."""
+    return _build_family(WeightTuple, check_weights, partial(_weight, domain), specs)
+
+
+def _deviation(domain: Interval, text) -> ScalarDeviation:
+    expression = parse_expression(str(text), allowed=("u", "v"))
+    return ScalarDeviation(domain=domain, eval=Member(expression, ("u", "v")),
+                           label=f"deviation {text!r}", validate=False)
 
 
 def build_deviations(texts: Sequence[str], domain: Interval) -> DeviationTuple:
-    """A DeviationTuple of expressions in u, v, bound as one family: each
-    deviation's eval is an ``expr.Member``, so the tuple compiles its
-    section as one function of them all, and its numpy form checks the
-    axioms of every member on the sample draw they share
-    (``scalar.check_deviations``).  Errors come in member order, as if each
-    deviation were built and checked on its own: a text that does not parse
-    raises only after the members before it pass their checks."""
-    members = []
-    error = None
-    for text in texts:
-        try:
-            expression = parse_expression(str(text), allowed=("u", "v"))
-        except ExpressionError as exc:
-            error = exc
-            break
-        members.append(ScalarDeviation(domain=domain, eval=Member(expression, ("u", "v")),
-                                       label=f"deviation {text!r}", validate=False))
-    if members or error is None:
-        family = DeviationTuple(tuple(members))  # no texts at all: rejected here
-        check_deviations(family.deviations, family.batch)
-    if error is not None:
-        raise error
-    return family
+    """The DeviationTuple of expressions in u, v: each deviation's eval is
+    an ``expr.Member``, and the family checks the axioms of every member
+    at once (``_build_family``, ``scalar.check_deviations``)."""
+    return _build_family(DeviationTuple, check_deviations, partial(_deviation, domain), texts)
 
 
 def _expand(entries, arity: int, what: str) -> list:
@@ -374,7 +366,7 @@ def weighted_arithmetic_mean_fn(weights: Sequence, arity: int,
     if dim is None:
         ws = build_weights(specs, domain)
     else:
-        ws = tuple(build_point_weight(w, dim) for w in specs)
+        ws = WeightTuple([build_point_weight(w, dim) for w in specs])
     numeric = [isinstance(w, (int, float)) for w in specs]
     entries = tuple(w if plain else built for w, built, plain in zip(specs, ws, numeric))
     if all(numeric):

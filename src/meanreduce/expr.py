@@ -24,12 +24,11 @@ variable reads:
 
 - the d covector coordinates of a generalized deviation all read the same
   (u1..ud, v1..vd);
-- the section of a family of scalar deviations E_i(u, v), the function of
-  (y, x_1, ..., x_n) that returns every E_i(x_i, y), has member i read x_i
-  as u and the shared y as v;
-- a family of weights, the function of (x_1, ..., x_n) that returns every
-  w_i(x_i), has member i read x_i as u and takes a number as a member
-  written as its literal.
+- a family of weights or of scalar deviations (``scalar._Family``, one
+  rule for both) has member i read x_i as its first name and the shared
+  arguments as the rest: none for a weight w_i(u), the y of the section
+  (y, x_1, ..., x_n) -> [E_i(x_i, y)] as v for a deviation E_i(u, v); a
+  number is a member written as its literal.
 
 Variables are checked when the function is built, not per call.  Every form
 keeps one error contract: a math domain error, overflow or division by zero
@@ -384,14 +383,12 @@ class Member:
     """An expression bound to names as ``Expression.bind(names)`` binds it,
     compiled on its first call.
 
-    A ``DeviationTuple`` of deviations whose evals are members in two
-    names, the first taking a data point x and the second the evaluation
-    point y, compiles their section as one family (``_bind_family``), and
-    a ``WeightTuple`` of weights whose evals are members in one name
-    compiles their values as one family in the same way; a member compiles
-    only itself, where it is called on its own.  A member refers to nothing
-    that refers back to it, so reference counting frees a family as soon
-    as its users drop it.
+    A family of weights or deviations whose evals are members, in one
+    name for a weight and two for a deviation (``scalar._Family``),
+    compiles their values as one function (``_bind_family``); a member
+    compiles only itself, where it is called on its own.  A member refers
+    to nothing that refers back to it, so reference counting frees a
+    family as soon as its users drop it.
     """
 
     __slots__ = ("expression", "names", "fn")

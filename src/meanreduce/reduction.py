@@ -72,7 +72,7 @@ from .errors import (
     NoConvergenceError,
     NotAMeanError,
 )
-from .scalar import (DeviationTuple, as_weight_tuple, deviation_batch, deviation_mean,
+from .scalar import (DeviationTuple, WeightTuple, deviation_batch, deviation_mean,
                      weighted_arith_mean)
 from .vector import (
     GenDeviation,
@@ -187,7 +187,7 @@ def _select_entries(entries, chi: Injection):
 def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
                       label: str = "deviation mean") -> MeanFn:
     # Bound once here, for every solve of the mean.
-    E = E if isinstance(E, DeviationTuple) else DeviationTuple(tuple(E))
+    E = DeviationTuple.of(E)
     return _solver_mean_fn(deviation_mean, E, cfg, label, batch=deviation_batch)
 
 
@@ -636,7 +636,7 @@ def weighted_arith_oracle(w: Sequence, chi: Injection, tol: float,
     the function of (samples, seed) that draws and compares them."""
     if len(w) != chi.n:
         raise InvalidArgumentError(f"need {chi.n} weights, got {len(w)}")
-    w = as_weight_tuple(w)
+    w = WeightTuple.of(w)
     dom = getattr(w[0], "domain", None)
     lo, hi = dom.finite_window() if dom is not None else (-4.0, 4.0)
     M = MeanFn(arity=chi.n, eval=lambda xs: weighted_arith_mean(w, xs),
@@ -685,7 +685,7 @@ def deviation_oracle(E, chi: Injection, tol: float, cfg: SolverConfig = DEFAULT_
         return partial(_oracle_check, tol, low, high, (chi.k, entries[0].dim),
                        fixed_point_mean_fn(gen_deviation_mean_fn(entries, inner), chi, outer),
                        gen_deviation_mean_fn(select(entries, chi), inner))
-    dev = E if isinstance(E, DeviationTuple) else DeviationTuple(entries)
+    dev = DeviationTuple.of(E)
     lo, hi = dev.common_domain.finite_window()
     return partial(_oracle_check, tol, lo, hi, (chi.k,),
                    fixed_point_mean_fn(deviation_mean_fn(dev, inner), chi, outer),

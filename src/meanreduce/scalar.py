@@ -20,11 +20,12 @@ quasi-arithmetic means) are provided in closed form; they double as oracles
 for the root-finding path in the test suite.
 
 Every deviation mean, a classical family's included, is solved through the
-same summed section: one call of the ``DeviationTuple``'s section per
-evaluation, which returns every E_i(x_i, y) at the fixed data points.  An
-expression family's section is one compiled function (see
-:mod:`meanreduce.expr`); any other family's, and a plain sequence's, calls
-each deviation's ``eval``.
+same summed section: one call of the ``DeviationTuple``'s ``total`` per
+evaluation, the sum of every E_i(x_i, y) at the fixed data points.  Weights
+and deviations are families of one type, ``_Family``, bound by one rule: an
+expression family is one compiled function (see :mod:`meanreduce.expr`);
+any other family, and a plain sequence given to one evaluation, calls each
+member in turn.
 
 Deviation axioms cannot be proven for arbitrary callables, so constructors
 check them on 64 randomized samples unless ``validate=False``; strictness
@@ -43,10 +44,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from operator import add
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -195,7 +196,7 @@ def check_deviations(devs: Sequence[ScalarDeviation], batch: Optional[Callable] 
     the deviations of one domain share, each deviation judged by
     ``_deviation_verdict`` in turn.
 
-    ``batch``, the numpy form of the family's section (``DeviationTuple``:
+    ``batch``, the numpy form of the family's section (``DeviationTuple.batch``:
     arrays y, x_1, ..., x_n in, the tuple of the members' values out),
     evaluates every member on all samples in one call, and one verdict
     along a member axis accepts each member whose values clear every
@@ -227,11 +228,10 @@ def check_deviations(devs: Sequence[ScalarDeviation], batch: Optional[Callable] 
 class WeightFn:
     """A positive weight function on an interval, checked on 64 samples at
     construction unless ``validate=False`` (``check_weights``).  A weighted
-    mean reads its weights through a ``WeightTuple``: a family of numbers
-    and expression weights, as ``descriptors.build_weights`` builds and
-    checks it, and so each selection of it, is compiled as one function,
-    with one numpy form, and each evaluation of it is one call, which calls
-    no WeightFn."""
+    mean reads its weights through a ``WeightTuple``, bound by the one rule
+    of a family (``_Family``): numbers and expression weights, as
+    ``descriptors.build_weights`` builds them, are one compiled function
+    that calls no WeightFn; any other weight is called in turn."""
 
     eval: Callable[[float], float]
     domain: Interval = REALS
@@ -260,80 +260,125 @@ def power_weight(q: float, domain: Interval = POSITIVE_REALS) -> WeightFn:
     return WeightFn(eval=lambda u, q=float(q): u ** q, domain=domain, validate=False)
 
 
-def _family_member(w) -> Union[float, Member, None]:
-    """The member a weight is in a family of weights: the number of a
-    constant weight, the ``expr.Member`` of an expression weight in one
-    name; None for any other weight."""
-    e = getattr(w, "eval", None)
+def _family_member(fn, names: int) -> Union[float, Member, None]:
+    """The member a function is in a family whose expressions read
+    ``names`` names: the number of a constant weight, the ``expr.Member``
+    of an expression in that many names; None for any other function."""
+    e = getattr(fn, "eval", None)
     if isinstance(e, partial) and e.func is _constant:
         return e.args[0]
-    return e if isinstance(e, Member) and len(e.names) == 1 else None
+    return e if isinstance(e, Member) and len(e.names) == names else None
 
 
 @dataclass(frozen=True)
-class WeightTuple:
-    """A tuple of weights, with the function of all their values.
+class _Family:
+    """A nonempty tuple of functions of one kind, with the function of all
+    their values: the one type of ``WeightTuple`` and ``DeviationTuple``.
 
-    ``values(x_1, ..., x_n)`` returns the list [w_1(x_1), ..., w_n(x_n)],
-    and ``batch`` is its numpy form, arrays x_1, ..., x_n in, the tuple of
-    the members' values out (a constant weight's is a float): every
-    evaluation of a weighted mean's weights is one call of either
-    (``_weight_values``, ``_weight_rows``).  Where every weight is a
-    ``constant_weight`` or has for its eval an ``expr.Member`` in one name,
-    as ``descriptors.build_weights`` builds them, the weights are one
-    family: numbers alone are their values, with nothing compiled; with
-    expressions they are compiled as one function (``expr._bind_family``),
-    in which a number is its float literal.  Otherwise ``values`` calls
-    each weight in turn and ``batch`` is None.  ``select(chi)`` binds the
-    weights that chi picks as one family of their own.
+    ``values(*shared, x_1, ..., x_n)`` returns the list of the members'
+    values, member i at x_i and the ``_shared`` arguments every member
+    reads; ``total`` the same arguments' sum of it by ``core.wide_fsum``;
+    ``batch`` the numpy form of ``values``, arrays in, the tuple of the
+    members' values out (a number's is a float), or None.  Each evaluation
+    of a family is one call of one of them.
+
+    One bind rule makes them.  A ``constant_weight`` is its number and an
+    expression member (an ``expr.Member`` eval in 1 + ``_shared`` names)
+    reads x_i as its first name and the shared arguments as the rest:
+    where every member is one of these, the family is one compiled
+    function (``expr._bind_family``), in which a number is its float
+    literal, and numbers alone compile nothing.  Where any other member is
+    in it, ``values`` calls each member in turn (``_each``, by the kind's
+    argument map) and ``batch`` is None.  ``select(chi)`` binds the
+    members chi picks as one family of their own.
     """
 
-    weights: tuple
+    members: tuple
     values: Callable[..., list] = field(init=False, repr=False, compare=False)
+    total: Callable[..., float] = field(init=False, repr=False, compare=False)
     batch: Optional[Callable] = field(init=False, repr=False, compare=False)
 
+    _kind: ClassVar[str]
+    _shared: ClassVar[int]
+    _each: ClassVar[Callable[[tuple], Callable[..., list]]]
+
     def __post_init__(self):
-        ws = tuple(self.weights)
-        object.__setattr__(self, "weights", ws)
-        members = [_family_member(w) for w in ws]
-        if None in members:
-            def values(*xs):
-                return [w(x) for w, x in zip(ws, xs)]
+        self._bind(tuple(self.members), False)
 
-            batch = None
-        elif Member in map(type, members):
-            # Member i reads x_i, argument i, as its one name.
-            values, _, batch = _bind_family(
-                [m if isinstance(m, float) else m.expression for m in members],
-                [{} if isinstance(m, float) else {m.names[0]: i} for i, m in enumerate(members)],
-                len(ws))
+    @classmethod
+    def of(cls, members, per_call: bool = False) -> _Family:
+        """members itself where it is a family of this kind, else the family
+        of them: bound by the rule above where a mean is built on them, and,
+        for a sequence given to one evaluation (``per_call``), one that
+        calls each member in turn, since a compile there would cost more
+        than it saves."""
+        if isinstance(members, cls):
+            return members
+        if not per_call:
+            return cls(members)
+        family = object.__new__(cls)
+        family._bind(tuple(members), True)
+        return family
+
+    def _bind(self, ms: tuple, per_call: bool):
+        """Set the members ms and their functions by the bind rule, or, for
+        a sequence given to one evaluation, calling each member in turn."""
+        if not ms:
+            raise InvalidArgumentError(f"{self._kind} tuple must be nonempty")
+        self._check(ms)
+        s = self._shared
+        bound = None if per_call else [_family_member(m, 1 + s) for m in ms]
+        total = batch = None
+        if bound is None or None in bound:
+            values = self._each(ms)
+        elif Member in map(type, bound):
+            # Member i reads x_i, argument s + i, as its first name; a
+            # deviation reads the shared y, argument 0, as its second.
+            values, total, batch = _bind_family(
+                [m if isinstance(m, float) else m.expression for m in bound],
+                [{} if isinstance(m, float) else {m.names[-1]: 0, m.names[0]: s + i}
+                 for i, m in enumerate(bound)], s + len(ms))
         else:
-            # Numbers alone: nothing to compile.
-            def values(*xs):
-                return list(members)
+            def values(*args):
+                return list(bound)
 
-            def batch(*X):
-                return tuple(members)
+            def batch(*args):
+                return tuple(bound)
+        if total is None:
+            def total(*args):
+                return wide_fsum(values(*args))
+        object.__setattr__(self, "members", ms)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "batch", batch)
 
-    def select(self, chi: Injection) -> WeightTuple:
-        """The tuple of the weights chi picks."""
-        return WeightTuple(select(self.weights, chi))
+    def _check(self, ms: tuple):
+        """Refuse members that cannot form a family of this kind."""
+
+    def select(self, chi: Injection) -> _Family:
+        """The family of the members chi picks."""
+        return type(self)(select(self.members, chi))
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.members)
 
     def __iter__(self):
-        return iter(self.weights)
+        return iter(self.members)
 
     def __getitem__(self, i):
-        return self.weights[i]
+        return self.members[i]
 
 
-def as_weight_tuple(w) -> WeightTuple:
-    """w itself, or the WeightTuple of the weights in w."""
-    return w if isinstance(w, WeightTuple) else WeightTuple(w)
+class WeightTuple(_Family):
+    """A family of weights (``_Family``): member i reads x_i, argument i,
+    and ``values(x_1, ..., x_n)`` returns [w_1(x_1), ..., w_n(x_n)]."""
+
+    _kind = "weight"
+    _shared = 0
+
+    @staticmethod
+    def _each(ms: tuple) -> Callable[..., list]:
+        return lambda *xs: [m(x) for m, x in zip(ms, xs)]
 
 
 @dataclass(frozen=True)
@@ -493,10 +538,10 @@ class ScalarDeviation:
     Axioms checked on randomized triples at construction unless
     ``validate=False`` (``check_deviations``): E(u, u) = 0, the sections v
     -> E(u, v) strictly decrease, and sgn E(u, v) = sgn(u - v).  The
-    solvers read the deviation through the section of a ``DeviationTuple``;
-    ``eval`` is what that section calls, unless the family is compiled as
-    one (an ``expr.Member`` eval, as ``descriptors.build_deviations``
-    builds it).
+    solvers read the deviation through the section of a ``DeviationTuple``,
+    bound by the one rule of a family (``_Family``): expression deviations,
+    as ``descriptors.build_deviations`` builds them, are one compiled
+    function; any other deviation is called in turn.
     """
 
     domain: Interval
@@ -512,78 +557,28 @@ class ScalarDeviation:
         return self.eval(u, v)
 
 
-@dataclass(frozen=True)
-class DeviationTuple:
-    """A tuple of deviations sharing one interval, with its section.
+class DeviationTuple(_Family):
+    """A family of deviations on one interval (``_Family``): member i reads
+    x_i as u, argument i + 1, and the shared y as v, argument 0, so
+    ``values(y, x_1, ..., x_n)`` returns the section [E_1(x_1, y), ...,
+    E_n(x_n, y)] and ``total`` its sum."""
 
-    ``section(y, x_1, ..., x_n)`` returns the list [E_1(x_1, y), ...,
-    E_n(x_n, y)], and ``total`` the same arguments' sum of it by
-    ``core.wide_fsum``: every evaluation of the summed section is one call
-    of either (``e_sum``, ``deviation_mean``).  Where every deviation's
-    ``eval`` is an ``expr.Member`` in two names, as
-    ``descriptors.build_deviations`` builds them, the section is compiled
-    as one family (``expr._bind_family``) and ``batch`` is its numpy form;
-    otherwise, or where ``compiled`` is False, the section calls each
-    ``eval`` in turn and ``batch`` is None.  ``select(chi)`` binds the
-    deviations that chi picks as one family of their own.
-    """
+    _kind = "deviation"
+    _shared = 1
 
-    deviations: tuple[ScalarDeviation, ...]
-    compiled: InitVar[bool] = True
-    common_domain: Interval = field(init=False)
-    section: Callable[..., list] = field(init=False, repr=False, compare=False)
-    total: Callable[..., float] = field(init=False, repr=False, compare=False)
-    batch: Optional[Callable] = field(init=False, repr=False, compare=False)
+    @staticmethod
+    def _each(ms: tuple) -> Callable[..., list]:
+        return lambda y, *xs: [m(x, y) for m, x in zip(ms, xs)]
 
-    def __post_init__(self, compiled: bool):
-        devs = tuple(self.deviations)
-        object.__setattr__(self, "deviations", devs)
-        if len(devs) == 0:
-            raise InvalidArgumentError("deviation tuple must be nonempty")
-        dom = devs[0].domain
-        for d in devs[1:]:
-            if d.domain != dom:
+    def _check(self, ms: tuple):
+        domain = ms[0].domain
+        for d in ms:
+            if d.domain != domain:
                 raise InvalidArgumentError("all deviations must share one domain")
-        object.__setattr__(self, "common_domain", dom)
-        evals = [d.eval for d in devs]
-        if compiled and all(isinstance(e, Member) and len(e.names) == 2 for e in evals):
-            # Member i reads x_i, argument i + 1, as u and y, argument 0, as v.
-            section, total, batch = _bind_family(
-                [e.expression for e in evals],
-                [{e.names[0]: i + 1, e.names[1]: 0} for i, e in enumerate(evals)], len(evals) + 1)
-        else:
-            def section(y, *xs):
-                return [e(x, y) for e, x in zip(evals, xs)]
 
-            def total(y, *xs):
-                return wide_fsum(section(y, *xs))
-
-            batch = None
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "batch", batch)
-
-    def select(self, chi: Injection) -> DeviationTuple:
-        """The tuple of the deviations chi picks."""
-        return DeviationTuple(select(self.deviations, chi))
-
-    def __len__(self) -> int:
-        return len(self.deviations)
-
-    def __iter__(self):
-        return iter(self.deviations)
-
-    def __getitem__(self, i):
-        return self.deviations[i]
-
-
-def as_deviation_tuple(E) -> DeviationTuple:
-    """E itself, or a tuple of the deviations in E whose section calls each
-    ``eval`` in turn: a sequence is bound on every call that takes one, and
-    a compiled section would cost more than it saves there."""
-    if isinstance(E, DeviationTuple):
-        return E
-    return DeviationTuple(tuple(E), compiled=False)
+    @property
+    def common_domain(self) -> Interval:
+        return self.members[0].domain
 
 
 def _check_in_domain(domain: Interval, values, what: str):
@@ -594,7 +589,7 @@ def _check_in_domain(domain: Interval, values, what: str):
 
 def e_sum(E, x: Sequence[float], u: float) -> float:
     """The summed deviation sum_i E_i(x_i, u)."""
-    E = as_deviation_tuple(E)
+    E = DeviationTuple.of(E, per_call=True)
     if len(x) != len(E):
         raise InvalidArgumentError(f"tuple length {len(x)} != deviation count {len(E)}")
     _check_in_domain(E.common_domain, x, "data value")
@@ -622,7 +617,7 @@ def deviation_mean(E, x: Sequence[float], cfg: SolverConfig = DEFAULT_CONFIG) ->
     the section's slope times the width tolerance.  Exhausting the
     iteration budget returns a non-converged report with the last iterate.
     """
-    E = as_deviation_tuple(E)
+    E = DeviationTuple.of(E, per_call=True)
     if len(x) != len(E):
         raise InvalidArgumentError(f"tuple length {len(x)} != deviation count {len(E)}")
     xs = [float(v) for v in x]
@@ -714,7 +709,7 @@ def _weight_values(w: Sequence[Callable], xs: Sequence) -> list:
     """The weights w_i(x_i), each finite and positive, or
     InvalidArgumentError: one call of a WeightTuple's ``values``, or of each
     weight of any other sequence in turn."""
-    weights = w.values(*xs) if isinstance(w, WeightTuple) else [wi(xi) for wi, xi in zip(w, xs)]
+    weights = WeightTuple.of(w, per_call=True).values(*xs)
     for wi, xi in zip(weights, xs):
         if not 0.0 < wi < math.inf:
             raise InvalidArgumentError(f"weight {wi} at {np.asarray(xi, float).tolist()} is not "
@@ -861,7 +856,7 @@ def quasi_arithmetic_batch(f: GeneratorFn, weights: Optional[Sequence[WeightFn]]
     forms = _NAMED_FORMS.get((f.eval, f.inverse))
     rows = None
     if weights is not None:
-        weights = as_weight_tuple(weights)
+        weights = WeightTuple.of(weights)
         rows = weights.batch
         if rows is None:
             return None

@@ -210,6 +210,15 @@ class TestMeanCommand:
         assert (code, out) == (2, "")
         assert err == f"error: --descriptor excludes {named}\n"
 
+    def test_an_integer_past_the_float_range_exits_2(self, capsys):
+        # A JSON integer that no float holds printed an OverflowError
+        # traceback and exited 1.
+        desc = json.dumps({"kind": "holder", "arity": 2, "params": {"p": 10**400}})
+        code, out, err = run_cli(capsys, "mean", "--descriptor", desc, "--x", "1,2")
+        assert (code, out) == (2, "")
+        assert err == ("error: kind 'holder': field 'params': field 'p': expected a number, "
+                       f"got {10**400}\n")
+
     @pytest.mark.parametrize("flags", [
         ["--kind", "quasi-arithmetic", "--f", "u^3+u"],
         ["--kind", "bajraktarevic", "--f", "u^3+u", "--weights", "u", "--domain", "0.5,3"],
@@ -751,6 +760,41 @@ class TestVerifyCommand:
         assert [e["error"] for e in bad] == [
             f"InvalidArgumentError: case '{name}': {self.BOXES[name][1]}"
             for name in sorted(self.BOXES)]
+        assert (entry["case"], entry["passed"]) == ("good", True)
+
+    # A JSON integer that no float holds, in a field that reads a number:
+    # each printed an OverflowError traceback and exited 1.
+    HUGE = {"tol": (dict(_WEIGHTS, tol=10**400),
+                    f"field 'tol': expected a positive finite number, got {10**400}"),
+            "weights": (dict(_WEIGHTS, weights=[10**400, 1.0]), "field 'weights': expected a "
+                        f"list of numbers and expressions, got [{10**400}, 1.0]"),
+            "holder-p": ({"type": "comparison", "chi": [1], "E": {"kind": "arithmetic", "arity": 2},
+                          "G": {"kind": "holder", "arity": 2, "params": {"p": 10**400}}},
+                         "field 'G': kind 'holder': field 'params': field 'p': expected a "
+                         f"number, got {10**400}")}
+
+    @pytest.mark.parametrize("name", sorted(HUGE))
+    def test_an_integer_past_the_float_range_exits_2_naming_the_field(self, capsys, tmp_path,
+                                                                       name):
+        suite = tmp_path / "huge.json"
+        suite.write_text(json.dumps({"cases": [dict(self.HUGE[name][0], name=name)]}))
+        code, out, err = run_cli(capsys, "verify", str(suite))
+        assert (code, out) == (2, "")
+        assert err == f"error: case '{name}': {self.HUGE[name][1]}\n"
+
+    def test_fuzz_records_an_integer_past_the_float_range_as_an_error_entry(self, capsys,
+                                                                             tmp_path):
+        suite = tmp_path / "huge.json"
+        suite.write_text(json.dumps({"cases": [
+            *(dict(self.HUGE[name][0], name=name) for name in sorted(self.HUGE)),
+            dict(_WEIGHTS, name="good", samples=3)]}))
+        code, out, err = run_cli(capsys, "fuzz", str(suite))
+        report = json.loads(out)
+        assert (code, err, report["errors"]) == (0, "", 3)
+        *bad, entry = report["cases"]
+        assert [e["error"] for e in bad] == [
+            f"InvalidArgumentError: case '{name}': {self.HUGE[name][1]}"
+            for name in sorted(self.HUGE)]
         assert (entry["case"], entry["passed"]) == ("good", True)
 
     def test_case_missing_a_field_exits_2(self, capsys, tmp_path):

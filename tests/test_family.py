@@ -22,9 +22,9 @@ from meanreduce.descriptors import (
     build_weights,
     parse_domain,
 )
-from meanreduce.errors import MeansError
+from meanreduce.errors import InvalidArgumentError, MeansError
 from meanreduce.expr import Member, parse_expression
-from meanreduce.scalar import DeviationTuple, ScalarDeviation, e_sum
+from meanreduce.scalar import DeviationTuple, ScalarDeviation, WeightTuple, e_sum
 from meanreduce.suites import build_runner, load_suite
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -88,7 +88,7 @@ def test_section_values_are_the_members_bit_for_bit(texts, data):
     y = data.draw(points)
     members = [parse_expression(t).bind(("u", "v")) for t in texts]
     expected = [fn(x, y) for fn, x in zip(members, xs)]
-    values = E.section(y, *xs)
+    values = E.values(y, *xs)
     assert all(type(v) is float for v in values)
     assert _bits(values) == _bits(expected)
     assert _bits([E.total(y, *xs)]) == _bits([wide_fsum(expected)])
@@ -113,7 +113,7 @@ def test_a_member_that_raises_is_named_as_on_its_own(texts, data):
                              for t in texts))
     members = [parse_expression(t).bind(("u", "v")) for t in texts]
     expected = _outcome(lambda: [fn(x, y) for fn, x in zip(members, xs)])
-    assert _outcome(lambda: E.section(y, *xs)) == expected
+    assert _outcome(lambda: E.values(y, *xs)) == expected
     assert _outcome(lambda: E.total(y, *xs)) == _outcome(
         lambda: wide_fsum([fn(x, y) for fn, x in zip(members, xs)]))
     assert _outcome(lambda: scalar.deviation_mean(E, xs)) == _outcome(
@@ -142,7 +142,7 @@ def test_total_is_the_section_summed(texts, args):
     y, *xs = args
     expected = _result(lambda: wide_fsum([fn(x, y) for fn, x in zip(members, xs)]))
     assert _result(lambda: E.total(*args)) == expected
-    assert _result(lambda: wide_fsum(E.section(*args))) == expected
+    assert _result(lambda: wide_fsum(E.values(*args))) == expected
 
 
 # Members that break one axiom on [0.2, 6]: a diagonal that does not vanish,
@@ -309,27 +309,81 @@ def test_section_family_is_freed_by_reference_counting_alone():
     gc.disable()
     try:
         E = build_deviations(["u - v", "log(u) - log(v)", "u^2*(u - v)"], DOMAIN)
-        E.section(1.0, 2.0, 3.0, 4.0)
+        E.values(1.0, 2.0, 3.0, 4.0)
         E[0](1.0, 2.0)  # binds one member on its own
         selected = E.select(Injection.of([2, 3], n=3))
-        refs = [weakref.ref(obj) for obj in (E, E.section, E.total, E.batch, selected,
-                                            selected.section, *E.deviations)]
+        refs = [weakref.ref(obj) for obj in (E, E.values, E.total, E.batch, selected,
+                                            selected.values, *E.members)]
         del E, selected
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
 
 
+def _compiles(run) -> tuple:
+    """The sources compiled as expressions while ``run`` runs, and its
+    value: every compile of an expression goes through the builtin as expr
+    sees it."""
+    compiles = []
+
+    def counting_compile(source, *args):
+        compiles.append(source)
+        return compile(source, *args)
+
+    with mock.patch.object(expr, "compile", counting_compile, create=True):
+        value = run()
+    return compiles, value
+
+
 def test_a_list_of_deviations_is_summed_member_by_member():
-    # A plain sequence is bound on every call that takes one: no section is
-    # compiled for it, and its value is the bound family's.
+    # A plain sequence given to one evaluation runs member by member: no
+    # family is compiled for it, and its value is the bound family's.  So
+    # for a list of weights.  A member compiles itself on its first call
+    # on its own, here before the evaluations.
     E = build_deviations(["u - v", "u*(u - v)", "log(u) - log(v)"], DOMAIN)
-    devs = list(E)
-    assert scalar.as_deviation_tuple(devs).batch is None
-    assert scalar.as_deviation_tuple(E) is E
+    w = build_weights(["1 + 0.5*u^2", 2.0, "exp(-0.3*u)"], DOMAIN)
+    devs, weights = list(E), list(w)
+    assert len(_compiles(lambda: [d(1.0, 2.0) for d in devs] + [wi(1.0) for wi in w])[0]) == 5
+    assert DeviationTuple.of(devs, per_call=True).batch is None
+    assert DeviationTuple.of(E, per_call=True) is E
+    assert WeightTuple.of(weights, per_call=True).batch is None
+    assert WeightTuple.of(w, per_call=True) is w
     xs = [1.0, 2.0, 4.0]
-    assert scalar.deviation_mean(devs, xs) == scalar.deviation_mean(E, xs)
-    assert _bits([e_sum(devs, xs, 2.0)]) == _bits([e_sum(E, xs, 2.0)])
+    gen = scalar.identity_generator(DOMAIN)
+    compiles, got = _compiles(lambda: (
+        scalar.deviation_mean(devs, xs), _bits([e_sum(devs, xs, 2.0)]),
+        _bits([scalar.weighted_arith_mean(weights, xs)]),
+        _bits([scalar.bajraktarevic_mean(gen, weights, xs)])))
+    assert compiles == []
+    assert got == (scalar.deviation_mean(E, xs), _bits([e_sum(E, xs, 2.0)]),
+                   _bits([scalar.weighted_arith_mean(w, xs)]),
+                   _bits([scalar.bajraktarevic_mean(gen, w, xs)]))
+
+
+@pytest.mark.parametrize("build, compiled, run", [
+    (lambda E, w, chi: reduction.deviation_mean_fn(E), 1, lambda mean: mean((1.0, 2.0, 4.0))),
+    (lambda E, w, chi: reduction.deviation_oracle(E, chi, 1e-8), 2, lambda check: check(3, 0)),
+    (lambda E, w, chi: reduction.weighted_arith_oracle(w, chi, 1e-8), 2,
+     lambda check: check(3, 0)),
+], ids=["deviation_mean_fn", "deviation_oracle", "weighted_arith_oracle"])
+def test_a_list_given_at_build_is_compiled_once(build, compiled, run):
+    # A plain sequence given when a mean is built is bound once, with the
+    # mean: every family it needs, an oracle's selected one too, is
+    # compiled then, and no evaluation compiles anything.
+    E = build_deviations(["u - v", "u*(u - v)", "log(u) - log(v)"], DOMAIN)
+    w = build_weights(["1 + 0.5*u^2", 2.0, "exp(-0.3*u)"], DOMAIN)
+    compiles, built = _compiles(lambda: build(list(E), list(w), Injection.of([3, 1], n=3)))
+    assert len(compiles) == compiled
+    assert _compiles(lambda: run(built))[0] == []
+
+
+@pytest.mark.parametrize("kind, name", [(WeightTuple, "weight"), (DeviationTuple, "deviation")],
+                         ids=["weight", "deviation"])
+def test_an_empty_family_is_refused(kind, name):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} tuple must be nonempty$"):
+        kind(())
+    with pytest.raises(InvalidArgumentError, match=f"^{name} tuple must be nonempty$"):
+        kind.of([], per_call=True)
 
 
 def test_reduction_oracles_bind_and_check_each_family_once():
