@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_CONFIG, Injection, SolverConfig, _certified, _is_count, _jsonable
+from .core import (DEFAULT_CONFIG, Injection, SolverConfig, _certified, _is_count, _jsonable,
+                   _read_json)
 from .descriptors import MeanDescriptor, build_mean, evaluate_with_report, parse_domain
 from .errors import InvalidArgumentError, MeansError, NoConvergenceError
 from .reduction import reduce_mean
@@ -85,13 +86,12 @@ def _descriptor_from_args(args) -> MeanDescriptor:
         given = [f"--{flag}" for flag in _MEAN_FLAGS if getattr(args, flag) is not None]
         if given:
             raise InvalidArgumentError(f"--descriptor excludes {', '.join(given)}")
-        text = args.descriptor
-        if text.strip().startswith("{"):
-            data = json.loads(text)
-        else:
+        text, source = args.descriptor, "--descriptor"
+        if not text.strip().startswith("{"):
+            source = f"--descriptor file {text!r}"
             with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        return MeanDescriptor.from_json(data)
+                text = fh.read()
+        return MeanDescriptor.from_json(_read_json(text, source))
     if not args.kind:
         raise MeansError("either --descriptor or --kind is required")
     params: dict = {}
@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     except NoConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (MeansError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (MeansError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -9,7 +9,9 @@ slots out of an n-tuple.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -422,9 +424,10 @@ def _jsonable(value):
     return value
 
 
-# Every JSON record the package reads (a suite file, a suite case, a mean
-# descriptor, a sampler box, a domain) is described once, as a table of its
-# fields (key -> _Field), and read once, by _read_fields.
+# Every JSON document the package reads (a suite file, a mean descriptor) is
+# decoded by _read_json.  Every JSON record in it (a suite file, a suite case,
+# a mean descriptor, a sampler box, a domain) is described once, as a table
+# of its fields (key -> _Field), and read once, by _read_fields.
 
 _REQUIRED = object()
 
@@ -438,6 +441,22 @@ class _Field(NamedTuple):
     test: Callable[[object], object]
     expected: str
     default: object = _REQUIRED
+
+
+def _read_json(text: str, source: str):
+    """The JSON value of ``text``, read from ``source``.  Malformed JSON,
+    nesting deep enough to exhaust the decoder and an integer of more digits
+    than Python converts raise InvalidArgumentError naming the source."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidArgumentError(f"{source}: malformed JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidArgumentError(f"{source}: JSON nested too deeply to read") from None
+    except ValueError:
+        # The decoder's only other ValueError: int() of a too long integer.
+        raise InvalidArgumentError(f"{source}: a JSON integer has more than "
+                                   f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _read_fields(record, fields: dict, where: str = "", defaults: dict = {}) -> list:

@@ -1,13 +1,18 @@
 """Small infix expression grammar for user-defined functions.
 
-Grammar (recursive descent, ``^`` is right-associative and binds tighter
-than unary minus)::
+Grammar (``^`` is right-associative and binds tighter than unary minus)::
 
     expr    := term (("+" | "-") term)*
     term    := factor (("*" | "/") factor)*
     factor  := "-" factor | power
     power   := atom ("^" factor)?
     atom    := NUMBER | NAME | NAME "(" expr ("," expr)* ")" | "(" expr ")"
+
+These are Python's precedence and associativity, so the token stream is the
+code: ``parse_expression`` reads the tokens once, with a stack of open groups
+and calls, and writes each token's Python as it reads it.  Nothing recurses;
+an expression too deep or too long for Python's compiler raises
+ExpressionError where it is compiled.
 
 Functions: ``exp``, ``log``, ``sqrt``, ``abs``, ``pow``.  Constants: ``pi``,
 ``e``.  Any other name is a free variable; which variables are allowed is
@@ -63,10 +68,12 @@ import numpy as np
 from .core import wide_fsum
 from .errors import DomainError, ExpressionError
 
+# A name before "(" and the "(" are one "call" token.  Any other character is
+# a "bad" token, which the tokenizer refuses.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^(),]))"
+    r"|(?P<call>[A-Za-z_][A-Za-z_0-9]*)\s*\(|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>\*\*|[-+*/^(),])|(?P<bad>\S))"
 )
 
 _FUNCTIONS: dict[str, Callable] = {
@@ -82,141 +89,13 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExpressionError(f"unexpected character {rest[0]!r} in {text!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok = m.lastgroup, m.group(m.lastgroup)
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {tok!r} in {text!r}")
+        tokens.append((kind, "^" if tok == "**" else tok))
     tokens.append(("end", ""))
     return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text = self.advance()
-        if kind != "op" or text != value:
-            raise ExpressionError(f"expected {value!r} in {self.text!r}, found {text!r}")
-
-    def parse(self):
-        node = self.expr()
-        kind, text = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"trailing input {text!r} in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.advance()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.advance()
-            node = (op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek() == ("op", "-"):
-            self.advance()
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.advance()
-            return ("^", base, self.factor())
-        return base
-
-    def atom(self):
-        kind, text = self.advance()
-        if kind == "num":
-            value = float(text)
-            if math.isinf(value):
-                raise ExpressionError(f"numeric literal {text!r} in {self.text!r} is not finite")
-            return ("const", value)
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                if text not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {text!r} in {self.text!r}")
-                self.advance()
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")")
-                if len(args) != _ARITY[text]:
-                    raise ExpressionError(
-                        f"function {text!r} takes {_ARITY[text]} argument(s), got {len(args)}"
-                    )
-                return ("call", text, args)
-            if text in _CONSTANTS:
-                return ("const", _CONSTANTS[text])
-            return ("var", text)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExpressionError(f"unexpected token {text!r} in {self.text!r}")
-
-
-def _free_variables(node, out: set[str]):
-    tag = node[0]
-    if tag == "var":
-        out.add(node[1])
-    elif tag == "neg":
-        _free_variables(node[1], out)
-    elif tag in ("+", "-", "*", "/", "^"):
-        _free_variables(node[1], out)
-        _free_variables(node[2], out)
-    elif tag == "call":
-        for arg in node[2]:
-            _free_variables(arg, out)
-
-
-def _emit(node, args: dict[str, str]) -> str:
-    tag = node[0]
-    if tag == "const":
-        return repr(node[1])
-    if tag == "var":
-        return args[node[1]]
-    if tag == "neg":
-        return f"(-{_emit(node[1], args)})"
-    if tag == "^":
-        return f"({_emit(node[1], args)} ** {_emit(node[2], args)})"
-    if tag in ("+", "-", "*", "/"):
-        return f"({_emit(node[1], args)} {tag} {_emit(node[2], args)})"
-    if tag == "call":
-        inner = ", ".join(_emit(a, args) for a in node[2])
-        return f"_fn_{node[1]}({inner})"
-    raise AssertionError(f"unreachable node {tag}")
 
 
 # One globals dict shared by every compiled lambda: a function whose globals
@@ -227,6 +106,17 @@ _EVAL_GLOBALS.update({f"_fn_{name}": fn for name, fn in _FUNCTIONS.items()})
 # The same names for the numpy form of a compiled lambda.
 _NUMPY_GLOBALS = {"__builtins__": {}, "_fn_exp": np.exp, "_fn_log": np.log,
                   "_fn_sqrt": np.sqrt, "_fn_abs": np.abs, "_fn_pow": np.power}
+
+
+def _compile(source: str, label: str, what: str):
+    """``compile(source, label, "eval")``, where what Python's compiler
+    refuses as too deep or too long raises ExpressionError naming ``what``."""
+    try:
+        return compile(source, label, "eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        reason = exc.msg if isinstance(exc, SyntaxError) else type(exc).__name__
+        raise ExpressionError(f"{what} is too deeply nested or too long to compile "
+                              f"({reason})") from None
 
 
 def _params(arity: int) -> str:
@@ -268,8 +158,8 @@ class Expression:
     name, and ``bind_batch(names)`` also returns its numpy form; calling the
     expression on a keyword environment of floats runs the same kind of
     function, bound to the sorted variables on first use.  Its code is kept
-    as a template whose i-th placeholder is the i-th sorted variable, so no
-    parse tree outlives the parse.
+    as a template, the Python the text reads as, in which each variable x
+    is the placeholder ``{x}``.
     """
 
     text: str
@@ -289,14 +179,15 @@ class Expression:
         positional argument ``_a{args[x]}``."""
         if not self.variables.issubset(args):
             raise self._missing(args)
-        return self._template.format(*[f"_a{args[v]}" for v in self._order])
+        return self._template.format_map({v: f"_a{args[v]}" for v in self.variables})
 
     def _code_for(self, names: tuple[str, ...]):
         """The code of the expression as a lambda of len(names) positional
         arguments, to be evaluated against ``_EVAL_GLOBALS`` or
         ``_NUMPY_GLOBALS``."""
         body = self._body({name: i for i, name in enumerate(names)})
-        return compile(f"lambda {_params(len(names))}: {body}", f"<expr {self.text!r}>", "eval")
+        return _compile(f"lambda {_params(len(names))}: {body}", f"<expr {self.text!r}>",
+                        f"expression {self.text!r}")
 
     def bind(self, names: Sequence[str]) -> Callable[..., float]:
         """A function of len(names) positional floats, in the order of names."""
@@ -349,8 +240,8 @@ def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, i
     bodies = [e._body(a) if isinstance(e, Expression) else text
               for e, a, text in zip(exprs, args, texts)]
     params = _params(arity)
-    label = f"<family {texts!r}>"
-    code = compile(f"lambda {params}: ({', '.join(bodies)},)", label, "eval")
+    label, what = f"<family {texts!r}>", f"the family of expressions {texts!r}"
+    code = _compile(f"lambda {params}: ({', '.join(bodies)},)", label, what)
     raw = eval(code, _EVAL_GLOBALS)  # noqa: S307
     fns: list = []
 
@@ -362,8 +253,8 @@ def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, i
             if len(values) != arity:
                 raise
             if not fns:
-                fresh = eval(compile(f"({', '.join(f'lambda {params}: {b}' for b in bodies)},)",
-                                     label, "eval"), _EVAL_GLOBALS)  # noqa: S307
+                fresh = eval(_compile(f"({', '.join(f'lambda {params}: {b}' for b in bodies)},)",
+                                      label, what), _EVAL_GLOBALS)  # noqa: S307
                 fns.extend(_contract(text, fn, arity) for text, fn in zip(texts, fresh))
             return [fn(*values) for fn in fns]
 
@@ -405,21 +296,71 @@ class Member:
 
 
 def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Expression:
-    """Parse expression text, optionally restricting its free variables."""
+    """Parse expression text, optionally restricting its free variables.
+
+    Expecting an operand, the recognizer writes a number or constant as the
+    ``repr`` of its float, a variable x as ``{x}`` and a call as
+    ``_fn_<name>(``, and reads on past "-" and "("; expecting an operator,
+    it writes ``^`` as ``**``, and "," and ")" close what the stack says.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression text must be a nonempty string")
-    node = _Parser(text).parse()
+    code: list[str] = []
     free: set[str] = set()
-    _free_variables(node, free)
+    groups: list[list] = []  # per open "(": [the function called, or None; its arguments]
+    operand = True
+    for kind, tok in _tokenize(text):
+        if operand:
+            if kind == "num":
+                value = float(tok)
+                if math.isinf(value):
+                    raise ExpressionError(f"numeric literal {tok!r} in {text!r} is not finite")
+                code.append(repr(value))
+            elif kind == "call":
+                if tok not in _FUNCTIONS:
+                    raise ExpressionError(f"unknown function {tok!r} in {text!r}")
+                groups.append([tok, 1])
+                code.append(f"_fn_{tok}(")
+                continue
+            elif kind == "name" and tok in _CONSTANTS:
+                code.append(repr(_CONSTANTS[tok]))
+            elif kind == "name":
+                free.add(tok)
+                code.append(f"{{{tok}}}")
+            elif tok == "-" or tok == "(":
+                if tok == "(":
+                    groups.append([None, 1])
+                code.append(tok)
+                continue
+            else:
+                raise ExpressionError(f"unexpected token {tok!r} in {text!r}")
+            operand = False
+        elif tok in ("+", "-", "*", "/", "^"):
+            code.append("**" if tok == "^" else tok)
+            operand = True
+        elif tok == "," and groups and groups[-1][0]:
+            groups[-1][1] += 1
+            code.append(tok)
+            operand = True
+        elif tok == ")" and groups:
+            name, count = groups.pop()
+            if name and count != _ARITY[name]:
+                raise ExpressionError(f"function {name!r} takes {_ARITY[name]} argument(s), "
+                                      f"got {count}")
+            code.append(tok)
+        elif kind == "end" and not groups:
+            break
+        elif groups:
+            raise ExpressionError(f"expected ')' in {text!r}, found {tok!r}")
+        else:
+            raise ExpressionError(f"trailing input {tok!r} in {text!r}")
     if allowed is not None:
         extra = free.difference(allowed)
         if extra:
             raise ExpressionError(
                 f"expression {text!r} uses variables {sorted(extra)}; allowed: {sorted(allowed)}"
             )
-    order = sorted(free)
-    template = _emit(node, {name: f"{{{i}}}" for i, name in enumerate(order)})
-    return Expression(text=text, variables=frozenset(free), _template=template)
+    return Expression(text=text, variables=frozenset(free), _template="".join(code))
 
 
 @lru_cache(maxsize=64)

@@ -32,7 +32,6 @@ and reports are plain JSON data.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -40,7 +39,7 @@ from importlib import resources
 from typing import Callable, Optional, Union
 
 from .core import (_FLAG, Injection, SolverConfig, _Field, _is_count, _is_number, _is_text,
-                   _list_of, _or_null, _read_fields)
+                   _list_of, _or_null, _read_fields, _read_json)
 from .descriptors import (MeanDescriptor, _of_points, build_deviations, build_mean,
                           build_point_weight, build_weights, parse_domain)
 from .errors import InvalidArgumentError, MeansError
@@ -138,7 +137,7 @@ def load_suite(source: str) -> dict:
     """The record (``_SUITE``, defaults filled in) of a suite file or packaged suite."""
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     else:
         name = source if source.endswith(".json") else source + ".json"
         entry = resources.files("meanreduce").joinpath("suites").joinpath(name)
@@ -147,8 +146,8 @@ def load_suite(source: str) -> dict:
                 f"no suite file at {source!r} and no packaged suite "
                 f"{name!r} (available: {', '.join(packaged_suite_names())})"
             )
-        data = json.loads(entry.read_text(encoding="utf-8"))
-    return dict(zip(_SUITE, _read_fields(data, _SUITE)))
+        text = entry.read_text(encoding="utf-8")
+    return dict(zip(_SUITE, _read_fields(_read_json(text, f"suite {source!r}"), _SUITE)))
 
 
 def _mean(desc: MeanDescriptor) -> MeanFn:

@@ -67,6 +67,9 @@ def test_missing_variable_at_call():
 
 @pytest.mark.parametrize("text", [
     "", "2 +", "(1", "1 2", "sin(1)", "pow(1)", "log(1, 2)", "@", "u +* v",
+    # Python reads these; the grammar does not.
+    "+u", "u-+v", "u,v", "(u,)", "exp(*u)", "exp(**u)", "pow(u,2,)", "(u)(2)", "2(3)",
+    "exp(u)(2)", "0x10", "1_0", "1j", "u // v", "u and v", "u if v else u",
 ])
 def test_malformed_expressions_rejected(text):
     with pytest.raises(ExpressionError):
@@ -134,12 +137,14 @@ _UNARY = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "abs": abs}
 VARIABLES = ("u", "v", "u1", "v2", "_a0", "_a1")
 
 
-def _trees(names):
+# Zeros divide by zero, 400 overflows exp, a negated constant is a negative
+# base for "^".
+_FLOATS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 400.0]))
+
+
+def _trees(names, numbers=_FLOATS.map(lambda c: ("num", c))):
     leaves = st.one_of(
-        # Zeros divide by zero, 400 overflows exp, a negated constant is a
-        # negative base for "^".
-        st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 400.0]))
-        .map(lambda c: ("num", c)),
+        numbers,
         st.floats(0.5, 10.0).map(lambda c: ("neg", ("num", c))),
         st.sampled_from([("const", "pi"), ("const", "e")]),
         st.sampled_from(names).map(lambda n: ("var", n)),
@@ -246,6 +251,61 @@ def test_positional_and_keyword_forms_agree(case):
         assert family == failures[0]
     else:
         assert family == repr([float(o) for o in outcomes])
+
+
+# The grammar's own rules, for trees printed with the parentheses they need
+# and some they do not: "+ -" bind loosest, then "* /", both left-associative,
+# then unary minus, then "^" (or "**"), right-associative, whose base is an
+# atom and whose exponent may start with a minus.
+_NUMBERS = [".5", "1.e3", "07", "2E+05", "0", "3", "2.5", "1e-3", "400"]
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+# The least precedence of the left and of the right operand of an operator.
+_OPERANDS = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5, 3)}
+GRAMMAR_VARIABLES = ("u", "v", "u1", "_a0", "exp", "E")
+
+
+@st.composite
+def _printed(draw, tree):
+    """tree's text: each node in the parentheses its place needs, and at
+    random in redundant ones; "^" at random as "**"."""
+    def show(node, need):
+        tag = node[0]
+        if tag == "num":
+            text = node[2] if len(node) > 2 else repr(node[1])
+        elif tag in ("const", "var"):
+            text = node[1]
+        elif tag == "neg":
+            text = "-" + show(node[1], 3)
+        elif tag in _OPERANDS:
+            op = draw(st.sampled_from(["^", "**"])) if tag == "^" else tag
+            space = draw(st.sampled_from(["", " "]))
+            left, right = _OPERANDS[tag]
+            text = f"{show(node[1], left)}{space}{op}{space}{show(node[2], right)}"
+        else:
+            text = f"{tag}({', '.join(show(arg, 1) for arg in node[1:])})"
+        wraps = draw(st.sampled_from([0, 0, 0, 0, 1, 2]))
+        if _PRECEDENCE.get(tag, 5) < need:
+            wraps = max(wraps, 1)
+        return "(" * wraps + text + ")" * wraps
+
+    return show(tree, 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+          report_multiple_bugs=False)
+@given(st.data())
+def test_the_grammar_evaluates_as_its_rules_say(data):
+    names = data.draw(st.lists(st.sampled_from(GRAMMAR_VARIABLES), min_size=1, max_size=3,
+                               unique=True))
+    numbers = st.one_of(st.sampled_from(_NUMBERS), st.floats(0.0, 10.0).map(repr))
+    tree = data.draw(_trees(names, numbers.map(lambda text: ("num", float(text), text))))
+    text = data.draw(_printed(tree))
+    values = data.draw(st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0])),
+                                min_size=len(names), max_size=len(names)))
+    expr = parse_expression(text)
+    assert _outcome(lambda: expr.bind(names)(*values)) == \
+        _reference_outcome(tree, dict(zip(names, values)), text)
 
 
 @pytest.mark.parametrize("text,env", [("(-8)^(1/3)", {}), ("u^(1/3)", {"u": -8.0}),
