@@ -57,7 +57,7 @@ from .core import (
     select,
 )
 from .errors import InvalidArgumentError, MeansError
-from .expr import Member, _bind_family, _point_keys, parse_expression
+from .expr import Member, _point_keys, parse_expression
 from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
 from .scalar import (
     DeviationTuple,
@@ -86,7 +86,15 @@ from .scalar import (
     quasi_arithmetic_mean,
     weighted_arith_mean,
 )
-from .vector import GenDeviation, PotentialFn, _weight_fn, make_norm_sq_potential
+from .vector import (
+    Covector,
+    GenDeviation,
+    GenDeviationTuple,
+    PotentialFn,
+    _weight_fn,
+    check_gen_deviations,
+    make_norm_sq_potential,
+)
 from .vector import gen_deviation_mean  # noqa: F401  (perfbench's wrapper test rebinds it)
 
 
@@ -231,7 +239,8 @@ def _build_family(kind: type, check: Callable, build: Callable, specs: Sequence)
     """The family ``kind`` of the members ``build`` makes of the specs, in
     spec order; ``check`` checks the members built here (not a member that
     passes through as its own spec) on the sample draw they share, by the
-    numpy form of their family, where one of them is an expression.
+    numpy form of their family, where one of them is an expression (an
+    ``expr.Member`` or a ``vector.Covector``).
     Errors come in spec order, as if each member were built and checked on
     its own: a spec that raises does so only after the members before it
     pass their check."""
@@ -246,7 +255,7 @@ def _build_family(kind: type, check: Callable, build: Callable, specs: Sequence)
     if members or error is None:
         family = kind(members)  # no specs at all: refused here
         own = [m for m, spec in zip(members, specs) if m is not spec]
-        if any(isinstance(m.eval, Member) for m in own):
+        if any(isinstance(m.eval, (Member, Covector)) for m in own):
             checked = family if len(own) == len(members) else kind(own)
             check(checked.members, checked.batch)
     if error is not None:
@@ -321,19 +330,31 @@ def build_point_weight(spec, dim: int) -> Callable:
     return _weight_fn(spec, "point")
 
 
-def build_gen_deviation(exprs: Sequence[str], dim: int) -> GenDeviation:
-    """A GenDeviation whose covector coordinates are expressions in
-    u1..ud, v1..vd, its axioms sampled on [-2, 2]^d."""
+def _gen_deviation(dim: int, exprs: Sequence[str]) -> GenDeviation:
     if len(exprs) != dim:
         raise InvalidArgumentError(f"need {dim} covector expressions, got {len(exprs)}")
     allowed = _point_keys("u", dim) + _point_keys("v", dim)
-    # Every coordinate reads the same arguments (u1..ud, v1..vd).
-    family, _, batch = _bind_family([parse_expression(str(e), allowed=allowed) for e in exprs],
-                                    [dict(zip(allowed, range(2 * dim)))] * dim, 2 * dim)
-    dev = GenDeviation(dim=dim, eval=_of_points(family), label="custom generalized deviation",
-                       sample_low=-2.0, sample_high=2.0, validate=False)
-    dev._check_axioms(batch)
-    return dev
+    return GenDeviation(dim=dim, eval=Covector([parse_expression(str(e), allowed=allowed)
+                                                for e in exprs]),
+                        label="custom generalized deviation", sample_low=-2.0, sample_high=2.0,
+                        validate=False)
+
+
+def build_gen_deviations(covectors: Sequence[Sequence[str]], dim: int) -> GenDeviationTuple:
+    """The GenDeviationTuple of covectors whose coordinates are expressions
+    in u1..ud, v1..vd: each deviation's eval is a ``vector.Covector``, and
+    the family compiles all their coordinates in one call and checks the
+    axioms of every member at once, on [-2, 2]^d (``_build_family``,
+    ``vector.check_gen_deviations``)."""
+    return _build_family(GenDeviationTuple, check_gen_deviations, partial(_gen_deviation, dim),
+                         covectors)
+
+
+def build_gen_deviation(exprs: Sequence[str], dim: int) -> GenDeviation:
+    """A GenDeviation whose covector coordinates are expressions in
+    u1..ud, v1..vd, its axioms sampled on [-2, 2]^d: the one member of a
+    family (``build_gen_deviations``), compiled once."""
+    return build_gen_deviations([exprs], dim)[0]
 
 
 def build_custom_potential(expr_text: str, dim: int) -> PotentialFn:
@@ -457,7 +478,7 @@ def build_mean(desc: MeanDescriptor, cfg: SolverConfig = DEFAULT_CONFIG) -> Mean
         exprs, = values  # one covector for every slot, or a list of them
         exprs = _expand([exprs] if exprs and isinstance(exprs[0], str) else exprs, arity,
                         "covector expression lists")
-        return gen_deviation_mean_fn([build_gen_deviation(e, dim) for e in exprs], cfg)
+        return gen_deviation_mean_fn(build_gen_deviations(exprs, dim), cfg)
     if kind == "norm-squared-potential":
         pots = tuple(make_norm_sq_potential(build_point_weight(w, dim), dim)
                      for w in _expand(values[0], arity, "weights"))

@@ -27,8 +27,9 @@ compiled by one primitive, ``_bind_family``, from the members' expressions
 and one argument map per member, which says which positional argument each
 variable reads:
 
-- the d covector coordinates of a generalized deviation all read the same
-  (u1..ud, v1..vd);
+- the n d covector coordinates of a family of generalized deviations
+  (``vector.GenDeviationTuple``) have member i read u1..ud from x_i and
+  v1..vd from the shared y, in a function of (x_1, ..., x_n, y);
 - a family of weights or of scalar deviations (``scalar._Family``, one
   rule for both) has member i read x_i as its first name and the shared
   arguments as the rest: none for a weight w_i(u), the y of the section
@@ -38,11 +39,14 @@ variable reads:
 Variables are checked when the function is built, not per call.  Every form
 keeps one error contract: a math domain error, overflow or division by zero
 raises DomainError naming the expression, so does a complex result or a
-complex operand of a math function, and the value is a ``float``.  A family
-function that fails is evaluated again one member at a time, in order, so
-the error names the first member that fails.  A ``Member`` is one
-expression compiled on its own only when it is called on its own: a
-family compile gives its members nothing.
+complex operand of a math function, and the value is a ``float``.  Every
+message quotes an expression's text through ``_quote``: at most its first
+_QUOTE_LIMIT characters, and its length.  A family function that fails is
+evaluated again one member at a time, in order, so the error names the
+first member that fails.  A ``Member`` is one expression compiled on its
+own only when it is called on its own: a family compile gives its members
+nothing (only a family of one covector is its member's own function, see
+``vector.GenDeviationTuple``).
 
 ``Expression.bind_batch`` and ``_bind_family`` return, besides the scalar
 functions, a numpy form of the same compiled code: the ``_fn_*`` names map
@@ -87,12 +91,26 @@ _ARITY = {"exp": 1, "log": 1, "sqrt": 1, "abs": 1, "pow": 2}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
+# The most characters of a text that a message quotes.
+_QUOTE_LIMIT = 200
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, or, for a text longer than _QUOTE_LIMIT characters,
+    the repr of its first _QUOTE_LIMIT and its length: every message of this
+    module quotes a text through it, so that a message stays short however
+    long the text."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind, tok = m.lastgroup, m.group(m.lastgroup)
         if kind == "bad":
-            raise ExpressionError(f"unexpected character {tok!r} in {text!r}")
+            raise ExpressionError(f"unexpected character {tok!r} in {_quote(text)}")
         tokens.append((kind, "^" if tok == "**" else tok))
     tokens.append(("end", ""))
     return tokens
@@ -136,15 +154,15 @@ def _contract(text: str, raw: Callable, arity: int) -> Callable[..., float]:
         try:
             value = raw(*args)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"evaluating {text!r}: {exc}") from exc
+            raise DomainError(f"evaluating {_quote(text)}: {exc}") from exc
         except TypeError as exc:
             # With the right number of arguments, a complex intermediate
             # handed to a math function; a wrong count stays a TypeError.
             if len(args) != arity:
                 raise
-            raise DomainError(f"evaluating {text!r}: {exc}") from exc
+            raise DomainError(f"evaluating {_quote(text)}: {exc}") from exc
         if isinstance(value, complex):
-            raise DomainError(f"expression {text!r} produced a complex value")
+            raise DomainError(f"expression {_quote(text)} produced a complex value")
         return float(value)
 
     return call
@@ -172,7 +190,7 @@ class Expression:
 
     def _missing(self, names) -> ExpressionError:
         missing = sorted(self.variables.difference(names))
-        return ExpressionError(f"expression {self.text!r} needs variables {missing}")
+        return ExpressionError(f"expression {_quote(self.text)} needs variables {missing}")
 
     def _body(self, args: dict[str, int]) -> str:
         """The code of the expression with each variable x replaced by the
@@ -186,8 +204,8 @@ class Expression:
         arguments, to be evaluated against ``_EVAL_GLOBALS`` or
         ``_NUMPY_GLOBALS``."""
         body = self._body({name: i for i, name in enumerate(names)})
-        return _compile(f"lambda {_params(len(names))}: {body}", f"<expr {self.text!r}>",
-                        f"expression {self.text!r}")
+        return _compile(f"lambda {_params(len(names))}: {body}", f"<expr {_quote(self.text)}>",
+                        f"expression {_quote(self.text)}")
 
     def bind(self, names: Sequence[str]) -> Callable[..., float]:
         """A function of len(names) positional floats, in the order of names."""
@@ -240,7 +258,8 @@ def _bind_family(exprs: Sequence[Expression | float], args: Sequence[dict[str, i
     bodies = [e._body(a) if isinstance(e, Expression) else text
               for e, a, text in zip(exprs, args, texts)]
     params = _params(arity)
-    label, what = f"<family {texts!r}>", f"the family of expressions {texts!r}"
+    quoted = f"[{', '.join(map(_quote, texts))}]"
+    label, what = f"<family {quoted}>", f"the family of expressions {quoted}"
     code = _compile(f"lambda {params}: ({', '.join(bodies)},)", label, what)
     raw = eval(code, _EVAL_GLOBALS)  # noqa: S307
     fns: list = []
@@ -314,11 +333,12 @@ def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Express
             if kind == "num":
                 value = float(tok)
                 if math.isinf(value):
-                    raise ExpressionError(f"numeric literal {tok!r} in {text!r} is not finite")
+                    raise ExpressionError(f"numeric literal {_quote(tok)} in {_quote(text)} "
+                                          "is not finite")
                 code.append(repr(value))
             elif kind == "call":
                 if tok not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {tok!r} in {text!r}")
+                    raise ExpressionError(f"unknown function {_quote(tok)} in {_quote(text)}")
                 groups.append([tok, 1])
                 code.append(f"_fn_{tok}(")
                 continue
@@ -333,7 +353,7 @@ def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Express
                 code.append(tok)
                 continue
             else:
-                raise ExpressionError(f"unexpected token {tok!r} in {text!r}")
+                raise ExpressionError(f"unexpected token {_quote(tok)} in {_quote(text)}")
             operand = False
         elif tok in ("+", "-", "*", "/", "^"):
             code.append("**" if tok == "^" else tok)
@@ -351,14 +371,15 @@ def parse_expression(text: str, allowed: Sequence[str] | None = None) -> Express
         elif kind == "end" and not groups:
             break
         elif groups:
-            raise ExpressionError(f"expected ')' in {text!r}, found {tok!r}")
+            raise ExpressionError(f"expected ')' in {_quote(text)}, found {_quote(tok)}")
         else:
-            raise ExpressionError(f"trailing input {tok!r} in {text!r}")
+            raise ExpressionError(f"trailing input {_quote(tok)} in {_quote(text)}")
     if allowed is not None:
         extra = free.difference(allowed)
         if extra:
             raise ExpressionError(
-                f"expression {text!r} uses variables {sorted(extra)}; allowed: {sorted(allowed)}"
+                f"expression {_quote(text)} uses variables {sorted(extra)}; "
+                f"allowed: {sorted(allowed)}"
             )
     return Expression(text=text, variables=frozenset(free), _template="".join(code))
 

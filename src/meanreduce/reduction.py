@@ -76,6 +76,7 @@ from .scalar import (DeviationTuple, WeightTuple, deviation_batch, deviation_mea
                      weighted_arith_mean)
 from .vector import (
     GenDeviation,
+    GenDeviationTuple,
     PotentialFn,
     barycentric_feasibility,
     gen_deviation_mean,
@@ -179,9 +180,11 @@ def _solver_mean_fn(solve, entries, cfg: SolverConfig, label: str,
 
 
 def _select_entries(entries, chi: Injection):
-    """The entries chi picks: a DeviationTuple binds them as one family
-    (``DeviationTuple.select``), any other entries are a tuple."""
-    return entries.select(chi) if isinstance(entries, DeviationTuple) else select(entries, chi)
+    """The entries chi picks: a DeviationTuple or a GenDeviationTuple binds
+    them as one family (its ``select``), any other entries are a tuple."""
+    if isinstance(entries, (DeviationTuple, GenDeviationTuple)):
+        return entries.select(chi)
+    return select(entries, chi)
 
 
 def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
@@ -194,9 +197,11 @@ def deviation_mean_fn(E, cfg: SolverConfig = DEFAULT_CONFIG,
 def gen_deviation_mean_fn(E: Sequence[GenDeviation], cfg: SolverConfig = DEFAULT_CONFIG,
                           label: str = "generalized deviation mean") -> MeanFn:
     """MeanFn wrapper around the hull variational inequality solver
-    ``gen_deviation_mean``, one cold solve per evaluation."""
-    entries = tuple(E)
-    return _solver_mean_fn(gen_deviation_mean, entries, cfg, label, entries[0].dim)
+    ``gen_deviation_mean``, one cold solve per evaluation.  The deviations
+    are bound once here as one family (``vector.GenDeviationTuple``), for
+    every solve of the mean and its selections."""
+    E = GenDeviationTuple.of(E)
+    return _solver_mean_fn(gen_deviation_mean, E, cfg, label, E[0].dim)
 
 
 def potential_mean_fn(F: Sequence[PotentialFn], cfg: SolverConfig = DEFAULT_CONFIG,
@@ -682,9 +687,10 @@ def deviation_oracle(E, chi: Injection, tol: float, cfg: SolverConfig = DEFAULT_
         if not 0.0 < high - low < math.inf:
             raise InvalidArgumentError("'low' and 'high': expected low < high with a finite "
                                        f"high - low, got {low!r} and {high!r}")
+        family = GenDeviationTuple.of(E)
         return partial(_oracle_check, tol, low, high, (chi.k, entries[0].dim),
-                       fixed_point_mean_fn(gen_deviation_mean_fn(entries, inner), chi, outer),
-                       gen_deviation_mean_fn(select(entries, chi), inner))
+                       fixed_point_mean_fn(gen_deviation_mean_fn(family, inner), chi, outer),
+                       gen_deviation_mean_fn(family.select(chi), inner))
     dev = DeviationTuple.of(E)
     lo, hi = dev.common_domain.finite_window()
     return partial(_oracle_check, tol, lo, hi, (chi.k,),

@@ -17,8 +17,13 @@ end checks the family against the tuple (``_check_family``), sets up the
 points, their matrix X, the slack tolerance and the one-point answer
 (``_hull_setup``), and sums the per-slot covectors in one place
 (``_sum_grad``): the deviations E_i for the variational inequality, and
-E_i = -grad_v F_i for the potential.  ``verify_vi`` and the lattice oracle
-keep their own sums, so they check the solves independently.  The loop,
+E_i = -grad_v F_i for the potential.  A ``GenDeviationTuple`` decides how
+by the family rule of ``scalar._Family``: covectors of expressions
+(``Covector``, as ``descriptors.build_gen_deviations`` builds them) are one
+compiled function of all n d coordinates, so that every g is one call, and
+are checked on the one sample draw they share (``check_gen_deviations``);
+any other deviation is called in turn.  ``verify_vi`` and the lattice
+oracle keep their own sums, so they check the solves independently.  The loop,
 ``_simplex_solve``, runs on barycentric coordinates over the unit simplex,
 so every iterate carries hull membership by construction.  The routes
 differ only in their covector field g (the summed deviation, or minus the
@@ -60,8 +65,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
-from operator import sub
+from functools import partial, reduce
+from operator import add, and_, sub
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,6 +84,7 @@ from .core import (
     not_finite,
     running_magnitude,
     sample_triples,
+    select,
 )
 from .errors import (
     HullViolationError,
@@ -87,7 +93,8 @@ from .errors import (
     InvalidPotentialError,
     MeansError,
 )
-from .scalar import ScalarDeviation
+from .expr import Expression, _bind_family, _point_keys
+from .scalar import ScalarDeviation, _stacked
 
 _VALIDATION_SEED = 20240902
 _VALIDATION_SAMPLES = 32
@@ -112,16 +119,18 @@ def _as_grad(value, dim: int, error: type = InvalidArgumentError,
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray, threshold) -> np.ndarray:
-    """The dot products of the rows of a and b, to be compared with
-    threshold: the row sum where it clears the threshold by BATCH_MARGIN
-    times the sum of |terms|, else numpy's dot.  numpy's BLAS may sum in
-    another order and fuse multiply-adds, so the two may differ in the last
-    bits, and every verdict and reported pairing stays numpy's."""
+    """The dot products of the rows of a and b, along the last axis, to be
+    compared with threshold: the row sum where it clears the threshold by
+    BATCH_MARGIN times the sum of |terms|, else numpy's dot.  numpy's BLAS
+    may sum in another order and fuse multiply-adds, so the two may differ
+    in the last bits, and every verdict and reported pairing stays numpy's."""
     terms = a * b
-    sums = terms.sum(axis=1)
-    clear = np.abs(sums - threshold) > BATCH_MARGIN * np.abs(terms).sum(axis=1) + 1e-300
-    for k in np.flatnonzero(~clear):
-        sums[k] = a[k] @ b[k]
+    sums = terms.sum(axis=-1)
+    clear = np.abs(sums - threshold) > BATCH_MARGIN * np.abs(terms).sum(axis=-1) + 1e-300
+    if not clear.all():
+        a, b = np.broadcast_arrays(a, b)
+        for k in zip(*np.nonzero(~clear)):
+            sums[k] = a[k] @ b[k]
     return sums
 
 
@@ -131,34 +140,87 @@ def _separated(diff: np.ndarray) -> np.ndarray:
         return np.sqrt(_row_dots(diff, diff, 1e-18)) > 1e-9
 
 
+def _gen_passes(us: np.ndarray, vs: np.ndarray, ws: np.ndarray, separated: np.ndarray,
+                euu: np.ndarray, euv: np.ndarray, euw: np.ndarray,
+                clear: bool = False) -> list:
+    """The pass masks of the deviation axioms at E(u,u), E(u,v), E(u,w),
+    covectors along the last axis and samples along the one before it,
+    under any leading member axes: the three finite; max |E(u,u)| <= 1e-9 m,
+    for m the running magnitude max(1, max |E(u,v)|, max |E(u,w)|);
+    (E(u,v) - E(u,w)) (v - w) < 1e-12 m; where ``separated`` (|u - v| >
+    1e-9, one mask per draw), E(u,v) (u - v) > 0.  ``clear`` asks for
+    BATCH_MARGIN m more."""
+    with np.errstate(all="ignore"):
+        size_uu, size_uv, size_uw = (np.abs(e).max(axis=-1) for e in (euu, euv, euw))
+        magnitude = running_magnitude(size_uv, size_uw)
+        slack = BATCH_MARGIN * magnitude if clear else 0.0
+        bound = 1e-12 * magnitude - slack
+        return [*(np.isfinite(e).all(axis=-1) for e in (euu, euv, euw)),
+                size_uu <= 1e-9 * magnitude - slack,
+                ~(_row_dots(euv - euw, vs - ws, bound) >= bound),
+                ~separated | ~(_row_dots(euv, us - vs, slack) <= slack)]
+
+
 def _gen_verdict(label: str, us: np.ndarray, vs: np.ndarray, ws: np.ndarray,
-                 values, clear: bool = False) -> Optional[str]:
-    """GenDeviation's verdict on the first n samples, for values the rows
-    of E(u,u), E(u,v), E(u,w): the three finite; max |E(u,u)| <= 1e-9 m, for
-    m the running magnitude max(1, max |E(u,v)|, max |E(u,w)|);
-    (E(u,v) - E(u,w)) (v - w) < 1e-12 m; where |u - v| > 1e-9,
-    E(u,v) (u - v) > 0.  ``clear`` asks for BATCH_MARGIN m more."""
+                 separated: np.ndarray, values) -> Optional[str]:
+    """One deviation's verdict (``_gen_passes``) on the first n samples, for
+    values the rows of E(u,u), E(u,v), E(u,w)."""
     n = len(values[0])
     us, vs, ws = us[:n], vs[:n], ws[:n]
     e = np.asarray(values, dtype=float).reshape(3, n, us.shape[1])
     euv, euw = e[1], e[2]
-    with np.errstate(all="ignore"):
-        finite = np.isfinite(e).all(axis=2)
-        size = np.abs(e).max(axis=2)
-        magnitude = running_magnitude(size[1], size[2])
-        slack = BATCH_MARGIN * magnitude if clear else 0.0
-        bound = 1e-12 * magnitude - slack
-        return first_failure([
-            (finite[0], lambda k: f"{label}: E(u,u) is not finite at u={us[k]}"),
-            (finite[1], lambda k: f"{label}: E(u,v) is not finite at ({us[k]}, {vs[k]})"),
-            (finite[2], lambda k: f"{label}: E(u,w) is not finite at ({us[k]}, {ws[k]})"),
-            (size[0] <= 1e-9 * magnitude - slack, lambda k: f"{label}: E(u,u) != 0 at u={us[k]}"),
-            (~(_row_dots(euv - euw, vs - ws, bound) >= bound),
-             lambda k: (f"{label}: second section not strictly monotone decreasing: "
-                        f"(E(u,v)-E(u,w))(v-w) = {(euv[k] - euw[k]) @ (vs[k] - ws[k])}")),
-            (~_separated(us - vs) | ~(_row_dots(euv, us - vs, slack) <= slack),
-             lambda k: f"{label}: sign pairing E(u,v)(u-v) = {euv[k] @ (us[k] - vs[k])} <= 0"),
-        ])
+    passes = _gen_passes(us, vs, ws, separated[:n], *e)
+    return first_failure(list(zip(passes, [
+        lambda k: f"{label}: E(u,u) is not finite at u={us[k]}",
+        lambda k: f"{label}: E(u,v) is not finite at ({us[k]}, {vs[k]})",
+        lambda k: f"{label}: E(u,w) is not finite at ({us[k]}, {ws[k]})",
+        lambda k: f"{label}: E(u,u) != 0 at u={us[k]}",
+        lambda k: (f"{label}: second section not strictly monotone decreasing: "
+                   f"(E(u,v)-E(u,w))(v-w) = {(euv[k] - euw[k]) @ (vs[k] - ws[k])}"),
+        lambda k: f"{label}: sign pairing E(u,v)(u-v) = {euv[k] @ (us[k] - vs[k])} <= 0",
+    ])))
+
+
+def check_gen_deviations(devs: Sequence[GenDeviation], batch: Optional[Callable] = None):
+    """The axioms of each deviation on the 32 sampled triples (u, v, w) of
+    [sample_low, sample_high]^dim that the deviations of one dimension and
+    window share, each deviation judged by ``_gen_verdict`` in turn.
+
+    ``batch``, the numpy form of the family (``GenDeviationTuple.batch``:
+    arrays of the coordinates of x_1, ..., x_n and y in, the tuple of the
+    members' covector coordinates out, one array or constant each),
+    evaluates every member on all samples in one call, and one verdict
+    along a member axis (``_gen_passes``) accepts each member whose values
+    clear every threshold by BATCH_MARGIN.  Each member it does not clear
+    is judged on its own ``eval``, sample by sample, in member order (see
+    ``judge_samples``), so every verdict, error and message is the
+    member's own; a covector that is not finite ends that member's
+    evaluation, and the checks of its sample stop there."""
+    first = devs[0]
+    rng = np.random.default_rng(_VALIDATION_SEED)
+    shape = (_VALIDATION_SAMPLES, first.dim)
+    us, vs, ws = (rng.uniform(first.sample_low, first.sample_high, shape) for _ in range(3))
+    separated = _separated(us - vs)
+    n, d = len(devs), first.dim
+    cleared = np.zeros(n, dtype=bool)
+    if batch is not None:
+        def triples(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+            # Every member reads the rows of xs as its point, those of ys as
+            # y; the covectors come back as rows, one block per member.
+            values = _stacked(batch(*list(xs.T) * n, *ys.T), xs.shape[:1])
+            return values.reshape(n, d, -1).transpose(0, 2, 1)
+
+        values = sample_triples(triples, us, vs, ws, (n,))
+        if values is not None:
+            passes = _gen_passes(us, vs, ws, separated, values[:, 0], values[:, 1],
+                                 values[:, 2], clear=True)
+            cleared = reduce(and_, passes).all(axis=-1)
+    for dev, ok in zip(devs, cleared):
+        if not ok:
+            judge_samples(partial(_gen_verdict, dev.label, us, vs, ws, separated),
+                          lambda a, b, dev=dev: _as_shape(dev.eval(a, b), dev.dim),
+                          lambda: ((u, x) for u, v, w in zip(us, vs, ws) for x in (u, v, w)),
+                          3, InvalidDeviationError, stop=not_finite)
 
 
 @dataclass(frozen=True)
@@ -195,28 +257,11 @@ class GenDeviation:
         return _as_grad(self.eval(u, v), self.dim)
 
     def _check_axioms(self, batch: Optional[Callable] = None):
-        """The axioms on 32 sampled triples of points (u, v, w), judged by
-        ``_gen_verdict`` on the values of ``batch``, a numpy form of ``eval``
-        in the layout of ``expr._bind_family`` (arrays of the coordinates
-        u1..ud, v1..vd in, one array or constant per covector coordinate
-        out), accepted where they clear every threshold by BATCH_MARGIN, or
-        else of ``eval`` on array rows (see ``judge_samples``)."""
-        rng = np.random.default_rng(_VALIDATION_SEED)
-        shape = (_VALIDATION_SAMPLES, self.dim)
-        us, vs, ws = (rng.uniform(self.sample_low, self.sample_high, shape) for _ in range(3))
-        verdict = partial(_gen_verdict, self.label, us, vs, ws)
-        if batch is not None:
-            # Rows of us and vs are points; the covectors come back as rows.
-            values = sample_triples(
-                lambda us, vs: np.stack(np.broadcast_arrays(*batch(*us.T, *vs.T)), axis=-1),
-                us, vs, ws)
-            if values is not None and verdict(values, clear=True) is None:
-                return
-        # A covector that is not finite ends the evaluation: the checks of its
-        # sample stop there.
-        judge_samples(verdict, lambda a, b: _as_shape(self.eval(a, b), self.dim),
-                      lambda: ((u, x) for u, v, w in zip(us, vs, ws) for x in (u, v, w)), 3,
-                      InvalidDeviationError, stop=not_finite)
+        """The axioms on 32 sampled triples of points (u, v, w): the check of
+        a family of one (``check_gen_deviations``), where ``batch`` is a
+        numpy form of ``eval`` (arrays of the coordinates u1..ud, v1..vd in,
+        one array or constant per covector coordinate out)."""
+        check_gen_deviations((self,), batch)
 
 
 def lift_scalar_deviation(dev: ScalarDeviation, label: Optional[str] = None) -> GenDeviation:
@@ -271,6 +316,122 @@ def inner_product_deviation(weight, dim: int,
         validate=False,
         inner_weight=w,
     )
+
+
+def _bind_covectors(covectors: Sequence[Sequence[Expression]]) -> tuple:
+    """n covectors of d expressions in u1..ud, v1..vd, compiled as one
+    family (``expr._bind_family``) of the n d + d floats x_1, ..., x_n, y:
+    covector i reads u1..ud from x_i and v1..vd from y.  Returns the family
+    function, which returns the n d coordinates in member order, and its
+    numpy form; for one covector, that is a function of (u, v)."""
+    n, d = len(covectors), len(covectors[0])
+    names = _point_keys("u", d) + _point_keys("v", d)
+    reads = [dict(zip(names, [*range(i * d, i * d + d), *range(n * d, n * d + d)]))
+             for i in range(n)]
+    family, _, batch = _bind_family([e for c in covectors for e in c],
+                                    [r for r in reads for _ in range(d)], n * d + d)
+    return family, batch
+
+
+class Covector:
+    """A covector E(u, v) whose d coordinates are expressions in u1..ud,
+    v1..vd, compiled on its first call as ``expr.Member`` compiles.
+
+    A family of deviations whose evals are covectors (``GenDeviationTuple``)
+    compiles all their coordinates as one function; a covector compiles only
+    itself, where it is called on its own.
+    """
+
+    __slots__ = ("expressions", "fn")
+
+    def __init__(self, expressions: Sequence[Expression]):
+        self.expressions = tuple(expressions)
+        self.fn = None
+
+    def __call__(self, u, v) -> list:
+        if self.fn is None:
+            self.fn = _bind_covectors([self.expressions])[0]
+        return self.fn(*np.asarray(u, float).tolist(), *np.asarray(v, float).tolist())
+
+
+class GenDeviationTuple:
+    """A nonempty tuple of generalized deviations with the function of their
+    summed covector: the family of a generalized deviation mean, bound by
+    the rule of ``scalar._Family``.
+
+    Where every member's eval is a ``Covector`` of the members' one
+    dimension, the family is one compiled function of all n d coordinates
+    (``_bind_covectors``): ``values(*x_1, ..., *x_n, *y)`` returns them in
+    member order, and ``batch`` is its numpy form; a family of one lends its
+    compile to its member.  Where any other member is in it (a Python
+    callable, the deviation of a potential), and for a sequence given to
+    one solve (``of``), both are None and ``field`` calls each member in
+    turn.  ``select(chi)`` binds the members chi picks as one family.
+    """
+
+    __slots__ = ("members", "values", "batch")
+
+    def __init__(self, members: Sequence[GenDeviation], per_call: bool = False):
+        ms = tuple(members)
+        if not ms:
+            raise InvalidArgumentError("empty deviation tuple")
+        self.members, self.values, self.batch = ms, None, None
+        dim = ms[0].dim
+        if not per_call and all(isinstance(m.eval, Covector)
+                                and len(m.eval.expressions) == m.dim == dim for m in ms):
+            self.values, self.batch = _bind_covectors([m.eval.expressions for m in ms])
+            if len(ms) == 1 and ms[0].eval.fn is None:
+                ms[0].eval.fn = self.values
+
+    @classmethod
+    def of(cls, members, per_call: bool = False) -> GenDeviationTuple:
+        """members itself where it is a family, else the family of them:
+        bound by the rule above, or, for a sequence given to one solve
+        (``per_call``), one that calls each member in turn."""
+        return members if isinstance(members, cls) else cls(members, per_call)
+
+    def field(self, pts: Sequence[np.ndarray], X: np.ndarray) -> Callable:
+        """y -> g(y) = sum_i E_i(x_i, y) at the points pts, the rows of X,
+        summed coordinate by coordinate in member order from +0.0: one call
+        of ``values``, or else a call of each member in turn, whose
+        covectors' shapes are checked on the first call."""
+        dim = self.members[0].dim
+        if self.values is not None:
+            values, xs = self.values, X.ravel().tolist()
+
+            def geval(y: np.ndarray) -> np.ndarray:
+                coords = values(*xs, *y.tolist())
+                return np.array([reduce(add, coords[j::dim], 0.0) for j in range(dim)])
+
+            return geval
+        pairs = list(zip([e.eval for e in self.members], pts))
+        checked = [False]
+
+        def geval(y: np.ndarray) -> np.ndarray:
+            total = np.zeros(dim)
+            if checked[0]:
+                for ev, xi in pairs:
+                    total += np.asarray(ev(xi, y), dtype=float).reshape(-1)
+            else:
+                for ev, xi in pairs:
+                    total += _as_shape(ev(xi, y), dim)
+                checked[0] = True
+            return total
+
+        return geval
+
+    def select(self, chi) -> GenDeviationTuple:
+        """The family of the members chi picks."""
+        return GenDeviationTuple(select(self.members, chi))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __getitem__(self, i):
+        return self.members[i]
 
 
 def _check_family(fns: Sequence, x: Sequence,
@@ -342,7 +503,9 @@ def _labels(E: Sequence[GenDeviation]) -> str:
 def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarray,
               dim: int):
     """The iterate map lam -> (lam, y, g(y), slacks) for
-    g(y) = sum_i E_i(x_i, y) at y = lam X, and the Jacobian map y -> Dg(y).
+    g(y) = sum_i E_i(x_i, y) at y = lam X, and the Jacobian map y -> Dg(y):
+    affine for inner-weight families, else the field of the family
+    (``GenDeviationTuple.field``), one call per g of a bound family.
 
     Slacks g(y) (x_j - y) that are not finite raise InvalidDeviationError
     naming the family; they can overflow where g itself does not, and a
@@ -364,21 +527,7 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarra
         def jac(y: np.ndarray) -> np.ndarray:
             return jac_affine
     else:
-        pairs = list(zip([e.eval for e in E], pts))
-        checked = [False]
-
-        def geval(y: np.ndarray) -> np.ndarray:
-            total = np.zeros(dim)
-            if checked[0]:
-                for ev, xi in pairs:
-                    total += np.asarray(ev(xi, y), dtype=float).reshape(-1)
-            else:
-                # Shapes are validated on the first call only.
-                for ev, xi in pairs:
-                    total += _as_shape(ev(xi, y), dim)
-                checked[0] = True
-            return total
-
+        geval = GenDeviationTuple.of(E, per_call=True).field(pts, X)
         jac = _central_jacobian(geval)
 
     def point(lam: np.ndarray) -> _Iterate:
@@ -730,7 +879,11 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
     of it if that is smaller, and the step that passed is kept for the next
     iteration.  The loop adds the safeguarded projected-Newton candidate,
     with the exact Jacobian -2 sum_i w_i(x_i) I for inner-weight families and
-    central differences otherwise.  Converged when
+    central differences otherwise.  E is bound by the rule of a
+    ``GenDeviationTuple``: a bound family of expression covectors (as
+    ``gen_deviation_mean_fn`` binds them) evaluates g, at each iterate and
+    each of the Jacobian's 2d probes, in one compiled call; a plain sequence
+    calls each deviation in turn.  Converged when
     max_j g (x_j - y) <= abs_tol (1 + max_i |x_i|) and the point movement
     also falls below that scale; the slack criterion alone certifies the
     point only to the square root of the slack, which is too coarse for the

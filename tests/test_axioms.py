@@ -23,6 +23,7 @@ from meanreduce.descriptors import (
     _of_points,
     build_deviations,
     build_gen_deviation,
+    build_gen_deviations,
     build_weights,
     parse_domain,
 )
@@ -185,6 +186,41 @@ def _gen_cases(draw):
 def test_gen_deviation_checks_agree(case):
     batched, reference = _both("gen", _build("gen", case))
     assert batched == reference
+
+
+@st.composite
+def _gen_families(draw):
+    """2 to 4 covectors of one dimension, mostly deviations, with one drawn
+    from any text first, in the middle or last."""
+    d = draw(st.integers(1, 3))
+    us = [f"u{i + 1}" for i in range(d)]
+    vs = [f"v{i + 1}" for i in range(d)]
+    covectors = [[draw(_difference(us[i], vs[i], us)) for i in range(d)]
+                 for _ in range(draw(st.integers(1, 3)))]
+    any_text = [draw(st.one_of(_difference(us[i], vs[i], us), _texts(us + vs)))
+                for i in range(d)]
+    covectors.insert(draw(st.sampled_from([0, (len(covectors) + 1) // 2, len(covectors)])),
+                     any_text)
+    return covectors
+
+
+@_SETTINGS
+@given(_gen_families())
+@example([["v1 - u1"], ["u1 - v1"], ["2*(u1 - v1)"]])
+@example([["u1 - v1"], ["(u1 - v1)*exp(u1) + 1e-6"], ["2*(u1 - v1)"]])
+@example([["u1 - v1", "u2 - v2"], ["2*(u1 - v1)", "u2 - v2"], ["u1 - v1", "1/(1/(u2 - v2))"]])
+@example([["u1 - v1", "u2 - v2"], ["u1 - v1", "u2 - v2 + 1/(2 - 2)"], ["v1 - u1", "u2 - v2"]])
+# An invalid member before one that does not parse: the axioms fail first.
+@example([["v1 - u1"], ["u1 - "], ["u1 - v1"]])
+@example([["u1 - v1"], ["u1 - "], ["v1 - u1"]])
+def test_a_gen_deviation_family_check_is_its_members_checks_in_turn(covectors):
+    # The family is checked on one numpy evaluation of the draw its members
+    # share; the reference builds and checks each member on its own, on its
+    # callback values, in member order.
+    d = len(covectors[0])
+    batched = _outcome(lambda: build_gen_deviations(covectors, d))
+    with _callback_values_only("gen"):
+        assert batched == _outcome(lambda: [build_gen_deviation(c, d) for c in covectors])
 
 
 @_SETTINGS

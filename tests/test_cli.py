@@ -515,6 +515,49 @@ class TestReduceCommand:
         assert err.startswith("no convergence: custom deviation mean did not converge at [0.5, ")
 
 
+# Three gen-deviation means (d = 1, 2, 3; n = 3, 3, 5), with skew and
+# nonlinear covectors: (dim, covectors, n-tuple, chi, k-tuple).  No packaged
+# suite holds a vector mean, so the report pins do not cover this path.
+GEN_DEVIATION_INPUTS = {
+    "d1-n3": ("1", "(u1-v1)*exp(0.5*u1);(u1-v1)*(1+(u1-v1)^2);(u1-v1)*(2+u1^2)",
+              "0.5;2.5;-1", "3,1", "-0.5;2"),
+    "d2-n3": ("2", "(u1-v1)*(1+0.3*((u1-v1)^2+(u2-v2)^2)) + 0.4*(u2-v2)"
+                   "|(u2-v2)*(1+0.3*((u1-v1)^2+(u2-v2)^2)) - 0.4*(u1-v1)"
+                   ";2*(u1-v1)|2*(u2-v2);(u1-v1)*exp(0.2*u2)|(u2-v2)*exp(0.2*u1)",
+              "0,0;2,1;-1,3", "1,3", "0,0;2,1"),
+    "d3-n5": ("3", "u1-v1|u2-v2|u3-v3"
+                   ";(u1-v1)*exp(0.1*u3)|(u2-v2)*exp(0.1*u3)|(u3-v3)*exp(0.1*u1)"
+                   ";(u1-v1) + 0.5*(u2-v2)|(u2-v2) - 0.5*(u1-v1)|2*(u3-v3)"
+                   ";(u1-v1)*(1+(u1-v1)^2)|(u2-v2)*(1+(u2-v2)^2)|(u3-v3)*(1+(u3-v3)^2)"
+                   ";3*(u1-v1)|(u2-v2)*(2+u1^2)|(u3-v3) + 0.2*(u1-v1)",
+              "0,0,0;1,2,0;-1,0.5,1;2,-1,1.5;0.5,1,-2", "2,4,5", "1,2,0;2,-1,1.5;0,0,1"),
+}
+# sha256 of the JSON stdout of each input's mean and reduce, taken before
+# the covectors of a mean were bound as one family.  The vector solves run
+# numpy's BLAS, so a BLAS that sums in another order may move their bits.
+PINNED_GEN_DEVIATION = {
+    ("d1-n3", "mean"): "04c7510033729d4a44b109e3f1354906cd066c4f63cd372ab23e7b888abe9f14",
+    ("d1-n3", "reduce"): "f1532e745e5050915bf4c4829d7f8925d0acd78d28e164667197869021fe1248",
+    ("d2-n3", "mean"): "1b061c2f108a1c1932aec8f713bdd0f62f7d851c36ae995cb1e02ef37b771345",
+    ("d2-n3", "reduce"): "e80b88542a3992154e5fad42837759c62581b143d6e70bc690551cca3371c701",
+    ("d3-n5", "mean"): "6d1bdfa32771ab3e1d75010e7172d89a394f73fb463c199f037bc78b1368c7c3",
+    ("d3-n5", "reduce"): "3a8ffedf5d3fa137b00165e5c451f52f8b9ed7946707337e3e30c88b6f39cbd8",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(PINNED_GEN_DEVIATION))
+def test_gen_deviation_outputs_are_pinned(capsys, name, command):
+    dim, exprs, x, chi, xk = GEN_DEVIATION_INPUTS[name]
+    flags = ["--kind", "gen-deviation", "--dim", dim, "--exprs", exprs]
+    if command == "mean":
+        argv = ["mean", *flags, "--x", x]
+    else:
+        argv = ["reduce", *flags, "--arity", str(len(x.split(";"))), "--chi", chi, "--x", xk]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["converged"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_GEN_DEVIATION[name, command]
+
+
 class TestValuesStartingWithMinus:
     # argparse takes only '-1' and '-.5' shapes as values on its own.
     @pytest.mark.parametrize("argv,expected", [

@@ -13,8 +13,8 @@ import pytest
 from meanreduce.cli import main
 from meanreduce.core import Interval
 from meanreduce.descriptors import build_deviations, build_weights
-from meanreduce.errors import ExpressionError
-from meanreduce.expr import parse_expression
+from meanreduce.errors import DomainError, ExpressionError
+from meanreduce.expr import _QUOTE_LIMIT, _quote, parse_expression
 
 # Per input: its text in u and its value at u = 1.
 EXPRESSIONS = {
@@ -83,7 +83,46 @@ def test_mean_with_the_expression_as_generator_exits_0_or_2(capsys, name):
     else:
         assert name not in MUST_EVALUATE
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: expression {text!r} {TOO_LONG} (")
+        assert err.startswith(f"error: expression {_quote(text)} {TOO_LONG} (")
+
+
+def _quoted(text: str) -> str:
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+# A 400 KB text, and texts that contain it: every message quotes the first
+# _QUOTE_LIMIT characters of a text past that length, and the length.
+LONG = "+".join(["u"] * 200_000)
+SUM_300 = "+".join(["u"] * 300) + "+log(u - u)"
+HUGE_LITERAL = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_expression(LONG).bind(("u",)),
+     f"expression {_quoted(LONG)} {TOO_LONG} (RecursionError)"),
+    (lambda: parse_expression(LONG, allowed=("v",)),
+     f"expression {_quoted(LONG)} uses variables ['u']; allowed: ['v']"),
+    (lambda: parse_expression(LONG + ")"), f"trailing input ')' in {_quoted(LONG + ')')}"),
+    (lambda: parse_expression(f"{LONG}+{HUGE_LITERAL}"),
+     f"numeric literal {_quoted(HUGE_LITERAL)} in {_quoted(f'{LONG}+{HUGE_LITERAL}')} "
+     "is not finite"),
+    (lambda: build_weights([LONG, 1.0], DOMAIN),
+     f"the family of expressions [{_quoted(LONG)}, '1.0'] {TOO_LONG} (RecursionError)"),
+    (lambda: parse_expression(SUM_300).bind(("u",))(1.0),
+     f"evaluating {_quoted(SUM_300)}: math domain error"),
+], ids=["compile", "variables", "trailing", "literal", "family", "domain"])
+def test_a_message_quotes_a_bounded_prefix_of_a_long_text(call, message):
+    with pytest.raises((ExpressionError, DomainError)) as info:
+        call()
+    assert str(info.value) == message
+    assert len(message) < 3 * _QUOTE_LIMIT + 200
+
+
+@pytest.mark.parametrize("text", ["u)", "u" * (_QUOTE_LIMIT - 1) + ")"])
+def test_a_text_within_the_bound_is_quoted_whole(text):
+    assert _quote(text) == repr(text)
+    with pytest.raises(ExpressionError, match=r"^trailing input '\)' in 'u+\)'$"):
+        parse_expression(text)
 
 
 def _suite(tmp_path, *cases):
@@ -107,7 +146,7 @@ def test_verify_exits_2_naming_the_case_or_runs_it(capsys, tmp_path, name):
     else:
         assert name not in MUST_EVALUATE
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: case {name!r}: expression {text!r} {TOO_LONG} (")
+        assert err.startswith(f"error: case {name!r}: expression {_quote(text)} {TOO_LONG} (")
 
 
 @pytest.mark.parametrize("name", sorted(EXPRESSIONS))
@@ -121,7 +160,7 @@ def test_fuzz_records_the_case_as_an_error_entry_and_runs_the_others(capsys, tmp
     if "error" in entry:
         assert name not in MUST_EVALUATE
         assert entry["error"].startswith(
-            f"ExpressionError: case {name!r}: expression {text!r} {TOO_LONG} (")
+            f"ExpressionError: case {name!r}: expression {_quote(text)} {TOO_LONG} (")
     else:
         assert entry["full"]["found"] is False
 
