@@ -90,6 +90,17 @@ def not_finite(row: np.ndarray) -> bool:
     return not math.isfinite(sum(vals)) and not all(map(math.isfinite, vals))
 
 
+def length(v: np.ndarray) -> float:
+    """The Euclidean length of the finite 1-d array v: math.sqrt(v @ v), as
+    np.linalg.norm forms it, where no entry reaches 1e150, so that v @ v
+    cannot overflow; else math.hypot, which does not overflow (v @ v would
+    make a tolerance scaled by |v| infinite, and warn)."""
+    vals = v.tolist()
+    if max(map(abs, vals)) < 1e150:
+        return math.sqrt(float(v @ v))
+    return math.hypot(*vals)
+
+
 def as_point(p, dim: Optional[int] = None) -> np.ndarray:
     """Validate and normalize a point of R^d to a float64 numpy array.
 

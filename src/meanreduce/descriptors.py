@@ -57,7 +57,7 @@ from .core import (
     select,
 )
 from .errors import InvalidArgumentError, MeansError
-from .expr import Member, _point_keys, parse_expression
+from .expr import Member, _point_keys, _quote, parse_expression
 from .reduction import MeanFn, deviation_mean_fn, gen_deviation_mean_fn, potential_mean_fn
 from .scalar import (
     DeviationTuple,
@@ -283,7 +283,7 @@ def build_weights(specs: Sequence, domain: Interval) -> WeightTuple:
 def _deviation(domain: Interval, text) -> ScalarDeviation:
     expression = parse_expression(str(text), allowed=("u", "v"))
     return ScalarDeviation(domain=domain, eval=Member(expression, ("u", "v")),
-                           label=f"deviation {text!r}", validate=False)
+                           label=f"deviation {_quote(str(text))}", validate=False)
 
 
 def build_deviations(texts: Sequence[str], domain: Interval) -> DeviationTuple:
@@ -361,7 +361,7 @@ def build_custom_potential(expr_text: str, dim: int) -> PotentialFn:
     """A PotentialFn from an expression for F(u, v); gradient by central
     differences."""
     return PotentialFn(dim=dim, eval=_point_expression(expr_text, dim, pair=True),
-                       label=f"potential {expr_text!r}", sample_low=-2.0, sample_high=2.0)
+                       label=f"potential {_quote(expr_text)}", sample_low=-2.0, sample_high=2.0)
 
 
 # Each constructor's selection hook rebuilds the family from the entries chi

@@ -61,6 +61,7 @@ from .core import (
     _certified,
     as_point_tuple,
     bracketed_root,
+    length,
     not_finite,
     scaled_width,
     select,
@@ -418,10 +419,7 @@ def _vector_setup(M: MeanFn, chi: Injection, x: Sequence, cfg: SolverConfig):
     if M.dim is None:
         raise InvalidArgumentError("reduce_vector needs a vector mean")
     pts = as_point_tuple(x, M.dim)
-    spread = max(
-        (float(np.linalg.norm(p - q)) for p in pts for q in pts),
-        default=0.0,
-    )
+    spread = max((length(p - q) for p in pts for q in pts), default=0.0)
 
     def m(y: np.ndarray) -> np.ndarray:
         return np.asarray(M(splice(pts, chi, y)), dtype=float)

@@ -55,9 +55,18 @@ progress; it is kept only when it, or a half or a quarter of it, lowers the
 merit, so the plain step stands otherwise, and convergence is still decided
 by the slack certificate alone.  It solves the thin hulls, where g's
 unconstrained zero lies outside conv(x) and the first-order steps crawl
-along a face, and the slow linear regimes of the first-order steps.  A
-brute-force lattice search over barycentric coordinates serves as an
-independent oracle for small tuples.
+along a face, and the slow linear regimes of the first-order steps.
+
+An inner-product family E_i(u, v) = 2 w_i(u) (u - v), whose mean is the
+functionally weighted arithmetic mean, has the affine field
+g(y) = 2 sum_i c_i (x_i - y), c_i = w_i(x_i), which vanishes at the point
+of barycentric weights c / sum(c).  ``gen_deviation_mean`` without an
+``init`` evaluates that point once and returns it after one iterate when
+its own slack passes the certificate; otherwise, and for every solve given
+an ``init``, the loop runs as for any family.  The potential route and
+``verify_vi`` do not take the closed form.  A brute-force lattice search
+over barycentric coordinates serves as an independent oracle for small
+tuples.
 """
 
 from __future__ import annotations
@@ -81,6 +90,7 @@ from .core import (
     as_point_tuple,
     first_failure,
     judge_samples,
+    length,
     not_finite,
     running_magnitude,
     sample_triples,
@@ -305,7 +315,9 @@ def inner_product_deviation(weight, dim: int,
     weight that is not finite and positive where it is evaluated raises
     InvalidDeviationError.  This is the deviation of the weighted
     squared-distance potential; its deviation mean is the functionally
-    weighted arithmetic mean.
+    weighted arithmetic mean, which ``gen_deviation_mean`` without an
+    ``init`` takes in closed form, in one iterate, when its slack passes
+    the certificate, each weight evaluated once per solve.
     """
     w = _weight_fn(weight, "inner-product deviation")
     return GenDeviation(
@@ -453,11 +465,12 @@ def _check_family(fns: Sequence, x: Sequence,
 def _hull_setup(fns: Sequence, x: Sequence, cfg: SolverConfig, what: str):
     """The front end of both hull solves: the checked points, their
     dimension, the point matrix X, the slack tolerance
-    abs_tol (1 + max_i |x_i|), and for a single point its report (else None).
+    abs_tol (1 + max_i |x_i|), finite for finite points (``core.length``),
+    and for a single point its report (else None).
     """
     pts, dim = _check_family(fns, x, what)
     X = np.stack(pts, axis=0)
-    tol = cfg.abs_tol * (1.0 + max(math.sqrt(float(p @ p)) for p in pts))
+    tol = cfg.abs_tol * (1.0 + max(map(length, pts)))
     single = None
     if len(pts) == 1:
         single = SolverReport(value=pts[0].copy(), residual=0.0, iterations=0,
@@ -503,14 +516,18 @@ def _labels(E: Sequence[GenDeviation]) -> str:
 def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarray,
               dim: int):
     """The iterate map lam -> (lam, y, g(y), slacks) for
-    g(y) = sum_i E_i(x_i, y) at y = lam X, and the Jacobian map y -> Dg(y):
-    affine for inner-weight families, else the field of the family
-    (``GenDeviationTuple.field``), one call per g of a bound family.
+    g(y) = sum_i E_i(x_i, y) at y = lam X, the Jacobian map y -> Dg(y), and
+    the barycentric weights of g's zero where they are known in closed form,
+    else None: affine for inner-weight families, whose g vanishes at the
+    weights c / sum(c) for c_i = w_i(x_i), each weight called once; else the
+    field of the family (``GenDeviationTuple.field``), one call per g of a
+    bound family.
 
     Slacks g(y) (x_j - y) that are not finite raise InvalidDeviationError
     naming the family; they can overflow where g itself does not, and a
     non-finite g makes them non-finite too.
     """
+    zero = None
     if all(e.inner_weight is not None for e in E):
         # Gradient-type family: sum_i 2 w_i(x_i) (x_i - y) is affine in y
         # with coefficients fixed by the data points.
@@ -518,6 +535,7 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarra
                              for e, xi in zip(E, pts)])
         const = 2.0 * (coeffs @ X)
         total_w = 2.0 * float(coeffs.sum())
+        zero = coeffs / coeffs.sum()
 
         def geval(y: np.ndarray) -> np.ndarray:
             return const - total_w * y
@@ -539,7 +557,7 @@ def _sum_grad(E: Sequence[GenDeviation], pts: Sequence[np.ndarray], X: np.ndarra
                 f"{_labels(E)}: summed covector or its slacks are not finite at y={y}")
         return _Iterate(lam, y, g, slack)
 
-    return point, jac
+    return point, jac, zero
 
 
 def _slack_step(point, cur: _Iterate, tau: float, nu: float) -> tuple[_Iterate, float]:
@@ -754,6 +772,10 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
     since_newton = 0
     newton_wait = 1
     iterations = 0
+    try:
+        noise = tol ** 2
+    except OverflowError:  # a tolerance past 1.34e154: no merit growth is material
+        noise = math.inf
 
     for iterations in range(1, max_iter + 1):
         gap = max(cur.slack.tolist())
@@ -761,7 +783,7 @@ def _simplex_solve(rule, point, jac, X: np.ndarray, lam: np.ndarray,
         merit_min = min(merit_min, merit)
         # Material growth only: noise-level wiggles on a plateau must not
         # count, or the step collapses while the iterate is still moving.
-        if merit > 4.0 * merit_min + tol ** 2:
+        if merit > 4.0 * merit_min + noise:
             growth_streak += 1
         else:
             growth_streak = 0
@@ -890,6 +912,13 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
     downstream oracle comparisons.  Strict-monotonicity violations on
     observed iterate pairs, which the deviation axioms rule out, raise
     InvalidDeviationError.
+
+    Without ``init``, an inner-weight family starts at its closed form, the
+    barycentric weights c / sum(c) of g's zero, c_i = w_i(x_i): that point
+    is evaluated once, and when its max slack is at most the tolerance the
+    report is converged with iterations=1 and those weights; otherwise the
+    loop runs from the centroid.  A solve given ``init`` always runs the
+    loop from it.
     """
     pts, dim, X, tol, single = _hull_setup(E, x, cfg, "deviation")
     if single is not None:
@@ -905,7 +934,13 @@ def gen_deviation_mean(E: Sequence[GenDeviation], x: Sequence,
             raise InvalidArgumentError("init entries must be finite")
         lam = _project_simplex(lam)
 
-    point, jac = _sum_grad(E, pts, X, dim)
+    point, jac, zero = _sum_grad(E, pts, X, dim)
+    if init is None and zero is not None:
+        cur = point(zero)
+        gap = float(cur.slack.max())
+        if gap <= tol:
+            return SolverReport(value=cur.y, residual=gap, iterations=1, converged=True,
+                                barycentric=Barycentric(tuple(zero.tolist())))
     rule = _Extragradient(point)
     return _simplex_solve(rule, point, jac, X, lam, tol, cfg.max_iter)
 
@@ -932,7 +967,7 @@ def barycentric_feasibility(x: Sequence, y) -> tuple[np.ndarray, float]:
     from scipy.optimize import nnls  # imported on first use: scalar commands skip scipy
 
     lam, _ = nnls(A, b)
-    residual = float(np.linalg.norm(A @ lam - b))
+    residual = length(A @ lam - b)
     return lam, residual
 
 
@@ -945,7 +980,7 @@ def verify_vi(E: Sequence[GenDeviation], x: Sequence, y, tol: float) -> ViReport
     pts, dim = _check_family(E, x)
     yv = as_point(y, dim)
     _, hull_residual = barycentric_feasibility(pts, yv)
-    feas_tol = tol * (1.0 + float(np.linalg.norm(yv)))
+    feas_tol = tol * (1.0 + length(yv))
     if hull_residual > feas_tol:
         raise HullViolationError(
             f"point {yv} is {hull_residual:.3g} away from conv(x), beyond {feas_tol:.3g}"
@@ -1169,7 +1204,7 @@ def potential_mean(F: Sequence[PotentialFn], x: Sequence,
     def phi(y: np.ndarray) -> float:
         return math.fsum(float(fe(xi, y)) for fe, xi in zip(fevals, pts))
 
-    point, jac = _sum_grad([_potential_deviation(f) for f in F], pts, X, dim)
+    point, jac, _ = _sum_grad([_potential_deviation(f) for f in F], pts, X, dim)
     lam = np.full(len(pts), 1.0 / len(pts))
     rule = _ArmijoDescent(phi, point, X, lam @ X)
     try:

@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from typing import Callable
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -1371,3 +1372,23 @@ def test_suite_reader_names_the_case_of_every_build_error(index, data):
         assert str(exc).startswith(f"case {name!r}: "), exc
         if table is not None and _refused(table[key], value):
             assert str(exc).startswith(path), exc
+
+
+_BOUNDED = "(u1-v1)/(1+abs(u1-v1))"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mean", "--kind", "gen-deviation", "--dim", "1", "--exprs", f"{_BOUNDED};" * 2 + _BOUNDED,
+      "--x", "1e200;0;0"], "gen-deviation mean did not converge at [[1e+200], [0.0], [0.0]]"),
+    (["reduce", "--kind", "gen-deviation", "--arity", "3", "--dim", "1",
+      "--exprs", f"{_BOUNDED};3*{_BOUNDED};{_BOUNDED}", "--chi", "1,2", "--x", "1e200;0"],
+     "generalized deviation mean did not converge at [[1e+200], [0.0], [5e+199]]"),
+], ids=["mean", "reduce"])
+def test_a_hull_solve_past_1e154_is_not_converged_by_an_infinite_tolerance(capsys, argv, message):
+    # |x|^2 overflows at |x| > 1.34e154, and so did the hull solve's slack
+    # tolerance and the reduction's spread: the mean converged at once at the
+    # centroid 3.3e199, the reduction at 5e199; the means are near 1 and 0.5.
+    # The local step test of vector._slack_step still overflows at this scale.
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"no convergence: {message}\n")

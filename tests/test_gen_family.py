@@ -184,7 +184,7 @@ def test_a_built_mean_compiles_checks_and_calls_its_family_once(monkeypatch):
     sum_grad = vector._sum_grad
 
     def counted_sum_grad(E, pts, X, dim):
-        point, jac = sum_grad(E, pts, X, dim)
+        point, jac, zero = sum_grad(E, pts, X, dim)
 
         def counted_point(lam):
             iterates.append("point")
@@ -195,7 +195,7 @@ def test_a_built_mean_compiles_checks_and_calls_its_family_once(monkeypatch):
             iterates.extend(["probe"] * (2 * dim) if J is not None else [])
             return J
 
-        return counted_point, counted_jac
+        return counted_point, counted_jac, zero
 
     monkeypatch.setattr(vector, "_sum_grad", counted_sum_grad)
     M = build_mean(MeanDescriptor(kind="gen-deviation", arity=4, dim=2,

@@ -505,7 +505,10 @@ class StepContracts:
 
 
 def _solve_all_routes(d, x, weights, F):
-    gen_deviation_mean([inner_product_deviation(w, d) for w in weights], x)
+    # The inner-product family starts from the centroid's weights, so that
+    # its solve runs the loop rather than returning its closed form.
+    gen_deviation_mean([inner_product_deviation(w, d) for w in weights], x,
+                       init=np.full(len(x), 1.0 / len(x)))
     gen_deviation_mean([make_potential_deviation(f) for f in F], x)
     potential_mean(F, x)
 
@@ -554,13 +557,13 @@ def test_step_searches_spend_no_more_iterate_evaluations_than_halving(monkeypatc
     sum_grad = vector._sum_grad
 
     def counted_sum_grad(*args):
-        point, jac = sum_grad(*args)
+        point, jac, zero = sum_grad(*args)
 
         def counted(lam):
             evals[0] += 1
             return point(lam)
 
-        return counted, jac
+        return counted, jac, zero
 
     monkeypatch.setattr(vector, "_sum_grad", counted_sum_grad)
     contracts = StepContracts()

@@ -12,7 +12,7 @@ import pytest
 
 from meanreduce.cli import main
 from meanreduce.core import Interval
-from meanreduce.descriptors import build_deviations, build_weights
+from meanreduce.descriptors import build_custom_potential, build_deviations, build_weights
 from meanreduce.errors import DomainError, ExpressionError
 from meanreduce.expr import _QUOTE_LIMIT, _quote, parse_expression
 
@@ -123,6 +123,40 @@ def test_a_text_within_the_bound_is_quoted_whole(text):
     assert _quote(text) == repr(text)
     with pytest.raises(ExpressionError, match=r"^trailing input '\)' in 'u+\)'$"):
         parse_expression(text)
+
+
+# Valid deviations and potentials of 603, 759, 200 and 200 characters.
+DEVIATION_603 = "0*u+" * 150 + "u-v"
+POTENTIAL_759 = "0*u1+" * 150 + "(v1-u1)^2"
+DEVIATION_200 = "0*u+" * 49 + "u-v "
+POTENTIAL_200 = "0*u1+" * 38 + "(v1-u1)^2 "
+
+
+@pytest.mark.parametrize("build, kind, text", [
+    (lambda t: build_deviations([t], DOMAIN)[0], "deviation", DEVIATION_603),
+    (lambda t: build_deviations([t], DOMAIN)[0], "deviation", DEVIATION_200),
+    (lambda t: build_custom_potential(t, 1), "potential", POTENTIAL_759),
+    (lambda t: build_custom_potential(t, 1), "potential", POTENTIAL_200),
+], ids=["deviation-603", "deviation-200", "potential-759", "potential-200"])
+def test_a_label_quotes_its_text_through_the_bound(build, kind, text):
+    # A text of at most _QUOTE_LIMIT characters is quoted whole, as before.
+    assert build(text).label == f"{kind} {_quote(text)}"
+    assert _quote(text) == (repr(text) if len(text) <= _QUOTE_LIMIT else _quoted(text))
+
+
+@pytest.mark.parametrize("kind, flags, text", [
+    ("deviation", ["--kind", "deviation-custom", "--x", "1,2"], "0*u+" * 150 + "v-u"),
+    ("potential", ["--kind", "custom-potential", "--dim", "1", "--x", "1;2"],
+     "0*u1+" * 150 + "-(v1-u1)^2"),
+], ids=["deviation", "potential"])
+def test_an_axiom_failure_of_a_long_text_prints_a_bounded_line(capsys, kind, flags, text):
+    # The label starts every InvalidDeviationError and InvalidPotentialError;
+    # it quoted the whole text, so the line grew with it (718 characters for
+    # the deviation).
+    code, out, err = _run(capsys, "mean", *flags, "--exprs", text)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {kind} {_quoted(text)}: ")
+    assert len(err) < _QUOTE_LIMIT + 200
 
 
 def _suite(tmp_path, *cases):

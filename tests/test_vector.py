@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import re
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from meanreduce.core import POSITIVE_REALS
+from meanreduce.core import POSITIVE_REALS, SolverConfig, length
 from meanreduce.errors import (
     DomainError,
     HullViolationError,
@@ -553,3 +555,115 @@ class TestGridOracle:
 def test_potential_family_messages(solve, F, x, message):
     with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
         solve(F, x)
+
+
+def _counted_weight(spec, calls):
+    """A constant weight as itself; (a, b) as the callable b (1 + a tanh(u1)),
+    which counts its calls in calls."""
+    if isinstance(spec, float):
+        return spec
+    a, b = spec
+
+    def weight(u):
+        calls[0] += 1
+        return b * (1.0 + a * math.tanh(float(u[0])))
+
+    return weight
+
+
+def _same_report(a, b):
+    return (a.value.tolist(), a.residual, a.iterations, a.converged, a.barycentric) == (
+        b.value.tolist(), b.residual, b.iterations, b.converged, b.barycentric)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_an_inner_product_mean_is_its_closed_form_in_one_iterate(n, d, data):
+    # The zero of g(y) = 2 sum_i c_i (x_i - y), c_i = w_i(x_i), is the point
+    # of barycentric weights c / sum(c); a solve without init evaluates it
+    # once and returns it when its own slack certifies it.
+    x = [np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+         for _ in range(n)]
+    specs = data.draw(st.lists(st.one_of(
+        st.floats(0.5, 3.0), st.tuples(st.floats(-0.9, 0.9), st.floats(0.5, 3.0))),
+        min_size=n, max_size=n))
+    calls = [0]
+    E = [inner_product_deviation(d, _counted_weight(w, calls)) for w in specs]
+    weighted = sum(not isinstance(w, float) for w in specs)
+    tol = 1e-12 * (1.0 + max(map(length, x)))
+    report = gen_deviation_mean(E, x)
+    assert report.converged and report.iterations == (1 if n > 1 else 0)
+    # Each weight is called once per solve, for the coefficients of g.
+    assert calls[0] == (weighted if n > 1 else 0)
+    # The loop, on the same deviations without their inner weights, agrees
+    # within tol, and within the distance its own certificate allows: g is
+    # strongly monotone with modulus mu = 2 sum_i c_i, so the loop's slack r
+    # puts its point within sqrt(r / mu) of the mean (the gap bound, ROADMAP
+    # item 17), which is the coarser where the points lie close together.
+    loop = gen_deviation_mean([dataclasses.replace(e, inner_weight=None) for e in E], x)
+    c = [w if isinstance(w, float) else w[1] * (1.0 + w[0] * math.tanh(p[0]))
+         for w, p in zip(specs, x)]
+    mu = 2.0 * sum(c)
+    # The closed form itself is the weighted average to rounding.
+    average = [math.fsum(ci * p[k] for ci, p in zip(c, x)) / math.fsum(c) for k in range(d)]
+    np.testing.assert_allclose(report.value, average, rtol=0.0, atol=1e-3 * tol)
+    assert loop.converged
+    assert float(np.abs(report.value - loop.value).max()) <= tol + math.sqrt(
+        max(loop.residual, 0.0) / mu)
+    assert verify_vi(E, x, report.value, tol).ok
+    # A tolerance the closed form's slack does not meet sends the solve to
+    # the loop from the centroid, which returns its own report: the one a
+    # solve given the centroid's weights as init returns.
+    tiny = SolverConfig(abs_tol=5e-324, max_iter=20)
+    calls[0] = 0
+    fallback = gen_deviation_mean(E, x, tiny)
+    assert calls[0] == (weighted if n > 1 else 0)
+    if n > 1 and report.residual > 5e-324 * (1.0 + max(map(length, x))):
+        assert _same_report(fallback, gen_deviation_mean(E, x, tiny, init=np.full(n, 1.0 / n)))
+        assert fallback.iterations > 1
+
+
+def test_a_solve_given_init_runs_the_loop():
+    # The closed form is the start of a solve without init only.
+    E = [inner_product_deviation(2, w) for w in (1.0, 2.0, 3.0)]
+    closed = gen_deviation_mean(E, TRIANGLE)
+    started = gen_deviation_mean(E, TRIANGLE, init=(1.0 / 3.0,) * 3)
+    assert closed.iterations == 1 and started.iterations > 1
+    assert closed.barycentric.weights == (1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0)
+    np.testing.assert_allclose(started.value, closed.value, rtol=0.0, atol=1e-12)
+
+
+class TestOverflowSafeTolerances:
+    """Tolerances scaled by a length stay finite where the length's square
+    leaves the float range, so that no iterate passes an infinite one."""
+
+    BOUNDED = "(u1-v1)/(1+abs(u1-v1))"
+
+    def test_length_is_numpy_norm_within_range_and_hypot_beyond(self):
+        rng = np.random.default_rng(3)
+        for v in rng.normal(size=(200, 4)) * 10.0 ** rng.uniform(-100, 100, (200, 1)):
+            assert length(v) == float(np.linalg.norm(v))
+        assert length(np.array([1e200, -1e200])) == math.hypot(1e200, 1e200)
+        assert length(np.array([3e300, 4e300])) == 5e300
+
+    def test_a_hull_solve_at_1e200_is_not_converged_at_the_centroid(self):
+        E = [GenDeviation(dim=1, eval=lambda u, v: (u - v) / (1.0 + abs(u - v)),
+                          validate=False)] * 3
+        x = ((1e200,), (0.0,), (0.0,))
+        # _slack_step's |s(lam') - s(lam)| still overflows at this scale.
+        with np.errstate(over="ignore"):
+            report = gen_deviation_mean(E, x, SolverConfig(max_iter=200))
+        assert not report.converged
+
+    def test_a_huge_tolerance_does_not_overflow_the_merit_floor(self):
+        E = [GenDeviation(dim=2, eval=lambda u, v: (u - v) * (1.0 + float(u @ u)),
+                          validate=False)] * 3
+        report = gen_deviation_mean(E, TRIANGLE, SolverConfig(abs_tol=1e200))
+        assert report.converged
+
+    def test_the_hull_check_of_verify_vi_scales_past_1e154(self):
+        E = [inner_product_deviation(1)] * 2
+        x = ((2e200,), (0.0,))
+        assert verify_vi(E, x, (1e200,), 1e-12).hull_residual >= 0.0
+        with pytest.raises(HullViolationError):
+            verify_vi(E, x, (3e200,), 1e-12)
