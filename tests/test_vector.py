@@ -637,8 +637,6 @@ class TestOverflowSafeTolerances:
     """Tolerances scaled by a length stay finite where the length's square
     leaves the float range, so that no iterate passes an infinite one."""
 
-    BOUNDED = "(u1-v1)/(1+abs(u1-v1))"
-
     def test_length_is_numpy_norm_within_range_and_hypot_beyond(self):
         rng = np.random.default_rng(3)
         for v in rng.normal(size=(200, 4)) * 10.0 ** rng.uniform(-100, 100, (200, 1)):
